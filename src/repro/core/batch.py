@@ -9,10 +9,11 @@ workload's queries share subtrees (common when queries are sampled from
 the collection, or generated from templates), every shared subtree is
 evaluated once per batch.
 
-:func:`memoized_match_nodes` is the core: a bottom-up evaluation over
+:func:`memoized_match_ids` is the core: a bottom-up evaluation over
 the *distinct* subtrees of a query, reusing any match set already in
-the memo.  It is exact: results equal the plain algorithms' results
-(tested property).  The execution layer taps into it whenever an
+the memo (:func:`memoized_match_nodes` is the same as a frozen set).
+It is exact: results equal the plain algorithms' results (tested
+property).  The execution layer taps into it whenever an
 :class:`~repro.core.exec.context.ExecutionContext` carries a shared
 memo dict (``NestedSetIndex.query_batch``, the batched join strategy);
 :class:`BatchEvaluator` remains the standalone convenience wrapper.
@@ -25,17 +26,30 @@ from typing import Iterable, Sequence
 from .invfile import InvertedFile
 from .matchspec import QuerySpec
 from .model import NestedSet
+from .postings import MatchIds, id_set
 from .structural import evaluate_node
 
 
 def memoized_match_nodes(query: NestedSet, ifile: InvertedFile,
                          spec: QuerySpec,
-                         memo: dict[NestedSet, frozenset[int]],
+                         memo: dict[NestedSet, MatchIds],
                          counters: object | None = None) -> frozenset[int]:
-    """Node ids at which ``query`` embeds (memoized bottom-up).
+    """Node ids at which ``query`` embeds (memoized bottom-up)."""
+    return frozenset(id_set(memoized_match_ids(query, ifile, spec, memo,
+                                               counters)))
+
+
+def memoized_match_ids(query: NestedSet, ifile: InvertedFile,
+                       spec: QuerySpec,
+                       memo: dict[NestedSet, MatchIds],
+                       counters: object | None = None) -> MatchIds:
+    """:func:`memoized_match_nodes` with the match set as the memo holds it.
 
     ``memo`` maps subquery values to match sets and may be shared across
     any number of queries evaluated against the same (unmutated) index.
+    Its values are what :func:`~repro.core.structural.evaluate_node`
+    produced -- a set, or the sorted id array of a long list, which the
+    next level's ``H(·)`` takes as it is -- and must not be mutated.
     ``counters``, if given, must expose ``subqueries_evaluated`` and
     ``subqueries_reused`` int attributes (e.g.
     :class:`~repro.core.exec.context.ExecCounters`).
@@ -46,11 +60,10 @@ def memoized_match_nodes(query: NestedSet, ifile: InvertedFile,
             counters.subqueries_reused += 1
         return cached
     # Post-order over the distinct subtrees: children first.
-    child_sets = [set(memoized_match_nodes(child, ifile, spec, memo,
-                                           counters))
+    child_sets = [memoized_match_ids(child, ifile, spec, memo, counters)
                   for child in sorted(query.children,
                                       key=lambda c: c.to_text())]
-    result = frozenset(evaluate_node(query, child_sets, ifile, spec))
+    result = evaluate_node(query, child_sets, ifile, spec)
     memo[query] = result
     if counters is not None:
         counters.subqueries_evaluated += 1
@@ -64,7 +77,7 @@ class BatchEvaluator:
                  spec: QuerySpec = QuerySpec()) -> None:
         self._ifile = ifile
         self.spec = spec
-        self._memo: dict[NestedSet, frozenset[int]] = {}
+        self._memo: dict[NestedSet, MatchIds] = {}
         self.subqueries_evaluated = 0
         self.subqueries_reused = 0
 
@@ -75,8 +88,9 @@ class BatchEvaluator:
 
     def query(self, query: NestedSet) -> list[str]:
         """Record keys matching one query (under the batch's spec)."""
-        return self._ifile.heads_to_keys(self.match_nodes(query),
-                                         mode=self.spec.mode)
+        heads = memoized_match_ids(query, self._ifile, self.spec,
+                                   self._memo, counters=self)
+        return self._ifile.heads_to_keys(heads, mode=self.spec.mode)
 
     def query_all(self, queries: Iterable[NestedSet]) -> list[list[str]]:
         """Evaluate the whole workload, sharing subquery results."""

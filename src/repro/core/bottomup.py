@@ -25,6 +25,7 @@ from .invfile import InvertedFile
 from .matchspec import QuerySpec
 from .model import NestedSet
 from .observe import NULL_OBSERVER, PlanObserver
+from .postings import MatchIds, id_set
 from .structural import evaluate_node
 
 #: Stack marker ('$' in the paper's Figure 5).
@@ -35,6 +36,20 @@ def bottomup_match_nodes(query: NestedSet, ifile: InvertedFile,
                          spec: QuerySpec = QuerySpec(), *,
                          observer: PlanObserver | None = None) -> set[int]:
     """Return the set of data node ids at which ``query`` embeds."""
+    return set(id_set(bottomup_match_ids(query, ifile, spec,
+                                         observer=observer)))
+
+
+def bottomup_match_ids(query: NestedSet, ifile: InvertedFile,
+                       spec: QuerySpec = QuerySpec(), *,
+                       observer: PlanObserver | None = None) -> MatchIds:
+    """:func:`bottomup_match_nodes` with the match set left in the form
+    the last level produced it in (a set, or a sorted id array).
+
+    That is also how the sets travel on the stack: a level's ``H(·)``
+    takes its children's match sets as they come, so a long list's heads
+    pass from level to level as one array and never become a ``set``.
+    """
     obs = observer if observer is not None else NULL_OBSERVER
     stack: list[object] = []
     work: list[tuple[NestedSet, bool]] = [(query, False)]
@@ -54,20 +69,20 @@ def bottomup_match_nodes(query: NestedSet, ifile: InvertedFile,
         # Collect the children's results down to the marker
         # (Algorithm 4 lines 5-9), then evaluate this node's candidates
         # against them (lines 11-15, the shared pipeline stage).
-        child_sets: list[set[int]] = []
+        child_sets: list[MatchIds] = []
         while stack[-1] is not _MARK:
-            child_sets.append(stack.pop())  # type: ignore[arg-type]
+            child_sets.append(stack.pop())
         stack.pop()
         matched = evaluate_node(node, child_sets, ifile, spec, obs)
         obs.exit_node(len(matched))
         stack.append(matched)
     result = stack.pop()
     assert not stack, "bottom-up stack must be empty at the end"
-    return set(result)  # type: ignore[arg-type]
+    return result
 
 
 def bottomup_query(query: NestedSet, ifile: InvertedFile,
                    spec: QuerySpec = QuerySpec()) -> list[str]:
     """Evaluate ``query ⋉ S`` and return the matching record keys."""
-    heads = bottomup_match_nodes(query, ifile, spec)
+    heads = bottomup_match_ids(query, ifile, spec)
     return ifile.heads_to_keys(heads, mode=spec.mode)

@@ -234,6 +234,13 @@ class BlockCache:
     invalidating -- readers pinned before the commit keep their (still
     correct) decoded blocks, and a racing reader re-populating an old
     epoch's entry can never serve a newer reader.
+
+    Beside the blocks the cache keeps each list's decoded skip directory
+    (:class:`repro.core.postings.SkipDirectory`) under the bare list
+    key -- the same epoch scoping and the same :meth:`invalidate`, so a
+    directory is exactly as fresh as the blocks it describes.  They are
+    an LRU of their own with the same budget, and count neither in
+    ``len()`` nor in the block hit statistics.
     """
 
     def __init__(self, budget: int = DEFAULT_BLOCK_BUDGET) -> None:
@@ -244,6 +251,7 @@ class BlockCache:
         self._lock = threading.Lock()
         self._blocks: OrderedDict[tuple[Hashable, int], DecodedBlock] = \
             OrderedDict()
+        self._directories: OrderedDict[Hashable, object] = OrderedDict()
 
     def get(self, key: tuple[Hashable, int]) -> DecodedBlock | None:
         with self._lock:
@@ -266,8 +274,24 @@ class BlockCache:
                 self._blocks.popitem(last=False)
                 self.stats.evictions += 1
 
+    def directory(self, list_key: Hashable) -> object | None:
+        """The cached skip directory of one list, or ``None``."""
+        with self._lock:
+            directory = self._directories.get(list_key)
+            if directory is not None:
+                self._directories.move_to_end(list_key)
+            return directory
+
+    def admit_directory(self, list_key: Hashable, directory: object) -> None:
+        with self._lock:
+            self._directories[list_key] = directory
+            self._directories.move_to_end(list_key)
+            if len(self._directories) > self.budget:
+                self._directories.popitem(last=False)
+
     def invalidate(self, list_keys: "set[Hashable]") -> None:
-        """Drop every cached block of the given lists (atom tokens).
+        """Drop every cached block and the directory of the given lists
+        (atom tokens).
 
         Appends re-encode only a list's tail block, but block *numbers*
         past the tail shift as entries spill over, so the whole list's
@@ -277,19 +301,21 @@ class BlockCache:
         match on their token, so a live invalidation also clears every
         snapshot epoch of the named lists.
         """
-        def list_key_of(key: tuple[Hashable, int]) -> Hashable:
-            first = key[0]
-            return first[0] if isinstance(first, tuple) else first
+        def token_of(list_key: Hashable) -> Hashable:
+            return list_key[0] if isinstance(list_key, tuple) else list_key
 
         with self._lock:
-            stale = [key for key in self._blocks
-                     if list_key_of(key) in list_keys]
-            for key in stale:
+            for key in [key for key in self._blocks
+                        if token_of(key[0]) in list_keys]:
                 del self._blocks[key]
+            for key in [key for key in self._directories
+                        if token_of(key) in list_keys]:
+                del self._directories[key]
 
     def clear(self) -> None:
         with self._lock:
             self._blocks.clear()
+            self._directories.clear()
 
     def __len__(self) -> int:
         return len(self._blocks)

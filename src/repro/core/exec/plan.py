@@ -23,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..batch import memoized_match_nodes
-from ..bottomup import bottomup_match_nodes
+from ..batch import memoized_match_ids
+from ..bottomup import bottomup_match_ids
 from ..matchspec import QuerySpec
 from ..model import NestedSet
 from ..naive import NaiveScanner
 from ..planner import make_planner
+from ..postings import MatchIds, id_set
 from ..topdown import topdown_match_nodes, topdown_paper_match_nodes
 
 if TYPE_CHECKING:
@@ -105,7 +106,7 @@ class ExecutionPlan:
         if self.match.strategy == "naive":
             result = self._run_scan(ctx)
         else:
-            heads = self.match_nodes(ctx)
+            heads = self._match_ids(ctx)
             result = ctx.ifile.heads_to_keys(heads,
                                              mode=self.materialize.mode)
         if ctx.result_cache is not None and key is not None:
@@ -114,13 +115,18 @@ class ExecutionPlan:
 
     def match_nodes(self, ctx: "ExecutionContext") -> set[int]:
         """Candidate + match stages only: node ids where the query embeds."""
+        return set(id_set(self._match_ids(ctx)))
+
+    def _match_ids(self, ctx: "ExecutionContext") -> MatchIds:
+        """:meth:`match_nodes` with the match set in the form the
+        strategy produced it in (result mapping takes either)."""
         if self.match.strategy == "naive":
             raise PlanError("the naive algorithm checks whole records and "
                             "has no node-level match set")
         if self.match.memoizable and ctx.memo is not None:
-            return set(memoized_match_nodes(
+            return memoized_match_ids(
                 self.query, ctx.ifile, self.spec, ctx.memo,
-                counters=ctx.counters))
+                counters=ctx.counters)
         if self.match.strategy == "topdown":
             child_order = None
             if self.match.planner is not None:
@@ -134,8 +140,8 @@ class ExecutionPlan:
             return topdown_paper_match_nodes(self.query, ctx.ifile,
                                              self.spec,
                                              observer=ctx.observer)
-        return bottomup_match_nodes(self.query, ctx.ifile, self.spec,
-                                    observer=ctx.observer)
+        return bottomup_match_ids(self.query, ctx.ifile, self.spec,
+                                  observer=ctx.observer)
 
     def _run_scan(self, ctx: "ExecutionContext") -> list[str]:
         bloom = ctx.bloom_index if self.prefilter.bloom else None

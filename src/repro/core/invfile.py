@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from ..storage import KVStore, open_store
@@ -494,13 +495,18 @@ class InvertedFile:
     def intersect_atoms(self, atoms: list[Atom]) -> PostingList:
         """Candidate generation with rarest-first block/segment skipping.
 
-        Fetches the rarest atom's list, bounds the feasible head range,
-        and touches only the overlapping storage units of the other
-        atoms: whole segments for the segmented format, individual
-        blocks (via the galloping kernel in
-        :func:`repro.core.postings.intersect`) for the blocked format.
+        Touches only the storage units of the non-rarest atoms that the
+        rarest atom's heads can reach: individual blocks (via the
+        galloping kernel in :func:`repro.core.postings.intersect`) for
+        the blocked format, whole segments for the segmented format.
         Identical results to intersecting the full lists; on skewed data
         most of a hot list stays encoded.
+
+        An index without segments fetches every atom **once**: a lazy
+        list costs its header and already knows its length, so the lists
+        themselves are ranked.  A segmented index ranks on a header peek
+        first, fetches the rarest atom's list, bounds the feasible head
+        range and reads only the overlapping segments of the others.
         """
         if not atoms:
             raise ValueError("intersect_atoms() needs at least one atom")
@@ -508,6 +514,17 @@ class InvertedFile:
             return self.postings(atoms[0])
         # Rank on live counts: dead postings inflate physical lengths
         # between compactions and would mislead the rarest-first choice.
+        if not self.segment_size:
+            dead = self.dead_counts
+            ranked = []
+            for atom in atoms:
+                plist = self.postings(atom)
+                if not plist:
+                    return PostingList()    # absent atom: read no further
+                ranked.append((max(0, len(plist) - dead.get(atom, 0)), plist))
+            ranked.sort(key=itemgetter(0))
+            return intersect([plist for _live, plist in ranked],
+                             stats=self.stats)
         ranked = sorted(atoms, key=self.live_list_length)
         base = self.postings(ranked[0])
         if not base:
@@ -631,7 +648,13 @@ class InvertedFile:
 
     def heads_to_ordinals(self, heads: Iterable[int],
                           mode: str = "root") -> list[int]:
-        """Map matched node ids to record ordinals under the match mode."""
+        """Map matched node ids to record ordinals under the match mode.
+
+        ``heads`` is any iterable of ids or a match set as the
+        algorithms hand it over, id arrays included.
+        """
+        if hasattr(heads, "tolist"):
+            heads = heads.tolist()
         ordinals: set[int] = set()
         for head in heads:
             meta = self.meta(head)

@@ -10,7 +10,9 @@ postings sorted on ``p`` and provides
 * **multiset union** with multiplicities (superset and ε-overlap joins of
   Section 4.1),
 * the **navigation join** ``L ▷ L'`` used by the top-down algorithm to step
-  one nesting level down while remembering the original head of each path.
+  one nesting level down while remembering the original head of each path,
+* the **child-axis filters** (``H(·)`` of Algorithm 4 and its relatives),
+  which run on a list's columnar view once it is long enough.
 
 :class:`PathList` is the navigation-state companion: entries ``(head, C)``
 where ``head`` is the original candidate for the query root and ``C`` the
@@ -20,6 +22,7 @@ current frontier of children ids (possibly several entries per head).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 try:
@@ -39,14 +42,64 @@ from ..storage.codec import (
 )
 
 
-class PostingList:
-    """An immutable posting list sorted on head ids (unique heads)."""
+#: Candidate count from which the child-axis filters (``H(·)`` and its
+#: equality/superset/top-down relatives) and the intersection's output
+#: run on columns instead of ``(p, C)`` rows.  A numpy call costs about a
+#: microsecond whatever its input and a row in a Python loop a few
+#: tenths of one, so short lists are cheaper as rows.  Measured on the
+#: ladder's default inputs (one read round, mean of the 5 fastest of
+#: 40): ``point_uniform``, where every list is under 128 postings,
+#: takes 32.1-32.7 ms with everything columnar (cutoff 0) and 29.2-29.9
+#: ms at 16, 32, 64, 128, 256 and with rows only; ``skew_twitter``,
+#: whose lists are either far above or far below any of those, takes
+#: 12.9-14.3 ms at every cutoff from 0 to 256 and 72.0 ms with rows
+#: only.  So the value is not delicate; 64 is the middle of the flat
+#: range.  The row loops below it are also the numpy-absent path.
+COLUMNAR_MIN = 64
 
-    __slots__ = ("entries", "_heads_arr")
+
+def use_columns(plist: "PostingList | LazyPostingList") -> bool:
+    """The size rule: is ``plist`` long enough to process as columns?"""
+    return _np is not None and len(plist) >= COLUMNAR_MIN
+
+
+class PostingList:
+    """An immutable posting list sorted on head ids (unique heads).
+
+    Two views of the same postings, each built from the other on first
+    use and then kept: the **rows** ``(p, C)`` (:attr:`entries`) and the
+    **columns** ``(heads, offsets, children)`` (:meth:`columns`) --
+    ``int64`` arrays where posting ``i`` owns
+    ``children[offsets[i]:offsets[i + 1]]``.  Lists decoded from blocks
+    or cut out of other columnar lists (:func:`take`, the vectorized
+    intersection) start as columns and never grow rows unless a row
+    consumer asks; a cut-out list then picks its rows out of the rows of
+    the list it was cut from, which a block-cached list shares with
+    every other query.
+    """
+
+    # Lists held by a list cache or shared between snapshots are read by
+    # several threads: each memo below is published by one assignment.
+    __slots__ = ("_entries", "_heads", "_columns", "_origin")
 
     def __init__(self, entries: Sequence[Posting] = ()) -> None:
-        self.entries: tuple[Posting, ...] = tuple(entries)
-        self._heads_arr = None
+        self._entries: tuple[Posting, ...] | None = tuple(entries)
+        self._heads = self._columns = self._origin = None
+
+    @classmethod
+    def from_columns(cls, heads, offsets, children,
+                     origin=None) -> "PostingList":
+        """Wrap columns (see the class docstring); rows stay unbuilt.
+
+        ``origin`` is ``(source list, positions)`` when the columns were
+        gathered from ``source`` at those ascending positions.
+        """
+        plist = cls.__new__(cls)
+        plist._entries = None
+        plist._heads = heads
+        plist._columns = (heads, offsets, children)
+        plist._origin = origin
+        return plist
 
     @classmethod
     def from_unsorted(cls, entries: Iterable[Posting]) -> "PostingList":
@@ -62,9 +115,39 @@ class PostingList:
         """Encode to the on-disk representation."""
         return encode_postings(self.entries)
 
+    @property
+    def entries(self) -> tuple[Posting, ...]:
+        """The ``(head, children)`` rows, built and memoized on demand."""
+        if self._entries is None:
+            origin = self._origin
+            if origin is not None:
+                source, index = origin
+                rows = source.entries
+                self._entries = tuple([rows[i] for i in index.tolist()])
+                self._origin = None
+            else:
+                heads, offsets, children = self._columns
+                self._entries = _rows(heads.tolist(),
+                                      (offsets[1:] - offsets[:-1]).tolist(),
+                                      children.tolist())
+        return self._entries
+
+    def columns(self):
+        """``(heads, offsets, children)`` as ``int64`` arrays (numpy only)."""
+        if self._columns is None:
+            entries = self._entries
+            offsets = _offsets_of(_np.fromiter(
+                (len(cs) for _, cs in entries), _np.int64, len(entries)))
+            children = _np.fromiter((c for _, cs in entries for c in cs),
+                                    _np.int64, int(offsets[-1]))
+            self._columns = (self.heads_array(), offsets, children)
+        return self._columns
+
     def heads(self) -> set[int]:
         """The set of head ids ``p``."""
-        return {p for p, _ in self.entries}
+        if self._entries is None:
+            return set(self._heads.tolist())
+        return {p for p, _ in self._entries}
 
     def heads_array(self):
         """All head ids as one sorted ``int64`` ndarray (memoized).
@@ -72,16 +155,19 @@ class PostingList:
         Only meaningful when numpy is importable; the vectorized
         intersection is gated on that before calling here.
         """
-        if self._heads_arr is None:
-            self._heads_arr = _np.fromiter(
-                (p for p, _ in self.entries), _np.int64, len(self.entries))
-        return self._heads_arr
+        if self._heads is None:
+            self._heads = _np.fromiter(
+                (p for p, _ in self._entries), _np.int64,
+                len(self._entries))
+        return self._heads
 
     def __len__(self) -> int:
-        return len(self.entries)
+        if self._entries is None:
+            return len(self._heads)
+        return len(self._entries)
 
     def __bool__(self) -> bool:
-        return bool(self.entries)
+        return len(self) > 0
 
     def __iter__(self) -> Iterator[Posting]:
         return iter(self.entries)
@@ -96,6 +182,49 @@ class PostingList:
 
     def __repr__(self) -> str:
         return f"PostingList({list(self.entries)!r})"
+
+
+def _concat(arrays):
+    """``concatenate`` that hands a single array back as it is."""
+    if len(arrays) == 1:
+        return arrays[0]
+    if not arrays:
+        return _np.empty(0, _np.int64)
+    return _np.concatenate(arrays)
+
+
+def _offsets_of(counts):
+    """Child counts to offsets: ``[0, c0, c0 + c1, ...]``."""
+    offsets = _np.zeros(len(counts) + 1, dtype=_np.int64)
+    _np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _gather(source, index) -> PostingList:
+    """The postings of ``source`` at the ascending positions ``index``.
+
+    A ragged gather: the kept postings' child runs are copied with one
+    fancy index built from their old and new start offsets.
+    """
+    heads, offsets, children = source.columns()
+    starts = offsets[index]
+    counts = offsets[index + 1] - starts
+    kept = _offsets_of(counts)
+    pick = _np.repeat(starts - kept[:-1], counts)
+    pick += _np.arange(len(pick))
+    return PostingList.from_columns(heads[index], kept, children[pick],
+                                    origin=(source, index))
+
+
+def _rows(heads: list[int], counts: list[int],
+          children: list[int]) -> tuple[Posting, ...]:
+    """Rows out of column *lists*: posting ``i`` takes ``counts[i]`` ids."""
+    out: list[Posting] = []
+    at = 0
+    for head, n in zip(heads, counts):
+        out.append((head, tuple(children[at:at + n])))
+        at += n
+    return tuple(out)
 
 
 class BlockData:
@@ -124,32 +253,49 @@ class BlockData:
     def from_postings(cls, postings: Sequence[Posting]) -> "BlockData":
         """Columnar view over already-materialized postings."""
         postings = tuple(postings)
+        columns = ([p for p, _ in postings],
+                   [len(cs) for _, cs in postings],
+                   [c for _, cs in postings for c in cs])
         if _np is not None:
-            heads = _np.fromiter((p for p, _ in postings), _np.int64,
-                                 len(postings))
-        else:
-            heads = [p for p, _ in postings]
-        return cls(heads, None, None, postings)
+            columns = [_np.array(column, dtype=_np.int64)
+                       for column in columns]
+        return cls(*columns, postings)
 
     @property
     def postings(self) -> tuple[Posting, ...]:
         """The ``(head, children)`` rows, built and memoized on demand."""
         if self._postings is None:
-            heads, counts, children = self.heads, self.counts, self.children
-            if _np is not None and not isinstance(heads, list):
-                heads = heads.tolist()
-                counts = counts.tolist()
-                children = children.tolist()
-            out: list[Posting] = []
-            at = 0
-            for head, n in zip(heads, counts):
-                out.append((head, tuple(children[at:at + n])))
-                at += n
-            self._postings = tuple(out)
+            columns = self.heads, self.counts, self.children
+            if not isinstance(self.heads, list):
+                columns = [column.tolist() for column in columns]
+            self._postings = _rows(*columns)
         return self._postings
 
     def __len__(self) -> int:
         return len(self.heads)
+
+
+class SkipDirectory:
+    """A decoded skip directory plus the two columns readers derive from it.
+
+    ``max_heads`` is the ``max_head`` of every block (what a probe is
+    searched into: an ``int64`` array with numpy, a list without) and
+    ``starts`` the number of postings before each block, with the total
+    as a last element.  Decoding the directory is the dearest part of
+    opening a list that is already in the block cache, so lazy lists
+    keep this object in the :class:`~repro.core.cache.BlockCache` under
+    their list key.
+    """
+
+    __slots__ = ("header", "max_heads", "starts")
+
+    def __init__(self, header: BlockedHeader) -> None:
+        self.header = header
+        max_heads = [info.max_head for info in header.blocks]
+        self.max_heads = max_heads if _np is None \
+            else _np.array(max_heads, dtype=_np.int64)
+        self.starts = list(accumulate((info.count for info in header.blocks),
+                                      initial=0))
 
 
 class LazyPostingList:
@@ -159,33 +305,41 @@ class LazyPostingList:
     (:func:`repro.storage.codec.encode_blocked`): the skip directory is
     decoded up front, block payloads only when touched.  Length and head
     range are O(1); :meth:`seek` resolves one head by decoding at most
-    one block; :attr:`entries` materializes everything (the structural
-    phases of the algorithms still want full lists).
+    one block.  The whole list comes in two forms: :meth:`columns`, the
+    ``(heads, offsets, children)`` arrays of :class:`PostingList`
+    concatenated from the decoded blocks' columns without building a
+    row, and :attr:`entries`, the rows, for the consumers that read
+    postings one at a time.
 
-    Decoded blocks go through an optional shared
-    :class:`~repro.core.cache.BlockCache` (``cache`` + ``cache_key``) so
-    hot blocks survive across queries; without one, blocks decoded for
-    :attr:`entries` are memoized locally.  ``stats`` accepts the owning
+    Decoded blocks and the decoded skip directory go through an optional
+    shared :class:`~repro.core.cache.BlockCache` (``cache`` +
+    ``cache_key``) so hot blocks survive across queries; without one,
+    decoded blocks are memoized locally.  ``stats`` accepts the owning
     index's :class:`~repro.core.invfile.QueryStats` and is bumped on
     every block decode (``blocks_read``/``bytes_decoded``) and every
     skip-directory jump (``blocks_skipped``).
     """
 
-    __slots__ = ("raw", "header", "_cache", "_cache_key", "_stats",
-                 "_local", "_entries", "_heads_arr")
+    __slots__ = ("raw", "directory", "header", "_cache", "_cache_key",
+                 "_stats", "_local", "_entries", "_heads_arr", "_columns")
 
-    def __init__(self, raw: bytes, *, header: BlockedHeader | None = None,
-                 cache=None, cache_key: object = None,
+    def __init__(self, raw: bytes, *, cache=None, cache_key: object = None,
                  stats=None) -> None:
         self.raw = raw
-        self.header = header if header is not None \
-            else decode_blocked_header(raw)
+        directory = cache.directory(cache_key) if cache is not None else None
+        if directory is None:
+            directory = SkipDirectory(decode_blocked_header(raw))
+            if cache is not None:
+                cache.admit_directory(cache_key, directory)
+        self.directory = directory
+        self.header = directory.header
         self._cache = cache
         self._cache_key = cache_key
         self._stats = stats
         self._local: dict[int, BlockData] | None = None
         self._entries: tuple[Posting, ...] | None = None
         self._heads_arr = None
+        self._columns = None
 
     # -- block access ------------------------------------------------------
 
@@ -233,9 +387,8 @@ class LazyPostingList:
     def block(self, index: int) -> tuple[Posting, ...]:
         """Decode block ``index`` as postings (through the shared cache)."""
         if self._entries is not None:
-            info = self.header.blocks[index]
-            start = sum(b.count for b in self.header.blocks[:index])
-            return self._entries[start:start + info.count]
+            starts = self.directory.starts
+            return self._entries[starts[index]:starts[index + 1]]
         return self.block_data(index).postings
 
     def heads_array(self):
@@ -250,12 +403,24 @@ class LazyPostingList:
                 self._heads_arr = _np.fromiter(
                     (p for p, _ in self._entries), _np.int64,
                     len(self._entries))
-            elif self.n_blocks == 0:
-                self._heads_arr = _np.empty(0, _np.int64)
             else:
-                self._heads_arr = _np.concatenate(
+                self._heads_arr = _concat(
                     [self.block_data(i).heads for i in range(self.n_blocks)])
         return self._heads_arr
+
+    def columns(self):
+        """``(heads, offsets, children)`` as ``int64`` arrays (numpy only).
+
+        Every block is decoded (or found in the cache); no row is built.
+        """
+        if self._columns is None:
+            blocks = [self.block_data(i) for i in range(self.n_blocks)]
+            if self._heads_arr is None:
+                self._heads_arr = _concat([b.heads for b in blocks])
+            self._columns = (self._heads_arr,
+                             _offsets_of(_concat([b.counts for b in blocks])),
+                             _concat([b.children for b in blocks]))
+        return self._columns
 
     @property
     def entries(self) -> tuple[Posting, ...]:
@@ -291,6 +456,8 @@ class LazyPostingList:
     # -- PostingList read surface ------------------------------------------
 
     def heads(self) -> set[int]:
+        if self._entries is None and _np is not None:
+            return set(self.heads_array().tolist())
         return {p for p, _ in self.entries}
 
     def encode(self) -> bytes:
@@ -335,7 +502,7 @@ class _BlockCursor:
 
     def __init__(self, lazy: LazyPostingList) -> None:
         self._list = lazy
-        self._max_heads = [info.max_head for info in lazy.header.blocks]
+        self._max_heads = lazy.directory.max_heads
         self._block_no = 0
         self._block: tuple[Posting, ...] | None = None
         self._block_heads: list[int] | None = None
@@ -402,9 +569,7 @@ def _gallop_mask(lazy: LazyPostingList, probes):
     exactly as the scalar cursor counts them.
     """
     blocks = lazy.header.blocks
-    max_heads = _np.fromiter((info.max_head for info in blocks),
-                             _np.int64, len(blocks))
-    target = _np.searchsorted(max_heads, probes)
+    target = _np.searchsorted(lazy.directory.max_heads, probes)
     keep = _np.zeros(len(probes), dtype=bool)
     in_range = target < len(blocks)
     if not in_range.any():
@@ -417,12 +582,7 @@ def _gallop_mask(lazy: LazyPostingList, probes):
         run = probes[lo:hi]
         if int(run[-1]) < blocks[block_no].min_head:
             continue  # whole run sits in the gap before this block
-        heads = lazy.block_data(block_no).heads
-        pos = _np.searchsorted(heads, run)
-        inside = pos < len(heads)
-        hit = _np.zeros(len(run), dtype=bool)
-        hit[inside] = heads[pos[inside]] == run[inside]
-        keep[lo:hi] = hit
+        keep[lo:hi] = in_sorted(run, lazy.block_data(block_no).heads)
         decoded += 1
     if lazy._stats is not None and decoded:
         span = int(touched[-1]) - int(touched[0]) + 1
@@ -453,15 +613,15 @@ def _array_membership(other: "PostingList | LazyPostingList", probes):
         keep = _np.zeros(n_probes, dtype=bool)
         keep[probe_idx] = True
         return keep
-    pos = _np.searchsorted(heads, probes)
-    inside = pos < len(heads)
-    keep = _np.zeros(n_probes, dtype=bool)
-    keep[inside] = heads[pos[inside]] == probes[inside]
-    return keep
+    return in_sorted(probes, heads)
 
 
 def _intersect_vectorized(rare, others, stats) -> PostingList:
-    """Array-native intersection: rare heads filtered operand by operand."""
+    """Array-native intersection: rare heads filtered operand by operand.
+
+    The survivors leave as columns gathered from the rare list's columns
+    (rows only for a rare list under :data:`COLUMNAR_MIN`).
+    """
     rare_heads = rare.heads_array()
     alive = _np.arange(len(rare_heads))
     for other in others:
@@ -474,6 +634,8 @@ def _intersect_vectorized(rare, others, stats) -> PostingList:
         stats.intersects_vectorized += 1
     if not len(alive):
         return PostingList()
+    if use_columns(rare):
+        return _gather(rare, alive)
     entries = rare.entries
     return PostingList([entries[i] for i in alive.tolist()])
 
@@ -629,18 +791,135 @@ def nav_join_descendant(paths: Sequence[tuple[int, int, int]],
     return out
 
 
+# -- match sets and the child-axis filters -----------------------------------
+#
+# A *match set* (the data nodes at which one query node embeds) travels
+# between query levels either as a ``set`` of ints or, when it was read
+# off a columnar list, as a sorted ``int64`` array.  The filters below
+# take either form and follow the size rule of :func:`use_columns`: at
+# or above :data:`COLUMNAR_MIN` candidates they run on the list's
+# columns with two primitives -- :func:`in_sorted` (one membership test
+# of a flat column) and :func:`children_in` (per-posting sums of that
+# mask by prefix sums) -- and cut the survivors out with :func:`take`;
+# below it, and without numpy, they loop over the rows.
+
+#: A match set in either form.  Test emptiness with ``len``; never mutate
+#: one (arrays may be columns of cached blocks, sets may sit in a memo).
+MatchIds = object
+
+
+def match_ids(plist: "PostingList | LazyPostingList") -> MatchIds:
+    """The heads of ``plist`` as a match set, in the form it is held in."""
+    return plist.heads_array() if use_columns(plist) else plist.heads()
+
+
+def id_array(ids):
+    """A match set as a sorted ``int64`` array (numpy only)."""
+    if isinstance(ids, _np.ndarray):
+        return ids
+    arr = _np.fromiter(ids, _np.int64, len(ids))
+    arr.sort()
+    return arr
+
+
+def id_set(ids) -> "set[int] | frozenset[int]":
+    """A match set as a set of Python ints."""
+    if _np is not None and isinstance(ids, _np.ndarray):
+        return set(ids.tolist())
+    return ids
+
+
+def in_sorted(values, ids):
+    """Mask over ``values``: which occur in the sorted unique array ``ids``."""
+    if not len(ids):
+        return _np.zeros(len(values), dtype=bool)
+    pos = _np.searchsorted(ids, values)
+    _np.minimum(pos, len(ids) - 1, out=pos)
+    return ids[pos] == values
+
+
+def children_in(plist: "PostingList | LazyPostingList", ids):
+    """Per posting of ``plist``: how many of its children lie in ``ids``.
+
+    Prefix sums of the membership mask, differenced at the postings'
+    offsets -- which, unlike ``add.reduceat``, is right for postings
+    without children (equal offsets, so zero).
+    """
+    _heads, offsets, children = plist.columns()
+    running = _np.zeros(len(children) + 1, dtype=_np.int64)
+    _np.cumsum(in_sorted(children, id_array(ids)), out=running[1:])
+    return running[offsets[1:]] - running[offsets[:-1]]
+
+
+def take(plist: "PostingList | LazyPostingList", keep) -> PostingList:
+    """The postings of ``plist`` under the boolean mask ``keep``."""
+    index = _np.flatnonzero(keep)
+    if len(index) == len(keep):
+        return plist
+    if not len(index):
+        return PostingList()
+    return _gather(plist, index)
+
+
 def heads_with_child_in(candidates: PostingList,
-                        required: Sequence[set[int]]) -> PostingList:
+                        required: Sequence) -> PostingList:
     """The ``H(·)`` operator of the bottom-up algorithm (Algorithm 4 line 12).
 
     Keeps candidates having at least one child in *each* of the ``required``
-    head sets.
+    match sets.
     """
     if not required:
         return candidates
+    if use_columns(candidates):
+        keep = _np.ones(len(candidates), dtype=bool)
+        for ids in required:
+            keep &= children_in(candidates, ids) > 0
+        return take(candidates, keep)
+    required = [id_set(ids) for ids in required]
     entries = [(p, children) for p, children in candidates.entries
                if all(any(c in h for c in children) for h in required)]
     return PostingList(entries)
+
+
+def with_child_count(candidates: PostingList, want: int) -> PostingList:
+    """Candidates with exactly ``want`` internal children (equality join)."""
+    if use_columns(candidates):
+        return take(candidates, _np.diff(candidates.columns()[1]) == want)
+    return PostingList([(p, children) for p, children in candidates.entries
+                        if len(children) == want])
+
+
+def with_children_within(candidates: PostingList,
+                         allowed: Sequence) -> PostingList:
+    """Candidates whose every child lies in some ``allowed`` match set
+    (superset join)."""
+    if use_columns(candidates):
+        union = _np.unique(_concat([id_array(ids) for ids in allowed]))
+        n_children = _np.diff(candidates.columns()[1])
+        return take(candidates,
+                    children_in(candidates, union) == n_children)
+    union = set().union(*(id_set(ids) for ids in allowed))
+    return PostingList([(p, children) for p, children in candidates.entries
+                        if all(c in union for c in children)])
+
+
+def with_head_in(plist: PostingList, ids) -> PostingList:
+    """Postings whose head lies in the match set ``ids``."""
+    if use_columns(plist):
+        return take(plist, in_sorted(plist.heads_array(), id_array(ids)))
+    ids = id_set(ids)
+    return PostingList([(p, children) for p, children in plist.entries
+                        if p in ids])
+
+
+def child_ids(plist: PostingList):
+    """Every child id of ``plist``'s postings, as a match set."""
+    if use_columns(plist):
+        return _np.unique(plist.columns()[2])
+    ids: set[int] = set()
+    for _p, children in plist.entries:
+        ids.update(children)
+    return ids
 
 
 def heads_with_descendant_in(candidates: PostingList,

@@ -50,7 +50,7 @@ from .candidates import node_candidates
 from .invfile import InvertedFile, atom_token
 from .matchspec import QuerySpec
 from .model import Atom, NestedSet
-from .postings import PostingList, intersect
+from .postings import MatchIds, PostingList, intersect, match_ids
 from .structural import filter_candidates
 
 if TYPE_CHECKING:  # typing only
@@ -210,27 +210,29 @@ class SharedCandidates:
 
 def prefix_match_nodes(query: NestedSet, ctx: "ExecutionContext",
                        spec: QuerySpec, provider: SharedCandidates,
-                       memo: dict[NestedSet, frozenset]) -> frozenset:
+                       memo: dict[NestedSet, MatchIds]) -> MatchIds:
     """Node ids at which ``query`` embeds, candidates via the provider.
 
-    Mirrors :func:`repro.core.batch.memoized_match_nodes` exactly --
-    same post-order over distinct subtrees, same whole-subtree memo,
-    same superset-aware unsatisfiable-child short-circuit -- with
+    Mirrors :func:`repro.core.batch.memoized_match_ids` exactly --
+    same post-order over distinct subtrees, same whole-subtree memo
+    (match sets in the form they were produced in), same
+    superset-aware unsatisfiable-child short-circuit -- with
     candidate generation swapped for the shared provider.
     """
     cached = memo.get(query)
     if cached is not None:
         ctx.counters.subqueries_reused += 1
         return cached
-    child_sets = [set(prefix_match_nodes(child, ctx, spec, provider, memo))
+    child_sets = [prefix_match_nodes(child, ctx, spec, provider, memo)
                   for child in sorted(query.children,
                                       key=lambda c: c.to_text())]
-    if spec.join != "superset" and any(not hits for hits in child_sets):
-        result: frozenset = frozenset()
+    if spec.join != "superset" \
+            and any(len(hits) == 0 for hits in child_sets):
+        result: MatchIds = frozenset()
     else:
         cand = provider.candidates(query)
-        result = frozenset(
-            filter_candidates(cand, child_sets, ctx.ifile, spec).heads())
+        result = match_ids(
+            filter_candidates(cand, child_sets, ctx.ifile, spec))
     memo[query] = result
     ctx.counters.subqueries_evaluated += 1
     return result

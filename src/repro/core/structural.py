@@ -32,16 +32,23 @@ from .invfile import InvertedFile
 from .matchspec import QuerySpec
 from .observe import NULL_OBSERVER, PlanObserver
 from .postings import (
+    MatchIds,
     PostingList,
     _has_in_interval,
+    child_ids,
     heads_with_child_in,
     heads_with_descendant_in,
+    id_set,
+    match_ids,
+    with_child_count,
+    with_children_within,
+    with_head_in,
 )
 
 
-def evaluate_node(qnode, child_sets: Sequence[set[int]],
+def evaluate_node(qnode, child_sets: Sequence[MatchIds],
                   ifile: InvertedFile, spec: QuerySpec,
-                  observer: PlanObserver = NULL_OBSERVER) -> set[int]:
+                  observer: PlanObserver = NULL_OBSERVER) -> MatchIds:
     """One query node of the shared pipeline: candidates, then filter.
 
     This is the ``H(·)`` evaluation step used verbatim by the bottom-up
@@ -52,42 +59,42 @@ def evaluate_node(qnode, child_sets: Sequence[set[int]],
     under the superset join, where data children only need to be
     covered by *some* query child).
     """
-    if spec.join != "superset" and any(not hits for hits in child_sets):
+    if spec.join != "superset" and any(len(hits) == 0 for hits in child_sets):
         observer.record_candidates(0)
         return set()
     cand = node_candidates(qnode, ifile, spec)
     observer.record_candidates(len(cand))
-    return filter_candidates(cand, child_sets, ifile, spec).heads()
+    return match_ids(filter_candidates(cand, child_sets, ifile, spec))
 
 
-def filter_candidates(cand: PostingList, child_sets: Sequence[set[int]],
+def filter_candidates(cand: PostingList, child_sets: Sequence[MatchIds],
                       ifile: InvertedFile, spec: QuerySpec) -> PostingList:
     """Keep the candidates that structurally cover the query node.
 
     ``child_sets`` holds, for each internal child of the query node, the
-    set of data node ids at which that child's subtree embeds.
+    match set of data node ids at which that child's subtree embeds.
+    The child-axis conditions (every join under ``hom``) run on columns
+    for long candidate lists; ``homeo`` needs each candidate's subtree
+    interval and ``iso`` a bipartite matching per candidate, so those
+    two read rows.
     """
     if spec.join == "superset":
-        allowed: set[int] = set().union(*child_sets) if child_sets else set()
-        return PostingList([(p, children) for p, children in cand
-                            if all(c in allowed for c in children)])
+        return with_children_within(cand, child_sets)
     if spec.join == "equality":
-        want = len(child_sets)
         # Children of distinct query subtrees have disjoint equality-match
         # sets, so "every child set hit + equal counts" forces a bijection.
-        return PostingList([
-            (p, children) for p, children in cand
-            if len(children) == want
-            and all(any(c in hits for c in children) for hits in child_sets)])
+        return heads_with_child_in(with_child_count(cand, len(child_sets)),
+                                   child_sets)
     # subset / overlap
     if not child_sets:
         return cand
     if spec.semantics == "hom":
         return heads_with_child_in(cand, child_sets)
     if spec.semantics == "homeo":
-        sorted_sets = [sorted(hits) for hits in child_sets]
+        sorted_sets = [sorted(id_set(hits)) for hits in child_sets]
         return heads_with_descendant_in(cand, sorted_sets, ifile.max_desc)
     if spec.semantics == "iso":
+        child_sets = [id_set(hits) for hits in child_sets]
         return PostingList([(p, children) for p, children in cand
                             if injective_cover(child_sets, children)])
     raise ValueError(f"unknown semantics {spec.semantics!r}")
@@ -117,7 +124,7 @@ def injective_cover(child_sets: Sequence[set[int]],
     return True
 
 
-def prefilter_survivors(survivors: PostingList, ok_set: set[int],
+def prefilter_survivors(survivors: PostingList, ok_set: MatchIds,
                         ifile: InvertedFile, spec: QuerySpec) -> PostingList:
     """Drop survivors with no edge into ``ok_set`` (one query child).
 
@@ -126,12 +133,11 @@ def prefilter_survivors(survivors: PostingList, ok_set: set[int],
     injective check runs via :func:`filter_candidates`.
     """
     if spec.semantics == "homeo":
-        sorted_ok = sorted(ok_set)
+        sorted_ok = sorted(id_set(ok_set))
         return PostingList([
             (p, children) for p, children in survivors
             if _has_in_interval(sorted_ok, p, ifile.max_desc(p))])
-    return PostingList([(p, children) for p, children in survivors
-                        if any(c in ok_set for c in children)])
+    return heads_with_child_in(survivors, [ok_set])
 
 
 def frontier_of(survivors: PostingList, ifile: InvertedFile,
@@ -141,18 +147,15 @@ def frontier_of(survivors: PostingList, ifile: InvertedFile,
         intervals = _merge_intervals(
             [(p, ifile.max_desc(p)) for p, _ in survivors])
         return Frontier(intervals=intervals)
-    ids: set[int] = set()
-    for _p, children in survivors:
-        ids.update(children)
-    return Frontier(ids=ids)
+    return Frontier(ids=child_ids(survivors))
 
 
 class Frontier:
-    """Either an id set (child axis) or merged intervals (descendant axis)."""
+    """Either a match set (child axis) or merged intervals (descendant axis)."""
 
     __slots__ = ("ids", "intervals")
 
-    def __init__(self, ids: set[int] | None = None,
+    def __init__(self, ids: MatchIds | None = None,
                  intervals: list[tuple[int, int]] | None = None) -> None:
         self.ids = ids
         self.intervals = intervals
@@ -160,8 +163,7 @@ class Frontier:
     def restrict(self, plist: PostingList) -> PostingList:
         """Keep only postings whose head lies in the frontier."""
         if self.ids is not None:
-            return PostingList([(p, children) for p, children in plist
-                                if p in self.ids])
+            return with_head_in(plist, self.ids)
         assert self.intervals is not None
         out = []
         index = 0

@@ -41,7 +41,15 @@ from .invfile import InvertedFile
 from .matchspec import QuerySpec, validate_paper_variant
 from .model import NestedSet
 from .observe import NULL_OBSERVER, PlanObserver
-from .postings import PathList, PostingList, nav_join
+from .postings import (
+    MatchIds,
+    PathList,
+    PostingList,
+    id_set,
+    match_ids,
+    nav_join,
+    with_child_count,
+)
 from .structural import filter_candidates, frontier_of, prefilter_survivors
 
 
@@ -61,7 +69,7 @@ def topdown_match_nodes(query: NestedSet, ifile: InvertedFile,
     """
     obs = observer if observer is not None else NULL_OBSERVER
     cand = node_candidates(query, ifile, spec)
-    return _match(query, cand, ifile, spec, child_order, obs)
+    return set(id_set(_match(query, cand, ifile, spec, child_order, obs)))
 
 
 def topdown_query(query: NestedSet, ifile: InvertedFile,
@@ -73,11 +81,14 @@ def topdown_query(query: NestedSet, ifile: InvertedFile,
 
 def _match(qnode: NestedSet, cand: PostingList, ifile: InvertedFile,
            spec: QuerySpec, child_order, obs: PlanObserver,
-           n_unrestricted: int | None = None) -> set[int]:
+           n_unrestricted: int | None = None) -> MatchIds:
     """Survivors of ``cand`` whose subtrees cover ``qnode``'s children.
 
     ``n_unrestricted`` is the candidate count before the parent-frontier
     restriction (``None`` at the root, where there is no frontier).
+    Long survivor lists stay columnar from level to level: frontier,
+    restriction and the per-child prefilter follow the size rule of
+    :func:`repro.core.postings.use_columns`.
     """
     obs.enter_node(qnode)
     if n_unrestricted is None:
@@ -91,7 +102,7 @@ def _match(qnode: NestedSet, cand: PostingList, ifile: InvertedFile,
 
 def _match_children(qnode: NestedSet, cand: PostingList,
                     ifile: InvertedFile, spec: QuerySpec, child_order,
-                    obs: PlanObserver) -> set[int]:
+                    obs: PlanObserver) -> MatchIds:
     if not cand:
         return set()
     if child_order is not None:
@@ -99,7 +110,7 @@ def _match_children(qnode: NestedSet, cand: PostingList,
     else:
         children = sorted(qnode.children, key=lambda c: c.to_text())
     if not children:
-        return filter_candidates(cand, [], ifile, spec).heads()
+        return match_ids(filter_candidates(cand, [], ifile, spec))
     if spec.join == "superset":
         # The superset condition quantifies over *data* children, so the
         # per-child sequential pruning below would be unsound; recur on
@@ -112,12 +123,11 @@ def _match_children(qnode: NestedSet, cand: PostingList,
             child_sets.append(_match(child, child_cand, ifile, spec,
                                      child_order, obs,
                                      n_unrestricted=len(full)))
-        return filter_candidates(cand, child_sets, ifile, spec).heads()
+        return match_ids(filter_candidates(cand, child_sets, ifile, spec))
     if spec.join == "equality":
-        want = len(children)
-        cand = PostingList([(p, c) for p, c in cand if len(c) == want])
+        cand = with_child_count(cand, len(children))
     survivors = cand
-    child_sets: list[set[int]] = []
+    child_sets: list[MatchIds] = []
     for child in children:
         if not survivors:
             return set()
@@ -132,7 +142,7 @@ def _match_children(qnode: NestedSet, cand: PostingList,
         # The sequential prefilter is only necessary for iso; finish with
         # the injective matching over all children at once.
         survivors = filter_candidates(survivors, child_sets, ifile, spec)
-    return survivors.heads()
+    return match_ids(survivors)
 
 
 # -- paper-literal variant ------------------------------------------------------

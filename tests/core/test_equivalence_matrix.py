@@ -15,7 +15,17 @@ import random
 import pytest
 
 from repro.core.engine import NestedSetIndex
+from repro.core.join import containment_join
+from repro.core.matchspec import QuerySpec
+from repro.core.model import NestedSet
 from repro.core.planner import STRATEGIES
+from repro.core.postings import COLUMNAR_MIN
+from repro.storage.codec import (
+    DEFAULT_BLOCK_SIZE,
+    PACKED_FORMAT_BYTE,
+    decode_blocked,
+    encode_blocked,
+)
 
 from ..conftest import random_tree
 
@@ -152,3 +162,121 @@ class TestPlannerOrderInvariance:
                 planned = index.query(query, algorithm="topdown",
                                       planner=strategy)
                 assert planned == baseline, (strategy, query)
+
+
+# -- long lists: the columnar path under every layout -----------------------
+#
+# The corpora above keep every posting list under COLUMNAR_MIN, so their
+# matrix runs the row loops only.  Here two hot atoms sit in most nodes:
+# their lists (and the intersections, frontiers and survivor lists made
+# from them) stay over the cutoff in every shard of a 4-shard index, so
+# each algorithm x semantics x join answers through the columnar
+# filters -- from every physical format -- and must still equal the
+# naive scan.
+
+HOT_ATOMS = ["h0", "h1"]
+RARE_ATOMS = [f"a{i}" for i in range(8)]
+
+
+def _hot_tree(rng: random.Random, depth: int = 0) -> "NestedSet":
+    atoms = [atom for atom, p in zip(HOT_ATOMS, (0.9, 0.7))
+             if rng.random() < p]
+    atoms += rng.sample(RARE_ATOMS, rng.randint(0 if atoms else 1, 2))
+    children = [_hot_tree(rng, depth + 1)
+                for _ in range(rng.randint(0, 2) if depth < 2 else 0)]
+    return NestedSet(atoms, children)
+
+
+def _hot_corpus(n: int = 360) -> list:
+    rng = random.Random(64)
+    return [(f"r{i:03d}", _hot_tree(rng)) for i in range(n)]
+
+
+def _hot_queries(corpus: list) -> list:
+    """Records themselves (positive), the hot atoms alone at two levels,
+    and random trees (mostly negative)."""
+    rng = random.Random(65)
+    branching = [tree for _key, tree in corpus if len(tree.children) == 2]
+    queries = rng.sample(branching, 3)
+    queries.append(NestedSet(["h0"], [NestedSet(["h0", "h1"])]))
+    queries.append(NestedSet(["h0", "h1"],
+                             [NestedSet(["h0"]), NestedSet(["h1"])]))
+    queries.append(NestedSet(["h1"], [NestedSet(["h0"], [NestedSet(["h0"])])]))
+    queries += [_hot_tree(rng) for _ in range(2)]
+    return queries
+
+
+def _downgrade_to_varint(index) -> int:
+    """Rewrite every packed (0x03) atom value of a fresh index as 0x02."""
+    rewritten = 0
+    for engine in getattr(index, "shards", (index,)):
+        store = engine.inverted_file.store
+        for key, raw in list(store.items()):
+            if key.startswith(b"A:") and raw[0] == PACKED_FORMAT_BYTE:
+                store.put(key, encode_blocked(decode_blocked(raw),
+                                              DEFAULT_BLOCK_SIZE,
+                                              packed=False))
+                rewritten += 1
+    return rewritten
+
+
+def _build_layout(corpus: list, layout: str, shards: int):
+    options = {"plain": {"block_size": 0},
+               "segmented": {"segment_size": 16}}.get(layout, {})
+    index = NestedSetIndex.build(corpus, shards=shards, **options)
+    if layout == "varint":
+        assert _downgrade_to_varint(index) > 0
+    return index
+
+
+@pytest.fixture(scope="module")
+def hot_expected():
+    """Per (semantics, join, mode): the naive scan's answers."""
+    corpus = _hot_corpus()
+    queries = _hot_queries(corpus)
+    with NestedSetIndex.build(corpus) as index:
+        lengths = [index.inverted_file.list_length(atom)
+                   for atom in HOT_ATOMS]
+        assert min(lengths) >= 8 * COLUMNAR_MIN     # >= 2x per shard of 4
+        expected = {
+            (semantics, join, mode): [
+                index.query(query, algorithm="naive", semantics=semantics,
+                            join=join, mode=mode) for query in queries]
+            for semantics, join in VALID_COMBOS
+            for mode in ("root", "anywhere")}
+    assert any(any(answers) for answers in expected.values())
+    return corpus, queries, expected
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("layout", ["plain", "varint", "packed", "segmented"])
+class TestLongListsMatrix:
+    def test_every_path_equals_naive(self, hot_expected, layout,
+                                     shards) -> None:
+        corpus, queries, expected = hot_expected
+        with _build_layout(corpus, layout, shards) as index:
+            for (semantics, join, mode), answers in expected.items():
+                for algorithm in ("bottomup", "topdown"):
+                    got = [index.query(query, algorithm=algorithm,
+                                       semantics=semantics, join=join,
+                                       mode=mode) for query in queries]
+                    assert got == answers, \
+                        (layout, shards, algorithm, semantics, join, mode)
+                batched = index.query_batch(
+                    queries, share_subqueries=True, semantics=semantics,
+                    join=join, mode=mode)
+                assert batched == answers, \
+                    (layout, shards, "batch", semantics, join, mode)
+
+    def test_prefix_join_equals_naive(self, hot_expected, layout,
+                                      shards) -> None:
+        corpus, queries, expected = hot_expected
+        keyed = [(f"q{i}", query) for i, query in enumerate(queries)]
+        with _build_layout(corpus, layout, shards) as index:
+            for join in ("subset", "equality", "superset"):
+                result = containment_join(index, keyed, strategy="prefix",
+                                          spec=QuerySpec(join=join))
+                assert sorted(result.pairs) == sorted(
+                    (key, match) for (key, _query), matches
+                    in zip(keyed, expected["hom", join, "root"])
+                    for match in matches), (layout, shards, join)

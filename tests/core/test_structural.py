@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import postings as postings_mod
+from repro.core.cache import BlockCache
 from repro.core.invfile import InvertedFile
 from repro.core.matchspec import QuerySpec
 from repro.core.model import NestedSet
-from repro.core.postings import PostingList
+from repro.core.postings import (
+    COLUMNAR_MIN,
+    BlockData,
+    LazyPostingList,
+    PostingList,
+    heads_with_child_in,
+    id_array,
+    intersect,
+)
 from repro.core.structural import (
     Frontier,
     _merge_intervals,
@@ -16,6 +29,7 @@ from repro.core.structural import (
     injective_cover,
     prefilter_survivors,
 )
+from repro.storage.codec import encode_blocked
 
 N = NestedSet
 
@@ -135,3 +149,157 @@ class TestMergeIntervals:
                             (11, ()), (13, ())])
         # (start, end] semantics: start itself excluded
         assert frontier.restrict(cand).heads() == {1, 3, 11}
+
+
+# -- columnar H(·) against the row loop -------------------------------------
+#
+# The child-axis filters switch from rows to columns at COLUMNAR_MIN
+# candidates (repro.core.postings.use_columns).  The row loops below are
+# the reference: the same conditions written out posting by posting.
+
+
+def _rows_subset(cand, child_sets) -> set[int]:
+    return {p for p, children in cand
+            if all(any(c in hits for c in children) for hits in child_sets)}
+
+
+def _rows_equality(cand, child_sets) -> set[int]:
+    return {p for p, children in cand
+            if len(children) == len(child_sets)
+            and all(any(c in hits for c in children) for hits in child_sets)}
+
+
+def _rows_superset(cand, child_sets) -> set[int]:
+    allowed = set().union(*child_sets)
+    return {p for p, children in cand
+            if all(c in allowed for c in children)}
+
+
+ROW_REFERENCE = {"subset": _rows_subset, "equality": _rows_equality,
+                 "superset": _rows_superset}
+
+
+@st.composite
+def ragged_case(draw):
+    """Candidates, child match sets and a second list over one id pool.
+
+    Hypothesis picks the shape -- candidate count around the cutoff, how
+    many postings have no children, how dense and how overlapping the
+    child sets are, whether ids sit past 2**31 -- and a seed fills it in.
+    """
+    n = draw(st.one_of(
+        st.sampled_from([0, 1, COLUMNAR_MIN - 1, COLUMNAR_MIN,
+                         COLUMNAR_MIN + 1, 3 * COLUMNAR_MIN]),
+        st.integers(0, 2 * COLUMNAR_MIN)))
+    base = draw(st.sampled_from([0, 2 ** 31 - 40, 2 ** 40]))
+    max_children = draw(st.integers(0, 4))
+    childless = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    n_sets = draw(st.integers(0, 3))
+    density = draw(st.sampled_from([0.0, 0.1, 0.6, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    pool = range(base, base + 4 * max(n, 8))
+    cand = []
+    for head in sorted(rng.sample(pool, n)):
+        k = 0 if rng.random() < childless else rng.randint(0, max_children)
+        cand.append((head, tuple(sorted(rng.sample(pool, k)))))
+    mentioned = sorted({c for _p, cs in cand for c in cs}) or [base]
+    child_sets = []
+    for _ in range(n_sets):
+        hits = {c for c in mentioned if rng.random() < density}
+        hits.update(rng.sample(pool, rng.randint(0, 3)))
+        if density == 0.0 and rng.random() < 0.5:
+            hits = set()
+        child_sets.append(hits)
+    other = [(head, ()) for head in sorted(rng.sample(pool, len(pool) // 2))]
+    as_arrays = [rng.random() < 0.5 for _ in child_sets]
+    shape = rng.choice(["rows", "packed", "varint"])
+    return cand, child_sets, other, as_arrays, shape
+
+
+needs_numpy = pytest.mark.skipif(postings_mod._np is None,
+                                 reason="the columnar path needs numpy")
+
+
+def _plist(entries, shape: str):
+    """``entries`` as a row list or as a lazy list of either block format."""
+    if shape == "rows":
+        return PostingList(entries)
+    return LazyPostingList(encode_blocked(entries, 16,
+                                          packed=shape == "packed"))
+
+
+@needs_numpy
+class TestColumnarMatchesRows:
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_case(), st.sampled_from(["subset", "equality", "superset"]))
+    def test_filter_candidates_hom(self, case, join) -> None:
+        cand, child_sets, _other, as_arrays, shape = case
+        given_sets = [id_array(hits) if as_array else set(hits)
+                      for hits, as_array in zip(child_sets, as_arrays)]
+        out = filter_candidates(_plist(cand, shape), given_sets, None,
+                                QuerySpec(join=join))
+        expected = ROW_REFERENCE[join](cand, child_sets)
+        assert out.heads() == expected
+        # the survivors are whole postings, in head order
+        assert list(out) == [row for row in cand if row[0] in expected]
+
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_case())
+    def test_prefilter_and_restrict(self, case) -> None:
+        cand, child_sets, other, as_arrays, shape = case
+        spec = QuerySpec()
+        survivors = _plist(cand, shape)
+        for hits, as_array in zip(child_sets, as_arrays):
+            ok = id_array(hits) if as_array else set(hits)
+            out = prefilter_survivors(survivors, ok, None, spec)
+            assert list(out) == [(p, cs) for p, cs in cand
+                                 if any(c in hits for c in cs)]
+        reachable = {c for _p, cs in cand for c in cs}
+        frontier = frontier_of(survivors, None, spec)
+        for plist in (_plist(other, shape), _plist(cand, shape)):
+            assert list(frontier.restrict(plist)) == \
+                [(p, cs) for p, cs in plist if p in reachable]
+
+    def test_row_loop_is_the_numpy_absent_path(self, monkeypatch) -> None:
+        rng = random.Random(7)
+        cand = [(head, tuple(sorted(rng.sample(range(900), 2))))
+                for head in range(0, 3 * COLUMNAR_MIN)]
+        hits = set(rng.sample(range(900), 300))
+        with_numpy = heads_with_child_in(PostingList(cand), [hits])
+        assert with_numpy._entries is None          # left as columns
+        monkeypatch.setattr(postings_mod, "_np", None)
+        without = heads_with_child_in(PostingList(cand), [hits])
+        assert without.entries == with_numpy.entries
+        assert without.heads() == _rows_subset(cand, [hits])
+
+
+@needs_numpy
+class TestNoRowsOnTheColumnarPath:
+    def test_intersection_feeds_h_without_building_rows(self) -> None:
+        rng = random.Random(11)
+        n = 6 * COLUMNAR_MIN
+        hot = [(head, tuple(sorted(rng.sample(range(n, 2 * n), 2))))
+               for head in range(n)]
+        warm = [row for row in hot if rng.random() < 0.7]
+        cache = BlockCache()
+        lists = [LazyPostingList(encode_blocked(hot, 32), cache=cache,
+                                 cache_key="hot"),
+                 LazyPostingList(encode_blocked(warm, 32), cache=cache,
+                                 cache_key="warm")]
+        hits = set(rng.sample(range(n, 2 * n), n // 3))
+
+        cand = intersect(lists)
+        assert len(cand) == len(warm) >= COLUMNAR_MIN
+        out = heads_with_child_in(cand, [id_array(hits)])
+
+        assert out.heads() == _rows_subset(warm, [hits])
+        assert cand._entries is None and out._entries is None
+        assert all(plist._entries is None for plist in lists)
+        blocks = [cache.get((key, block_no)) for key in ("hot", "warm")
+                  for block_no in range(lists[0].n_blocks)]
+        decoded = [block for block in blocks if block is not None]
+        assert decoded and all(isinstance(block, BlockData)
+                               and block._postings is None
+                               for block in decoded)
+        # ... and a row consumer still gets the rows it asks for.
+        assert list(out) == [row for row in warm if row[0] in out.heads()]
