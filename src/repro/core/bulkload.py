@@ -41,6 +41,7 @@ from .invfile import (
     InvertedFile,
     META_BLOCK,
     atom_token,
+    encode_counts,
 )
 from .invfile import (
     _ALL_PREFIX,
@@ -191,13 +192,7 @@ def build_external(records: Iterable[tuple[str, NestedSet]], *,
         else:
             store.put(_ATOM_PREFIX + token, encode_plain(entries))
 
-    freq_blob = bytearray(encode_varint(len(df)))
-    for atom, count in sorted(df.items(),
-                              key=lambda item: (-item[1],
-                                                atom_token(item[0]))):
-        freq_blob += encode_str(atom_token(atom))
-        freq_blob += encode_varint(count)
-    store.put(_FREQ_KEY, bytes(freq_blob))
+    store.put(_FREQ_KEY, encode_counts(df, ranked=True))
     config = encode_varint(n_records) + encode_varint(next_id) + \
         encode_varint(n_all_blocks) + encode_varint(n_zero_blocks) + \
         encode_varint(segment_size) + encode_varint(block_size)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..storage import KVStore
 from .bloom import BloomIndex
-from .cache import PAPER_BUDGET, make_cache
+from .cache import PAPER_BUDGET, ListCache, make_cache
 from .exec.compiler import ALGORITHMS, compile_query
 from .exec.context import ExecutionContext
 from .exec.observer import ExplainResult, run_explained
@@ -199,6 +199,17 @@ class Snapshot:
         self.close()
 
 
+def list_cache_for(ifile: InvertedFile, policy: str | None,
+                   budget: int) -> ListCache:
+    """The ``policy`` list cache for ``ifile``.
+
+    Only the frequency policy reads the document-frequency table, so
+    only it pays for decoding one (most of an ``open`` otherwise).
+    """
+    frequencies = ifile.frequencies() if policy == "frequency" else ()
+    return make_cache(policy, frequencies=frequencies, budget=budget)
+
+
 class NestedSetIndex:
     """A queryable containment index over a collection of nested sets.
 
@@ -297,8 +308,7 @@ class NestedSetIndex:
                                    segment_size=segment_size,
                                    block_size=block_size,
                                    **store_options)
-        ifile.cache = make_cache(cache, frequencies=ifile.frequencies(),
-                                 budget=cache_budget)
+        ifile.cache = list_cache_for(ifile, cache, cache_budget)
         bloom_index = None
         if bloom is not None:
             bloom_index = BloomIndex(bloom, n_bits=bloom_bits)
@@ -343,8 +353,7 @@ class NestedSetIndex:
                            else DEFAULT_MEMORY_BUDGET),
             segment_size=segment_size, block_size=block_size,
             **store_options)
-        ifile.cache = make_cache(cache, frequencies=ifile.frequencies(),
-                                 budget=cache_budget)
+        ifile.cache = list_cache_for(ifile, cache, cache_budget)
         return cls(ifile)
 
     @classmethod
@@ -385,8 +394,7 @@ class NestedSetIndex:
         namespaced view of the shared store.
         """
         ifile = InvertedFile(store)
-        ifile.cache = make_cache(cache, frequencies=ifile.frequencies(),
-                                 budget=cache_budget)
+        ifile.cache = list_cache_for(ifile, cache, cache_budget)
         bloom_index = None
         if bloom is not None:
             stored = BloomIndex.load(ifile.store)
@@ -746,7 +754,7 @@ class NestedSetIndex:
         """Add one record to the live index; returns its ordinal.
 
         On journaled stores the whole insert -- postings, metadata,
-        record table, frequency table, and the Bloom filter append --
+        record table, statistics delta, and the Bloom filter append --
         commits as one write-ahead-log group, so a crash at any point
         leaves the index wholly pre- or post-insert.  Mutations
         serialize on the writer mutex; concurrent readers keep running
@@ -782,11 +790,9 @@ class NestedSetIndex:
                         self._bloom.append_persisted(self._ifile.store,
                                                      as_nested_set(value))
                     ordinals.append(ordinal)
-                # One frequency-table rewrite for the whole group: each
-                # per-record rewrite would fully supersede the previous
-                # anyway, and the encode is O(vocabulary) -- paying it
-                # once per batch instead of once per record is most of
-                # the streaming path's ingest throughput.
+                # One flush for the whole group: one ALL/ZERO
+                # tail-block rewrite, one statistics delta and one
+                # config write per batch instead of one per record.
                 writer.flush()
             self._after_mutation()
             return ordinals
@@ -924,9 +930,7 @@ class NestedSetIndex:
         """
         with self._writer_mutex, self._write_guard():
             self._flush_writer_locked()
-            inner = make_cache(policy,
-                               frequencies=self._ifile.frequencies(),
-                               budget=budget)
+            inner = list_cache_for(self._ifile, policy, budget)
             self._list_cache = inner
             self._ifile.cache = SnapshotListCache(inner, self._epochs, None)
         # One-shot queries must pick up the new cache immediately.

@@ -59,7 +59,7 @@ from ..storage import (
     open_store,
 )
 from .cache import PAPER_BUDGET
-from .engine import NestedSetIndex
+from .engine import NestedSetIndex, list_cache_for
 from .exec.compiler import ALGORITHMS, compile_query
 from .exec.context import ExecCounters
 from .exec.observer import MergedExplainResult, merge_explains, run_explained
@@ -332,13 +332,11 @@ class ShardedIndex:
                    segment_size: int,
                    block_size: int | None = None) -> NestedSetIndex:
         from .bloom import BloomIndex
-        from .cache import make_cache
         from .invfile import InvertedFile
         ifile = InvertedFile.build(iter(bucket), store=view,
                                    segment_size=segment_size,
                                    block_size=block_size)
-        ifile.cache = make_cache(cache, frequencies=ifile.frequencies(),
-                                 budget=cache_budget)
+        ifile.cache = list_cache_for(ifile, cache, cache_budget)
         bloom_index = None
         if bloom is not None:
             bloom_index = BloomIndex(bloom, n_bits=bloom_bits)
@@ -360,7 +358,6 @@ class ShardedIndex:
                        **store_options: object) -> "ShardedIndex":
         """Bulk-load each shard with its slice of the posting budget."""
         from .bulkload import DEFAULT_MEMORY_BUDGET, build_external
-        from .cache import make_cache
         if shards < 1:
             raise ShardError("shards must be >= 1")
         partitioner = make_policy(policy)
@@ -380,9 +377,7 @@ class ShardedIndex:
                                    memory_budget=per_shard_budget,
                                    segment_size=segment_size,
                                    block_size=block_size)
-            ifile.cache = make_cache(cache,
-                                     frequencies=ifile.frequencies(),
-                                     budget=per_shard_cache)
+            ifile.cache = list_cache_for(ifile, cache, per_shard_cache)
             engines.append(NestedSetIndex(ifile))
         _commit_manifest(base, shards, partitioner.name)
         return cls(base, engines, partitioner, workers=workers)
@@ -778,10 +773,11 @@ class ShardedIndex:
         materialized = [(key, value) for key, value in records]
         with self._writer_mutex, self._write_guard():
             # Route first, then hand each shard its whole slice as one
-            # nested batch: the per-shard frequency table is rewritten
-            # once per shard instead of once per record (routing calls
-            # shard_of in submission order, so stateful policies like
-            # round-robin scatter exactly as the per-record path did).
+            # nested batch: the per-shard ALL/ZERO tail blocks and
+            # statistics delta are written once per shard instead of
+            # once per record (routing calls shard_of in submission
+            # order, so stateful policies like round-robin scatter
+            # exactly as the per-record path did).
             by_shard: dict[int, list[int]] = {}
             for pos, (key, _value) in enumerate(materialized):
                 shard_no = self._policy.shard_of(key, len(self._shards))
@@ -901,8 +897,7 @@ class ShardedIndex:
         n_records = 0
         for engine in self._shards:
             shard_stats = engine.collection_stats()
-            for atom, count in engine.inverted_file.live_frequencies():
-                merged[atom] += count
+            merged.update(engine.inverted_file.live_document_frequencies())
             n_nodes += shard_stats.n_nodes
             n_records += shard_stats.n_records
         frequencies = sorted(merged.items(),

@@ -54,7 +54,7 @@ class CollectionStats:
         (and the planner's ordering decisions) don't drift as deletes
         accumulate between compactions.
         """
-        return cls(ifile.live_frequencies(), ifile.n_nodes,
+        return cls(ifile.live_document_frequencies().items(), ifile.n_nodes,
                    ifile.n_live_records, block_size=ifile.block_size)
 
     # -- per-atom ------------------------------------------------------------

@@ -16,15 +16,20 @@ adopts also needs online updates.  The design:
 * **compact** -- rebuilds a fresh index from the live records, dropping
   tombstoned postings and restoring exact statistics.
 
-Statistics drift: after deletes, document frequencies still count dead
-postings (they are refreshed on compact); after inserts they are exact
-because :meth:`IndexWriter.flush` rewrites the frequency table.
+Statistics: a commit costs what it touched.  :meth:`IndexWriter.flush`
+appends the commit's ``(atom, +df)`` and ``(atom, +dead)`` pairs to the
+delta logs of ``M:freq`` / ``M:dead`` inside the commit's own WAL group,
+and folds the logs back into the two tables once they outgrow the base
+(:data:`FOLD_RATIO`).  Readers merge base and log, so document
+frequencies are exact after every insert; after deletes they still
+count dead postings (``dead_counts`` says how many) until compaction.
 """
 
 from __future__ import annotations
 
 from ..storage.codec import (
     append_blocked,
+    decode_varint,
     encode_blocked,
     encode_str,
     encode_uint_list,
@@ -36,6 +41,8 @@ from .invfile import (
     LIST_BLOCK,
     META_BLOCK,
     atom_token,
+    delta_key,
+    encode_counts,
 )
 from .model import Atom, NestedSet
 from .postings import PostingList
@@ -68,6 +75,14 @@ from .invfile import (  # noqa: E402  (grouped for clarity)
 )
 
 
+#: The delta logs are folded into ``M:freq`` / ``M:dead`` when they hold
+#: more than this many (atom, count) pairs per entry of the base
+#: frequency table.  At 1 a fold rewrites at most twice the pairs logged
+#: since the last one (the doubling rule: amortised O(1) per pair), and
+#: a reader merging base and log never decodes more than twice the base.
+FOLD_RATIO = 1
+
+
 class UpdateError(Exception):
     """Raised for invalid update operations (duplicate key, missing key)."""
 
@@ -87,8 +102,12 @@ class IndexWriter:
                  on_mutate=None) -> None:
         self._ifile = ifile
         self._store = ifile.store
-        self._freq_dirty = False
+        #: Per-atom posting / dead-posting counts the open commit group
+        #: adds, unflushed.
         self._df_delta: dict[Atom, int] = {}
+        self._dead_delta: dict[Atom, int] = {}
+        #: Entries of the base frequency table (read on first flush).
+        self._base_entries: int | None = None
         self._on_mutate = on_mutate
         #: Deferred ALL/ZERO appends (``insert(flush_stats=False)``):
         #: node ids grow monotonically, so extending keeps the global
@@ -103,11 +122,11 @@ class IndexWriter:
         """Add one record; returns its ordinal.
 
         Raises :class:`UpdateError` when a live record already uses the
-        key.  ``flush_stats=False`` defers the frequency-table rewrite
-        -- an O(vocabulary) encode that dominates per-record cost on
-        large corpora -- to the caller, who MUST call :meth:`flush`
-        before the enclosing commit group closes (each rewrite fully
-        supersedes the previous, so a batch needs exactly one).
+        key.  ``flush_stats=False`` leaves the per-group writes -- the
+        ALL/ZERO tail-block rewrite, the statistics delta and the
+        configuration -- to the caller, who MUST call :meth:`flush`
+        before the enclosing commit group closes (a batch needs exactly
+        one of each).
         """
         from .engine import as_nested_set
         ifile = self._ifile
@@ -156,23 +175,14 @@ class IndexWriter:
                 self._append_postings(atom, entries)
                 self._df_delta[atom] = self._df_delta.get(atom, 0) \
                     + len(entries)
-                self._freq_dirty = True
 
-            # 2. ALL / ZERO blocks: extend the tail block, add new
-            #    ones.  Deferred mode batches the appends instead --
-            #    the tail-block decode/re-encode is O(block size), and
-            #    paying it once per group rather than once per record
-            #    is a large share of streaming-ingest throughput.
-            if flush_stats:
-                ifile._n_all_blocks = _append_blocks(
-                    self._store, _ALL_PREFIX, ifile._n_all_blocks,
-                    sorted(all_nodes))
-                ifile._n_zero_blocks = _append_blocks(
-                    self._store, _ZERO_PREFIX, ifile._n_zero_blocks,
-                    sorted(zero_leaf))
-            else:
-                self._pending_all.extend(sorted(all_nodes))
-                self._pending_zero.extend(sorted(zero_leaf))
+            # 2. ALL / ZERO blocks: queued for flush(), which extends
+            #    the tail block once per group -- the tail-block
+            #    decode/re-encode is O(block size), and paying it once
+            #    per group rather than once per record is a large share
+            #    of streaming-ingest throughput.
+            self._pending_all.extend(sorted(all_nodes))
+            self._pending_zero.extend(sorted(zero_leaf))
 
             # 3. node metadata: fill the partial tail block.
             _append_meta(self._store, ifile.n_nodes, meta_entries)
@@ -184,12 +194,11 @@ class IndexWriter:
             self._store.put(_KEYMAP_PREFIX + key.encode("utf-8"),
                             encode_varint(ordinal))
 
-            # 5. config, and the frequency table *inside* the group --
-            #    deferring it would add a third on-disk state (insert
+            # 5. config, and the statistics delta *inside* the group --
+            #    deferring them would add a third on-disk state (insert
             #    applied, stats stale) that recovery cannot name.
             ifile.n_records += 1
             ifile.n_nodes = next_id
-            self._write_config()
             if flush_stats:
                 self.flush()
         self._invalidate(postings)
@@ -278,7 +287,9 @@ class IndexWriter:
                     dead_atoms.add(atom)
                     ifile.dead_counts[atom] = \
                         ifile.dead_counts.get(atom, 0) + 1
-            self._write_dead_counts()
+                    self._dead_delta[atom] = \
+                        self._dead_delta.get(atom, 0) + 1
+            self.flush()
             # A delete leaves every posting list's bytes untouched; only
             # the tombstone set and dead counts change, and consumers
             # read those from index attributes (or their own pinned
@@ -290,15 +301,6 @@ class IndexWriter:
             self._invalidate(dict.fromkeys(dead_atoms),
                              postings_changed=False)
         return True
-
-    def _write_dead_counts(self) -> None:
-        counts = self._ifile.dead_counts
-        blob = bytearray(encode_varint(len(counts)))
-        for atom, count in sorted(counts.items(),
-                                  key=lambda item: atom_token(item[0])):
-            blob += encode_str(atom_token(atom))
-            blob += encode_varint(count)
-        self._store.put(_DEAD_COUNT_KEY, bytes(blob))
 
     # -- compact ----------------------------------------------------------------
 
@@ -324,33 +326,63 @@ class IndexWriter:
     # -- statistics maintenance ------------------------------------------------------
 
     def flush(self) -> None:
-        """Persist deferred batch state: ALL/ZERO appends + frequency
-        table.  After ``insert(flush_stats=False)`` this MUST run inside
-        the same commit group (the engine's batch path does)."""
-        if self._pending_all or self._pending_zero:
-            ifile = self._ifile
+        """Persist the commit group's deferred state: ALL/ZERO appends,
+        the statistics delta and the configuration.  After
+        ``insert(flush_stats=False)`` this MUST run inside the same
+        commit group (the engine's batch path does)."""
+        # Every inserted record queues at least its root for ALL, every
+        # delete that changes a count a dead pair: nothing else is ours.
+        if not (self._pending_all or self._dead_delta):
+            return
+        ifile = self._ifile
+        with self._store.transaction(b"flush"):
             ifile._n_all_blocks = _append_blocks(
                 self._store, _ALL_PREFIX, ifile._n_all_blocks,
                 self._pending_all)
             ifile._n_zero_blocks = _append_blocks(
                 self._store, _ZERO_PREFIX, ifile._n_zero_blocks,
                 self._pending_zero)
-            self._pending_all = []
-            self._pending_zero = []
-        if not self._freq_dirty:
-            return
-        df = dict(self._ifile.frequencies())
+            if self._base_entries is None:
+                raw = self._store.get(_FREQ_KEY)
+                self._base_entries = decode_varint(raw, 0)[0] if raw else 0
+            pairs = ifile._delta_pairs + len(self._df_delta) + \
+                len(self._dead_delta)
+            if pairs > FOLD_RATIO * self._base_entries:
+                self._fold()
+            else:
+                if self._df_delta:
+                    self._store.put(
+                        delta_key(_FREQ_KEY, ifile._n_freq_deltas),
+                        encode_counts(self._df_delta))
+                    ifile._n_freq_deltas += 1
+                if self._dead_delta:
+                    self._store.put(
+                        delta_key(_DEAD_COUNT_KEY, ifile._n_dead_deltas),
+                        encode_counts(self._dead_delta))
+                    ifile._n_dead_deltas += 1
+                ifile._delta_pairs = pairs
+            self._write_config()
+        self._pending_all = []
+        self._pending_zero = []
+        self._df_delta = {}
+        self._dead_delta = {}
+
+    def _fold(self) -> None:
+        """Rewrite both count tables whole and drop their delta logs."""
+        ifile = self._ifile
+        df = ifile._document_frequencies()
         for atom, delta in self._df_delta.items():
             df[atom] = df.get(atom, 0) + delta
-        blob = bytearray(encode_varint(len(df)))
-        for atom, count in sorted(df.items(),
-                                  key=lambda item: (-item[1],
-                                                    atom_token(item[0]))):
-            blob += encode_str(atom_token(atom))
-            blob += encode_varint(count)
-        self._store.put(_FREQ_KEY, bytes(blob))
-        self._df_delta.clear()
-        self._freq_dirty = False
+        self._store.put(_FREQ_KEY, encode_counts(df, ranked=True))
+        if ifile.dead_counts:       # kept current in memory by delete()
+            self._store.put(_DEAD_COUNT_KEY,
+                            encode_counts(ifile.dead_counts))
+        for seq in range(ifile._n_freq_deltas):
+            self._store.delete(delta_key(_FREQ_KEY, seq))
+        for seq in range(ifile._n_dead_deltas):
+            self._store.delete(delta_key(_DEAD_COUNT_KEY, seq))
+        ifile._n_freq_deltas = ifile._n_dead_deltas = ifile._delta_pairs = 0
+        self._base_entries = len(df)
 
     def _write_config(self) -> None:
         # Must rewrite *every* config field: dropping the trailing
@@ -362,7 +394,10 @@ class IndexWriter:
             encode_varint(ifile._n_all_blocks) + \
             encode_varint(ifile._n_zero_blocks) + \
             encode_varint(ifile.segment_size) + \
-            encode_varint(ifile.block_size)
+            encode_varint(ifile.block_size) + \
+            encode_varint(ifile._n_freq_deltas) + \
+            encode_varint(ifile._n_dead_deltas) + \
+            encode_varint(ifile._delta_pairs)
         self._store.put(_CONFIG_KEY, config)
 
     def _invalidate(self, touched_postings: dict, *,

@@ -152,11 +152,12 @@ class StreamIngestor:
     ``submit(key, value)`` enqueues and returns immediately; a background
     thread gathers pending records and commits them through
     ``index.insert_batch`` -- **one** write-ahead-log group (one version,
-    one fsync) per batch, flushed when ``batch_size`` records are waiting
-    or ``flush_interval`` seconds pass with a partial batch, whichever
-    comes first.  Under the engine's MVCC read path these commits never
-    block in-flight queries: readers keep their pinned versions and each
-    group lands as one atomic version step.
+    one fsync, one ALL/ZERO tail-block rewrite) per batch, flushed when
+    ``batch_size`` records are waiting or ``flush_interval`` seconds pass
+    with a partial batch, whichever comes first.  Under the engine's
+    MVCC read path these commits never block in-flight queries: readers
+    keep their pinned versions and each group lands as one atomic
+    version step.
 
     A batch that fails wholesale (one malformed record aborts its whole
     transactional group) is retried record by record, so one bad record

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 
 class ZipfSampler:
     """Draw 0-based ranks with Zipfian probabilities ``∝ 1/(rank+1)**θ``."""
@@ -29,6 +27,9 @@ class ZipfSampler:
         self.n_items = n_items
         self.theta = theta
         self._rng = rng if rng is not None else random.Random()
+        # Imported here, not at module level: ``repro.data`` imports this
+        # module, and its numpy-free generators must load without numpy.
+        import numpy as np
         weights = 1.0 / np.power(np.arange(1, n_items + 1, dtype=np.float64),
                                  theta)
         self._cdf = np.cumsum(weights)
@@ -37,7 +38,7 @@ class ZipfSampler:
     def sample(self) -> int:
         """Draw one rank in ``[0, n_items)`` (rank 0 is the most popular)."""
         u = self._rng.random()
-        return int(np.searchsorted(self._cdf, u, side="left"))
+        return int(self._cdf.searchsorted(u, side="left"))
 
     def sample_many(self, count: int) -> list[int]:
         """Draw ``count`` i.i.d. ranks."""

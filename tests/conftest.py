@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from typing import Iterable
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.core.model import (
     EXAMPLE_SUE,
     EXAMPLE_TIM,
     NestedSet,
+    as_nested_set,
 )
 
 
@@ -54,6 +57,31 @@ def random_tree(rng: random.Random, atoms: list[str], *,
                 max_children=max_children, allow_empty=allow_empty,
                 depth=depth + 1))
     return NestedSet(node_atoms, children)
+
+
+def document_frequencies(trees: Iterable[object]) -> dict:
+    """Per-atom posting counts recomputed from the records themselves.
+
+    One posting per internal node holding the atom -- what
+    ``InvertedFile.frequencies()`` must report over the live and the
+    tombstoned records, and ``live_frequencies()`` over the live ones.
+    """
+    df: Counter = Counter()
+    for tree in trees:
+        for node in as_nested_set(tree).iter_sets():
+            df.update(node.atoms)
+    return dict(df)
+
+
+def reported_frequencies(index) -> tuple[dict, dict]:
+    """(raw, live) document frequencies as an index reports them,
+    summed over the shards of a sharded one."""
+    raw: Counter = Counter()
+    live: Counter = Counter()
+    for engine in getattr(index, "shards", (index,)):
+        raw.update(dict(engine.inverted_file.frequencies()))
+        live.update(dict(engine.inverted_file.live_frequencies()))
+    return dict(raw), dict(live)
 
 
 @pytest.fixture

@@ -11,7 +11,8 @@ contract, on both disk backends and both layouts:
   crash is byte-for-byte the answer it pinned;
 * recovery lands on a committed version: reopening runs WAL recovery
   and the file is byte-equivalent to the pre- or post-image, never a
-  mix.
+  mix -- and its document frequencies are the ones recomputed from that
+  image's records (the batch's statistics delta is part of the group).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.core.shard import ShardedIndex
 from repro.storage import CrashError, FaultPlan, inject
 from repro.storage.faults import drop_store
 from repro.storage.pager import wal_path
+from tests.conftest import document_frequencies, reported_frequencies
 
 BACKENDS = ("diskhash", "btree")
 
@@ -138,6 +140,8 @@ def test_cow_commit_crash_sweep(tmp_path, storage, shards) -> None:
     pre = _read(path)
     pre_answer = _reference_answer(RECORDS)
     post_answer = _reference_answer(RECORDS + BATCH)
+    pre_df = document_frequencies(value for _key, value in RECORDS)
+    post_df = document_frequencies(value for _key, value in RECORDS + BATCH)
 
     total = _count_events(path, storage)
     post = _read(path)
@@ -153,6 +157,7 @@ def test_cow_commit_crash_sweep(tmp_path, storage, shards) -> None:
 
         recovered = _open(path, storage)
         answer = recovered.query(QUERY)
+        frequencies, _live = reported_frequencies(recovered)
         recovered.close()
         final = _read(path)
         assert final in (pre, post), \
@@ -161,4 +166,7 @@ def test_cow_commit_crash_sweep(tmp_path, storage, shards) -> None:
         assert answer == (pre_answer if final == pre else post_answer), \
             f"{storage}/{shards}-shard: wrong answer after crash at " \
             f"event {n}"
+        assert frequencies == (pre_df if final == pre else post_df), \
+            f"{storage}/{shards}-shard: frequencies of neither image " \
+            f"after crash at event {n}"
     assert fired_any

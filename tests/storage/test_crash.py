@@ -11,8 +11,11 @@ harness:
 3. for each crash point ``n`` in 1..N, restores PRE, re-runs the
    mutation with an injected crash (torn fatal write) at event ``n``,
    reopens the index -- which runs WAL recovery -- and asserts the
-   recovered file is byte-equivalent to PRE or POST and answers queries
-   accordingly.
+   recovered file is byte-equivalent to PRE or POST, answers queries
+   accordingly, and reports the document frequencies (raw and live)
+   recomputed from the records of that same image -- the statistics
+   delta travels in the mutation's own commit group, also when the
+   commit folds the log into the base tables.
 
 Insert and delete sweep every crash point; compact (hundreds of events,
 all on the *fresh* store) strides through a bounded sample.
@@ -29,6 +32,7 @@ from repro.core.shard import ShardedIndex
 from repro.storage import CrashError, FaultPlan, inject
 from repro.storage.faults import drop_store
 from repro.storage.pager import wal_path
+from tests.conftest import document_frequencies, reported_frequencies
 
 BACKENDS = ("diskhash", "btree")
 
@@ -105,6 +109,15 @@ def _expected_results(op: str) -> tuple[list[str], list[str]]:
     return pre, post
 
 
+def _expected_frequencies(records, dead: tuple[str, ...] = ()
+                          ) -> tuple[dict, dict]:
+    """(raw, live) frequencies recomputed from ``records``, of which
+    the keys in ``dead`` are tombstoned."""
+    return (document_frequencies(value for _key, value in records),
+            document_frequencies(value for key, value in records
+                                 if key not in dead))
+
+
 def _sweep_points(total: int, limit: int = 48) -> list[int]:
     if total <= limit:
         return list(range(1, total + 1))
@@ -152,6 +165,9 @@ def test_crash_sweep_mutations(tmp_path, storage, shards, op) -> None:
     _build(path, storage, shards)
     pre = _read(path)
     pre_answer, post_answer = _expected_results(op)
+    pre_df = _expected_frequencies(RECORDS)
+    post_df = _expected_frequencies(RECORDS + [(NEW_KEY, NEW_VALUE)]) \
+        if op == "insert" else _expected_frequencies(RECORDS, (DEAD_KEY,))
 
     plan = _count_events(path, storage, lambda index: _mutate(index, op))
     post = _read(path)
@@ -167,6 +183,7 @@ def test_crash_sweep_mutations(tmp_path, storage, shards, op) -> None:
 
         recovered = _open(path, storage)
         answer = recovered.query(QUERY)
+        frequencies = reported_frequencies(recovered)
         recovered.close()
         final = _read(path)
         assert final in (pre, post), \
@@ -175,6 +192,58 @@ def test_crash_sweep_mutations(tmp_path, storage, shards, op) -> None:
         assert answer == (pre_answer if final == pre else post_answer), \
             f"{storage}/{shards}-shard {op}: wrong answer after crash " \
             f"at event {n}"
+        assert frequencies == (pre_df if final == pre else post_df), \
+            f"{storage}/{shards}-shard {op}: frequencies of neither " \
+            f"image after crash at event {n}"
+
+
+#: Inserted one by one before the fold sweep: with the three dead pairs
+#: of ``DEAD_KEY`` the log holds nine pairs against the collection's
+#: nine atoms, so the next insert's three pairs tip it over the base and
+#: that commit is the fold.
+WARMUP = [("w0", "{USA, UK}"), ("w1", "{fr, de}"), ("w2", "{A, B}")]
+
+
+@pytest.mark.parametrize("storage", BACKENDS)
+def test_crash_sweep_fold(tmp_path, storage) -> None:
+    """A crash inside the commit that folds the delta log: recovery
+    lands on the log (pre) or on the folded tables (post), and the
+    merged frequencies are those of that image's records."""
+    path = str(tmp_path / "idx.db")
+    _build(path, storage, shards=1)
+    index = _open(path, storage)
+    for key, value in WARMUP:
+        index.insert(key, value)
+    index.delete(DEAD_KEY)
+    assert index.inverted_file._n_freq_deltas == len(WARMUP)
+    assert index.inverted_file._n_dead_deltas == 1
+    index.close()
+    pre = _read(path)
+    records = RECORDS + WARMUP
+    pre_df = _expected_frequencies(records, (DEAD_KEY,))
+    post_df = _expected_frequencies(records + [(NEW_KEY, NEW_VALUE)],
+                                    (DEAD_KEY,))
+
+    def run_insert(index) -> None:
+        index.insert(NEW_KEY, NEW_VALUE)
+        ifile = index.inverted_file
+        assert ifile._n_freq_deltas == ifile._n_dead_deltas == 0  # folded
+
+    total = _count_events(path, storage, run_insert).events
+    post = _read(path)
+    seen = set()
+    for n in _sweep_points(total):
+        _restore(path, pre)
+        assert _crash_at(path, storage, run_insert, n)
+        recovered = _open(path, storage)
+        frequencies = reported_frequencies(recovered)
+        recovered.close()
+        final = _read(path)
+        assert final in (pre, post), f"{storage}: crash at event {n}"
+        assert frequencies == (pre_df if final == pre else post_df), \
+            f"{storage}: frequencies of neither image at event {n}"
+        seen.add(final == post)
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize("storage", BACKENDS)

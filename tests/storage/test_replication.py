@@ -36,6 +36,7 @@ from repro.storage import CrashError, FaultPlan, inject
 from repro.storage.faults import drop_store
 from repro.storage.pager import wal_path
 from repro.storage.wal import WriteAheadLog
+from tests.conftest import document_frequencies
 
 BACKENDS = ("diskhash", "btree")
 
@@ -249,10 +250,8 @@ def _local_call(source: ReplicationSource):
     return call
 
 
-def _replay_and_promote(replica, call) -> ReplicaTailer:
-    """Synchronous tail: fetch-apply to the log end, then promote."""
-    tailer = ReplicaTailer(replica, call, replica_id="crash-sweep",
-                           primary_address="in-process")
+def _tail_to_end(tailer: ReplicaTailer, call) -> None:
+    """Synchronous tail: fetch-apply until the primary's log end."""
     while True:
         reply = call({"op": "repl_fetch", "replica_id": "crash-sweep",
                       "after_seq": tailer.applied_seq, "max_groups": 3})
@@ -260,6 +259,13 @@ def _replay_and_promote(replica, call) -> ReplicaTailer:
         tailer._apply_reply(reply)
         if reply["count"] == 0 and tailer.applied_seq >= reply["end_seq"]:
             break
+
+
+def _replay_and_promote(replica, call) -> ReplicaTailer:
+    """Synchronous tail: fetch-apply to the log end, then promote."""
+    tailer = ReplicaTailer(replica, call, replica_id="crash-sweep",
+                           primary_address="in-process")
+    _tail_to_end(tailer, call)
     tailer.promote()
     return tailer
 
@@ -411,6 +417,68 @@ def test_promoted_replica_continues_sequence(tmp_path, storage) -> None:
         label, _records, _pos = WriteAheadLog._parse_group(data, 0)
         assert split_shipped_label(label)[1:] == (primary_last + 1, 1)
         assert sorted(replica.query("{USA, {fresh}}")) == ["post-promote"]
+        replica.close()
+    finally:
+        primary.close()
+
+
+@pytest.mark.parametrize("storage", BACKENDS)
+def test_replica_frequencies_follow_the_delta_log(tmp_path, storage) -> None:
+    """Statistics deltas and folds ship inside their commit groups: a
+    replica that tailed logged commits and folds reports the primary's
+    frequencies byte for byte, and keeps them exact once promoted."""
+    primary_path = str(tmp_path / "primary.db")
+    replica_path = str(tmp_path / "replica.db")
+    NestedSetIndex.build(list(RECORDS), storage=storage,
+                         path=primary_path).close()
+    primary = NestedSetIndex.open(storage, primary_path,
+                                  wal_factory=ReplicationLog)
+
+    def tables(index) -> bytes:
+        ifile = index.inverted_file
+        return repr((ifile.frequencies(), ifile.live_frequencies(),
+                     sorted(ifile.dead_counts.items()))).encode("utf-8")
+
+    try:
+        call = _local_call(ReplicationSource(primary))
+        bootstrap_from_primary(call, replica_path, "r1")
+        replica = NestedSetIndex.open(storage, replica_path,
+                                      wal_factory=ReplicationLog)
+        tailer = ReplicaTailer(replica, call, replica_id="crash-sweep",
+                               primary_address="in-process")
+        live = dict(RECORDS)
+        dead = {}
+        logged = folds = 0
+        # MUTATIONS ends on a fold (the delete); the two extra inserts
+        # leave the replica reading a pending log.
+        extra = [("insert", f"late{i}", "{fr, {late}}") for i in range(2)]
+        for batch in (MUTATIONS, extra):
+            for op, key, value in batch:
+                if op == "insert":
+                    primary.insert(key, value)
+                    live[key] = value
+                else:
+                    primary.delete(key)
+                    dead[key] = live.pop(key)
+                if primary.inverted_file._delta_pairs:
+                    logged += 1
+                else:
+                    folds += 1
+            _tail_to_end(tailer, call)
+            assert tables(replica) == tables(primary)
+            assert dict(replica.inverted_file.frequencies()) == \
+                document_frequencies(list(live.values()) +
+                                     list(dead.values()))
+        assert logged >= 5 and folds >= 1
+        assert replica.inverted_file._n_freq_deltas == len(extra)
+
+        tailer.promote()
+        replica.insert("post-promote", "{USA, {late}}")
+        live["post-promote"] = "{USA, {late}}"
+        assert dict(replica.inverted_file.frequencies()) == \
+            document_frequencies(list(live.values()) + list(dead.values()))
+        assert dict(replica.inverted_file.live_frequencies()) == \
+            document_frequencies(live.values())
         replica.close()
     finally:
         primary.close()
