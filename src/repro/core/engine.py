@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager, nullcontext
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from ..storage import KVStore
 from .bloom import BloomIndex
@@ -51,6 +51,32 @@ __all__ = ["ALGORITHMS", "NestedSetIndex", "Snapshot", "as_nested_set"]
 #: identical index state, so commits elsewhere in a shared store (e.g.
 #: sibling shards) do not thrash this engine's cached results.
 _RESULT_EPOCH = "\x00index"
+
+
+@contextmanager
+def commit_group(store: KVStore, label: bytes,
+                 roll_back: Callable[[], None]) -> Iterator[None]:
+    """One store transaction whose failure also rolls back live objects.
+
+    When the block raises, the store discards the group, but whatever
+    the block advanced in memory (an inverted file's counters, a
+    writer's pending buffers, Bloom filters) is still ahead of it;
+    ``roll_back()`` runs after the abort and re-derives that state from
+    the store.  A failure inside the commit itself is left alone, like
+    :meth:`KVStore.transaction <repro.storage.KVStore.transaction>`
+    leaves it: recovery on reopen decides that group's fate.
+    """
+    aborted = False
+    try:
+        with store.transaction(label):
+            try:
+                yield
+            except BaseException:
+                aborted = True
+                raise
+    finally:
+        if aborted:
+            roll_back()
 
 
 class _SharedPin:
@@ -740,6 +766,16 @@ class NestedSetIndex:
         engine answering correctly the moment it serves -- including
         right after a promotion turns mutations back on.
         """
+        self.reload_live_state()
+
+    def reload_live_state(self) -> None:
+        """Re-derive the live in-memory objects from the store as it is.
+
+        Also what an aborted commit group calls (:func:`commit_group`):
+        the writer goes too, its pending buffers belong to the group
+        the store discarded.
+        """
+        self._writer = None
         self._ifile.reload_config()
         if self._bloom is not None:
             self._bloom.refresh_persisted(self._ifile.store)
@@ -783,7 +819,8 @@ class NestedSetIndex:
         with self._writer_mutex, self._write_guard():
             ordinals: list[int] = []
             writer = self._index_writer()
-            with self._ifile.store.transaction(b"ingest"):
+            with commit_group(self._ifile.store, b"ingest",
+                              self.reload_live_state):
                 for key, value in records:
                     ordinal = writer.insert(key, value, flush_stats=False)
                     if self._bloom is not None:

@@ -169,8 +169,12 @@ def atom_from_token(token: str) -> Atom:
     raise InvertedFileError(f"bad atom token {token!r}")
 
 
+def _token_store_key(token: str) -> bytes:
+    return _ATOM_PREFIX + token.encode("utf-8")
+
+
 def _atom_store_key(atom: Atom) -> bytes:
-    return _ATOM_PREFIX + atom_token(atom).encode("utf-8")
+    return _token_store_key(atom_token(atom))
 
 
 def delta_key(table_key: bytes, seq: int) -> bytes:
@@ -424,16 +428,35 @@ class InvertedFile:
         if cached is not None:
             self.stats.cache_hits += 1
             return cached
-        raw = self._store.get(_atom_store_key(atom))
+        token = atom_token(atom)
+        raw = self._store.get(_token_store_key(token))
+        return self._decode_and_admit(atom, token, raw)
+
+    def _decode_and_admit(self, atom: Atom, token: str, raw: bytes | None
+                          ) -> PostingList | LazyPostingList:
+        """Wrap a fetched atom value and offer it to the list cache.
+
+        The atom's epoch floor is taken once and serves both the block
+        cache key and the list cache's stamp.
+        """
+        epoch = None if self._epochs is None else \
+            self._epochs.floor(token, getattr(self, "version", None))
         if raw is None:
             plist = PostingList()
         else:
-            plist = self._decode_atom_value(atom, raw)
+            plist = self._decode_atom_value(
+                atom, raw, token if epoch is None else (token, epoch))
             self.stats.lists_decoded += 1
-        self.cache.admit(atom, plist)
+        if epoch is None:
+            self.cache.admit(atom, plist)
+        else:
+            # Epochs attached: the cache is the engine's epoch-stamping
+            # :class:`~repro.core.snapshot.SnapshotListCache`.
+            self.cache.admit(atom, plist, epoch)
         return plist
 
-    def _decode_atom_value(self, atom: Atom, raw: bytes
+    def _decode_atom_value(self, atom: Atom, raw: bytes,
+                           block_key: "str | tuple"
                            ) -> PostingList | LazyPostingList:
         """Wrap an atom value of any physical format as a posting list.
 
@@ -441,14 +464,21 @@ class InvertedFile:
         formats); blocked and packed values come back as a
         :class:`~repro.core.postings.LazyPostingList` whose blocks decode
         on demand through the shared block cache.
+
+        ``block_key`` is the list-level key for that cache.  A
+        standalone inverted file keys blocks by atom token (and relies
+        on :meth:`~repro.core.cache.BlockCache.invalidate` after
+        updates).  With modification epochs attached (the engine's MVCC
+        read path, :mod:`repro.core.snapshot`), the key is ``(token,
+        epoch floor at this view's version)``, so an append starts a
+        fresh key instead of invalidating anyone's decoded blocks.
         """
         fmt = value_format(raw)
         if fmt == FORMAT_PLAIN:
             return PostingList(decode_plain(raw))
         if fmt in BLOCK_FORMATS:
             return LazyPostingList(raw, cache=self.block_cache,
-                                   cache_key=self._block_cache_key(atom),
-                                   stats=self.stats)
+                                   cache_key=block_key, stats=self.stats)
         if fmt != FORMAT_SEGMENTED:
             raise InvertedFileError(
                 f"atom {atom!r}: unknown value format {fmt} "
@@ -466,22 +496,6 @@ class InvertedFile:
             self.stats.segments_read += 1
         return PostingList(entries)
 
-    def _block_cache_key(self, atom: Atom) -> "str | tuple":
-        """List-level key for the shared block cache.
-
-        A standalone inverted file keys blocks by atom token (and
-        relies on :meth:`~repro.core.cache.BlockCache.invalidate` after
-        updates).  With modification epochs attached (the engine's MVCC
-        read path, :mod:`repro.core.snapshot`), the key gains the
-        atom's epoch floor at this view's version, so an append starts
-        a fresh key instead of invalidating anyone's decoded blocks.
-        """
-        token = atom_token(atom)
-        if self._epochs is None:
-            return token
-        return (token, self._epochs.floor(token,
-                                          getattr(self, "version", None)))
-
     def postings_overlapping(self, atom: Atom, lo: int, hi: int
                              ) -> PostingList | LazyPostingList:
         """Postings of ``atom`` restricted (physically) to ``[lo, hi]``.
@@ -498,7 +512,8 @@ class InvertedFile:
         if cached is not None:
             self.stats.cache_hits += 1
             return cached
-        raw = self._store.get(_atom_store_key(atom))
+        token = atom_token(atom)
+        raw = self._store.get(_token_store_key(token))
         if raw is None:
             return PostingList()
         if value_format(raw) != FORMAT_SEGMENTED:
@@ -506,18 +521,14 @@ class InvertedFile:
             # directory already restricts decoding to probed blocks, so
             # the full (still-encoded) list is the right thing to cache
             # and return.
-            plist = self._decode_atom_value(atom, raw)
-            self.stats.lists_decoded += 1
-            self.cache.admit(atom, plist)
-            return plist
+            return self._decode_and_admit(atom, token, raw)
         header = decode_header(raw)
         wanted = overlapping_segments(header, lo, hi)
         self.stats.segments_skipped += len(header.segments) - len(wanted)
-        token = atom_token(atom).encode("utf-8")
+        segment_prefix = _SEGMENT_PREFIX + token.encode("utf-8") + b":"
         entries: list[tuple[int, tuple[int, ...]]] = []
         for seg_no in wanted:
-            blob = self._store.get(_SEGMENT_PREFIX + token + b":" +
-                                   encode_varint(seg_no))
+            blob = self._store.get(segment_prefix + encode_varint(seg_no))
             if blob is None:
                 raise InvertedFileError(
                     f"missing segment {seg_no} of atom {atom!r}")

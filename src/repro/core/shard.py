@@ -59,7 +59,7 @@ from ..storage import (
     open_store,
 )
 from .cache import PAPER_BUDGET
-from .engine import NestedSetIndex, list_cache_for
+from .engine import NestedSetIndex, commit_group, list_cache_for
 from .exec.compiler import ALGORITHMS, compile_query
 from .exec.context import ExecCounters
 from .exec.observer import MergedExplainResult, merge_explains, run_explained
@@ -783,7 +783,7 @@ class ShardedIndex:
                 shard_no = self._policy.shard_of(key, len(self._shards))
                 by_shard.setdefault(shard_no, []).append(pos)
             ordinals: list[int] = [0] * len(materialized)
-            with self._base.transaction(b"ingest"):
+            with commit_group(self._base, b"ingest", self._reload_shards):
                 for shard_no, positions in by_shard.items():
                     batch = [materialized[pos] for pos in positions]
                     for pos, ordinal in zip(
@@ -792,6 +792,12 @@ class ShardedIndex:
                         ordinals[pos] = ordinal
         self._retire_group_pin()
         return ordinals
+
+    def _reload_shards(self) -> None:
+        """An aborted group takes every shard's slice with it, the
+        slices of shards that had already finished theirs included."""
+        for engine in self._shards:
+            engine.reload_live_state()
 
     def delete(self, key: str) -> bool:
         """Tombstone ``key`` on its owning shard.

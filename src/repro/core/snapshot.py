@@ -40,7 +40,7 @@ from typing import Callable, Hashable, Iterable, NamedTuple
 
 from ..storage import KVStore
 from ..storage.codec import encode_varint
-from .cache import ListCache
+from .cache import ListCache, NoCache
 from .invfile import (
     _ALL_PREFIX,
     _META_ENTRY,
@@ -219,6 +219,9 @@ class SnapshotListCache(ListCache):
         self._inner = inner
         self._epochs = epochs
         self._version = version
+        #: The default policy (the paper's "caching disabled") keeps
+        #: nothing, so there is nothing to stamp either.
+        self._stores = not isinstance(inner, NoCache)
         self.stats = inner.stats
 
     @property
@@ -244,8 +247,14 @@ class SnapshotListCache(ListCache):
         self.stats.misses += 1
         return None
 
-    def admit(self, key: Hashable, plist: object) -> None:
-        floor = self._epochs.floor(atom_token(key), self._version)
+    def admit(self, key: Hashable, plist: object,
+              floor: int | None = None) -> None:
+        """Stamp and store ``plist``; ``floor`` is the key's epoch floor
+        at this view's version when the caller already has it."""
+        if not self._stores:
+            return
+        if floor is None:
+            floor = self._epochs.floor(atom_token(key), self._version)
         self._inner.replace(key, _Epoched(floor, plist))
 
     def replace(self, key: Hashable, plist: object) -> None:

@@ -24,6 +24,19 @@ Record layout::
 written before deletes excised records), 2 = live with overflow value
 (the in-page value is then ``[head u64][length u32]``).
 
+Locating a key in a page: a record page is parsed once into a
+*directory* ``key -> where its live record sits`` (:func:`_parse_page`),
+and the table keeps a bounded memo ``page_id -> (the bytes parsed,
+their directory)`` shared with all its snapshots
+(:class:`_PageDirectories`).  Every lookup still reads every page of its
+chain through the pager; the memo never answers a read, it only says
+where in the bytes *just read* the key is -- and only when those bytes
+start with the very bytes the directory was parsed from.  A directory is
+a pure function of its page, so that comparison is the whole
+invalidation story: versions, pins, copy-on-write pre-images, aborts,
+recovery and replicated apply need no reasoning, and a stale entry can
+only cost a re-parse.
+
 Durability: mutations wrapped in :meth:`~repro.storage.kvstore.KVStore.
 transaction` commit through the pager's write-ahead log and are replayed
 on reopen after a crash; unwrapped writes keep the original
@@ -33,7 +46,9 @@ flush-on-:meth:`sync`/:meth:`close` behaviour (offline builds).
 from __future__ import annotations
 
 import struct
-from typing import Iterator
+import threading
+from itertools import chain
+from typing import Callable, Iterator
 
 from .codec import decode_varint, encode_varint, fnv1a_64
 from .errors import CorruptionError, KeyTooLargeError
@@ -41,6 +56,7 @@ from .kvstore import KVStore, ReadOnlySnapshot
 from .pager import DEFAULT_PAGE_SIZE, PageReader, Pager
 
 _PAGE_HEADER = struct.Struct("<QH")
+_NEXT_PAGE = struct.Struct("<Q")
 _OVERFLOW_REF = struct.Struct("<QI")
 _META = struct.Struct("<IQIQ")  # n_buckets, dir_first, n_dir_pages, count
 
@@ -50,27 +66,163 @@ _FLAG_OVERFLOW = 2
 
 DEFAULT_BUCKETS = 1024
 
+#: A directory entry is one int: ``flag | record_start << 2 |
+#: value_start << 19 | value_end << 36``.  ``used`` is a u16, so every
+#: offset fits 17 bits, and one 32-byte int per key stands where a
+#: tuple and its ints would take five times that.
+_FLAG_MASK = 3
+_OFFSET_MASK = (1 << 17) - 1
+_START_SHIFT = 2
+_VALUE_SHIFT = 19
+_END_SHIFT = 36
 
-def _scan_page_raw(raw: bytes) -> Iterator[tuple[int, int, bytes, bytes, int]]:
-    """Yield ``(offset, flag, key, stored_value, record_end)`` per record."""
-    next_page, used = _PAGE_HEADER.unpack_from(raw, 0)
-    del next_page
+#: Directories held per bucket.  A table at its design load has one
+#: record page per bucket (1 024-1 025 pages in 1 024 buckets on each of
+#: the benchmark's four workloads), so 2 evicts nothing there and leaves
+#: room for a second page a bucket; a run ends holding 0.7-0.9 k
+#: directories, 2.4-4.9 MB (CHANGES.md, issue 19).
+_DIRECTORIES_PER_BUCKET = 2
+
+
+def _parse_page(raw: bytes) -> tuple[bytes, dict[bytes, int]]:
+    """``(bytes parsed, directory)`` of a record page.
+
+    The directory maps ``key -> entry`` of the live records, in page
+    order; tombstones are left out and the first live record of a key
+    wins, which is what a record-by-record scan for the key finds.  The
+    bytes parsed are the header and the records: the directory is a
+    function of them alone (the tail of the page is unused).
+    """
+    end = _PAGE_HEADER.size + _PAGE_HEADER.unpack_from(raw)[1]
+    directory: dict[bytes, int] = {}
     pos = _PAGE_HEADER.size
-    end = _PAGE_HEADER.size + used
-    while pos < end:
-        start = pos
-        flag = raw[pos]
-        pos += 1
-        klen, pos = decode_varint(raw, pos)
-        vlen, pos = decode_varint(raw, pos)
-        key = raw[pos:pos + klen]
-        pos += klen
-        value = raw[pos:pos + vlen]
-        pos += vlen
-        yield start, flag, key, value, pos
+    try:
+        while pos < end:
+            start = pos
+            flag = raw[pos]
+            klen = raw[pos + 1]
+            if klen < 0x80:         # one-byte varints: every key, and
+                pos += 2            # every value under 128 bytes
+            else:
+                klen, pos = decode_varint(raw, pos + 1)
+            vlen = raw[pos]
+            if vlen < 0x80:
+                pos += 1
+            else:
+                vlen, pos = decode_varint(raw, pos)
+            value = pos + klen
+            pos = value + vlen
+            if flag != _FLAG_DEAD:
+                directory.setdefault(
+                    raw[value - klen:value],
+                    flag | start << _START_SHIFT | value << _VALUE_SHIFT
+                    | pos << _END_SHIFT)
+    except IndexError:
+        raise CorruptionError("truncated record page") from None
+    if pos != end or end > len(raw):
+        raise CorruptionError("record overruns its page")
+    return raw[:end], directory
 
 
-class DiskHashTable(KVStore):
+class _PageDirectories:
+    """Bounded memo ``page_id -> (bytes parsed, directory)``.
+
+    An entry is used only for page bytes that start with the bytes it
+    was parsed from, so it needs no invalidation.  Lookups are
+    lock-free -- entries are immutable and a dict read is atomic; the
+    lock makes the evict-then-insert of a miss one step.  Eviction is
+    first in, first out: nothing is evicted while the pages in use fit
+    the bound.
+    """
+
+    __slots__ = ("bound", "_held", "_lock")
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self._held: dict[int, tuple[bytes, dict[bytes, int]]] = {}
+        self._lock = threading.Lock()
+
+    def locate(self, page_id: int, raw: bytes, key: bytes) -> int | None:
+        """The entry of ``key``'s live record in the page ``raw``."""
+        held = self._held.get(page_id)
+        if held is None or not raw.startswith(held[0]):
+            if key not in raw:
+                # No record of it without its bytes: a bulk load's puts
+                # of new keys, each into a page the previous put
+                # changed, skip the parse.
+                return None
+            held = _parse_page(raw)
+            with self._lock:
+                if page_id not in self._held \
+                        and len(self._held) >= self.bound:
+                    del self._held[next(iter(self._held))]
+                self._held[page_id] = held
+        return held[1].get(key)
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+
+class _ChainReads:
+    """``get`` and ``items`` over bucket chains.
+
+    Shared by the live table and its snapshots, which differ only in
+    where a page comes from: ``_read_page`` / ``_read_overflow`` are the
+    pager's live reads or a pinned :class:`PageReader`'s.
+    """
+
+    _directory: list[int]
+    _n_buckets: int
+    _pages: _PageDirectories
+    _read_page: Callable[[int], bytes]
+    _read_overflow: Callable[[int, int], bytes]
+
+    def _chain(self, page_id: int) -> Iterator[tuple[int, bytes]]:
+        """Yield ``(page_id, page bytes)`` along a chain of record pages."""
+        read = self._read_page
+        while page_id:
+            raw = read(page_id)
+            yield page_id, raw
+            page_id = _NEXT_PAGE.unpack_from(raw)[0]
+
+    def _value(self, raw: bytes, entry: int) -> bytes:
+        stored = raw[entry >> _VALUE_SHIFT & _OFFSET_MASK:entry >> _END_SHIFT]
+        if entry & _FLAG_MASK == _FLAG_OVERFLOW:
+            head, length = _OVERFLOW_REF.unpack(stored)
+            stored = self._read_overflow(head, length)
+            self.stats.page_reads += 1
+        return stored
+
+    def get(self, key: bytes) -> bytes | None:
+        self._check_open()
+        stats = self.stats
+        stats.gets += 1
+        # A key too large to store walks its chain and misses like any
+        # other absent key.
+        page_id = self._directory[fnv1a_64(key) % self._n_buckets]
+        read, locate = self._read_page, self._pages.locate
+        while page_id:
+            raw = read(page_id)
+            stats.page_reads += 1
+            entry = locate(page_id, raw, key)
+            if entry is not None:
+                value = self._value(raw, entry)
+                stats.hits += 1
+                stats.bytes_read += len(value)
+                return value
+            page_id = _NEXT_PAGE.unpack_from(raw)[0]
+        stats.misses += 1
+        return None
+
+    def items(self) -> Iterator[tuple[bytes, bytes]]:
+        self._check_open()
+        for head in self._directory:
+            for _page_id, raw in self._chain(head):
+                for key, entry in _parse_page(raw)[1].items():
+                    yield key, self._value(raw, entry)
+
+
+class DiskHashTable(_ChainReads, KVStore):
     """Disk-backed hash table implementing the :class:`KVStore` interface."""
 
     def __init__(self, path: str, *, create: bool = False,
@@ -102,6 +254,10 @@ class DiskHashTable(KVStore):
         self._payload = self._pager.page_size - _PAGE_HEADER.size
         self._max_key = self._payload // 4
         self._overflow_threshold = self._payload // 2
+        self._read_page = self._pager.read
+        self._read_overflow = self._pager.read_overflow
+        self._pages = _PageDirectories(
+            _DIRECTORIES_PER_BUCKET * self._n_buckets)
 
     # -- metadata / directory ---------------------------------------------
 
@@ -157,40 +313,7 @@ class DiskHashTable(KVStore):
     def _bucket_of(self, key: bytes) -> int:
         return fnv1a_64(key) % self._n_buckets
 
-    # -- record scanning -----------------------------------------------------
-
-    def _scan_page(self, raw: bytes) -> Iterator[tuple[int, int, bytes, bytes, int]]:
-        """Yield ``(offset, flag, key, stored_value, record_end)`` per record."""
-        return _scan_page_raw(raw)
-
-    def _resolve_value(self, flag: int, stored: bytes) -> bytes:
-        if flag == _FLAG_OVERFLOW:
-            head, length = _OVERFLOW_REF.unpack(stored)
-            data = self._pager.read_overflow(head, length)
-            self.stats.page_reads += 1
-            return data
-        return stored
-
     # -- KVStore API -----------------------------------------------------------
-
-    def get(self, key: bytes) -> bytes | None:
-        self._check_open()
-        self.stats.gets += 1
-        if len(key) > self._max_key:
-            raise KeyTooLargeError(f"key of {len(key)} bytes too large")
-        page_id = self._directory[self._bucket_of(key)]
-        while page_id:
-            raw = self._pager.read(page_id)
-            self.stats.page_reads += 1
-            for _offset, flag, rec_key, stored, _end in self._scan_page(raw):
-                if flag != _FLAG_DEAD and rec_key == key:
-                    value = self._resolve_value(flag, stored)
-                    self.stats.hits += 1
-                    self.stats.bytes_read += len(value)
-                    return value
-            page_id = _PAGE_HEADER.unpack_from(raw, 0)[0]
-        self.stats.misses += 1
-        return None
 
     def put(self, key: bytes, value: bytes) -> None:
         self._check_open()
@@ -198,12 +321,22 @@ class DiskHashTable(KVStore):
         self.stats.bytes_written += len(value)
         if len(key) > self._max_key:
             raise KeyTooLargeError(f"key of {len(key)} bytes too large")
-        self.delete(key, _internal=True)  # tombstone any previous version
-        record = self._build_record(key, value)
         bucket = self._bucket_of(key)
-        page_id = self._directory[bucket]
-        while page_id:
-            raw = self._pager.read(page_id)
+        # One walk: the pages read while looking for the previous
+        # version are kept, and the search for room resumes the same
+        # chain after them.
+        rest = self._chain(self._directory[bucket])
+        walked: list[tuple[int, bytes]] = []
+        for page_id, raw in rest:
+            entry = self._pages.locate(page_id, raw, key)
+            if entry is not None:
+                walked.append((page_id, self._excise(page_id, raw, entry)))
+                break
+            walked.append((page_id, raw))
+        # Built after the excise: a replaced overflow value's pages are
+        # on the free list by now and get reused.
+        record = self._build_record(key, value)
+        for page_id, raw in chain(walked, rest):
             next_page, used = _PAGE_HEADER.unpack_from(raw, 0)
             if used + len(record) <= self._payload:
                 patched = bytearray(raw)
@@ -215,7 +348,6 @@ class DiskHashTable(KVStore):
                 self.stats.page_writes += 1
                 self._count += 1
                 return
-            page_id = next_page
         # No room anywhere in the chain: new page becomes the bucket head.
         new_page = self._pager.allocate()
         old_head = self._directory[bucket]
@@ -239,43 +371,39 @@ class DiskHashTable(KVStore):
             raise KeyTooLargeError("record exceeds page payload")
         return record
 
-    def delete(self, key: bytes, _internal: bool = False) -> bool:
+    def delete(self, key: bytes) -> bool:
         self._check_open()
-        if not _internal:
-            self.stats.deletes += 1
-        page_id = self._directory[self._bucket_of(key)]
-        while page_id:
-            raw = self._pager.read(page_id)
-            next_page, used = _PAGE_HEADER.unpack_from(raw, 0)
-            for offset, flag, rec_key, stored, end in self._scan_page(raw):
-                if flag != _FLAG_DEAD and rec_key == key:
-                    if flag == _FLAG_OVERFLOW:
-                        head, length = _OVERFLOW_REF.unpack(stored)
-                        self._pager.free_overflow(head, length)
-                    # Excise the record: shift the page tail left so the
-                    # space is reusable.  (Tombstoning instead leaked
-                    # page space without bound under same-key churn.)
-                    patched = bytearray(raw)
-                    del patched[offset:end]
-                    _PAGE_HEADER.pack_into(patched, 0, next_page,
-                                           used - (end - offset))
-                    self._pager.write(page_id, bytes(patched))
-                    self.stats.page_writes += 1
-                    self._count -= 1
-                    return True
-            page_id = next_page
+        self.stats.deletes += 1
+        for page_id, raw in self._chain(self._directory[self._bucket_of(key)]):
+            entry = self._pages.locate(page_id, raw, key)
+            if entry is not None:
+                self._excise(page_id, raw, entry)
+                return True
         return False
 
-    def items(self) -> Iterator[tuple[bytes, bytes]]:
-        self._check_open()
-        for head in self._directory:
-            page_id = head
-            while page_id:
-                raw = self._pager.read(page_id)
-                for _offset, flag, key, stored, _end in self._scan_page(raw):
-                    if flag != _FLAG_DEAD:
-                        yield bytes(key), self._resolve_value(flag, stored)
-                page_id = _PAGE_HEADER.unpack_from(raw, 0)[0]
+    def _excise(self, page_id: int, raw: bytes, entry: int) -> bytes:
+        """Cut a live record out of its page; returns the page written.
+
+        The page tail shifts left so the space is reusable.
+        (Tombstoning instead leaked page space without bound under
+        same-key churn.)
+        """
+        start = entry >> _START_SHIFT & _OFFSET_MASK
+        end = entry >> _END_SHIFT
+        if entry & _FLAG_MASK == _FLAG_OVERFLOW:
+            head, length = _OVERFLOW_REF.unpack_from(
+                raw, entry >> _VALUE_SHIFT & _OFFSET_MASK)
+            self._pager.free_overflow(head, length)
+        next_page, used = _PAGE_HEADER.unpack_from(raw, 0)
+        patched = bytearray(raw)
+        del patched[start:end]
+        patched += bytes(end - start)
+        _PAGE_HEADER.pack_into(patched, 0, next_page, used - (end - start))
+        page = bytes(patched)
+        self._pager.write(page_id, page)
+        self.stats.page_writes += 1
+        self._count -= 1
+        return page
 
     def __len__(self) -> int:
         self._check_open()
@@ -337,7 +465,7 @@ class DiskHashTable(KVStore):
         super().close()
 
 
-class DiskHashSnapshot(ReadOnlySnapshot):
+class DiskHashSnapshot(_ChainReads, ReadOnlySnapshot):
     """Read-only view of a :class:`DiskHashTable` pinned at one version.
 
     Directory, chain, and overflow pages are all read through the pinned
@@ -349,6 +477,9 @@ class DiskHashSnapshot(ReadOnlySnapshot):
     def __init__(self, table: DiskHashTable) -> None:
         super().__init__()
         self._reader: PageReader = table._pager.reader()
+        self._read_page = self._reader.read
+        self._read_overflow = self._reader.read_overflow
+        self._pages = table._pages
         self.version = self._reader.version
         self.stats = table.stats
         meta = self._reader.meta
@@ -366,42 +497,6 @@ class DiskHashSnapshot(ReadOnlySnapshot):
             directory.extend(struct.unpack_from(f"<{per_page}Q", raw, 0))
         self._directory = directory[:n_buckets]
         self._released = False
-
-    def _resolve_value(self, flag: int, stored: bytes) -> bytes:
-        if flag == _FLAG_OVERFLOW:
-            head, length = _OVERFLOW_REF.unpack(stored)
-            data = self._reader.read_overflow(head, length)
-            self.stats.page_reads += 1
-            return data
-        return stored
-
-    def get(self, key: bytes) -> bytes | None:
-        self._check_open()
-        self.stats.gets += 1
-        page_id = self._directory[fnv1a_64(key) % self._n_buckets]
-        while page_id:
-            raw = self._reader.read(page_id)
-            self.stats.page_reads += 1
-            for _offset, flag, rec_key, stored, _end in _scan_page_raw(raw):
-                if flag != _FLAG_DEAD and rec_key == key:
-                    value = self._resolve_value(flag, stored)
-                    self.stats.hits += 1
-                    self.stats.bytes_read += len(value)
-                    return value
-            page_id = _PAGE_HEADER.unpack_from(raw, 0)[0]
-        self.stats.misses += 1
-        return None
-
-    def items(self) -> Iterator[tuple[bytes, bytes]]:
-        self._check_open()
-        for head in self._directory:
-            page_id = head
-            while page_id:
-                raw = self._reader.read(page_id)
-                for _offset, flag, key, stored, _end in _scan_page_raw(raw):
-                    if flag != _FLAG_DEAD:
-                        yield bytes(key), self._resolve_value(flag, stored)
-                page_id = _PAGE_HEADER.unpack_from(raw, 0)[0]
 
     def __len__(self) -> int:
         self._check_open()

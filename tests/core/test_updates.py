@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+from repro.core.checker import assert_healthy
 from repro.core.engine import NestedSetIndex
 from repro.core.invfile import InvertedFile
 from repro.core.matchspec import QuerySpec
 from repro.core.model import NestedSet
 from repro.core.naive import reference_query
+from repro.core.shard import HashShardPolicy
 from repro.core.updates import IndexWriter, UpdateError
 from tests.conftest import random_tree
 
@@ -199,3 +201,68 @@ class TestWriterDirect:
         ordinals = writer.insert_many([("m1", N(["a1"])),
                                        ("m2", N(["a2"]))])
         assert ordinals == [len(small_corpus), len(small_corpus) + 1]
+
+
+class TestFailedBatch:
+    """Regression: an ``insert_batch`` that raises part-way (here a
+    duplicate key after records that went in) aborts the store
+    transaction, and must leave the live objects where the store is.
+    They used to stay advanced -- counters, the writer's pending
+    buffers -- and the next insert failed with ``metadata block 0 has
+    51 bytes, expected 68 before append`` until a reopen."""
+
+    @pytest.mark.parametrize("storage, shards", [
+        ("memory", 1), ("diskhash", 1), ("diskhash", 4)])
+    def test_failed_batch_leaves_the_index_as_it_found_it(
+            self, tmp_path, storage, shards) -> None:
+        path = None if storage == "memory" else str(tmp_path / "idx")
+        records = [(f"r{i}", N([f"a{i % 5}", "common"], [N([f"n{i}"])]))
+                   for i in range(12)]
+        index = NestedSetIndex.build(records, storage=storage, path=path,
+                                     shards=shards)
+        fresh = [(f"f{i}", N(["common", f"fresh{i}"], [N([], [N(["deep"])])]))
+                 for i in range(8)]
+        duplicate = ("r3", N(["dup"]))
+        # The shard that will refuse comes last, so on 4 shards the
+        # slices of other shards are complete when the group aborts.
+        last = HashShardPolicy().shard_of(duplicate[0], shards)
+        batch = sorted(fresh, key=lambda record: HashShardPolicy().shard_of(
+            record[0], shards) == last) + [duplicate]
+
+        def engines(idx):
+            return getattr(idx, "shards", (idx,))
+
+        def state(idx):
+            return (idx.query(N(["common"])),
+                    [idx.query(N([f"fresh{i}"])) for i in range(8)],
+                    idx.query(N(["dup"])), idx.query(N(["deep"])),
+                    [(engine.inverted_file.n_records,
+                      engine.inverted_file.n_nodes,
+                      engine.inverted_file.frequencies())
+                     for engine in engines(idx)])
+
+        before = state(index)
+        assert before[0] == sorted(key for key, _tree in records)
+        with pytest.raises(UpdateError):
+            index.insert_batch(batch)
+        # Pages are read right after the abort: what the store
+        # remembers of the pages the group touched must not show.
+        assert state(index) == before
+
+        def insert_and_check(idx, key, atom):
+            idx.insert(key, N(["common", atom]))
+            assert idx.query(N([atom])) == [key]
+            assert key in idx.query(N(["common"]))
+            for engine in engines(idx):
+                assert_healthy(engine.inverted_file)
+
+        insert_and_check(index, "after", "fresh0")
+        assert index.insert_batch(fresh[:2])    # the same records, now fine
+        assert index.query(N(["fresh1"])) == ["f1"]
+        if path is not None:
+            index.close()
+            index = NestedSetIndex.open(storage, path)
+            assert index.query(N(["fresh0"])) == ["after", "f0"]
+            assert index.query(N(["dup"])) == []
+            insert_and_check(index, "reopened", "fresh7")
+        index.close()

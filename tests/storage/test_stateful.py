@@ -4,17 +4,30 @@ Hypothesis drives random operation sequences (put / replace / delete /
 get / iterate / reopen) against each engine, comparing to a model dict
 after every step.  Reopen closes and reopens the disk stores mid-run,
 checking durability of every operation so far.
+
+Snapshots ride along: a pinned view is held together with a copy of the
+model taken when it was pinned, and must keep answering ``get`` and
+``items`` as that copy however many commits, aborted transactions and
+live reads touch the same pages meanwhile (on diskhash, 8 buckets, so
+every page directory is parsed, shared between versions and superseded
+many times over).  Versions advance at commits, so writes made while a
+snapshot is held go through a transaction.  ``len`` of a view is not
+compared: the disk tables persist their count at commit or sync, so a
+view pinned right after unjournaled writes reports the count before
+them.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import settings
 from hypothesis.stateful import (
     Bundle,
     RuleBasedStateMachine,
+    consumes,
     initialize,
     invariant,
     rule,
@@ -33,12 +46,15 @@ class _StoreMachine(RuleBasedStateMachine):
     kind = "memory"
 
     keys = Bundle("keys")
+    snapshots = Bundle("snapshots")
 
     def __init__(self) -> None:
         super().__init__()
         self.model: dict[bytes, bytes] = {}
         self.path: str | None = None
         self.store = None
+        #: Open pinned views, each with the model as of its pin.
+        self.held: list[tuple[object, dict[bytes, bytes]]] = []
 
     @initialize()
     def setup(self) -> None:
@@ -62,24 +78,81 @@ class _StoreMachine(RuleBasedStateMachine):
     def remember_key(self, key: bytes) -> bytes:
         return key
 
-    @rule(key=keys, value=_VALUES)
-    def put(self, key: bytes, value: bytes) -> None:
-        self.store.put(key, value)
+    def _write(self, journaled: bool):
+        """A commit when asked for or when a snapshot is watching."""
+        if journaled or self.held:
+            return self.store.transaction()
+        return nullcontext()
+
+    @rule(key=keys, value=_VALUES, journaled=st.booleans())
+    def put(self, key: bytes, value: bytes, journaled: bool) -> None:
+        with self._write(journaled):
+            self.store.put(key, value)
         self.model[key] = value
 
     @rule(key=keys)
     def get(self, key: bytes) -> None:
         assert self.store.get(key) == self.model.get(key)
 
-    @rule(key=keys)
-    def delete(self, key: bytes) -> None:
-        assert self.store.delete(key) == (self.model.pop(key, None)
-                                          is not None)
+    @rule(key=keys, journaled=st.booleans())
+    def delete(self, key: bytes, journaled: bool) -> None:
+        with self._write(journaled):
+            deleted = self.store.delete(key)
+        assert deleted == (self.model.pop(key, None) is not None)
+
+    @rule(writes=st.lists(st.tuples(keys, st.none() | _VALUES), max_size=4))
+    def transaction_then_abort(self, writes) -> None:
+        """Uncommitted writes are readable inside the transaction and
+        leave nothing behind, in the store or in what it remembers of
+        the pages they touched."""
+        self.store.begin()
+        expected = dict(self.model)
+        for key, value in writes:
+            if value is None:
+                self.store.delete(key)
+                expected.pop(key, None)
+            else:
+                self.store.put(key, value)
+                expected[key] = value
+            assert self.store.get(key) == expected.get(key)
+        self.store.abort()
+        for key, _value in writes:
+            assert self.store.get(key) == self.model.get(key)
+
+    @rule(target=snapshots)
+    def snapshot(self):
+        held = (self.store.snapshot(), dict(self.model))
+        self.held.append(held)
+        return held
+
+    @rule(held=snapshots, key=keys)
+    def read_snapshot(self, held, key: bytes) -> None:
+        view, model = held
+        if held in self.held:           # not closed by a reopen
+            assert view.get(key) == model.get(key)
+
+    @rule(held=snapshots)
+    def scan_snapshot(self, held) -> None:
+        view, model = held
+        if held in self.held:
+            assert dict(view.items()) == model
+
+    @rule(held=consumes(snapshots))
+    def release_snapshot(self, held) -> None:
+        if held in self.held:
+            self.held.remove(held)
+            held[0].close()
+
+    def _release_all(self) -> None:
+        for view, _model in self.held:
+            view.close()
+        self.held.clear()
 
     @rule()
     def reopen(self) -> None:
         if self.kind == "memory":
             return
+        self._release_all()
         self.store.close()
         self.store = open_store(self.kind, self.path, create=False)
 
@@ -94,6 +167,7 @@ class _StoreMachine(RuleBasedStateMachine):
         assert dict(self.store.items()) == self.model
 
     def teardown(self) -> None:
+        self._release_all()
         if self.store is not None and not self.store._closed:
             self.store.close()
         if self.path and os.path.exists(self.path):
