@@ -34,7 +34,6 @@ from ..storage import open_store
 from ..storage.codec import (
     DEFAULT_BLOCK_SIZE,
     encode_blocked,
-    encode_str,
     encode_varint,
 )
 from .invfile import (
@@ -42,15 +41,15 @@ from .invfile import (
     META_BLOCK,
     atom_token,
     encode_counts,
+    number_record,
+    record_blob,
 )
 from .invfile import (
     _ALL_PREFIX,
     _ATOM_PREFIX,
     _CONFIG_KEY,
-    _FLAG_ROOT,
     _FREQ_KEY,
     _KEYMAP_PREFIX,
-    _META_ENTRY,
     _META_PREFIX,
     _RECORD_PREFIX,
     _SEGMENT_PREFIX,
@@ -126,43 +125,22 @@ def build_external(records: Iterable[tuple[str, NestedSet]], *,
             else NestedSet.from_obj(value)
         ordinal = n_records
         n_records += 1
-        first_id = next_id
-        record_all: list[tuple[int, tuple[int, ...]]] = []
-        record_zero: list[tuple[int, tuple[int, ...]]] = []
-        meta_entries: list[bytes] = []
-
-        def walk(node: NestedSet, is_root: bool) -> int:
-            nonlocal next_id, buffered
-            node_id = next_id
-            next_id += 1
-            meta_entries.append(b"")
-            child_ids = tuple(
-                walk(child, False)
-                for child in sorted(node.children,
-                                    key=lambda c: c.to_text()))
-            meta_entries[node_id - first_id] = _META_ENTRY.pack(
-                ordinal, len(node.atoms), next_id - 1,
-                _FLAG_ROOT if is_root else 0)
-            posting = (node_id, child_ids)
-            for atom in node.atoms:
+        nodes, meta_entries, text = number_record(tree, ordinal, next_id)
+        for atoms, posting in nodes:
+            for atom in atoms:
                 buffer.setdefault(atom, []).append(posting)
                 df[atom] = df.get(atom, 0) + 1
-                buffered += 1
-            record_all.append(posting)
-            if not node.atoms:
-                record_zero.append(posting)
-            return node_id
-
-        root_id = walk(tree, True)
+            buffered += len(atoms)
         # Sequential structures finalize per record, in id order.
-        all_writer.extend(sorted(record_all))
-        zero_writer.extend(sorted(record_zero))
+        all_writer.extend(sorted(posting for _atoms, posting in nodes))
+        zero_writer.extend(sorted(posting for atoms, posting in nodes
+                                  if not atoms))
         meta_writer.extend(meta_entries)
-        blob = encode_str(key) + encode_varint(root_id) + \
-            encode_str(tree.to_text())
-        store.put(_RECORD_PREFIX + encode_varint(ordinal), blob)
+        store.put(_RECORD_PREFIX + encode_varint(ordinal),
+                  record_blob(key, next_id, text))
         store.put(_KEYMAP_PREFIX + key.encode("utf-8"),
                   encode_varint(ordinal))
+        next_id += len(meta_entries)
         if buffered > memory_budget:
             flush_run()
     n_all_blocks = all_writer.finish()

@@ -293,7 +293,7 @@ class BlockCache:
         """Drop every cached block and the directory of the given lists
         (atom tokens).
 
-        Appends re-encode only a list's tail block, but block *numbers*
+        Appends change only a list's tail block, but block *numbers*
         past the tail shift as entries spill over, so the whole list's
         cached blocks go; blocks of untouched lists stay warm -- the
         point of invalidating per-atom instead of wholesale on every

@@ -711,7 +711,6 @@ class NestedSetIndex:
     def collection_stats(self) -> CollectionStats:
         """Frequency statistics over the indexed collection (memoized)."""
         if self._stats is None:
-            self._flush_writer()
             self._stats = CollectionStats.from_inverted_file(self._ifile)
         return self._stats
 
@@ -722,15 +721,6 @@ class NestedSetIndex:
             self._writer = IndexWriter(self._ifile,
                                        on_mutate=self._note_mutation)
         return self._writer
-
-    def _flush_writer_locked(self) -> None:
-        if self._writer is not None:
-            self._writer.flush()
-
-    def _flush_writer(self) -> None:
-        """Persist deferred statistics before anything reads them."""
-        with self._writer_mutex:
-            self._flush_writer_locked()
 
     def _after_mutation(self) -> None:
         self._stats = None
@@ -789,47 +779,42 @@ class NestedSetIndex:
     def insert(self, key: str, value: object) -> int:
         """Add one record to the live index; returns its ordinal.
 
-        On journaled stores the whole insert -- postings, metadata,
-        record table, statistics delta, and the Bloom filter append --
-        commits as one write-ahead-log group, so a crash at any point
-        leaves the index wholly pre- or post-insert.  Mutations
-        serialize on the writer mutex; concurrent readers keep running
-        against their pinned versions throughout.
+        A commit group of one: see :meth:`insert_batch`.
         """
-        with self._writer_mutex, self._write_guard():
-            return self._insert_locked(key, value)
-
-    def _insert_locked(self, key: str, value: object) -> int:
-        with self._ifile.store.transaction(b"insert"):
-            ordinal = self._index_writer().insert(key, value)
-            if self._bloom is not None:
-                self._bloom.append_persisted(self._ifile.store,
-                                             as_nested_set(value))
-        self._after_mutation()
-        return ordinal
+        return self._insert_group([(key, value)], b"insert")[0]
 
     def insert_batch(self, records: Iterable[tuple[str, object]]
                      ) -> list[int]:
         """Insert several records as **one** WAL commit group.
 
-        The streaming ingestor uses this to amortize the commit fsync
-        across a batch: readers observe either none of the batch or all
-        of it, and the store version advances once.
+        The writer numbers and buffers the records, then writes the
+        group: every posting list the batch touches once, the
+        node-metadata tail, ALL/ZERO, the statistics delta and the
+        configuration once.  On journaled stores all of it -- the Bloom
+        filter appends included -- is one write-ahead-log group with one
+        commit fsync: a crash at any point leaves the index wholly
+        without or with the batch, readers observe none of it or all of
+        it, and the store version advances once.  Mutations serialize
+        on the writer mutex; concurrent readers keep running against
+        their pinned versions throughout.  A group that raises (a
+        duplicate key, say) writes nothing and leaves the index as it
+        found it.
         """
+        return self._insert_group(records, b"ingest")
+
+    def _insert_group(self, records: Iterable[tuple[str, object]],
+                      label: bytes) -> list[int]:
         with self._writer_mutex, self._write_guard():
             ordinals: list[int] = []
             writer = self._index_writer()
-            with commit_group(self._ifile.store, b"ingest",
-                              self.reload_live_state):
+            store = self._ifile.store
+            with commit_group(store, label, self.reload_live_state):
                 for key, value in records:
-                    ordinal = writer.insert(key, value, flush_stats=False)
+                    tree = as_nested_set(value)
+                    ordinals.append(
+                        writer.insert(key, tree, flush_stats=False))
                     if self._bloom is not None:
-                        self._bloom.append_persisted(self._ifile.store,
-                                                     as_nested_set(value))
-                    ordinals.append(ordinal)
-                # One flush for the whole group: one ALL/ZERO
-                # tail-block rewrite, one statistics delta and one
-                # config write per batch instead of one per record.
+                        self._bloom.append_persisted(store, tree)
                 writer.flush()
             self._after_mutation()
             return ordinals
@@ -966,7 +951,6 @@ class NestedSetIndex:
         cache they were wired with.
         """
         with self._writer_mutex, self._write_guard():
-            self._flush_writer_locked()
             inner = list_cache_for(self._ifile, policy, budget)
             self._list_cache = inner
             self._ifile.cache = SnapshotListCache(inner, self._epochs, None)
@@ -1051,7 +1035,6 @@ class NestedSetIndex:
     # -- lifecycle ------------------------------------------------------------------
 
     def close(self) -> None:
-        self._flush_writer()
         self._retire_shared_pin()
         with self._gen_lock:
             live = self._ifile

@@ -182,6 +182,43 @@ def delta_key(table_key: bytes, seq: int) -> bytes:
     return table_key + _DELTA_MARK + encode_varint(seq)
 
 
+def number_record(tree: NestedSet, ordinal: int, first_id: int
+                  ) -> tuple[list[tuple[frozenset, tuple[int, tuple[int, ...]]]],
+                             list[bytes], str]:
+    """Number one record's internal nodes in preorder from ``first_id``.
+
+    The one walk behind build, bulk load and insert.  Returns
+    ``(nodes, meta, text)``: per node its atoms and its posting
+    ``(id, child ids)``, listed as the walk completes them (post-order:
+    a node after its descendants); the node-metadata entries in id
+    order; and the record's canonical text.  Children are visited in
+    canonical text order for determinism; ids are handed out
+    sequentially during the visit, so every child-id tuple is ascending,
+    as postings require.
+    """
+    nodes: list[tuple[frozenset, tuple[int, tuple[int, ...]]]] = []
+    meta: list[bytes] = []
+
+    def walk(canon: tuple, flags: int) -> int:
+        _text, node, members = canon
+        node_id = first_id + len(meta)
+        meta.append(b"")            # reserve the slot; filled after the subtree
+        child_ids = tuple([walk(member, 0) for member in members])
+        meta[node_id - first_id] = _META_ENTRY.pack(
+            ordinal, len(node.atoms), first_id + len(meta) - 1, flags)
+        nodes.append((node.atoms, (node_id, child_ids)))
+        return node_id
+
+    canon = tree.canonical()
+    walk(canon, _FLAG_ROOT)
+    return nodes, meta, canon[0]
+
+
+def record_blob(key: str, root_id: int, text: str) -> bytes:
+    """The record-table value: key, root node id, canonical text."""
+    return encode_str(key) + encode_varint(root_id) + encode_str(text)
+
+
 def encode_counts(counts: dict[Atom, int], *, ranked: bool = False) -> bytes:
     """Serialize a per-atom count table: ``[n] { [token] [count] }*``.
 
@@ -332,44 +369,24 @@ class InvertedFile:
         all_nodes: list[tuple[int, tuple[int, ...]]] = []
         zero_leaf: list[tuple[int, tuple[int, ...]]] = []
         meta_entries: list[bytes] = []
-        next_id = 0
-        n_records = 0
-
-        def walk(node: NestedSet, ordinal: int, is_root: bool) -> int:
-            nonlocal next_id
-            node_id = next_id
-            next_id += 1
-            meta_entries.append(b"")  # reserve slot; filled after subtree
-            # Children are visited in canonical text order for determinism;
-            # ids are handed out sequentially during the visit, so the
-            # resulting child-id tuple is ascending, as postings require.
-            child_ids = tuple(walk(child, ordinal, False)
-                              for child in sorted(node.children,
-                                                  key=lambda c: c.to_text()))
-            max_desc = next_id - 1
-            entry = _META_ENTRY.pack(ordinal, len(node.atoms), max_desc,
-                                     _FLAG_ROOT if is_root else 0)
-            meta_entries[node_id] = entry
-            posting = (node_id, child_ids)
-            for atom in node.atoms:
-                postings.setdefault(atom, []).append(posting)
-            all_nodes.append(posting)
-            if not node.atoms:
-                zero_leaf.append(posting)
-            return node_id
-
         record_blobs: list[bytes] = []
-        for key, value in records:
+        for ordinal, (key, value) in enumerate(records):
             tree = value if isinstance(value, NestedSet) \
                 else NestedSet.from_obj(value)
-            ordinal = n_records
-            n_records += 1
-            root_id = walk(tree, ordinal, True)
-            blob = encode_str(key) + encode_varint(root_id) + \
-                encode_str(tree.to_text())
-            record_blobs.append(blob)
+            root_id = len(meta_entries)
+            nodes, meta, text = number_record(tree, ordinal, root_id)
+            for atoms, posting in nodes:
+                for atom in atoms:
+                    postings.setdefault(atom, []).append(posting)
+                all_nodes.append(posting)
+                if not atoms:
+                    zero_leaf.append(posting)
+            meta_entries += meta
+            record_blobs.append(record_blob(key, root_id, text))
+        n_records = len(record_blobs)
+        next_id = len(meta_entries)
 
-        # walk() appends postings post-order (a node's posting lands after
+        # number_record() lists nodes post-order (a node's posting lands after
         # its descendants'), so every list must be re-sorted on head id
         # before the delta encoder sees it.
         for atom, plist in postings.items():

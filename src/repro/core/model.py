@@ -21,6 +21,7 @@ digit tokens parse as ``int``).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 #: Atomic values: strings or integers (the paper's "universe of atomic
@@ -195,11 +196,21 @@ class NestedSet:
                 f"{text[parser.pos:parser.pos + 20]!r}")
         return result
 
+    def canonical(self) -> tuple[str, "NestedSet", list]:
+        """``(text, self, members)``: the canonical text form with the
+        same triple of every set-valued member, in canonical (text)
+        order.  Built bottom-up, so a whole tree is serialised once --
+        what the index writers walk, instead of sorting each level on a
+        ``to_text()`` that re-serialises the subtree below it."""
+        members = sorted([child.canonical() for child in self._children],
+                         key=itemgetter(0))
+        parts = [_atom_text(atom) for atom in sorted(self._atoms, key=_sort_key)]
+        parts.extend(member[0] for member in members)
+        return "{" + ", ".join(parts) + "}", self, members
+
     def to_text(self) -> str:
         """Canonical text form (members sorted, deterministic)."""
-        parts = [_atom_text(atom) for atom in sorted(self._atoms, key=_sort_key)]
-        parts.extend(sorted(child.to_text() for child in self._children))
-        return "{" + ", ".join(parts) + "}"
+        return self.canonical()[0]
 
     # -- dunder -------------------------------------------------------------------
 

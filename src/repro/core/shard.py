@@ -765,19 +765,20 @@ class ShardedIndex:
                      ) -> list[int]:
         """Insert several (routed) records as **one** WAL commit group.
 
-        The streaming ingestor's batch path: the shared base store's
-        version advances once for the whole batch, so readers observe
+        The streaming ingestor's batch path: each shard's writer takes
+        its slice as one group (every list it touches written once),
+        nested in one transaction of the shared base store, whose
+        version advances once for the whole batch -- readers observe
         either none of it or all of it regardless of how the records
         scatter across shards.
         """
         materialized = [(key, value) for key, value in records]
         with self._writer_mutex, self._write_guard():
             # Route first, then hand each shard its whole slice as one
-            # nested batch: the per-shard ALL/ZERO tail blocks and
-            # statistics delta are written once per shard instead of
-            # once per record (routing calls shard_of in submission
-            # order, so stateful policies like round-robin scatter
-            # exactly as the per-record path did).
+            # nested batch, so each shard's writer writes its lists,
+            # tail blocks and statistics delta once (routing calls
+            # shard_of in submission order, so stateful policies like
+            # round-robin scatter exactly as single inserts do).
             by_shard: dict[int, list[int]] = {}
             for pos, (key, _value) in enumerate(materialized):
                 shard_no = self._policy.shard_of(key, len(self._shards))

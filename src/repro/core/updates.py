@@ -5,10 +5,11 @@ adopts also needs online updates.  The design:
 
 * **insert** -- new internal nodes receive the next preorder ids (so the
   global preorder/interval invariants keep holding: a fresh record's
-  interval lies entirely after every existing one).  Affected posting
-  lists are read-modified-appended (new ids sort last, so appends keep
-  lists sorted); the partial tail blocks of the node-metadata and
-  ALL/ZERO lists are extended in place.
+  interval lies entirely after every existing one), which makes every
+  insert an append: new ids sort last.  ``insert()`` numbers and
+  buffers; :meth:`IndexWriter.flush` writes the commit group -- each
+  touched posting list once, the node-metadata tail once, ALL and ZERO
+  once -- and an append costs what it adds, not what the list holds.
 * **delete** -- a tombstone: the record ordinal joins the persisted
   deleted set and every result-mapping path filters it.  Posting lists
   keep the dead entries until compaction (the classic deferred-delete
@@ -29,9 +30,10 @@ from __future__ import annotations
 
 from ..storage.codec import (
     append_blocked,
+    append_postings,
+    decode_postings,
     decode_varint,
     encode_blocked,
-    encode_str,
     encode_uint_list,
     encode_varint,
 )
@@ -43,8 +45,10 @@ from .invfile import (
     atom_token,
     delta_key,
     encode_counts,
+    number_record,
+    record_blob,
 )
-from .model import Atom, NestedSet
+from .model import Atom
 from .postings import PostingList
 from .segments import (
     BLOCK_FORMATS,
@@ -65,7 +69,6 @@ from .invfile import (  # noqa: E402  (grouped for clarity)
     _CONFIG_KEY,
     _DEAD_COUNT_KEY,
     _DELETED_KEY,
-    _FLAG_ROOT,
     _FREQ_KEY,
     _KEYMAP_PREFIX,
     _META_ENTRY,
@@ -102,106 +105,60 @@ class IndexWriter:
                  on_mutate=None) -> None:
         self._ifile = ifile
         self._store = ifile.store
-        #: Per-atom posting / dead-posting counts the open commit group
-        #: adds, unflushed.
-        self._df_delta: dict[Atom, int] = {}
-        self._dead_delta: dict[Atom, int] = {}
+        self._on_mutate = on_mutate
         #: Entries of the base frequency table (read on first flush).
         self._base_entries: int | None = None
-        self._on_mutate = on_mutate
-        #: Deferred ALL/ZERO appends (``insert(flush_stats=False)``):
-        #: node ids grow monotonically, so extending keeps the global
-        #: sort and one tail-block rewrite serves the whole batch.
+        #: Last head of the ZERO list's tail block (read on first use;
+        #: ALL's is always the last node id).
+        self._zero_last: int | None = None
+        self._reset_group()
+
+    def _reset_group(self) -> None:
+        """Fresh buffers for the next commit group.  Node ids only grow,
+        so extending them record by record keeps every list sorted
+        across the group."""
+        self._postings: dict[Atom, list[tuple[int, tuple[int, ...]]]] = {}
         self._pending_all: list[tuple[int, tuple[int, ...]]] = []
         self._pending_zero: list[tuple[int, tuple[int, ...]]] = []
+        self._meta: list[bytes] = []
+        #: key -> (ordinal, record-table value) of the group's records.
+        self._records: dict[str, tuple[int, bytes]] = {}
+        #: Per-atom dead-posting counts the group's deletes add.
+        self._dead_delta: dict[Atom, int] = {}
 
     # -- insert -----------------------------------------------------------
 
     def insert(self, key: str, value: object, *,
                flush_stats: bool = True) -> int:
-        """Add one record; returns its ordinal.
+        """Add one record to the open commit group; returns its ordinal.
 
-        Raises :class:`UpdateError` when a live record already uses the
-        key.  ``flush_stats=False`` leaves the per-group writes -- the
-        ALL/ZERO tail-block rewrite, the statistics delta and the
-        configuration -- to the caller, who MUST call :meth:`flush`
-        before the enclosing commit group closes (a batch needs exactly
-        one of each).
+        Numbers the record's nodes and buffers what they add; nothing is
+        written before :meth:`flush`, which ``flush_stats=True`` calls
+        before returning (a group of one).  With ``flush_stats=False``
+        the caller MUST call :meth:`flush` before the enclosing commit
+        group closes.  Raises :class:`UpdateError`, before anything is
+        buffered, when a live record or one of this group uses the key.
         """
         from .engine import as_nested_set
         ifile = self._ifile
         tree = as_nested_set(value)
-        if ifile.ordinal_of_key(key) is not None:
+        if key in self._records or ifile.ordinal_of_key(key) is not None:
             raise UpdateError(f"a live record with key {key!r} exists")
         ordinal = ifile.n_records
         first_id = ifile.n_nodes
-
-        postings: dict[Atom, list[tuple[int, tuple[int, ...]]]] = {}
-        all_nodes: list[tuple[int, tuple[int, ...]]] = []
-        zero_leaf: list[tuple[int, tuple[int, ...]]] = []
-        meta_entries: list[bytes] = []
-        next_id = first_id
-
-        def build(node: NestedSet, is_root: bool) -> int:
-            nonlocal next_id
-            node_id = next_id
-            next_id += 1
-            meta_entries.append(b"")
-            child_ids = tuple(
-                build(child, False)
-                for child in sorted(node.children,
-                                    key=lambda c: c.to_text()))
-            max_desc = next_id - 1
-            meta_entries[node_id - first_id] = _META_ENTRY.pack(
-                ordinal, len(node.atoms), max_desc,
-                _FLAG_ROOT if is_root else 0)
-            posting = (node_id, child_ids)
-            for atom in node.atoms:
-                postings.setdefault(atom, []).append(posting)
-            all_nodes.append(posting)
-            if not node.atoms:
-                zero_leaf.append(posting)
-            return node_id
-
-        root_id = build(tree, True)
-
-        # All store writes for one logical insert form one WAL commit
-        # group: a crash leaves the index wholly pre- or post-insert.
-        with self._store.transaction(b"insert"):
-            # 1. posting lists: new ids exceed all existing ids, so
-            #    sorted append preserves order (both physical formats).
-            for atom, entries in postings.items():
-                entries.sort()
-                self._append_postings(atom, entries)
-                self._df_delta[atom] = self._df_delta.get(atom, 0) \
-                    + len(entries)
-
-            # 2. ALL / ZERO blocks: queued for flush(), which extends
-            #    the tail block once per group -- the tail-block
-            #    decode/re-encode is O(block size), and paying it once
-            #    per group rather than once per record is a large share
-            #    of streaming-ingest throughput.
-            self._pending_all.extend(sorted(all_nodes))
-            self._pending_zero.extend(sorted(zero_leaf))
-
-            # 3. node metadata: fill the partial tail block.
-            _append_meta(self._store, ifile.n_nodes, meta_entries)
-
-            # 4. record table + key map.
-            blob = encode_str(key) + encode_varint(root_id) + \
-                encode_str(tree.to_text())
-            self._store.put(_RECORD_PREFIX + encode_varint(ordinal), blob)
-            self._store.put(_KEYMAP_PREFIX + key.encode("utf-8"),
-                            encode_varint(ordinal))
-
-            # 5. config, and the statistics delta *inside* the group --
-            #    deferring them would add a third on-disk state (insert
-            #    applied, stats stale) that recovery cannot name.
-            ifile.n_records += 1
-            ifile.n_nodes = next_id
-            if flush_stats:
-                self.flush()
-        self._invalidate(postings)
+        nodes, meta, text = number_record(tree, ordinal, first_id)
+        for atoms, posting in nodes:
+            for atom in atoms:
+                self._postings.setdefault(atom, []).append(posting)
+            self._pending_all.append(posting)
+            if not atoms:
+                self._pending_zero.append(posting)
+        self._meta += meta
+        self._records[key] = (ordinal, record_blob(key, first_id, text))
+        ifile.n_records += 1
+        ifile.n_nodes += len(meta)
+        if flush_stats:
+            self.flush()
         return ordinal
 
     def _append_postings(self, atom: Atom,
@@ -218,8 +175,8 @@ class IndexWriter:
 
         if raw is not None and value_format(raw) in BLOCK_FORMATS:
             # Blocked/packed: new ids sort past the tail, so only the
-            # partial tail block is re-encoded; full blocks keep their
-            # bytes -- and their format (0x02 values stay 0x02 under
+            # partial tail block changes; full blocks keep their bytes
+            # -- and their format (0x02 values stay 0x02 under
             # mutation; only compaction upgrades them to packed).
             self._store.put(store_key, append_blocked(raw, entries))
             return
@@ -257,8 +214,11 @@ class IndexWriter:
                         encode_header(header.total + len(entries), infos))
 
     def insert_many(self, records) -> list[int]:
-        """Insert several records; returns their ordinals."""
-        return [self.insert(key, value) for key, value in records]
+        """Insert several records as one group; returns their ordinals."""
+        ordinals = [self.insert(key, value, flush_stats=False)
+                    for key, value in records]
+        self.flush()
+        return ordinals
 
     # -- delete --------------------------------------------------------------
 
@@ -271,6 +231,7 @@ class IndexWriter:
         rarest-atom candidate ordering stay accurate until compaction.
         """
         ifile = self._ifile
+        self.flush()                # the key may be one of the open group's
         ordinal = ifile.ordinal_of_key(key)
         if ordinal is None:
             return False
@@ -323,55 +284,78 @@ class IndexWriter:
                                   segment_size=ifile.segment_size,
                                   block_size=ifile.block_size)
 
-    # -- statistics maintenance ------------------------------------------------------
+    # -- the commit group ------------------------------------------------------------
 
     def flush(self) -> None:
-        """Persist the commit group's deferred state: ALL/ZERO appends,
-        the statistics delta and the configuration.  After
-        ``insert(flush_stats=False)`` this MUST run inside the same
-        commit group (the engine's batch path does)."""
-        # Every inserted record queues at least its root for ALL, every
-        # delete that changes a count a dead pair: nothing else is ours.
-        if not (self._pending_all or self._dead_delta):
+        """Write the open commit group: every touched posting list once,
+        ALL and ZERO once, the node-metadata tail once, the records, the
+        statistics delta and the configuration -- as one store
+        transaction, inside the caller's if one is open."""
+        if not (self._records or self._dead_delta):
             return
         ifile = self._ifile
-        with self._store.transaction(b"flush"):
-            ifile._n_all_blocks = _append_blocks(
-                self._store, _ALL_PREFIX, ifile._n_all_blocks,
-                self._pending_all)
-            ifile._n_zero_blocks = _append_blocks(
-                self._store, _ZERO_PREFIX, ifile._n_zero_blocks,
-                self._pending_zero)
+        store = self._store
+        with store.transaction(b"flush"):
+            if self._records:
+                self._write_records()
+            # The statistics delta goes *inside* the group -- deferring
+            # it would add a third on-disk state (insert applied, stats
+            # stale) that recovery cannot name.
+            df_delta = {atom: len(entries)
+                        for atom, entries in self._postings.items()}
             if self._base_entries is None:
-                raw = self._store.get(_FREQ_KEY)
+                raw = store.get(_FREQ_KEY)
                 self._base_entries = decode_varint(raw, 0)[0] if raw else 0
-            pairs = ifile._delta_pairs + len(self._df_delta) + \
+            pairs = ifile._delta_pairs + len(df_delta) + \
                 len(self._dead_delta)
             if pairs > FOLD_RATIO * self._base_entries:
-                self._fold()
+                self._fold(df_delta)
             else:
-                if self._df_delta:
-                    self._store.put(
-                        delta_key(_FREQ_KEY, ifile._n_freq_deltas),
-                        encode_counts(self._df_delta))
+                if df_delta:
+                    store.put(delta_key(_FREQ_KEY, ifile._n_freq_deltas),
+                              encode_counts(df_delta))
                     ifile._n_freq_deltas += 1
                 if self._dead_delta:
-                    self._store.put(
+                    store.put(
                         delta_key(_DEAD_COUNT_KEY, ifile._n_dead_deltas),
                         encode_counts(self._dead_delta))
                     ifile._n_dead_deltas += 1
                 ifile._delta_pairs = pairs
             self._write_config()
-        self._pending_all = []
-        self._pending_zero = []
-        self._df_delta = {}
-        self._dead_delta = {}
+        self._reset_group()
 
-    def _fold(self) -> None:
+    def _write_records(self) -> None:
+        """The group's inserts: lists, ALL/ZERO, metadata, record table."""
+        ifile = self._ifile
+        store = self._store
+        for atom, entries in self._postings.items():
+            entries.sort()          # a record lists its nodes post-order
+            self._append_postings(atom, entries)
+        first_id = ifile.n_nodes - len(self._meta)
+        self._pending_all.sort()
+        ifile._n_all_blocks = _append_blocks(
+            store, _ALL_PREFIX, ifile._n_all_blocks, first_id - 1,
+            self._pending_all)
+        if self._pending_zero:
+            self._pending_zero.sort()
+            ifile._n_zero_blocks = _append_blocks(
+                store, _ZERO_PREFIX, ifile._n_zero_blocks,
+                self._zero_last, self._pending_zero)
+            self._zero_last = self._pending_zero[-1][0]
+        _append_meta(store, first_id, self._meta)
+        for key, (ordinal, blob) in self._records.items():
+            store.put(_RECORD_PREFIX + encode_varint(ordinal), blob)
+            store.put(_KEYMAP_PREFIX + key.encode("utf-8"),
+                      encode_varint(ordinal))
+        # Inside the transaction: the epoch hook must stamp the
+        # *upcoming* commit version, i.e. fire before the commit.
+        self._invalidate(self._postings)
+
+    def _fold(self, df_delta: dict[Atom, int]) -> None:
         """Rewrite both count tables whole and drop their delta logs."""
         ifile = self._ifile
         df = ifile._document_frequencies()
-        for atom, delta in self._df_delta.items():
+        for atom, delta in df_delta.items():
             df[atom] = df.get(atom, 0) + delta
         self._store.put(_FREQ_KEY, encode_counts(df, ranked=True))
         if ifile.dead_counts:       # kept current in memory by delete()
@@ -418,26 +402,30 @@ class IndexWriter:
 
 
 def _append_blocks(store, prefix: bytes, n_blocks: int,
+                   last_head: int | None,
                    entries: list[tuple[int, tuple[int, ...]]]) -> int:
-    """Extend a blocked posting list; returns the new block count."""
-    if not entries:
-        return n_blocks
-    pending = list(entries)
+    """Extend the ALL or ZERO list; returns the new block count.
+
+    ``last_head`` is the last head the tail block holds (``None``: not
+    known, decode the block to find it), so topping the block up costs
+    the rows it adds.
+    """
+    pending = entries
     if n_blocks:
         tail_key = prefix + encode_varint(n_blocks - 1)
         raw = store.get(tail_key)
         if raw is None:
             raise InvertedFileError(f"missing tail block under {prefix!r}")
-        tail = list(PostingList.decode(raw).entries)
-        room = LIST_BLOCK - len(tail)
+        room = LIST_BLOCK - decode_varint(raw, 0)[0]
         if room > 0:
-            tail.extend(pending[:room])
+            if last_head is None:
+                last_head = decode_postings(raw)[-1][0]
+            store.put(tail_key,
+                      append_postings(raw, last_head, pending[:room]))
             pending = pending[room:]
-            store.put(tail_key, PostingList(tail).encode())
-    while pending:
-        chunk, pending = pending[:LIST_BLOCK], pending[LIST_BLOCK:]
+    for start in range(0, len(pending), LIST_BLOCK):
         store.put(prefix + encode_varint(n_blocks),
-                  PostingList(chunk).encode())
+                  PostingList(pending[start:start + LIST_BLOCK]).encode())
         n_blocks += 1
     return n_blocks
 

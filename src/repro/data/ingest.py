@@ -152,7 +152,9 @@ class StreamIngestor:
     ``submit(key, value)`` enqueues and returns immediately; a background
     thread gathers pending records and commits them through
     ``index.insert_batch`` -- **one** write-ahead-log group (one version,
-    one fsync, one ALL/ZERO tail-block rewrite) per batch, flushed when
+    one fsync, and one write of every posting list, tail block and
+    statistics delta the batch touches, however many of its records
+    touch it) per batch, flushed when
     ``batch_size`` records are waiting or ``flush_interval`` seconds pass
     with a partial batch, whichever comes first.  Under the engine's
     MVCC read path these commits never block in-flight queries: readers

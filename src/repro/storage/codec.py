@@ -119,16 +119,10 @@ def decode_uint_list(buf: bytes, offset: int = 0) -> tuple[list[int], int]:
     return values, pos
 
 
-def encode_postings(postings: Iterable[Posting]) -> bytes:
-    """Encode a posting list sorted on the head ids ``p``.
-
-    Layout: ``count, then per posting: delta(p), len(C), delta-encoded C``.
-    """
-    items = list(postings)
-    out = bytearray()
-    out += encode_varint(len(items))
-    prev_p = 0
-    for p, children in items:
+def _encode_rows(out: bytearray, postings: Iterable[Posting],
+                 prev_p: int) -> None:
+    """Append ``delta(p), len(C), delta-encoded C`` per posting."""
+    for p, children in postings:
         delta = p - prev_p
         if delta < 0:
             raise ValueError("postings must be sorted on head id")
@@ -142,6 +136,29 @@ def encode_postings(postings: Iterable[Posting]) -> bytes:
                 raise ValueError("posting children must be sorted")
             out += encode_varint(cdelta)
             prev_c = child
+
+
+def encode_postings(postings: Iterable[Posting]) -> bytes:
+    """Encode a posting list sorted on the head ids ``p``.
+
+    Layout: ``count, then per posting: delta(p), len(C), delta-encoded C``.
+    """
+    items = list(postings)
+    out = bytearray(encode_varint(len(items)))
+    _encode_rows(out, items, 0)
+    return bytes(out)
+
+
+def append_postings(raw: bytes, last_head: int,
+                    entries: Sequence[Posting]) -> bytes:
+    """Extend an :func:`encode_postings` value whose last head is
+    ``last_head``: the count varint is rewritten and the new rows are
+    appended, so the cost is what is added, and the result is what
+    encoding the whole list again would give."""
+    count, pos = decode_varint(raw, 0)
+    out = bytearray(encode_varint(count + len(entries)))
+    out += raw[pos:]
+    _encode_rows(out, entries, last_head if count else 0)
     return bytes(out)
 
 
@@ -212,27 +229,14 @@ def _pack_fixed(values: Sequence[int], width: int) -> bytes:
     return arr.tobytes()
 
 
-def encode_packed_block(chunk: Sequence[Posting]) -> bytes:
-    """Encode one block of postings as fixed-width delta arrays.
-
-    Layout::
-
-        [w_heads u8][w_counts u8][w_children u8]
-        head deltas      (count x w_heads,      little-endian)
-        child counts     (count x w_counts)
-        child deltas     (n_children x w_children)
-
-    Head deltas are taken against the previous head; the first delta is
-    0 because the directory's ``min_head`` anchors the block.  Child
-    deltas restart per posting with the first child stored absolutely,
-    so the whole flattened array decodes with one cumulative sum plus a
-    per-segment correction -- no per-element branching.  Width of each
-    array is the smallest of {1, 2, 4, 8} bytes that fits its maximum.
-    """
+def _packed_deltas(chunk: Sequence[Posting], prev_head: int | None
+                   ) -> tuple[list[int], list[int], list[int]]:
+    """Head deltas, child counts and per-posting child deltas of
+    ``chunk``; ``prev_head`` is the head before it, ``None`` at the
+    start of a block (whose first delta is stored as 0)."""
     heads: list[int] = []
     counts: list[int] = []
     children: list[int] = []
-    prev_head = None
     for p, cs in chunk:
         if prev_head is None:
             heads.append(0)
@@ -251,12 +255,89 @@ def encode_packed_block(chunk: Sequence[Posting]) -> bytes:
                 raise ValueError("posting children must be sorted")
             children.append(delta)
             prev_c = child
+    return heads, counts, children
+
+
+def encode_packed_block(chunk: Sequence[Posting]) -> bytes:
+    """Encode one block of postings as fixed-width delta arrays.
+
+    Layout::
+
+        [w_heads u8][w_counts u8][w_children u8]
+        head deltas      (count x w_heads,      little-endian)
+        child counts     (count x w_counts)
+        child deltas     (n_children x w_children)
+
+    Head deltas are taken against the previous head; the first delta is
+    0 because the directory's ``min_head`` anchors the block.  Child
+    deltas restart per posting with the first child stored absolutely,
+    so the whole flattened array decodes with one cumulative sum plus a
+    per-segment correction -- no per-element branching.  Width of each
+    array is the smallest of {1, 2, 4, 8} bytes that fits its maximum.
+    """
+    heads, counts, children = _packed_deltas(chunk, None)
     w_heads = _width_for(max(heads, default=0))
     w_counts = _width_for(max(counts, default=0))
     w_children = _width_for(max(children, default=0))
     return bytes((w_heads, w_counts, w_children)) + \
         _pack_fixed(heads, w_heads) + _pack_fixed(counts, w_counts) + \
         _pack_fixed(children, w_children)
+
+
+def _packed_layout(raw: bytes, offset: int, length: int, count: int
+                   ) -> tuple[int, int, int, int, int, int]:
+    """Widths and array starts of the packed block payload at
+    ``raw[offset:offset + length]`` holding ``count`` postings:
+    ``(w_heads, w_counts, w_children, counts_at, children_at,
+    n_children)``; the head array starts at ``offset + 3``."""
+    end = offset + length
+    if length < 3 or end > len(raw):
+        raise CorruptionError("truncated packed block payload")
+    w_heads, w_counts, w_children = raw[offset], raw[offset + 1], \
+        raw[offset + 2]
+    if w_heads not in _WIDTH_LIMITS or w_counts not in _WIDTH_LIMITS \
+            or w_children not in _WIDTH_LIMITS:
+        raise CorruptionError(
+            f"bad packed block widths ({w_heads},{w_counts},{w_children})")
+    counts_at = offset + 3 + count * w_heads
+    children_at = counts_at + count * w_counts
+    if children_at > end:
+        raise CorruptionError("packed block shorter than its directory "
+                              "entry claims")
+    child_bytes = end - children_at
+    if child_bytes % w_children:
+        raise CorruptionError("packed child array misaligned")
+    return w_heads, w_counts, w_children, counts_at, children_at, \
+        child_bytes // w_children
+
+
+def _unpack_fixed(raw: bytes, start: int, end: int, width: int) -> array:
+    """Inverse of :func:`_pack_fixed` over ``raw[start:end]``."""
+    arr = array(_WIDTH_TYPECODES[width])
+    arr.frombytes(raw[start:end])
+    if sys.byteorder == "big":  # pragma: no cover
+        arr.byteswap()
+    return arr
+
+
+def _unpack_checked(raw: bytes, offset: int, length: int, count: int,
+                    min_head: int, max_head: int):
+    """The numpy-free reading of a packed block: its layout
+    (:func:`_packed_layout`) and its head-delta and count arrays, the
+    counts checked against the children held and the head deltas
+    against the directory's ``max_head``."""
+    layout = _packed_layout(raw, offset, length, count)
+    w_heads, w_counts, _w_children, counts_at, children_at, n_children = \
+        layout
+    head_arr = _unpack_fixed(raw, offset + 3, counts_at, w_heads)
+    count_arr = _unpack_fixed(raw, counts_at, children_at, w_counts)
+    if sum(count_arr) != n_children:
+        raise CorruptionError("packed child counts disagree with "
+                              "payload size")
+    if count and min_head + sum(head_arr) != max_head:
+        raise CorruptionError("packed block heads end past the "
+                              "directory's max_head")
+    return layout, head_arr, count_arr
 
 
 def decode_packed_arrays(raw: bytes, info: BlockInfo):
@@ -270,71 +351,42 @@ def decode_packed_arrays(raw: bytes, info: BlockInfo):
     ``counts``).  Raises :class:`CorruptionError` on truncated or
     internally inconsistent payloads instead of returning garbage.
     """
-    offset, length = info.offset, info.length
-    end = offset + length
-    if length < 3 or end > len(raw):
-        raise CorruptionError("truncated packed block payload")
-    w_heads, w_counts, w_children = raw[offset], raw[offset + 1], \
-        raw[offset + 2]
-    if w_heads not in _WIDTH_LIMITS or w_counts not in _WIDTH_LIMITS \
-            or w_children not in _WIDTH_LIMITS:
-        raise CorruptionError(
-            f"bad packed block widths ({w_heads},{w_counts},{w_children})")
     count = info.count
-    heads_at = offset + 3
-    counts_at = heads_at + count * w_heads
-    children_at = counts_at + count * w_counts
-    if children_at > end:
-        raise CorruptionError("packed block shorter than its directory "
-                              "entry claims")
-    child_bytes = end - children_at
-    if child_bytes % w_children:
-        raise CorruptionError("packed child array misaligned")
-    n_children = child_bytes // w_children
-    if _np is not None:
-        head_deltas = _np.frombuffer(raw, _WIDTH_DTYPES[w_heads],
-                                     count, heads_at).astype(_np.int64)
-        heads = head_deltas.cumsum()
-        heads += info.min_head
-        counts = _np.frombuffer(raw, _WIDTH_DTYPES[w_counts],
-                                count, counts_at).astype(_np.int64)
-        if int(counts.sum()) != n_children:
-            raise CorruptionError("packed child counts disagree with "
-                                  "payload size")
-        deltas = _np.frombuffer(raw, _WIDTH_DTYPES[w_children],
-                                n_children, children_at).astype(_np.int64)
-        children = deltas.cumsum()
-        if n_children:
-            # Per-posting delta restart: subtract, from every segment,
-            # the running sum accumulated before its first element.
-            starts = counts.cumsum() - counts
-            base = _np.where(starts > 0, children[starts - 1], 0)
-            children = children - _np.repeat(base, counts)
-        if count and int(heads[-1]) != info.max_head:
-            raise CorruptionError("packed block heads end past the "
-                                  "directory's max_head")
-        return heads, counts, children
-    head_arr = array(_WIDTH_TYPECODES[w_heads])
-    head_arr.frombytes(raw[heads_at:counts_at])
-    count_arr = array(_WIDTH_TYPECODES[w_counts])
-    count_arr.frombytes(raw[counts_at:children_at])
-    delta_arr = array(_WIDTH_TYPECODES[w_children])
-    delta_arr.frombytes(raw[children_at:end])
-    if sys.byteorder == "big":  # pragma: no cover
-        head_arr.byteswap()
-        count_arr.byteswap()
-        delta_arr.byteswap()
-    counts = list(count_arr)
-    if sum(counts) != n_children:
+    end = info.offset + info.length
+    if _np is None:
+        layout, head_arr, count_arr = _unpack_checked(
+            raw, info.offset, info.length, count, info.min_head,
+            info.max_head)
+        delta_arr = _unpack_fixed(raw, layout[4], end, layout[2])
+        children: list[int] = []
+        at = 0
+        for n in count_arr:
+            children.extend(accumulate(delta_arr[at:at + n]))
+            at += n
+        return list(accumulate(head_arr, initial=info.min_head))[1:], \
+            list(count_arr), children
+    heads_at = info.offset + 3
+    w_heads, w_counts, w_children, counts_at, children_at, n_children = \
+        _packed_layout(raw, info.offset, info.length, count)
+    head_deltas = _np.frombuffer(raw, _WIDTH_DTYPES[w_heads],
+                                 count, heads_at).astype(_np.int64)
+    heads = head_deltas.cumsum()
+    heads += info.min_head
+    counts = _np.frombuffer(raw, _WIDTH_DTYPES[w_counts],
+                            count, counts_at).astype(_np.int64)
+    if int(counts.sum()) != n_children:
         raise CorruptionError("packed child counts disagree with "
                               "payload size")
-    heads = list(accumulate(head_arr, initial=info.min_head))[1:]
-    children: list[int] = []
-    at = 0
-    for n in counts:
-        children.extend(accumulate(delta_arr[at:at + n]))
-        at += n
-    if count and heads[-1] != info.max_head:
+    deltas = _np.frombuffer(raw, _WIDTH_DTYPES[w_children],
+                            n_children, children_at).astype(_np.int64)
+    children = deltas.cumsum()
+    if n_children:
+        # Per-posting delta restart: subtract, from every segment,
+        # the running sum accumulated before its first element.
+        starts = counts.cumsum() - counts
+        base = _np.where(starts > 0, children[starts - 1], 0)
+        children = children - _np.repeat(base, counts)
+    if count and int(heads[-1]) != info.max_head:
         raise CorruptionError("packed block heads end past the "
                               "directory's max_head")
     return heads, counts, children
@@ -458,55 +510,107 @@ def decode_blocked(raw: bytes) -> list[Posting]:
     return postings
 
 
+def _splice_packed(raw: bytes, offset: int, length: int, count: int,
+                   min_head: int, max_head: int,
+                   entries: Sequence[Posting]) -> bytes | None:
+    """The packed tail block's payload with ``entries`` added, or
+    ``None`` when one of its three widths must grow.
+
+    The payload is checked as a decode checks it
+    (:func:`_unpack_checked`, numpy-free), then the new fixed-width
+    head, count and child deltas are inserted at the end of their
+    arrays; nothing already stored is decoded into postings or encoded
+    again.
+    """
+    (w_heads, w_counts, w_children, counts_at, children_at,
+     _n_children), _head_arr, _count_arr = _unpack_checked(
+        raw, offset, length, count, min_head, max_head)
+    end = offset + length
+    heads, counts, children = _packed_deltas(entries, max_head)
+    if max(heads, default=0) >= _WIDTH_LIMITS[w_heads] \
+            or max(counts, default=0) >= _WIDTH_LIMITS[w_counts] \
+            or max(children, default=0) >= _WIDTH_LIMITS[w_children]:
+        return None
+    return b"".join((
+        raw[offset:counts_at], _pack_fixed(heads, w_heads),
+        raw[counts_at:children_at], _pack_fixed(counts, w_counts),
+        raw[children_at:end], _pack_fixed(children, w_children)))
+
+
 def append_blocked(raw: bytes, entries: Sequence[Posting]) -> bytes:
     """Extend a blocked value with postings sorted after its last head.
 
-    Only the partial tail block is re-encoded; full blocks keep their
-    existing payload bytes, so an append costs O(tail + new entries)
-    regardless of list length.  The value's format byte (0x02 or 0x03)
-    is preserved: appends never migrate a list between formats, so an
-    index mixing generations stays byte-stable under mutation.
+    Costs what it adds: the directory is walked without building
+    :class:`BlockInfo`s, full blocks keep their entries and payload
+    bytes, and a packed (0x03) tail block takes what fits its room by
+    :func:`_splice_packed`.  A 0x02 tail, or a packed one whose widths
+    must grow, is decoded and encoded again; what does not fit the tail
+    goes into fresh blocks.  Either way the result is byte for byte
+    ``encode_blocked(old + new)`` in the value's own format (0x02 or
+    0x03): appends never migrate a list between formats, so an index
+    mixing generations stays byte-stable under mutation.
     """
     if not entries:
         return raw
-    header = decode_blocked_header(raw)
-    if not header.blocks:
-        return encode_blocked(entries, header.block_size,
-                              packed=header.fmt == PACKED_FORMAT_BYTE)
-    tail_info = header.blocks[-1]
-    if entries[0][0] <= tail_info.max_head:
+    if not raw or raw[0] not in (BLOCKED_FORMAT_BYTE, PACKED_FORMAT_BYTE):
+        raise CorruptionError("not a block-compressed value")
+    fmt = raw[0]
+    total, pos = decode_varint(raw, 1)
+    block_size, pos = decode_varint(raw, pos)
+    n_blocks, directory_at = decode_varint(raw, pos)
+    if not n_blocks:
+        return encode_blocked(entries, block_size,
+                              packed=fmt == PACKED_FORMAT_BYTE)
+    # Directory walk: where the tail's entry starts, the head it is
+    # delta-encoded against, and the bytes of payload before its own.
+    pos = directory_at
+    max_head = payload_before = length = 0
+    for _ in range(n_blocks):
+        tail_entry_at, previous_max = pos, max_head
+        payload_before += length
+        min_delta, pos = decode_varint(raw, pos)
+        span, pos = decode_varint(raw, pos)
+        count, pos = decode_varint(raw, pos)
+        length, pos = decode_varint(raw, pos)
+        min_head = previous_max + min_delta
+        max_head = min_head + span
+    payloads_at = pos
+    tail_at = payloads_at + payload_before
+    if tail_at + length > len(raw):
+        raise CorruptionError("truncated blocked value payload")
+    if entries[0][0] <= max_head:
         raise ValueError("append_blocked requires heads past the tail")
-    tail = decode_block(raw, tail_info)
-    tail.extend(entries)
-    kept = header.blocks[:-1]
-    chunks = [tail[start:start + header.block_size]
-              for start in range(0, len(tail), header.block_size)]
-    payloads = [_encode_block_payload(chunk, header.fmt)
-                for chunk in chunks]
-    out = bytearray([header.fmt])
-    out += encode_varint(header.total + len(entries))
-    out += encode_varint(header.block_size)
-    out += encode_varint(len(kept) + len(chunks))
-    previous_max = 0
-    for info in kept:
-        out += encode_varint(info.min_head - previous_max)
-        out += encode_varint(info.max_head - info.min_head)
-        out += encode_varint(info.count)
-        out += encode_varint(info.length)
-        previous_max = info.max_head
-    for chunk, payload in zip(chunks, payloads):
-        min_head = chunk[0][0]
-        max_head = chunk[-1][0]
-        out += encode_varint(min_head - previous_max)
-        out += encode_varint(max_head - min_head)
-        out += encode_varint(len(chunk))
-        out += encode_varint(len(payload))
-        previous_max = max_head
-    if kept:
-        first = kept[0]
-        out += raw[first.offset:tail_info.offset]
-    for payload in payloads:
-        out += payload
+    room = max(0, block_size - count)
+    fits, rest = entries[:room], entries[room:]
+    payload = None
+    if fmt == PACKED_FORMAT_BYTE:
+        payload = _splice_packed(raw, tail_at, length, count,
+                                 min_head, max_head, fits)
+    if payload is None:
+        info = BlockInfo(min_head, max_head, count, tail_at, length)
+        payload = _encode_block_payload(decode_block(raw, info) + list(fits),
+                                        fmt)
+    chunks = [rest[start:start + block_size]
+              for start in range(0, len(rest), block_size)]
+    payloads = [payload] + [_encode_block_payload(chunk, fmt)
+                            for chunk in chunks]
+    out = bytearray([fmt])
+    out += encode_varint(total + len(entries))
+    out += encode_varint(block_size)
+    out += encode_varint(n_blocks + len(chunks))
+    out += raw[directory_at:tail_entry_at]
+    spans = [(min_head, fits[-1][0] if fits else max_head,
+              count + len(fits))]
+    spans += [(chunk[0][0], chunk[-1][0], len(chunk)) for chunk in chunks]
+    for (low, high, held), block in zip(spans, payloads):
+        out += encode_varint(low - previous_max)
+        out += encode_varint(high - low)
+        out += encode_varint(held)
+        out += encode_varint(len(block))
+        previous_max = high
+    out += raw[payloads_at:tail_at]
+    for block in payloads:
+        out += block
     return bytes(out)
 
 

@@ -12,22 +12,28 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import BlockCache
-from repro.core.invfile import QueryStats
+from repro.core.invfile import LIST_BLOCK, QueryStats, _write_blocks
 from repro.core.postings import LazyPostingList, PostingList, intersect
+from repro.core.updates import _append_blocks
 from repro.storage.codec import (
     BLOCKED_FORMAT_BYTE,
     PACKED_FORMAT_BYTE,
     CorruptionError,
     append_blocked,
+    append_postings,
     decode_block,
     decode_blocked,
     decode_blocked_header,
     decode_postings,
     encode_blocked,
     encode_postings,
+    encode_varint,
 )
+from repro.storage.codec import _encode_block_payload
+from repro.storage.kvstore import MemoryKVStore
 
 
 def _random_postings(rng: random.Random, size: int,
@@ -98,30 +104,194 @@ class TestCodecRoundTrip:
             encode_blocked([(5, ()), (3, ())], 1)
 
 
+def _reference_append_blocked(raw: bytes, entries: list) -> bytes:
+    """The append as it was before it spliced: decode the tail block
+    into postings, extend, encode again.  Kept as the reference."""
+    header = decode_blocked_header(raw)
+    if not header.blocks:
+        return encode_blocked(entries, header.block_size,
+                              packed=header.fmt == PACKED_FORMAT_BYTE)
+    tail_info = header.blocks[-1]
+    if entries[0][0] <= tail_info.max_head:
+        raise ValueError("append_blocked requires heads past the tail")
+    tail = decode_block(raw, tail_info)
+    tail.extend(entries)
+    kept = header.blocks[:-1]
+    chunks = [tail[start:start + header.block_size]
+              for start in range(0, len(tail), header.block_size)]
+    payloads = [_encode_block_payload(chunk, header.fmt)
+                for chunk in chunks]
+    out = bytearray([header.fmt])
+    out += encode_varint(header.total + len(entries))
+    out += encode_varint(header.block_size)
+    out += encode_varint(len(kept) + len(chunks))
+    previous_max = 0
+    for info in kept:
+        out += encode_varint(info.min_head - previous_max)
+        out += encode_varint(info.max_head - info.min_head)
+        out += encode_varint(info.count)
+        out += encode_varint(info.length)
+        previous_max = info.max_head
+    for chunk, payload in zip(chunks, payloads):
+        min_head = chunk[0][0]
+        max_head = chunk[-1][0]
+        out += encode_varint(min_head - previous_max)
+        out += encode_varint(max_head - min_head)
+        out += encode_varint(len(chunk))
+        out += encode_varint(len(payload))
+        previous_max = max_head
+    if kept:
+        out += raw[kept[0].offset:tail_info.offset]
+    for payload in payloads:
+        out += payload
+    return bytes(out)
+
+
+#: Gaps on both sides of the 1 -> 2 -> 4 -> 8-byte delta widths.
+_GAP_CLASSES = ((1, 3), (200, 255), (256, 300), (65_000, 65_535),
+                (65_536, 70_000), (2 ** 32 - 2, 2 ** 32 + 2),
+                (2 ** 33, 2 ** 33 + 5))
+
+
+def _postings_after(rng: random.Random, last: int, size: int,
+                    gap_class: int, child_class: int, fanout: int) -> list:
+    """``size`` postings past head ``last``: head gaps and child deltas
+    drawn up to the given width class (so a list of class 0 followed by
+    one of class 3 forces a width to grow), childless postings mixed in,
+    ``fanout`` > 255 forcing the count width."""
+    out = []
+    head = last
+    for _ in range(size):
+        head += rng.randint(*_GAP_CLASSES[rng.randint(0, gap_class)])
+        child, children = 0, []
+        for _ in range(rng.choice((0, 0, 1, 3, fanout))):
+            child += rng.randint(*_GAP_CLASSES[rng.randint(0, child_class)])
+            children.append(child)
+        out.append((head, tuple(children)))
+    return out
+
+
+_WIDTH_CLASS = st.integers(0, len(_GAP_CLASSES) - 1)
+
+
+@st.composite
+def _append_cases(draw):
+    """(block size, packed?, base, extension) covering: an empty base,
+    an extension that fits the tail / fills it exactly / spills over
+    several blocks, and every width kept or grown."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    block_size = draw(st.sampled_from((1, 2, 8, 128)))
+    base_len = draw(st.integers(0, 2 * block_size + 3))
+    room = -base_len % block_size
+    ext_len = draw(st.one_of(
+        st.integers(1, max(1, room)), st.just(max(1, room)),
+        st.integers(room + 1, room + 3 * block_size)))
+    gaps, children = draw(_WIDTH_CLASS), draw(_WIDTH_CLASS)
+    fanout = draw(st.sampled_from((2, 300)))
+    base = _postings_after(rng, draw(st.integers(-1, 1000)), base_len,
+                           gaps, children, fanout)
+    if draw(st.booleans()):     # an extension that may outgrow the widths
+        gaps, children = draw(_WIDTH_CLASS), draw(_WIDTH_CLASS)
+        fanout = draw(st.sampled_from((2, 300)))
+    extension = _postings_after(rng, base[-1][0] if base else 0, ext_len,
+                                gaps, children, fanout)
+    return block_size, draw(st.booleans()), base, extension
+
+
 class TestAppendBlocked:
-    def test_append_matches_full_reencode(self) -> None:
-        # The tail-only re-encode must be byte-identical to encoding the
-        # combined list from scratch (blocks align on size boundaries).
-        rng = random.Random(11)
-        for _ in range(25):
-            base = _random_postings(rng, rng.randrange(1, 120),
-                                    head_space=5_000)
-            extra = [(p + 5_000, c) for p, c in
-                     _random_postings(rng, rng.randrange(1, 40),
-                                      head_space=5_000)]
-            block_size = rng.choice([1, 4, 16, 128])
-            raw = encode_blocked(base, block_size)
-            appended = append_blocked(raw, extra)
-            assert appended == encode_blocked(base + extra, block_size)
+    @given(_append_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_append_matches_full_reencode(self, case) -> None:
+        block_size, packed, base, extension = case
+        raw = encode_blocked(base, block_size, packed=packed)
+        appended = append_blocked(raw, extension)
+        assert appended == encode_blocked(base + extension, block_size,
+                                          packed=packed)
+        assert appended == _reference_append_blocked(raw, extension)
+        assert appended[0] == raw[0]        # 0x02 stays 0x02, 0x03 0x03
+
+    @given(_append_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_values_are_refused(self, case) -> None:
+        block_size, packed, base, extension = case
+        raw = encode_blocked(base, block_size, packed=packed)
+        if not base:
+            return
+        header = decode_blocked_header(raw)
+        cuts = {0, 1, len(raw) - 1, header.blocks[-1].offset,
+                header.blocks[-1].offset + 2, header.blocks[0].offset - 1}
+        for cut in cuts:
+            with pytest.raises(CorruptionError):
+                append_blocked(raw[:cut], extension)
+
+    @pytest.mark.parametrize("array", ["heads", "counts"])
+    def test_inconsistent_tail_payload_is_refused(self, array) -> None:
+        """The spliced block is checked as a decode checks it: child
+        counts against the children held, head deltas against the
+        directory's ``max_head``."""
+        base = [(3, (4, 9)), (10, ()), (12, (13,))]
+        raw = bytearray(encode_blocked(base, 8))
+        tail = decode_blocked_header(bytes(raw)).blocks[-1]
+        assert raw[tail.offset:tail.offset + 3] == b"\x01\x01\x01"
+        heads_at = tail.offset + 3
+        raw[heads_at + 1 if array == "heads" else heads_at + 3] += 1
+        with pytest.raises(CorruptionError):
+            append_blocked(bytes(raw), [(20, ())])
+        with pytest.raises(CorruptionError):
+            decode_blocked(bytes(raw))      # the same refusal as a read
 
     def test_append_nothing_is_identity(self) -> None:
         raw = encode_blocked([(1, ()), (9, (2,))], 4)
         assert append_blocked(raw, []) is raw
 
     def test_append_rejects_overlapping_heads(self) -> None:
-        raw = encode_blocked([(1, ()), (9, ())], 4)
+        for packed in (True, False):
+            raw = encode_blocked([(1, ()), (9, ())], 4, packed=packed)
+            with pytest.raises(ValueError):
+                append_blocked(raw, [(9, ())])
+            with pytest.raises(ValueError):
+                append_blocked(raw, [(12, ()), (11, (13,))])
+
+
+class TestAppendRows:
+    """The ALL/ZERO blocks (row format) are extended the same way."""
+
+    @given(st.integers(0, 2 ** 32), st.integers(0, 40), st.integers(1, 40),
+           _WIDTH_CLASS, _WIDTH_CLASS)
+    @settings(max_examples=200, deadline=None)
+    def test_append_is_the_full_reencode(self, seed, base_len, ext_len,
+                                         gap_class, child_class) -> None:
+        rng = random.Random(seed)
+        base = _postings_after(rng, -1, base_len, gap_class, child_class, 2)
+        last = base[-1][0] if base else 0
+        extension = _postings_after(rng, last, ext_len, gap_class,
+                                    child_class, 2)
+        assert append_postings(PostingList(base).encode(), last,
+                               extension) == \
+            PostingList(base + extension).encode()
+
+    def test_unsorted_extension_is_refused(self) -> None:
+        raw = PostingList([(5, ())]).encode()
         with pytest.raises(ValueError):
-            append_blocked(raw, [(9, ())])
+            append_postings(raw, 5, [(4, ())])
+        with pytest.raises(CorruptionError):
+            append_postings(b"", 5, [(9, ())])
+
+    @pytest.mark.parametrize("known_last", [True, False])
+    @pytest.mark.parametrize("n_old, n_new", [
+        (0, 3), (10, 5), (LIST_BLOCK - 4, 4), (LIST_BLOCK - 4, 9),
+        (LIST_BLOCK, 2), (LIST_BLOCK + 7, 2 * LIST_BLOCK)])
+    def test_block_list_append_equals_a_fresh_write(
+            self, n_old, n_new, known_last) -> None:
+        entries = [(3 * i, (3 * i + 1,) if i % 4 else ())
+                   for i in range(n_old + n_new)]
+        old, new = entries[:n_old], entries[n_old:]
+        store, fresh = MemoryKVStore(), MemoryKVStore()
+        n_blocks = _write_blocks(store, b"L:", old)
+        last = old[-1][0] if old and known_last else None
+        assert _append_blocks(store, b"L:", n_blocks, last, new) == \
+            _write_blocks(fresh, b"L:", entries)
+        assert sorted(store.items()) == sorted(fresh.items())
 
 
 class TestLazyPostingList:

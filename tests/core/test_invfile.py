@@ -8,8 +8,11 @@ from repro.core.cache import LRUCache
 from repro.core.invfile import (
     InvertedFile,
     InvertedFileError,
+    _FLAG_ROOT,
+    _META_ENTRY,
     atom_from_token,
     atom_token,
+    number_record,
 )
 from repro.core.model import NestedSet
 
@@ -34,6 +37,43 @@ class TestAtomTokens:
     def test_bad_token(self) -> None:
         with pytest.raises(InvertedFileError):
             atom_from_token("x:whatever")
+
+
+class TestNumberRecord:
+    """The one walk behind build, bulk load and insert."""
+
+    def test_preorder_ids_in_canonical_child_order(self) -> None:
+        N = NestedSet
+        tree = N(["r"], [N(["z"]), N(["a"], [N(["k"]), N([], [N(["b"])])]),
+                         N([])])
+        nodes, meta, text = number_record(tree, 7, 100)
+        assert text == tree.to_text() == "{r, {a, {k}, {{b}}}, {z}, {}}"
+        by_id = {posting[0]: (atoms, posting[1]) for atoms, posting in nodes}
+        # preorder over children sorted by canonical text
+        assert by_id == {
+            100: (frozenset(["r"]), (101, 105, 106)),
+            101: (frozenset(["a"]), (102, 103)),
+            102: (frozenset(["k"]), ()),
+            103: (frozenset(), (104,)),
+            104: (frozenset(["b"]), ()),
+            105: (frozenset(["z"]), ()),
+            106: (frozenset(), ()),
+        }
+        # listed as the walk completes them: a node after its descendants
+        assert [posting[0] for _atoms, posting in nodes] == \
+            [102, 104, 103, 101, 105, 106, 100]
+        assert [_META_ENTRY.unpack(entry) for entry in meta] == [
+            (7, 1, 106, _FLAG_ROOT), (7, 1, 104, 0), (7, 1, 102, 0),
+            (7, 0, 104, 0), (7, 1, 104, 0), (7, 1, 105, 0), (7, 0, 106, 0)]
+
+    def test_a_deep_path_is_serialised_once_per_node(self) -> None:
+        tree = NestedSet(["leaf"])
+        for depth in range(200):
+            tree = NestedSet([f"d{depth}"], [tree])
+        nodes, meta, text = number_record(tree, 0, 0)
+        assert len(nodes) == len(meta) == 201
+        assert text == tree.to_text()
+        assert [posting for _atoms, posting in nodes][-1] == (0, (1,))
 
 
 class TestBuildStructure:

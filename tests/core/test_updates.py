@@ -202,14 +202,39 @@ class TestWriterDirect:
                                        ("m2", N(["a2"]))])
         assert ordinals == [len(small_corpus), len(small_corpus) + 1]
 
+    def test_on_mutate_fires_once_per_group_before_the_commit(
+            self, small_corpus) -> None:
+        ifile = InvertedFile.build(small_corpus)
+        store = ifile.store
+        calls = []
+
+        def version() -> int:
+            return store.mvcc_info()["snapshot_version"]
+
+        writer = IndexWriter(ifile, on_mutate=lambda tokens, changed:
+                             calls.append((tokens, changed, version())))
+        before = version()
+        writer.insert_many([("m1", N(["a1", "x"], [N(["y"])])),
+                            ("m2", N(["a1", 7])), ("m3", N())])
+        # One call, the union of the group's tokens, and the group not
+        # yet committed when it came.
+        assert calls == [({"s:a1", "s:x", "s:y", "i:7"}, True, before)]
+        assert version() == before + 1
+        writer.insert("m4", N())            # no atom at all: still a call
+        assert calls[1:] == [(set(), True, before + 1)]
+        writer.delete("m1")
+        assert calls[2:] == [({"s:a1", "s:x", "s:y"}, False, before + 2)]
+
 
 class TestFailedBatch:
     """Regression: an ``insert_batch`` that raises part-way (here a
-    duplicate key after records that went in) aborts the store
-    transaction, and must leave the live objects where the store is.
-    They used to stay advanced -- counters, the writer's pending
-    buffers -- and the next insert failed with ``metadata block 0 has
-    51 bytes, expected 68 before append`` until a reopen."""
+    duplicate key as the last record of the batch -- of a stored record,
+    then of a record of the same batch, which only the writer's group
+    buffer knows) aborts the store transaction, and must leave the live
+    objects where the store is.  They used to stay advanced -- counters,
+    the writer's pending buffers -- and the next insert failed with
+    ``metadata block 0 has 51 bytes, expected 68 before append`` until
+    a reopen."""
 
     @pytest.mark.parametrize("storage, shards", [
         ("memory", 1), ("diskhash", 1), ("diskhash", 4)])
@@ -222,12 +247,12 @@ class TestFailedBatch:
                                      shards=shards)
         fresh = [(f"f{i}", N(["common", f"fresh{i}"], [N([], [N(["deep"])])]))
                  for i in range(8)]
-        duplicate = ("r3", N(["dup"]))
-        # The shard that will refuse comes last, so on 4 shards the
-        # slices of other shards are complete when the group aborts.
-        last = HashShardPolicy().shard_of(duplicate[0], shards)
-        batch = sorted(fresh, key=lambda record: HashShardPolicy().shard_of(
-            record[0], shards) == last) + [duplicate]
+        def batch_ending_in(duplicate):
+            # The shard that will refuse comes last, so on 4 shards the
+            # slices of other shards are complete when the group aborts.
+            last = HashShardPolicy().shard_of(duplicate[0], shards)
+            return sorted(fresh, key=lambda record: HashShardPolicy(
+                ).shard_of(record[0], shards) == last) + [duplicate]
 
         def engines(idx):
             return getattr(idx, "shards", (idx,))
@@ -243,11 +268,17 @@ class TestFailedBatch:
 
         before = state(index)
         assert before[0] == sorted(key for key, _tree in records)
-        with pytest.raises(UpdateError):
-            index.insert_batch(batch)
-        # Pages are read right after the abort: what the store
-        # remembers of the pages the group touched must not show.
-        assert state(index) == before
+        for duplicate in (("r3", N(["dup"])), ("f0", N(["dup"]))):
+            with pytest.raises(UpdateError):
+                index.insert_batch(batch_ending_in(duplicate))
+            # Pages are read right after the abort: what the store
+            # remembers of the pages the group touched must not show.
+            assert state(index) == before
+            for engine in engines(index):
+                writer = engine._index_writer()
+                assert not (writer._postings or writer._records
+                            or writer._meta or writer._pending_all
+                            or writer._pending_zero)
 
         def insert_and_check(idx, key, atom):
             idx.insert(key, N(["common", atom]))

@@ -247,6 +247,47 @@ def test_crash_sweep_fold(tmp_path, storage) -> None:
 
 
 @pytest.mark.parametrize("storage", BACKENDS)
+def test_crash_sweep_group_across_a_list_block(tmp_path, storage) -> None:
+    """One ``insert_batch`` group whose records take a posting list from
+    125 to 131 postings: the 128-posting tail block is filled by a
+    splice and the rest starts a second block, all in one commit --
+    recovery lands on the list as it was or on both blocks."""
+    base = [(f"b{i:03d}", "{hot, {x%d}}" % (i % 9)) for i in range(125)]
+    group = [(f"g{i}", "{hot, {fresh%d, {deep}}}" % i) for i in range(6)]
+    path = str(tmp_path / "idx.db")
+    NestedSetIndex.build(base, storage=storage, path=path).close()
+    pre = _read(path)
+    pre_keys = sorted(key for key, _value in base)
+    post_keys = sorted(pre_keys + [key for key, _value in group])
+    pre_df = _expected_frequencies(base)
+    post_df = _expected_frequencies(base + group)
+
+    def run_group(index) -> None:
+        index.insert_batch(group)
+        blocks = index.inverted_file.postings("hot").header.blocks
+        assert [info.count for info in blocks] == [128, 3]
+
+    total = _count_events(path, storage, run_group).events
+    post = _read(path)
+    seen = set()
+    for n in _sweep_points(total):
+        _restore(path, pre)
+        assert _crash_at(path, storage, run_group, n)
+        recovered = _open(path, storage)
+        answer = recovered.query("{hot}")
+        frequencies = reported_frequencies(recovered)
+        recovered.close()
+        final = _read(path)
+        assert final in (pre, post), f"{storage}: crash at event {n}"
+        assert answer == (pre_keys if final == pre else post_keys), \
+            f"{storage}: wrong answer after crash at event {n}"
+        assert frequencies == (pre_df if final == pre else post_df), \
+            f"{storage}: frequencies of neither image at event {n}"
+        seen.add(final == post)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("storage", BACKENDS)
 @pytest.mark.parametrize("shards", [1, 4])
 def test_crash_sweep_compact(tmp_path, storage, shards) -> None:
     """Crashes during compact never touch the original index.
