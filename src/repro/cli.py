@@ -31,6 +31,7 @@ from .core.matchspec import JOINS, MODES, SEMANTICS
 from .core.shard import ShardedIndex
 from .core.planner import STRATEGIES as PLANNER_STRATEGIES
 from .data.io import load_collection_file, save_collection_file
+from .storage.codec import DEFAULT_BLOCK_SIZE
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -327,15 +328,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
         ifiles = _each_inverted_file(index)
         for shard_no, ifile in enumerate(ifiles):
             stats = ifile.block_stats()
-            if not stats["blocked_lists"]:
+            if not stats["lists"]:
                 continue
             prefix = (f"shard {shard_no} " if len(ifiles) > 1 else "")
             print(f"{prefix}block storage:")
-            print(f"  blocked lists:    {stats['blocked_lists']} "
-                  f"of {stats['lists']} "
-                  f"(block size {stats['block_size']})")
-            print(f"  packed lists:     {stats['packed_lists']} "
-                  f"(numpy bulk-decodable 0x03 format)")
+            print(f"  posting lists:    {stats['lists']} "
+                  f"(packed 0x03, block size {stats['block_size']})")
             print(f"  blocks:           {stats['blocks']} "
                   f"(avg fill {stats['avg_block_fill']:.1f} postings)")
             print(f"  compressed bytes: {stats['compressed_bytes']} "
@@ -558,10 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "shards inside one store (default 1)")
     idx.add_argument("--workers", type=int, default=1,
                      help="query fan-out threads for a sharded index")
-    idx.add_argument("--block-size", type=int, default=None,
-                     help="postings per block of the block-compressed "
-                          "list format (default 128; 0 writes the "
-                          "legacy plain format)")
+    idx.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
+                     help="postings per block of a stored posting list "
+                          "(default %(default)s)")
     idx.add_argument("-o", "--output", required=True)
     idx.set_defaults(func=_cmd_index)
 

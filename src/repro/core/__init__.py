@@ -59,7 +59,6 @@ from .prefixjoin import (
     prefix_join_lists,
 )
 from .resultcache import ResultCache
-from .segments import DEFAULT_SEGMENT_SIZE
 from .shard import (
     HashShardPolicy,
     RoundRobinShardPolicy,
@@ -118,7 +117,6 @@ __all__ = [
     "EXAMPLE_TIM",
     "CollectionStats",
     "DEFAULT_MEMORY_BUDGET",
-    "DEFAULT_SEGMENT_SIZE",
     "ExecCounters",
     "ExecutionContext",
     "ExecutionPlan",

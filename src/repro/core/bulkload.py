@@ -18,9 +18,8 @@ value per (run, atom), postings sorted.
 Phase 2 (merge).  Because ids only grow, an atom's lists in successive
 runs are already in global order -- merging is concatenation in run
 order, one atom at a time, so peak memory during the merge is one atom's
-full list (the same assumption queries make; enable ``segment_size`` to
-bound the written value too).  Run values are deleted as they are
-consumed.
+full list (the same assumption queries make).  Run values are deleted
+as they are consumed.
 
 The result is byte-for-byte the same index layout the in-memory builder
 produces (integrity-checked in the tests).
@@ -40,6 +39,7 @@ from .invfile import (
     InvertedFile,
     META_BLOCK,
     atom_token,
+    encode_config,
     encode_counts,
     number_record,
     record_blob,
@@ -52,13 +52,11 @@ from .invfile import (
     _KEYMAP_PREFIX,
     _META_PREFIX,
     _RECORD_PREFIX,
-    _SEGMENT_PREFIX,
     _ZERO_PREFIX,
 )
 from .model import Atom, NestedSet
 from .invfile import LIST_BLOCK
 from .postings import PostingList
-from .segments import encode_plain, encode_segmented
 
 _RUN_PREFIX = b"T:"
 
@@ -69,24 +67,19 @@ DEFAULT_MEMORY_BUDGET = 500_000
 def build_external(records: Iterable[tuple[str, NestedSet]], *,
                    storage: str = "memory", path: str | None = None,
                    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-                   segment_size: int = 0,
-                   block_size: int | None = None,
+                   block_size: int = DEFAULT_BLOCK_SIZE,
                    store=None,
                    **store_options: object) -> InvertedFile:
     """Bulk-load an index with a bounded posting buffer.
 
     ``store`` accepts a pre-opened store (e.g. one shard's namespaced
     view of a shared store); ``storage``/``path`` are ignored then.
-    ``block_size`` follows :meth:`InvertedFile.build`: block-compressed
-    values (the packed ``0x03`` format, bulk-decodable with numpy) by
-    default when segmentation is off, ``0`` for the legacy plain format.
+    ``block_size`` follows :meth:`InvertedFile.build`.
     """
     if memory_budget < 1:
         raise ValueError("memory_budget must be >= 1")
-    if block_size is None:
-        block_size = 0 if segment_size else DEFAULT_BLOCK_SIZE
-    if segment_size and block_size:
-        raise ValueError("segment_size and block_size are exclusive")
+    if block_size < 1:
+        raise ValueError("block_size must be >= 1")
     if store is None:
         store = open_store(storage, path, create=True, **store_options)
 
@@ -158,23 +151,11 @@ def build_external(records: Iterable[tuple[str, NestedSet]], *,
             raw = store.get(run_key)
             entries.extend(PostingList.decode(raw).entries)
             store.delete(run_key)
-        if segment_size and len(entries) > segment_size:
-            header, blobs = encode_segmented(entries, segment_size)
-            store.put(_ATOM_PREFIX + token, header)
-            for seg_no, blob in enumerate(blobs):
-                store.put(_SEGMENT_PREFIX + token + b":" +
-                          encode_varint(seg_no), blob)
-        elif block_size:
-            store.put(_ATOM_PREFIX + token,
-                      encode_blocked(entries, block_size))
-        else:
-            store.put(_ATOM_PREFIX + token, encode_plain(entries))
+        store.put(_ATOM_PREFIX + token, encode_blocked(entries, block_size))
 
     store.put(_FREQ_KEY, encode_counts(df, ranked=True))
-    config = encode_varint(n_records) + encode_varint(next_id) + \
-        encode_varint(n_all_blocks) + encode_varint(n_zero_blocks) + \
-        encode_varint(segment_size) + encode_varint(block_size)
-    store.put(_CONFIG_KEY, config)
+    store.put(_CONFIG_KEY, encode_config(
+        n_records, next_id, n_all_blocks, n_zero_blocks, block_size))
     store.sync()
     return InvertedFile(store)
 

@@ -19,11 +19,12 @@ reopen via :meth:`NestedSetIndex.open`.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from ..storage import KVStore
+from ..storage import KVStore, StorageError
 from .bloom import BloomIndex
+from ..storage.codec import DEFAULT_BLOCK_SIZE
 from .cache import PAPER_BUDGET, ListCache, make_cache
 from .exec.compiler import ALGORITHMS, compile_query
 from .exec.context import ExecutionContext
@@ -32,7 +33,6 @@ from .exec.plan import ExecutionPlan
 from .invfile import InvertedFile
 from .matchspec import QuerySpec
 from .model import NestedSet, as_nested_set
-from .parallel import RWLock
 from .resultcache import ResultCache
 from .snapshot import ModEpochs, SharedIndexState, SnapshotInvertedFile, \
     SnapshotListCache
@@ -79,13 +79,23 @@ def commit_group(store: KVStore, label: bytes,
             roll_back()
 
 
+def require_snapshots(store: KVStore) -> None:
+    """The index facades read through pinned versions and take no lock
+    against writers, so a store that cannot pin one is refused."""
+    if store.mvcc_info() is None:
+        raise StorageError(
+            f"{type(store).__name__} does not version its commits "
+            "(mvcc_info() is None); an index needs a store with "
+            "snapshot support")
+
+
 class _SharedPin:
     """A refcounted :class:`Snapshot` shared by every query at one
     committed version (guarded by the engine's ``_pin_lock``)."""
 
     __slots__ = ("snap", "version", "generation", "refs", "retired")
 
-    def __init__(self, snap: "Snapshot", version: int | None,
+    def __init__(self, snap: "Snapshot", version: int,
                  generation: "InvertedFile") -> None:
         self.snap = snap
         self.version = version
@@ -101,14 +111,10 @@ class Snapshot:
     runs entirely against the pinned version, so writers commit freely
     while this handle is open and the answers never mix two states.
     Close it (or use it as a context manager) to release the pin.
-
-    On a store without MVCC support the view is live (``version`` is
-    ``None``) and each read briefly takes the engine's read lock
-    instead -- prefer the built-in stores, which all support pinning.
     """
 
     def __init__(self, engine: "NestedSetIndex",
-                 ifile: SnapshotInvertedFile, version: int | None,
+                 ifile: SnapshotInvertedFile, version: int,
                  generation: InvertedFile) -> None:
         self._engine = engine
         self._ifile = ifile
@@ -116,7 +122,7 @@ class Snapshot:
         self._generation = generation
         self._bloom = engine._bloom
         result_cache = engine._result_cache
-        if result_cache is not None and version is not None:
+        if result_cache is not None:
             # Scope entries to (generation, mutation floor): a commit
             # starts a fresh key space instead of invalidating, and a
             # slow reader can only re-populate its own floor's entries.
@@ -162,8 +168,7 @@ class Snapshot:
                          mode=mode)
         plan = compile_query(query, spec, algorithm=algorithm,
                              planner=planner, use_bloom=use_bloom)
-        with self._engine._read_guard():
-            return plan.run(self.execution_context())
+        return plan.run(self.execution_context())
 
     def query_batch(self, queries: Sequence[object], *,
                     share_subqueries: bool = True,
@@ -181,9 +186,8 @@ class Snapshot:
         if share_subqueries and plans and \
                 all(plan.match.memoizable for plan in plans):
             memo = {}
-        with self._engine._read_guard():
-            ctx = self.execution_context(memo=memo)
-            return [plan.run(ctx) for plan in plans]
+        ctx = self.execution_context(memo=memo)
+        return [plan.run(ctx) for plan in plans]
 
     def explain(self, query: object, *, algorithm: str = "bottomup",
                 semantics: str = "hom", join: str = "subset",
@@ -196,8 +200,7 @@ class Snapshot:
         plan = compile_query(query, spec, algorithm=algorithm,
                              planner=planner, use_bloom=use_bloom,
                              cacheable=False)
-        with self._engine._read_guard():
-            return run_explained(plan, self.execution_context())
+        return run_explained(plan, self.execution_context())
 
     def match_nodes(self, query: object, *, algorithm: str = "bottomup",
                     spec: QuerySpec = QuerySpec(),
@@ -205,8 +208,7 @@ class Snapshot:
         """Raw node-level result at the pinned version."""
         plan = compile_query(query, spec, algorithm=algorithm,
                              planner=planner, cacheable=False)
-        with self._engine._read_guard():
-            return plan.match_nodes(self.execution_context())
+        return plan.match_nodes(self.execution_context())
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -246,9 +248,9 @@ class NestedSetIndex:
     blocked by -- mutations, which serialize among themselves on a
     writer mutex and commit through the store's MVCC machinery.  The
     shared caches are epoch-scoped (:mod:`repro.core.snapshot`), so a
-    commit invalidates nothing for in-flight readers.  On a store
-    without MVCC support (``mvcc_info() is None``) the engine falls
-    back to its classic reader/writer lock.
+    commit invalidates nothing for in-flight readers.  The store must
+    version its commits (every built-in store does): one whose
+    ``mvcc_info()`` is ``None`` is refused at construction.
     """
 
     def __init__(self, ifile: InvertedFile,
@@ -258,12 +260,11 @@ class NestedSetIndex:
         self._stats: CollectionStats | None = None
         self._writer: IndexWriter | None = None
         self._result_cache: ResultCache | None = None
-        self._rwlock = RWLock()
-        #: Serializes mutations (and deferred-statistics flushes): with
-        #: MVCC reads the write lock is gone, so this mutex is the only
-        #: writer-writer coordination.
+        require_snapshots(ifile.store)
+        #: Serializes mutations (and deferred-statistics flushes): reads
+        #: take no lock, so this mutex is the only writer-writer
+        #: coordination.
         self._writer_mutex = threading.Lock()
-        self._mvcc = ifile.store.mvcc_info() is not None
         self._wire_generation(ifile, ModEpochs(), SharedIndexState())
         #: Snapshot refcounts per index generation; a compact retires
         #: the old generation and its store closes when the last pinned
@@ -301,7 +302,7 @@ class NestedSetIndex:
               storage: str = "memory", path: str | None = None,
               cache: str | None = None, cache_budget: int = PAPER_BUDGET,
               bloom: str | None = None, bloom_bits: int = 512,
-              segment_size: int = 0, block_size: int | None = None,
+              block_size: int = DEFAULT_BLOCK_SIZE,
               shards: int = 1, workers: int = 1,
               shard_policy: object = "hash",
               **store_options: object) -> "NestedSetIndex | ShardedIndex":
@@ -310,11 +311,7 @@ class NestedSetIndex:
         ``cache``: None/"none", "frequency" (the paper's policy) or "lru".
         ``bloom``: None, "flat", "breadth" or "depth" -- builds per-record
         prefilters consumed by the naive algorithm.
-        ``segment_size``: > 0 stores long posting lists as range-tagged
-        segments and enables segment-skipping intersections.
-        ``block_size``: postings per block of the block-compressed list
-        format (default when segmentation is off); ``0`` writes the
-        legacy plain format.
+        ``block_size``: postings per block of a stored posting list.
         ``shards``: > 1 partitions the records across that many
         independent inverted files inside one store and returns a
         :class:`~repro.core.shard.ShardedIndex` (same query surface;
@@ -327,13 +324,11 @@ class NestedSetIndex:
                 records, shards=shards, workers=workers,
                 policy=shard_policy, storage=storage, path=path,
                 cache=cache, cache_budget=cache_budget, bloom=bloom,
-                bloom_bits=bloom_bits, segment_size=segment_size,
-                block_size=block_size, **store_options)
+                bloom_bits=bloom_bits, block_size=block_size,
+                **store_options)
         prepared = ((key, as_nested_set(value)) for key, value in records)
         ifile = InvertedFile.build(prepared, storage=storage, path=path,
-                                   segment_size=segment_size,
-                                   block_size=block_size,
-                                   **store_options)
+                                   block_size=block_size, **store_options)
         ifile.cache = list_cache_for(ifile, cache, cache_budget)
         bloom_index = None
         if bloom is not None:
@@ -349,8 +344,7 @@ class NestedSetIndex:
                        memory_budget: int | None = None,
                        cache: str | None = None,
                        cache_budget: int = PAPER_BUDGET,
-                       segment_size: int = 0,
-                       block_size: int | None = None,
+                       block_size: int = DEFAULT_BLOCK_SIZE,
                        shards: int = 1, workers: int = 1,
                        shard_policy: object = "hash",
                        **store_options: object
@@ -369,16 +363,15 @@ class NestedSetIndex:
                 records, shards=shards, workers=workers,
                 policy=shard_policy, storage=storage, path=path,
                 memory_budget=memory_budget, cache=cache,
-                cache_budget=cache_budget, segment_size=segment_size,
-                block_size=block_size, **store_options)
+                cache_budget=cache_budget, block_size=block_size,
+                **store_options)
         from .bulkload import DEFAULT_MEMORY_BUDGET, build_external
         prepared = ((key, as_nested_set(value)) for key, value in records)
         ifile = build_external(
             prepared, storage=storage, path=path,
             memory_budget=(memory_budget if memory_budget is not None
                            else DEFAULT_MEMORY_BUDGET),
-            segment_size=segment_size, block_size=block_size,
-            **store_options)
+            block_size=block_size, **store_options)
         ifile.cache = list_cache_for(ifile, cache, cache_budget)
         return cls(ifile)
 
@@ -436,24 +429,14 @@ class NestedSetIndex:
 
     # -- snapshots ---------------------------------------------------------
 
-    def _read_guard(self):
-        """Reader-side coordination: a no-op under MVCC (readers are
-        isolated by their pinned version), the classic read lock on
-        stores without snapshot support."""
-        return nullcontext() if self._mvcc else self._rwlock.read_locked()
-
-    def _write_guard(self):
-        return nullcontext() if self._mvcc else self._rwlock.write_locked()
-
     def open_snapshot(self, store: KVStore | None = None,
                       version: int | None = None) -> Snapshot:
-        """Open a pinned read view (no locking; see :meth:`snapshot`).
+        """Open a pinned read view (see :meth:`snapshot`).
 
         ``store`` lets a coordinator supply an already-pinned store view
         -- the sharded index pins its base store *once* per fan-out and
         hands each shard engine a namespaced view of that one pin; the
-        snapshot then does not own the base pin.  Callers on non-MVCC
-        stores must coordinate with mutations themselves.
+        snapshot then does not own the base pin.
         """
         with self._gen_lock:
             generation = self._ifile
@@ -462,12 +445,7 @@ class NestedSetIndex:
         try:
             snap_store = store if store is not None \
                 else generation.store.snapshot()
-            if not self._mvcc:
-                pinned = None
-            elif version is not None:
-                pinned = version
-            else:
-                pinned = getattr(snap_store, "version", None)
+            pinned = version if version is not None else snap_store.version
             ifile = SnapshotInvertedFile(
                 snap_store, list_cache=self._list_cache,
                 block_cache=generation.block_cache, shared=self._shared,
@@ -486,8 +464,7 @@ class NestedSetIndex:
         it to release the pin (and, after a concurrent ``compact``, the
         retired generation's store).
         """
-        with self._read_guard():
-            return self.open_snapshot()
+        return self.open_snapshot()
 
     def _release_generation(self, generation: InvertedFile) -> None:
         with self._gen_lock:
@@ -502,8 +479,8 @@ class NestedSetIndex:
             generation.close()
 
     # -- shared pin ---------------------------------------------------------
-    # One-shot queries do not open a private snapshot each: under MVCC
-    # they share a single refcounted snapshot of the latest committed
+    # One-shot queries do not open a private snapshot each: they share
+    # a single refcounted snapshot of the latest committed
     # version, re-pinned only when the version advances.  Steady-state
     # readers then touch exactly one lock (``_pin_lock``), which the
     # writer's put path never takes -- per-query pin/unpin churn through
@@ -513,12 +490,7 @@ class NestedSetIndex:
     @contextmanager
     def _pinned(self):
         """Context manager yielding a shared snapshot of the latest
-        committed version (non-MVCC stores fall back to a private
-        snapshot under the read lock)."""
-        if not self._mvcc:
-            with self._read_guard(), self.open_snapshot() as snap:
-                yield snap
-            return
+        committed version."""
         pin = self._acquire_pin()
         try:
             yield pin.snap
@@ -536,7 +508,7 @@ class NestedSetIndex:
         with self._pin_lock:
             cur = self._shared_pin
             if cur is not None and not cur.retired \
-                    and version is not None and cur.version == version \
+                    and cur.version == version \
                     and cur.generation is self._ifile:
                 cur.refs += 1
                 return cur
@@ -574,8 +546,6 @@ class NestedSetIndex:
     def _snapshot_stats(self, ifile: SnapshotInvertedFile,
                         generation: InvertedFile) -> CollectionStats:
         """Collection statistics at a snapshot's version (memoized)."""
-        if ifile.version is None:
-            return self.collection_stats()
         key = (id(generation),
                self._epochs.floor(_RESULT_EPOCH, ifile.version))
         memo = self._stats_memo.get(key)
@@ -600,8 +570,7 @@ class NestedSetIndex:
         ``_RESULT_EPOCH`` (tombstones change answers, not lists).
         """
         info = self._ifile.store.mvcc_info()
-        upcoming = None if info is None \
-            else int(info["snapshot_version"]) + 1
+        upcoming = int(info["snapshot_version"]) + 1
         if postings_changed:
             self._epochs.bump(tokens, upcoming)
         self._epochs.bump((_RESULT_EPOCH,), upcoming)
@@ -646,7 +615,7 @@ class NestedSetIndex:
         """A context bound to the *live* index state (legacy surface).
 
         Prefer :meth:`snapshot` -- a live context offers no isolation
-        from concurrent mutations on MVCC stores.  Kept for callers
+        from concurrent mutations.  Kept for callers
         that coordinate externally (single-threaded experiments).
         """
         return ExecutionContext(
@@ -679,8 +648,7 @@ class NestedSetIndex:
         """Cache whole query results.
 
         Entries are scoped to the snapshot version they were computed
-        at, so mutations need not (and do not) invalidate them under
-        MVCC; on non-MVCC stores any mutation still drops everything.
+        at, so mutations need not (and do not) invalidate them.
         Returns the cache so callers can read its hit statistics; call
         :meth:`disable_result_cache` to turn it off.
         """
@@ -724,8 +692,6 @@ class NestedSetIndex:
 
     def _after_mutation(self) -> None:
         self._stats = None
-        if self._result_cache is not None and not self._mvcc:
-            self._result_cache.invalidate_all()
         # The commit advanced the version, so the cached shared pin can
         # never be reused -- retire it now rather than letting a stale
         # pin force pre-image capture on every subsequent page write
@@ -772,8 +738,6 @@ class NestedSetIndex:
         self._stats = None
         with self._memo_lock:
             self._stats_memo.clear()
-        if self._result_cache is not None and not self._mvcc:
-            self._result_cache.invalidate_all()
         self._retire_shared_pin()
 
     def insert(self, key: str, value: object) -> int:
@@ -804,7 +768,7 @@ class NestedSetIndex:
 
     def _insert_group(self, records: Iterable[tuple[str, object]],
                       label: bytes) -> list[int]:
-        with self._writer_mutex, self._write_guard():
+        with self._writer_mutex:
             ordinals: list[int] = []
             writer = self._index_writer()
             store = self._ifile.store
@@ -821,7 +785,7 @@ class NestedSetIndex:
 
     def delete(self, key: str) -> bool:
         """Tombstone the record with ``key``; see repro.core.updates."""
-        with self._writer_mutex, self._write_guard():
+        with self._writer_mutex:
             deleted = self._index_writer().delete(key)
             if deleted:
                 # Dead counts change live frequencies: the memoized
@@ -841,7 +805,7 @@ class NestedSetIndex:
         Snapshots pinned on the old generation keep answering from it;
         its store closes when the last of them is released.
         """
-        with self._writer_mutex, self._write_guard():
+        with self._writer_mutex:
             fresh = self._index_writer().compact(storage=storage, path=path,
                                                  store=store)
             self._writer = None
@@ -865,7 +829,6 @@ class NestedSetIndex:
             self._list_cache.clear()
             self._wire_generation(fresh, ModEpochs(), SharedIndexState())
             self._ifile = fresh
-            self._mvcc = fresh.store.mvcc_info() is not None
             self._stats = None
             with self._memo_lock:
                 self._stats_memo.clear()
@@ -950,7 +913,7 @@ class NestedSetIndex:
         rebuilding) is what makes that cheap.  Open snapshots keep the
         cache they were wired with.
         """
-        with self._writer_mutex, self._write_guard():
+        with self._writer_mutex:
             inner = list_cache_for(self._ifile, policy, budget)
             self._list_cache = inner
             self._ifile.cache = SnapshotListCache(inner, self._epochs, None)
@@ -958,17 +921,6 @@ class NestedSetIndex:
         self._retire_shared_pin()
 
     # -- introspection ----------------------------------------------------------
-
-    @property
-    def rwlock(self) -> RWLock:
-        """The fallback reader/writer lock (only engaged on stores
-        without MVCC support; see the class docstring)."""
-        return self._rwlock
-
-    @property
-    def mvcc(self) -> bool:
-        """True when reads are version-based (store supports snapshots)."""
-        return self._mvcc
 
     @property
     def n_records(self) -> int:
@@ -1021,11 +973,10 @@ class NestedSetIndex:
         if wal is not None:
             out["wal"] = wal
         mvcc = self._ifile.store.mvcc_info()
-        if mvcc is not None:
-            with self._gen_lock:
-                mvcc["open_snapshots"] = sum(self._gen_counts.values())
-                mvcc["retired_generations"] = len(self._retired)
-            out["mvcc"] = mvcc
+        with self._gen_lock:
+            mvcc["open_snapshots"] = sum(self._gen_counts.values())
+            mvcc["retired_generations"] = len(self._retired)
+        out["mvcc"] = mvcc
         return out
 
     def reset_stats(self) -> None:

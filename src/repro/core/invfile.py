@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, NamedTuple
 from ..storage import CorruptionError, KVStore, open_store
 from ..storage.codec import (
     DEFAULT_BLOCK_SIZE,
+    blocked_total,
     decode_blocked_header,
     decode_str,
     decode_uint_list,
@@ -45,19 +46,6 @@ from ..storage.codec import (
 from .cache import BlockCache, ListCache, NoCache
 from .model import Atom, NestedSet
 from .postings import LazyPostingList, PostingList, intersect
-from .segments import (
-    BLOCK_FORMATS,
-    FORMAT_PACKED,
-    FORMAT_PLAIN,
-    FORMAT_SEGMENTED,
-    decode_header,
-    decode_plain,
-    encode_plain,
-    encode_segmented,
-    overlapping_segments,
-    total_of,
-    value_format,
-)
 
 _ATOM_PREFIX = b"A:"
 _META_PREFIX = b"N:"
@@ -72,7 +60,6 @@ _DEAD_COUNT_KEY = b"M:dead"
 #: commit's ``(token, +count)`` pairs since the table was last folded.
 _DELTA_MARK = b"+"
 _KEYMAP_PREFIX = b"K:"
-_SEGMENT_PREFIX = b"G:"
 
 _META_ENTRY = struct.Struct("<IIQB")
 #: Estimated CPython footprint of one decoded posting ``(p, (c, ...))``:
@@ -107,8 +94,6 @@ class QueryStats:
     cache_hits: int = 0
     lists_decoded: int = 0
     meta_block_reads: int = 0
-    segments_read: int = 0
-    segments_skipped: int = 0
     blocks_read: int = 0
     blocks_skipped: int = 0
     bytes_decoded: int = 0
@@ -129,8 +114,6 @@ class QueryStats:
         self.cache_hits = 0
         self.lists_decoded = 0
         self.meta_block_reads = 0
-        self.segments_read = 0
-        self.segments_skipped = 0
         self.blocks_read = 0
         self.blocks_skipped = 0
         self.bytes_decoded = 0
@@ -219,6 +202,21 @@ def record_blob(key: str, root_id: int, text: str) -> bytes:
     return encode_str(key) + encode_varint(root_id) + encode_str(text)
 
 
+def encode_config(n_records: int, n_nodes: int, n_all_blocks: int,
+                  n_zero_blocks: int, block_size: int,
+                  delta_log: tuple[int, int, int] | None = None) -> bytes:
+    """The ``M:config`` value, a run of varints.
+
+    The slot before ``block_size`` is reserved and written as 0.
+    ``delta_log`` is ``(freq entries, dead entries, pairs held)`` of the
+    count tables' delta logs; a build has none and ends the record
+    after ``block_size``.
+    """
+    fields = (n_records, n_nodes, n_all_blocks, n_zero_blocks, 0,
+              block_size) + (delta_log or ())
+    return b"".join(map(encode_varint, fields))
+
+
 def encode_counts(counts: dict[Atom, int], *, ranked: bool = False) -> bytes:
     """Serialize a per-atom count table: ``[n] { [token] [count] }*``.
 
@@ -300,14 +298,20 @@ class InvertedFile:
         self.n_nodes, pos = decode_varint(raw, pos)
         self._n_all_blocks, pos = decode_varint(raw, pos)
         self._n_zero_blocks, pos = decode_varint(raw, pos)
-        # Trailing config varints are version extensions: indexes written
-        # before a field existed simply end early and get the default.
-        self.segment_size = 0
+        # A record that ends here, one with a value in the reserved
+        # slot and one with block_size 0 were all written by builds
+        # whose list layouts are retired.
+        reserved = self.block_size = 0
         if pos < len(raw):
-            self.segment_size, pos = decode_varint(raw, pos)
-        self.block_size = 0
+            reserved, pos = decode_varint(raw, pos)
         if pos < len(raw):
             self.block_size, pos = decode_varint(raw, pos)
+        if reserved or not self.block_size:
+            raise InvertedFileError(
+                f"index configuration (reserved slot {reserved}, block "
+                f"size {self.block_size}) names a retired posting-list "
+                "format; only packed 0x03 lists are read: rebuild the "
+                "index")
         # Delta logs of the two count tables (written by IndexWriter.flush,
         # absent on a freshly built or folded index): entries per log and
         # the (token, count) pairs they hold together.
@@ -336,33 +340,24 @@ class InvertedFile:
     @classmethod
     def build(cls, records: Iterable[tuple[str, NestedSet]], *,
               storage: str = "memory", path: str | None = None,
-              cache: ListCache | None = None, segment_size: int = 0,
-              block_size: int | None = None,
+              cache: ListCache | None = None,
+              block_size: int = DEFAULT_BLOCK_SIZE,
               store: KVStore | None = None,
               **store_options: object) -> "InvertedFile":
         """Index a collection of ``(key, nested-set)`` records.
 
         ``storage`` selects the engine (``memory``/``diskhash``/``btree``);
-        disk engines need a ``path``.  ``segment_size > 0`` stores posting
-        lists longer than that many entries as range-tagged segments
-        (:mod:`repro.core.segments`), enabling segment-skipping
-        intersections and bounding store value sizes.  ``block_size``
-        controls the block-compressed single-value format
-        (:func:`repro.storage.codec.encode_blocked`): the default writes
-        blocked values of :data:`~repro.storage.codec.DEFAULT_BLOCK_SIZE`
-        postings whenever segmentation is off; ``block_size=0`` forces the
-        legacy plain format (and is implied by ``segment_size > 0`` --
-        the two list layouts are mutually exclusive).  ``store`` accepts a
+        disk engines need a ``path``.  ``block_size`` is the number of
+        postings per block of a stored list
+        (:func:`repro.storage.codec.encode_blocked`).  ``store`` accepts a
         pre-opened store (e.g. a namespaced view of a shared store, see
         :mod:`repro.storage.namespace`); ``storage``/``path`` are ignored
         then.  The whole posting accumulation is in-memory (index
         construction is an offline step in the paper's setting); the
         finished lists are then written to the store.
         """
-        if block_size is None:
-            block_size = 0 if segment_size else DEFAULT_BLOCK_SIZE
-        if segment_size and block_size:
-            raise ValueError("segment_size and block_size are exclusive")
+        if block_size < 1:
+            raise ValueError("block_size must be >= 1")
         if store is None:
             store = open_store(storage, path, create=True, **store_options)
         postings: dict[Atom, list[tuple[int, tuple[int, ...]]]] = {}
@@ -390,19 +385,8 @@ class InvertedFile:
         # its descendants'), so every list must be re-sorted on head id
         # before the delta encoder sees it.
         for atom, plist in postings.items():
-            entries = sorted(plist)
-            if segment_size and len(entries) > segment_size:
-                header, blobs = encode_segmented(entries, segment_size)
-                store.put(_atom_store_key(atom), header)
-                token = atom_token(atom).encode("utf-8")
-                for seg_no, blob in enumerate(blobs):
-                    store.put(_SEGMENT_PREFIX + token + b":" +
-                              encode_varint(seg_no), blob)
-            elif block_size:
-                store.put(_atom_store_key(atom),
-                          encode_blocked(entries, block_size))
-            else:
-                store.put(_atom_store_key(atom), encode_plain(entries))
+            store.put(_atom_store_key(atom),
+                      encode_blocked(sorted(plist), block_size))
         n_all_blocks = _write_blocks(store, _ALL_PREFIX, sorted(all_nodes))
         n_zero_blocks = _write_blocks(store, _ZERO_PREFIX, sorted(zero_leaf))
         for block_start in range(0, len(meta_entries), META_BLOCK):
@@ -417,10 +401,8 @@ class InvertedFile:
         store.put(_FREQ_KEY, encode_counts(
             {atom: len(plist) for atom, plist in postings.items()},
             ranked=True))
-        config = encode_varint(n_records) + encode_varint(next_id) + \
-            encode_varint(n_all_blocks) + encode_varint(n_zero_blocks) + \
-            encode_varint(segment_size) + encode_varint(block_size)
-        store.put(_CONFIG_KEY, config)
+        store.put(_CONFIG_KEY, encode_config(
+            n_records, next_id, n_all_blocks, n_zero_blocks, block_size))
         store.sync()
         return cls(store, cache=cache)
 
@@ -435,11 +417,8 @@ class InvertedFile:
     # -- posting access -----------------------------------------------------
 
     def postings(self, atom: Atom) -> PostingList | LazyPostingList:
-        """Retrieve ``S_IF(atom)`` through the list cache.
-
-        Blocked-format values come back lazy (block payloads still
-        encoded); the legacy formats come back fully materialized.
-        """
+        """Retrieve ``S_IF(atom)`` through the list cache; a stored list
+        comes back lazy (block payloads still encoded)."""
         self.stats.postings_requests += 1
         cached = self.cache.get(atom)
         if cached is not None:
@@ -473,14 +452,10 @@ class InvertedFile:
         return plist
 
     def _decode_atom_value(self, atom: Atom, raw: bytes,
-                           block_key: "str | tuple"
-                           ) -> PostingList | LazyPostingList:
-        """Wrap an atom value of any physical format as a posting list.
-
-        Plain and segmented values materialize eagerly (the legacy
-        formats); blocked and packed values come back as a
-        :class:`~repro.core.postings.LazyPostingList` whose blocks decode
-        on demand through the shared block cache.
+                           block_key: "str | tuple") -> LazyPostingList:
+        """Wrap an atom value as a :class:`~repro.core.postings.
+        LazyPostingList` whose blocks decode on demand through the
+        shared block cache.
 
         ``block_key`` is the list-level key for that cache.  A
         standalone inverted file keys blocks by atom token (and relies
@@ -490,69 +465,11 @@ class InvertedFile:
         epoch floor at this view's version)``, so an append starts a
         fresh key instead of invalidating anyone's decoded blocks.
         """
-        fmt = value_format(raw)
-        if fmt == FORMAT_PLAIN:
-            return PostingList(decode_plain(raw))
-        if fmt in BLOCK_FORMATS:
+        try:
             return LazyPostingList(raw, cache=self.block_cache,
                                    cache_key=block_key, stats=self.stats)
-        if fmt != FORMAT_SEGMENTED:
-            raise InvertedFileError(
-                f"atom {atom!r}: unknown value format {fmt} "
-                "(index built by an incompatible version?)")
-        header = decode_header(raw)
-        entries: list[tuple[int, tuple[int, ...]]] = []
-        token = atom_token(atom).encode("utf-8")
-        for seg_no in range(len(header.segments)):
-            blob = self._store.get(_SEGMENT_PREFIX + token + b":" +
-                                   encode_varint(seg_no))
-            if blob is None:
-                raise InvertedFileError(
-                    f"missing segment {seg_no} of atom {atom!r}")
-            entries.extend(PostingList.decode(blob).entries)
-            self.stats.segments_read += 1
-        return PostingList(entries)
-
-    def postings_overlapping(self, atom: Atom, lo: int, hi: int
-                             ) -> PostingList | LazyPostingList:
-        """Postings of ``atom`` restricted (physically) to ``[lo, hi]``.
-
-        For segmented values, a superset of the postings with heads in
-        the range (whole overlapping segments are returned) --
-        sufficient for membership probing during intersection.  Blocked
-        values are returned lazily (the galloping intersection decodes
-        only probed blocks, which subsumes the range restriction);
-        plain values and cache hits fall back to the full list.
-        """
-        self.stats.postings_requests += 1
-        cached = self.cache.get(atom)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
-        token = atom_token(atom)
-        raw = self._store.get(_token_store_key(token))
-        if raw is None:
-            return PostingList()
-        if value_format(raw) != FORMAT_SEGMENTED:
-            # Plain: nothing to skip.  Blocked: the lazy list's skip
-            # directory already restricts decoding to probed blocks, so
-            # the full (still-encoded) list is the right thing to cache
-            # and return.
-            return self._decode_and_admit(atom, token, raw)
-        header = decode_header(raw)
-        wanted = overlapping_segments(header, lo, hi)
-        self.stats.segments_skipped += len(header.segments) - len(wanted)
-        segment_prefix = _SEGMENT_PREFIX + token.encode("utf-8") + b":"
-        entries: list[tuple[int, tuple[int, ...]]] = []
-        for seg_no in wanted:
-            blob = self._store.get(segment_prefix + encode_varint(seg_no))
-            if blob is None:
-                raise InvertedFileError(
-                    f"missing segment {seg_no} of atom {atom!r}")
-            entries.extend(PostingList.decode(blob).entries)
-            self.stats.segments_read += 1
-        # Partial lists must never poison the full-list cache.
-        return PostingList(entries)
+        except CorruptionError as exc:
+            raise InvertedFileError(f"atom {atom!r}: {exc}") from exc
 
     def list_length(self, atom: Atom) -> int:
         """Posting count of ``atom`` in O(1) (header peek, no decode)."""
@@ -560,7 +477,12 @@ class InvertedFile:
         if cached is not None:
             return len(cached)
         raw = self._store.get(_atom_store_key(atom))
-        return total_of(raw) if raw is not None else 0
+        if raw is None:
+            return 0
+        try:
+            return blocked_total(raw)
+        except CorruptionError as exc:
+            raise InvertedFileError(f"atom {atom!r}: {exc}") from exc
 
     def live_list_length(self, atom: Atom) -> int:
         """Postings of ``atom`` owned by live (non-tombstoned) records.
@@ -572,20 +494,15 @@ class InvertedFile:
         return max(0, self.list_length(atom) - self.dead_counts.get(atom, 0))
 
     def intersect_atoms(self, atoms: list[Atom]) -> PostingList:
-        """Candidate generation with rarest-first block/segment skipping.
+        """Candidate generation with rarest-first block skipping.
 
-        Touches only the storage units of the non-rarest atoms that the
-        rarest atom's heads can reach: individual blocks (via the
-        galloping kernel in :func:`repro.core.postings.intersect`) for
-        the blocked format, whole segments for the segmented format.
-        Identical results to intersecting the full lists; on skewed data
-        most of a hot list stays encoded.
-
-        An index without segments fetches every atom **once**: a lazy
-        list costs its header and already knows its length, so the lists
-        themselves are ranked.  A segmented index ranks on a header peek
-        first, fetches the rarest atom's list, bounds the feasible head
-        range and reads only the overlapping segments of the others.
+        Touches only the blocks of the non-rarest atoms that the rarest
+        atom's heads can reach (the galloping kernel in
+        :func:`repro.core.postings.intersect`): identical results to
+        intersecting the full lists; on skewed data most of a hot list
+        stays encoded.  Every atom is fetched **once**: a lazy list
+        costs its header and already knows its length, so the lists
+        themselves are ranked.
         """
         if not atoms:
             raise ValueError("intersect_atoms() needs at least one atom")
@@ -593,30 +510,16 @@ class InvertedFile:
             return self.postings(atoms[0])
         # Rank on live counts: dead postings inflate physical lengths
         # between compactions and would mislead the rarest-first choice.
-        if not self.segment_size:
-            dead = self.dead_counts
-            ranked = []
-            for atom in atoms:
-                plist = self.postings(atom)
-                if not plist:
-                    return PostingList()    # absent atom: read no further
-                ranked.append((max(0, len(plist) - dead.get(atom, 0)), plist))
-            ranked.sort(key=itemgetter(0))
-            return intersect([plist for _live, plist in ranked],
-                             stats=self.stats)
-        ranked = sorted(atoms, key=self.live_list_length)
-        base = self.postings(ranked[0])
-        if not base:
-            return base
-        lo = base.entries[0][0]
-        hi = base.entries[-1][0]
-        lists = [base]
-        for atom in ranked[1:]:
-            other = self.postings_overlapping(atom, lo, hi)
-            if not other:
-                return PostingList()
-            lists.append(other)
-        return intersect(lists, stats=self.stats)
+        dead = self.dead_counts
+        ranked = []
+        for atom in atoms:
+            plist = self.postings(atom)
+            if not plist:
+                return PostingList()    # absent atom: read no further
+            ranked.append((max(0, len(plist) - dead.get(atom, 0)), plist))
+        ranked.sort(key=itemgetter(0))
+        return intersect([plist for _live, plist in ranked],
+                         stats=self.stats)
 
     def all_nodes(self) -> PostingList:
         """Every internal node of the collection (memoized after first load)."""
@@ -821,29 +724,23 @@ class InvertedFile:
             yield atom
 
     def block_stats(self) -> dict[str, int | float]:
-        """Physical statistics of the block-compressed posting lists.
+        """Physical statistics of the stored posting lists.
 
         Scans every atom value's header (payloads stay encoded), so the
         cost is one store read per atom -- fine for the ``info`` command,
         not for the query path.  ``decoded_bytes`` estimates the
         in-memory footprint of the fully materialized postings (head +
         children as Python int/tuple objects); comparing it with
-        ``compressed_bytes`` shows what the delta-varint blocks save.
+        ``compressed_bytes`` shows what the packed blocks save.
         """
-        n_lists = n_blocked = n_packed = n_blocks = n_postings = 0
+        n_lists = n_blocks = n_postings = 0
         compressed = decoded = directory = 0
         for atom in self.iter_atoms():
             raw = self._store.get(_atom_store_key(atom))
             if raw is None:
                 continue
             n_lists += 1
-            fmt = value_format(raw)
-            if fmt not in BLOCK_FORMATS:
-                continue
             header = decode_blocked_header(raw)
-            n_blocked += 1
-            if fmt == FORMAT_PACKED:
-                n_packed += 1
             n_blocks += len(header.blocks)
             n_postings += header.total
             compressed += len(raw)
@@ -852,8 +749,6 @@ class InvertedFile:
             decoded += header.total * _DECODED_POSTING_BYTES
         return {
             "lists": n_lists,
-            "blocked_lists": n_blocked,
-            "packed_lists": n_packed,
             "blocks": n_blocks,
             "block_size": self.block_size,
             "postings": n_postings,

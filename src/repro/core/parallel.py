@@ -1,4 +1,4 @@
-"""Concurrency primitives: shard fan-out executor and a reader/writer lock.
+"""Concurrency primitives: the shard fan-out executor.
 
 The sharded index (:mod:`repro.core.shard`) evaluates every compiled
 plan against each shard independently; this module owns *how* that
@@ -13,85 +13,17 @@ fan-out runs.  :class:`ShardExecutor` wraps a
 * order-preserving :meth:`map` semantics with exception propagation,
   so callers can zip results back to shards positionally.
 
-:class:`RWLock` is the reader/writer coordination used when the storage
-backend cannot provide version snapshots: any number of concurrent
-readers, or exactly one writer, with writer preference so a stream of
-queries cannot starve an ``insert``/``delete``.  On the MVCC backends
-(pager-backed b+tree / disk hash, and the in-memory store) the index
-facades skip this lock entirely -- readers pin a version and writers
-commit freely -- so RWLock survives as the fallback for plain
-non-versioned stores and for its own fairness tests.
+Readers need no coordination primitive from here: the index facades pin
+a store version per query and writers commit freely.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
-
-
-class RWLock:
-    """Many concurrent readers or one exclusive writer.
-
-    Writer-preferring: once a writer is waiting, new readers queue
-    behind it, so mutations cannot be starved by a steady query stream.
-    Neither side is reentrant -- public engine entry points take the
-    lock exactly once and internal helpers stay lock-free (the engines'
-    documented locking discipline).
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-
-    def acquire_read(self) -> None:
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_write(self) -> None:
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
-
-    def release_write(self) -> None:
-        with self._cond:
-            self._writer_active = False
-            self._cond.notify_all()
-
-    @contextmanager
-    def read_locked(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    @contextmanager
-    def write_locked(self) -> Iterator[None]:
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
 
 
 class ShardExecutor:

@@ -32,9 +32,7 @@ except ImportError:  # pragma: no cover - environment without numpy
 
 from ..storage.codec import (
     BlockedHeader,
-    PACKED_FORMAT_BYTE,
     Posting,
-    decode_block,
     decode_blocked_header,
     decode_packed_arrays,
     decode_postings,
@@ -350,12 +348,11 @@ class LazyPostingList:
     def block_data(self, index: int) -> BlockData:
         """Decode block ``index`` to columns (through the shared cache).
 
-        Packed (``0x03``) payloads decode straight to arrays in a few
-        bulk operations; varint (``0x02``) payloads decode row-wise and
-        are wrapped.  Either way the :class:`BlockData` -- not a postings
-        tuple -- is what the :class:`~repro.core.cache.BlockCache`
-        holds, so a cached block serves both the array-native
-        intersection and row consumers without re-decoding.
+        The payload decodes straight to arrays in a few bulk
+        operations, and the :class:`BlockData` -- not a postings tuple
+        -- is what the :class:`~repro.core.cache.BlockCache` holds, so
+        a cached block serves both the array-native intersection and
+        row consumers without re-decoding.
         """
         if self._entries is not None:
             return BlockData.from_postings(self.block(index))
@@ -363,16 +360,11 @@ class LazyPostingList:
         if self._cache is not None:
             hit = self._cache.get(key)
             if hit is not None:
-                return hit if isinstance(hit, BlockData) \
-                    else BlockData.from_postings(hit)
+                return hit
         elif self._local is not None and index in self._local:
             return self._local[index]
         info = self.header.blocks[index]
-        if self.header.fmt == PACKED_FORMAT_BYTE:
-            heads, counts, children = decode_packed_arrays(self.raw, info)
-            data = BlockData(heads, counts, children)
-        else:
-            data = BlockData.from_postings(decode_block(self.raw, info))
+        data = BlockData(*decode_packed_arrays(self.raw, info))
         if self._stats is not None:
             self._stats.blocks_read += 1
             self._stats.bytes_decoded += info.length

@@ -27,18 +27,16 @@ inverted file cannot offer:
   across shard builds, and each shard's run-merge works over a fraction
   of the collection.
 
-Thread-safety contract: reads are **version-based** when the base store
-supports MVCC (all built-in stores do).  A fan-out pins the base store's
-committed version once, wraps each shard namespace over that one pinned
-view, and opens a per-shard engine :class:`~repro.core.engine.Snapshot`
--- so every shard of one fan-out answers from the *same* base version,
-with no lock held against mutations, which serialize among themselves on
-a writer mutex and commit through the shared write-ahead log.  On a base
-store without MVCC the old reader/writer-lock contract applies: fan-outs
-take the read side, mutations the write side.  Each fan-out still
-schedules one in-flight task per shard; disk-backed *live* views share a
-lock for mutations (one seeking file handle), while pinned snapshot
-reads go through the pager's version store and need none.
+Thread-safety contract: reads are **version-based**.  A fan-out pins the
+base store's committed version once, wraps each shard namespace over
+that one pinned view, and opens a per-shard engine
+:class:`~repro.core.engine.Snapshot` -- so every shard of one fan-out
+answers from the *same* base version, with no lock held against
+mutations, which serialize among themselves on a writer mutex and commit
+through the shared write-ahead log.  Each fan-out schedules one
+in-flight task per shard; disk-backed *live* views share a lock for
+mutations (one seeking file handle), while pinned snapshot reads go
+through the pager's version store and need none.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ import threading
 import time
 import zlib
 from collections import Counter
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..storage import (
@@ -58,15 +56,17 @@ from ..storage import (
     encode_varint,
     open_store,
 )
+from ..storage.codec import DEFAULT_BLOCK_SIZE
 from .cache import PAPER_BUDGET
-from .engine import NestedSetIndex, commit_group, list_cache_for
+from .engine import NestedSetIndex, commit_group, list_cache_for, \
+    require_snapshots
 from .exec.compiler import ALGORITHMS, compile_query
 from .exec.context import ExecCounters
 from .exec.observer import MergedExplainResult, merge_explains, run_explained
 from .invfile import decode_path_of
 from .matchspec import QuerySpec
 from .model import NestedSet, as_nested_set
-from .parallel import RWLock, ShardExecutor
+from .parallel import ShardExecutor
 from .prefixjoin import prefix_join_lists
 from .resultcache import ResultCacheStats
 from .stats import CollectionStats
@@ -253,20 +253,16 @@ class ShardedIndex:
                  *, workers: int = 1) -> None:
         if not shards:
             raise ShardError("a sharded index needs at least one shard")
+        require_snapshots(base_store)
         self._base = base_store
         self._shards = list(shards)
         self._policy = policy
         self._executor = ShardExecutor(max_workers=workers)
         self._result_cache: _SharedResultCache | None = None
-        #: Fallback reader/writer coordination, engaged only when the
-        #: base store lacks MVCC: fan-outs take the read side, mutations
-        #: the write side.  With MVCC, fan-outs pin a base version
-        #: instead and never block on (or are blocked by) writers.
-        self._rwlock = RWLock()
         #: Serializes mutations among themselves (route + engine write
-        #: + shared-WAL commit as one unit).
+        #: + shared-WAL commit as one unit); fan-outs pin a base version
+        #: and never block on (or are blocked by) writers.
         self._writer_mutex = threading.Lock()
-        self._mvcc = base_store.mvcc_info() is not None
         #: Fan-out refcounts per base-store generation; compact retires
         #: the old base, which closes when its last fan-out drains.
         self._gen_lock = threading.Lock()
@@ -298,7 +294,7 @@ class ShardedIndex:
               storage: str = "memory", path: str | None = None,
               cache: str | None = None, cache_budget: int = PAPER_BUDGET,
               bloom: str | None = None, bloom_bits: int = 512,
-              segment_size: int = 0, block_size: int | None = None,
+              block_size: int = DEFAULT_BLOCK_SIZE,
               **store_options: object) -> "ShardedIndex":
         """Partition ``records`` and build one inverted file per shard.
 
@@ -320,8 +316,7 @@ class ShardedIndex:
         for view, bucket in zip(cls._shard_views(base, shards), buckets):
             engines.append(cls._build_one(
                 bucket, view, cache=cache, cache_budget=budget,
-                bloom=bloom, bloom_bits=bloom_bits,
-                segment_size=segment_size, block_size=block_size))
+                bloom=bloom, bloom_bits=bloom_bits, block_size=block_size))
         _commit_manifest(base, shards, partitioner.name)
         return cls(base, engines, partitioner, workers=workers)
 
@@ -329,12 +324,10 @@ class ShardedIndex:
     def _build_one(bucket: list[tuple[str, NestedSet]],
                    view: NamespacedStore, *, cache: str | None,
                    cache_budget: int, bloom: str | None, bloom_bits: int,
-                   segment_size: int,
-                   block_size: int | None = None) -> NestedSetIndex:
+                   block_size: int) -> NestedSetIndex:
         from .bloom import BloomIndex
         from .invfile import InvertedFile
         ifile = InvertedFile.build(iter(bucket), store=view,
-                                   segment_size=segment_size,
                                    block_size=block_size)
         ifile.cache = list_cache_for(ifile, cache, cache_budget)
         bloom_index = None
@@ -353,8 +346,7 @@ class ShardedIndex:
                        memory_budget: int | None = None,
                        cache: str | None = None,
                        cache_budget: int = PAPER_BUDGET,
-                       segment_size: int = 0,
-                       block_size: int | None = None,
+                       block_size: int = DEFAULT_BLOCK_SIZE,
                        **store_options: object) -> "ShardedIndex":
         """Bulk-load each shard with its slice of the posting budget."""
         from .bulkload import DEFAULT_MEMORY_BUDGET, build_external
@@ -375,7 +367,6 @@ class ShardedIndex:
         for view, bucket in zip(cls._shard_views(base, shards), buckets):
             ifile = build_external(iter(bucket), store=view,
                                    memory_budget=per_shard_budget,
-                                   segment_size=segment_size,
                                    block_size=block_size)
             ifile.cache = list_cache_for(ifile, cache, per_shard_cache)
             engines.append(NestedSetIndex(ifile))
@@ -416,12 +407,6 @@ class ShardedIndex:
 
     # -- fan-out plumbing --------------------------------------------------
 
-    def _read_guard(self):
-        return nullcontext() if self._mvcc else self._rwlock.read_locked()
-
-    def _write_guard(self):
-        return nullcontext() if self._mvcc else self._rwlock.write_locked()
-
     def _release_base(self, base: KVStore) -> None:
         with self._gen_lock:
             count = self._base_counts.get(base, 0) - 1
@@ -453,8 +438,7 @@ class ShardedIndex:
         try:
             base_snap = base.snapshot()
             base_snap.stats = base.stats      # keep aggregate counters
-            version = getattr(base_snap, "version", None) \
-                if self._mvcc else None
+            version = base_snap.version
             for shard_no, engine in enumerate(self._shards):
                 view = NamespacedStore(base_snap, _shard_prefix(shard_no))
                 view.stats = engine.inverted_file.store.stats
@@ -493,13 +477,8 @@ class ShardedIndex:
         (``_pin_lock``), which the writer's put path never takes --
         per-query pin/unpin churn through writer-shared locks convoys
         with the GIL badly enough to starve a background writer thread
-        outright.  Non-MVCC stores fall back to a private group under
-        the read lock.
+        outright.
         """
-        if not self._mvcc:
-            with self._read_guard(), self._snapshot_group() as snaps:
-                yield snaps
-            return
         pin = self._acquire_group()
         try:
             yield pin.snaps
@@ -515,14 +494,12 @@ class ShardedIndex:
         with self._pin_lock:
             cur = self._group_pin
             if cur is not None and not cur.retired \
-                    and version is not None and cur.version == version \
+                    and cur.version == version \
                     and cur.base is self._base:
                 cur.refs += 1
                 return cur
             base, base_snap, snaps = self._open_group_handles()
-            pin = _SharedGroup(
-                base, base_snap, snaps,
-                getattr(base_snap, "version", None))
+            pin = _SharedGroup(base, base_snap, snaps, base_snap.version)
             self._group_pin = pin
             if cur is not None:
                 cur.retired = True
@@ -583,8 +560,7 @@ class ShardedIndex:
         of the handle; writers commit freely in the meantime.  Close it
         (or use it as a context manager) to release the pin.
         """
-        with self._read_guard():
-            return ShardGroupSnapshot(self)
+        return ShardGroupSnapshot(self)
 
     # -- querying ----------------------------------------------------------
 
@@ -751,12 +727,12 @@ class ShardedIndex:
         """Route to the owning shard; returns the *shard-local* ordinal.
 
         Only that shard's cached results go stale (its engine bumps its
-        own mutation epoch); the other shards' caches stay warm.  Under
-        MVCC the commit lands as a new base version -- in-flight
+        own mutation epoch); the other shards' caches stay warm.  The
+        commit lands as a new base version -- in-flight
         fan-outs keep reading the version they pinned, and no query ever
         observes one shard pre-insert and another mid-insert.
         """
-        with self._writer_mutex, self._write_guard():
+        with self._writer_mutex:
             ordinal = self._route(key).insert(key, value)
         self._retire_group_pin()
         return ordinal
@@ -773,7 +749,7 @@ class ShardedIndex:
         scatter across shards.
         """
         materialized = [(key, value) for key, value in records]
-        with self._writer_mutex, self._write_guard():
+        with self._writer_mutex:
             # Route first, then hand each shard its whole slice as one
             # nested batch, so each shard's writer writes its lists,
             # tail blocks and statistics delta once (routing calls
@@ -809,7 +785,7 @@ class ShardedIndex:
         shard (at most one can hold the key).
         """
         try:
-            with self._writer_mutex, self._write_guard():
+            with self._writer_mutex:
                 routed = self._route(key)
                 if routed.delete(key):
                     return True
@@ -831,7 +807,7 @@ class ShardedIndex:
         open file.  Fan-outs pinned on the old base keep answering from
         it; it closes when the last of them drains.
         """
-        with self._writer_mutex, self._write_guard():
+        with self._writer_mutex:
             fresh_base = open_store(storage, path, create=True,
                                     **store_options)
             views = self._shard_views(fresh_base, len(self._shards))
@@ -854,7 +830,6 @@ class ShardedIndex:
             if not defer:
                 old.close()
             self._base = fresh_base
-            self._mvcc = fresh_base.mvcc_info() is not None
             if self._result_cache is not None:
                 self._result_cache.invalidate_all()
 
@@ -960,11 +935,10 @@ class ShardedIndex:
         if wal is not None:
             out["wal"] = wal
         mvcc = self._base.mvcc_info()
-        if mvcc is not None:
-            with self._gen_lock:
-                mvcc["open_snapshots"] = sum(self._base_counts.values())
-                mvcc["retired_generations"] = len(self._retired_bases)
-            out["mvcc"] = mvcc
+        with self._gen_lock:
+            mvcc["open_snapshots"] = sum(self._base_counts.values())
+            mvcc["retired_generations"] = len(self._retired_bases)
+        out["mvcc"] = mvcc
         return out
 
     def reset_stats(self) -> None:
@@ -990,17 +964,6 @@ class ShardedIndex:
     @property
     def workers(self) -> int:
         return self._executor.max_workers
-
-    @property
-    def rwlock(self) -> RWLock:
-        """The fallback reader/writer lock (only engaged when the base
-        store lacks MVCC support; see the module docstring)."""
-        return self._rwlock
-
-    @property
-    def mvcc(self) -> bool:
-        """True when fan-outs are version-based (MVCC base store)."""
-        return self._mvcc
 
     @property
     def base_store(self) -> KVStore:
@@ -1063,7 +1026,7 @@ class _SharedGroup:
                  "retired")
 
     def __init__(self, base: KVStore, base_snap: KVStore,
-                 snaps: "list[object]", version: int | None) -> None:
+                 snaps: "list[object]", version: int) -> None:
         self.base = base
         self.base_snap = base_snap
         self.snaps = snaps
@@ -1088,7 +1051,7 @@ class ShardGroupSnapshot:
 
     @property
     def version(self) -> int | None:
-        """The pinned base-store version (None on a non-MVCC store)."""
+        """The pinned base-store version."""
         for snap in self.snapshots:
             return snap.version
         return None

@@ -25,11 +25,6 @@ epochs* rather than invalidation:
   node id), record keys are immutable per ordinal, and the ALL/ZERO
   lists only append postings with fresh node ids (a newer load serves an
   older snapshot after truncating at the snapshot's node count).
-
-A snapshot of a store without MVCC support (``mvcc_info() is None``)
-degrades to a live view at the *live* epoch floor; the engine keeps its
-reader/writer lock around such reads, so the epoch scheme then behaves
-exactly like classic invalidation -- old floors become unreachable.
 """
 
 from __future__ import annotations

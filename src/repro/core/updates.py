@@ -44,23 +44,13 @@ from .invfile import (
     META_BLOCK,
     atom_token,
     delta_key,
+    encode_config,
     encode_counts,
     number_record,
     record_blob,
 )
 from .model import Atom
 from .postings import PostingList
-from .segments import (
-    BLOCK_FORMATS,
-    FORMAT_PLAIN,
-    SegmentInfo,
-    decode_header,
-    decode_plain,
-    encode_header,
-    encode_plain,
-    encode_segmented,
-    value_format,
-)
 
 # Private layout constants shared with invfile (same store, same keys).
 from .invfile import (  # noqa: E402  (grouped for clarity)
@@ -163,55 +153,14 @@ class IndexWriter:
 
     def _append_postings(self, atom: Atom,
                          entries: list[tuple[int, tuple[int, ...]]]) -> None:
-        """Extend one atom's list, honoring its physical format."""
-        ifile = self._ifile
-        token = atom_token(atom).encode("utf-8")
-        store_key = _ATOM_PREFIX + token
+        """Extend one atom's list, or start it.  New ids sort past the
+        tail, so only the partial tail block changes; full blocks keep
+        their bytes."""
+        store_key = _ATOM_PREFIX + atom_token(atom).encode("utf-8")
         raw = self._store.get(store_key)
-        segment_size = ifile.segment_size
-
-        def segment_key(seg_no: int) -> bytes:
-            return b"G:" + token + b":" + encode_varint(seg_no)
-
-        if raw is not None and value_format(raw) in BLOCK_FORMATS:
-            # Blocked/packed: new ids sort past the tail, so only the
-            # partial tail block changes; full blocks keep their bytes
-            # -- and their format (0x02 values stay 0x02 under
-            # mutation; only compaction upgrades them to packed).
-            self._store.put(store_key, append_blocked(raw, entries))
-            return
-        if raw is None and ifile.block_size:
-            self._store.put(store_key,
-                            encode_blocked(entries, ifile.block_size))
-            return
-        if raw is None or value_format(raw) == FORMAT_PLAIN:
-            existing = decode_plain(raw) if raw is not None else []
-            merged = existing + entries
-            if segment_size and len(merged) > segment_size:
-                header, blobs = encode_segmented(merged, segment_size)
-                self._store.put(store_key, header)
-                for seg_no, blob in enumerate(blobs):
-                    self._store.put(segment_key(seg_no), blob)
-            else:
-                self._store.put(store_key, encode_plain(merged))
-            return
-        # Segmented: top up the tail segment, then spill into new ones.
-        header = decode_header(raw)
-        last = len(header.segments) - 1
-        tail_raw = self._store.get(segment_key(last))
-        if tail_raw is None:
-            raise InvertedFileError(
-                f"missing tail segment of atom {atom!r}")
-        tail = list(PostingList.decode(tail_raw).entries) + entries
-        chunks = [tail[start:start + segment_size]
-                  for start in range(0, len(tail), segment_size)]
-        infos = list(header.segments[:last])
-        for offset, chunk in enumerate(chunks):
-            infos.append(SegmentInfo(chunk[0][0], chunk[-1][0]))
-            self._store.put(segment_key(last + offset),
-                            PostingList(chunk).encode())
-        self._store.put(store_key,
-                        encode_header(header.total + len(entries), infos))
+        value = encode_blocked(entries, self._ifile.block_size) \
+            if raw is None else append_blocked(raw, entries)
+        self._store.put(store_key, value)
 
     def insert_many(self, records) -> list[int]:
         """Insert several records as one group; returns their ordinals."""
@@ -280,9 +229,7 @@ class IndexWriter:
         live = ((key, tree) for _ordinal, key, _root, tree
                 in ifile.iter_records())
         return InvertedFile.build(live, storage=storage, path=path,
-                                  store=store,
-                                  segment_size=ifile.segment_size,
-                                  block_size=ifile.block_size)
+                                  store=store, block_size=ifile.block_size)
 
     # -- the commit group ------------------------------------------------------------
 
@@ -369,20 +316,12 @@ class IndexWriter:
         self._base_entries = len(df)
 
     def _write_config(self) -> None:
-        # Must rewrite *every* config field: dropping the trailing
-        # segment_size/block_size varints here would silently demote a
-        # segmented or blocked index to "plain" on the next open.
         ifile = self._ifile
-        config = encode_varint(ifile.n_records) + \
-            encode_varint(ifile.n_nodes) + \
-            encode_varint(ifile._n_all_blocks) + \
-            encode_varint(ifile._n_zero_blocks) + \
-            encode_varint(ifile.segment_size) + \
-            encode_varint(ifile.block_size) + \
-            encode_varint(ifile._n_freq_deltas) + \
-            encode_varint(ifile._n_dead_deltas) + \
-            encode_varint(ifile._delta_pairs)
-        self._store.put(_CONFIG_KEY, config)
+        self._store.put(_CONFIG_KEY, encode_config(
+            ifile.n_records, ifile.n_nodes, ifile._n_all_blocks,
+            ifile._n_zero_blocks, ifile.block_size,
+            (ifile._n_freq_deltas, ifile._n_dead_deltas,
+             ifile._delta_pairs)))
 
     def _invalidate(self, touched_postings: dict, *,
                     postings_changed: bool = True) -> None:

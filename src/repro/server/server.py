@@ -34,8 +34,7 @@ The design has five load-bearing pieces:
   query batch pins the store's committed version and runs against that
   snapshot, so ``insert``/``delete``/``ingest`` commit freely without
   an engine-level write lock and no reader ever observes a half-applied
-  update.  (On a store without MVCC the engine transparently falls back
-  to its reader/writer lock.)
+  update.
 
 * **Streaming ingest and graceful drain** -- the ``ingest`` op enqueues
   records into a :class:`~repro.data.ingest.StreamIngestor` and returns

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right, insort
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .codec import decode_varint, encode_varint
 from .errors import CorruptionError, KeyTooLargeError
@@ -55,6 +55,25 @@ class _Internal:
     def __init__(self, keys: list[bytes], children: list[int]):
         self.keys = keys
         self.children = children
+
+
+def _crossing(sizes: Iterable[int], limit: int) -> int:
+    """How many leading entries it takes for their encoded sizes to add
+    up past ``limit`` (all of them when they never do).
+
+    Where a full node is split: entries differ a hundredfold in size
+    (an inline value may be a quarter page), so halving by *count* can
+    leave one half larger than a page.  Cut at half a page by *size*
+    and neither half can be: the left one is at most half a page plus
+    one entry, the right one what the overfull node held less half a
+    page.
+    """
+    used = count = 0
+    for count, size in enumerate(sizes, 1):
+        used += size
+        if used > limit:
+            break
+    return count
 
 
 def _decode_node(raw: bytes) -> _Leaf | _Internal:
@@ -243,7 +262,11 @@ class BPlusTree(KVStore):
 
     def _split_leaf(self, stack: list[tuple[int, _Internal]],
                     leaf_id: int, leaf: _Leaf) -> None:
-        mid = len(leaf.entries) // 2
+        sizes = (1 + len(encode_varint(len(key))) +
+                 len(encode_varint(len(stored))) + len(key) + len(stored)
+                 for key, _flag, stored in leaf.entries)
+        mid = min(_crossing(sizes, self._payload // 2),
+                  len(leaf.entries) - 1)        # both halves non-empty
         right = _Leaf(leaf.next_leaf, leaf.entries[mid:])
         right_id = self._pager.allocate()
         left = _Leaf(right_id, leaf.entries[:mid])
@@ -264,7 +287,10 @@ class BPlusTree(KVStore):
             if self._write_internal(page_id, node) is None:
                 self._write_meta()
                 return
-            mid = len(node.keys) // 2
+            sizes = (len(encode_varint(len(key))) + len(key) + 8
+                     for key in node.keys)
+            mid = max(1, min(_crossing(sizes, self._payload // 2),
+                             len(node.keys) - 2))   # a key on either side
             promote = node.keys[mid]
             right_node = _Internal(node.keys[mid + 1:], node.children[mid + 1:])
             left_node = _Internal(node.keys[:mid], node.children[:mid + 1])

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import CorruptionError
 
 try:  # numpy powers the vectorized block decode; the pure-stdlib
-    import numpy as _np  # fallback below keeps every format readable.
+    import numpy as _np  # fallback below decodes the same bytes.
 except ImportError:  # pragma: no cover - exercised via the stub test
     _np = None
 
@@ -32,15 +32,11 @@ except ImportError:  # pragma: no cover - exercised via the stub test
 #: internal-node children ids (the ``(p, C)`` of the paper).
 Posting = tuple[int, tuple[int, ...]]
 
-#: Format byte of block-compressed atom values (see ``encode_blocked``).
-#: 0x00 (plain) and 0x01 (segmented) predate it; readers dispatch on the
-#: byte, so indexes written at any codec version keep decoding.
-BLOCKED_FORMAT_BYTE = 2
-
-#: Format byte of the *packed* block-compressed format: same value
-#: layout and skip directory as 0x02, but each block payload is a set of
-#: fixed-width little-endian delta arrays decodable in one
-#: ``frombuffer``/``cumsum`` shot instead of a per-varint Python loop.
+#: Format byte of an atom value -- the one stored list layout: a skip
+#: directory over blocks whose payloads are fixed-width little-endian
+#: delta arrays, decodable in one ``frombuffer``/``cumsum`` shot (see
+#: ``encode_blocked``).  The bytes below it named layouts this module
+#: no longer reads or writes (DESIGN.md, "Formats retired").
 PACKED_FORMAT_BYTE = 3
 
 #: Postings per block of a block-compressed value.  128 keeps a block's
@@ -120,12 +116,18 @@ def decode_uint_list(buf: bytes, offset: int = 0) -> tuple[list[int], int]:
 
 
 def _encode_rows(out: bytearray, postings: Iterable[Posting],
-                 prev_p: int) -> None:
-    """Append ``delta(p), len(C), delta-encoded C`` per posting."""
+                 prev_p: int | None) -> None:
+    """Append ``delta(p), len(C), delta-encoded C`` per posting;
+    ``prev_p`` is the head before them, ``None`` at the start of a list
+    (whose first head is stored as it is)."""
     for p, children in postings:
-        delta = p - prev_p
-        if delta < 0:
-            raise ValueError("postings must be sorted on head id")
+        if prev_p is None:
+            delta = p
+        else:
+            delta = p - prev_p
+            if delta <= 0:
+                raise ValueError("postings must be strictly sorted on "
+                                 "head id")
         out += encode_varint(delta)
         prev_p = p
         out += encode_varint(len(children))
@@ -145,7 +147,7 @@ def encode_postings(postings: Iterable[Posting]) -> bytes:
     """
     items = list(postings)
     out = bytearray(encode_varint(len(items)))
-    _encode_rows(out, items, 0)
+    _encode_rows(out, items, None)
     return bytes(out)
 
 
@@ -158,7 +160,7 @@ def append_postings(raw: bytes, last_head: int,
     count, pos = decode_varint(raw, 0)
     out = bytearray(encode_varint(count + len(entries)))
     out += raw[pos:]
-    _encode_rows(out, entries, last_head if count else 0)
+    _encode_rows(out, entries, last_head if count else None)
     return bytes(out)
 
 
@@ -198,17 +200,11 @@ class BlockInfo(NamedTuple):
 
 
 class BlockedHeader(NamedTuple):
-    """Decoded header + directory of a block-compressed value.
-
-    ``fmt`` is the value's format byte: 0x02 (delta-varint block
-    payloads) or 0x03 (fixed-width packed payloads); the directory is
-    identical, so readers share every skip decision across the two.
-    """
+    """Decoded header + directory of a block-compressed value."""
 
     total: int
     block_size: int
     blocks: tuple[BlockInfo, ...]
-    fmt: int = BLOCKED_FORMAT_BYTE
 
 
 # -- packed (0x03) block payloads -------------------------------------------
@@ -272,7 +268,7 @@ def encode_packed_block(chunk: Sequence[Posting]) -> bytes:
     0 because the directory's ``min_head`` anchors the block.  Child
     deltas restart per posting with the first child stored absolutely,
     so the whole flattened array decodes with one cumulative sum plus a
-    per-segment correction -- no per-element branching.  Width of each
+    per-posting correction -- no per-element branching.  Width of each
     array is the smallest of {1, 2, 4, 8} bytes that fits its maximum.
     """
     heads, counts, children = _packed_deltas(chunk, None)
@@ -381,8 +377,8 @@ def decode_packed_arrays(raw: bytes, info: BlockInfo):
                             n_children, children_at).astype(_np.int64)
     children = deltas.cumsum()
     if n_children:
-        # Per-posting delta restart: subtract, from every segment,
-        # the running sum accumulated before its first element.
+        # Per-posting delta restart: subtract, from every posting's
+        # run, the running sum accumulated before its first element.
         starts = counts.cumsum() - counts
         base = _np.where(starts > 0, children[starts - 1], 0)
         children = children - _np.repeat(base, counts)
@@ -407,40 +403,29 @@ def decode_packed_block(raw: bytes, info: BlockInfo) -> list[Posting]:
     return out
 
 
-def _encode_block_payload(chunk: Sequence[Posting], fmt: int) -> bytes:
-    if fmt == PACKED_FORMAT_BYTE:
-        return encode_packed_block(chunk)
-    return encode_postings(chunk)
-
-
 def encode_blocked(postings: Sequence[Posting],
-                   block_size: int = DEFAULT_BLOCK_SIZE, *,
-                   packed: bool = True) -> bytes:
+                   block_size: int = DEFAULT_BLOCK_SIZE) -> bytes:
     """Encode a sorted posting list as fixed-size skip-indexed blocks.
 
     Layout::
 
-        [fmt][total][block_size][n_blocks]
+        [0x03][total][block_size][n_blocks]
         { [min_head delta][span][count][payload bytes] }*   (directory)
         { block payload }*                                  (concatenated)
 
-    ``fmt`` is 0x03 by default (fixed-width packed payloads, see
-    :func:`encode_packed_block`, bulk-decodable with numpy);
-    ``packed=False`` writes the 0x02 delta-varint payloads
-    (:func:`encode_postings`, delta encoding restarting per block).
-    Either way a reader can decode any block from the directory without
-    scanning the ones before it.  ``min_head`` is delta-encoded against
-    the previous block's ``max_head``; ``span`` is
-    ``max_head - min_head``.
+    Payloads are fixed-width packed arrays
+    (:func:`encode_packed_block`, bulk-decodable with numpy), so a
+    reader can decode any block from the directory without scanning the
+    ones before it.  ``min_head`` is delta-encoded against the previous
+    block's ``max_head``; ``span`` is ``max_head - min_head``.
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    fmt = PACKED_FORMAT_BYTE if packed else BLOCKED_FORMAT_BYTE
     items = list(postings)
     chunks = [items[start:start + block_size]
               for start in range(0, len(items), block_size)]
-    payloads = [_encode_block_payload(chunk, fmt) for chunk in chunks]
-    out = bytearray([fmt])
+    payloads = [encode_packed_block(chunk) for chunk in chunks]
+    out = bytearray([PACKED_FORMAT_BYTE])
     out += encode_varint(len(items))
     out += encode_varint(block_size)
     out += encode_varint(len(chunks))
@@ -460,16 +445,26 @@ def encode_blocked(postings: Sequence[Posting],
     return bytes(out)
 
 
-def decode_blocked_header(raw: bytes) -> BlockedHeader:
-    """Decode a blocked value's directory; payloads stay untouched.
+def _require_packed(raw: bytes) -> None:
+    """Refuse a value that is not in the one stored list layout."""
+    if not raw or raw[0] != PACKED_FORMAT_BYTE:
+        found = f"format byte 0x{raw[0]:02x}" if raw else "no bytes"
+        raise CorruptionError(
+            f"posting list value has {found}, not the packed block "
+            "format 0x03; lists of the retired formats 0x00-0x02 are "
+            "not read: rebuild the index")
 
-    Accepts both block-compressed formats (0x02 varint payloads, 0x03
-    packed payloads) -- they share the directory layout; the returned
-    header's ``fmt`` records which one the payloads are in.
-    """
-    if not raw or raw[0] not in (BLOCKED_FORMAT_BYTE, PACKED_FORMAT_BYTE):
-        raise CorruptionError("not a block-compressed value")
-    fmt = raw[0]
+
+def blocked_total(raw: bytes) -> int:
+    """Posting count of a blocked value without decoding anything else:
+    ``total`` leads the header for exactly this O(1) peek."""
+    _require_packed(raw)
+    return decode_varint(raw, 1)[0]
+
+
+def decode_blocked_header(raw: bytes) -> BlockedHeader:
+    """Decode a blocked value's directory; payloads stay untouched."""
+    _require_packed(raw)
     total, pos = decode_varint(raw, 1)
     block_size, pos = decode_varint(raw, pos)
     n_blocks, pos = decode_varint(raw, pos)
@@ -491,14 +486,7 @@ def decode_blocked_header(raw: bytes) -> BlockedHeader:
         offset += length
     if offset > len(raw):
         raise CorruptionError("truncated blocked value payload")
-    return BlockedHeader(total, block_size, tuple(blocks), fmt)
-
-
-def decode_block(raw: bytes, info: BlockInfo) -> list[Posting]:
-    """Decode one block's postings from a blocked value (either format)."""
-    if raw[0] == PACKED_FORMAT_BYTE:
-        return decode_packed_block(raw, info)
-    return decode_postings(raw, info.offset)
+    return BlockedHeader(total, block_size, tuple(blocks))
 
 
 def decode_blocked(raw: bytes) -> list[Posting]:
@@ -506,7 +494,7 @@ def decode_blocked(raw: bytes) -> list[Posting]:
     header = decode_blocked_header(raw)
     postings: list[Posting] = []
     for info in header.blocks:
-        postings.extend(decode_block(raw, info))
+        postings.extend(decode_packed_block(raw, info))
     return postings
 
 
@@ -542,25 +530,20 @@ def append_blocked(raw: bytes, entries: Sequence[Posting]) -> bytes:
 
     Costs what it adds: the directory is walked without building
     :class:`BlockInfo`s, full blocks keep their entries and payload
-    bytes, and a packed (0x03) tail block takes what fits its room by
-    :func:`_splice_packed`.  A 0x02 tail, or a packed one whose widths
-    must grow, is decoded and encoded again; what does not fit the tail
-    goes into fresh blocks.  Either way the result is byte for byte
-    ``encode_blocked(old + new)`` in the value's own format (0x02 or
-    0x03): appends never migrate a list between formats, so an index
-    mixing generations stays byte-stable under mutation.
+    bytes, and the tail block takes what fits its room by
+    :func:`_splice_packed`.  Only a tail whose widths must grow is
+    decoded and encoded again; what does not fit the tail goes into
+    fresh blocks.  Either way the result is byte for byte
+    ``encode_blocked(old + new)``.
     """
     if not entries:
         return raw
-    if not raw or raw[0] not in (BLOCKED_FORMAT_BYTE, PACKED_FORMAT_BYTE):
-        raise CorruptionError("not a block-compressed value")
-    fmt = raw[0]
+    _require_packed(raw)
     total, pos = decode_varint(raw, 1)
     block_size, pos = decode_varint(raw, pos)
     n_blocks, directory_at = decode_varint(raw, pos)
     if not n_blocks:
-        return encode_blocked(entries, block_size,
-                              packed=fmt == PACKED_FORMAT_BYTE)
+        return encode_blocked(entries, block_size)
     # Directory walk: where the tail's entry starts, the head it is
     # delta-encoded against, and the bytes of payload before its own.
     pos = directory_at
@@ -582,19 +565,16 @@ def append_blocked(raw: bytes, entries: Sequence[Posting]) -> bytes:
         raise ValueError("append_blocked requires heads past the tail")
     room = max(0, block_size - count)
     fits, rest = entries[:room], entries[room:]
-    payload = None
-    if fmt == PACKED_FORMAT_BYTE:
-        payload = _splice_packed(raw, tail_at, length, count,
-                                 min_head, max_head, fits)
+    payload = _splice_packed(raw, tail_at, length, count,
+                             min_head, max_head, fits)
     if payload is None:
         info = BlockInfo(min_head, max_head, count, tail_at, length)
-        payload = _encode_block_payload(decode_block(raw, info) + list(fits),
-                                        fmt)
+        payload = encode_packed_block(
+            decode_packed_block(raw, info) + list(fits))
     chunks = [rest[start:start + block_size]
               for start in range(0, len(rest), block_size)]
-    payloads = [payload] + [_encode_block_payload(chunk, fmt)
-                            for chunk in chunks]
-    out = bytearray([fmt])
+    payloads = [payload] + [encode_packed_block(chunk) for chunk in chunks]
+    out = bytearray([PACKED_FORMAT_BYTE])
     out += encode_varint(total + len(entries))
     out += encode_varint(block_size)
     out += encode_varint(n_blocks + len(chunks))

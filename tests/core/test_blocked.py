@@ -1,8 +1,8 @@
 """Property tests for the block-compressed posting format.
 
 Three layers are covered: the codec (``encode_blocked`` and friends must
-round-trip any sorted posting list and keep decoding the two older
-formats), the lazy reader (:class:`LazyPostingList` + ``BlockCache``),
+round-trip any sorted posting list, and the row codec beside it the
+ALL/ZERO blocks), the lazy reader (:class:`LazyPostingList` + ``BlockCache``),
 and the galloping intersection kernel, which is checked against the
 plain hash-set baseline over 500 randomized list combinations.
 """
@@ -19,20 +19,19 @@ from repro.core.invfile import LIST_BLOCK, QueryStats, _write_blocks
 from repro.core.postings import LazyPostingList, PostingList, intersect
 from repro.core.updates import _append_blocks
 from repro.storage.codec import (
-    BLOCKED_FORMAT_BYTE,
     PACKED_FORMAT_BYTE,
     CorruptionError,
     append_blocked,
     append_postings,
-    decode_block,
     decode_blocked,
     decode_blocked_header,
+    decode_packed_block,
     decode_postings,
     encode_blocked,
+    encode_packed_block,
     encode_postings,
     encode_varint,
 )
-from repro.storage.codec import _encode_block_payload
 from repro.storage.kvstore import MemoryKVStore
 
 
@@ -56,11 +55,8 @@ class TestCodecRoundTrip:
             block_size = rng.choice([1, 2, 3, 7, 64, 128, 1000])
             entries = _random_postings(rng, size)
             raw = encode_blocked(entries, block_size)
-            assert raw[0] == PACKED_FORMAT_BYTE   # packed is the default
+            assert raw[0] == PACKED_FORMAT_BYTE
             assert decode_blocked(raw) == entries
-            legacy = encode_blocked(entries, block_size, packed=False)
-            assert legacy[0] == BLOCKED_FORMAT_BYTE
-            assert decode_blocked(legacy) == entries
 
     def test_header_directory(self) -> None:
         rng = random.Random(8)
@@ -76,12 +72,12 @@ class TestCodecRoundTrip:
             chunk = entries[at:at + info.count]
             assert info.min_head == chunk[0][0]
             assert info.max_head == chunk[-1][0]
-            assert decode_block(raw, info) == chunk
+            assert decode_packed_block(raw, info) == chunk
             at += info.count
 
     def test_legacy_plain_format_still_decodes(self) -> None:
-        # Indexes written before the blocked format carry plain
-        # ``encode_postings`` values; the codec must keep decoding them.
+        # The row codec (plain ``encode_postings`` values) is what the
+        # ALL/ZERO blocks and the bulk-load runs are stored in.
         rng = random.Random(9)
         entries = _random_postings(rng, 150)
         raw = encode_postings(entries)
@@ -109,19 +105,17 @@ def _reference_append_blocked(raw: bytes, entries: list) -> bytes:
     into postings, extend, encode again.  Kept as the reference."""
     header = decode_blocked_header(raw)
     if not header.blocks:
-        return encode_blocked(entries, header.block_size,
-                              packed=header.fmt == PACKED_FORMAT_BYTE)
+        return encode_blocked(entries, header.block_size)
     tail_info = header.blocks[-1]
     if entries[0][0] <= tail_info.max_head:
         raise ValueError("append_blocked requires heads past the tail")
-    tail = decode_block(raw, tail_info)
+    tail = decode_packed_block(raw, tail_info)
     tail.extend(entries)
     kept = header.blocks[:-1]
     chunks = [tail[start:start + header.block_size]
               for start in range(0, len(tail), header.block_size)]
-    payloads = [_encode_block_payload(chunk, header.fmt)
-                for chunk in chunks]
-    out = bytearray([header.fmt])
+    payloads = [encode_packed_block(chunk) for chunk in chunks]
+    out = bytearray([PACKED_FORMAT_BYTE])
     out += encode_varint(header.total + len(entries))
     out += encode_varint(header.block_size)
     out += encode_varint(len(kept) + len(chunks))
@@ -176,7 +170,7 @@ _WIDTH_CLASS = st.integers(0, len(_GAP_CLASSES) - 1)
 
 @st.composite
 def _append_cases(draw):
-    """(block size, packed?, base, extension) covering: an empty base,
+    """(block size, base, extension) covering: an empty base,
     an extension that fits the tail / fills it exactly / spills over
     several blocks, and every width kept or grown."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
@@ -195,26 +189,24 @@ def _append_cases(draw):
         fanout = draw(st.sampled_from((2, 300)))
     extension = _postings_after(rng, base[-1][0] if base else 0, ext_len,
                                 gaps, children, fanout)
-    return block_size, draw(st.booleans()), base, extension
+    return block_size, base, extension
 
 
 class TestAppendBlocked:
     @given(_append_cases())
     @settings(max_examples=400, deadline=None)
     def test_append_matches_full_reencode(self, case) -> None:
-        block_size, packed, base, extension = case
-        raw = encode_blocked(base, block_size, packed=packed)
+        block_size, base, extension = case
+        raw = encode_blocked(base, block_size)
         appended = append_blocked(raw, extension)
-        assert appended == encode_blocked(base + extension, block_size,
-                                          packed=packed)
+        assert appended == encode_blocked(base + extension, block_size)
         assert appended == _reference_append_blocked(raw, extension)
-        assert appended[0] == raw[0]        # 0x02 stays 0x02, 0x03 0x03
 
     @given(_append_cases())
     @settings(max_examples=60, deadline=None)
     def test_truncated_values_are_refused(self, case) -> None:
-        block_size, packed, base, extension = case
-        raw = encode_blocked(base, block_size, packed=packed)
+        block_size, base, extension = case
+        raw = encode_blocked(base, block_size)
         if not base:
             return
         header = decode_blocked_header(raw)
@@ -245,12 +237,11 @@ class TestAppendBlocked:
         assert append_blocked(raw, []) is raw
 
     def test_append_rejects_overlapping_heads(self) -> None:
-        for packed in (True, False):
-            raw = encode_blocked([(1, ()), (9, ())], 4, packed=packed)
-            with pytest.raises(ValueError):
-                append_blocked(raw, [(9, ())])
-            with pytest.raises(ValueError):
-                append_blocked(raw, [(12, ()), (11, (13,))])
+        raw = encode_blocked([(1, ()), (9, ())], 4)
+        with pytest.raises(ValueError):
+            append_blocked(raw, [(9, ())])
+        with pytest.raises(ValueError):
+            append_blocked(raw, [(12, ()), (11, (13,))])
 
 
 class TestAppendRows:
@@ -276,6 +267,22 @@ class TestAppendRows:
             append_postings(raw, 5, [(4, ())])
         with pytest.raises(CorruptionError):
             append_postings(b"", 5, [(9, ())])
+
+    def test_a_repeated_head_is_refused(self) -> None:
+        """No node id is listed twice: equal heads are as unsorted as
+        descending ones, in a fresh list and across an append."""
+        with pytest.raises(ValueError):
+            encode_postings([(0, ()), (0, (1,))])
+        with pytest.raises(ValueError):
+            encode_postings([(2, ()), (7, ()), (7, ())])
+        raw = encode_postings([(0, ()), (5, ())])   # a first head of 0 is fine
+        assert decode_postings(raw) == [(0, ()), (5, ())]
+        with pytest.raises(ValueError):
+            append_postings(raw, 5, [(5, ())])
+        with pytest.raises(ValueError):
+            append_postings(raw, 5, [(6, ()), (6, ())])
+        assert append_postings(encode_postings([]), 0, [(0, ())]) == \
+            encode_postings([(0, ())])
 
     @pytest.mark.parametrize("known_last", [True, False])
     @pytest.mark.parametrize("n_old, n_new", [

@@ -52,8 +52,8 @@ class TestEquivalence:
         assert leftovers == []
 
     def test_segmented_external_build(self, records, reference) -> None:
-        index = build_external(records, memory_budget=64, segment_size=32)
-        assert index.segment_size == 32
+        index = build_external(records, memory_budget=64, block_size=32)
+        assert index.block_size == 32
         for atom, _df in reference.frequencies()[:30]:
             assert index.postings(atom) == reference.postings(atom)
         assert_healthy(index)

@@ -26,7 +26,7 @@ class TestHealthyIndexes:
     def test_segmented_index(self) -> None:
         records = list(generate_dataset("zipf-wide", 200, seed=4,
                                         theta=0.9))
-        assert_healthy(InvertedFile.build(records, segment_size=32))
+        assert_healthy(InvertedFile.build(records, block_size=32))
 
     def test_after_updates(self, small_corpus) -> None:
         index = InvertedFile.build(small_corpus)
@@ -54,10 +54,10 @@ class TestCorruptionDetection:
     def test_truncated_posting_list(self, paper_records) -> None:
         index = InvertedFile.build(paper_records)
         # Drop one posting from UK's list.
-        from repro.core.segments import decode_plain, encode_plain
+        from repro.storage.codec import decode_blocked, encode_blocked
         raw = index.store.get(b"A:s:UK")
-        entries = decode_plain(raw)
-        index.store.put(b"A:s:UK", encode_plain(entries[:-1]))
+        entries = decode_blocked(raw)
+        index.store.put(b"A:s:UK", encode_blocked(entries[:-1]))
         index.cache.clear()
         problems = check_index(index)
         assert any("UK" in problem and "misses" in problem

@@ -2,8 +2,9 @@
 
 The query service runs engine calls from a thread pool, so the engine's
 reader/writer coordination is a correctness contract, not an
-implementation detail: any number of concurrent ``query`` calls must see
-a consistent index while ``insert``/``delete`` take exclusive ownership.
+implementation detail: any number of concurrent ``query`` calls must each
+see one committed version of the index while ``insert``/``delete`` commit
+beside them.
 These tests hammer exactly that contract -- on a monolithic index and on
 a 4-shard one -- and check *exact* answers before and after every
 mutation, not just the absence of crashes.
@@ -17,65 +18,52 @@ import pytest
 
 from repro.bench.workloads import generate_dataset
 from repro.core.engine import NestedSetIndex
-from repro.core.parallel import RWLock
+from repro.core.invfile import InvertedFile
+from repro.core.model import NestedSet
+from repro.core.shard import ShardedIndex, make_policy
 from repro.data.ingest import StreamIngestor
+from repro.storage import KVStore, StorageError
 
 
-class TestRWLock:
-    def test_readers_share(self) -> None:
-        lock = RWLock()
-        lock.acquire_read()
-        lock.acquire_read()     # a second reader must not block
-        lock.release_read()
-        lock.release_read()
+class _UnversionedStore(KVStore):
+    """The five primitives over a dict: ``mvcc_info()`` stays ``None``."""
 
-    def test_writer_excludes_readers(self) -> None:
-        lock = RWLock()
-        order: list[str] = []
-        with lock.write_locked():
-            reader = threading.Thread(
-                target=lambda: (lock.acquire_read(),
-                                order.append("read"),
-                                lock.release_read()))
-            reader.start()
-            reader.join(timeout=0.1)
-            assert order == []      # reader parked behind the writer
-            order.append("write")
-        reader.join(timeout=5)
-        assert order == ["write", "read"]
+    def __init__(self) -> None:
+        super().__init__()
+        self._data: dict[bytes, bytes] = {}
 
-    def test_writer_preference_blocks_new_readers(self) -> None:
-        lock = RWLock()
-        lock.acquire_read()
-        states: list[str] = []
-        writer = threading.Thread(
-            target=lambda: (lock.acquire_write(),
-                            states.append("wrote"),
-                            lock.release_write()))
-        writer.start()
-        deadline = threading.Event()
-        deadline.wait(0.05)          # let the writer start waiting
-        late_reader = threading.Thread(
-            target=lambda: (lock.acquire_read(),
-                            states.append("read"),
-                            lock.release_read()))
-        late_reader.start()
-        late_reader.join(timeout=0.1)
-        # The late reader queues *behind* the waiting writer: no
-        # writer starvation under a steady reader stream.
-        assert states == []
-        lock.release_read()
-        writer.join(timeout=5)
-        late_reader.join(timeout=5)
-        assert states == ["wrote", "read"]
+    def get(self, key):
+        return self._data.get(key)
 
-    def test_write_locked_releases_on_error(self) -> None:
-        lock = RWLock()
-        with pytest.raises(RuntimeError):
-            with lock.write_locked():
-                raise RuntimeError("boom")
-        with lock.read_locked():    # lock must be free again
-            pass
+    def put(self, key, value):
+        self._data[bytes(key)] = bytes(value)
+
+    def delete(self, key):
+        return self._data.pop(key, None) is not None
+
+    def items(self):
+        return iter(sorted(self._data.items()))
+
+    def __len__(self):
+        return len(self._data)
+
+
+class TestSnapshotSupportIsRequired:
+    def test_a_store_without_snapshots_is_refused_at_construction(
+            self) -> None:
+        """Reads pin a version and take no lock, so there is nothing to
+        fall back on: the facades refuse such a store once, up front."""
+        store = _UnversionedStore()
+        ifile = InvertedFile.build(
+            [("r0", NestedSet(["a"])), ("r1", NestedSet(["a", "b"]))],
+            store=store)
+        assert len(ifile.postings("a")) == 2    # the file itself reads
+        with pytest.raises(StorageError, match="mvcc_info"):
+            NestedSetIndex(ifile)
+        with pytest.raises(StorageError, match="mvcc_info"):
+            NestedSetIndex.from_store(store)
+        with pytest.raises(StorageError, match="mvcc_info"):
+            ShardedIndex(store, [object()], make_policy("hash"))
 
 
 def _build(shards: int):

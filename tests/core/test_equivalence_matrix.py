@@ -20,12 +20,6 @@ from repro.core.matchspec import QuerySpec
 from repro.core.model import NestedSet
 from repro.core.planner import STRATEGIES
 from repro.core.postings import COLUMNAR_MIN
-from repro.storage.codec import (
-    DEFAULT_BLOCK_SIZE,
-    PACKED_FORMAT_BYTE,
-    decode_blocked,
-    encode_blocked,
-)
 
 from ..conftest import random_tree
 
@@ -106,23 +100,23 @@ class TestPaperVariantOnPathQueries:
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("semantics,join", VALID_COMBOS)
 class TestFormatEquivalence:
-    """Blocked and legacy physical layouts must be query-indistinguishable.
+    """One-block and many-block layouts must be query-indistinguishable.
 
     ``block_size=4`` forces multi-block lists even on the small corpus, so
-    the galloping/skip machinery actually runs; ``block_size=0`` is the
-    plain pre-block format.
+    the galloping/skip machinery actually runs; at the default size every
+    list of the corpus is a single block.
     """
 
     def test_layouts_agree(self, seed, semantics, join) -> None:
         corpus = _corpus(seed)
-        legacy = NestedSetIndex.build(corpus, block_size=0)
+        one_block = NestedSetIndex.build(corpus)
         blocked = NestedSetIndex.build(corpus, block_size=4)
         for mode in ("root", "anywhere"):
             for query in _queries(seed + 400, n=8):
                 for algorithm in ("bottomup", "topdown"):
-                    expected = legacy.query(query, algorithm=algorithm,
-                                            semantics=semantics, join=join,
-                                            mode=mode)
+                    expected = one_block.query(
+                        query, algorithm=algorithm, semantics=semantics,
+                        join=join, mode=mode)
                     got = blocked.query(query, algorithm=algorithm,
                                         semantics=semantics, join=join,
                                         mode=mode)
@@ -131,22 +125,6 @@ class TestFormatEquivalence:
 
 
 class TestLegacyIndexCompatibility:
-    def test_legacy_disk_index_opens_without_rebuild(self, tmp_path) -> None:
-        # An index written with the pre-block codec (block_size=0) must
-        # reopen and answer queries byte-compatibly -- no rebuild step.
-        corpus = _corpus(5)
-        path = str(tmp_path / "legacy.ix")
-        built = NestedSetIndex.build(corpus, storage="diskhash", path=path,
-                                     block_size=0)
-        queries = _queries(505, n=6)
-        expected = [built.query(query) for query in queries]
-        built.close()
-
-        reopened = NestedSetIndex.open("diskhash", path)
-        assert reopened._ifile.block_size == 0
-        assert [reopened.query(query) for query in queries] == expected
-        reopened.close()
-
     def test_new_builds_default_to_blocked(self) -> None:
         index = NestedSetIndex.build(_corpus(6))
         assert index._ifile.block_size > 0
@@ -206,29 +184,6 @@ def _hot_queries(corpus: list) -> list:
     return queries
 
 
-def _downgrade_to_varint(index) -> int:
-    """Rewrite every packed (0x03) atom value of a fresh index as 0x02."""
-    rewritten = 0
-    for engine in getattr(index, "shards", (index,)):
-        store = engine.inverted_file.store
-        for key, raw in list(store.items()):
-            if key.startswith(b"A:") and raw[0] == PACKED_FORMAT_BYTE:
-                store.put(key, encode_blocked(decode_blocked(raw),
-                                              DEFAULT_BLOCK_SIZE,
-                                              packed=False))
-                rewritten += 1
-    return rewritten
-
-
-def _build_layout(corpus: list, layout: str, shards: int):
-    options = {"plain": {"block_size": 0},
-               "segmented": {"segment_size": 16}}.get(layout, {})
-    index = NestedSetIndex.build(corpus, shards=shards, **options)
-    if layout == "varint":
-        assert _downgrade_to_varint(index) > 0
-    return index
-
-
 @pytest.fixture(scope="module")
 def hot_expected():
     """Per (semantics, join, mode): the naive scan's answers."""
@@ -249,12 +204,12 @@ def hot_expected():
 
 
 @pytest.mark.parametrize("shards", [1, 4])
-@pytest.mark.parametrize("layout", ["plain", "varint", "packed", "segmented"])
+@pytest.mark.parametrize("layout", ["packed"])
 class TestLongListsMatrix:
     def test_every_path_equals_naive(self, hot_expected, layout,
                                      shards) -> None:
         corpus, queries, expected = hot_expected
-        with _build_layout(corpus, layout, shards) as index:
+        with NestedSetIndex.build(corpus, shards=shards) as index:
             for (semantics, join, mode), answers in expected.items():
                 for algorithm in ("bottomup", "topdown"):
                     got = [index.query(query, algorithm=algorithm,
@@ -272,7 +227,7 @@ class TestLongListsMatrix:
                                       shards) -> None:
         corpus, queries, expected = hot_expected
         keyed = [(f"q{i}", query) for i, query in enumerate(queries)]
-        with _build_layout(corpus, layout, shards) as index:
+        with NestedSetIndex.build(corpus, shards=shards) as index:
             for join in ("subset", "equality", "superset"):
                 result = containment_join(index, keyed, strategy="prefix",
                                           spec=QuerySpec(join=join))

@@ -1,7 +1,7 @@
 """The group writer: what a commit group writes, and how often.
 
 ``IndexWriter.insert`` numbers and buffers; ``flush`` writes the group.
-Two things are pinned here, on every store and list format:
+Two things are pinned here, on every store:
 
 * **the bytes** -- the same records applied one by one, in groups of 5
   and 30, and as one group that crosses a list-block, a metadata-block
@@ -26,25 +26,14 @@ from repro.core.engine import NestedSetIndex
 from repro.core.invfile import InvertedFile, LIST_BLOCK, META_BLOCK
 from repro.core.model import NestedSet
 from repro.core.updates import IndexWriter, UpdateError
-from repro.storage.codec import (
-    BLOCKED_FORMAT_BYTE,
-    DEFAULT_BLOCK_SIZE,
-    PACKED_FORMAT_BYTE,
-    decode_blocked,
-    encode_blocked,
-)
+from repro.storage.codec import DEFAULT_BLOCK_SIZE, PACKED_FORMAT_BYTE
 from repro.storage.kvstore import MemoryKVStore
 
 N = NestedSet
 
 STORAGES = ("memory", "diskhash", "btree")
-#: list format -> build options
-FORMATS = {
-    "plain": {"block_size": 0},
-    "blocked": {},              # built packed, rewritten to 0x02 below
-    "packed": {},
-    "segmented": {"segment_size": 16},
-}
+#: list format -> build options (the digests below are keyed by it)
+FORMATS = {"packed": {}}
 #: grouping -> (base records, fresh records, group size; 1 = single inserts)
 GROUPINGS = {
     "singles": (40, 30, 1),
@@ -52,12 +41,8 @@ GROUPINGS = {
     "group-of-30": (40, 30, 30),
     "crossing": (680, 30, 30),
 }
-#: The B+-tree splits a leaf by entry count, and the crossing base puts
-#: seven ~1 KiB inline values side by side ("leaf half does not fit a
-#: page", at the parent commit too): that grouping runs on the other two.
 CASES = [(storage, fmt, grouping) for storage in STORAGES
-         for fmt in FORMATS for grouping in GROUPINGS
-         if not (storage == "btree" and grouping == "crossing")]
+         for fmt in FORMATS for grouping in GROUPINGS]
 
 #: records from this ordinal on carry the atom "edge": 100 base postings
 #: and 30 fresh ones, so the crossing group spills "edge" into a second
@@ -67,22 +52,6 @@ EDGE_FROM = 580
 #: SHA-256 of the store dump, recorded at the parent commit (per-record
 #: list appends), equal on every store.
 PARENT_DIGESTS = {
-    ("plain", "singles"):
-        "a37004bbc60745d0ace6c8b0706f3585129d279479d7564728e207c1e230d9e5",
-    ("plain", "groups-of-5"):
-        "2189dd35b8412df97660731e5cafe1db14b52bcfc04dba6e00c89ccd38f06bd8",
-    ("plain", "group-of-30"):
-        "e2a8c5920d5a778b22b7bf2713c33f054431955fc1f4e5445c3aae4e372dca27",
-    ("plain", "crossing"):
-        "8283195da951960d875291313109736b7bfd22bf339d97e5327356d7f25beda6",
-    ("blocked", "singles"):
-        "00c760fe72a7be9615684632f8e5e9bd76a316b29cf6fd7a3945b852aade386e",
-    ("blocked", "groups-of-5"):
-        "6b4d8a4c2ce2cbf1e22e2e0b82b9e4e9af7214281a819fde86b4dcc4d4e4eb0b",
-    ("blocked", "group-of-30"):
-        "8ff5c4f84ca2461f021cf995d71729094a20bb0f98aa4287c2bba1c0ef3cf803",
-    ("blocked", "crossing"):
-        "45c7b2c33ca3ec23e7dc6c2b22b88808b9e050904f62fe6ce90f49f02251ede5",
     ("packed", "singles"):
         "3f9a9b934b837db48ba27f40bdd008107d2d11c410681563b0b3c7c503d355ac",
     ("packed", "groups-of-5"):
@@ -91,14 +60,6 @@ PARENT_DIGESTS = {
         "3a87640cc29c0e3e10bd5b27770e25a0bb23d9434c61327de573cd276472c8af",
     ("packed", "crossing"):
         "1be4ed11f7c850d911b61b8ab564c1f8092ff6b716453d594a4fdee37072380f",
-    ("segmented", "singles"):
-        "b767a9d9245065b4685b2fa8a459036db3f12a07106a3435a3f911899e307f82",
-    ("segmented", "groups-of-5"):
-        "f09e78e5c3008f0cc8cca5a31aefb3feeb6808dc4cd910de18ea4f5c8a5daaf6",
-    ("segmented", "group-of-30"):
-        "5e1491cd80c3065aa2f5d98323cd1ba4aff7ff1c1cb187326609b7cbfbfc4cdd",
-    ("segmented", "crossing"):
-        "158f6e9c770d56e4b47a780b8477c8dca19174698eb02fd280cadd2cd8263b4a",
 }
 
 
@@ -114,15 +75,6 @@ def record(i: int) -> tuple[str, NestedSet]:
         N([f"u{i}"])])
 
 
-def _downgrade(store) -> None:
-    """Rewrite every packed atom value to the 0x02 generation."""
-    with store.transaction(b"downgrade"):
-        for key, raw in list(store.items()):
-            if key.startswith(b"A:") and raw[0] == PACKED_FORMAT_BYTE:
-                store.put(key, encode_blocked(
-                    decode_blocked(raw), DEFAULT_BLOCK_SIZE, packed=False))
-
-
 def apply(storage: str, fmt: str, grouping: str, tmp_path):
     """Build the base, insert the fresh records in the grouping, delete
     one base and one fresh record; returns the open index."""
@@ -131,8 +83,6 @@ def apply(storage: str, fmt: str, grouping: str, tmp_path):
         str(tmp_path / f"{storage}-{fmt}-{grouping}")
     index = NestedSetIndex.build([record(i) for i in range(n_base)],
                                  storage=storage, path=path, **FORMATS[fmt])
-    if fmt == "blocked":
-        _downgrade(index.inverted_file.store)
     fresh = [record(i) for i in range(n_base, n_base + n_fresh)]
     if size == 1:
         for key, tree in fresh:
@@ -183,14 +133,6 @@ class TestBytes:
         formats = {raw[0] for key, raw in dump(index)
                    if key.startswith(b"A:")}
         assert formats == {PACKED_FORMAT_BYTE}
-        index.close()
-
-    def test_blocked_lists_stay_in_their_format(self, tmp_path) -> None:
-        index = apply("memory", "blocked", "group-of-30", tmp_path)
-        values = [raw for key, raw in dump(index) if key.startswith(b"A:")]
-        # Lists the base held stay 0x02; lists born in the group are 0x03.
-        assert {raw[0] for raw in values} == \
-            {BLOCKED_FORMAT_BYTE, PACKED_FORMAT_BYTE}
         index.close()
 
     @pytest.mark.parametrize("fmt", FORMATS)

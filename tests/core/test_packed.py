@@ -3,10 +3,11 @@
 Four concerns of the vectorized data plane live here: width promotion
 must round-trip at every fixed-width boundary (hypothesis drives deltas
 across the 1/2/4/8-byte edges), corrupted or truncated packed payloads
-must raise :class:`CorruptionError` instead of decoding garbage, an
-index written in the 0x02 delta-varint generation must reopen and
-answer unchanged -- upgrading to 0x03 only through compaction -- and the
-pure-stdlib fallback (numpy absent) must stay behaviourally identical
+must raise :class:`CorruptionError` instead of decoding garbage, bytes
+of the retired list formats (0x00 plain, 0x01 range-tagged, 0x02
+varint-blocked) and the configurations that went with them must be
+refused with a typed error naming the format, and the pure-stdlib
+fallback (numpy absent) must stay behaviourally identical
 to the vectorized path, bit for bit on the wire and entry for entry in
 every intersection.
 """
@@ -21,12 +22,12 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.postings as postings_mod
 import repro.storage.codec as codec_mod
+from repro.core.checker import check_index
 from repro.core.engine import NestedSetIndex
-from repro.core.invfile import QueryStats
+from repro.core.invfile import InvertedFile, InvertedFileError, QueryStats
+from repro.core.model import NestedSet
 from repro.core.postings import LazyPostingList, PostingList, intersect
-from repro.storage import open_store
 from repro.storage.codec import (
-    BLOCKED_FORMAT_BYTE,
     PACKED_FORMAT_BYTE,
     PACKED_WIDTHS,
     BlockInfo,
@@ -178,7 +179,7 @@ class TestPackedCorruption:
             decode_packed_arrays(bytes(tampered), info)
 
 
-# -- legacy 0x02 compatibility and compact upgrade --------------------------
+# -- retired formats are refused, typed -------------------------------------
 
 def _corpus(seed: int, n: int = 40) -> list:
     rng = random.Random(seed)
@@ -192,94 +193,88 @@ def _queries(seed: int, n: int = 10) -> list:
     return [random_tree(rng, atoms, allow_empty=False) for _ in range(n)]
 
 
-def _downgrade_atom_values(path: str) -> int:
-    """Rewrite every packed atom value of a closed disk index to 0x02."""
-    store = open_store("diskhash", path)
-    rewritten = 0
-    try:
-        for key, raw in list(store.items()):
-            if key.startswith(b"A:") and raw[:1] == bytes(
-                    [PACKED_FORMAT_BYTE]):
-                header = decode_blocked_header(raw)
-                legacy = encode_blocked(decode_blocked(raw),
-                                        header.block_size, packed=False)
-                assert legacy[0] == BLOCKED_FORMAT_BYTE
-                store.put(key, legacy)
-                rewritten += 1
-        store.sync()
-    finally:
-        store.close()
-    return rewritten
+#: The list ``[(0, ()), (1, ())]`` as the three retired formats stored
+#: it, byte by byte (no encoder for them is left in ``src/``).
+_ROWS = b"\x02" b"\x00\x00" b"\x01\x00"    # count; (delta p, |C|) x 2
+OLD_VALUES = {
+    # [0x00][rows]
+    0x00: b"\x00" + _ROWS,
+    # [0x01][total][n units] { [min_head delta][span] }; rows under G: keys
+    0x01: b"\x01" b"\x02" b"\x01" b"\x00\x01",
+    # [0x02][total][block_size=128][n_blocks]
+    #   { [min_head delta][span][count][payload bytes] } { rows }
+    0x02: b"\x02" b"\x02" b"\x80\x01" b"\x01" b"\x00\x01\x02\x05" + _ROWS,
+}
+#: n_records, n_nodes, n_all_blocks, n_zero_blocks, then the two slots.
+OLD_CONFIGS = {
+    "segment_size=16": b"\x02\x02\x01\x00" b"\x10" b"\x00",
+    "block_size=0": b"\x02\x02\x01\x00" b"\x00" b"\x00",
+    "four-field": b"\x02\x02\x01\x00",
+}
+
+N = NestedSet
+_OLD_RECORDS = [("r0", N(["old", "x"])), ("r1", N(["old", "y"]))]
 
 
-class TestLegacyBlockedUpgrade:
-    def test_0x02_index_reopens_and_compact_upgrades(self, tmp_path) -> None:
-        corpus = _corpus(31)
-        queries = _queries(131)
-        path = str(tmp_path / "old.ix")
-        built = NestedSetIndex.build(corpus, storage="diskhash", path=path)
-        expected = [built.query(query) for query in queries]
-        built.close()
+@pytest.mark.parametrize("storage", ["memory", "diskhash"])
+class TestRetiredFormatsAreRefused:
+    def _build(self, storage, tmp_path):
+        path = None if storage == "memory" else str(tmp_path / "old.ix")
+        index = NestedSetIndex.build(_OLD_RECORDS, storage=storage, path=path)
+        assert list(index.inverted_file.postings("old")) == \
+            [(0, ()), (1, ())]
+        index.inverted_file.cache.clear()    # the test writes under them
+        index.inverted_file.block_cache.clear()
+        return index, path
 
-        # Downgrade the on-disk atom values to the previous generation's
-        # 0x02 format; the index must reopen and answer unchanged, and
-        # the stats must show that nothing silently migrated.
-        assert _downgrade_atom_values(path) > 0
-        reopened = NestedSetIndex.open("diskhash", path)
-        stats = reopened._ifile.block_stats()
-        assert stats["blocked_lists"] > 0 and stats["packed_lists"] == 0
-        assert [reopened.query(query) for query in queries] == expected
-
-        # Compaction is the upgrade path: the rebuilt index is packed
-        # throughout and keeps answering identically.
-        new_path = str(tmp_path / "new.ix")
-        reopened.compact(storage="diskhash", path=new_path)
-        stats = reopened._ifile.block_stats()
-        assert stats["packed_lists"] == stats["blocked_lists"] > 0
-        assert [reopened.query(query) for query in queries] == expected
-
-        # ... and byte-identically: the compacted store's atom values
-        # match a fresh 0x03 build of the same corpus.
-        reopened.close()
-        fresh_path = str(tmp_path / "fresh.ix")
-        NestedSetIndex.build(corpus, storage="diskhash",
-                             path=fresh_path).close()
-        compacted_values = _atom_values(new_path)
-        assert compacted_values == _atom_values(fresh_path)
-        assert all(raw[0] == PACKED_FORMAT_BYTE
-                   for raw in compacted_values.values())
-
-    def test_mutations_keep_0x02_values_in_format(self, tmp_path) -> None:
-        # Appends into a downgraded index must not migrate values: mixed
-        # generations stay byte-stable under mutation (only compaction
-        # upgrades).
-        path = str(tmp_path / "mixed.ix")
-        built = NestedSetIndex.build(_corpus(32, n=20), storage="diskhash",
-                                     path=path)
-        built.close()
-        assert _downgrade_atom_values(path) > 0
-
-        index = NestedSetIndex.open("diskhash", path)
-        for i, (key, tree) in enumerate(_corpus(33, n=5)):
-            index.insert(f"x{i}", tree)
-        queries = _queries(132)
-        expected = [index.query(query) for query in queries]
+    @pytest.mark.parametrize("fmt", sorted(OLD_VALUES))
+    def test_old_atom_value(self, storage, fmt, tmp_path) -> None:
+        index, path = self._build(storage, tmp_path)
+        index.inverted_file.store.put(b"A:s:old", OLD_VALUES[fmt])
+        if path is not None:            # refused at first read after open
+            index.close()
+            index = NestedSetIndex.open(storage, path)
+        ifile = index.inverted_file
+        named = f"0x{fmt:02x}"
+        for read in (lambda: ifile.postings("old"),
+                     lambda: ifile.list_length("old"),
+                     lambda: ifile.intersect_atoms(["x", "old"]),
+                     lambda: index.query(N(["old"]))):
+            with pytest.raises(InvertedFileError) as refused:
+                read()
+            assert named in str(refused.value)
+            assert "rebuild the index" in str(refused.value)
+        assert [problem for problem in check_index(ifile)
+                if "'old'" in problem and named in problem]
+        # An insert onto the atom is refused by the codec, and the
+        # commit group leaves the index as it found it.
+        with pytest.raises((InvertedFileError, CorruptionError)) as refused:
+            index.insert("r2", N(["old", "z"]))
+        assert named in str(refused.value)
+        assert index.n_records == 2
+        assert index.query(N(["x"])) == ["r0"]
+        assert index.insert("r2", N(["x", "z"])) == 2
+        assert index.query(N(["x"])) == ["r0", "r2"]
         index.close()
 
-        formats = {raw[0] for raw in _atom_values(path).values()}
-        assert formats == {BLOCKED_FORMAT_BYTE}
-        reopened = NestedSetIndex.open("diskhash", path)
-        assert [reopened.query(query) for query in queries] == expected
-        reopened.close()
-
-
-def _atom_values(path: str) -> dict[bytes, bytes]:
-    store = open_store("diskhash", path)
-    try:
-        return {key: raw for key, raw in store.items()
-                if key.startswith(b"A:")}
-    finally:
-        store.close()
+    @pytest.mark.parametrize("config", sorted(OLD_CONFIGS))
+    def test_old_configuration(self, storage, config, tmp_path) -> None:
+        index, path = self._build(storage, tmp_path)
+        store = index.inverted_file.store
+        store.put(b"M:config", OLD_CONFIGS[config])
+        if path is not None:
+            index.close()
+        with pytest.raises(InvertedFileError) as refused:
+            if path is None:
+                NestedSetIndex.from_store(store)
+            else:
+                NestedSetIndex.open(storage, path)
+        assert "rebuild the index" in str(refused.value)
+        if config == "segment_size=16":
+            assert "16" in str(refused.value)
+        if path is None:
+            with pytest.raises(InvertedFileError):
+                InvertedFile(store)
 
 
 # -- numpy-free fallback ----------------------------------------------------

@@ -1,4 +1,11 @@
-"""Tests for segmented posting lists and segment-skipping intersection."""
+"""Long posting lists in small units: block ranges and block skipping.
+
+These tests were written for the range-tagged ``0x01`` lists; what they
+guard -- a long list is stored in units that carry their head range, is
+the same list whatever the unit size, is skipped by range during
+intersection and grows at its tail -- is the packed block directory now,
+so they run on small blocks.
+"""
 
 from __future__ import annotations
 
@@ -8,25 +15,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.workloads import generate_dataset
-from repro.core.engine import NestedSetIndex
 from repro.core.invfile import InvertedFile
 from repro.core.model import NestedSet
-from repro.core.postings import PostingList, intersect
-from repro.core.segments import (
-    FORMAT_PLAIN,
-    FORMAT_SEGMENTED,
-    SegmentInfo,
-    decode_header,
-    decode_plain,
-    encode_header,
-    encode_plain,
-    encode_segmented,
-    overlapping_segments,
-    total_of,
-    value_format,
-)
+from repro.core.postings import intersect
 from repro.core.updates import IndexWriter
 from repro.data.queries import make_benchmark_queries
+from repro.storage.codec import (
+    CorruptionError,
+    blocked_total,
+    decode_blocked,
+    decode_blocked_header,
+    encode_blocked,
+    encode_postings,
+)
 
 N = NestedSet
 
@@ -36,71 +37,34 @@ def postings_of(n: int, stride: int = 3) -> list:
 
 
 class TestCodec:
-    def test_plain_roundtrip(self) -> None:
-        entries = postings_of(10)
-        raw = encode_plain(entries)
-        assert value_format(raw) == FORMAT_PLAIN
-        assert decode_plain(raw) == entries
-        assert total_of(raw) == 10
-
-    def test_segmented_roundtrip(self) -> None:
-        entries = postings_of(25)
-        header, blobs = encode_segmented(entries, 10)
-        assert value_format(header) == FORMAT_SEGMENTED
-        decoded = decode_header(header)
-        assert decoded.total == 25
-        assert len(decoded.segments) == 3
-        assert len(blobs) == 3
-        rebuilt = []
-        for blob in blobs:
-            rebuilt.extend(PostingList.decode(blob).entries)
-        assert rebuilt == entries
-        assert total_of(header) == 25
-
     def test_segment_ranges(self) -> None:
-        entries = postings_of(20)  # heads 0, 3, ..., 57
-        header, _blobs = encode_segmented(entries, 10)
-        decoded = decode_header(header)
-        assert decoded.segments[0] == SegmentInfo(0, 27)
-        assert decoded.segments[1] == SegmentInfo(30, 57)
-
-    def test_encode_header_roundtrip(self) -> None:
-        infos = [SegmentInfo(5, 9), SegmentInfo(12, 40)]
-        decoded = decode_header(encode_header(17, infos))
-        assert decoded == (17, tuple(infos))
-
-    def test_overlapping_segments(self) -> None:
-        header = decode_header(encode_header(
-            30, [SegmentInfo(0, 9), SegmentInfo(10, 19),
-                 SegmentInfo(25, 40)]))
-        assert overlapping_segments(header, 5, 12) == [0, 1]
-        assert overlapping_segments(header, 20, 24) == []
-        assert overlapping_segments(header, 40, 99) == [2]
-        assert overlapping_segments(header, 0, 99) == [0, 1, 2]
+        raw = encode_blocked(postings_of(20), 10)  # heads 0, 3, ..., 57
+        first, second = decode_blocked_header(raw).blocks
+        assert (first.min_head, first.max_head) == (0, 27)
+        assert (second.min_head, second.max_head) == (30, 57)
+        assert blocked_total(raw) == 20
 
     def test_bad_inputs(self) -> None:
         with pytest.raises(ValueError):
-            encode_segmented(postings_of(5), 0)
-        with pytest.raises(ValueError):
-            value_format(b"")
-        with pytest.raises(ValueError):
-            decode_header(encode_plain(postings_of(2)))
-        with pytest.raises(ValueError):
-            total_of(bytes([99]))
+            encode_blocked(postings_of(5), 0)
+        with pytest.raises(CorruptionError):
+            blocked_total(b"")
+        with pytest.raises(CorruptionError):
+            blocked_total(bytes([99]))
+        with pytest.raises(CorruptionError):
+            decode_blocked_header(encode_postings(postings_of(2)))
 
     @given(st.lists(st.integers(0, 10 ** 6), min_size=1, unique=True),
            st.integers(1, 50))
     @settings(max_examples=100)
     def test_roundtrip_property(self, heads: list[int],
-                                segment_size: int) -> None:
+                                block_size: int) -> None:
         entries = [(h, ()) for h in sorted(heads)]
-        header, blobs = encode_segmented(entries, segment_size)
-        decoded = decode_header(header)
-        assert decoded.total == len(entries)
-        rebuilt = []
-        for blob in blobs:
-            rebuilt.extend(PostingList.decode(blob).entries)
-        assert rebuilt == entries
+        raw = encode_blocked(entries, block_size)
+        header = decode_blocked_header(raw)
+        assert header.total == blocked_total(raw) == len(entries)
+        assert len(header.blocks) == -(-len(entries) // block_size)
+        assert decode_blocked(raw) == entries
 
 
 class TestSegmentedIndex:
@@ -110,16 +74,20 @@ class TestSegmentedIndex:
 
     @pytest.fixture(scope="class")
     def plain_index(self, records) -> InvertedFile:
-        return InvertedFile.build(records)
+        """Every list in one block."""
+        return InvertedFile.build(records, block_size=1 << 20)
 
     @pytest.fixture(scope="class")
     def seg_index(self, records) -> InvertedFile:
-        return InvertedFile.build(records, segment_size=64)
+        return InvertedFile.build(records, block_size=8)
 
-    def test_some_lists_are_segmented(self, seg_index) -> None:
+    def test_some_lists_are_segmented(self, plain_index, seg_index) -> None:
         hottest = seg_index.frequencies()[0][0]
-        raw = seg_index.store.get(b"A:" + f"s:{hottest}".encode())
-        assert value_format(raw) == FORMAT_SEGMENTED
+        key = b"A:" + f"s:{hottest}".encode()
+        assert len(decode_blocked_header(
+            seg_index.store.get(key)).blocks) > 8
+        assert len(decode_blocked_header(
+            plain_index.store.get(key)).blocks) == 1
 
     def test_postings_identical(self, records, plain_index,
                                 seg_index) -> None:
@@ -128,10 +96,14 @@ class TestSegmentedIndex:
 
     def test_list_length_without_decode(self, plain_index,
                                         seg_index) -> None:
+        seg_index.reset_stats()
+        seg_index.cache.clear()
         for atom, df in seg_index.frequencies()[:20]:
             assert seg_index.list_length(atom) == df
             assert plain_index.list_length(atom) == df
         assert seg_index.list_length("__absent__") == 0
+        assert seg_index.stats.blocks_read == 0
+        assert seg_index.stats.lists_decoded == 0
 
     def test_intersect_atoms_equals_plain_intersection(
             self, seg_index) -> None:
@@ -143,14 +115,17 @@ class TestSegmentedIndex:
             expect = intersect([seg_index.postings(a) for a in chosen])
             assert seg_index.intersect_atoms(chosen) == expect
 
-    def test_segment_skipping_happens(self, records, seg_index) -> None:
+    def test_segment_skipping_happens(self, seg_index) -> None:
+        frequencies = seg_index.frequencies()
+        hottest, hot_df = frequencies[0]
+        rare = [atom for atom, df in frequencies if 2 <= df <= 4][:40]
         seg_index.reset_stats()
-        workload = make_benchmark_queries(records, 30, seed=2)
-        from repro.core.bottomup import bottomup_match_nodes
-        from repro.core.topdown import topdown_match_nodes
-        for bench in workload:
-            topdown_match_nodes(bench.query, seg_index)
-        assert seg_index.stats.segments_skipped > 0
+        seg_index.cache.clear()
+        seg_index.block_cache.clear()
+        for atom in rare:
+            seg_index.intersect_atoms([hottest, atom])
+        assert seg_index.stats.blocks_skipped > 0
+        assert seg_index.stats.blocks_read < len(rare) * (hot_df // 8)
 
     def test_query_results_identical(self, records, plain_index,
                                      seg_index) -> None:
@@ -165,58 +140,29 @@ class TestSegmentedIndex:
             assert seg_index.heads_to_keys(
                 bottomup_match_nodes(bench.query, seg_index)) == expect
 
-    def test_postings_overlapping_superset_of_range(self,
-                                                    seg_index) -> None:
-        atom, _df = seg_index.frequencies()[0]
-        full = seg_index.postings(atom)
-        lo = full.entries[len(full) // 3][0]
-        hi = full.entries[2 * len(full) // 3][0]
-        partial = seg_index.postings_overlapping(atom, lo, hi)
-        in_range = [(p, c) for p, c in full if lo <= p <= hi]
-        partial_heads = partial.heads()
-        assert all(p in partial_heads for p, _c in in_range)
-        assert len(partial) <= len(full)
-
     def test_disk_roundtrip_with_segments(self, tmp_path, records) -> None:
         path = str(tmp_path / "seg.idx")
         built = InvertedFile.build(records[:200], storage="diskhash",
-                                   path=path, segment_size=32)
+                                   path=path, block_size=32)
         hottest = built.frequencies()[0][0]
         expect = built.postings(hottest)
         built.close()
         reopened = InvertedFile.open("diskhash", path)
-        assert reopened.segment_size == 32
+        assert reopened.block_size == 32
         assert reopened.postings(hottest) == expect
         reopened.close()
 
 
 class TestSegmentedUpdates:
-    def test_insert_grows_plain_into_segments(self) -> None:
-        records = [(f"r{i}", N(["hot", f"u{i}"])) for i in range(10)]
-        index = InvertedFile.build(records, segment_size=8)
-        writer = IndexWriter(index)
-        for i in range(10):
-            writer.insert(f"x{i}", N(["hot", f"v{i}"]))
-        raw = index.store.get(b"A:s:hot")
-        assert value_format(raw) == FORMAT_SEGMENTED
-        assert len(index.postings("hot")) == 20
-
     def test_insert_appends_to_segmented_tail(self) -> None:
         records = [(f"r{i}", N(["hot"])) for i in range(30)]
-        index = InvertedFile.build(records, segment_size=8)
+        index = InvertedFile.build(records, block_size=8)
         writer = IndexWriter(index)
         writer.insert("fresh", N(["hot", "rare"]))
         full = index.postings("hot")
         assert len(full) == 31
         heads = [p for p, _c in full]
         assert heads == sorted(heads)
-        header = decode_header(index.store.get(b"A:s:hot"))
+        header = decode_blocked_header(index.store.get(b"A:s:hot"))
         assert header.total == 31
-
-    def test_engine_segment_option(self) -> None:
-        records = list(generate_dataset("dblp", 300, seed=1))
-        index = NestedSetIndex.build(records, segment_size=64)
-        plain = NestedSetIndex.build(records)
-        query = records[5][1]
-        assert index.query(query) == plain.query(query)
-        assert index.inverted_file.segment_size == 64
+        assert [info.count for info in header.blocks] == [8, 8, 8, 7]

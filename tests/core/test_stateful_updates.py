@@ -61,9 +61,10 @@ class UpdateMachine(RuleBasedStateMachine):
         records = [(f"seed{i}", tree)
                    for i, tree in enumerate(seed_trees)]
         self.model = dict(records)
-        # segment_size=4 forces the segmented update path constantly;
-        # the handful of seed atoms makes the statistics log fold often.
-        self.index = NestedSetIndex.build(records, segment_size=4,
+        # block_size=4 spills a list's tail block into fresh blocks
+        # constantly; the handful of seed atoms makes the statistics
+        # log fold often.
+        self.index = NestedSetIndex.build(records, block_size=4,
                                           storage="diskhash",
                                           path=self._path())
 

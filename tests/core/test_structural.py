@@ -212,7 +212,7 @@ def ragged_case(draw):
         child_sets.append(hits)
     other = [(head, ()) for head in sorted(rng.sample(pool, len(pool) // 2))]
     as_arrays = [rng.random() < 0.5 for _ in child_sets]
-    shape = rng.choice(["rows", "packed", "varint"])
+    shape = rng.choice(["rows", "packed"])
     return cand, child_sets, other, as_arrays, shape
 
 
@@ -221,11 +221,10 @@ needs_numpy = pytest.mark.skipif(postings_mod._np is None,
 
 
 def _plist(entries, shape: str):
-    """``entries`` as a row list or as a lazy list of either block format."""
+    """``entries`` as a row list or as a lazy list of packed blocks."""
     if shape == "rows":
         return PostingList(entries)
-    return LazyPostingList(encode_blocked(entries, 16,
-                                          packed=shape == "packed"))
+    return LazyPostingList(encode_blocked(entries, 16))
 
 
 @needs_numpy

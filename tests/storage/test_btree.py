@@ -82,6 +82,49 @@ class TestSplitsAndOrder:
         assert got == [f"{i:02d}".encode() for i in range(15, 20)]
 
 
+class TestSplitBySize:
+    """A leaf is split where its bytes halve, not where its entries do:
+    runs of seven inline values just under the overflow threshold,
+    side by side among one-byte ones, used to leave a half that "does
+    not fit a page"."""
+
+    @pytest.mark.parametrize("order", ["ascending", "descending",
+                                       "shuffled"])
+    def test_big_inline_values_side_by_side(self, tmp_path, order) -> None:
+        path = str(tmp_path / "big.bt")
+        tree = BPlusTree(path, create=True)
+        big = tree._overflow_threshold - 4          # stays inline
+        model = {f"k{i:04d}".encode():
+                 bytes([i % 251]) * (big if i % 16 >= 9 else 1)
+                 for i in range(400)}
+        keys = sorted(model)
+        if order == "descending":
+            keys.reverse()
+        elif order == "shuffled":
+            random.Random(11).shuffle(keys)
+        for key in keys:
+            tree.put(key, model[key])
+        for reopened in (False, True):
+            if reopened:
+                tree.close()
+                tree = BPlusTree(path)
+            assert len(tree) == len(model)
+            assert list(tree.items()) == sorted(model.items())
+            assert all(tree.get(key) == value
+                       for key, value in model.items())
+        tree.close()
+
+    def test_long_keys_side_by_side(self, tree: BPlusTree) -> None:
+        """The same for an internal node: runs of sixty long separator
+        keys among short ones (512-byte pages)."""
+        model = {(b"k%05d" % i) + b"x" * (240 if i % 128 >= 68 else 0):
+                 b"v%d" % i for i in range(4000)}
+        for key in sorted(model):
+            tree.put(key, model[key])
+        assert len(tree) == len(model)
+        assert list(tree.items()) == sorted(model.items())
+
+
 class TestLargeValuesAndPersistence:
     def test_overflow_value(self, tree: BPlusTree) -> None:
         big = bytes(range(256)) * 40

@@ -61,19 +61,21 @@ class TestIdenticalRecords:
 
 
 class TestSegmentBoundary:
+    """Exactly ``block_size`` postings is one block; one over is two."""
+
+    @staticmethod
+    def _hot_blocks(n_records: int) -> list[int]:
+        from repro.storage.codec import decode_blocked_header
+        records = [(f"r{i}", N(["hot"])) for i in range(n_records)]
+        index = InvertedFile.build(records, block_size=8)
+        header = decode_blocked_header(index.store.get(b"A:s:hot"))
+        return [info.count for info in header.blocks]
+
     def test_exactly_segment_size_stays_plain(self) -> None:
-        from repro.core.segments import FORMAT_PLAIN, value_format
-        records = [(f"r{i}", N(["hot"])) for i in range(8)]
-        index = InvertedFile.build(records, segment_size=8)
-        raw = index.store.get(b"A:s:hot")
-        assert value_format(raw) == FORMAT_PLAIN  # len == size: no split
+        assert self._hot_blocks(8) == [8]   # len == size: no split
 
     def test_one_over_becomes_segmented(self) -> None:
-        from repro.core.segments import FORMAT_SEGMENTED, value_format
-        records = [(f"r{i}", N(["hot"])) for i in range(9)]
-        index = InvertedFile.build(records, segment_size=8)
-        raw = index.store.get(b"A:s:hot")
-        assert value_format(raw) == FORMAT_SEGMENTED
+        assert self._hot_blocks(9) == [8, 1]
 
 
 class TestPostingsStructures:
