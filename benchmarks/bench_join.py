@@ -36,7 +36,6 @@ from repro.core.engine import NestedSetIndex
 from repro.core.join import containment_join
 from repro.core.model import NestedSet
 from repro.core.prefixjoin import choose_strategy
-from repro.core.shard import ShardedIndex
 
 SMOKE = bool(os.environ.get("BENCH_JOIN_SMOKE"))
 
@@ -92,9 +91,7 @@ def _nosharing_workload() -> list[tuple[str, NestedSet]]:
 
 
 def _build(records, shards: int, workers: int):
-    if shards == 1:
-        return NestedSetIndex.build(records)
-    return ShardedIndex.build(records, shards=shards, workers=workers)
+    return NestedSetIndex.build(records, shards=shards, workers=workers)
 
 
 def _time_strategy(index, queries, strategy: str):

@@ -103,8 +103,8 @@ def _query_throughput(path: str, use_mmap: bool):
                     for q_no, query in enumerate(queries):
                         # Cold posting reads every time: the measurement
                         # targets the page read path, not cache hits.
-                        index._ifile.cache.clear()
-                        index._ifile.block_cache.clear()
+                        index.inverted_file.cache.clear()
+                        index.inverted_file.block_cache.clear()
                         if sorted(index.query(query)) != baseline[q_no]:
                             mismatch.append(q_no)
                             return

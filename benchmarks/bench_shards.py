@@ -2,11 +2,11 @@
 
 Compares 1-shard sequential evaluation against N-shard layouts on the
 workload sharding is built for: a repeated query batch with single-record
-inserts interleaved, result caches enabled.  The monolithic index flushes
-its whole result cache on every mutation, so each batch recomputes every
-query; a sharded index invalidates only the owning shard's cache, so the
-other N-1 shards answer from cache and each batch recomputes ~1/N of the
-work.  The headline comparison (4 shards / 4 workers vs the 1-shard
+inserts interleaved, result caches enabled.  Cached results are scoped
+to the state of the shard they came from, so an insert moves only the
+owning shard's scope: with one shard every batch recomputes every
+query, with N the other N-1 shards answer from cache and each batch
+recomputes ~1/N of the work.  The headline comparison (4 shards / 4 workers vs the 1-shard
 sequential baseline) is additionally written to
 ``bench_results/BENCH_shards.json`` with its speedup factor.
 """
@@ -23,7 +23,6 @@ from repro.bench.protocol import measure
 from repro.bench.reporting import RESULTS_DIR
 from repro.bench.workloads import generate_dataset
 from repro.core.engine import NestedSetIndex
-from repro.core.shard import ShardedIndex
 from repro.data.queries import make_benchmark_queries
 
 DATASET = "zipf-wide"
@@ -46,9 +45,7 @@ def _workload():
 
 
 def _build(records, shards: int, workers: int):
-    if shards == 1:
-        return NestedSetIndex.build(records)
-    return ShardedIndex.build(records, shards=shards, workers=workers)
+    return NestedSetIndex.build(records, shards=shards, workers=workers)
 
 
 def _make_runner(index, queries, extra):

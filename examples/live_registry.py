@@ -11,7 +11,7 @@ Run:  python examples/live_registry.py
 
 from repro import NestedSet, NestedSetIndex
 from repro.core.similarity import top_k_similar
-from repro.core.trace import explain
+from repro.core.observe import explain
 from repro.data.dblp import generate_articles
 
 

@@ -34,7 +34,6 @@ from .core import (
     QuerySpec,
     QuerySpecError,
     ShardError,
-    ShardedIndex,
     as_nested_set,
     compile_query,
     contains,
@@ -61,7 +60,6 @@ __all__ = [
     "QuerySpec",
     "QuerySpecError",
     "ShardError",
-    "ShardedIndex",
     "__version__",
     "as_nested_set",
     "compile_query",

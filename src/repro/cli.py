@@ -28,7 +28,6 @@ from .bench.workloads import (
 from .core.engine import ALGORITHMS, NestedSetIndex
 from .core.join import STRATEGIES as JOIN_STRATEGIES
 from .core.matchspec import JOINS, MODES, SEMANTICS
-from .core.shard import ShardedIndex
 from .core.planner import STRATEGIES as PLANNER_STRATEGIES
 from .data.io import load_collection_file, save_collection_file
 from .storage.codec import DEFAULT_BLOCK_SIZE
@@ -119,22 +118,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             handle.close()
 
 
-def _open_index(args: argparse.Namespace):
-    """Open the index at ``args.index``.
-
-    A store carrying a shard manifest comes back as a
-    :class:`~repro.core.shard.ShardedIndex` (with ``--workers`` sizing
-    its fan-out pool); otherwise a monolithic ``NestedSetIndex``.
-    """
+def _open_index(args: argparse.Namespace) -> NestedSetIndex:
+    """Open the index at ``args.index`` (``--workers`` sizes the
+    fan-out pool over its partitions)."""
     return NestedSetIndex.open(args.storage, args.index, cache=args.cache,
                                workers=getattr(args, "workers", 1))
-
-
-def _each_inverted_file(index):
-    """The inverted file(s) behind either index flavour."""
-    if isinstance(index, ShardedIndex):
-        return [engine.inverted_file for engine in index.shards]
-    return [index.inverted_file]
 
 
 def _read_queries_file(path: str) -> list[str]:
@@ -208,8 +196,9 @@ def _cmd_similar(args: argparse.Namespace) -> int:
     from .core.similarity import top_k_similar
     with _open_index(args) as index:
         hits: list[tuple[str, float]] = []
-        for ifile in _each_inverted_file(index):
-            hits.extend(top_k_similar(ifile, args.query, k=args.k,
+        for partition in index.shards:
+            hits.extend(top_k_similar(partition.inverted_file,
+                                      args.query, k=args.k,
                                       candidate_limit=args.candidates))
         hits.sort(key=lambda hit: (-hit[1], hit[0]))
         for key, score in hits[:args.k]:
@@ -220,19 +209,19 @@ def _cmd_similar(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from .core.checker import check_index
     with _open_index(args) as index:
-        ifiles = _each_inverted_file(index)
         problems = []
-        for shard_no, ifile in enumerate(ifiles):
-            prefix = f"shard {shard_no}: " if len(ifiles) > 1 else ""
+        for shard_no, partition in enumerate(index.shards):
+            prefix = f"shard {shard_no}: " if index.n_shards > 1 else ""
             problems.extend(prefix + problem for problem in
-                            check_index(ifile, max_atoms=args.max_atoms))
+                            check_index(partition.inverted_file,
+                                        max_atoms=args.max_atoms))
         if problems:
             for problem in problems:
                 print(f"PROBLEM: {problem}")
             print(f"-- {len(problems)} problem(s) found", file=sys.stderr)
             return 1
-        layout = (f" across {len(ifiles)} shards" if len(ifiles) > 1
-                  else "")
+        layout = (f" across {index.n_shards} shards"
+                  if index.n_shards > 1 else "")
         print(f"index healthy: {index.n_records} records, "
               f"{index.n_nodes} nodes{layout}")
     return 0
@@ -318,19 +307,16 @@ def _cmd_info(args: argparse.Namespace) -> int:
     with _open_index(args) as index:
         print(f"records:        {index.n_records}")
         print(f"internal nodes: {index.n_nodes}")
-        if isinstance(index, ShardedIndex):
+        if index.n_shards > 1:
             print(f"shards:         {index.n_shards} "
                   f"({index.policy.name} policy)")
-            frequencies = index.frequencies()
-        else:
-            frequencies = index.inverted_file.frequencies()
+        frequencies = index.frequencies()
         print(f"distinct atoms: {len(frequencies)}")
-        ifiles = _each_inverted_file(index)
-        for shard_no, ifile in enumerate(ifiles):
-            stats = ifile.block_stats()
+        for shard_no, partition in enumerate(index.shards):
+            stats = partition.inverted_file.block_stats()
             if not stats["lists"]:
                 continue
-            prefix = (f"shard {shard_no} " if len(ifiles) > 1 else "")
+            prefix = (f"shard {shard_no} " if index.n_shards > 1 else "")
             print(f"{prefix}block storage:")
             print(f"  posting lists:    {stats['lists']} "
                   f"(packed 0x03, block size {stats['block_size']})")
@@ -404,7 +390,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ReplicationManager,
         bootstrap_from_primary,
     )
-    from .replication.shipper import base_store_of
     from .server import QueryServer, ServiceClient
 
     replica_id = args.replica_id or \
@@ -431,7 +416,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     with index:
         try:
             if boot is not None:
-                base_store_of(index).pager.adopt_version(boot["version"])
+                index.base_store.pager.adopt_version(boot["version"])
                 tailer = ReplicaTailer(
                     index, primary_client.call, replica_id=replica_id,
                     primary_address=args.replicate_from).start()

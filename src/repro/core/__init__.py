@@ -63,7 +63,6 @@ from .shard import (
     HashShardPolicy,
     RoundRobinShardPolicy,
     ShardError,
-    ShardedIndex,
     make_policy,
     register_policy,
 )
@@ -84,7 +83,7 @@ from .postings import (
 )
 from .similarity import SimilaritySearch, nested_jaccard, top_k_similar
 from .stats import AtomStats, CollectionStats
-from .trace import ExplainResult, NodeTrace, explain
+from .observe import ExplainResult, NodeTrace, explain
 from .semantics import (
     contains,
     contains_anywhere,
@@ -154,7 +153,6 @@ __all__ = [
     "HashShardPolicy",
     "RoundRobinShardPolicy",
     "ShardError",
-    "ShardedIndex",
     "ShardExecutor",
     "make_policy",
     "register_policy",

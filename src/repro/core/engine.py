@@ -14,42 +14,61 @@ surface::
 
 Disk-resident indexes (``storage="diskhash"`` or ``"btree"``) persist and
 reopen via :meth:`NestedSetIndex.open`.
+
+One index is N >= 1 :class:`Partition`\\ s -- independent inverted files
+over disjoint slices of the records (:mod:`repro.core.shard` says who
+owns a record and where a partition's keys live).  A :class:`Partition`
+holds what is per inverted file: the live file and its list/block
+caches, modification epochs, Bloom filters, result cache, writer.
+Everything else exists once, on the facade: a query is compiled once,
+run on every partition of one pinned :class:`Snapshot` (in parallel via
+:class:`~repro.core.parallel.ShardExecutor` when ``workers > 1``) and
+merged.  Merging is exact: each record key belongs to exactly one
+partition, so the per-partition result lists are disjoint and the answer
+is their sorted concatenation; counters merge by summation, EXPLAIN
+traces keep one tree per partition.  With N = 1 the fan-out is a loop of
+one and the merge the identity -- the paper's one inverted file.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from dataclasses import fields
+from typing import Callable, Iterable, Iterator, Sequence
 
-from ..storage import KVStore, StorageError
-from .bloom import BloomIndex
+from ..storage import KVStore, StorageError, open_store
 from ..storage.codec import DEFAULT_BLOCK_SIZE
+from .bloom import BloomIndex
 from .cache import PAPER_BUDGET, ListCache, make_cache
 from .exec.compiler import ALGORITHMS, compile_query
-from .exec.context import ExecutionContext
-from .exec.observer import ExplainResult, run_explained
+from .exec.context import ExecCounters, ExecutionContext
 from .exec.plan import ExecutionPlan
-from .invfile import InvertedFile
+from .invfile import InvertedFile, QueryStats, decode_path_of
 from .matchspec import QuerySpec
 from .model import NestedSet, as_nested_set
-from .resultcache import ResultCache
+from .observe import ExplainResult, MergedExplainResult, merge_explains, \
+    run_explained
+from .parallel import ShardExecutor
+from .prefixjoin import prefix_join_lists
+from .resultcache import ResultCache, ResultCacheGroup
+from .shard import HashShardPolicy, ShardError, commit_manifest, \
+    make_policy, partition_stores, read_manifest
 from .snapshot import ModEpochs, SharedIndexState, SnapshotInvertedFile, \
     SnapshotListCache
 from .stats import CollectionStats
 from .updates import IndexWriter
 
-if TYPE_CHECKING:
-    from .shard import ShardedIndex
+__all__ = ["ALGORITHMS", "NestedSetIndex", "Partition", "PartitionView",
+           "Snapshot", "as_nested_set"]
 
-__all__ = ["ALGORITHMS", "NestedSetIndex", "Snapshot", "as_nested_set"]
-
-#: Reserved epoch token bumped by *every* mutation of one engine
+#: Reserved epoch token bumped by *every* mutation of one partition
 #: (inserts and deletes alike).  Its floor at a pinned version counts
-#: the mutations of this engine visible there, and scopes the result
+#: the mutations of this partition visible there, and scopes the result
 #: cache and statistics memo: two versions with an equal floor saw the
-#: identical index state, so commits elsewhere in a shared store (e.g.
-#: sibling shards) do not thrash this engine's cached results.
+#: identical partition state, so commits to sibling partitions of the
+#: shared store do not thrash this partition's cached results.
 _RESULT_EPOCH = "\x00index"
 
 
@@ -59,10 +78,11 @@ def commit_group(store: KVStore, label: bytes,
     """One store transaction whose failure also rolls back live objects.
 
     When the block raises, the store discards the group, but whatever
-    the block advanced in memory (an inverted file's counters, a
-    writer's pending buffers, Bloom filters) is still ahead of it;
-    ``roll_back()`` runs after the abort and re-derives that state from
-    the store.  A failure inside the commit itself is left alone, like
+    the block advanced in memory (an inverted file's counters and
+    tombstones, a writer's pending buffers, Bloom filters) is still
+    ahead of it; ``roll_back()`` runs after the abort and re-derives
+    that state from the store.  A failure inside the commit itself is
+    left alone, like
     :meth:`KVStore.transaction <repro.storage.KVStore.transaction>`
     leaves it: recovery on reopen decides that group's fate.
     """
@@ -80,151 +100,13 @@ def commit_group(store: KVStore, label: bytes,
 
 
 def require_snapshots(store: KVStore) -> None:
-    """The index facades read through pinned versions and take no lock
-    against writers, so a store that cannot pin one is refused."""
+    """The index reads through pinned versions and takes no lock against
+    writers, so a store that cannot pin one is refused."""
     if store.mvcc_info() is None:
         raise StorageError(
             f"{type(store).__name__} does not version its commits "
             "(mvcc_info() is None); an index needs a store with "
             "snapshot support")
-
-
-class _SharedPin:
-    """A refcounted :class:`Snapshot` shared by every query at one
-    committed version (guarded by the engine's ``_pin_lock``)."""
-
-    __slots__ = ("snap", "version", "generation", "refs", "retired")
-
-    def __init__(self, snap: "Snapshot", version: int,
-                 generation: "InvertedFile") -> None:
-        self.snap = snap
-        self.version = version
-        self.generation = generation
-        self.refs = 1
-        self.retired = False
-
-
-class Snapshot:
-    """A consistent read view of one index, pinned at one version.
-
-    Obtained from :meth:`NestedSetIndex.snapshot`; every read method
-    runs entirely against the pinned version, so writers commit freely
-    while this handle is open and the answers never mix two states.
-    Close it (or use it as a context manager) to release the pin.
-    """
-
-    def __init__(self, engine: "NestedSetIndex",
-                 ifile: SnapshotInvertedFile, version: int,
-                 generation: InvertedFile) -> None:
-        self._engine = engine
-        self._ifile = ifile
-        self.version = version
-        self._generation = generation
-        self._bloom = engine._bloom
-        result_cache = engine._result_cache
-        if result_cache is not None:
-            # Scope entries to (generation, mutation floor): a commit
-            # starts a fresh key space instead of invalidating, and a
-            # slow reader can only re-populate its own floor's entries.
-            floor = engine._epochs.floor(_RESULT_EPOCH, version)
-            result_cache = result_cache.at_version((id(generation), floor))
-        self._result_cache = result_cache
-        self._closed = False
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def inverted_file(self) -> SnapshotInvertedFile:
-        return self._ifile
-
-    @property
-    def n_records(self) -> int:
-        return self._ifile.n_records
-
-    @property
-    def n_nodes(self) -> int:
-        return self._ifile.n_nodes
-
-    # -- reads -------------------------------------------------------------
-
-    def execution_context(self, *, observer=None,
-                          memo: dict | None = None) -> ExecutionContext:
-        """An execution context bound to this pinned view."""
-        engine = self._engine
-        return ExecutionContext(
-            ifile=self._ifile, bloom_index=self._bloom,
-            result_cache=self._result_cache,
-            stats_provider=lambda: engine._snapshot_stats(
-                self._ifile, self._generation),
-            observer=observer, memo=memo)
-
-    def query(self, query: object, *, algorithm: str = "bottomup",
-              semantics: str = "hom", join: str = "subset",
-              epsilon: int = 1, mode: str = "root",
-              use_bloom: bool = False,
-              planner: str | None = None) -> list[str]:
-        """Evaluate one query against the pinned version."""
-        spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
-                         mode=mode)
-        plan = compile_query(query, spec, algorithm=algorithm,
-                             planner=planner, use_bloom=use_bloom)
-        return plan.run(self.execution_context())
-
-    def query_batch(self, queries: Sequence[object], *,
-                    share_subqueries: bool = True,
-                    algorithm: str = "bottomup", semantics: str = "hom",
-                    join: str = "subset", epsilon: int = 1,
-                    mode: str = "root", use_bloom: bool = False,
-                    planner: str | None = None) -> list[list[str]]:
-        """Evaluate a workload; every answer reflects the same version."""
-        spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
-                         mode=mode)
-        plans = [compile_query(query, spec, algorithm=algorithm,
-                               planner=planner, use_bloom=use_bloom)
-                 for query in queries]
-        memo: dict | None = None
-        if share_subqueries and plans and \
-                all(plan.match.memoizable for plan in plans):
-            memo = {}
-        ctx = self.execution_context(memo=memo)
-        return [plan.run(ctx) for plan in plans]
-
-    def explain(self, query: object, *, algorithm: str = "bottomup",
-                semantics: str = "hom", join: str = "subset",
-                epsilon: int = 1, mode: str = "root",
-                use_bloom: bool = False,
-                planner: str | None = None) -> ExplainResult:
-        """Trace one query's evaluation against the pinned version."""
-        spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
-                         mode=mode)
-        plan = compile_query(query, spec, algorithm=algorithm,
-                             planner=planner, use_bloom=use_bloom,
-                             cacheable=False)
-        return run_explained(plan, self.execution_context())
-
-    def match_nodes(self, query: object, *, algorithm: str = "bottomup",
-                    spec: QuerySpec = QuerySpec(),
-                    planner: str | None = None) -> set[int]:
-        """Raw node-level result at the pinned version."""
-        plan = compile_query(query, spec, algorithm=algorithm,
-                             planner=planner, cacheable=False)
-        return plan.match_nodes(self.execution_context())
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the version pin (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._ifile.close()
-        self._engine._release_generation(self._generation)
-
-    def __enter__(self) -> "Snapshot":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 def list_cache_for(ifile: InvertedFile, policy: str | None,
@@ -238,314 +120,148 @@ def list_cache_for(ifile: InvertedFile, policy: str | None,
     return make_cache(policy, frequencies=frequencies, budget=budget)
 
 
-class NestedSetIndex:
-    """A queryable containment index over a collection of nested sets.
+def _bloom_for(ifile: InvertedFile, kind: str | None,
+               n_bits: int) -> BloomIndex | None:
+    """The ``kind`` Bloom prefilters of ``ifile``'s records.
 
-    Thread-safety: reads are **version-based, not lock-based**.  Every
-    public query entry point (``query``, ``query_batch``, ``explain``,
-    ``match_nodes``) opens a :class:`Snapshot` pinned at the store's
-    committed version and runs against it without blocking -- or being
-    blocked by -- mutations, which serialize among themselves on a
-    writer mutex and commit through the store's MVCC machinery.  The
-    shared caches are epoch-scoped (:mod:`repro.core.snapshot`), so a
-    commit invalidates nothing for in-flight readers.  The store must
-    version its commits (every built-in store does): one whose
-    ``mvcc_info()`` is ``None`` is refused at construction.
+    Filters persisted with a matching shape load directly; otherwise
+    they are built from the record table (one sequential scan) and
+    persisted.
+    """
+    if kind is None:
+        return None
+    stored = BloomIndex.load(ifile.store)
+    if stored is not None and stored.kind == kind \
+            and stored.n_bits == n_bits:
+        return stored
+    bloom_index = BloomIndex(kind, n_bits=n_bits)
+    for _ordinal, _key, _root, tree in ifile.iter_records():
+        bloom_index.add_record(tree)
+    bloom_index.save(ifile.store)
+    return bloom_index
+
+
+class PartitionView:
+    """One partition as of one pinned store version.
+
+    Everything a plan reads here -- configuration, tombstones, dead
+    counts, posting bytes -- is what was committed at that version; the
+    decoded-object caches are the partition's shared, epoch-scoped ones
+    (:mod:`repro.core.snapshot`).  Closing the view closes the store it
+    was opened over.
+    """
+
+    __slots__ = ("_partition", "_ifile", "_generation", "_bloom",
+                 "_result_cache")
+
+    def __init__(self, partition: "Partition", ifile: SnapshotInvertedFile,
+                 generation: InvertedFile) -> None:
+        self._partition = partition
+        self._ifile = ifile
+        self._generation = generation
+        self._bloom = partition.bloom_index
+        result_cache = partition.result_cache
+        if result_cache is not None:
+            # Scope entries to (generation, mutation floor): a commit
+            # starts a fresh key space instead of invalidating, and a
+            # slow reader can only re-populate its own floor's entries.
+            floor = partition._epochs.floor(_RESULT_EPOCH, ifile.version)
+            result_cache = result_cache.at_version((id(generation), floor))
+        self._result_cache = result_cache
+
+    @property
+    def inverted_file(self) -> SnapshotInvertedFile:
+        return self._ifile
+
+    @property
+    def n_records(self) -> int:
+        return self._ifile.n_records
+
+    @property
+    def n_nodes(self) -> int:
+        return self._ifile.n_nodes
+
+    def execution_context(self, *, observer=None,
+                          memo: dict | None = None) -> ExecutionContext:
+        """An execution context bound to this pinned view."""
+        return ExecutionContext(
+            ifile=self._ifile, bloom_index=self._bloom,
+            result_cache=self._result_cache,
+            stats_provider=lambda: self._partition._snapshot_stats(
+                self._ifile, self._generation),
+            observer=observer, memo=memo)
+
+    def close(self) -> None:
+        self._ifile.close()
+
+
+class Partition:
+    """One inverted file of an index, and what exists per file.
+
+    The live file with its list and block caches, the modification
+    epochs and cross-version caches every view of it shares, the Bloom
+    prefilters, the result cache, the writer and the statistics memo.
+    A partition pins nothing and opens no transaction of its own: the
+    owning :class:`NestedSetIndex` hands :meth:`view` an already pinned
+    store and calls :meth:`insert_group` / :meth:`delete` inside its
+    commit group.
     """
 
     def __init__(self, ifile: InvertedFile,
                  bloom_index: BloomIndex | None = None) -> None:
-        self._ifile = ifile
-        self._bloom = bloom_index
+        self.bloom_index = bloom_index
+        #: Whole-query results, scoped per view (see PartitionView).
+        self.result_cache: ResultCache | None = None
         self._stats: CollectionStats | None = None
         self._writer: IndexWriter | None = None
-        self._result_cache: ResultCache | None = None
-        require_snapshots(ifile.store)
-        #: Serializes mutations (and deferred-statistics flushes): reads
-        #: take no lock, so this mutex is the only writer-writer
-        #: coordination.
-        self._writer_mutex = threading.Lock()
-        self._wire_generation(ifile, ModEpochs(), SharedIndexState())
-        #: Snapshot refcounts per index generation; a compact retires
-        #: the old generation and its store closes when the last pinned
-        #: snapshot over it drains.
-        self._gen_lock = threading.Lock()
-        self._gen_counts: dict[InvertedFile, int] = {}
-        self._retired: set[InvertedFile] = set()
         self._memo_lock = threading.Lock()
         self._stats_memo: dict[tuple[int, int], CollectionStats] = {}
-        #: One shared snapshot per committed version (see :meth:`_pinned`):
-        #: queries refcount it on a dedicated lock instead of opening a
-        #: pin per call, keeping reader traffic off the locks the
-        #: writer's put path needs (per-query pin churn convoys with the
-        #: GIL and can starve writers almost completely).
-        self._pin_lock = threading.Lock()
-        self._shared_pin: _SharedPin | None = None
-
-    def _wire_generation(self, ifile: InvertedFile, epochs: ModEpochs,
-                         shared: SharedIndexState) -> None:
-        """Attach the epoch/shared-cache plumbing to a live ifile."""
-        self._epochs = epochs
-        self._shared = shared
-        inner = ifile.cache
-        if isinstance(inner, SnapshotListCache):
-            inner = inner.inner
-        self._list_cache = inner
-        ifile.cache = SnapshotListCache(inner, epochs, None)
-        ifile._epochs = epochs
-        ifile._key_cache = shared.key_cache
-
-    # -- construction ------------------------------------------------------
+        self._wire(ifile)
 
     @classmethod
-    def build(cls, records: Iterable[tuple[str, object]], *,
-              storage: str = "memory", path: str | None = None,
-              cache: str | None = None, cache_budget: int = PAPER_BUDGET,
-              bloom: str | None = None, bloom_bits: int = 512,
-              block_size: int = DEFAULT_BLOCK_SIZE,
-              shards: int = 1, workers: int = 1,
-              shard_policy: object = "hash",
-              **store_options: object) -> "NestedSetIndex | ShardedIndex":
-        """Index ``(key, nested-set)`` records.
-
-        ``cache``: None/"none", "frequency" (the paper's policy) or "lru".
-        ``bloom``: None, "flat", "breadth" or "depth" -- builds per-record
-        prefilters consumed by the naive algorithm.
-        ``block_size``: postings per block of a stored posting list.
-        ``shards``: > 1 partitions the records across that many
-        independent inverted files inside one store and returns a
-        :class:`~repro.core.shard.ShardedIndex` (same query surface;
-        ``workers`` threads fan queries out, ``shard_policy`` picks the
-        partitioner).
-        """
-        if shards > 1:
-            from .shard import ShardedIndex
-            return ShardedIndex.build(
-                records, shards=shards, workers=workers,
-                policy=shard_policy, storage=storage, path=path,
-                cache=cache, cache_budget=cache_budget, bloom=bloom,
-                bloom_bits=bloom_bits, block_size=block_size,
-                **store_options)
-        prepared = ((key, as_nested_set(value)) for key, value in records)
-        ifile = InvertedFile.build(prepared, storage=storage, path=path,
-                                   block_size=block_size, **store_options)
+    def over(cls, ifile: InvertedFile, *, cache: str | None,
+             cache_budget: int, bloom: str | None,
+             bloom_bits: int) -> "Partition":
+        """A partition over a built or reopened inverted file."""
         ifile.cache = list_cache_for(ifile, cache, cache_budget)
-        bloom_index = None
-        if bloom is not None:
-            bloom_index = BloomIndex(bloom, n_bits=bloom_bits)
-            for _ordinal, _key, _root, tree in ifile.iter_records():
-                bloom_index.add_record(tree)
-            bloom_index.save(ifile.store)
-        return cls(ifile, bloom_index)
+        return cls(ifile, _bloom_for(ifile, bloom, bloom_bits))
 
-    @classmethod
-    def build_external(cls, records, *,
-                       storage: str = "memory", path: str | None = None,
-                       memory_budget: int | None = None,
-                       cache: str | None = None,
-                       cache_budget: int = PAPER_BUDGET,
-                       block_size: int = DEFAULT_BLOCK_SIZE,
-                       shards: int = 1, workers: int = 1,
-                       shard_policy: object = "hash",
-                       **store_options: object
-                       ) -> "NestedSetIndex | ShardedIndex":
-        """Bulk-load with a bounded posting buffer (run-merge build).
+    def _wire(self, ifile: InvertedFile) -> None:
+        """Make ``ifile`` the live generation: fresh epochs and shared
+        caches (construction, and again after a compact)."""
+        self._ifile = ifile
+        self._epochs = ModEpochs()
+        self._shared = SharedIndexState()
+        self._list_cache = ifile.cache
+        ifile.cache = SnapshotListCache(self._list_cache, self._epochs, None)
+        ifile._epochs = self._epochs
+        ifile._key_cache = self._shared.key_cache
 
-        Use for collections whose posting lists don't fit in memory; see
-        :mod:`repro.core.bulkload`.  ``memory_budget`` counts buffered
-        postings (default 500k entries).  ``shards > 1`` splits both the
-        records and the budget across that many shard builds and returns
-        a :class:`~repro.core.shard.ShardedIndex`.
+    # -- read views ---------------------------------------------------------
+
+    def view(self, store: KVStore, version: int) -> PartitionView:
+        """Wrap ``store``, this partition's keys pinned at ``version``."""
+        generation = self._ifile
+        store.stats = generation.store.stats    # one home for the counters
+        ifile = SnapshotInvertedFile(
+            store, list_cache=self._list_cache,
+            block_cache=generation.block_cache, shared=self._shared,
+            epochs=self._epochs, version=version, stats=generation.stats)
+        return PartitionView(self, ifile, generation)
+
+    def snapshot(self) -> PartitionView:
+        """A view of this partition alone over a pin of its own.
+
+        For measurement and inspection; close it before the index is
+        compacted or closed (only :meth:`NestedSetIndex.snapshot` holds
+        a store generation open).
         """
-        if shards > 1:
-            from .shard import ShardedIndex
-            return ShardedIndex.build_external(
-                records, shards=shards, workers=workers,
-                policy=shard_policy, storage=storage, path=path,
-                memory_budget=memory_budget, cache=cache,
-                cache_budget=cache_budget, block_size=block_size,
-                **store_options)
-        from .bulkload import DEFAULT_MEMORY_BUDGET, build_external
-        prepared = ((key, as_nested_set(value)) for key, value in records)
-        ifile = build_external(
-            prepared, storage=storage, path=path,
-            memory_budget=(memory_budget if memory_budget is not None
-                           else DEFAULT_MEMORY_BUDGET),
-            block_size=block_size, **store_options)
-        ifile.cache = list_cache_for(ifile, cache, cache_budget)
-        return cls(ifile)
-
-    @classmethod
-    def open(cls, storage: str, path: str, *,
-             cache: str | None = None, cache_budget: int = PAPER_BUDGET,
-             bloom: str | None = None, bloom_bits: int = 512,
-             workers: int = 1,
-             **store_options: object) -> "NestedSetIndex | ShardedIndex":
-        """Reopen a disk-resident index built earlier.
-
-        A store carrying a shard manifest reopens as a
-        :class:`~repro.core.shard.ShardedIndex` automatically (``workers``
-        sizes its fan-out pool; it is ignored for monolithic indexes).
-        Bloom filters persisted at build time reload directly when their
-        kind matches; otherwise they are rebuilt from the record table
-        (one sequential scan).
-        """
-        from ..storage import open_store
-        from .shard import ShardedIndex, read_manifest
-        store = open_store(storage, path, create=False, **store_options)
-        if read_manifest(store) is not None:
-            return ShardedIndex.from_base_store(
-                store, workers=workers, cache=cache,
-                cache_budget=cache_budget, bloom=bloom,
-                bloom_bits=bloom_bits)
-        return cls.from_store(store, cache=cache, cache_budget=cache_budget,
-                              bloom=bloom, bloom_bits=bloom_bits)
-
-    @classmethod
-    def from_store(cls, store: KVStore, *,
-                   cache: str | None = None,
-                   cache_budget: int = PAPER_BUDGET,
-                   bloom: str | None = None,
-                   bloom_bits: int = 512) -> "NestedSetIndex":
-        """Wrap an already-open store holding one inverted file.
-
-        The sharded index uses this to bring up each shard over its
-        namespaced view of the shared store.
-        """
-        ifile = InvertedFile(store)
-        ifile.cache = list_cache_for(ifile, cache, cache_budget)
-        bloom_index = None
-        if bloom is not None:
-            stored = BloomIndex.load(ifile.store)
-            if stored is not None and stored.kind == bloom and \
-                    stored.n_bits == bloom_bits:
-                bloom_index = stored
-            else:
-                bloom_index = BloomIndex(bloom, n_bits=bloom_bits)
-                for _ordinal, _key, _root, tree in ifile.iter_records():
-                    bloom_index.add_record(tree)
-                bloom_index.save(ifile.store)
-        return cls(ifile, bloom_index)
-
-    # -- snapshots ---------------------------------------------------------
-
-    def open_snapshot(self, store: KVStore | None = None,
-                      version: int | None = None) -> Snapshot:
-        """Open a pinned read view (see :meth:`snapshot`).
-
-        ``store`` lets a coordinator supply an already-pinned store view
-        -- the sharded index pins its base store *once* per fan-out and
-        hands each shard engine a namespaced view of that one pin; the
-        snapshot then does not own the base pin.
-        """
-        with self._gen_lock:
-            generation = self._ifile
-            self._gen_counts[generation] = \
-                self._gen_counts.get(generation, 0) + 1
-        try:
-            snap_store = store if store is not None \
-                else generation.store.snapshot()
-            pinned = version if version is not None else snap_store.version
-            ifile = SnapshotInvertedFile(
-                snap_store, list_cache=self._list_cache,
-                block_cache=generation.block_cache, shared=self._shared,
-                epochs=self._epochs, version=pinned,
-                stats=generation.stats)
-        except BaseException:
-            self._release_generation(generation)
-            raise
-        return Snapshot(self, ifile, pinned, generation)
-
-    def snapshot(self) -> Snapshot:
-        """Pin the current committed version and return a read handle.
-
-        The handle's ``query``/``query_batch``/``explain`` answer from
-        that version no matter how many commits land meanwhile; close
-        it to release the pin (and, after a concurrent ``compact``, the
-        retired generation's store).
-        """
-        return self.open_snapshot()
-
-    def _release_generation(self, generation: InvertedFile) -> None:
-        with self._gen_lock:
-            count = self._gen_counts.get(generation, 0) - 1
-            if count > 0:
-                self._gen_counts[generation] = count
-                return
-            self._gen_counts.pop(generation, None)
-            close_now = generation in self._retired
-            self._retired.discard(generation)
-        if close_now:
-            generation.close()
-
-    # -- shared pin ---------------------------------------------------------
-    # One-shot queries do not open a private snapshot each: they share
-    # a single refcounted snapshot of the latest committed
-    # version, re-pinned only when the version advances.  Steady-state
-    # readers then touch exactly one lock (``_pin_lock``), which the
-    # writer's put path never takes -- per-query pin/unpin churn through
-    # writer-shared locks convoys with the GIL badly enough to starve a
-    # background writer thread outright.
-
-    @contextmanager
-    def _pinned(self):
-        """Context manager yielding a shared snapshot of the latest
-        committed version."""
-        pin = self._acquire_pin()
-        try:
-            yield pin.snap
-        finally:
-            self._release_pin(pin)
-
-    def _acquire_pin(self) -> "_SharedPin":
-        # Lock-free committed-version read: a racing commit publishes
-        # its bump as one atomic attribute store, so we see either the
-        # old or the new version -- both servable (read-your-writes for
-        # the committing thread holds because the bump happens-before
-        # its next query under the GIL).
-        version = self._ifile.store.current_version()
-        close_old = None
-        with self._pin_lock:
-            cur = self._shared_pin
-            if cur is not None and not cur.retired \
-                    and cur.version == version \
-                    and cur.generation is self._ifile:
-                cur.refs += 1
-                return cur
-            snap = self.open_snapshot()
-            pin = _SharedPin(snap, snap.version, self._ifile)
-            self._shared_pin = pin
-            if cur is not None:
-                cur.retired = True
-                if cur.refs == 0:
-                    close_old = cur.snap
-        if close_old is not None:
-            close_old.close()
-        return pin
-
-    def _release_pin(self, pin: "_SharedPin") -> None:
-        with self._pin_lock:
-            pin.refs -= 1
-            close_now = pin.refs == 0 and pin.retired
-        if close_now:
-            pin.snap.close()
-
-    def _retire_shared_pin(self) -> None:
-        """Drop the cached shared pin (compact/close): the next reader
-        re-pins against the current generation."""
-        with self._pin_lock:
-            cur = self._shared_pin
-            self._shared_pin = None
-            if cur is None:
-                return
-            cur.retired = True
-            close_now = cur.refs == 0
-        if close_now:
-            cur.snap.close()
+        store = self._ifile.store.snapshot()
+        return self.view(store, store.version)
 
     def _snapshot_stats(self, ifile: SnapshotInvertedFile,
                         generation: InvertedFile) -> CollectionStats:
-        """Collection statistics at a snapshot's version (memoized)."""
+        """Collection statistics at a view's version (memoized)."""
         key = (id(generation),
                self._epochs.floor(_RESULT_EPOCH, ifile.version))
         memo = self._stats_memo.get(key)
@@ -557,6 +273,20 @@ class NestedSetIndex:
                     self._stats_memo.pop(next(iter(self._stats_memo)))
         return memo
 
+    def collection_stats(self) -> CollectionStats:
+        """Frequency statistics over the live records (memoized)."""
+        if self._stats is None:
+            self._stats = CollectionStats.from_inverted_file(self._ifile)
+        return self._stats
+
+    # -- updates (inside the owning index's commit group) --------------------
+
+    def _index_writer(self) -> IndexWriter:
+        if self._writer is None:
+            self._writer = IndexWriter(self._ifile,
+                                       on_mutate=self._note_mutation)
+        return self._writer
+
     def _note_mutation(self, tokens: set[str],
                        postings_changed: bool) -> None:
         """Writer hook: advance modification epochs pre-commit.
@@ -566,7 +296,7 @@ class NestedSetIndex:
         after the commit lands always computes a post-bump floor, while
         readers at older versions are unaffected (their floors count
         only bumps at or below their pinned version).  Deletes change
-        no posting bytes, so they bump only the engine-level
+        no posting bytes, so they bump only the partition-level
         ``_RESULT_EPOCH`` (tombstones change answers, not lists).
         """
         info = self._ifile.store.mvcc_info()
@@ -575,128 +305,29 @@ class NestedSetIndex:
             self._epochs.bump(tokens, upcoming)
         self._epochs.bump((_RESULT_EPOCH,), upcoming)
 
-    # -- querying -----------------------------------------------------------
-
-    def query(self, query: object, *, algorithm: str = "bottomup",
-              semantics: str = "hom", join: str = "subset",
-              epsilon: int = 1, mode: str = "root",
-              use_bloom: bool = False,
-              planner: str | None = None) -> list[str]:
-        """Evaluate ``query ⋉ S``; returns sorted matching record keys.
-
-        ``planner`` ("selective-first" / "bulky-first" / "text") installs
-        a sibling-ordering strategy for the top-down algorithm; see
-        :mod:`repro.core.planner`.  The query is compiled into an
-        :class:`~repro.core.exec.plan.ExecutionPlan` and run against a
-        snapshot pinned for the duration; use :meth:`compile` to inspect
-        the plan and :meth:`explain` for a full evaluation trace.
-        """
-        spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
-                         mode=mode)
-        plan = compile_query(query, spec, algorithm=algorithm,
-                             planner=planner, use_bloom=use_bloom)
-        with self._pinned() as snap:
-            return plan.run(snap.execution_context())
-
-    def compile(self, query: object, *, algorithm: str = "bottomup",
-                semantics: str = "hom", join: str = "subset",
-                epsilon: int = 1, mode: str = "root",
-                use_bloom: bool = False, planner: str | None = None,
-                cacheable: bool = True) -> ExecutionPlan:
-        """Compile a query without running it (validation + plan)."""
-        spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
-                         mode=mode)
-        return compile_query(query, spec, algorithm=algorithm,
-                             planner=planner, use_bloom=use_bloom,
-                             cacheable=cacheable)
-
-    def execution_context(self, *, observer=None,
-                          memo: dict | None = None) -> ExecutionContext:
-        """A context bound to the *live* index state (legacy surface).
-
-        Prefer :meth:`snapshot` -- a live context offers no isolation
-        from concurrent mutations.  Kept for callers
-        that coordinate externally (single-threaded experiments).
-        """
-        return ExecutionContext(
-            ifile=self._ifile, bloom_index=self._bloom,
-            result_cache=self._result_cache,
-            stats_provider=self.collection_stats,
-            observer=observer, memo=memo)
-
-    def explain(self, query: object, *, algorithm: str = "bottomup",
-                semantics: str = "hom", join: str = "subset",
-                epsilon: int = 1, mode: str = "root",
-                use_bloom: bool = False,
-                planner: str | None = None) -> ExplainResult:
-        """Trace one query's evaluation (works for every algorithm).
-
-        The trace observes the real execution through the context, so
-        ``explain(...).matches`` always equals ``query(...)`` with the
-        same options; the result cache is bypassed so the trace reflects
-        a full evaluation.
-        """
-        with self._pinned() as snap:
-            plan = self.compile(query, algorithm=algorithm,
-                                semantics=semantics, join=join,
-                                epsilon=epsilon, mode=mode,
-                                use_bloom=use_bloom, planner=planner,
-                                cacheable=False)
-            return run_explained(plan, snap.execution_context())
-
-    def enable_result_cache(self, capacity: int = 1024) -> ResultCache:
-        """Cache whole query results.
-
-        Entries are scoped to the snapshot version they were computed
-        at, so mutations need not (and do not) invalidate them.
-        Returns the cache so callers can read its hit statistics; call
-        :meth:`disable_result_cache` to turn it off.
-        """
-        self._result_cache = ResultCache(capacity)
-        # The cached shared pin was wired without the cache; drop it so
-        # the next query re-wires (same below on disable).
-        self._retire_shared_pin()
-        return self._result_cache
-
-    def disable_result_cache(self) -> None:
-        self._result_cache = None
-        self._retire_shared_pin()
-
-    @property
-    def result_cache(self) -> ResultCache | None:
-        """The active result cache, if enabled (for stats inspection)."""
-        return self._result_cache
-
-    def match_nodes(self, query: object, *, algorithm: str = "bottomup",
-                    spec: QuerySpec = QuerySpec(),
-                    planner: str | None = None) -> set[int]:
-        """Raw node-level result: ids at which the query embeds."""
-        plan = compile_query(query, spec, algorithm=algorithm,
-                             planner=planner, cacheable=False)
-        with self._pinned() as snap:
-            return plan.match_nodes(snap.execution_context())
-
-    def collection_stats(self) -> CollectionStats:
-        """Frequency statistics over the indexed collection (memoized)."""
-        if self._stats is None:
-            self._stats = CollectionStats.from_inverted_file(self._ifile)
-        return self._stats
-
-    # -- updates ----------------------------------------------------------------
-
-    def _index_writer(self) -> IndexWriter:
-        if self._writer is None:
-            self._writer = IndexWriter(self._ifile,
-                                       on_mutate=self._note_mutation)
-        return self._writer
-
-    def _after_mutation(self) -> None:
+    def insert_group(self, records: Iterable[tuple[str, NestedSet]]
+                     ) -> list[int]:
+        """Buffer ``records`` and write them as this partition's slice
+        of the open commit group; returns their ordinals."""
+        writer = self._index_writer()
+        store = self._ifile.store
+        ordinals: list[int] = []
+        for key, tree in records:
+            ordinals.append(writer.insert(key, tree, flush_stats=False))
+            if self.bloom_index is not None:
+                self.bloom_index.append_persisted(store, tree)
+        writer.flush()
         self._stats = None
-        # The commit advanced the version, so the cached shared pin can
-        # never be reused -- retire it now rather than letting a stale
-        # pin force pre-image capture on every subsequent page write
-        # (unbounded history growth under write-only workloads).
-        self._retire_shared_pin()
+        return ordinals
+
+    def delete(self, key: str) -> bool:
+        """Tombstone ``key`` if this partition holds it."""
+        deleted = self._index_writer().delete(key)
+        if deleted:
+            # Dead counts change live frequencies: the memoized
+            # collection statistics (planner input) must be recomputed.
+            self._stats = None
+        return deleted
 
     def note_replicated_apply(self, version: int | None = None) -> None:
         """Replica-side pre-apply hook: shipped groups are about to land.
@@ -713,130 +344,167 @@ class NestedSetIndex:
         self._epochs.bump_all(version)
         self._epochs.bump((_RESULT_EPOCH,), version)
 
-    def finish_replicated_apply(self) -> None:
-        """Replica-side post-apply hook: refresh live-object state.
-
-        The inverted-file config, tombstones, bloom filters and
-        memoized statistics were all computed from pages that the
-        replicated apply just rewrote; refreshing them here keeps the
-        engine answering correctly the moment it serves -- including
-        right after a promotion turns mutations back on.
-        """
-        self.reload_live_state()
-
     def reload_live_state(self) -> None:
         """Re-derive the live in-memory objects from the store as it is.
 
-        Also what an aborted commit group calls (:func:`commit_group`):
-        the writer goes too, its pending buffers belong to the group
-        the store discarded.
+        The inverted-file configuration, tombstones, dead counts, Bloom
+        filters and memoized statistics; the writer goes too, its
+        pending buffers belong to a group the store no longer has.
         """
         self._writer = None
         self._ifile.reload_config()
-        if self._bloom is not None:
-            self._bloom.refresh_persisted(self._ifile.store)
+        if self.bloom_index is not None:
+            self.bloom_index.refresh_persisted(self._ifile.store)
         self._stats = None
         with self._memo_lock:
             self._stats_memo.clear()
-        self._retire_shared_pin()
 
-    def insert(self, key: str, value: object) -> int:
-        """Add one record to the live index; returns its ordinal.
+    def rebuilt(self, store: KVStore
+                ) -> tuple[InvertedFile, BloomIndex | None]:
+        """The live records (and their Bloom filters) rebuilt into
+        ``store``; the partition itself is untouched until
+        :meth:`adopt`."""
+        fresh = self._index_writer().compact(store=store)
+        if self.bloom_index is None:
+            return fresh, None
+        return fresh, _bloom_for(fresh, self.bloom_index.kind,
+                                 self.bloom_index.n_bits)
 
-        A commit group of one: see :meth:`insert_batch`.
+    def adopt(self, fresh: InvertedFile,
+              bloom_index: BloomIndex | None) -> None:
+        """Swap to a rebuilt generation (see :meth:`rebuilt`)."""
+        self._writer = None
+        if self.result_cache is not None:
+            # Version numbering restarts with the fresh store;
+            # generation-scoped keys prevent collisions, but the old
+            # entries can never hit again -- drop them.
+            self.result_cache.invalidate_all()
+        self._list_cache.clear()
+        self._wire(fresh)
+        self.bloom_index = bloom_index
+        self._stats = None
+        with self._memo_lock:
+            self._stats_memo.clear()
+
+    def set_cache(self, policy: str | None, budget: int) -> None:
+        """Swap the inverted-list cache policy in place."""
+        self._list_cache = list_cache_for(self._ifile, policy, budget)
+        self._ifile.cache = SnapshotListCache(self._list_cache,
+                                              self._epochs, None)
+
+    # -- introspection ------------------------------------------------------
+
+    @property
+    def inverted_file(self) -> InvertedFile:
+        return self._ifile
+
+    @property
+    def n_records(self) -> int:
+        return self._ifile.n_records
+
+    @property
+    def n_nodes(self) -> int:
+        return self._ifile.n_nodes
+
+
+class _Reads:
+    """The read surface: compile once, run on every partition view of
+    one pinned :class:`Snapshot`, merge.
+
+    Both users supply ``_index`` and an ``_acquire()`` /
+    ``_release(snap)`` pair: :class:`NestedSetIndex` pins per call
+    (sharing one pin per committed version); a held :class:`Snapshot`
+    answers from itself.  Either way every partition of one call
+    observes the same committed version.
+    """
+
+    def _fan_out(self, task: Callable[[PartitionView], object],
+                 workers: int | None = None) -> list:
+        """Run ``task`` once per partition view; parallel when
+        ``workers`` (default: the index's pool) allow."""
+        executor = self._index._executor
+        snap = self._acquire()
+        try:
+            if workers is None or workers == executor.max_workers:
+                return executor.map(task, snap.views)
+            with ShardExecutor(max_workers=workers) as pool:
+                return pool.map(task, snap.views)
+        finally:
+            self._release(snap)
+
+    def _merge(self, outcomes: list
+               ) -> tuple[list[list[str]], ExecCounters]:
+        """Per-partition ``(key lists, counters)`` into one of each;
+        the counters also accumulate on the index."""
+        if len(outcomes) == 1:      # one partition: both are the answer
+            merged, counters = outcomes[0]
+        else:
+            counters = ExecCounters.merged(
+                [part_counters for _results, part_counters in outcomes])
+            # Partitions are disjoint in keys, so a flat sort of the
+            # concatenation is the exact answer.
+            merged = [sorted(key for part in parts for key in part)
+                      for parts in zip(*(results for results, _counters
+                                         in outcomes))]
+        index = self._index
+        with index._counters_lock:
+            index.counters.merge(counters)
+        return merged, counters
+
+    def run_plans(self, plans: Sequence[ExecutionPlan], *,
+                  memoize: bool = False, workers: int | None = None
+                  ) -> tuple[list[list[str]], ExecCounters]:
+        """Run pre-compiled plans on every partition; merge.
+
+        Every partition gets its own execution context over the one
+        pinned version (and, with ``memoize=True``, its own cross-query
+        subquery memo -- node ids are partition-local, so memos cannot
+        be shared).  Returns per-plan merged key lists plus this call's
+        merged counters (also accumulated into
+        :attr:`NestedSetIndex.counters`).
         """
-        return self._insert_group([(key, value)], b"insert")[0]
+        def run(view: PartitionView):
+            ctx = view.execution_context(memo={} if memoize else None)
+            return [plan.run(ctx) for plan in plans], ctx.counters
 
-    def insert_batch(self, records: Iterable[tuple[str, object]]
-                     ) -> list[int]:
-        """Insert several records as **one** WAL commit group.
+        return self._merge(self._fan_out(run, workers))
 
-        The writer numbers and buffers the records, then writes the
-        group: every posting list the batch touches once, the
-        node-metadata tail, ALL/ZERO, the statistics delta and the
-        configuration once.  On journaled stores all of it -- the Bloom
-        filter appends included -- is one write-ahead-log group with one
-        commit fsync: a crash at any point leaves the index wholly
-        without or with the batch, readers observe none of it or all of
-        it, and the store version advances once.  Mutations serialize
-        on the writer mutex; concurrent readers keep running against
-        their pinned versions throughout.  A group that raises (a
-        duplicate key, say) writes nothing and leaves the index as it
-        found it.
+    def run_prefix_join(self, queries: Sequence[NestedSet],
+                        spec: QuerySpec, *, workers: int | None = None
+                        ) -> tuple[list[list[str]], ExecCounters]:
+        """The prefix-tree join (:mod:`repro.core.prefixjoin`) on every
+        partition; merge.
+
+        Each partition builds its own prefix tree and subquery memo
+        (node ids, frequencies and posting lists are all
+        partition-local); returns what :meth:`run_plans` returns, per
+        query.
         """
-        return self._insert_group(records, b"ingest")
+        def run(view: PartitionView):
+            ctx = view.execution_context(memo={})
+            return prefix_join_lists(queries, ctx, spec), ctx.counters
 
-    def _insert_group(self, records: Iterable[tuple[str, object]],
-                      label: bytes) -> list[int]:
-        with self._writer_mutex:
-            ordinals: list[int] = []
-            writer = self._index_writer()
-            store = self._ifile.store
-            with commit_group(store, label, self.reload_live_state):
-                for key, value in records:
-                    tree = as_nested_set(value)
-                    ordinals.append(
-                        writer.insert(key, tree, flush_stats=False))
-                    if self._bloom is not None:
-                        self._bloom.append_persisted(store, tree)
-                writer.flush()
-            self._after_mutation()
-            return ordinals
+        return self._merge(self._fan_out(run, workers))
 
-    def delete(self, key: str) -> bool:
-        """Tombstone the record with ``key``; see repro.core.updates."""
-        with self._writer_mutex:
-            deleted = self._index_writer().delete(key)
-            if deleted:
-                # Dead counts change live frequencies: the memoized
-                # collection statistics (planner input) must be recomputed.
-                self._after_mutation()
-            return deleted
+    def query(self, query: object, *, algorithm: str = "bottomup",
+              semantics: str = "hom", join: str = "subset",
+              epsilon: int = 1, mode: str = "root",
+              use_bloom: bool = False, planner: str | None = None,
+              workers: int | None = None) -> list[str]:
+        """Evaluate ``query ⋉ S``; returns sorted matching record keys.
 
-    def compact(self, *, storage: str = "memory",
-                path: str | None = None,
-                store: KVStore | None = None) -> None:
-        """Rebuild the index from live records, dropping tombstones.
-
-        The engine swaps to the fresh index in place; disk targets need a
-        new ``path`` (a store cannot be rebuilt into its own open file).
-        ``store`` accepts a pre-opened destination (used by the sharded
-        index to compact each shard into one fresh shared store).
-        Snapshots pinned on the old generation keep answering from it;
-        its store closes when the last of them is released.
+        ``planner`` ("selective-first" / "bulky-first" / "text") installs
+        a sibling-ordering strategy for the top-down algorithm; see
+        :mod:`repro.core.planner`.  The query is compiled into an
+        :class:`~repro.core.exec.plan.ExecutionPlan` and run against one
+        pinned version; use :meth:`NestedSetIndex.compile` to inspect
+        the plan and :meth:`explain` for a full evaluation trace.
         """
-        with self._writer_mutex:
-            fresh = self._index_writer().compact(storage=storage, path=path,
-                                                 store=store)
-            self._writer = None
-            if self._result_cache is not None:
-                # Version numbering restarts with the fresh store;
-                # generation-scoped keys prevent collisions, but the old
-                # entries can never hit again -- drop them.
-                self._result_cache.invalidate_all()
-            old_bloom_kind = self._bloom.kind if self._bloom else None
-            # Drop the cached shared pin first: it holds a generation
-            # refcount, and closing it here (when idle) lets the old
-            # store close immediately below instead of deferring.
-            self._retire_shared_pin()
-            with self._gen_lock:
-                old = self._ifile
-                defer = self._gen_counts.get(old, 0) > 0
-                if defer:
-                    self._retired.add(old)
-            if not defer:
-                old.close()
-            self._list_cache.clear()
-            self._wire_generation(fresh, ModEpochs(), SharedIndexState())
-            self._ifile = fresh
-            self._stats = None
-            with self._memo_lock:
-                self._stats_memo.clear()
-            if old_bloom_kind is not None:
-                self._bloom = BloomIndex(old_bloom_kind)
-                for _ordinal, _key, _root, tree in fresh.iter_records():
-                    self._bloom.add_record(tree)
-                self._bloom.save(fresh.store)
+        spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
+                         mode=mode)
+        plan = compile_query(query, spec, algorithm=algorithm,
+                             planner=planner, use_bloom=use_bloom)
+        return self.run_plans([plan], workers=workers)[0][0]
 
     def query_batch(self, queries: Sequence[object], *,
                     share_subqueries: bool = True,
@@ -847,31 +515,63 @@ class NestedSetIndex:
                     workers: int | None = None) -> list[list[str]]:
         """Evaluate a workload of queries (the paper times 100 at a time).
 
-        All plans share one execution context over one pinned snapshot,
-        so every answer in the batch reflects the same index version
-        even while writers commit concurrently.  When every plan
-        supports it (the memoized evaluation is bottom-up, so
-        ``bottomup`` only), a cross-query subquery memo is attached so
-        structurally shared subtrees are evaluated once per batch; pass
+        Every answer in the batch reflects the same index version even
+        while writers commit concurrently.  When every plan supports it
+        (the memoized evaluation is bottom-up, so ``bottomup`` only), a
+        cross-query subquery memo is attached so structurally shared
+        subtrees are evaluated once per batch and partition; pass
         ``share_subqueries=False`` to opt out and run a plain per-query
         loop.  Results are identical either way (tested property).
-        ``workers`` exists for facade symmetry with
-        :class:`~repro.core.shard.ShardedIndex`; a monolithic index has
-        a single execution context and always evaluates sequentially.
         """
-        del workers  # single index: nothing to fan out over
         spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
                          mode=mode)
         plans = [compile_query(query, spec, algorithm=algorithm,
                                planner=planner, use_bloom=use_bloom)
                  for query in queries]
-        memo: dict | None = None
-        if share_subqueries and plans and \
-                all(plan.match.memoizable for plan in plans):
-            memo = {}
-        with self._pinned() as snap:
-            ctx = snap.execution_context(memo=memo)
-            return [plan.run(ctx) for plan in plans]
+        memoize = bool(share_subqueries and plans and
+                       all(plan.match.memoizable for plan in plans))
+        return self.run_plans(plans, memoize=memoize, workers=workers)[0]
+
+    def explain(self, query: object, *, algorithm: str = "bottomup",
+                semantics: str = "hom", join: str = "subset",
+                epsilon: int = 1, mode: str = "root",
+                use_bloom: bool = False, planner: str | None = None,
+                workers: int | None = None
+                ) -> ExplainResult | MergedExplainResult:
+        """Trace one query's evaluation (works for every algorithm).
+
+        The trace observes the real execution through the context, so
+        ``explain(...).matches`` always equals ``query(...)`` with the
+        same options; the result cache is bypassed so the trace reflects
+        a full evaluation.  One partition yields its
+        :class:`ExplainResult`; several, one trace each under a merged
+        header.
+        """
+        spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
+                         mode=mode)
+        plan = compile_query(query, spec, algorithm=algorithm,
+                             planner=planner, use_bloom=use_bloom,
+                             cacheable=False)
+        started = time.perf_counter()
+        traces = self._fan_out(
+            lambda view: run_explained(plan, view.execution_context()),
+            workers)
+        return merge_explains(traces,
+                              (time.perf_counter() - started) * 1000)
+
+    def match_nodes(self, query: object, *, algorithm: str = "bottomup",
+                    spec: QuerySpec = QuerySpec(),
+                    planner: str | None = None) -> set[int]:
+        """Raw node-level result: ids at which the query embeds.
+
+        Node ids are partition-local: defined for a one-partition index,
+        :class:`~repro.core.shard.ShardError` otherwise.
+        """
+        self._index._sole_partition("match_nodes")
+        plan = compile_query(query, spec, algorithm=algorithm,
+                             planner=planner, cacheable=False)
+        return self._fan_out(
+            lambda view: plan.match_nodes(view.execution_context()))[0]
 
     def containment_join(self, queries: Iterable[tuple[str, object]],
                          **options: object) -> list[tuple[str, str]]:
@@ -879,7 +579,7 @@ class NestedSetIndex:
 
         Accepts the same options as :meth:`query_batch` (including
         ``share_subqueries``); the whole join runs through one compiled
-        batch against one pinned snapshot.  See
+        batch against one pinned version.  See
         :func:`repro.core.join.containment_join` for the strategy-level
         executor with counters.
         """
@@ -904,96 +604,688 @@ class NestedSetIndex:
                 join=join, epsilon=epsilon, mode=mode)
         return out
 
+
+class Snapshot(_Reads):
+    """A consistent read view of an index, pinned at one version.
+
+    Obtained from :meth:`NestedSetIndex.snapshot`: the base store pinned
+    **once**, and one :class:`PartitionView` per partition over that one
+    pin.  Every read method runs entirely against the pinned version, so
+    writers commit freely while this handle is open and the answers
+    never mix two states.  Close it (or use it as a context manager) to
+    release the pin.
+    """
+
+    def __init__(self, index: "NestedSetIndex", base: KVStore,
+                 pinned: KVStore, views: list[PartitionView]) -> None:
+        self._index = index
+        self._base = base
+        self._pinned = pinned
+        self.views = views
+        #: The pinned base-store version.
+        self.version: int = pinned.version
+        #: Sharing bookkeeping of the index's per-version pin (guarded
+        #: by its ``_pin_lock``; unused on a handle the caller holds).
+        self.refs = 1
+        self.retired = False
+        self._closed = False
+
+    @property
+    def n_records(self) -> int:
+        return sum(view.n_records for view in self.views)
+
+    @property
+    def n_nodes(self) -> int:
+        return sum(view.n_nodes for view in self.views)
+
+    def _acquire(self) -> "Snapshot":
+        return self
+
+    def _release(self, snap: "Snapshot") -> None:
+        pass
+
+    def close(self) -> None:
+        """Release the version pin (idempotent) and, after a concurrent
+        ``compact``/``close`` of the index, the retired base store."""
+        if self._closed:
+            return
+        self._closed = True
+        for view in self.views:
+            view.close()
+        self._pinned.close()
+        self._index._release_base(self._base)
+
+    def __enter__(self) -> "Snapshot":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class NestedSetIndex(_Reads):
+    """A queryable containment index over a collection of nested sets.
+
+    Thread-safety: reads are **version-based, not lock-based**.  Every
+    read entry point (``query``, ``query_batch``, ``explain``,
+    ``match_nodes``, the joins) runs against a :class:`Snapshot` pinned
+    at the base store's committed version without blocking -- or being
+    blocked by -- mutations, which serialize among themselves on the
+    writer mutex and commit through the store's MVCC machinery, each as
+    one :func:`commit_group` whatever partitions it touches.  The shared
+    caches are epoch-scoped (:mod:`repro.core.snapshot`), so a commit
+    invalidates nothing for in-flight readers.  The store must version
+    its commits (every built-in store does): one whose ``mvcc_info()``
+    is ``None`` is refused at construction.
+    """
+
+    def __init__(self, base_store: KVStore, partitions: Sequence[Partition],
+                 policy: object, *, workers: int = 1) -> None:
+        if not partitions:
+            raise ShardError("an index needs at least one partition")
+        require_snapshots(base_store)
+        self._base = base_store
+        self._partitions = tuple(partitions)
+        self._policy = policy
+        self._executor = ShardExecutor(max_workers=workers)
+        #: Serializes mutations (route + partition writes + commit as
+        #: one unit): reads take no lock, so this mutex is the only
+        #: writer-writer coordination.
+        self._writer_mutex = threading.Lock()
+        #: Guards which generation is live (``_base`` and the partitions'
+        #: wiring) and the snapshot refcounts per base store; a compact
+        #: retires the old base, which closes when the last snapshot
+        #: over it is released.
+        self._gen_lock = threading.Lock()
+        self._base_counts: dict[KVStore, int] = {}
+        self._retired: set[KVStore] = set()
+        #: Cumulative, workload-level counters merged from every fan-out.
+        self.counters = ExecCounters()
+        self._counters_lock = threading.Lock()
+        #: One shared snapshot per committed version (:meth:`_acquire`):
+        #: queries refcount it on a dedicated lock instead of pinning
+        #: the base per call, keeping reader traffic off the locks the
+        #: writer's put path needs (per-query pin churn convoys with the
+        #: GIL and can starve writers almost completely).
+        self._pin_lock = threading.Lock()
+        self._shared_pin: Snapshot | None = None
+
+    @property
+    def _index(self) -> "NestedSetIndex":
+        return self
+
+    # -- construction ------------------------------------------------------
+
+    @classmethod
+    def _build(cls, records: Iterable[tuple[str, object]],
+               build_one: Callable[[Iterator, KVStore], InvertedFile], *,
+               storage: str, path: str | None, shards: int, workers: int,
+               shard_policy: object, store_options: dict,
+               cache: str | None, cache_budget: int,
+               bloom: str | None = None,
+               bloom_bits: int = 512) -> "NestedSetIndex":
+        """Partition ``records``, build one inverted file per partition
+        into one fresh store, publish the layout last.
+
+        Partition builds run sequentially: they write interleaved key
+        ranges into the shared base store, and the disk pagers are not
+        safe for concurrent writers.
+        """
+        if shards < 1:
+            raise ShardError("shards must be >= 1")
+        policy = make_policy(shard_policy)
+        prepared = ((key, as_nested_set(value)) for key, value in records)
+        if shards == 1:
+            buckets: list = [prepared]      # streamed, never materialized
+        else:
+            buckets = [[] for _ in range(shards)]
+            for key, tree in prepared:
+                buckets[policy.shard_of(key, shards)].append((key, tree))
+        base = open_store(storage, path, create=True, **store_options)
+        stores = partition_stores(base, shards if shards > 1 else None)
+        partitions = [Partition.over(build_one(iter(bucket), store),
+                                     cache=cache, bloom=bloom,
+                                     cache_budget=max(
+                                         1, cache_budget // shards),
+                                     bloom_bits=bloom_bits)
+                      for bucket, store in zip(buckets, stores)]
+        if shards > 1:
+            commit_manifest(base, shards, policy.name)
+        return cls(base, partitions, policy, workers=workers)
+
+    @classmethod
+    def build(cls, records: Iterable[tuple[str, object]], *,
+              storage: str = "memory", path: str | None = None,
+              cache: str | None = None, cache_budget: int = PAPER_BUDGET,
+              bloom: str | None = None, bloom_bits: int = 512,
+              block_size: int = DEFAULT_BLOCK_SIZE,
+              shards: int = 1, workers: int = 1,
+              shard_policy: object = "hash",
+              **store_options: object) -> "NestedSetIndex":
+        """Index ``(key, nested-set)`` records.
+
+        ``cache``: None/"none", "frequency" (the paper's policy) or "lru".
+        ``bloom``: None, "flat", "breadth" or "depth" -- builds per-record
+        prefilters consumed by the naive algorithm.
+        ``block_size``: postings per block of a stored posting list.
+        ``shards``: how many partitions the records are split across
+        (``shard_policy`` picks the partitioner); 1 stores the paper's
+        one inverted file, more store one namespace each plus a
+        manifest.  ``workers`` threads fan queries out.
+        """
+        return cls._build(
+            records,
+            lambda bucket, store: InvertedFile.build(
+                bucket, store=store, block_size=block_size),
+            storage=storage, path=path, shards=shards, workers=workers,
+            shard_policy=shard_policy, store_options=store_options,
+            cache=cache, cache_budget=cache_budget, bloom=bloom,
+            bloom_bits=bloom_bits)
+
+    @classmethod
+    def build_external(cls, records: Iterable[tuple[str, object]], *,
+                       storage: str = "memory", path: str | None = None,
+                       memory_budget: int | None = None,
+                       cache: str | None = None,
+                       cache_budget: int = PAPER_BUDGET,
+                       block_size: int = DEFAULT_BLOCK_SIZE,
+                       shards: int = 1, workers: int = 1,
+                       shard_policy: object = "hash",
+                       **store_options: object) -> "NestedSetIndex":
+        """Bulk-load with a bounded posting buffer (run-merge build).
+
+        Use for collections whose posting lists don't fit in memory; see
+        :mod:`repro.core.bulkload`.  ``memory_budget`` counts buffered
+        postings (default 500k entries) and is split evenly across the
+        ``shards`` partition builds.
+        """
+        from .bulkload import DEFAULT_MEMORY_BUDGET, build_external
+        if memory_budget is None:
+            memory_budget = DEFAULT_MEMORY_BUDGET
+        return cls._build(
+            records,
+            lambda bucket, store: build_external(
+                bucket, store=store, block_size=block_size,
+                memory_budget=memory_budget // shards or memory_budget),
+            storage=storage, path=path, shards=shards, workers=workers,
+            shard_policy=shard_policy, store_options=store_options,
+            cache=cache, cache_budget=cache_budget)
+
+    @classmethod
+    def open(cls, storage: str, path: str, *,
+             cache: str | None = None, cache_budget: int = PAPER_BUDGET,
+             bloom: str | None = None, bloom_bits: int = 512,
+             workers: int = 1,
+             **store_options: object) -> "NestedSetIndex":
+        """Reopen a disk-resident index built earlier (see
+        :meth:`from_store`; ``workers`` sizes the fan-out pool)."""
+        store = open_store(storage, path, create=False, **store_options)
+        return cls.from_store(store, cache=cache, cache_budget=cache_budget,
+                              bloom=bloom, bloom_bits=bloom_bits,
+                              workers=workers)
+
+    @classmethod
+    def from_store(cls, store: KVStore, *,
+                   cache: str | None = None,
+                   cache_budget: int = PAPER_BUDGET,
+                   bloom: str | None = None, bloom_bits: int = 512,
+                   workers: int = 1) -> "NestedSetIndex":
+        """Bring up an index over an already-open store.
+
+        The partitions are what the store says: without a manifest its
+        key space is one inverted file, with one it names the namespaces
+        and the policy that routed the records.  Bloom filters persisted
+        at build time reload directly when their kind matches; otherwise
+        they are rebuilt from the record table (one sequential scan).
+        """
+        require_snapshots(store)
+        n_shards, policy_name = read_manifest(store) or (None, "hash")
+        stores = partition_stores(store, n_shards)
+        budget = max(1, cache_budget // len(stores))
+        partitions = [Partition.over(InvertedFile(view), cache=cache,
+                                     cache_budget=budget, bloom=bloom,
+                                     bloom_bits=bloom_bits)
+                      for view in stores]
+        return cls(store, partitions, make_policy(policy_name),
+                   workers=workers)
+
+    # -- snapshots ---------------------------------------------------------
+
+    def snapshot(self) -> Snapshot:
+        """Pin the current committed version and return a read handle.
+
+        The base store is pinned exactly once and each partition gets a
+        view of that pin, so all partitions observe the same committed
+        version even while the writer commits between per-partition
+        tasks.  The handle answers from that version no matter how many
+        commits land meanwhile; close it to release the pin (and, after
+        a concurrent ``compact``, the retired base store).
+        """
+        with self._gen_lock:
+            base = self._base
+            pinned = base.snapshot()
+            try:
+                namespaced = self._partitions[0].inverted_file.store \
+                    is not base
+                stores = partition_stores(
+                    pinned, len(self._partitions) if namespaced else None,
+                    pinned=True)
+                views = [partition.view(store, pinned.version)
+                         for partition, store
+                         in zip(self._partitions, stores)]
+            except BaseException:
+                pinned.close()
+                raise
+            self._base_counts[base] = self._base_counts.get(base, 0) + 1
+        return Snapshot(self, base, pinned, views)
+
+    def _release_base(self, base: KVStore) -> None:
+        with self._gen_lock:
+            count = self._base_counts.get(base, 0) - 1
+            if count > 0:
+                self._base_counts[base] = count
+                return
+            self._base_counts.pop(base, None)
+            close_now = base in self._retired
+            self._retired.discard(base)
+        if close_now:
+            base.close()
+
+    def _retire_base(self) -> KVStore | None:
+        """(Under ``_gen_lock``.)  Retire the live base store: returned
+        when it can close now, else closed by the last snapshot over it
+        as that is released."""
+        if self._base_counts.get(self._base, 0) > 0:
+            self._retired.add(self._base)
+            return None
+        return self._base
+
+    # -- shared pin ---------------------------------------------------------
+    # One-shot reads do not open a private snapshot each: they share a
+    # single refcounted snapshot of the latest committed version,
+    # re-pinned only when the version advances.  Steady-state readers
+    # then touch exactly one lock (``_pin_lock``), which the writer's
+    # put path never takes -- per-query pin/unpin churn through
+    # writer-shared locks convoys with the GIL badly enough to starve a
+    # background writer thread outright.
+
+    def _acquire(self) -> Snapshot:
+        # Lock-free committed-version read: a racing commit publishes
+        # its bump as one atomic attribute store, so we see either the
+        # old or the new version -- both servable (read-your-writes for
+        # the committing thread holds because the bump happens-before
+        # its next query under the GIL).
+        version = self._base.current_version()
+        close_old = None
+        with self._pin_lock:
+            cur = self._shared_pin
+            if cur is not None and not cur.retired \
+                    and cur.version == version \
+                    and cur._base is self._base:
+                cur.refs += 1
+                return cur
+            pin = self._shared_pin = self.snapshot()
+            if cur is not None:
+                cur.retired = True
+                if cur.refs == 0:
+                    close_old = cur
+        if close_old is not None:
+            close_old.close()
+        return pin
+
+    def _release(self, snap: Snapshot) -> None:
+        with self._pin_lock:
+            snap.refs -= 1
+            close_now = snap.refs == 0 and snap.retired
+        if close_now:
+            snap.close()
+
+    def _retire_shared_pin(self) -> None:
+        """Drop the cached shared pin (mutations/compact/close/cache
+        swaps): the next reader re-pins at the then-current state.
+        Without this a stale pin would force pre-image capture on every
+        subsequent page write (unbounded history growth under
+        write-only loads)."""
+        with self._pin_lock:
+            cur = self._shared_pin
+            self._shared_pin = None
+            if cur is None:
+                return
+            cur.retired = True
+            close_now = cur.refs == 0
+        if close_now:
+            cur.close()
+
+    # -- querying (the read methods are :class:`_Reads`') -------------------
+
+    def compile(self, query: object, *, algorithm: str = "bottomup",
+                semantics: str = "hom", join: str = "subset",
+                epsilon: int = 1, mode: str = "root",
+                use_bloom: bool = False, planner: str | None = None,
+                cacheable: bool = True) -> ExecutionPlan:
+        """Compile a query without running it (validation + plan); the
+        plan is partition-independent."""
+        spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
+                         mode=mode)
+        return compile_query(query, spec, algorithm=algorithm,
+                             planner=planner, use_bloom=use_bloom,
+                             cacheable=cacheable)
+
+    # -- updates -------------------------------------------------------------
+
+    @contextmanager
+    def _mutation(self, label: bytes) -> Iterator[None]:
+        """One writer at a time, one commit group on the base store.
+
+        On journaled stores the group is one write-ahead-log group with
+        one commit fsync however its writes scatter across partitions:
+        a crash at any point leaves the index wholly without or with
+        it, readers observe none of it or all of it, and the store
+        version advances once.  A group that raises writes nothing and
+        :meth:`reload_live_state` leaves every partition as the store
+        has it.
+        """
+        with self._writer_mutex:
+            try:
+                with commit_group(self._base, label,
+                                  self.reload_live_state):
+                    yield
+            finally:
+                # The commit advanced the version, so the cached shared
+                # pin can never be reused -- retire it now.
+                self._retire_shared_pin()
+
+    def reload_live_state(self) -> None:
+        """Re-derive every partition's live in-memory objects from the
+        store as it is (an aborted commit group; a replicated apply)."""
+        for partition in self._partitions:
+            partition.reload_live_state()
+        self._retire_shared_pin()
+
+    def _route(self, key: str) -> int:
+        return self._policy.shard_of(key, len(self._partitions))
+
+    def insert(self, key: str, value: object) -> int:
+        """Add one record to the live index; returns its ordinal within
+        the owning partition.  A commit group of one: see
+        :meth:`insert_batch`."""
+        return self._insert_group([(key, value)], b"insert")[0]
+
+    def insert_batch(self, records: Iterable[tuple[str, object]]
+                     ) -> list[int]:
+        """Insert several records as **one** WAL commit group.
+
+        Each partition's writer numbers and buffers its slice, then
+        writes it: every posting list the slice touches once, the
+        node-metadata tail, ALL/ZERO, the statistics delta, the Bloom
+        filter appends and the configuration once.  Only the owning
+        partitions' cached results go stale; the others' stay warm.  A
+        group that raises (a duplicate key, say) writes nothing and
+        leaves the index as it found it.
+        """
+        return self._insert_group(records, b"ingest")
+
+    def _insert_group(self, records: Iterable[tuple[str, object]],
+                      label: bytes) -> list[int]:
+        materialized = [(key, as_nested_set(value))
+                        for key, value in records]
+        with self._mutation(label):
+            # Route first (in submission order, so stateful policies
+            # like round-robin scatter exactly as single inserts do),
+            # then hand each partition its whole slice.
+            slices: dict[int, list[int]] = {}
+            for pos, (key, _tree) in enumerate(materialized):
+                slices.setdefault(self._route(key), []).append(pos)
+            ordinals = [0] * len(materialized)
+            for shard_no, positions in slices.items():
+                inserted = self._partitions[shard_no].insert_group(
+                    [materialized[pos] for pos in positions])
+                for pos, ordinal in zip(positions, inserted):
+                    ordinals[pos] = ordinal
+        return ordinals
+
+    def delete(self, key: str) -> bool:
+        """Tombstone the record with ``key``; see repro.core.updates.
+
+        Under a key-deterministic policy only the owning partition is
+        asked; under another (round-robin) the routed partition may
+        miss, so the others are tried (at most one can hold the key).
+        """
+        with self._mutation(b"delete"):
+            routed = self._route(key)
+            if self._partitions[routed].delete(key):
+                return True
+            if isinstance(self._policy, HashShardPolicy):
+                return False
+            return any(partition.delete(key)
+                       for shard_no, partition in enumerate(self._partitions)
+                       if shard_no != routed)
+
+    def compact(self, *, storage: str = "memory",
+                path: str | None = None,
+                **store_options: object) -> None:
+        """Rebuild the index from live records, dropping tombstones.
+
+        Every partition is rebuilt into one fresh base store and the
+        index swaps to it in place; disk targets need a new ``path`` (a
+        store cannot be rebuilt into its own open file).  Snapshots
+        pinned on the old base keep answering from it; it closes when
+        the last of them is released.
+        """
+        with self._writer_mutex:
+            n_shards = len(self._partitions)
+            fresh_base = open_store(storage, path, create=True,
+                                    **store_options)
+            stores = partition_stores(fresh_base,
+                                      n_shards if n_shards > 1 else None)
+            rebuilt = [partition.rebuilt(store) for partition, store
+                       in zip(self._partitions, stores)]
+            if n_shards > 1:
+                # Last: until it lands the fresh store is not a valid
+                # index and the old store is still whole.
+                commit_manifest(fresh_base, n_shards, self._policy.name)
+            # Drop the cached shared pin first: it holds a base
+            # refcount, and closing it here (when idle) lets the old
+            # base close immediately below instead of deferring.
+            self._retire_shared_pin()
+            with self._gen_lock:
+                idle = self._retire_base()
+                self._base = fresh_base
+                for partition, (fresh, bloom) in zip(self._partitions,
+                                                     rebuilt):
+                    partition.adopt(fresh, bloom)
+            if idle is not None:
+                idle.close()
+
+    # -- replication hooks ----------------------------------------------------
+    # All partitions share one base store / one pager / one shipped log,
+    # so one replicated commit group can touch any of them.
+
+    def note_replicated_apply(self, version: int | None = None) -> None:
+        """Replica-side pre-apply hook (see
+        :meth:`Partition.note_replicated_apply`)."""
+        for partition in self._partitions:
+            partition.note_replicated_apply(version)
+
+    def finish_replicated_apply(self) -> None:
+        """Replica-side post-apply hook: everything the live objects
+        computed came from pages the apply just rewrote; reloading keeps
+        the index answering correctly the moment it serves -- including
+        right after a promotion turns mutations back on."""
+        self.reload_live_state()
+
+    # -- caches ---------------------------------------------------------------
+
+    def enable_result_cache(self, capacity: int = 1024) -> ResultCacheGroup:
+        """Cache whole query results, ``capacity`` per partition.
+
+        Entries are scoped to the partition state they were computed
+        at, so mutations need not (and do not) invalidate them -- and a
+        mutation of one partition leaves the others' entries reachable.
+        Returns the aggregate view so callers can read hit statistics;
+        call :meth:`disable_result_cache` to turn it off.
+        """
+        for partition in self._partitions:
+            partition.result_cache = ResultCache(capacity)
+        # The cached shared pin was wired without the caches; drop it so
+        # the next query re-wires (same on disable / cache swap).
+        self._retire_shared_pin()
+        return self.result_cache
+
+    def disable_result_cache(self) -> None:
+        for partition in self._partitions:
+            partition.result_cache = None
+        self._retire_shared_pin()
+
+    @property
+    def result_cache(self) -> ResultCacheGroup | None:
+        """The active result caches behind one view, if enabled."""
+        caches = [partition.result_cache for partition in self._partitions]
+        return None if caches[0] is None else ResultCacheGroup(caches)
+
     def set_cache(self, policy: str | None,
                   budget: int = PAPER_BUDGET) -> None:
-        """Swap the inverted-list cache policy in place.
+        """Swap the inverted-list cache policy in place (``budget``
+        split evenly across partitions).
 
         The experiment harness runs each configuration with and without
         caching on the *same* built index; swapping the cache (rather than
         rebuilding) is what makes that cheap.  Open snapshots keep the
         cache they were wired with.
         """
+        share = max(1, budget // len(self._partitions))
         with self._writer_mutex:
-            inner = list_cache_for(self._ifile, policy, budget)
-            self._list_cache = inner
-            self._ifile.cache = SnapshotListCache(inner, self._epochs, None)
-        # One-shot queries must pick up the new cache immediately.
+            for partition in self._partitions:
+                partition.set_cache(policy, share)
         self._retire_shared_pin()
 
-    # -- introspection ----------------------------------------------------------
+    # -- statistics -------------------------------------------------------------
 
-    @property
-    def n_records(self) -> int:
-        return self._ifile.n_records
+    def collection_stats(self) -> CollectionStats:
+        """Live-frequency statistics over the whole collection."""
+        return CollectionStats.merged(
+            [partition.collection_stats()
+             for partition in self._partitions])
 
-    @property
-    def n_nodes(self) -> int:
-        return self._ifile.n_nodes
-
-    @property
-    def inverted_file(self) -> InvertedFile:
-        return self._ifile
-
-    @property
-    def bloom_index(self) -> BloomIndex | None:
-        return self._bloom
-
-    def records(self) -> Iterable[tuple[str, NestedSet]]:
-        """Iterate ``(key, tree)`` over the indexed collection."""
-        for _ordinal, key, _root, tree in self._ifile.iter_records():
-            yield key, tree
+    def frequencies(self) -> list[tuple[object, int]]:
+        """Raw document frequencies over the whole collection,
+        descending (CLI ``info`` surface)."""
+        parts = [partition.inverted_file.frequencies()
+                 for partition in self._partitions]
+        if len(parts) == 1:
+            return parts[0]
+        merged: dict[object, int] = {}
+        for part in parts:
+            for atom, count in part:
+                merged[atom] = merged.get(atom, 0) + count
+        return sorted(merged.items(),
+                      key=lambda item: (-item[1], str(item[0])))
 
     def stats(self) -> dict[str, dict[str, object]]:
         """Index / cache / store counters, for reports and experiments."""
+        ifiles = [partition.inverted_file for partition in self._partitions]
+        index: dict[str, object] = {"records": self.n_records,
+                                    "nodes": self.n_nodes}
+        for counter in fields(QueryStats):
+            index[counter.name] = sum(getattr(ifile.stats, counter.name)
+                                      for ifile in ifiles)
+        index["decode_path"] = decode_path_of(
+            index["intersects_vectorized"], index["intersects_scalar"])
+        hits = sum(ifile.cache.stats.hits for ifile in ifiles)
+        misses = sum(ifile.cache.stats.misses for ifile in ifiles)
         out: dict[str, dict[str, object]] = {
-            "index": {
-                "records": self.n_records,
-                "nodes": self.n_nodes,
-                "postings_requests": self._ifile.stats.postings_requests,
-                "cache_hits": self._ifile.stats.cache_hits,
-                "lists_decoded": self._ifile.stats.lists_decoded,
-                "meta_block_reads": self._ifile.stats.meta_block_reads,
-                "blocks_read": self._ifile.stats.blocks_read,
-                "blocks_skipped": self._ifile.stats.blocks_skipped,
-                "bytes_decoded": self._ifile.stats.bytes_decoded,
-                "intersects_vectorized":
-                    self._ifile.stats.intersects_vectorized,
-                "intersects_scalar": self._ifile.stats.intersects_scalar,
-                "decode_path": self._ifile.stats.decode_path,
-            },
+            "index": index,
             "cache": {
-                "policy": self._ifile.cache.name,
-                "hits": self._ifile.cache.stats.hits,
-                "misses": self._ifile.cache.stats.misses,
-                "hit_rate": self._ifile.cache.stats.hit_rate,
+                "policy": ifiles[0].cache.name,
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
             },
-            "store": self._ifile.store.stats.snapshot(),
+            "store": self._base.stats.snapshot(),
+            "shards": {
+                "count": len(self._partitions),
+                "policy": self._policy.name,
+                "workers": self._executor.max_workers,
+                "exec": self.counters.snapshot(),
+            },
         }
-        wal = self._ifile.store.wal_info()
+        wal = self._base.wal_info()
         if wal is not None:
             out["wal"] = wal
-        mvcc = self._ifile.store.mvcc_info()
+        mvcc = self._base.mvcc_info()
         with self._gen_lock:
-            mvcc["open_snapshots"] = sum(self._gen_counts.values())
+            mvcc["open_snapshots"] = sum(self._base_counts.values())
             mvcc["retired_generations"] = len(self._retired)
         out["mvcc"] = mvcc
         return out
 
     def reset_stats(self) -> None:
         """Zero all query-time counters (between experiment runs)."""
-        self._ifile.reset_stats()
+        for partition in self._partitions:
+            partition.inverted_file.reset_stats()
+        self.counters = ExecCounters()
+
+    # -- introspection ----------------------------------------------------------
+
+    @property
+    def n_shards(self) -> int:
+        return len(self._partitions)
+
+    @property
+    def shards(self) -> tuple[Partition, ...]:
+        """The partitions, in shard-number order."""
+        return self._partitions
+
+    @property
+    def policy(self) -> object:
+        return self._policy
+
+    @property
+    def workers(self) -> int:
+        return self._executor.max_workers
+
+    @property
+    def base_store(self) -> KVStore:
+        """The one physical store every partition lives in."""
+        return self._base
+
+    def _sole_partition(self, what: str) -> Partition:
+        if len(self._partitions) > 1:
+            raise ShardError(
+                f"{what} is not defined on an index of "
+                f"{len(self._partitions)} partitions: node ids are "
+                "partition-local; use an individual one via .shards[i]")
+        return self._partitions[0]
+
+    @property
+    def inverted_file(self) -> InvertedFile:
+        """The inverted file of a one-partition index."""
+        return self._sole_partition("inverted_file").inverted_file
+
+    @property
+    def n_records(self) -> int:
+        return sum(partition.n_records for partition in self._partitions)
+
+    @property
+    def n_nodes(self) -> int:
+        return sum(partition.n_nodes for partition in self._partitions)
+
+    def records(self) -> Iterator[tuple[str, NestedSet]]:
+        """Iterate ``(key, tree)`` over the indexed collection,
+        partition by partition."""
+        for partition in self._partitions:
+            for _ordinal, key, _root, tree in \
+                    partition.inverted_file.iter_records():
+                yield key, tree
 
     # -- lifecycle ------------------------------------------------------------------
 
     def close(self) -> None:
         self._retire_shared_pin()
+        self._executor.shutdown()
         with self._gen_lock:
-            live = self._ifile
-            defer = self._gen_counts.get(live, 0) > 0
-            if defer:
-                self._retired.add(live)
-        if not defer:
-            live.close()
+            idle = self._retire_base()
+        if idle is not None:
+            idle.close()
 
     def __enter__(self) -> "NestedSetIndex":
         return self

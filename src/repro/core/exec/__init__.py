@@ -11,7 +11,7 @@ all the same machinery with different contexts attached.
 
 from .compiler import ALGORITHMS, compile_query
 from .context import ExecCounters, ExecutionContext
-from .observer import ExplainResult, NodeTrace, TraceSink, run_explained
+from ..observe import ExplainResult, NodeTrace, TraceSink, run_explained
 from .plan import (
     CandidateStage,
     ExecutionPlan,

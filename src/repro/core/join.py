@@ -19,11 +19,12 @@ one call with one strategy knob:
   live collection statistics (workload size and df-weighted sharing
   ratio); the decision and its evidence land in ``extra["dispatch"]``.
 
-The compiled strategies run their plans on one shared execution
-context; the prefix strategy runs the workload through one shared
-candidate provider.  Either way the join observes a single pinned
-snapshot (one per shard under a sharded fan-out, all pinned at the
-same committed base version), and the context counters feed the
+The compiled strategies run their plans on one execution context per
+partition of the index; the prefix strategy runs the workload through
+one candidate provider per partition.  Either way the join observes a
+single pinned version of the index
+(:meth:`NestedSetIndex.run_plans <repro.core.engine.NestedSetIndex.run_plans>`
+/ ``run_prefix_join``), and the merged context counters feed the
 :class:`JoinResult` statistics.  Results are ``(q_key, s_key)`` pairs.
 """
 
@@ -37,7 +38,7 @@ from .engine import NestedSetIndex
 from .exec.compiler import compile_query
 from .matchspec import QuerySpec
 from .model import NestedSet, as_nested_set
-from .prefixjoin import choose_strategy, prefix_join_lists
+from .prefixjoin import choose_strategy
 
 STRATEGIES = ("per-query", "batched", "naive", "prefix", "adaptive")
 
@@ -119,8 +120,11 @@ def containment_join(index: NestedSetIndex,
             raise ValueError(
                 "Bloom prefiltering applies to the naive algorithm only; "
                 "the prefix strategy cannot honor use_bloom=True")
-        pairs, counters, elapsed = _run_prefix(index, materialized, spec,
-                                               workers)
+        start = time.perf_counter()
+        results, counters = index.run_prefix_join(
+            [query for _qkey, query in materialized], spec, workers=workers)
+        pairs = _pairs(materialized, results)
+        elapsed = time.perf_counter() - start
         extra: dict[str, object] = {
             "prefix_nodes": counters.prefix_nodes,
             "prefix_streams": counters.prefix_streams,
@@ -134,39 +138,21 @@ def containment_join(index: NestedSetIndex,
                           n_queries=len(materialized),
                           elapsed_seconds=elapsed, extra=extra,
                           query_keys=query_keys)
-    if effective == "batched":
-        plan_algorithm, memo = "bottomup", {}
-    elif effective == "naive":
-        plan_algorithm, memo = "naive", None
-    else:
-        plan_algorithm, memo = algorithm, None
+    memoize = effective == "batched"
+    plan_algorithm = {"batched": "bottomup",
+                      "naive": "naive"}.get(effective, algorithm)
     # compile_query itself rejects use_bloom for non-naive algorithms
     # (PlanError is a ValueError), so the caller's option is never
     # silently dropped.
     plans = [compile_query(query, spec, algorithm=plan_algorithm,
                            use_bloom=use_bloom)
              for _qkey, query in materialized]
-    from .shard import ShardedIndex
+    # One pinned version for the whole join: every pair reflects the
+    # same committed state even while writers land concurrently.
     start = time.perf_counter()
-    pairs = []
-    if isinstance(index, ShardedIndex):
-        # Sharded collection: one context (and memo) per shard, counters
-        # merged across the fan-out.
-        results, counters = index.run_plans(plans,
-                                            memoize=memo is not None,
-                                            workers=workers)
-        for (qkey, _query), result in zip(materialized, results):
-            for skey in result:
-                pairs.append((qkey, skey))
-    else:
-        # One snapshot for the whole join: every pair reflects the same
-        # committed version even while writers land concurrently.
-        with index._pinned() as snap:
-            ctx = snap.execution_context(memo=memo)
-            for (qkey, _query), plan in zip(materialized, plans):
-                for skey in plan.run(ctx):
-                    pairs.append((qkey, skey))
-            counters = ctx.counters
+    results, counters = index.run_plans(plans, memoize=memoize,
+                                        workers=workers)
+    pairs = _pairs(materialized, results)
     elapsed = time.perf_counter() - start
     extra = {}
     if effective == "batched":
@@ -183,27 +169,11 @@ def containment_join(index: NestedSetIndex,
                       query_keys=query_keys)
 
 
-def _run_prefix(index: NestedSetIndex,
-                materialized: list[tuple[str, NestedSet]],
-                spec: QuerySpec, workers: int | None):
-    """The prefix-tree execution path, monolithic or sharded."""
-    from .shard import ShardedIndex
-    queries = [query for _qkey, query in materialized]
-    start = time.perf_counter()
-    if isinstance(index, ShardedIndex):
-        # One trie and one memo per shard (node ids and frequencies are
-        # shard-local) over one pinned snapshot group.
-        results, counters = index.run_prefix_join(queries, spec,
-                                                  workers=workers)
-    else:
-        with index._pinned() as snap:
-            ctx = snap.execution_context(memo={})
-            results = prefix_join_lists(queries, ctx, spec)
-            counters = ctx.counters
-    pairs = [(qkey, skey)
-             for (qkey, _query), result in zip(materialized, results)
-             for skey in result]
-    return pairs, counters, time.perf_counter() - start
+def _pairs(materialized: list[tuple[str, NestedSet]],
+           results: list[list[str]]) -> list[tuple[str, str]]:
+    return [(qkey, skey)
+            for (qkey, _query), result in zip(materialized, results)
+            for skey in result]
 
 
 def self_join(index: NestedSetIndex, *,

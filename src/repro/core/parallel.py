@@ -1,8 +1,8 @@
 """Concurrency primitives: the shard fan-out executor.
 
-The sharded index (:mod:`repro.core.shard`) evaluates every compiled
-plan against each shard independently; this module owns *how* that
-fan-out runs.  :class:`ShardExecutor` wraps a
+An index (:mod:`repro.core.engine`) evaluates every compiled plan
+against each of its partitions independently; this module owns *how*
+that fan-out runs.  :class:`ShardExecutor` wraps a
 :class:`~concurrent.futures.ThreadPoolExecutor` with
 
 * a sequential fallback at ``workers=1`` (no pool, no thread hops --
@@ -13,8 +13,8 @@ fan-out runs.  :class:`ShardExecutor` wraps a
 * order-preserving :meth:`map` semantics with exception propagation,
   so callers can zip results back to shards positionally.
 
-Readers need no coordination primitive from here: the index facades pin
-a store version per query and writers commit freely.
+Readers need no coordination primitive from here: the index pins a
+store version per query and writers commit freely.
 """
 
 from __future__ import annotations

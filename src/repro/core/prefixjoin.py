@@ -244,8 +244,9 @@ def prefix_join_lists(queries: Sequence[NestedSet],
     """Evaluate a whole workload against one context's inverted file.
 
     Returns one lexicographically sorted key list per query (the same
-    contract as running the queries' compiled plans), so sharded
-    fan-outs can merge exactly like :meth:`ShardedIndex.run_plans`.
+    contract as running the queries' compiled plans), so a fan-out
+    over partitions merges exactly like
+    :meth:`NestedSetIndex.run_plans <repro.core.engine.NestedSetIndex.run_plans>`.
     """
     provider = SharedCandidates(ctx, spec)
     memo = ctx.memo if ctx.memo is not None else {}

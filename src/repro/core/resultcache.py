@@ -134,3 +134,31 @@ class VersionedResultCache:
 
     def __len__(self) -> int:
         return len(self._cache)
+
+
+class ResultCacheGroup:
+    """Aggregate view over the per-partition result caches of one index.
+
+    The read surface callers use (``stats``, ``invalidate_all``,
+    ``len``); the caches themselves stay per partition, so a mutation of
+    one partition leaves the others' entries reachable.
+    """
+
+    def __init__(self, caches: "list[ResultCache]") -> None:
+        self._caches = caches
+
+    @property
+    def stats(self) -> ResultCacheStats:
+        total = ResultCacheStats()
+        for cache in self._caches:
+            total.hits += cache.stats.hits
+            total.misses += cache.stats.misses
+            total.invalidations += cache.stats.invalidations
+        return total
+
+    def invalidate_all(self) -> None:
+        for cache in self._caches:
+            cache.invalidate_all()
+
+    def __len__(self) -> int:
+        return sum(len(cache) for cache in self._caches)

@@ -57,6 +57,20 @@ class CollectionStats:
         return cls(ifile.live_document_frequencies().items(), ifile.n_nodes,
                    ifile.n_live_records, block_size=ifile.block_size)
 
+    @classmethod
+    def merged(cls, parts: "list[CollectionStats]") -> "CollectionStats":
+        """Statistics over the union of disjoint collections (the
+        partitions of one index); one part is the answer already."""
+        if len(parts) == 1:
+            return parts[0]
+        df: dict[Atom, int] = {}
+        for part in parts:
+            for atom, count in part._df.items():
+                df[atom] = df.get(atom, 0) + count
+        return cls(list(df.items()), sum(part.n_nodes for part in parts),
+                   sum(part.n_records for part in parts),
+                   block_size=parts[0].block_size)
+
     # -- per-atom ------------------------------------------------------------
 
     def document_frequency(self, atom: Atom) -> int:

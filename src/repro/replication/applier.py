@@ -38,7 +38,6 @@ from ..storage.pager import wal_path
 from ..storage.wal import WriteAheadLog
 from .log import ReplicationLog, sidecar_path, split_shipped_label, \
     write_sidecar
-from .shipper import base_store_of
 
 #: Default long-poll window of one tail fetch (milliseconds).
 DEFAULT_POLL_WAIT_MS = 500
@@ -95,7 +94,7 @@ class ReplicaTailer:
                  primary_address: str,
                  poll_wait_ms: int = DEFAULT_POLL_WAIT_MS,
                  max_groups: int = 256) -> None:
-        store = base_store_of(index)
+        store = index.base_store
         pager = store.pager
         if pager is None or not isinstance(pager.wal, ReplicationLog):
             raise ValueError("replica store must be opened with "

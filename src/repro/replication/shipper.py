@@ -50,14 +50,6 @@ MAX_PAGE_RUN_BYTES = 4 << 20
 MAX_FETCH_BYTES = 4 << 20
 
 
-def base_store_of(index):
-    """The single backing KVStore of an index (sharded or not)."""
-    store = getattr(index, "base_store", None)
-    if store is None:
-        store = index.inverted_file.store
-    return store
-
-
 class _Session:
     __slots__ = ("reader", "n_pages", "last_used")
 
@@ -71,7 +63,7 @@ class ReplicationSource:
     """Serves bootstrap snapshots and log tails off a primary's index."""
 
     def __init__(self, index) -> None:
-        store = base_store_of(index)
+        store = index.base_store
         pager = getattr(store, "pager", None)
         if pager is None:
             raise ValueError(

@@ -1,9 +1,9 @@
 """Long-lived asyncio query service over a resident containment index.
 
-One process holds one open index -- monolithic
-(:class:`~repro.core.engine.NestedSetIndex`) or sharded
-(:class:`~repro.core.shard.ShardedIndex`) -- and serves the
-length-prefixed protocol of :mod:`repro.server.protocol` over TCP.
+One process holds one open index
+(:class:`~repro.core.engine.NestedSetIndex`, of one partition or
+several) and serves the length-prefixed protocol of
+:mod:`repro.server.protocol` over TCP.
 The design has five load-bearing pieces:
 
 * **Admission control** -- at most ``max_inflight`` admitted requests at

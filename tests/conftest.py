@@ -75,10 +75,10 @@ def document_frequencies(trees: Iterable[object]) -> dict:
 
 def reported_frequencies(index) -> tuple[dict, dict]:
     """(raw, live) document frequencies as an index reports them,
-    summed over the shards of a sharded one."""
+    summed over its partitions."""
     raw: Counter = Counter()
     live: Counter = Counter()
-    for engine in getattr(index, "shards", (index,)):
+    for engine in index.shards:
         raw.update(dict(engine.inverted_file.frequencies()))
         live.update(dict(engine.inverted_file.live_frequencies()))
     return dict(raw), dict(live)

@@ -12,7 +12,7 @@ sharded layout's headline advantage on mixed workloads)."""
 from __future__ import annotations
 
 from repro.core.engine import NestedSetIndex
-from repro.core.shard import HashShardPolicy, ShardedIndex
+from repro.core.shard import HashShardPolicy
 
 RECORDS = [(f"r{i}", "{hub, leaf%d}".replace("%d", str(i % 4)))
            for i in range(16)]
@@ -65,7 +65,7 @@ class TestMonolithicInvalidation:
 
 class TestShardedPartialInvalidation:
     def test_only_owning_shard_entries_go_stale(self) -> None:
-        index = ShardedIndex.build(RECORDS, shards=4)
+        index = NestedSetIndex.build(RECORDS, shards=4)
         cache = index.enable_result_cache()
         index.query("{hub}")
         index.query("{hub}")                     # warm: one entry per shard
@@ -88,7 +88,7 @@ class TestShardedPartialInvalidation:
             assert hits == (1 if shard_no == owner else 2)
 
     def test_sharded_delete_never_served_from_cache(self) -> None:
-        index = ShardedIndex.build(RECORDS, shards=3)
+        index = NestedSetIndex.build(RECORDS, shards=3)
         cache = index.enable_result_cache()
         assert "r5" in index.query("{hub}")
         index.query("{hub}")
@@ -97,7 +97,7 @@ class TestShardedPartialInvalidation:
         assert "r5" not in index.query("{hub}")
 
     def test_aggregate_cache_view(self) -> None:
-        index = ShardedIndex.build(RECORDS, shards=3)
+        index = NestedSetIndex.build(RECORDS, shards=3)
         cache = index.enable_result_cache()
         index.query("{hub}")
         index.query("{hub}")
@@ -110,7 +110,7 @@ class TestShardedPartialInvalidation:
         assert all(engine.result_cache is None for engine in index.shards)
 
     def test_sharded_compact_with_cache(self) -> None:
-        index = ShardedIndex.build(RECORDS, shards=3)
+        index = NestedSetIndex.build(RECORDS, shards=3)
         index.enable_result_cache()
         index.delete("r2")
         expected = index.query("{hub}")
@@ -163,7 +163,7 @@ class TestStaleRepopulationRaces:
         assert "r3" not in index.query("{hub}")
 
     def test_sharded_pinned_repopulation_cannot_poison_live(self) -> None:
-        index = ShardedIndex.build(RECORDS, shards=3, cache="lru")
+        index = NestedSetIndex.build(RECORDS, shards=3, cache="lru")
         index.enable_result_cache()
         with index.snapshot() as pinned:
             assert "r3" in pinned.query("{hub}")

@@ -5,8 +5,8 @@ reader/writer coordination is a correctness contract, not an
 implementation detail: any number of concurrent ``query`` calls must each
 see one committed version of the index while ``insert``/``delete`` commit
 beside them.
-These tests hammer exactly that contract -- on a monolithic index and on
-a 4-shard one -- and check *exact* answers before and after every
+These tests hammer exactly that contract -- on an index of one partition
+and on one of four -- and check *exact* answers before and after every
 mutation, not just the absence of crashes.
 """
 
@@ -20,7 +20,6 @@ from repro.bench.workloads import generate_dataset
 from repro.core.engine import NestedSetIndex
 from repro.core.invfile import InvertedFile
 from repro.core.model import NestedSet
-from repro.core.shard import ShardedIndex, make_policy
 from repro.data.ingest import StreamIngestor
 from repro.storage import KVStore, StorageError
 
@@ -52,18 +51,14 @@ class TestSnapshotSupportIsRequired:
     def test_a_store_without_snapshots_is_refused_at_construction(
             self) -> None:
         """Reads pin a version and take no lock, so there is nothing to
-        fall back on: the facades refuse such a store once, up front."""
+        fall back on: the index refuses such a store once, up front."""
         store = _UnversionedStore()
         ifile = InvertedFile.build(
             [("r0", NestedSet(["a"])), ("r1", NestedSet(["a", "b"]))],
             store=store)
         assert len(ifile.postings("a")) == 2    # the file itself reads
         with pytest.raises(StorageError, match="mvcc_info"):
-            NestedSetIndex(ifile)
-        with pytest.raises(StorageError, match="mvcc_info"):
             NestedSetIndex.from_store(store)
-        with pytest.raises(StorageError, match="mvcc_info"):
-            ShardedIndex(store, [object()], make_policy("hash"))
 
 
 def _build(shards: int):

@@ -134,7 +134,8 @@ def _group_bytes(atoms_per_record: int) -> int:
     records = [(f"s{i}", NestedSet([f"v{i}_{j}"
                                     for j in range(atoms_per_record)]))
                for i in range(200)]
-    index = NestedSetIndex(InvertedFile.build(records, store=store))
+    InvertedFile.build(records, store=store)
+    index = NestedSetIndex.from_store(store)
     group = [(f"n{i}", "{v%d_0, v%d_1, new%d}" % (i, i, i))
              for i in range(5)]
     before = store.value_bytes

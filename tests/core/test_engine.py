@@ -69,7 +69,7 @@ class TestBuildAndQuery:
         index = NestedSetIndex.build(paper_records, bloom="flat")
         assert index.query(paper_query, algorithm="naive",
                            use_bloom=True) == ["tim"]
-        assert index.bloom_index is not None
+        assert index.shards[0].bloom_index is not None
 
 
 class TestCacheManagement:

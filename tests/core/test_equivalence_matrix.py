@@ -127,7 +127,7 @@ class TestFormatEquivalence:
 class TestLegacyIndexCompatibility:
     def test_new_builds_default_to_blocked(self) -> None:
         index = NestedSetIndex.build(_corpus(6))
-        assert index._ifile.block_size > 0
+        assert index.inverted_file.block_size > 0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

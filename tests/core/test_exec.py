@@ -20,6 +20,13 @@ from repro.core.model import NestedSet
 N = NestedSet
 
 
+def _context(index: NestedSetIndex, **options) -> ExecutionContext:
+    """An execution context over the (one) partition of ``index``, as
+    of the version committed now."""
+    view, = index.snapshot().views
+    return view.execution_context(**options)
+
+
 class TestCompile:
     def test_default_plan_shape(self) -> None:
         plan = compile_query("{a, {b}}")
@@ -105,19 +112,19 @@ class TestPlanRun:
                                       paper_query) -> None:
         index = NestedSetIndex.build(paper_records)
         plan = compile_query(paper_query)
-        assert plan.run(index.execution_context()) == \
+        assert plan.run(_context(index)) == \
             index.query(paper_query)
 
     def test_match_nodes_rejected_for_naive(self, paper_records) -> None:
         index = NestedSetIndex.build(paper_records)
         plan = compile_query("{a}", algorithm="naive")
         with pytest.raises(PlanError, match="node-level"):
-            plan.match_nodes(index.execution_context())
+            plan.match_nodes(_context(index))
 
     def test_counters_accumulate(self, paper_records, paper_query) -> None:
         index = NestedSetIndex.build(paper_records)
         index.enable_result_cache()
-        ctx = index.execution_context()
+        ctx = _context(index)
         plan = compile_query(paper_query)
         plan.run(ctx)
         plan.run(ctx)
@@ -127,7 +134,7 @@ class TestPlanRun:
 
     def test_naive_counters(self, small_corpus) -> None:
         index = NestedSetIndex.build(small_corpus, bloom="flat")
-        ctx = index.execution_context()
+        ctx = _context(index)
         plan = compile_query(small_corpus[0][1], algorithm="naive",
                              use_bloom=True)
         plan.run(ctx)
@@ -137,7 +144,7 @@ class TestPlanRun:
 
     def test_shared_memo_reuses_subqueries(self, small_corpus) -> None:
         index = NestedSetIndex.build(small_corpus)
-        ctx = index.execution_context(memo={})
+        ctx = _context(index, memo={})
         query = small_corpus[0][1]
         plan = compile_query(query, cacheable=False)
         first = plan.run(ctx)
@@ -212,7 +219,7 @@ class TestExplainEveryAlgorithm:
                                        paper_query) -> None:
         index = NestedSetIndex.build(paper_records)
         plan = compile_query(paper_query, cacheable=False)
-        result = run_explained(plan, index.execution_context())
+        result = run_explained(plan, _context(index))
         assert result.matches == index.query(paper_query)
 
 

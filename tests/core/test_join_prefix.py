@@ -22,7 +22,6 @@ from repro.core.join import STRATEGIES, containment_join, self_join
 from repro.core.matchspec import QuerySpec
 from repro.core.model import NestedSet
 from repro.core.prefixjoin import PrefixTree, choose_strategy
-from repro.core.shard import ShardedIndex
 
 from ..conftest import random_tree
 
@@ -58,9 +57,7 @@ def _workload(seed: int, corpus) -> list[tuple[str, NestedSet]]:
 
 
 def _build(corpus, shards: int):
-    if shards == 1:
-        return NestedSetIndex.build(corpus)
-    return ShardedIndex.build(corpus, shards=shards)
+    return NestedSetIndex.build(corpus, shards=shards)
 
 
 @pytest.mark.parametrize("shards", [1, 4])
@@ -120,7 +117,7 @@ class TestCounters:
 
     def test_counters_surface_in_sharded_stats(self) -> None:
         corpus = _corpus(43)
-        index = ShardedIndex.build(corpus, shards=2)
+        index = NestedSetIndex.build(corpus, shards=2)
         queries = _workload(44, corpus)
         containment_join(index, queries, strategy="prefix")
         exec_stats = index.stats()["shards"]["exec"]

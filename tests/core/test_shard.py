@@ -1,5 +1,5 @@
-"""Sharded index: equivalence with the monolithic engine, persistence,
-routing, merge semantics, and the fan-out executor."""
+"""An index of k partitions: equivalence with the one-partition index,
+persistence, routing, merge semantics, and the fan-out executor."""
 
 from __future__ import annotations
 
@@ -8,13 +8,12 @@ import random
 import pytest
 
 from repro.core.engine import NestedSetIndex
-from repro.core.exec.observer import MergedExplainResult
+from repro.core.observe import ExplainResult, MergedExplainResult
 from repro.core.parallel import ShardExecutor
 from repro.core.shard import (
     MANIFEST_KEY,
     HashShardPolicy,
     RoundRobinShardPolicy,
-    ShardedIndex,
     ShardError,
     make_policy,
     read_manifest,
@@ -28,18 +27,16 @@ from .test_equivalence_matrix import VALID_COMBOS, _corpus, _queries
 
 def _build_pair(seed: int, shards: int, workers: int):
     records = _corpus(seed)
-    mono = NestedSetIndex.build(records)
-    # Direct constructor so the degenerate 1-shard layout is covered too
-    # (the facade returns a monolithic index for shards=1).
-    sharded = ShardedIndex.build(records, shards=shards, workers=workers)
-    assert isinstance(sharded, ShardedIndex)
+    mono = NestedSetIndex.build(records, shards=1)
+    sharded = NestedSetIndex.build(records, shards=shards, workers=workers)
+    assert (mono.n_shards, sharded.n_shards) == (1, shards)
     return mono, sharded
 
 
 @pytest.mark.parametrize("shards", [1, 3, 4])
 @pytest.mark.parametrize("workers", [1, 4])
 class TestShardedEquivalenceMatrix:
-    """The acceptance matrix: sharded == monolithic everywhere."""
+    """The acceptance matrix: k partitions == one, everywhere."""
 
     @pytest.mark.parametrize("semantics,join", VALID_COMBOS)
     def test_query_matrix(self, shards, workers, semantics, join) -> None:
@@ -67,8 +64,11 @@ class TestShardedEquivalenceMatrix:
         mono, sharded = _build_pair(9, shards, workers)
         for query in _queries(109, n=4):
             result = sharded.explain(query, algorithm="topdown")
-            assert isinstance(result, MergedExplainResult)
             assert result.matches == mono.query(query, algorithm="topdown")
+            if shards == 1:     # the merge of one trace is that trace
+                assert isinstance(result, ExplainResult)
+                continue
+            assert isinstance(result, MergedExplainResult)
             assert len(result.shards) == shards
             assert "shards]" in result.render().splitlines()[0]
 
@@ -85,8 +85,8 @@ class TestShardedBuildAndOpen:
         index.close()
 
         reopened = NestedSetIndex.open(storage, path, workers=4)
-        assert isinstance(reopened, ShardedIndex)
         assert reopened.n_shards == 3
+        assert reopened.workers == 4
         assert reopened.n_records == len(records)
         assert [reopened.query(query) for query in queries] == expected
         reopened.close()
@@ -96,7 +96,8 @@ class TestShardedBuildAndOpen:
         NestedSetIndex.build(_corpus(12), storage="diskhash",
                              path=path).close()
         reopened = NestedSetIndex.open("diskhash", path)
-        assert isinstance(reopened, NestedSetIndex)
+        assert reopened.n_shards == 1
+        assert reopened.inverted_file.store is reopened.base_store
         reopened.close()
 
     def test_manifest_written(self) -> None:
@@ -109,7 +110,7 @@ class TestShardedBuildAndOpen:
         mono = NestedSetIndex.build(records)
         sharded = NestedSetIndex.build_external(records, shards=3,
                                                 memory_budget=50)
-        assert isinstance(sharded, ShardedIndex)
+        assert sharded.n_shards == 3
         for query in _queries(114, n=6):
             assert sharded.query(query) == mono.query(query)
 
@@ -122,7 +123,7 @@ class TestShardedBuildAndOpen:
 
     def test_invalid_shard_count(self) -> None:
         with pytest.raises(ShardError):
-            ShardedIndex.build([], shards=0)
+            NestedSetIndex.build([], shards=0)
 
 
 class TestRoutingAndUpdates:
@@ -160,7 +161,7 @@ class TestRoutingAndUpdates:
         assert index.query(records[2][1]) == expected
         index.close()
         reopened = NestedSetIndex.open(storage, str(tmp_path / "b.idx"))
-        assert isinstance(reopened, ShardedIndex)
+        assert reopened.n_shards == 3
         assert reopened.query(records[2][1]) == expected
         reopened.close()
 
@@ -345,7 +346,7 @@ class TestRoundRobinDeleteFallback:
     (it already missed), and must try every other shard exactly once."""
 
     @staticmethod
-    def _instrumented(index: ShardedIndex) -> list[int]:
+    def _instrumented(index: NestedSetIndex) -> list[int]:
         calls: list[int] = []
         for shard_no, engine in enumerate(index.shards):
             original = engine.delete
@@ -361,7 +362,6 @@ class TestRoundRobinDeleteFallback:
         records = [(f"r{i}", "{x}") for i in range(8)]
         index = NestedSetIndex.build(records, shards=4,
                                      shard_policy="roundrobin")
-        assert isinstance(index, ShardedIndex)
         calls = self._instrumented(index)
         # Build consumed 8 round-robin slots, so this delete routes to
         # shard 0 -- but "r1" lives in shard 1: the fallback must fire.
@@ -374,7 +374,6 @@ class TestRoundRobinDeleteFallback:
         records = [(f"r{i}", "{x}") for i in range(8)]
         index = NestedSetIndex.build(records, shards=4,
                                      shard_policy="roundrobin")
-        assert isinstance(index, ShardedIndex)
         calls = self._instrumented(index)
         assert not index.delete("never-there")
         assert len(calls) == index.n_shards   # routed + 3 others, no dupes

@@ -10,7 +10,7 @@ from repro.core.invfile import InvertedFile
 from repro.core.matchspec import QuerySpec
 from repro.core.model import NestedSet
 from repro.core.topdown import topdown_match_nodes
-from repro.core.trace import explain
+from repro.core.observe import explain
 from tests.conftest import random_tree
 
 N = NestedSet

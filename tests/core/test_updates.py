@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core.checker import assert_healthy
+from repro.core.checker import assert_healthy, check_index
 from repro.core.engine import NestedSetIndex
 from repro.core.invfile import InvertedFile
 from repro.core.matchspec import QuerySpec
@@ -14,7 +14,8 @@ from repro.core.model import NestedSet
 from repro.core.naive import reference_query
 from repro.core.shard import HashShardPolicy
 from repro.core.updates import IndexWriter, UpdateError
-from tests.conftest import random_tree
+from tests.conftest import document_frequencies, random_tree, \
+    reported_frequencies
 
 N = NestedSet
 
@@ -254,9 +255,6 @@ class TestFailedBatch:
             return sorted(fresh, key=lambda record: HashShardPolicy(
                 ).shard_of(record[0], shards) == last) + [duplicate]
 
-        def engines(idx):
-            return getattr(idx, "shards", (idx,))
-
         def state(idx):
             return (idx.query(N(["common"])),
                     [idx.query(N([f"fresh{i}"])) for i in range(8)],
@@ -264,7 +262,7 @@ class TestFailedBatch:
                     [(engine.inverted_file.n_records,
                       engine.inverted_file.n_nodes,
                       engine.inverted_file.frequencies())
-                     for engine in engines(idx)])
+                     for engine in idx.shards])
 
         before = state(index)
         assert before[0] == sorted(key for key, _tree in records)
@@ -274,7 +272,7 @@ class TestFailedBatch:
             # Pages are read right after the abort: what the store
             # remembers of the pages the group touched must not show.
             assert state(index) == before
-            for engine in engines(index):
+            for engine in index.shards:
                 writer = engine._index_writer()
                 assert not (writer._postings or writer._records
                             or writer._meta or writer._pending_all
@@ -284,7 +282,7 @@ class TestFailedBatch:
             idx.insert(key, N(["common", atom]))
             assert idx.query(N([atom])) == [key]
             assert key in idx.query(N(["common"]))
-            for engine in engines(idx):
+            for engine in idx.shards:
                 assert_healthy(engine.inverted_file)
 
         insert_and_check(index, "after", "fresh0")
@@ -296,4 +294,71 @@ class TestFailedBatch:
             assert index.query(N(["fresh0"])) == ["after", "f0"]
             assert index.query(N(["dup"])) == []
             insert_and_check(index, "reopened", "fresh7")
+        index.close()
+
+
+class TestAbortedDelete:
+    """Regression: a ``delete`` whose store call raises aborts the store
+    transaction, and must leave the live objects where the store is.
+    The tombstone, the dead counts and the writer's pending dead-count
+    delta used to stay: the record remained answerable only until the
+    next successful delete wrote the phantom ordinal out with its own,
+    the phantom's atoms counted dead twice."""
+
+    #: Where the store call fails: (store method, key prefix).
+    FAULTS = {"keymap": ("delete", b"K:"),
+              "tombstones": ("put", b"M:deleted"),
+              "statistics": ("put", b"M:dead")}
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("storage", ["memory", "diskhash"])
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_aborted_delete_leaves_the_index_as_it_found_it(
+            self, tmp_path, shards, storage, fault) -> None:
+        path = None if storage == "memory" else str(tmp_path / "idx")
+        records = [(f"r{i:02d}", N(["a", f"b{i % 3}"], [N([f"n{i}"])]))
+                   for i in range(12)]
+        index = NestedSetIndex.build(records, storage=storage, path=path,
+                                     shards=shards)
+        # The next delete on the partition of the aborted one is the one
+        # that would write its leftovers out.
+        home = HashShardPolicy().shard_of("r00", shards)
+        neighbour = next(key for key, _tree in records[1:] if
+                         HashShardPolicy().shard_of(key, shards) == home)
+
+        def state(idx):
+            return (idx.query(N(["a"])), idx.n_records,
+                    reported_frequencies(idx),
+                    [check_index(part.inverted_file) for part in idx.shards])
+
+        before = state(index)
+        assert before[0] == [key for key, _tree in records]
+        store = index.shards[home].inverted_file.store
+        method, prefix = self.FAULTS[fault]
+        original = getattr(store, method)
+        fired = []
+
+        def failing(key, *value):
+            if key.startswith(prefix) and not fired:
+                fired.append(key)
+                raise OSError("injected store failure")
+            return original(key, *value)
+
+        setattr(store, method, failing)
+        with pytest.raises(OSError):
+            index.delete("r00")
+        assert fired
+        assert state(index) == before
+
+        assert index.delete(neighbour)      # removes it, and only it
+        live = [record for record in records if record[0] != neighbour]
+        after = ([key for key, _tree in live], len(records),
+                 (document_frequencies(tree for _key, tree in records),
+                  document_frequencies(tree for _key, tree in live)),
+                 [[]] * shards)
+        assert state(index) == after
+        if path is not None:
+            index.close()
+            index = NestedSetIndex.open(storage, path)
+            assert state(index) == after
         index.close()

@@ -25,7 +25,6 @@ from repro.core.engine import NestedSetIndex
 from repro.replication import (ReplicaSetClient, ReplicaTailer,
                                ReplicationLog, ReplicationManager,
                                bootstrap_from_primary)
-from repro.replication.shipper import base_store_of
 from repro.server import ServerThread, ServiceClient, ServiceError
 from repro.server.protocol import (ProtocolError, decode_request_body,
                                    encode_request_binary, validate_request)
@@ -48,7 +47,7 @@ def _wait_caught_up(pair, timeout: float = 15.0) -> dict:
     log end *as of the tailer's last fetch*, which may predate commits
     made just now.  Compare against the primary's live log instead.
     """
-    target = base_store_of(pair.primary).pager.wal.last_seq
+    target = pair.primary.base_store.pager.wal.last_seq
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         lag = pair.tailer.lag()
@@ -131,7 +130,7 @@ class _Pair:
                                       self.replica_path, "r1")
         self.replica = NestedSetIndex.open(
             "diskhash", self.replica_path, wal_factory=ReplicationLog)
-        base_store_of(self.replica).pager.adopt_version(boot["version"])
+        self.replica.base_store.pager.adopt_version(boot["version"])
         self.tail_client = ServiceClient(port=self.primary_handle.port)
         self.tailer = ReplicaTailer(
             self.replica, self.tail_client.call, replica_id="r1",

@@ -22,7 +22,6 @@ import os
 import pytest
 
 from repro.core.engine import NestedSetIndex
-from repro.core.shard import ShardedIndex
 from repro.storage import CrashError, FaultPlan, inject
 from repro.storage.faults import drop_store
 from repro.storage.pager import wal_path
@@ -59,12 +58,6 @@ def _restore(path: str, data: bytes) -> None:
 
 def _open(path: str, storage: str):
     return NestedSetIndex.open(storage, path)
-
-
-def _store_of(index):
-    if isinstance(index, ShardedIndex):
-        return index.base_store
-    return index.inverted_file.store
 
 
 def _reference_answer(records) -> list[str]:
@@ -125,7 +118,7 @@ def _crash_with_pinned_reader(path: str, storage: str, n: int,
                 f"pinned reader saw a torn state at event {n}"
         pinned.close()
         if fired:
-            drop_store(_store_of(index))
+            drop_store(index.base_store)
         else:
             index.close()
     return fired

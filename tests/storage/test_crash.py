@@ -28,7 +28,6 @@ import os
 import pytest
 
 from repro.core.engine import NestedSetIndex
-from repro.core.shard import ShardedIndex
 from repro.storage import CrashError, FaultPlan, inject
 from repro.storage.faults import drop_store
 from repro.storage.pager import wal_path
@@ -72,12 +71,6 @@ def _build(path: str, storage: str, shards: int) -> None:
 
 def _open(path: str, storage: str):
     return NestedSetIndex.open(storage, path)
-
-
-def _store_of(index):
-    if isinstance(index, ShardedIndex):
-        return index.base_store
-    return index.inverted_file.store
 
 
 def _mutate(index, op: str) -> None:
@@ -153,7 +146,7 @@ def _crash_at(path: str, storage: str, run, n: int) -> bool:
             return False
         except CrashError:
             plan.disarm()
-            drop_store(_store_of(index))
+            drop_store(index.base_store)
             return True
 
 
@@ -363,7 +356,7 @@ def test_failed_fsync_surfaces_and_preserves_index(tmp_path,
         with pytest.raises(CrashError):
             index.insert(NEW_KEY, NEW_VALUE)
         plan.disarm()
-        drop_store(_store_of(index))
+        drop_store(index.base_store)
 
     pre_answer = _reference_answer(RECORDS)
     post_answer = _reference_answer(RECORDS + [(NEW_KEY, NEW_VALUE)])

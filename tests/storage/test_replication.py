@@ -30,7 +30,6 @@ from repro.replication import (ReplicaTailer, ReplicationLog,
                                ReplicationSource, split_shipped_label)
 from repro.replication.log import (read_sidecar, sidecar_path,
                                    write_sidecar)
-from repro.replication.shipper import base_store_of
 from repro.replication.applier import bootstrap_from_primary
 from repro.storage import CrashError, FaultPlan, inject
 from repro.storage.faults import drop_store
@@ -322,7 +321,7 @@ def test_promotion_crash_sweep(tmp_path, storage, shards) -> None:
                 primary.insert(key, value)
             else:
                 primary.delete(key)
-        primary_log = base_store_of(primary).pager.wal
+        primary_log = primary.base_store.pager.wal
         primary_last = primary_log.last_seq
         assert primary_last - (primary_log.base_seq - 1) >= len(MUTATIONS)
         expected = _answers(primary)
@@ -360,7 +359,7 @@ def test_promotion_crash_sweep(tmp_path, storage, shards) -> None:
                     crashed = False
                 except CrashError:
                     crash_plan.disarm()
-                    drop_store(base_store_of(replica))
+                    drop_store(replica.base_store)
                     crashed = True
             if not crashed:
                 continue
@@ -370,7 +369,7 @@ def test_promotion_crash_sweep(tmp_path, storage, shards) -> None:
             replica = NestedSetIndex.open(storage, replica_path,
                                           wal_factory=ReplicationLog)
             tailer = _replay_and_promote(replica, call)
-            log = base_store_of(replica).pager.wal
+            log = replica.base_store.pager.wal
             assert tailer.applied_seq == primary_last, \
                 f"crash point {point}: lost committed groups"
             assert log.term == primary_log.term + 1, \
@@ -401,13 +400,13 @@ def test_promoted_replica_continues_sequence(tmp_path, storage) -> None:
                 primary.insert(key, value)
             else:
                 primary.delete(key)
-        primary_last = base_store_of(primary).pager.wal.last_seq
+        primary_last = primary.base_store.pager.wal.last_seq
         replica = NestedSetIndex.open(storage, replica_path,
                                       wal_factory=ReplicationLog)
         tailer = _replay_and_promote(replica, call)
         assert tailer.applied_seq == primary_last
         replica.insert("post-promote", "{USA, {fresh}}")
-        log = base_store_of(replica).pager.wal
+        log = replica.base_store.pager.wal
         assert log.last_seq == primary_last + 1
         assert log.term == 1
         # The new group is stamped with the bumped term: a fetch from

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from repro.core.engine import NestedSetIndex
 from repro.core.model import NestedSet
-from repro.core.trace import explain
+from repro.core.observe import explain
 from repro.storage.btree import BPlusTree
 
 N = NestedSet
