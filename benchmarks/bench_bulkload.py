@@ -1,11 +1,12 @@
-"""Experiment BL1: external-memory build vs in-memory build.
+"""Experiment BL1: bounded-memory build vs one-group build.
 
-The run-merge builder (repro.core.bulkload) bounds the resident posting
-buffer.  Expected shape: tight budgets cost extra store traffic (run
-write + read-back per flushed posting) but stay within a small factor of
-the unbounded in-memory build, while the peak Python heap drops toward
-the configured buffer size.  Builds target the disk-hash engine so the
-store itself lives off-heap; the produced indexes are identical
+``build_external`` is the index writer (repro.core.updates) with a
+bounded posting buffer: a new group whenever the buffered postings pass
+the budget.  Expected shape: a tight budget costs extra store traffic (a
+list touched by G groups is read and rewritten G times) but stays within
+a small factor of the one-group build, while the peak Python heap drops
+toward the configured buffer size.  Builds target the disk-hash engine
+so the store itself lives off-heap; the produced indexes are identical
 (asserted in tests, not here).
 """
 

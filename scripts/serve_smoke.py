@@ -7,9 +7,9 @@ Exercises the full serving stack the way an operator would:
    subprocess,
 3. run a mixed workload (concurrent queries racing inserts and a
    delete) through the blocking client, asserting *exact* answers,
-4. hit the same server over every wire -- binary (default), JSON, a
-   pipelined submit/drain burst, and one HTTP-gateway request -- and
-   assert byte-identical answers to an in-process open,
+4. hit the same server over the binary wire, a pipelined submit/drain
+   burst, and one HTTP-gateway request, and assert byte-identical
+   answers to an in-process open,
 5. drain the server via the ``shutdown`` op and wait for a clean exit,
 6. reopen the index: the insert must be durable and the write-ahead
    log must have nothing to replay (the drain checkpointed it).
@@ -115,7 +115,6 @@ def main() -> int:
                 probes = [probe, "{__smoke__}"]
                 wire_truth = [truth.query(q) for q in probes]
             with ServiceClient(port=port) as binary_client:
-                assert binary_client.wire == "binary"
                 assert [binary_client.query(q)
                         for q in probes] == wire_truth
                 ids = [binary_client.submit({"op": "query", "query": q})
@@ -125,9 +124,6 @@ def main() -> int:
                     [t for t in wire_truth for _ in range(4)]
                 assert binary_client.query_pipelined(
                     probes * 4, window=4) == wire_truth * 4
-            with ServiceClient(port=port, wire="json") as json_client:
-                assert [json_client.query(q)
-                        for q in probes] == wire_truth
             for query, expected_hits in zip(probes, wire_truth):
                 body = json.dumps({"query": query}).encode("utf-8")
                 http_request = urllib.request.Request(
@@ -138,7 +134,7 @@ def main() -> int:
                     payload = json.load(reply)
                 assert payload["ok"] and \
                     payload["result"] == expected_hits, payload
-            print("serve_smoke: binary, pipelined, json, and http "
+            print("serve_smoke: binary, pipelined and http "
                   "answers identical to in-process")
 
             with ServiceClient(port=port) as client:

@@ -657,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(func=_cmd_info)
 
     serve = sub.add_parser(
-        "serve", help="serve an index over TCP (binary or JSON frames, "
+        "serve", help="serve an index over TCP (binary frames, "
                       "optional HTTP gateway)")
     serve.add_argument("index")
     serve.add_argument("--storage", choices=("diskhash", "btree"),

@@ -58,7 +58,7 @@ from .shard import HashShardPolicy, ShardError, commit_manifest, \
 from .snapshot import ModEpochs, SharedIndexState, SnapshotInvertedFile, \
     SnapshotListCache
 from .stats import CollectionStats
-from .updates import IndexWriter
+from .updates import DEFAULT_MEMORY_BUDGET, IndexWriter, write_index
 
 __all__ = ["ALGORITHMS", "NestedSetIndex", "Partition", "PartitionView",
            "Snapshot", "as_nested_set"]
@@ -207,9 +207,13 @@ class Partition:
     commit group.
     """
 
-    def __init__(self, ifile: InvertedFile,
-                 bloom_index: BloomIndex | None = None) -> None:
-        self.bloom_index = bloom_index
+    def __init__(self, ifile: InvertedFile, *, cache: str | None,
+                 cache_budget: int, bloom: str | None,
+                 bloom_bits: int) -> None:
+        #: List-cache ``(policy, budget)``, carried across a compact.
+        self._cache_policy = (cache, cache_budget)
+        ifile.cache = list_cache_for(ifile, cache, cache_budget)
+        self.bloom_index = _bloom_for(ifile, bloom, bloom_bits)
         #: Whole-query results, scoped per view (see PartitionView).
         self.result_cache: ResultCache | None = None
         self._stats: CollectionStats | None = None
@@ -217,14 +221,6 @@ class Partition:
         self._memo_lock = threading.Lock()
         self._stats_memo: dict[tuple[int, int], CollectionStats] = {}
         self._wire(ifile)
-
-    @classmethod
-    def over(cls, ifile: InvertedFile, *, cache: str | None,
-             cache_budget: int, bloom: str | None,
-             bloom_bits: int) -> "Partition":
-        """A partition over a built or reopened inverted file."""
-        ifile.cache = list_cache_for(ifile, cache, cache_budget)
-        return cls(ifile, _bloom_for(ifile, bloom, bloom_bits))
 
     def _wire(self, ifile: InvertedFile) -> None:
         """Make ``ifile`` the live generation: fresh epochs and shared
@@ -365,6 +361,7 @@ class Partition:
         ``store``; the partition itself is untouched until
         :meth:`adopt`."""
         fresh = self._index_writer().compact(store=store)
+        fresh.cache = list_cache_for(fresh, *self._cache_policy)
         if self.bloom_index is None:
             return fresh, None
         return fresh, _bloom_for(fresh, self.bloom_index.kind,
@@ -388,6 +385,7 @@ class Partition:
 
     def set_cache(self, policy: str | None, budget: int) -> None:
         """Swap the inverted-list cache policy in place."""
+        self._cache_policy = (policy, budget)
         self._list_cache = list_cache_for(self._ifile, policy, budget)
         self._ifile.cache = SnapshotListCache(self._list_cache,
                                               self._epochs, None)
@@ -716,15 +714,16 @@ class NestedSetIndex(_Reads):
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _build(cls, records: Iterable[tuple[str, object]],
-               build_one: Callable[[Iterator, KVStore], InvertedFile], *,
+    def _build(cls, records: Iterable[tuple[str, object]], *,
+               block_size: int, memory_budget: int | None = None,
                storage: str, path: str | None, shards: int, workers: int,
                shard_policy: object, store_options: dict,
                cache: str | None, cache_budget: int,
                bloom: str | None = None,
                bloom_bits: int = 512) -> "NestedSetIndex":
-        """Partition ``records``, build one inverted file per partition
-        into one fresh store, publish the layout last.
+        """Partition ``records``, write one inverted file per partition
+        (:func:`~repro.core.updates.write_index`) into one fresh store,
+        publish the layout last.
 
         Partition builds run sequentially: they write interleaved key
         ranges into the shared base store, and the disk pagers are not
@@ -733,21 +732,22 @@ class NestedSetIndex(_Reads):
         if shards < 1:
             raise ShardError("shards must be >= 1")
         policy = make_policy(shard_policy)
-        prepared = ((key, as_nested_set(value)) for key, value in records)
         if shards == 1:
-            buckets: list = [prepared]      # streamed, never materialized
+            buckets: list = [records]       # streamed, never materialized
         else:
             buckets = [[] for _ in range(shards)]
-            for key, tree in prepared:
-                buckets[policy.shard_of(key, shards)].append((key, tree))
+            for key, value in records:
+                buckets[policy.shard_of(key, shards)].append((key, value))
         base = open_store(storage, path, create=True, **store_options)
         stores = partition_stores(base, shards if shards > 1 else None)
-        partitions = [Partition.over(build_one(iter(bucket), store),
-                                     cache=cache, bloom=bloom,
-                                     cache_budget=max(
-                                         1, cache_budget // shards),
-                                     bloom_bits=bloom_bits)
-                      for bucket, store in zip(buckets, stores)]
+        partitions = [
+            Partition(
+                InvertedFile(write_index(
+                    bucket, store=store, block_size=block_size,
+                    memory_budget=memory_budget)),
+                cache=cache, bloom=bloom, bloom_bits=bloom_bits,
+                cache_budget=max(1, cache_budget // shards))
+            for bucket, store in zip(buckets, stores)]
         if shards > 1:
             commit_manifest(base, shards, policy.name)
         return cls(base, partitions, policy, workers=workers)
@@ -773,9 +773,7 @@ class NestedSetIndex(_Reads):
         manifest.  ``workers`` threads fan queries out.
         """
         return cls._build(
-            records,
-            lambda bucket, store: InvertedFile.build(
-                bucket, store=store, block_size=block_size),
+            records, block_size=block_size,
             storage=storage, path=path, shards=shards, workers=workers,
             shard_policy=shard_policy, store_options=store_options,
             cache=cache, cache_budget=cache_budget, bloom=bloom,
@@ -791,21 +789,18 @@ class NestedSetIndex(_Reads):
                        shards: int = 1, workers: int = 1,
                        shard_policy: object = "hash",
                        **store_options: object) -> "NestedSetIndex":
-        """Bulk-load with a bounded posting buffer (run-merge build).
+        """:meth:`build` with a bounded posting buffer.
 
         Use for collections whose posting lists don't fit in memory; see
-        :mod:`repro.core.bulkload`.  ``memory_budget`` counts buffered
-        postings (default 500k entries) and is split evenly across the
-        ``shards`` partition builds.
+        :func:`repro.core.updates.build_external`.  ``memory_budget``
+        counts buffered postings (default 500k entries) and is split
+        evenly across the ``shards`` partition builds.
         """
-        from .bulkload import DEFAULT_MEMORY_BUDGET, build_external
         if memory_budget is None:
             memory_budget = DEFAULT_MEMORY_BUDGET
         return cls._build(
-            records,
-            lambda bucket, store: build_external(
-                bucket, store=store, block_size=block_size,
-                memory_budget=memory_budget // shards or memory_budget),
+            records, block_size=block_size,
+            memory_budget=memory_budget // shards or memory_budget,
             storage=storage, path=path, shards=shards, workers=workers,
             shard_policy=shard_policy, store_options=store_options,
             cache=cache, cache_budget=cache_budget)
@@ -841,9 +836,9 @@ class NestedSetIndex(_Reads):
         n_shards, policy_name = read_manifest(store) or (None, "hash")
         stores = partition_stores(store, n_shards)
         budget = max(1, cache_budget // len(stores))
-        partitions = [Partition.over(InvertedFile(view), cache=cache,
-                                     cache_budget=budget, bloom=bloom,
-                                     bloom_bits=bloom_bits)
+        partitions = [Partition(InvertedFile(view), cache=cache,
+                                cache_budget=budget, bloom=bloom,
+                                bloom_bits=bloom_bits)
                       for view in stores]
         return cls(store, partitions, make_policy(policy_name),
                    workers=workers)

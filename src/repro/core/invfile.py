@@ -39,7 +39,6 @@ from ..storage.codec import (
     decode_str,
     decode_uint_list,
     decode_varint,
-    encode_blocked,
     encode_str,
     encode_varint,
 )
@@ -170,7 +169,7 @@ def number_record(tree: NestedSet, ordinal: int, first_id: int
                              list[bytes], str]:
     """Number one record's internal nodes in preorder from ``first_id``.
 
-    The one walk behind build, bulk load and insert.  Returns
+    The one walk behind build and insert.  Returns
     ``(nodes, meta, text)``: per node its atoms and its posting
     ``(id, child ids)``, listed as the walk completes them (post-order:
     a node after its descendants); the node-metadata entries in id
@@ -352,59 +351,15 @@ class InvertedFile:
         (:func:`repro.storage.codec.encode_blocked`).  ``store`` accepts a
         pre-opened store (e.g. a namespaced view of a shared store, see
         :mod:`repro.storage.namespace`); ``storage``/``path`` are ignored
-        then.  The whole posting accumulation is in-memory (index
-        construction is an offline step in the paper's setting); the
-        finished lists are then written to the store.
+        then.  One group of the index writer
+        (:func:`repro.core.updates.write_index`): the postings accumulate
+        in memory (index construction is an offline step in the paper's
+        setting); :func:`~repro.core.updates.build_external` bounds that.
         """
-        if block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if store is None:
-            store = open_store(storage, path, create=True, **store_options)
-        postings: dict[Atom, list[tuple[int, tuple[int, ...]]]] = {}
-        all_nodes: list[tuple[int, tuple[int, ...]]] = []
-        zero_leaf: list[tuple[int, tuple[int, ...]]] = []
-        meta_entries: list[bytes] = []
-        record_blobs: list[bytes] = []
-        for ordinal, (key, value) in enumerate(records):
-            tree = value if isinstance(value, NestedSet) \
-                else NestedSet.from_obj(value)
-            root_id = len(meta_entries)
-            nodes, meta, text = number_record(tree, ordinal, root_id)
-            for atoms, posting in nodes:
-                for atom in atoms:
-                    postings.setdefault(atom, []).append(posting)
-                all_nodes.append(posting)
-                if not atoms:
-                    zero_leaf.append(posting)
-            meta_entries += meta
-            record_blobs.append(record_blob(key, root_id, text))
-        n_records = len(record_blobs)
-        next_id = len(meta_entries)
-
-        # number_record() lists nodes post-order (a node's posting lands after
-        # its descendants'), so every list must be re-sorted on head id
-        # before the delta encoder sees it.
-        for atom, plist in postings.items():
-            store.put(_atom_store_key(atom),
-                      encode_blocked(sorted(plist), block_size))
-        n_all_blocks = _write_blocks(store, _ALL_PREFIX, sorted(all_nodes))
-        n_zero_blocks = _write_blocks(store, _ZERO_PREFIX, sorted(zero_leaf))
-        for block_start in range(0, len(meta_entries), META_BLOCK):
-            block_no = block_start // META_BLOCK
-            chunk = b"".join(meta_entries[block_start:block_start + META_BLOCK])
-            store.put(_META_PREFIX + encode_varint(block_no), chunk)
-        for ordinal, blob in enumerate(record_blobs):
-            store.put(_RECORD_PREFIX + encode_varint(ordinal), blob)
-            key, _pos = decode_str(blob, 0)
-            store.put(_KEYMAP_PREFIX + key.encode("utf-8"),
-                      encode_varint(ordinal))
-        store.put(_FREQ_KEY, encode_counts(
-            {atom: len(plist) for atom, plist in postings.items()},
-            ranked=True))
-        store.put(_CONFIG_KEY, encode_config(
-            n_records, next_id, n_all_blocks, n_zero_blocks, block_size))
-        store.sync()
-        return cls(store, cache=cache)
+        from .updates import write_index
+        return cls(write_index(records, storage=storage, path=path,
+                               store=store, block_size=block_size,
+                               **store_options), cache=cache)
 
     @classmethod
     def open(cls, storage: str, path: str,
@@ -785,14 +740,3 @@ class InvertedFile:
 def _ranked(pairs: Iterable[tuple[Atom, int]]) -> list[tuple[Atom, int]]:
     """Sort ``(atom, count)`` pairs into the frequency ranking."""
     return sorted(pairs, key=lambda item: (-item[1], atom_token(item[0])))
-
-
-def _write_blocks(store: KVStore, prefix: bytes,
-                  entries: list[tuple[int, tuple[int, ...]]]) -> int:
-    """Write a long posting list as fixed-size blocks; returns block count."""
-    n_blocks = 0
-    for start in range(0, len(entries), LIST_BLOCK):
-        chunk = PostingList(entries[start:start + LIST_BLOCK]).encode()
-        store.put(prefix + encode_varint(n_blocks), chunk)
-        n_blocks += 1
-    return n_blocks

@@ -1,4 +1,11 @@
-"""Incremental index maintenance: insert, delete, compact.
+"""The one writer of the index layout: build, insert, delete, compact.
+
+Every index key is written here, by one group append
+(:meth:`IndexWriter._append_group`): a build (:func:`write_index`)
+appends one group, or several, onto an empty store;
+:meth:`IndexWriter.flush` appends a commit group to a live index.
+Appending to a list is byte for byte encoding it whole, so an index
+grown group by group is the index built at once.
 
 The paper builds its inverted files offline; a library a downstream user
 adopts also needs online updates.  The design:
@@ -28,7 +35,11 @@ count dead postings (``dead_counts`` says how many) until compaction.
 
 from __future__ import annotations
 
+from typing import Iterable
+
+from ..storage import KVStore, open_store
 from ..storage.codec import (
+    DEFAULT_BLOCK_SIZE,
     append_blocked,
     append_postings,
     decode_postings,
@@ -49,7 +60,7 @@ from .invfile import (
     number_record,
     record_blob,
 )
-from .model import Atom
+from .model import Atom, as_nested_set
 from .postings import PostingList
 
 # Private layout constants shared with invfile (same store, same keys).
@@ -75,9 +86,28 @@ from .invfile import (  # noqa: E402  (grouped for clarity)
 #: a reader merging base and log never decodes more than twice the base.
 FOLD_RATIO = 1
 
+#: Default posting buffer of :func:`build_external` (entries, not bytes).
+DEFAULT_MEMORY_BUDGET = 500_000
+
 
 class UpdateError(Exception):
     """Raised for invalid update operations (duplicate key, missing key)."""
+
+
+class _NewIndex:
+    """The counters of an index being built onto an empty store: what
+    :class:`IndexWriter` advances where a live writer advances its
+    :class:`InvertedFile`'s (there is none before ``M:config``)."""
+
+    n_records = n_nodes = _n_all_blocks = _n_zero_blocks = 0
+
+    def __init__(self, store: KVStore, block_size: int) -> None:
+        self.store = store
+        self.block_size = block_size
+
+    def ordinal_of_key(self, key: str) -> int | None:
+        raw = self.store.get(_KEYMAP_PREFIX + key.encode("utf-8"))
+        return None if raw is None else decode_varint(raw, 0)[0]
 
 
 class IndexWriter:
@@ -91,7 +121,7 @@ class IndexWriter:
     writer clears the caches itself, as before.
     """
 
-    def __init__(self, ifile: InvertedFile,
+    def __init__(self, ifile: InvertedFile | _NewIndex,
                  on_mutate=None) -> None:
         self._ifile = ifile
         self._store = ifile.store
@@ -108,6 +138,8 @@ class IndexWriter:
         so extending them record by record keeps every list sorted
         across the group."""
         self._postings: dict[Atom, list[tuple[int, tuple[int, ...]]]] = {}
+        #: Postings held in ``_postings`` (what ``memory_budget`` bounds).
+        self._buffered = 0
         self._pending_all: list[tuple[int, tuple[int, ...]]] = []
         self._pending_zero: list[tuple[int, tuple[int, ...]]] = []
         self._meta: list[bytes] = []
@@ -127,12 +159,14 @@ class IndexWriter:
         before returning (a group of one).  With ``flush_stats=False``
         the caller MUST call :meth:`flush` before the enclosing commit
         group closes.  Raises :class:`UpdateError`, before anything is
-        buffered, when a live record or one of this group uses the key.
+        buffered, when a live record or one of this group uses the key
+        (the store is asked only once it holds an earlier group).
         """
-        from .engine import as_nested_set
         ifile = self._ifile
         tree = as_nested_set(value)
-        if key in self._records or ifile.ordinal_of_key(key) is not None:
+        if key in self._records or (
+                ifile.n_records > len(self._records)
+                and ifile.ordinal_of_key(key) is not None):
             raise UpdateError(f"a live record with key {key!r} exists")
         ordinal = ifile.n_records
         first_id = ifile.n_nodes
@@ -140,6 +174,7 @@ class IndexWriter:
         for atoms, posting in nodes:
             for atom in atoms:
                 self._postings.setdefault(atom, []).append(posting)
+            self._buffered += len(atoms)
             self._pending_all.append(posting)
             if not atoms:
                 self._pending_zero.append(posting)
@@ -150,17 +185,6 @@ class IndexWriter:
         if flush_stats:
             self.flush()
         return ordinal
-
-    def _append_postings(self, atom: Atom,
-                         entries: list[tuple[int, tuple[int, ...]]]) -> None:
-        """Extend one atom's list, or start it.  New ids sort past the
-        tail, so only the partial tail block changes; full blocks keep
-        their bytes."""
-        store_key = _ATOM_PREFIX + atom_token(atom).encode("utf-8")
-        raw = self._store.get(store_key)
-        value = encode_blocked(entries, self._ifile.block_size) \
-            if raw is None else append_blocked(raw, entries)
-        self._store.put(store_key, value)
 
     def insert_many(self, records) -> list[int]:
         """Insert several records as one group; returns their ordinals."""
@@ -244,7 +268,10 @@ class IndexWriter:
         store = self._store
         with store.transaction(b"flush"):
             if self._records:
-                self._write_records()
+                self._append_group()
+                # Inside the transaction: the epoch hook must stamp the
+                # *upcoming* commit version, i.e. fire before the commit.
+                self._invalidate(self._postings)
             # The statistics delta goes *inside* the group -- deferring
             # it would add a third on-disk state (insert applied, stats
             # stale) that recovery cannot name.
@@ -271,14 +298,21 @@ class IndexWriter:
             self._write_config()
         self._reset_group()
 
-    def _write_records(self) -> None:
-        """The group's inserts: lists, ALL/ZERO, metadata, record table."""
+    def _append_group(self) -> None:
+        """Append the group's records: every touched list once (new ids
+        sort past its tail, so only the partial tail block changes),
+        ALL/ZERO, the metadata tail, the record table.  A group that
+        starts at node id 0 has no tails to read."""
         ifile = self._ifile
         store = self._store
+        first_id = ifile.n_nodes - len(self._meta)
         for atom, entries in self._postings.items():
             entries.sort()          # a record lists its nodes post-order
-            self._append_postings(atom, entries)
-        first_id = ifile.n_nodes - len(self._meta)
+            store_key = _ATOM_PREFIX + atom_token(atom).encode("utf-8")
+            raw = store.get(store_key) if first_id else None
+            store.put(store_key,
+                      encode_blocked(entries, ifile.block_size)
+                      if raw is None else append_blocked(raw, entries))
         self._pending_all.sort()
         ifile._n_all_blocks = _append_blocks(
             store, _ALL_PREFIX, ifile._n_all_blocks, first_id - 1,
@@ -294,9 +328,6 @@ class IndexWriter:
             store.put(_RECORD_PREFIX + encode_varint(ordinal), blob)
             store.put(_KEYMAP_PREFIX + key.encode("utf-8"),
                       encode_varint(ordinal))
-        # Inside the transaction: the epoch hook must stamp the
-        # *upcoming* commit version, i.e. fire before the commit.
-        self._invalidate(self._postings)
 
     def _fold(self, df_delta: dict[Atom, int]) -> None:
         """Rewrite both count tables whole and drop their delta logs."""
@@ -376,7 +407,7 @@ def _append_meta(store, first_id: int, entries: list[bytes]) -> None:
         node_id = first_id + index
         block_no, offset = divmod(node_id, META_BLOCK)
         block_key = _META_PREFIX + encode_varint(block_no)
-        raw = store.get(block_key) or b""
+        raw = (store.get(block_key) if node_id else None) or b""
         expected = offset * _META_ENTRY.size
         if len(raw) != expected:
             raise InvertedFileError(
@@ -386,3 +417,72 @@ def _append_meta(store, first_id: int, entries: list[bytes]) -> None:
         raw += b"".join(entries[index:index + take])
         store.put(block_key, raw)
         index += take
+
+
+def write_index(records: Iterable[tuple[str, object]], *,
+                storage: str = "memory", path: str | None = None,
+                store: KVStore | None = None,
+                block_size: int = DEFAULT_BLOCK_SIZE,
+                memory_budget: int | None = None,
+                **store_options: object) -> KVStore:
+    """Write ``records`` as a fresh index onto an empty store (a
+    pre-opened ``store``, else ``storage``/``path``); returns the store.
+
+    One group when ``memory_budget`` is ``None``; otherwise a new group
+    whenever the buffered postings pass it (the buffer exceeds it by at
+    most one record; a list touched by G groups is rewritten G times).
+    Not journaled: runs outside any store transaction, ends with
+    ``sync()``.  Raises :class:`UpdateError` on a repeated key, before
+    anything of that group is written.
+    """
+    if block_size < 1:
+        raise ValueError("block_size must be >= 1")
+    if memory_budget is not None and memory_budget < 1:
+        raise ValueError("memory_budget must be >= 1")
+    opened = store is None
+    if opened:
+        store = open_store(storage, path, create=True, **store_options)
+    new = _NewIndex(store, block_size)
+    writer = IndexWriter(new)
+    df: dict[Atom, int] = {}
+
+    def write_group() -> None:
+        for atom, entries in writer._postings.items():
+            df[atom] = df.get(atom, 0) + len(entries)
+        writer._append_group()
+        writer._reset_group()
+
+    try:
+        for key, value in records:
+            writer.insert(key, value, flush_stats=False)
+            if memory_budget is not None and \
+                    writer._buffered > memory_budget:
+                write_group()
+        if writer._records:
+            write_group()
+        store.put(_FREQ_KEY, encode_counts(df, ranked=True))
+        store.put(_CONFIG_KEY, encode_config(
+            new.n_records, new.n_nodes, new._n_all_blocks,
+            new._n_zero_blocks, block_size))
+        store.sync()
+    except BaseException:
+        if opened:
+            store.close()
+        raise
+    return store
+
+
+def build_external(records: Iterable[tuple[str, object]], *,
+                   storage: str = "memory", path: str | None = None,
+                   memory_budget: int = DEFAULT_MEMORY_BUDGET,
+                   block_size: int = DEFAULT_BLOCK_SIZE,
+                   store: KVStore | None = None,
+                   **store_options: object) -> InvertedFile:
+    """:meth:`InvertedFile.build` with a bounded posting buffer, for
+    the paper's setting ("both Q and S are too large to fit in internal
+    memory"): the same stored bytes, written as groups of at most
+    ``memory_budget`` buffered postings (see :func:`write_index`)."""
+    return InvertedFile(write_index(
+        records, storage=storage, path=path, store=store,
+        block_size=block_size, memory_budget=memory_budget,
+        **store_options))

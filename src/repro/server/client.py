@@ -1,21 +1,18 @@
 """Blocking client for the query service.
 
-:class:`ServiceClient` speaks the length-prefixed protocol of
-:mod:`repro.server.protocol` over one TCP connection.  Two wire formats
-are supported:
-
-* ``wire="binary"`` (the default) -- versioned binary frames carrying a
-  request id.  Queries are parsed client-side and shipped as structural
-  atom arrays, so the server never parses text; responses decode
-  through the packed-id fast path.  Because every response is tagged,
-  the connection can be **pipelined**: :meth:`submit` sends a request
-  without waiting, :meth:`drain` collects every outstanding response,
-  and :meth:`query_pipelined` keeps a bounded window of requests in
-  flight -- this is what lets the server's micro-batcher coalesce a
-  single client's burst into one engine call.
-* ``wire="json"`` -- the PR 5 length-prefixed JSON frames, strictly one
-  request per round trip.  Kept for compatibility (and as the benchmark
-  comparison point).
+:class:`ServiceClient` speaks the length-prefixed binary protocol of
+:mod:`repro.server.protocol` over one TCP connection: versioned frames
+carrying a request id.  Queries are parsed client-side and shipped as
+structural atom arrays, so the server never parses text; responses
+decode through the packed-id fast path.  Because every response is
+tagged, the connection can be **pipelined**: :meth:`submit` sends a
+request without waiting, :meth:`drain` collects every outstanding
+response, and :meth:`query_pipelined` keeps a bounded window of requests
+in flight -- this is what lets the server's micro-batcher coalesce a
+single client's burst into one engine call.  A request the wire cannot
+express (unknown op, unparseable query text, missing field) raises
+:class:`~repro.server.protocol.ProtocolError` here, before anything is
+sent.
 
 Server-reported errors surface as :class:`ServiceError` with the
 protocol error code (``overloaded``, ``timeout``, ...) preserved so
@@ -32,7 +29,6 @@ from typing import Any, Sequence
 from .protocol import (
     ProtocolError,
     decode_response_body,
-    encode_frame,
     encode_request_binary,
     recv_frame_bytes,
 )
@@ -75,7 +71,7 @@ class ServiceClient:
         with ServiceClient(port=handle.port) as client:
             hits = client.query("{a, {b, c}}")
 
-    Pipelined (binary wire only)::
+    Pipelined::
 
         ids = [client.submit({"op": "query", "query": q})
                for q in queries]
@@ -86,14 +82,9 @@ class ServiceClient:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  connect_timeout: float = 5.0,
                  io_timeout: float | None = 60.0,
-                 wire: str = "binary",
                  retries: int = 0,
                  retry_backoff_s: float = 0.05,
                  retry_max_backoff_s: float = 2.0) -> None:
-        if wire not in ("binary", "json"):
-            raise ValueError(f"wire must be 'binary' or 'json', "
-                             f"got {wire!r}")
-        self.wire = wire
         #: Transparent reconnect budget on *transient* connection
         #: errors (refused connect, reset mid-frame).  Off by default:
         #: a replayed ``insert`` is not idempotent, so opting in is the
@@ -109,7 +100,7 @@ class ServiceClient:
         self._next_id = 1
         #: request id -> encoded frame, kept until its response arrives
         #: so a reconnect can replay the in-flight window verbatim.
-        self._outstanding: dict[int, bytes | None] = {}
+        self._outstanding: dict[int, bytes] = {}
         #: Prepared-query cache: text -> encoded nested-set section,
         #: so repeated queries skip the parse + atom-table work.
         self._query_cache: dict[str, bytes] = {}
@@ -145,39 +136,31 @@ class ServiceClient:
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def _reconnect_and_replay(self, attempts: int) -> None:
-        """Reconnect and resend every outstanding frame, in id order.
-
-        Only callable when every outstanding request kept its frame
-        (binary-wire submits do); responses then arrive tagged as if
-        the connection had never dropped.
-        """
-        if any(frame is None for frame in self._outstanding.values()):
-            raise ProtocolError(
-                "connection lost with unreplayable requests in flight")
+        """Reconnect and resend every outstanding frame, in id order;
+        responses then arrive tagged as if the connection had never
+        dropped."""
         self._connect(attempts=attempts)
         for request_id in sorted(self._outstanding):
             self._sock.sendall(self._outstanding[request_id])
 
-    def _unwrap(self, response: Any) -> Any:
-        if not isinstance(response, dict) or "ok" not in response:
-            raise ProtocolError(f"malformed response: {response!r}")
+    def _unwrap(self, response: dict) -> Any:
+        """The result of a decoded response, or its error raised."""
         if not response["ok"]:
-            raise ServiceError(response.get("error", "internal"),
-                               response.get("message", ""))
+            raise ServiceError(response["error"], response["message"])
         return response["result"]
 
-    def _send_request(self, request: dict) -> int:
+    def _encode(self, request: dict) -> tuple[int, bytes]:
+        """Number ``request``, encode its frame, book it as outstanding."""
         request_id = self._next_id
-        self._next_id += 1
-        frame = encode_request_binary(
-            request, request_id, query_cache=self._query_cache)
-        self._outstanding[request_id] = frame
         try:
-            self._sock.sendall(frame)
-        except BaseException:
-            del self._outstanding[request_id]
-            raise
-        return request_id
+            frame = encode_request_binary(
+                request, request_id, query_cache=self._query_cache)
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ProtocolError(
+                f"request cannot be encoded: {exc!r}") from exc
+        self._next_id += 1
+        self._outstanding[request_id] = frame
+        return request_id, frame
 
     def _recv_response(self) -> tuple[int, Any]:
         """Read one tagged response; returns ``(request_id, response)``."""
@@ -185,8 +168,6 @@ class ServiceClient:
         if body is None:
             raise ProtocolError("server closed the connection")
         request_id, response = decode_response_body(body)
-        if request_id is None:
-            raise ProtocolError("untagged response on the binary wire")
         if request_id not in self._outstanding:
             raise ProtocolError(
                 f"response for unknown request id {request_id}")
@@ -195,38 +176,12 @@ class ServiceClient:
 
     def call(self, request: dict) -> Any:
         """Send one request, return the ``result`` of an ok response."""
-        if self.wire == "json":
-            self._sock.sendall(encode_frame(request))
-            body = recv_frame_bytes(self._sock)
-            if body is None:
-                raise ProtocolError("server closed the connection")
-            _request_id, response = decode_response_body(body)
-            return self._unwrap(response)
         if self._outstanding:
             raise ProtocolError(
                 f"{len(self._outstanding)} pipelined request(s) "
                 "outstanding; drain() before a synchronous call")
-        try:
-            frame = encode_request_binary(
-                request, self._next_id,
-                query_cache=self._query_cache)
-        except (ProtocolError, ValueError, TypeError, KeyError):
-            # Not expressible in binary (unknown op, unparseable
-            # query): ship it as a JSON frame so the *server* renders
-            # the verdict -- errors stay uniform across wires.
-            self._sock.sendall(encode_frame(request))
-            body = recv_frame_bytes(self._sock)
-            if body is None:
-                raise ProtocolError("server closed the connection")
-            _request_id, response = decode_response_body(body)
-            return self._unwrap(response)
-        sent = self._next_id
-        self._next_id += 1
-        self._outstanding[sent] = frame
-        request_id, response = self._roundtrip(frame, sent)
-        if request_id != sent:  # cannot happen with nothing outstanding
-            raise ProtocolError(f"response id {request_id} for "
-                                f"request {sent}")
+        sent, frame = self._encode(request)     # the only one outstanding
+        _request_id, response = self._roundtrip(frame, sent)
         return self._unwrap(response)
 
     def _roundtrip(self, frame: bytes, sent: int) -> tuple[int, Any]:
@@ -250,7 +205,7 @@ class ServiceClient:
                 self._reconnect_and_replay(0)
                 need_send = False  # the replay resent it
 
-    # -- pipelining (binary wire) ------------------------------------------
+    # -- pipelining --------------------------------------------------------
 
     @property
     def outstanding(self) -> int:
@@ -265,10 +220,13 @@ class ServiceClient:
         Collect results with :meth:`drain` (all of them) or
         :meth:`next_response` (one at a time, completion order).
         """
-        if self.wire != "binary":
-            raise ProtocolError("pipelining requires the binary wire "
-                                "(ServiceClient(wire='binary'))")
-        return self._send_request(request)
+        request_id, frame = self._encode(request)
+        try:
+            self._sock.sendall(frame)
+        except BaseException:
+            del self._outstanding[request_id]
+            raise
+        return request_id
 
     def next_response(self) -> tuple[int, Any]:
         """Block for the next response: ``(request_id, result)``.

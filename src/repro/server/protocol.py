@@ -4,22 +4,18 @@ Every message -- request or response -- is one *frame*::
 
     [length u32 big-endian][payload, `length` bytes]
 
-Two payload formats share that framing, distinguished by the first
-payload byte:
+whose payload is versioned and binary::
 
-* ``0x7B`` (``{``) -- the original UTF-8 JSON payload of PR 5.  Old
-  clients keep working unchanged; responses to JSON requests are JSON
-  and strictly in request order, one at a time per connection.
-* ``0xB1`` (:data:`BINARY_MAGIC`) -- the versioned binary payload::
+    [0xB1][version u8][opcode u8][request_id varint][body ...]
 
-      [0xB1][version u8][opcode u8][request_id varint][body ...]
+reusing the varint / fixed-width idioms of :mod:`repro.storage.codec`
+(the first byte is :data:`BINARY_MAGIC`; anything else is refused).
+Responses echo the request id, so many requests can be *outstanding on
+one connection at once* (pipelining) and responses may return in
+completion order.  The text interface is the HTTP gateway
+(:mod:`repro.server.gateway`).
 
-  reusing the varint / fixed-width idioms of
-  :mod:`repro.storage.codec`.  Binary responses echo the request id, so
-  many binary requests can be *outstanding on one connection at once*
-  (pipelining) and responses may return in completion order.
-
-Binary request bodies start with a flags byte (bit 0: a ``timeout_us``
+Request bodies start with a flags byte (bit 0: a ``timeout_us``
 varint follows; bit 1: a length-prefixed JSON ``options`` section
 follows), then the op-specific section:
 
@@ -36,7 +32,7 @@ zigzag-varint integers), then the tree with each node's atoms as a
 recursively.  The server hands the decoded :class:`NestedSet` straight
 to the engine -- no text parse on the hot path.
 
-Binary responses are ``[0xB1][version][RESP_* opcode][request_id]``
+Responses are ``[0xB1][version][RESP_* opcode][request_id]``
 plus a tagged body: ``query`` results are length-prefixed key lists,
 ``query_batch`` results are one key table plus per-query **packed
 fixed-width id arrays** (decodable in one ``numpy.frombuffer`` shot,
@@ -83,12 +79,10 @@ __all__ = [
     "ProtocolError",
     "QUERY_OPTION_FIELDS",
     "Request",
-    "decode_frame",
     "decode_nested_set",
     "decode_packed_ids",
     "decode_request_body",
     "decode_response_body",
-    "encode_frame",
     "encode_nested_set",
     "encode_packed_ids",
     "encode_request_binary",
@@ -96,13 +90,9 @@ __all__ = [
     "error_response",
     "ok_response",
     "peek_request_id",
-    "read_frame",
     "read_frame_bytes",
-    "recv_frame",
     "recv_frame_bytes",
-    "send_frame",
     "validate_request",
-    "write_frame",
 ]
 
 #: Frame length prefix: unsigned 32-bit, network byte order.
@@ -111,7 +101,7 @@ _LENGTH = struct.Struct("!I")
 #: Hard ceiling on one frame's payload (requests and responses alike).
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: First payload byte of a binary frame (never the ``{`` JSON opens with).
+#: First payload byte of every frame.
 BINARY_MAGIC = 0xB1
 
 #: Version byte following the magic; bumped on incompatible layouts.
@@ -175,57 +165,41 @@ class ProtocolError(Exception):
 
 @dataclass
 class Request:
-    """One decoded request: payload dict plus its wire coordinates.
+    """One decoded request: payload dict plus the id its response echoes.
 
-    ``payload`` has the JSON request shape for either wire; a binary
-    ``query``/``query_batch`` carries decoded :class:`NestedSet` values
-    instead of text (the engine accepts both).  ``request_id`` is None
-    on the JSON wire, where responses are matched by order instead.
+    ``payload`` has the request shape the HTTP gateway takes as JSON; a
+    ``query``/``query_batch`` off the wire carries decoded
+    :class:`NestedSet` values instead of text (the engine accepts both).
     """
 
-    payload: Any
-    wire: str = "json"                      # "json" | "binary"
-    request_id: int | None = None
+    payload: dict
+    request_id: int = 0
 
     @property
     def op(self) -> str | None:
-        if isinstance(self.payload, dict):
-            return self.payload.get("op")
-        return None
+        return self.payload.get("op")
 
 
-# -- frame codec (JSON payloads) --------------------------------------------
+# -- frames and JSON sections ------------------------------------------------
 
 
-def encode_frame(payload: Any) -> bytes:
-    """One JSON message as bytes: length prefix + compact JSON."""
-    body = json.dumps(payload, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    return _LENGTH.pack(len(body)) + body
-
-
-def decode_frame(body: bytes) -> Any:
-    """Parse one JSON frame payload (the bytes after the length prefix)."""
+def _decode_json(raw: bytes) -> Any:
+    """Parse one JSON section (request options, a generic result)."""
     try:
-        return json.loads(body.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame payload: {exc}") from exc
-
-
-def _frame_of(body: bytes) -> bytes:
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    return _LENGTH.pack(len(body)) + body
+        raise ProtocolError(f"undecodable JSON section: {exc}") from exc
 
 
 def _check_length(length: int) -> None:
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+
+
+def _frame_of(body: bytes) -> bytes:
+    _check_length(len(body))
+    return _LENGTH.pack(len(body)) + body
 
 
 # -- varint/section helpers --------------------------------------------------
@@ -542,9 +516,7 @@ def peek_request_id(body: bytes) -> int | None:
 
 
 def decode_request_body(body: bytes) -> Request:
-    """Decode one request payload of either format into a :class:`Request`."""
-    if not body or body[0] != BINARY_MAGIC:
-        return Request(decode_frame(body), wire="json")
+    """Decode one request payload into a :class:`Request`."""
     opcode, request_id, pos = _decode_binary_header(body)
     if opcode not in _OP_OF_CODE:
         raise ProtocolError(f"unknown opcode 0x{opcode:02X}")
@@ -563,7 +535,7 @@ def decode_request_body(body: bytes) -> Request:
         payload["timeout_ms"] = timeout_us / 1000.0
     if flags & _FLAG_OPTIONS:
         raw, pos = _bytes_at(body, pos)
-        options = decode_frame(raw)
+        options = _decode_json(raw)
         if not isinstance(options, dict):
             raise ProtocolError("options section must be a JSON object")
         payload["options"] = options
@@ -605,7 +577,7 @@ def decode_request_body(body: bytes) -> Request:
     if pos != len(body):
         raise ProtocolError(
             f"{len(body) - pos} trailing bytes after a {op} request")
-    return Request(payload, wire="binary", request_id=request_id)
+    return Request(payload, request_id)
 
 
 # -- binary responses --------------------------------------------------------
@@ -617,10 +589,8 @@ def _is_key_list(result: Any) -> bool:
 
 
 def encode_response_for(request: Request, response: dict) -> bytes:
-    """Encode one response frame in the format its request arrived in."""
-    if request.wire != "binary":
-        return encode_frame(response)
-    request_id = request.request_id or 0
+    """Encode one response frame, tagged with its request's id."""
+    request_id = request.request_id
     if not response.get("ok"):
         out = _binary_header(RESP_ERR, request_id)
         code = response.get("error", "internal")
@@ -658,15 +628,10 @@ def encode_response_for(request: Request, response: dict) -> bytes:
     return _frame_of(bytes(out))
 
 
-def decode_response_body(body: bytes) -> tuple[int | None, dict]:
-    """Decode one response payload to ``(request_id, response_dict)``.
-
-    JSON responses return ``(None, response)`` -- the JSON wire matches
-    responses by order, not id.  Binary bodies reconstruct the JSON
-    response shape, so callers branch on one structure.
-    """
-    if not body or body[0] != BINARY_MAGIC:
-        return None, decode_frame(body)
+def decode_response_body(body: bytes) -> tuple[int, dict]:
+    """Decode one response payload to ``(request_id, response_dict)``,
+    the response in the JSON shape of :func:`ok_response` /
+    :func:`error_response`."""
     opcode, request_id, pos = _decode_binary_header(body)
     if opcode == RESP_ERR:
         if pos >= len(body):
@@ -685,7 +650,7 @@ def decode_response_body(body: bytes) -> tuple[int | None, dict]:
     pos += 1
     if tag == _TAG_JSON:
         raw, pos = _bytes_at(body, pos)
-        result = decode_frame(raw)
+        result = _decode_json(raw)
     elif tag == _TAG_KEYS:
         count, pos = _count_at(body, pos)
         result = []
@@ -733,19 +698,6 @@ async def read_frame_bytes(reader: asyncio.StreamReader) -> bytes | None:
         raise ProtocolError("connection closed mid-frame") from exc
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Any | None:
-    """Read one JSON frame; ``None`` on clean EOF before a length prefix."""
-    body = await read_frame_bytes(reader)
-    if body is None:
-        return None
-    return decode_frame(body)
-
-
-async def write_frame(writer: asyncio.StreamWriter, payload: Any) -> None:
-    writer.write(encode_frame(payload))
-    await writer.drain()
-
-
 # -- blocking endpoints (client side) ---------------------------------------
 
 
@@ -770,18 +722,6 @@ def recv_frame_bytes(sock: socket.socket) -> bytes | None:
     if body is None:
         raise ProtocolError("connection closed mid-frame")
     return body
-
-
-def recv_frame(sock: socket.socket) -> Any | None:
-    """Blocking read of one JSON frame; ``None`` on clean EOF."""
-    body = recv_frame_bytes(sock)
-    if body is None:
-        return None
-    return decode_frame(body)
-
-
-def send_frame(sock: socket.socket, payload: Any) -> None:
-    sock.sendall(encode_frame(payload))
 
 
 # -- requests and responses --------------------------------------------------
@@ -815,7 +755,7 @@ def _require_uint(request: dict, field_name: str,
 
 
 def _is_query(value: object) -> bool:
-    """Queries arrive as text (JSON wire) or NestedSet (binary wire)."""
+    """Queries arrive as text (HTTP gateway) or NestedSet (the wire)."""
     return isinstance(value, (str, NestedSet))
 
 

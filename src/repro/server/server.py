@@ -14,11 +14,10 @@ The design has five load-bearing pieces:
   or the server default); expiry answers ``timeout`` while the worker
   thread finishes harmlessly in the background.
 
-* **Pipelined connections** -- binary-frame requests carry a request id
-  and are dispatched as concurrent tasks; responses are written (under a
-  per-connection lock) in *completion* order, each tagged with its id,
-  so one connection can keep many requests outstanding.  JSON-frame
-  requests keep the PR 5 contract: sequential, in order, untagged.
+* **Pipelined connections** -- every request carries a request id and
+  is dispatched as a concurrent task; responses are written in
+  *completion* order, each tagged with its id, so one connection can
+  keep many requests outstanding.
 
 * **Micro-batching** -- single ``query`` requests that arrive within
   ``batch_window_ms`` of each other are coalesced, grouped by their
@@ -65,7 +64,6 @@ from .protocol import (
     ProtocolError,
     Request,
     decode_request_body,
-    encode_frame,
     encode_response_for,
     error_response,
     ok_response,
@@ -109,7 +107,7 @@ def _option_key(options: dict) -> tuple:
 class _PendingQuery:
     """One coalescable ``query`` request waiting for its batch."""
 
-    text: object                     # str (JSON wire) or NestedSet (binary)
+    text: object                     # str (HTTP gateway) or NestedSet (wire)
     options: dict
     enqueued_at: float
     future: "asyncio.Future[list[str]]" = field(repr=False, kw_only=True)
@@ -264,65 +262,43 @@ class QueryServer:
         tasks: set[asyncio.Task] = set()
         try:
             while True:
+                body = None
                 try:
                     body = await read_frame_bytes(reader)
-                except ProtocolError as exc:
-                    self.metrics.record_error("bad_request")
-                    await self._send(writer, encode_frame(
-                        error_response("bad_request", str(exc))))
-                    break
-                if body is None:
-                    break
-                started = time.monotonic()
-                try:
+                    if body is None:
+                        break
+                    started = time.monotonic()
                     request = decode_request_body(body)
                 except ProtocolError as exc:
                     self.metrics.record_error("bad_request")
-                    # Tag the error when the binary header survived so a
-                    # pipelined client can settle the matching request;
+                    # Tag the error when the header survived so a
+                    # pipelined client can settle the matching request
+                    # (else id 0: bad length prefix or first byte);
                     # close either way -- framing may be out of sync.
-                    request_id = peek_request_id(body)
-                    salvage = Request({}, wire="binary",
-                                      request_id=request_id) \
-                        if request_id is not None else Request({})
-                    await self._send(writer,
-                                     encode_response_for(
-                                         salvage, error_response(
-                                             "bad_request", str(exc))))
+                    request_id = peek_request_id(body or b"") or 0
+                    await self._send(writer, encode_response_for(
+                        Request({}, request_id),
+                        error_response("bad_request", str(exc))))
                     break
                 self.metrics.record_stage(
                     "decode", time.monotonic() - started)
-                if request.wire == "binary":
-                    # Pipelined: dispatch concurrently, respond tagged
-                    # with the request id in completion order.
-                    burst = self._reader_buffered(reader)
-                    task = asyncio.ensure_future(
-                        self._respond(request, writer, burst=burst))
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
-                    # Let the dispatch run to its first suspension so a
-                    # coalescable query is *enqueued* before the drain
-                    # check below decides whether to flush.
-                    await asyncio.sleep(0)
-                    if self._pending and \
-                            not self._reader_buffered(reader):
-                        # The connection's pipeline is drained: the
-                        # batch is as big as this burst will make it.
-                        self._flush_now()
-                    if request.op == "shutdown":
-                        if tasks:
-                            await asyncio.gather(*tasks,
-                                                 return_exceptions=True)
-                        break
-                else:
-                    # JSON wire: strictly one request per round trip,
-                    # responses in request order (the PR 5 contract).
-                    response = await self._dispatch(request.payload)
-                    await self._send(writer,
-                                     self._encode_response(request,
-                                                           response))
-                    if request.op == "shutdown":
-                        break
+                # Pipelined: dispatch concurrently, respond tagged with
+                # the request id in completion order.
+                burst = self._reader_buffered(reader)
+                task = asyncio.ensure_future(
+                    self._respond(request, writer, burst=burst))
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
+                # Let the dispatch run to its first suspension so a
+                # coalescable query is *enqueued* before the drain
+                # check below decides whether to flush.
+                await asyncio.sleep(0)
+                if self._pending and not self._reader_buffered(reader):
+                    # The connection's pipeline is drained: the batch
+                    # is as big as this burst will make it.
+                    self._flush_now()
+                if request.op == "shutdown":
+                    break
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
         except (ConnectionResetError, BrokenPipeError):
@@ -336,15 +312,10 @@ class QueryServer:
                        writer: asyncio.StreamWriter, *,
                        burst: bool = False) -> None:
         response = await self._dispatch(request.payload, burst=burst)
-        await self._send(writer, self._encode_response(request, response))
-
-    def _encode_response(self, request: Request, response: dict) -> bytes:
         started = time.monotonic()
-        try:
-            return encode_response_for(request, response)
-        finally:
-            self.metrics.record_stage("encode",
-                                      time.monotonic() - started)
+        frame = encode_response_for(request, response)
+        self.metrics.record_stage("encode", time.monotonic() - started)
+        await self._send(writer, frame)
 
     async def _send(self, writer: asyncio.StreamWriter,
                     frame: bytes) -> None:

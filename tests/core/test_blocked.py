@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import BlockCache
-from repro.core.invfile import LIST_BLOCK, QueryStats, _write_blocks
+from repro.core.invfile import LIST_BLOCK, QueryStats
 from repro.core.postings import LazyPostingList, PostingList, intersect
 from repro.core.updates import _append_blocks
 from repro.storage.codec import (
@@ -284,6 +284,17 @@ class TestAppendRows:
         assert append_postings(encode_postings([]), 0, [(0, ())]) == \
             encode_postings([(0, ())])
 
+    @staticmethod
+    def _write_blocks(store, prefix: bytes, entries: list) -> int:
+        """Reference: the list written whole as LIST_BLOCK-posting
+        blocks (the retired build routine); returns the block count."""
+        n_blocks = 0
+        for start in range(0, len(entries), LIST_BLOCK):
+            store.put(prefix + encode_varint(n_blocks),
+                      PostingList(entries[start:start + LIST_BLOCK]).encode())
+            n_blocks += 1
+        return n_blocks
+
     @pytest.mark.parametrize("known_last", [True, False])
     @pytest.mark.parametrize("n_old, n_new", [
         (0, 3), (10, 5), (LIST_BLOCK - 4, 4), (LIST_BLOCK - 4, 9),
@@ -294,10 +305,10 @@ class TestAppendRows:
                    for i in range(n_old + n_new)]
         old, new = entries[:n_old], entries[n_old:]
         store, fresh = MemoryKVStore(), MemoryKVStore()
-        n_blocks = _write_blocks(store, b"L:", old)
+        n_blocks = self._write_blocks(store, b"L:", old)
         last = old[-1][0] if old and known_last else None
         assert _append_blocks(store, b"L:", n_blocks, last, new) == \
-            _write_blocks(fresh, b"L:", entries)
+            self._write_blocks(fresh, b"L:", entries)
         assert sorted(store.items()) == sorted(fresh.items())
 
 

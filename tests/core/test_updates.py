@@ -186,6 +186,29 @@ class TestCompact:
         after = dict(index.inverted_file.frequencies())
         assert after.get("a1", 0) < before["a1"]
 
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("policy, name", [("lru", "LRUCache"),
+                                              ("frequency", "FrequencyCache")])
+    def test_compact_keeps_the_list_cache_policy_and_budget(
+            self, small_corpus, policy, name, shards) -> None:
+        index = NestedSetIndex.build(small_corpus, cache=policy,
+                                     cache_budget=12, shards=shards)
+        index.delete(small_corpus[2][0])
+        index.compact()
+        assert index.stats()["cache"]["policy"] == name
+        assert [part._list_cache.budget for part in index.shards] == \
+            [12 // shards] * shards
+        query = small_corpus[0][1]
+        index.reset_stats()
+        assert index.query(query) == index.query(query)
+        assert index.stats()["cache"]["hits"] > 0
+        # a policy swapped in after the build is the one carried over
+        index.set_cache("lru", budget=9)
+        index.compact()
+        assert index.stats()["cache"]["policy"] == "LRUCache"
+        assert [part._list_cache.budget for part in index.shards] == \
+            [9 // shards] * shards
+
 
 class TestWriterDirect:
     def test_writer_flush_idempotent(self, small_corpus) -> None:

@@ -69,7 +69,6 @@ class TestRequestRoundTrip:
                              ids=[r["op"] for r in REQUESTS])
     def test_round_trip(self, request_) -> None:
         decoded = decode_request_body(_body_of(request_, request_id=93))
-        assert decoded.wire == "binary"
         assert decoded.request_id == 93
         payload = decoded.payload
         assert payload["op"] == request_["op"]
@@ -86,11 +85,11 @@ class TestRequestRoundTrip:
             assert payload["queries"] == [as_nested_set(q)
                                           for q in request_["queries"]]
 
-    def test_json_body_still_accepted(self) -> None:
-        request = decode_request_body(b'{"op": "ping"}')
-        assert request.wire == "json"
-        assert request.request_id is None
-        assert request.payload == {"op": "ping"}
+    def test_json_body_refused(self) -> None:
+        with pytest.raises(ProtocolError, match="magic 0x7B"):
+            decode_request_body(b'{"op": "ping"}')
+        with pytest.raises(ProtocolError, match="magic 0x7B"):
+            decode_response_body(b'{"ok": true, "result": "pong"}')
 
     def test_unknown_op_rejected_at_encode(self) -> None:
         with pytest.raises(ProtocolError, match="unknown op"):
@@ -114,11 +113,9 @@ class TestRequestCorruption:
             decode_request_body(body + b"\x00")
 
     def test_bad_magic(self) -> None:
-        # 0xB2 is neither the binary magic nor a JSON opener, so the
-        # frame lands on the JSON path and fails decode there.
         body = bytearray(_body_of({"op": "ping"}))
-        body[0] = 0xB2
-        with pytest.raises(ProtocolError):
+        body[0] = BINARY_MAGIC + 1
+        with pytest.raises(ProtocolError, match="magic 0xB2"):
             decode_request_body(bytes(body))
 
     def test_unsupported_version(self) -> None:
@@ -209,8 +206,7 @@ class TestPackedIds:
 
 class TestResponses:
     def _request(self, payload: dict, request_id: int = 11) -> Request:
-        return Request(payload=payload, wire="binary",
-                       request_id=request_id)
+        return Request(payload=payload, request_id=request_id)
 
     @staticmethod
     def _body(frame: bytes) -> bytes:
@@ -244,14 +240,6 @@ class TestResponses:
         assert request_id == 404
         assert response == {"ok": False, "error": "overloaded",
                             "message": "busy"}
-
-    def test_json_wire_response_untagged(self) -> None:
-        request = Request(payload={"op": "query"}, wire="json")
-        body = self._body(encode_response_for(request,
-                                              ok_response(["r1"])))
-        request_id, response = decode_response_body(body)
-        assert request_id is None
-        assert response == {"ok": True, "result": ["r1"]}
 
     def test_response_truncations_detected(self) -> None:
         request = self._request({"op": "query_batch"})

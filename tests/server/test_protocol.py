@@ -6,11 +6,12 @@ import struct
 
 import pytest
 
+from repro.core.model import as_nested_set
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
-    decode_frame,
-    encode_frame,
+    decode_request_body,
+    encode_request_binary,
     error_response,
     ok_response,
     validate_request,
@@ -21,22 +22,35 @@ class TestFrameCodec:
     def test_round_trip(self) -> None:
         payload = {"op": "query", "query": "{a, {b, c}}",
                    "options": {"algorithm": "topdown"}, "timeout_ms": 250}
-        frame = encode_frame(payload)
+        frame = encode_request_binary(payload, 7)
         (length,) = struct.Struct("!I").unpack(frame[:4])
         assert length == len(frame) - 4
-        assert decode_frame(frame[4:]) == payload
+        request = decode_request_body(frame[4:])
+        assert request.request_id == 7
+        assert request.payload == dict(
+            payload, query=as_nested_set(payload["query"]))
 
     def test_non_ascii_survives(self) -> None:
-        payload = {"op": "query", "query": "{café, {münchen}}"}
-        assert decode_frame(encode_frame(payload)[4:]) == payload
+        payload = {"op": "insert", "key": "münchen",
+                   "value": "{café, {münchen}}"}
+        frame = encode_request_binary(payload, 1)
+        assert decode_request_body(frame[4:]).payload == payload
+        query = {"op": "query", "query": "{café, {münchen}}"}
+        assert decode_request_body(
+            encode_request_binary(query, 2)[4:]).payload["query"] == \
+            as_nested_set(query["query"])
 
     def test_oversize_payload_rejected_on_encode(self) -> None:
         with pytest.raises(ProtocolError, match="exceeds"):
-            encode_frame({"blob": "x" * (MAX_FRAME_BYTES + 1)})
+            encode_request_binary(
+                {"op": "delete", "key": "x" * (MAX_FRAME_BYTES + 1)}, 1)
 
     def test_undecodable_payload_rejected(self) -> None:
-        with pytest.raises(ProtocolError, match="undecodable"):
-            decode_frame(b"\xff\xfe not json")
+        # the JSON frame generation is gone: a payload that does not
+        # open with the magic byte is refused, valid JSON included
+        for body in (b"\xff\xfe not json", b'{"op": "ping"}', b""):
+            with pytest.raises(ProtocolError):
+                decode_request_body(body)
 
     def test_responses_shape(self) -> None:
         assert ok_response([1, 2]) == {"ok": True, "result": [1, 2]}

@@ -10,6 +10,10 @@ inserts and deletes interleave.
 
 from __future__ import annotations
 
+import http.client
+import json
+import socket
+import struct
 import threading
 import time
 
@@ -18,7 +22,8 @@ import pytest
 from repro.bench.workloads import generate_dataset
 from repro.core.engine import NestedSetIndex
 from repro.server import ServerThread, ServiceClient, ServiceError
-from repro.server.protocol import encode_frame
+from repro.server.protocol import ProtocolError, decode_response_body, \
+    recv_frame_bytes
 
 
 def _corpus(size: int = 120):
@@ -162,14 +167,13 @@ class TestAdmissionControl:
             with ServerThread(memory_index, max_inflight=2,
                               batch_window_ms=0,
                               close_index_on_drain=False) as handle:
-                blocked = [ServiceClient(port=handle.port, wire="json")
+                blocked = [ServiceClient(port=handle.port)
                            for _ in range(2)]
                 try:
                     for client in blocked:
                         # Fire without reading: each holds one
                         # in-flight slot while the gate is shut.
-                        client._sock.sendall(encode_frame(
-                            {"op": "query", "query": "{a}"}))
+                        client.submit({"op": "query", "query": "{a}"})
                     deadline = time.monotonic() + 5
                     with ServiceClient(port=handle.port) as extra:
                         while time.monotonic() < deadline:
@@ -187,7 +191,7 @@ class TestAdmissionControl:
                         assert extra.ping() == "pong"
                     gate.set()
                     for client in blocked:
-                        client.call({"op": "ping"})  # drain responses
+                        client.drain()
                 finally:
                     gate.set()
                     for client in blocked:
@@ -221,12 +225,21 @@ class TestAdmissionControl:
                           close_index_on_drain=False) as handle:
             with ServiceClient(port=handle.port) as client:
                 with pytest.raises(ServiceError) as excinfo:
-                    client.call({"op": "evaporate"})
+                    client.query("{a}", volume=11)
                 assert excinfo.value.code == "bad_request"
                 with pytest.raises(ServiceError) as excinfo:
-                    client.call({"op": "query", "query": "{unclosed"})
+                    client.query("{a}", algorithm="no-such")
                 assert excinfo.value.code == "internal"
-                # The connection survived both errors.
+                # What the wire cannot carry is refused client-side,
+                # before anything is sent.
+                with pytest.raises(ProtocolError, match="unknown op"):
+                    client.call({"op": "evaporate"})
+                with pytest.raises(ProtocolError, match="encoded"):
+                    client.call({"op": "query", "query": "{unclosed"})
+                with pytest.raises(ProtocolError, match="encoded"):
+                    client.submit({"op": "insert", "key": "k"})
+                # The connection survived all of them.
+                assert client.outstanding == 0
                 assert client.ping() == "pong"
 
 
@@ -312,34 +325,56 @@ class TestIngest:
 
 
 class TestBinaryWire:
-    """The binary wire serves answers byte-identical to JSON's."""
+    """The binary wire serves answers byte-identical to the text
+    interface's (JSON over the HTTP gateway)."""
 
     def test_binary_matches_json_and_in_process(self,
                                                 memory_index) -> None:
         records = _corpus()
         queries = _query_mix(records)
         expected = [memory_index.query(q) for q in queries]
-        with ServerThread(memory_index, batch_window_ms=1,
+        with ServerThread(memory_index, batch_window_ms=1, http_port=0,
                           close_index_on_drain=False) as handle:
-            with ServiceClient(port=handle.port) as binary, \
-                    ServiceClient(port=handle.port, wire="json") as json_:
-                assert binary.wire == "binary"
+            with ServiceClient(port=handle.port) as binary:
                 served_binary = [binary.query(q) for q in queries]
-                served_json = [json_.query(q) for q in queries]
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", handle.http_port, timeout=10)
+            try:
+                served_json = []
+                for query in queries:
+                    conn.request("POST", "/query",
+                                 body=json.dumps({"query": query}))
+                    served_json.append(
+                        json.loads(conn.getresponse().read())["result"])
+            finally:
+                conn.close()
         assert served_binary == expected
         assert served_json == expected
 
-    def test_mixed_wires_on_one_connection(self, memory_index) -> None:
-        # A binary client falls back to JSON frames for requests the
-        # codec cannot express; the server answers both on the same
-        # connection without losing framing.
+    @pytest.mark.parametrize("payload", [
+        b'{"op":"ping"}',                   # the retired JSON frame
+        b"\xb2\x01\x00\x01\x00",            # off-by-one magic
+        b"\x00\x01\x02\x03",                # any other first byte
+        b"",
+    ], ids=["json", "magic", "zero", "empty"])
+    def test_hostile_first_byte_is_answered_and_closed(
+            self, memory_index, payload) -> None:
         with ServerThread(memory_index,
                           close_index_on_drain=False) as handle:
+            with socket.create_connection(("127.0.0.1", handle.port),
+                                          timeout=5) as sock:
+                sock.sendall(struct.pack("!I", len(payload)) + payload)
+                request_id, response = decode_response_body(
+                    recv_frame_bytes(sock))
+                assert request_id == 0
+                assert (response["ok"], response["error"]) == \
+                    (False, "bad_request")
+                assert recv_frame_bytes(sock) is None       # closed
+            # the listener is unharmed
             with ServiceClient(port=handle.port) as client:
-                with pytest.raises(ServiceError) as excinfo:
-                    client.call({"op": "evaporate"})
-                assert excinfo.value.code == "bad_request"
                 assert client.ping() == "pong"
+            assert handle.server.metrics.snapshot()[
+                "errors_by_code"]["bad_request"] >= 1
 
     def test_batch_over_binary(self, memory_index) -> None:
         records = _corpus()
@@ -408,14 +443,6 @@ class TestPipelining:
         finally:
             gate.set()
             memory_index.query = original
-
-    def test_pipelining_requires_binary_wire(self, memory_index) -> None:
-        from repro.server.protocol import ProtocolError
-        with ServerThread(memory_index,
-                          close_index_on_drain=False) as handle:
-            with ServiceClient(port=handle.port, wire="json") as client:
-                with pytest.raises(ProtocolError, match="binary"):
-                    client.submit({"op": "ping"})
 
     def test_drain_surfaces_first_error_after_reading_all(
             self, memory_index) -> None:

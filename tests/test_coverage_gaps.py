@@ -103,10 +103,19 @@ class TestDatasetOptions:
 
 class TestEngineExternalBuildErrors:
     def test_duplicate_keys_not_deduplicated(self, small_corpus) -> None:
-        # Duplicate keys are a data bug; the key map keeps the last one
-        # and the integrity checker reports the collision.
+        # Duplicate keys are a data bug: a build refuses them as an
+        # insert does, and the integrity checker reports a collision
+        # that reached a store some other way.
+        import pytest
         from repro.core.checker import check_index
+        from repro.core.invfile import record_blob
+        from repro.core.updates import UpdateError
         records = small_corpus + [(small_corpus[0][0], N(["dup"]))]
-        index = NestedSetIndex.build(records)
-        problems = check_index(index.inverted_file)
+        with pytest.raises(UpdateError):
+            NestedSetIndex.build(records)
+        ifile = NestedSetIndex.build(small_corpus).inverted_file
+        _key, root_id, tree = ifile.record(1)
+        ifile.store.put(b"R:\x01", record_blob(
+            small_corpus[0][0], root_id, tree.to_text()))
+        problems = check_index(ifile)
         assert any("duplicate live key" in problem for problem in problems)
