@@ -142,42 +142,34 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("error: provide exactly one of a query argument or "
               "--queries-file", file=sys.stderr)
         return 2
+    options = dict(algorithm=args.algorithm, semantics=args.semantics,
+                   join=args.join, epsilon=args.epsilon, mode=args.mode,
+                   planner=args.planner)
     with _open_index(args) as index:
+        # The algorithm is the named one or the compiler's pick, which
+        # depends on the options and not on the query.
+        plan = index.compile(args.query or "{}", **options)
+        ran = f"{plan.algorithm}/{args.semantics}/{args.join}"
         if args.queries_file is not None:
             queries = _read_queries_file(args.queries_file)
             start = time.perf_counter()
-            results = index.query_batch(queries,
-                                        algorithm=args.algorithm,
-                                        semantics=args.semantics,
-                                        join=args.join,
-                                        epsilon=args.epsilon,
-                                        mode=args.mode,
-                                        planner=args.planner)
+            results = index.query_batch(queries, **options)
             elapsed = (time.perf_counter() - start) * 1000.0
             for keys in results:
                 print("\t".join(keys))
             n_hits = sum(len(keys) for keys in results)
             print(f"-- {len(queries)} queries, {n_hits} records "
-                  f"in {elapsed:.3f} ms (batched, "
-                  f"{args.algorithm}/{args.semantics}/{args.join})",
+                  f"in {elapsed:.3f} ms (batched, {ran})",
                   file=sys.stderr)
             return 0
         if args.show_plan:
-            plan = index.compile(args.query, algorithm=args.algorithm,
-                                 semantics=args.semantics, join=args.join,
-                                 epsilon=args.epsilon, mode=args.mode,
-                                 planner=args.planner)
             print(plan.describe(), file=sys.stderr)
         start = time.perf_counter()
-        result = index.query(args.query, algorithm=args.algorithm,
-                             semantics=args.semantics, join=args.join,
-                             epsilon=args.epsilon, mode=args.mode,
-                             planner=args.planner)
+        result = index.query(args.query, **options)
         elapsed = (time.perf_counter() - start) * 1000.0
         for key in result:
             print(key)
-        print(f"-- {len(result)} records in {elapsed:.3f} ms "
-              f"({args.algorithm}/{args.semantics}/{args.join})",
+        print(f"-- {len(result)} records in {elapsed:.3f} ms ({ran})",
               file=sys.stderr)
     return 0
 
@@ -555,10 +547,13 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--queries-file", default=None,
                        help="evaluate a batch: one nested set per line "
                             "('-' reads stdin); runs through "
-                            "query_batch so subquery work is shared")
+                            "query_batch (--algorithm bottomup shares "
+                            "subquery work across the batch)")
     query.add_argument("--storage", choices=("diskhash", "btree"),
                        default="diskhash")
-    query.add_argument("--algorithm", choices=ALGORITHMS, default="bottomup")
+    query.add_argument("--algorithm", choices=ALGORITHMS, default=None,
+                       help="unset: the compiler picks per join "
+                            "(--show-plan names the pick)")
     query.add_argument("--semantics", choices=SEMANTICS, default="hom")
     query.add_argument("--join", choices=JOINS, default="subset")
     query.add_argument("--epsilon", type=int, default=1)
@@ -581,7 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("query")
     exp.add_argument("--storage", choices=("diskhash", "btree"),
                      default="diskhash")
-    exp.add_argument("--algorithm", choices=ALGORITHMS, default="topdown")
+    exp.add_argument("--algorithm", choices=ALGORITHMS, default=None,
+                     help="unset: the compiler picks per join "
+                          "(the trace's header names the pick)")
     exp.add_argument("--semantics", choices=SEMANTICS, default="hom")
     exp.add_argument("--join", choices=JOINS, default="subset")
     exp.add_argument("--epsilon", type=int, default=1)
@@ -705,9 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
                       default="diskhash")
     join.add_argument("--strategy", choices=JOIN_STRATEGIES,
                       default="adaptive")
-    join.add_argument("--algorithm", choices=ALGORITHMS,
-                      default="bottomup",
-                      help="per-query plan algorithm (per-query strategy)")
+    join.add_argument("--algorithm", choices=ALGORITHMS, default=None,
+                      help="per-query plan algorithm (per-query strategy; "
+                           "unset: the compiler picks per join)")
     join.add_argument("--use-bloom", action="store_true",
                       help="Bloom-prefilter record scans (naive only)")
     join.add_argument("--semantics", choices=SEMANTICS, default="hom")

@@ -54,20 +54,24 @@ def memoized_match_ids(query: NestedSet, ifile: InvertedFile,
     ``subqueries_reused`` int attributes (e.g.
     :class:`~repro.core.exec.context.ExecCounters`).
     """
-    cached = memo.get(query)
-    if cached is not None:
-        if counters is not None:
-            counters.subqueries_reused += 1
-        return cached
-    # Post-order over the distinct subtrees: children first.
-    child_sets = [memoized_match_ids(child, ifile, spec, memo, counters)
-                  for child in sorted(query.children,
-                                      key=lambda c: c.to_text())]
-    result = evaluate_node(query, child_sets, ifile, spec)
-    memo[query] = result
-    if counters is not None:
-        counters.subqueries_evaluated += 1
-    return result
+    # Post-order over the distinct subtrees on an explicit stack (any
+    # depth the parser accepts): a node is looked up when first met and
+    # evaluated, children first, only on a miss.
+    work: list[tuple[NestedSet, bool]] = [(query, False)]
+    while work:
+        node, expanded = work.pop()
+        if expanded:
+            child_sets = [memo[child] for child in node.children]
+            memo[node] = evaluate_node(node, child_sets, ifile, spec)
+            if counters is not None:
+                counters.subqueries_evaluated += 1
+        elif node in memo:
+            if counters is not None:
+                counters.subqueries_reused += 1
+        else:
+            work.append((node, True))
+            work.extend((child, False) for child in node.children)
+    return memo[query]
 
 
 class BatchEvaluator:

@@ -24,24 +24,37 @@ from __future__ import annotations
 from .invfile import InvertedFile
 from .matchspec import QuerySpec
 from .model import NestedSet
-from .postings import PostingList, multiset_union
+from .postings import PostingList, multiset_union, with_head_in
+
+#: The joins whose candidates are an intersection of the atoms' lists,
+#: which a frontier can drive (:meth:`InvertedFile.intersect_atoms`).
+INTERSECTION_JOINS = ("subset", "equality")
 
 
 def node_candidates(qnode: NestedSet, ifile: InvertedFile,
-                    spec: QuerySpec) -> PostingList:
-    """Candidate data nodes at which ``qnode`` may embed, per ``spec.join``."""
+                    spec: QuerySpec, within=None) -> PostingList:
+    """Candidate data nodes at which ``qnode`` may embed, per ``spec.join``.
+
+    ``within`` (the intersection joins only) is a match set the
+    candidates must lie in -- the top-down frontier -- and is handed to
+    the intersection as an operand, so the unrestricted candidate list
+    is never built when the frontier is the shorter.
+    """
     atoms = list(qnode.atoms)
-    if spec.join == "subset":
+    if spec.join in INTERSECTION_JOINS:
         if not atoms:
-            return ifile.all_nodes()
-        return ifile.intersect_atoms(atoms)
-    if spec.join == "equality":
-        if not atoms:
-            return ifile.zero_leaf_nodes()
-        base = ifile.intersect_atoms(atoms)
+            every = ifile.all_nodes() if spec.join == "subset" \
+                else ifile.zero_leaf_nodes()
+            return every if within is None else with_head_in(every, within)
+        base = ifile.intersect_atoms(atoms, within=within)
+        if spec.join == "subset":
+            return base
         want = len(atoms)
         return PostingList([(p, children) for p, children in base
                             if ifile.leaf_count(p) == want])
+    if within is not None:
+        raise ValueError(f"the {spec.join} join's candidates are a multiset "
+                         "union; a frontier cannot drive them")
     if spec.join == "superset":
         entries: list[tuple[int, tuple[int, ...]]] = []
         if atoms:

@@ -484,14 +484,19 @@ class _Reads:
 
         return self._merge(self._fan_out(run, workers))
 
-    def query(self, query: object, *, algorithm: str = "bottomup",
+    def query(self, query: object, *, algorithm: str | None = None,
               semantics: str = "hom", join: str = "subset",
               epsilon: int = 1, mode: str = "root",
               use_bloom: bool = False, planner: str | None = None,
               workers: int | None = None) -> list[str]:
         """Evaluate ``query ⋉ S``; returns sorted matching record keys.
 
-        ``planner`` ("selective-first" / "bulky-first" / "text") installs
+        ``algorithm`` is one of ``bottomup`` / ``topdown`` /
+        ``topdown-paper`` / ``naive``; left unset, the compiler picks
+        (:func:`~repro.core.exec.compiler.pick_algorithm`: top-down for
+        the ``subset`` and ``equality`` joins, bottom-up for
+        ``superset`` and ``overlap``) and the plan and EXPLAIN name the
+        pick.  ``planner`` ("selective-first" / "bulky-first" / "text") installs
         a sibling-ordering strategy for the top-down algorithm; see
         :mod:`repro.core.planner`.  The query is compiled into an
         :class:`~repro.core.exec.plan.ExecutionPlan` and run against one
@@ -506,7 +511,7 @@ class _Reads:
 
     def query_batch(self, queries: Sequence[object], *,
                     share_subqueries: bool = True,
-                    algorithm: str = "bottomup", semantics: str = "hom",
+                    algorithm: str | None = None, semantics: str = "hom",
                     join: str = "subset", epsilon: int = 1,
                     mode: str = "root", use_bloom: bool = False,
                     planner: str | None = None,
@@ -514,12 +519,21 @@ class _Reads:
         """Evaluate a workload of queries (the paper times 100 at a time).
 
         Every answer in the batch reflects the same index version even
-        while writers commit concurrently.  When every plan supports it
-        (the memoized evaluation is bottom-up, so ``bottomup`` only), a
-        cross-query subquery memo is attached so structurally shared
-        subtrees are evaluated once per batch and partition; pass
-        ``share_subqueries=False`` to opt out and run a plain per-query
-        loop.  Results are identical either way (tested property).
+        while writers commit concurrently.  Results are identical
+        whatever the options below (tested property).
+
+        The cross-query subquery memo is **bottom-up's**: it is
+        attached when every plan of the batch is bottom-up (and
+        ``share_subqueries`` is left on), so structurally shared
+        subtrees are evaluated once per batch and partition.  With
+        ``algorithm`` unset the compiler picks per join
+        (:meth:`query`), which for ``subset``/``equality`` is top-down:
+        each query then runs on its own, pruned by its own frontier,
+        and nothing is memoized.  Ask for ``algorithm="bottomup"`` when
+        the batch's queries repeat whole subtrees (template-stamped
+        queries, Q sampled from S): on ``join_mixed``'s 2 000 template
+        queries the memo answers 91 % of the subquery lookups
+        (EXPERIMENTS.md, "Top-down by default", has both timings).
         """
         spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
                          mode=mode)
@@ -530,7 +544,7 @@ class _Reads:
                        all(plan.match.memoizable for plan in plans))
         return self.run_plans(plans, memoize=memoize, workers=workers)[0]
 
-    def explain(self, query: object, *, algorithm: str = "bottomup",
+    def explain(self, query: object, *, algorithm: str | None = None,
                 semantics: str = "hom", join: str = "subset",
                 epsilon: int = 1, mode: str = "root",
                 use_bloom: bool = False, planner: str | None = None,
@@ -557,7 +571,7 @@ class _Reads:
         return merge_explains(traces,
                               (time.perf_counter() - started) * 1000)
 
-    def match_nodes(self, query: object, *, algorithm: str = "bottomup",
+    def match_nodes(self, query: object, *, algorithm: str | None = None,
                     spec: QuerySpec = QuerySpec(),
                     planner: str | None = None) -> set[int]:
         """Raw node-level result: ids at which the query embeds.
@@ -952,7 +966,7 @@ class NestedSetIndex(_Reads):
 
     # -- querying (the read methods are :class:`_Reads`') -------------------
 
-    def compile(self, query: object, *, algorithm: str = "bottomup",
+    def compile(self, query: object, *, algorithm: str | None = None,
                 semantics: str = "hom", join: str = "subset",
                 epsilon: int = 1, mode: str = "root",
                 use_bloom: bool = False, planner: str | None = None,

@@ -68,6 +68,8 @@ class MatchStage:
     planner: str | None = None
     #: The strategy may be served from a context-shared subquery memo.
     memoizable: bool = False
+    #: The query named no algorithm: the compiler picked the strategy.
+    picked: bool = False
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,8 @@ class ExecutionPlan:
         match = self.match.strategy
         if self.match.planner is not None:
             match += f" planner={self.match.planner}"
+        if self.match.picked:
+            match += " (the compiler's pick)"
         if self.match.memoizable:
             match += " [memo-ready]"
         return "\n".join([

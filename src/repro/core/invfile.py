@@ -44,7 +44,13 @@ from ..storage.codec import (
 )
 from .cache import BlockCache, ListCache, NoCache
 from .model import Atom, NestedSet
-from .postings import LazyPostingList, PostingList, intersect
+from .postings import (
+    LazyPostingList,
+    PostingList,
+    intersect,
+    intersect_within,
+    with_head_in,
+)
 
 _ATOM_PREFIX = b"A:"
 _META_PREFIX = b"N:"
@@ -448,7 +454,8 @@ class InvertedFile:
         """
         return max(0, self.list_length(atom) - self.dead_counts.get(atom, 0))
 
-    def intersect_atoms(self, atoms: list[Atom]) -> PostingList:
+    def intersect_atoms(self, atoms: list[Atom],
+                        within=None) -> PostingList:
         """Candidate generation with rarest-first block skipping.
 
         Touches only the blocks of the non-rarest atoms that the rarest
@@ -458,11 +465,20 @@ class InvertedFile:
         stays encoded.  Every atom is fetched **once**: a lazy list
         costs its header and already knows its length, so the lists
         themselves are ranked.
+
+        ``within`` is a match set (the top-down frontier) the
+        candidates' heads must also lie in.  It is ranked with the
+        lists as one more operand: when it is the shortest, its ids
+        are the probes galloped through every list
+        (:func:`~repro.core.postings.intersect_within`), so a few
+        surviving parents cost a few blocks however long the lists;
+        when some list is shorter, the lists are intersected as above
+        and the result cut to the ids.
         """
         if not atoms:
             raise ValueError("intersect_atoms() needs at least one atom")
-        if len(atoms) == 1:
-            return self.postings(atoms[0])
+        if within is not None and not len(within):
+            return PostingList()        # empty frontier: fetch nothing
         # Rank on live counts: dead postings inflate physical lengths
         # between compactions and would mislead the rarest-first choice.
         dead = self.dead_counts
@@ -473,8 +489,12 @@ class InvertedFile:
                 return PostingList()    # absent atom: read no further
             ranked.append((max(0, len(plist) - dead.get(atom, 0)), plist))
         ranked.sort(key=itemgetter(0))
-        return intersect([plist for _live, plist in ranked],
-                         stats=self.stats)
+        lists = [plist for _live, plist in ranked]
+        if within is None:
+            return intersect(lists, stats=self.stats)
+        if len(within) <= ranked[0][0]:
+            return intersect_within(lists, within, stats=self.stats)
+        return with_head_in(intersect(lists, stats=self.stats), within)
 
     def all_nodes(self) -> PostingList:
         """Every internal node of the collection (memoized after first load)."""

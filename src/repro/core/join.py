@@ -7,7 +7,8 @@ execution strategies the library provides, so a whole join runs through
 one call with one strategy knob:
 
 * ``per-query`` -- the paper's loop: each query evaluated independently
-  by the chosen algorithm;
+  by the chosen algorithm (unset: the compiler's pick per join, as for
+  a single query);
 * ``batched``   -- bottom-up with cross-query subquery memoization
   (pays off when Q's members share structure, e.g. Q sampled from S);
 * ``naive``     -- the nested-loop baseline, optionally Bloom-prefiltered;
@@ -90,7 +91,7 @@ class JoinResult:
 def containment_join(index: NestedSetIndex,
                      queries: Iterable[tuple[str, object]], *,
                      strategy: str = "per-query",
-                     algorithm: str = "bottomup",
+                     algorithm: str | None = None,
                      spec: QuerySpec = QuerySpec(),
                      use_bloom: bool = False,
                      workers: int | None = None) -> JoinResult:
@@ -178,7 +179,7 @@ def _pairs(materialized: list[tuple[str, NestedSet]],
 
 def self_join(index: NestedSetIndex, *,
               strategy: str = "batched",
-              algorithm: str = "bottomup",
+              algorithm: str | None = None,
               spec: QuerySpec = QuerySpec(),
               use_bloom: bool = False) -> JoinResult:
     """``S ⋈ S``: every record queried against the collection.

@@ -202,11 +202,30 @@ class NestedSet:
         order.  Built bottom-up, so a whole tree is serialised once --
         what the index writers walk, instead of sorting each level on a
         ``to_text()`` that re-serialises the subtree below it."""
-        members = sorted([child.canonical() for child in self._children],
-                         key=itemgetter(0))
-        parts = [_atom_text(atom) for atom in sorted(self._atoms, key=_sort_key)]
-        parts.extend(member[0] for member in members)
-        return "{" + ", ".join(parts) + "}", self, members
+        members = self.canonical_members()
+        return _set_text(self, members), self, members
+
+    def canonical_members(self) -> list:
+        """The members of :meth:`canonical` alone: every set-valued
+        member's triple in canonical order, without this set's own text
+        (the top-down algorithm orders siblings by it and never needs
+        the root's).  The walk keeps its own stack, so any depth the
+        parser accepts is serialised."""
+        # One frame per open set: the node, the members still to visit,
+        # the finished members' triples.
+        stack = [(self, iter(self._children), [])]
+        while True:
+            node, pending, members = stack[-1]
+            for child in pending:
+                stack.append((child, iter(child._children), []))
+                break
+            else:
+                stack.pop()
+                members.sort(key=itemgetter(0))
+                if not stack:
+                    return members
+                stack[-1][2].append((_set_text(node, members), node,
+                                     members))
 
     def to_text(self) -> str:
         """Canonical text form (members sorted, deterministic)."""
@@ -239,6 +258,13 @@ def as_nested_set(query: object) -> NestedSet:
     if isinstance(query, str):
         return NestedSet.parse(query)
     return NestedSet.from_obj(query)
+
+
+def _set_text(node: NestedSet, members: list) -> str:
+    """Canonical text of ``node`` over its members' canonical triples."""
+    parts = [_atom_text(atom) for atom in sorted(node._atoms, key=_sort_key)]
+    parts.extend(member[0] for member in members)
+    return "{" + ", ".join(parts) + "}"
 
 
 def _sort_key(atom: Atom) -> tuple[int, str]:

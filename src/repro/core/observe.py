@@ -19,7 +19,11 @@ it exists for all four algorithms and cannot diverge from the
 uninstrumented result.  Rendered, a trace looks like::
 
     node {USA, ...}  atoms=[USA]  candidates=812 -> survivors=17  1.24ms
-      node {UK, ...}  atoms=[UK]  candidates=64 (frontier 41) -> ...
+      node {UK, ...}  atoms=[UK]  candidates≤64 (frontier 41) -> ...
+
+(``≤``: the parents' frontier drove the child's intersection, so its
+unrestricted candidates were never built; the rarest atom's live list
+length bounds them and the frontier count is exact.)
 
 This is diagnostics machinery on top of the paper's algorithms, in the
 spirit of EXPLAIN in relational engines.
@@ -53,10 +57,12 @@ class PlanObserver:
     def enter_node(self, qnode) -> None:
         """A query node's evaluation begins (pre-order)."""
 
-    def record_candidates(self, candidates: int,
+    def record_candidates(self, candidates: int | None,
                           restricted: int | None = None) -> None:
         """The current node's candidate count (and, for algorithms that
-        restrict candidates to a parent frontier, the restricted count)."""
+        restrict candidates to a parent frontier, the restricted count).
+        ``candidates`` is None where the frontier drove the intersection:
+        the unrestricted list was never built, so it has no count."""
 
     def exit_node(self, survivors: int) -> None:
         """The current node's evaluation ends with ``survivors`` matches."""
@@ -78,13 +84,17 @@ class NodeTrace:
     survivors: int             # after the structural child conditions
     elapsed_ms: float
     children: list["NodeTrace"] = field(default_factory=list)
+    #: The frontier drove the intersection, so the unrestricted list was
+    #: never built: ``candidates`` is an upper bound on its length (the
+    #: rarest atom's live list length) and ``restricted`` the exact count.
+    bounded: bool = False
 
     def render(self, indent: int = 0) -> str:
         pad = "  " * indent
         parts = [f"{pad}node {self.label}  atoms={self.atoms}"]
         if self.restricted is not None:
-            parts.append(f"candidates={self.candidates} "
-                         f"(frontier {self.restricted})")
+            parts.append(f"candidates{'≤' if self.bounded else '='}"
+                         f"{self.candidates} (frontier {self.restricted})")
         else:
             parts.append(f"candidates={self.candidates}")
         parts.append(f"-> survivors={self.survivors}")
@@ -95,7 +105,12 @@ class NodeTrace:
         return "\n".join(lines)
 
 
-def _render_header(result, algorithm: str) -> str:
+def _render_header(result, shards: int = 1) -> str:
+    algorithm = result.algorithm
+    if result.picked:
+        algorithm += ", the compiler's pick"
+    if shards > 1:
+        algorithm += f" x {shards} shards"
     header = (f"matches={len(result.matches)}  "
               f"total={result.total_ms:.3f}ms"
               f"  lists={result.lists_fetched}  [{algorithm}]")
@@ -124,6 +139,8 @@ class ExplainResult:
     total_ms: float
     lists_fetched: int
     algorithm: str = "topdown"
+    #: The query named no algorithm; the compiler picked this one.
+    picked: bool = False
     blocks_read: int = 0
     blocks_skipped: int = 0
     bytes_decoded: int = 0
@@ -136,8 +153,7 @@ class ExplainResult:
                               self.intersects_scalar)
 
     def render(self) -> str:
-        return f"{_render_header(self, self.algorithm)}\n" \
-               f"{self.root.render()}"
+        return f"{_render_header(self)}\n{self.root.render()}"
 
 
 @dataclass
@@ -154,6 +170,7 @@ class MergedExplainResult:
     matches: list[str]
     total_ms: float
     algorithm: str
+    picked: bool = False
 
     def _sum(self, name: str) -> int:
         return sum(getattr(result, name) for result in self.shards)
@@ -180,8 +197,7 @@ class MergedExplainResult:
                               self._sum("intersects_scalar"))
 
     def render(self) -> str:
-        sections = [_render_header(
-            self, f"{self.algorithm} x {len(self.shards)} shards")]
+        sections = [_render_header(self, len(self.shards))]
         for shard_no, result in enumerate(self.shards):
             sections.append(f"-- shard {shard_no} --")
             sections.append(result.render())
@@ -198,7 +214,8 @@ def merge_explains(results: "list[ExplainResult]", total_ms: float
     matches = sorted(key for result in results for key in result.matches)
     return MergedExplainResult(shards=list(results), matches=matches,
                                total_ms=total_ms,
-                               algorithm=results[0].algorithm)
+                               algorithm=results[0].algorithm,
+                               picked=results[0].picked)
 
 
 def _label(node: "NestedSet", limit: int = 40) -> str:
@@ -219,12 +236,17 @@ class TraceSink(PlanObserver):
 
     def enter_node(self, qnode: "NestedSet") -> None:
         lengths = {}
+        # What bounds the node's candidates when nobody counts them: the
+        # rarest atom's live list length (every node, without atoms).
+        bound = self._ifile.n_nodes
+        dead = self._ifile.dead_counts
         for atom in qnode.atoms:
-            lengths[str(atom)] = len(self._ifile.postings(atom))
+            length = lengths[str(atom)] = len(self._ifile.postings(atom))
+            bound = min(bound, max(0, length - dead.get(atom, 0)))
             self.lists_fetched += 1
         trace = NodeTrace(label=_label(qnode),
                           atoms=sorted(str(atom) for atom in qnode.atoms),
-                          list_lengths=lengths, candidates=0,
+                          list_lengths=lengths, candidates=bound,
                           restricted=None, survivors=0, elapsed_ms=0.0)
         if self._stack:
             self._stack[-1][0].children.append(trace)
@@ -232,10 +254,13 @@ class TraceSink(PlanObserver):
             self.root = trace
         self._stack.append((trace, time.perf_counter()))
 
-    def record_candidates(self, candidates: int,
+    def record_candidates(self, candidates: int | None,
                           restricted: int | None = None) -> None:
         trace = self._stack[-1][0]
-        trace.candidates = candidates
+        if candidates is None:
+            trace.bounded = True    # keeps the bound enter_node computed
+        else:
+            trace.candidates = candidates
         trace.restricted = restricted
 
     def exit_node(self, survivors: int) -> None:
@@ -266,6 +291,7 @@ def run_explained(plan: "ExecutionPlan",
     return ExplainResult(root=sink.root, matches=matches, total_ms=total_ms,
                          lists_fetched=sink.lists_fetched,
                          algorithm=plan.algorithm,
+                         picked=plan.match.picked,
                          blocks_read=stats.blocks_read - blocks_read0,
                          blocks_skipped=(stats.blocks_skipped
                                          - blocks_skipped0),
@@ -278,15 +304,15 @@ def run_explained(plan: "ExecutionPlan",
 
 def explain(query: object, ifile: "InvertedFile",
             spec: QuerySpec = QuerySpec(), *,
-            algorithm: str = "topdown",
+            algorithm: str | None = None,
             planner: str | None = None,
             bloom_index: object | None = None,
             use_bloom: bool = False) -> ExplainResult:
     """Evaluate over a bare inverted file with full instrumentation.
 
-    Works for every algorithm; ``topdown`` is the historical default of
-    this module-level helper.  ``NestedSetIndex.explain`` does the same
-    with the index's own Bloom filters and statistics.
+    Works for every algorithm; unset, the compiler picks as for any
+    query.  ``NestedSetIndex.explain`` does the same with the index's
+    own Bloom filters and statistics.
     """
     # The compiler imports the algorithm modules, which import this one.
     from .exec.compiler import compile_query

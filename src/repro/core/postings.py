@@ -71,32 +71,26 @@ class PostingList:
     ``children[offsets[i]:offsets[i + 1]]``.  Lists decoded from blocks
     or cut out of other columnar lists (:func:`take`, the vectorized
     intersection) start as columns and never grow rows unless a row
-    consumer asks; a cut-out list then picks its rows out of the rows of
-    the list it was cut from, which a block-cached list shares with
-    every other query.
+    consumer asks; the rows then come from the list's own columns, so a
+    cut-out list costs rows for what it kept and never for the list it
+    was cut from.
     """
 
     # Lists held by a list cache or shared between snapshots are read by
     # several threads: each memo below is published by one assignment.
-    __slots__ = ("_entries", "_heads", "_columns", "_origin")
+    __slots__ = ("_entries", "_heads", "_columns")
 
     def __init__(self, entries: Sequence[Posting] = ()) -> None:
         self._entries: tuple[Posting, ...] | None = tuple(entries)
-        self._heads = self._columns = self._origin = None
+        self._heads = self._columns = None
 
     @classmethod
-    def from_columns(cls, heads, offsets, children,
-                     origin=None) -> "PostingList":
-        """Wrap columns (see the class docstring); rows stay unbuilt.
-
-        ``origin`` is ``(source list, positions)`` when the columns were
-        gathered from ``source`` at those ascending positions.
-        """
+    def from_columns(cls, heads, offsets, children) -> "PostingList":
+        """Wrap columns (see the class docstring); rows stay unbuilt."""
         plist = cls.__new__(cls)
         plist._entries = None
         plist._heads = heads
         plist._columns = (heads, offsets, children)
-        plist._origin = origin
         return plist
 
     @classmethod
@@ -117,17 +111,10 @@ class PostingList:
     def entries(self) -> tuple[Posting, ...]:
         """The ``(head, children)`` rows, built and memoized on demand."""
         if self._entries is None:
-            origin = self._origin
-            if origin is not None:
-                source, index = origin
-                rows = source.entries
-                self._entries = tuple([rows[i] for i in index.tolist()])
-                self._origin = None
-            else:
-                heads, offsets, children = self._columns
-                self._entries = _rows(heads.tolist(),
-                                      (offsets[1:] - offsets[:-1]).tolist(),
-                                      children.tolist())
+            heads, offsets, children = self._columns
+            self._entries = _rows(heads.tolist(),
+                                  (offsets[1:] - offsets[:-1]).tolist(),
+                                  children.tolist())
         return self._entries
 
     def columns(self):
@@ -210,8 +197,17 @@ def _gather(source, index) -> PostingList:
     kept = _offsets_of(counts)
     pick = _np.repeat(starts - kept[:-1], counts)
     pick += _np.arange(len(pick))
-    return PostingList.from_columns(heads[index], kept, children[pick],
-                                    origin=(source, index))
+    return PostingList.from_columns(heads[index], kept, children[pick])
+
+
+def _block_columns(blocks: "Sequence[BlockData]", heads=None):
+    """``(heads, offsets, children)`` of decoded blocks taken together
+    (``heads``: their concatenated head column, when already at hand)."""
+    if heads is None:
+        heads = _concat([block.heads for block in blocks])
+    return (heads,
+            _offsets_of(_concat([block.counts for block in blocks])),
+            _concat([block.children for block in blocks]))
 
 
 def _rows(heads: list[int], counts: list[int],
@@ -406,12 +402,10 @@ class LazyPostingList:
         Every block is decoded (or found in the cache); no row is built.
         """
         if self._columns is None:
-            blocks = [self.block_data(i) for i in range(self.n_blocks)]
-            if self._heads_arr is None:
-                self._heads_arr = _concat([b.heads for b in blocks])
-            self._columns = (self._heads_arr,
-                             _offsets_of(_concat([b.counts for b in blocks])),
-                             _concat([b.children for b in blocks]))
+            self._columns = _block_columns(
+                [self.block_data(i) for i in range(self.n_blocks)],
+                self._heads_arr)
+            self._heads_arr = self._columns[0]
         return self._columns
 
     @property
@@ -479,13 +473,14 @@ class LazyPostingList:
 
 
 class _BlockCursor:
-    """Monotone membership cursor over a :class:`LazyPostingList`.
+    """Monotone lookup cursor over a :class:`LazyPostingList`.
 
-    ``contains`` must be probed with ascending heads (the intersection
-    drives it from a sorted rare list).  The cursor gallops through the
-    skip directory: blocks whose ``max_head`` lies before the probe are
-    jumped over without decoding (counted as ``blocks_skipped``), and a
-    probe landing in the gap between two blocks is answered from the
+    ``find`` (and ``contains``, its truth value) must be probed with
+    ascending heads (the intersection drives it from a sorted rare list
+    or frontier).  The cursor gallops through the skip directory:
+    blocks whose ``max_head`` lies before the probe are jumped over
+    without decoding (counted as ``blocks_skipped``), and a probe
+    landing in the gap between two blocks is answered from the
     directory alone.
     """
 
@@ -500,12 +495,13 @@ class _BlockCursor:
         self._block_heads: list[int] | None = None
         self._stats = lazy._stats
 
-    def contains(self, head: int) -> bool:
+    def find(self, head: int) -> Posting | None:
+        """The posting with ``head``, or None."""
         max_heads = self._max_heads
         n = len(max_heads)
         at = self._block_no
         if at >= n:
-            return False
+            return None
         if max_heads[at] < head:
             target = bisect_left(max_heads, head, lo=at + 1)
             skipped = target - at - (1 if self._block is not None else 0)
@@ -514,16 +510,26 @@ class _BlockCursor:
             self._block_no = at = target
             self._block = self._block_heads = None
             if at >= n:
-                return False
+                return None
         info = self._list.header.blocks[at]
         if head < info.min_head:
-            return False
+            return None
         if self._block is None:
             self._block = self._list.block(at)
             self._block_heads = [p for p, _ in self._block]
         heads = self._block_heads
         pos = bisect_left(heads, head)
-        return pos < len(heads) and heads[pos] == head
+        if pos < len(heads) and heads[pos] == head:
+            return self._block[pos]
+        return None
+
+    def contains(self, head: int) -> bool:
+        return self.find(head) is not None
+
+
+def _still_encoded(plist: "PostingList | LazyPostingList") -> bool:
+    """A stored list whose blocks decode on demand (no rows built yet)."""
+    return isinstance(plist, LazyPostingList) and plist._entries is None
 
 
 def _membership(plist: "PostingList | LazyPostingList",
@@ -535,8 +541,7 @@ def _membership(plist: "PostingList | LazyPostingList",
     gets decoded anyway, and the flat hash-set probe beats a per-probe
     bisect.
     """
-    if isinstance(plist, LazyPostingList) and plist._entries is None \
-            and n_probes < plist.n_blocks:
+    if _still_encoded(plist) and n_probes < plist.n_blocks:
         return _BlockCursor(plist).contains
     return plist.heads().__contains__
 
@@ -595,8 +600,7 @@ def _array_membership(other: "PostingList | LazyPostingList", probes):
     probe into it.
     """
     n_probes = len(probes)
-    if isinstance(other, LazyPostingList) and other._entries is None \
-            and n_probes < other.n_blocks:
+    if _still_encoded(other) and n_probes < other.n_blocks:
         return _gallop_mask(other, probes)
     heads = other.heads_array()
     if n_probes * _BULK_DENSITY >= len(heads):
@@ -679,6 +683,65 @@ def intersect(lists: "Sequence[PostingList | LazyPostingList]",
     entries = [entry for entry in rare.entries
                if all(probe(entry[0]) for probe in probes)]
     return PostingList(entries)
+
+
+def _postings_at(lazy: LazyPostingList, heads) -> PostingList:
+    """The postings of a still-encoded list at the sorted array ``heads``,
+    every one of which it holds.
+
+    Only the blocks those heads fall in are read (the membership pass
+    has just put them in the block cache): their columns, concatenated,
+    are the list the postings are gathered from.
+    """
+    target = _np.searchsorted(lazy.directory.max_heads, heads)
+    touched = PostingList.from_columns(*_block_columns(
+        [lazy.block_data(block_no)
+         for block_no in sorted(set(target.tolist()))]))
+    return _gather(touched, _np.searchsorted(touched.heads_array(), heads))
+
+
+def intersect_within(lists: "Sequence[PostingList | LazyPostingList]",
+                     ids, stats=None) -> PostingList:
+    """The postings whose head lies in ``ids`` and in every one of ``lists``.
+
+    The frontier-driven form of :func:`intersect`, for a match set
+    ``ids`` that is the shortest operand (the caller ranks; any lengths
+    give the same answer) and ``lists`` shortest first.  A shortest
+    list under :data:`COLUMNAR_MIN` is cut to the ids as rows and
+    drives the ordinary intersection.  Above it the ids are the probes:
+    filtered list by list through the skip directories as a rare
+    list's heads would be, and the survivors' postings then read from
+    the shortest list -- out of the blocks the survivors fall in
+    (:func:`_postings_at`), never out of a whole list's columns or
+    rows.  Without numpy a :class:`_BlockCursor` over the shortest list
+    finds each id's posting.
+    """
+    rare = lists[0]
+    if len(rare) < COLUMNAR_MIN or not _still_encoded(rare):
+        return intersect([with_head_in(rare, ids), *lists[1:]], stats)
+    if stats is None:
+        stats = rare._stats
+    if _np is None:
+        if stats is not None:
+            stats.intersects_scalar += 1
+        find = _BlockCursor(rare).find
+        probes = [_membership(plist, len(ids)) for plist in lists[1:]]
+        entries = []
+        for head in sorted(ids):
+            posting = find(head)
+            if posting is not None and all(probe(head) for probe in probes):
+                entries.append(posting)
+        return PostingList(entries)
+    heads = id_array(ids)
+    for plist in lists:
+        heads = heads[_array_membership(plist, heads)]
+        if not len(heads):
+            break
+    if stats is not None:
+        stats.intersects_vectorized += 1
+    if not len(heads):
+        return PostingList()
+    return _postings_at(rare, heads)
 
 
 def multiset_union(lists: Sequence[PostingList]) -> list[tuple[int, tuple[int, ...], int]]:

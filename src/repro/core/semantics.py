@@ -38,9 +38,18 @@ def hom_contains(data: NestedSet, query: NestedSet) -> bool:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        ok = qnode.atoms <= dnode.atoms and all(
-            any(match(qchild, dchild) for dchild in dnode.children)
-            for qchild in qnode.children)
+        # Plain loops, not all(any(...)): one interpreter frame per
+        # level instead of three, so the scan of the default join goes
+        # as deep as a record can be built.
+        ok = qnode.atoms <= dnode.atoms
+        if ok:
+            for qchild in qnode.children:
+                for dchild in dnode.children:
+                    if match(qchild, dchild):
+                        break
+                else:
+                    ok = False
+                    break
         memo[key] = ok
         return ok
 

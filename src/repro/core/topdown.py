@@ -2,10 +2,14 @@
 
 Two variants are provided.
 
-**Strict variant** (:func:`topdown_match_nodes`, the default everywhere).
-Starts at the query root, generates candidates for each node, and -- the
-top-down advantage -- restricts every child's candidate list to the
-*frontier* reachable from the surviving parents before recurring.  After
+**Strict variant** (:func:`topdown_match_nodes`; what the compiler picks
+for the intersection joins when no algorithm is named).  Starts at the
+query root, generates candidates for each node, and -- the top-down
+advantage -- restricts every child's candidates to the *frontier*
+reachable from the surviving parents before descending: under the
+``subset`` and ``equality`` joins the frontier ids are an operand of the
+child's list intersection (``node_candidates(..., within=)``), so a few
+surviving parents cost a few blocks of each list, not the lists.  After
 each child returns, parents without an edge into the child's match set are
 dropped, so later siblings see an ever-smaller frontier.  The survivors of
 a node are exactly the data nodes at which its subtree embeds, which makes
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .candidates import node_candidates
+from .candidates import INTERSECTION_JOINS, node_candidates
 from .invfile import InvertedFile
 from .matchspec import QuerySpec, validate_paper_variant
 from .model import NestedSet
@@ -65,11 +69,40 @@ def topdown_match_nodes(query: NestedSet, ifile: InvertedFile,
     ``child_order`` is an optional hook ``(children, spec) -> ordered
     list`` (see :mod:`repro.core.planner`): sibling subqueries are
     evaluated in the returned order, which controls how fast the
-    surviving-parent frontier shrinks.
+    surviving-parent frontier shrinks; without it they run in canonical
+    text order, read off one :meth:`NestedSet.canonical_members` walk of
+    the whole query.
+
+    The descent keeps an explicit stack of :class:`_Level` frames, like
+    the bottom-up algorithm's, so the query's depth is not bounded by
+    the interpreter's.  Long survivor lists stay columnar from level to
+    level: frontier, restriction and the per-child prefilter follow the
+    size rule of :func:`repro.core.postings.use_columns`.
     """
     obs = observer if observer is not None else NULL_OBSERVER
+    obs.enter_node(query)
     cand = node_candidates(query, ifile, spec)
-    return set(id_set(_match(query, cand, ifile, spec, child_order, obs)))
+    obs.record_candidates(len(cand))
+    # No root candidate, no descent: the walk that orders the siblings
+    # of every level is then not worth making.
+    members = query.canonical_members() if cand else []
+    stack = [_Level(members, cand, ifile, spec, child_order)]
+    matched: MatchIds | None = None     # handed up by the level just closed
+    while stack:
+        level = stack[-1]
+        if matched is not None:
+            level.take(matched)
+            matched = None
+        member = level.next_member()
+        if member is None:
+            matched = level.close()
+            obs.exit_node(len(matched))
+            stack.pop()
+            continue
+        obs.enter_node(member[1])
+        stack.append(_Level(member[2], level.child_candidates(member[1], obs),
+                            ifile, spec, child_order))
+    return set(id_set(matched))
 
 
 def topdown_query(query: NestedSet, ifile: InvertedFile,
@@ -79,70 +112,88 @@ def topdown_query(query: NestedSet, ifile: InvertedFile,
     return ifile.heads_to_keys(heads, mode=spec.mode)
 
 
-def _match(qnode: NestedSet, cand: PostingList, ifile: InvertedFile,
-           spec: QuerySpec, child_order, obs: PlanObserver,
-           n_unrestricted: int | None = None) -> MatchIds:
-    """Survivors of ``cand`` whose subtrees cover ``qnode``'s children.
+class _Level:
+    """One open query node: its candidates being cut down child by child.
 
-    ``n_unrestricted`` is the candidate count before the parent-frontier
-    restriction (``None`` at the root, where there is no frontier).
-    Long survivor lists stay columnar from level to level: frontier,
-    restriction and the per-child prefilter follow the size rule of
-    :func:`repro.core.postings.use_columns`.
+    ``survivors`` are the candidates still covering every child
+    evaluated so far; each further child sees only the frontier below
+    them.  The superset join quantifies over *data* children, so there
+    the per-child pruning would be unsound: every child is evaluated
+    against the frontier of all candidates and the coverage filter runs
+    once, on closing.
     """
-    obs.enter_node(qnode)
-    if n_unrestricted is None:
-        obs.record_candidates(len(cand))
-    else:
-        obs.record_candidates(n_unrestricted, restricted=len(cand))
-    heads = _match_children(qnode, cand, ifile, spec, child_order, obs)
-    obs.exit_node(len(heads))
-    return heads
 
+    __slots__ = ("ifile", "spec", "members", "at", "survivors",
+                 "child_sets", "fixed_frontier")
 
-def _match_children(qnode: NestedSet, cand: PostingList,
-                    ifile: InvertedFile, spec: QuerySpec, child_order,
-                    obs: PlanObserver) -> MatchIds:
-    if not cand:
-        return set()
-    if child_order is not None:
-        children = child_order(list(qnode.children), spec)
-    else:
-        children = sorted(qnode.children, key=lambda c: c.to_text())
-    if not children:
-        return match_ids(filter_candidates(cand, [], ifile, spec))
-    if spec.join == "superset":
-        # The superset condition quantifies over *data* children, so the
-        # per-child sequential pruning below would be unsound; recur on
-        # every query child first, then apply the coverage filter.
-        frontier = frontier_of(cand, ifile, spec)
-        child_sets = []
-        for child in children:
+    def __init__(self, members: list, cand: PostingList,
+                 ifile: InvertedFile, spec: QuerySpec, child_order) -> None:
+        if child_order is not None and len(members) > 1 and cand:
+            triple_of = {member[1]: member for member in members}
+            members = [triple_of[child] for child in child_order(
+                [member[1] for member in members], spec)]
+        if members and spec.join == "equality":
+            cand = with_child_count(cand, len(members))
+        self.ifile = ifile
+        self.spec = spec
+        self.members = members
+        self.at = 0
+        self.survivors = cand
+        self.child_sets: list[MatchIds] = []
+        #: The superset join's one frontier, below all candidates.
+        self.fixed_frontier = frontier_of(cand, ifile, spec) \
+            if members and cand and spec.join == "superset" else None
+
+    def next_member(self) -> tuple | None:
+        """The next child to descend into; None when none is left or no
+        candidate survived the children so far."""
+        if self.at == len(self.members) or not self.survivors:
+            return None
+        self.at += 1
+        return self.members[self.at - 1]
+
+    def child_candidates(self, child: NestedSet,
+                         obs: PlanObserver) -> PostingList:
+        """``child``'s candidates inside the frontier of the survivors.
+
+        A child-axis frontier under an intersection join *drives* the
+        intersection (``within=``), so the unrestricted candidate list
+        is never built and the observer gets no count for it; interval
+        frontiers (``homeo``) and the multiset-union joins build it and
+        cut it down.
+        """
+        ifile, spec = self.ifile, self.spec
+        frontier = self.fixed_frontier if self.fixed_frontier is not None \
+            else frontier_of(self.survivors, ifile, spec)
+        if frontier.ids is not None and spec.join in INTERSECTION_JOINS:
+            cand = node_candidates(child, ifile, spec, within=frontier.ids)
+            obs.record_candidates(None, restricted=len(cand))
+        else:
             full = node_candidates(child, ifile, spec)
-            child_cand = frontier.restrict(full)
-            child_sets.append(_match(child, child_cand, ifile, spec,
-                                     child_order, obs,
-                                     n_unrestricted=len(full)))
-        return match_ids(filter_candidates(cand, child_sets, ifile, spec))
-    if spec.join == "equality":
-        cand = with_child_count(cand, len(children))
-    survivors = cand
-    child_sets: list[MatchIds] = []
-    for child in children:
+            cand = frontier.restrict(full)
+            obs.record_candidates(len(full), restricted=len(cand))
+        return cand
+
+    def take(self, matched: MatchIds) -> None:
+        """A child's match set: drop survivors with no edge into it."""
+        self.child_sets.append(matched)
+        if self.spec.join != "superset":
+            self.survivors = prefilter_survivors(self.survivors, matched,
+                                                 self.ifile, self.spec)
+
+    def close(self) -> MatchIds:
+        """The data nodes at which this node's subtree embeds."""
+        survivors = self.survivors
         if not survivors:
             return set()
-        frontier = frontier_of(survivors, ifile, spec)
-        full = node_candidates(child, ifile, spec)
-        child_cand = frontier.restrict(full)
-        ok = _match(child, child_cand, ifile, spec, child_order, obs,
-                    n_unrestricted=len(full))
-        child_sets.append(ok)
-        survivors = prefilter_survivors(survivors, ok, ifile, spec)
-    if spec.semantics == "iso" and survivors:
-        # The sequential prefilter is only necessary for iso; finish with
-        # the injective matching over all children at once.
-        survivors = filter_candidates(survivors, child_sets, ifile, spec)
-    return match_ids(survivors)
+        if not self.members or self.spec.join == "superset" \
+                or self.spec.semantics == "iso":
+            # Leaf conditions, the superset coverage, and for iso --
+            # where the per-child prefilter is necessary but not
+            # sufficient -- the injective matching over all children.
+            survivors = filter_candidates(survivors, self.child_sets,
+                                          self.ifile, self.spec)
+        return match_ids(survivors)
 
 
 # -- paper-literal variant ------------------------------------------------------
@@ -158,7 +209,7 @@ def topdown_paper_match_nodes(query: NestedSet, ifile: InvertedFile,
     obs.enter_node(query)
     cand = node_candidates(query, ifile, spec)
     obs.record_candidates(len(cand))
-    siblings = sorted(query.children, key=lambda c: c.to_text())
+    siblings = query.canonical_members()
     if spec.semantics == "homeo":
         paths = [(p, p, ifile.max_desc(p)) for p, _ in cand]
         result = _interior_desc(siblings, paths, ifile, spec, obs)
@@ -176,28 +227,31 @@ def topdown_paper_query(query: NestedSet, ifile: InvertedFile,
     return ifile.heads_to_keys(heads, mode=spec.mode)
 
 
-def _interior(siblings: list[NestedSet], paths: PathList,
+def _interior(siblings: list[tuple], paths: PathList,
               ifile: InvertedFile, spec: QuerySpec,
               obs: PlanObserver) -> set[int]:
-    """Top-down-interior (Algorithm 2), child axis."""
+    """Top-down-interior (Algorithm 2), child axis.
+
+    ``siblings`` are :meth:`NestedSet.canonical_members` triples: the sibling
+    subqueries in canonical order, each with its own members below it.
+    """
     if not siblings:                       # lines 1-2
         return paths.heads()
     if not paths:                          # lines 3-4
         return set()
     roots = paths.heads()                  # line 6
-    for node in siblings:                  # lines 7-12
+    for _text, node, members in siblings:  # lines 7-12
         obs.enter_node(node)
         cand = node_candidates(node, ifile, spec)          # line 8
         extended = nav_join(paths, cand)                   # line 9
         obs.record_candidates(len(cand), restricted=len(extended))
-        deeper = _interior(sorted(node.children, key=lambda c: c.to_text()),
-                           extended, ifile, spec, obs)      # line 10
+        deeper = _interior(members, extended, ifile, spec, obs)  # line 10
         obs.exit_node(len(deeper))
         roots &= deeper                                    # line 11
     return roots                           # line 13
 
 
-def _interior_desc(siblings: list[NestedSet],
+def _interior_desc(siblings: list[tuple],
                    paths: list[tuple[int, int, int]],
                    ifile: InvertedFile, spec: QuerySpec,
                    obs: PlanObserver) -> set[int]:
@@ -211,7 +265,7 @@ def _interior_desc(siblings: list[NestedSet],
     if not paths:
         return set()
     roots = {head for head, _node, _end in paths}
-    for node in siblings:
+    for _text, node, members in siblings:
         obs.enter_node(node)
         cand = node_candidates(node, ifile, spec)
         cand_entries = cand.entries
@@ -228,9 +282,7 @@ def _interior_desc(siblings: list[NestedSet],
                     extended.append((head, cand_ids[index],
                                      ifile.max_desc(cand_ids[index])))
         obs.record_candidates(len(cand), restricted=len(extended))
-        deeper = _interior_desc(
-            sorted(node.children, key=lambda c: c.to_text()),
-            extended, ifile, spec, obs)
+        deeper = _interior_desc(members, extended, ifile, spec, obs)
         obs.exit_node(len(deeper))
         roots &= deeper
     return roots

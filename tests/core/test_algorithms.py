@@ -179,6 +179,31 @@ class TestDeepAndDegenerate:
         index = InvertedFile.build([("deep", chain_data)])
         assert bottomup_query(chain_data, index) == ["deep"]
 
+    def test_any_parseable_depth_answers_under_every_algorithm(self) -> None:
+        # The strict top-down descent keeps its own stack and orders
+        # siblings off one iterative canonical walk, so a query twice
+        # as deep as anything indexed -- parsed from text, like a
+        # user's -- answers (here: matches nothing) instead of raising
+        # RecursionError.
+        from repro.core.engine import NestedSetIndex
+        chain = N(["a"])
+        for _ in range(299):
+            chain = N(["a"], [chain])
+        with NestedSetIndex.build([("deep", chain), ("flat", N(["a"]))]) \
+                as index:
+            too_deep = "{a, " * 599 + "{a}" + "}" * 599
+            assert sum(1 for _ in NestedSet.parse(too_deep).iter_sets()) \
+                == 600
+            for query, expected in ((too_deep, []), (chain, ["deep"])):
+                answers = {algorithm: index.query(query, algorithm=algorithm)
+                           for algorithm in (None, "bottomup", "topdown",
+                                             "topdown-paper", "naive")}
+                assert all(answer == expected
+                           for answer in answers.values()), answers
+            assert index.explain(too_deep).matches == []
+            assert index.query_batch([too_deep, chain],
+                                     algorithm="bottomup") == [[], ["deep"]]
+
     def test_empty_query_matches_everything(self, corpus, index) -> None:
         assert len(bottomup_query(N(), index)) == len(corpus)
         assert len(topdown_query(N(), index)) == len(corpus)

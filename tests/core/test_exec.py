@@ -31,12 +31,34 @@ class TestCompile:
     def test_default_plan_shape(self) -> None:
         plan = compile_query("{a, {b}}")
         assert isinstance(plan, ExecutionPlan)
-        assert plan.algorithm == "bottomup"
+        assert plan.algorithm == "topdown"
+        assert plan.match.picked
+        assert "the compiler's pick" in plan.describe()
         assert plan.candidates.source == "inverted-file"
-        assert plan.match.memoizable
+        assert not plan.match.memoizable
         assert plan.prefilter.cache_key is not None
         assert not plan.prefilter.bloom
         assert plan.materialize.mode == "root"
+        # The resolution table of an unset algorithm: the frontier can
+        # drive an intersection, not a multiset union.
+        picks = {join: compile_query("{a, {b}}", QuerySpec(join=join))
+                 for join in ("subset", "equality", "superset", "overlap")}
+        assert {join: plan.algorithm for join, plan in picks.items()} == {
+            "subset": "topdown", "equality": "topdown",
+            "superset": "bottomup", "overlap": "bottomup"}
+        assert all(plan.match.picked for plan in picks.values())
+        assert picks["superset"].match.memoizable
+        # A sibling-order planner is a top-down option on every join.
+        for join in ("subset", "superset"):
+            planned = compile_query("{a, {b}}", QuerySpec(join=join),
+                                    planner="selective-first")
+            assert planned.algorithm == "topdown" and planned.match.picked
+        # A named algorithm is the caller's, not a pick, and shares the
+        # picked plan's result-cache key.
+        named = compile_query("{a, {b}}", algorithm="topdown")
+        assert not named.match.picked
+        assert "pick" not in named.describe()
+        assert named.prefilter.cache_key == plan.prefilter.cache_key
 
     def test_topdown_plan_carries_planner(self) -> None:
         plan = compile_query("{a}", algorithm="topdown",
@@ -146,7 +168,7 @@ class TestPlanRun:
         index = NestedSetIndex.build(small_corpus)
         ctx = _context(index, memo={})
         query = small_corpus[0][1]
-        plan = compile_query(query, cacheable=False)
+        plan = compile_query(query, algorithm="bottomup", cacheable=False)
         first = plan.run(ctx)
         evaluated = ctx.counters.subqueries_evaluated
         second = plan.run(ctx)
@@ -161,6 +183,13 @@ class TestPlanRun:
         stats = ctx.collection_stats()
         assert stats is ctx.collection_stats()  # memoized
         assert ctx.counters == ExecCounters()
+
+
+def _walk(node):
+    """A trace node and everything below it."""
+    yield node
+    for child in node.children:
+        yield from _walk(child)
 
 
 class TestExplainEveryAlgorithm:
@@ -186,6 +215,42 @@ class TestExplainEveryAlgorithm:
                     query, algorithm=algorithm, **options), \
                     (algorithm, options, query)
                 assert result.algorithm == algorithm
+
+    @pytest.mark.parametrize("join", ["subset", "equality", "superset",
+                                      "overlap"])
+    def test_unset_algorithm_observes_the_one_path(self, small_corpus,
+                                                   join) -> None:
+        """With no algorithm named, EXPLAIN traces what ``query`` runs:
+        same matches, the pick named as the compiler's, and -- where a
+        frontier drove a child's intersection -- the candidates shown
+        as a bound beside the exact restricted count."""
+        index = NestedSetIndex.build(small_corpus)
+        picked = "topdown" if join in ("subset", "equality") else "bottomup"
+        bounded = exact = 0
+        for _key, query in small_corpus[:12]:
+            result = index.explain(query, join=join)
+            assert result.matches == index.query(query, join=join)
+            assert (result.algorithm, result.picked) == (picked, True)
+            assert f"[{picked}, the compiler's pick]" in \
+                result.render().splitlines()[0]
+            assert not result.root.bounded
+            below = [node for child in result.root.children
+                     for node in _walk(child)]
+            for node in below:
+                if node.bounded:
+                    bounded += 1
+                    assert node.restricted <= node.candidates
+                    assert f"candidates≤{node.candidates} " \
+                        f"(frontier {node.restricted})" in node.render()
+                else:
+                    exact += 1
+        # Top-down under an intersection join bounds every non-root
+        # node; bottom-up restricts nothing and counts everything.
+        assert (bounded > 0, exact > 0) == (picked == "topdown",
+                                            picked == "bottomup")
+        named = index.explain(small_corpus[0][1], join=join,
+                              algorithm=picked)
+        assert not named.picked and "pick" not in named.render()
 
     def test_trace_tree_has_node_detail(self, paper_records,
                                         paper_query) -> None:
