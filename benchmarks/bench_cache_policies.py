@@ -5,7 +5,9 @@ small frequency cache (budget 25), and an LRU cache on a uniform and a
 skewed collection.  Expected shape: on uniform data no policy matters
 (the paper's Experiment 1 observation); on skewed data the frequency
 cache wins big, LRU close behind, and even the small budget captures most
-of the benefit because the atom popularity curve is so steep.
+of the benefit because the atom popularity curve is so steep.  Every
+configuration keeps the index's block cache: a warm list the policy does
+not hold costs its skip directory lookup, not a store access.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.workloads import make_query_runner
-from repro.core.cache import make_cache
 
 SIZE = 4000
 N_QUERIES = 40
@@ -29,12 +30,9 @@ POLICY_IDS = ["none", "freq-250", "freq-25", "lru-250"]
 def test_cache_policy(benchmark, workloads, figure, dataset, policy,
                       budget):
     workload = workloads.get(dataset, SIZE, n_queries=N_QUERIES)
-    ifile = workload.index.inverted_file
-    if policy == "none":
-        workload.index.set_cache(None)
-    else:
-        ifile.cache = make_cache(policy, frequencies=ifile.frequencies(),
-                                 budget=budget)
+    # Through the index: queries read pinned views wired to the
+    # partition's policy, not to whatever the live file holds.
+    workload.index.set_cache(None if policy == "none" else policy, budget)
     runner = make_query_runner(workload.index, workload.queries, "topdown")
     label = POLICY_IDS[POLICIES.index((policy, budget))]
     figure.record(benchmark, dataset, label, runner,

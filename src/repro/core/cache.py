@@ -14,7 +14,10 @@ Three policies are provided:
   as future work item (6); included for the C1 ablation benchmark.
 
 Caches store *decoded* :class:`~repro.core.postings.PostingList` objects,
-so a hit skips both the store access and the codec work.
+so a hit skips both the store access and the codec work.  Below them
+every index keeps a :class:`BlockCache` whatever the policy: decoded
+blocks and skip directories, which make a list the policy does not hold
+cost no store access either once it is warm (DESIGN §9).
 """
 
 from __future__ import annotations
@@ -66,6 +69,11 @@ class ListCache(ABC):
     def admit(self, key: Hashable, plist: PostingList) -> None:
         """Offer a freshly decoded list to the cache (may be rejected)."""
 
+    def admits(self, key: Hashable) -> bool:
+        """Would :meth:`admit` keep a list for ``key``?  A kept list
+        outlives the read that fetched it, so it must own its bytes."""
+        return True
+
     def replace(self, key: Hashable, plist: PostingList) -> None:
         """Admit ``plist``, overwriting any existing entry for ``key``.
 
@@ -93,6 +101,9 @@ class NoCache(ListCache):
 
     def admit(self, key: Hashable, plist: PostingList) -> None:
         pass
+
+    def admits(self, key: Hashable) -> bool:
+        return False
 
 
 class FrequencyCache(ListCache):
@@ -127,6 +138,9 @@ class FrequencyCache(ListCache):
             return None
         self.stats.hits += 1
         return plist
+
+    def admits(self, key: Hashable) -> bool:
+        return key in self._hot
 
     def admit(self, key: Hashable, plist: PostingList) -> None:
         if key in self._hot and key not in self._lists:
@@ -213,6 +227,10 @@ DEFAULT_BLOCK_BUDGET = 8192
 #: older callers are still served; lazy lists wrap them on read).
 DecodedBlock = object
 
+#: The directory entry of a list the store does not hold: an atom absent
+#: at the key's version is remembered like a present list's directory.
+ABSENT = object()
+
 
 class BlockCache:
     """LRU over *decoded blocks* of block-compressed posting lists.
@@ -238,9 +256,13 @@ class BlockCache:
     Beside the blocks the cache keeps each list's decoded skip directory
     (:class:`repro.core.postings.SkipDirectory`) under the bare list
     key -- the same epoch scoping and the same :meth:`invalidate`, so a
-    directory is exactly as fresh as the blocks it describes.  They are
-    an LRU of their own with the same budget, and count neither in
-    ``len()`` nor in the block hit statistics.
+    directory is exactly as fresh as the blocks it describes.  A list
+    key whose store value was missing holds :data:`ABSENT` instead.
+    They are an LRU of their own with the same budget, and count
+    neither in ``len()`` nor in the block hit statistics.  A directory
+    entry is what lets :meth:`InvertedFile.postings
+    <repro.core.invfile.InvertedFile.postings>` hand out a list without
+    reading its value.
     """
 
     def __init__(self, budget: int = DEFAULT_BLOCK_BUDGET) -> None:
@@ -290,8 +312,8 @@ class BlockCache:
                 self._directories.popitem(last=False)
 
     def invalidate(self, list_keys: "set[Hashable]") -> None:
-        """Drop every cached block and the directory of the given lists
-        (atom tokens).
+        """Drop every cached block and the directory (or absent marker)
+        of the given lists (atom tokens).
 
         Appends change only a list's tail block, but block *numbers*
         past the tail shift as entries spill over, so the whole list's

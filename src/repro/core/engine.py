@@ -1215,6 +1215,11 @@ class NestedSetIndex(_Reads):
                 "policy": self._policy.name,
                 "workers": self._executor.max_workers,
                 "exec": self.counters.snapshot(),
+                # How each partition reached its lists: store gets of a
+                # list value vs. warm lists handed out without one.
+                "partitions": [{"list_fetches": ifile.stats.list_fetches,
+                                "directory_hits": ifile.stats.directory_hits}
+                               for ifile in ifiles],
             },
         }
         wal = self._base.wal_info()
@@ -1228,9 +1233,12 @@ class NestedSetIndex(_Reads):
         return out
 
     def reset_stats(self) -> None:
-        """Zero all query-time counters (between experiment runs)."""
+        """Zero all query-time counters (between experiment runs),
+        the shared base store's that ``stats()["store"]`` reports
+        included."""
         for partition in self._partitions:
             partition.inverted_file.reset_stats()
+        self._base.stats.reset()
         self.counters = ExecCounters()
 
     # -- introspection ----------------------------------------------------------

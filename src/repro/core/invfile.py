@@ -27,14 +27,14 @@ prefixes, so the index persists on the disk engines and reopens cheaply.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from ..storage import CorruptionError, KVStore, open_store
 from ..storage.codec import (
     DEFAULT_BLOCK_SIZE,
-    blocked_total,
     decode_blocked_header,
     decode_str,
     decode_uint_list,
@@ -42,7 +42,7 @@ from ..storage.codec import (
     encode_str,
     encode_varint,
 )
-from .cache import BlockCache, ListCache, NoCache
+from .cache import ABSENT, BlockCache, ListCache, NoCache
 from .model import Atom, NestedSet
 from .postings import (
     LazyPostingList,
@@ -97,7 +97,11 @@ class QueryStats:
 
     postings_requests: int = 0
     cache_hits: int = 0
-    lists_decoded: int = 0
+    #: Which path served a list lookup the list cache missed: a store
+    #: get of the atom's value (a cold key, or a warm list's first block
+    #: miss), or the block cache's directory entry with no store access.
+    list_fetches: int = 0
+    directory_hits: int = 0
     meta_block_reads: int = 0
     blocks_read: int = 0
     blocks_skipped: int = 0
@@ -115,15 +119,8 @@ class QueryStats:
                               self.intersects_scalar)
 
     def reset(self) -> None:
-        self.postings_requests = 0
-        self.cache_hits = 0
-        self.lists_decoded = 0
-        self.meta_block_reads = 0
-        self.blocks_read = 0
-        self.blocks_skipped = 0
-        self.bytes_decoded = 0
-        self.intersects_vectorized = 0
-        self.intersects_scalar = 0
+        for counter in fields(self):
+            setattr(self, counter.name, 0)
 
 
 def decode_path_of(vectorized: int, scalar: int) -> str:
@@ -270,6 +267,11 @@ def decode_counts(raw: bytes) -> list[tuple[Atom, int]]:
 class InvertedFile:
     """The nested-set inverted file over a key-value store."""
 
+    #: The store version reads resolve at: a pinned view's
+    #: (:class:`~repro.core.snapshot.SnapshotInvertedFile`), or ``None``
+    #: for the live file.
+    version: int | None = None
+
     def __init__(self, store: KVStore, cache: ListCache | None = None) -> None:
         self._store = store
         self.cache = cache if cache is not None else NoCache()
@@ -379,71 +381,94 @@ class InvertedFile:
 
     def postings(self, atom: Atom) -> PostingList | LazyPostingList:
         """Retrieve ``S_IF(atom)`` through the list cache; a stored list
-        comes back lazy (block payloads still encoded)."""
+        comes back lazy (block payloads still encoded, and its value
+        not even read while it is warm: :meth:`_open_list`)."""
         self.stats.postings_requests += 1
         cached = self.cache.get(atom)
         if cached is not None:
             self.stats.cache_hits += 1
             return cached
         token = atom_token(atom)
-        raw = self._store.get(_token_store_key(token))
-        return self._decode_and_admit(atom, token, raw)
-
-    def _decode_and_admit(self, atom: Atom, token: str, raw: bytes | None
-                          ) -> PostingList | LazyPostingList:
-        """Wrap a fetched atom value and offer it to the list cache.
-
-        The atom's epoch floor is taken once and serves both the block
-        cache key and the list cache's stamp.
-        """
-        epoch = None if self._epochs is None else \
-            self._epochs.floor(token, getattr(self, "version", None))
-        if raw is None:
-            plist = PostingList()
-        else:
-            plist = self._decode_atom_value(
-                atom, raw, token if epoch is None else (token, epoch))
-            self.stats.lists_decoded += 1
-        if epoch is None:
-            self.cache.admit(atom, plist)
-        else:
-            # Epochs attached: the cache is the engine's epoch-stamping
-            # :class:`~repro.core.snapshot.SnapshotListCache`.
-            self.cache.admit(atom, plist, epoch)
+        epoch = self._epoch(token)
+        plist = self._open_list(atom, token, epoch)
+        if self.cache.admits(atom):
+            if isinstance(plist, LazyPostingList):
+                # A kept list outlives this view's pin: it must not
+                # depend on a loader bound to it.
+                plist.raw
+            if epoch is None:
+                self.cache.admit(atom, plist)
+            else:
+                # Epochs attached: the cache is the engine's
+                # epoch-stamping SnapshotListCache.
+                self.cache.admit(atom, plist, epoch)
         return plist
 
-    def _decode_atom_value(self, atom: Atom, raw: bytes,
-                           block_key: "str | tuple") -> LazyPostingList:
-        """Wrap an atom value as a :class:`~repro.core.postings.
-        LazyPostingList` whose blocks decode on demand through the
-        shared block cache.
+    def _epoch(self, token: str) -> int | None:
+        """The token's epoch floor at this file's version, or ``None``
+        without modification epochs (a standalone file)."""
+        if self._epochs is None:
+            return None
+        return self._epochs.floor(token, self.version)
 
-        ``block_key`` is the list-level key for that cache.  A
-        standalone inverted file keys blocks by atom token (and relies
-        on :meth:`~repro.core.cache.BlockCache.invalidate` after
-        updates).  With modification epochs attached (the engine's MVCC
-        read path, :mod:`repro.core.snapshot`), the key is ``(token,
-        epoch floor at this view's version)``, so an append starts a
-        fresh key instead of invalidating anyone's decoded blocks.
+    def _open_list(self, atom: Atom, token: str, epoch: int | None
+                   ) -> PostingList | LazyPostingList:
+        """``S_IF(atom)`` past the list cache, the block cache's
+        directory entry first.
+
+        The list key is the atom token on a standalone file (which
+        relies on :meth:`~repro.core.cache.BlockCache.invalidate` after
+        updates) and ``(token, epoch floor)`` with modification epochs
+        attached (the engine's MVCC read path,
+        :mod:`repro.core.snapshot`), where it names exactly one stored
+        value.  Under a cached directory the list is handed out at once
+        -- no store access -- and reads its value on the first block
+        the block cache misses; an :data:`~repro.core.cache.ABSENT`
+        entry answers empty.  Otherwise the value is fetched, and its
+        directory, or the marker when the store has none, is left under
+        the key.
         """
+        list_key = token if epoch is None else (token, epoch)
+        store_key = _token_store_key(token)
+        directory = self.block_cache.directory(list_key)
+        if directory is not None:
+            self.stats.directory_hits += 1
+            if directory is ABSENT:
+                return PostingList()
+            return LazyPostingList(
+                directory=directory,
+                loader=partial(self._fetch_list, atom, store_key),
+                cache=self.block_cache, cache_key=list_key,
+                stats=self.stats)
+        self.stats.list_fetches += 1
+        raw = self._store.get(store_key)
+        if raw is None:
+            self.block_cache.admit_directory(list_key, ABSENT)
+            return PostingList()
         try:
             return LazyPostingList(raw, cache=self.block_cache,
-                                   cache_key=block_key, stats=self.stats)
+                                   cache_key=list_key, stats=self.stats)
         except CorruptionError as exc:
             raise InvertedFileError(f"atom {atom!r}: {exc}") from exc
 
+    def _fetch_list(self, atom: Atom, store_key: bytes) -> bytes:
+        """The value of a list handed out over a cached directory."""
+        self.stats.list_fetches += 1
+        raw = self._store.get(store_key)
+        if raw is None:
+            raise InvertedFileError(
+                f"atom {atom!r}: cached skip directory, but no stored list")
+        return raw
+
     def list_length(self, atom: Atom) -> int:
-        """Posting count of ``atom`` in O(1) (header peek, no decode)."""
+        """Posting count of ``atom``, through the same lookup as
+        :meth:`postings` (no store access once the key is warm; a cold
+        one is fetched and warmed for the fetch that usually follows)."""
         cached = self.cache.get(atom)
         if cached is not None:
             return len(cached)
-        raw = self._store.get(_atom_store_key(atom))
-        if raw is None:
-            return 0
-        try:
-            return blocked_total(raw)
-        except CorruptionError as exc:
-            raise InvertedFileError(f"atom {atom!r}: {exc}") from exc
+        token = atom_token(atom)
+        return len(self._open_list(atom, token, self._epoch(token)))
 
     def live_list_length(self, atom: Atom) -> int:
         """Postings of ``atom`` owned by live (non-tombstoned) records.

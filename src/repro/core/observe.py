@@ -113,7 +113,9 @@ def _render_header(result, shards: int = 1) -> str:
         algorithm += f" x {shards} shards"
     header = (f"matches={len(result.matches)}  "
               f"total={result.total_ms:.3f}ms"
-              f"  lists={result.lists_fetched}  [{algorithm}]")
+              f"  lists={result.lists_fetched}  [{algorithm}]"
+              f"\nlist_fetches={result.list_fetches}  "
+              f"directory_hits={result.directory_hits}")
     if result.blocks_read or result.blocks_skipped:
         header += (f"\nblocks_read={result.blocks_read}  "
                    f"blocks_skipped={result.blocks_skipped}  "
@@ -125,7 +127,11 @@ def _render_header(result, shards: int = 1) -> str:
 class ExplainResult:
     """Top-level trace plus the query outcome.
 
-    ``blocks_read`` / ``blocks_skipped`` / ``bytes_decoded`` account for
+    ``list_fetches`` / ``directory_hits`` say how the lists were
+    reached: store gets of a list value versus warm lists handed out
+    over the block cache's directory entries, with no store access (the
+    trace's own per-atom length lookups included).  ``blocks_read`` /
+    ``blocks_skipped`` / ``bytes_decoded`` account for
     the block-compressed posting format: blocks whose payload was
     actually decoded during this query versus blocks the galloping
     intersection jumped over via skip headers.  ``decode_path`` names
@@ -141,6 +147,8 @@ class ExplainResult:
     algorithm: str = "topdown"
     #: The query named no algorithm; the compiler picked this one.
     picked: bool = False
+    list_fetches: int = 0
+    directory_hits: int = 0
     blocks_read: int = 0
     blocks_skipped: int = 0
     bytes_decoded: int = 0
@@ -178,6 +186,14 @@ class MergedExplainResult:
     @property
     def lists_fetched(self) -> int:
         return self._sum("lists_fetched")
+
+    @property
+    def list_fetches(self) -> int:
+        return self._sum("list_fetches")
+
+    @property
+    def directory_hits(self) -> int:
+        return self._sum("directory_hits")
 
     @property
     def blocks_read(self) -> int:
@@ -241,7 +257,7 @@ class TraceSink(PlanObserver):
         bound = self._ifile.n_nodes
         dead = self._ifile.dead_counts
         for atom in qnode.atoms:
-            length = lengths[str(atom)] = len(self._ifile.postings(atom))
+            length = lengths[str(atom)] = self._ifile.list_length(atom)
             bound = min(bound, max(0, length - dead.get(atom, 0)))
             self.lists_fetched += 1
         trace = NodeTrace(label=_label(qnode),
@@ -269,6 +285,12 @@ class TraceSink(PlanObserver):
         trace.elapsed_ms = (time.perf_counter() - started) * 1000
 
 
+#: The index counters an EXPLAIN reports as this query's share.
+_DELTAS = ("list_fetches", "directory_hits", "blocks_read",
+           "blocks_skipped", "bytes_decoded", "intersects_vectorized",
+           "intersects_scalar")
+
+
 def run_explained(plan: "ExecutionPlan",
                   ctx: "ExecutionContext") -> ExplainResult:
     """Run ``plan`` with a trace sink attached; return trace + matches.
@@ -279,27 +301,17 @@ def run_explained(plan: "ExecutionPlan",
     sink = TraceSink(ctx.ifile)
     ctx.observer = sink
     stats = ctx.ifile.stats
-    blocks_read0 = stats.blocks_read
-    blocks_skipped0 = stats.blocks_skipped
-    bytes_decoded0 = stats.bytes_decoded
-    vectorized0 = stats.intersects_vectorized
-    scalar0 = stats.intersects_scalar
+    before = {name: getattr(stats, name) for name in _DELTAS}
     start = time.perf_counter()
     matches = plan.run(ctx)
     total_ms = (time.perf_counter() - start) * 1000
     assert sink.root is not None, "no node was traced"
+    spent = {name: getattr(stats, name) - before[name]
+             for name in _DELTAS}
     return ExplainResult(root=sink.root, matches=matches, total_ms=total_ms,
                          lists_fetched=sink.lists_fetched,
                          algorithm=plan.algorithm,
-                         picked=plan.match.picked,
-                         blocks_read=stats.blocks_read - blocks_read0,
-                         blocks_skipped=(stats.blocks_skipped
-                                         - blocks_skipped0),
-                         bytes_decoded=stats.bytes_decoded - bytes_decoded0,
-                         intersects_vectorized=(stats.intersects_vectorized
-                                                - vectorized0),
-                         intersects_scalar=(stats.intersects_scalar
-                                            - scalar0))
+                         picked=plan.match.picked, **spent)
 
 
 def explain(query: object, ifile: "InvertedFile",

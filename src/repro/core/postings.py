@@ -312,15 +312,27 @@ class LazyPostingList:
     index's :class:`~repro.core.invfile.QueryStats` and is bumped on
     every block decode (``blocks_read``/``bytes_decoded``) and every
     skip-directory jump (``blocks_skipped``).
+
+    A list can also start from an already decoded ``directory`` and a
+    ``loader`` instead of its bytes: :attr:`raw` is then fetched by the
+    first block that misses the cache, and never if every touched block
+    is cached.  The loader must return the very bytes the directory was
+    decoded from, so it is bound to the store version the directory's
+    cache key names; whoever keeps the list beyond that version's pin
+    reads :attr:`raw` first.
     """
 
-    __slots__ = ("raw", "directory", "header", "_cache", "_cache_key",
-                 "_stats", "_local", "_entries", "_heads_arr", "_columns")
+    __slots__ = ("_raw", "_loader", "directory", "header", "_cache",
+                 "_cache_key", "_stats", "_local", "_entries", "_heads_arr",
+                 "_columns")
 
-    def __init__(self, raw: bytes, *, cache=None, cache_key: object = None,
-                 stats=None) -> None:
-        self.raw = raw
-        directory = cache.directory(cache_key) if cache is not None else None
+    def __init__(self, raw: bytes | None = None, *, directory=None,
+                 loader: Callable[[], bytes] | None = None, cache=None,
+                 cache_key: object = None, stats=None) -> None:
+        self._raw = raw
+        self._loader = loader
+        if directory is None and cache is not None:
+            directory = cache.directory(cache_key)
         if directory is None:
             directory = SkipDirectory(decode_blocked_header(raw))
             if cache is not None:
@@ -336,6 +348,19 @@ class LazyPostingList:
         self._columns = None
 
     # -- block access ------------------------------------------------------
+
+    @property
+    def raw(self) -> bytes:
+        """The stored value, loaded on first use when built from a
+        directory (the list then owns it and drops the loader)."""
+        raw = self._raw
+        if raw is None:
+            loader = self._loader
+            if loader is None:      # another thread has just loaded it
+                return self._raw
+            raw = self._raw = loader()
+            self._loader = None
+        return raw
 
     @property
     def n_blocks(self) -> int:

@@ -18,7 +18,10 @@ epochs* rather than invalidation:
   evicted, readers pinned before the commit keep hitting their (still
   correct) entries, and a slow reader re-populating an old epoch's entry
   can never poison a newer reader.  Deletes are tombstones that leave
-  posting bytes untouched, so they bump no epochs at all.
+  posting bytes untouched, so they bump no epochs at all.  A
+  ``(token, epoch)`` key thus names one stored value, which is why a
+  cached skip directory (or absent marker) may stand for the list
+  without reading it.
 * :class:`SharedIndexState` holds the cross-version caches whose safety
   rests on the index's append-only invariants: node-metadata blocks only
   grow (longest copy wins, served when long enough for the reader's
@@ -35,7 +38,7 @@ from typing import Callable, Hashable, Iterable, NamedTuple
 
 from ..storage import KVStore
 from ..storage.codec import encode_varint
-from .cache import ListCache, NoCache
+from .cache import ListCache
 from .invfile import (
     _ALL_PREFIX,
     _META_ENTRY,
@@ -206,7 +209,11 @@ class SnapshotListCache(ListCache):
     reader whose floor differs treats the entry as a miss and replaces
     it -- so commits invalidate nothing, and a reader racing a writer
     can only ever re-populate its *own* epoch's entry.  Statistics alias
-    the wrapped policy's so experiment counters keep one home.
+    the wrapped policy's so experiment counters keep one home.  A kept
+    list outlives the snapshot that read it, so it must not need that
+    snapshot's store: :meth:`InvertedFile.postings
+    <repro.core.invfile.InvertedFile.postings>` loads a list's bytes
+    before offering it to a policy that :meth:`admits` it.
     """
 
     def __init__(self, inner: ListCache, epochs: ModEpochs,
@@ -214,9 +221,6 @@ class SnapshotListCache(ListCache):
         self._inner = inner
         self._epochs = epochs
         self._version = version
-        #: The default policy (the paper's "caching disabled") keeps
-        #: nothing, so there is nothing to stamp either.
-        self._stores = not isinstance(inner, NoCache)
         self.stats = inner.stats
 
     @property
@@ -242,11 +246,14 @@ class SnapshotListCache(ListCache):
         self.stats.misses += 1
         return None
 
+    def admits(self, key: Hashable) -> bool:
+        return self._inner.admits(key)
+
     def admit(self, key: Hashable, plist: object,
               floor: int | None = None) -> None:
         """Stamp and store ``plist``; ``floor`` is the key's epoch floor
         at this view's version when the caller already has it."""
-        if not self._stores:
+        if not self._inner.admits(key):
             return
         if floor is None:
             floor = self._epochs.floor(atom_token(key), self._version)

@@ -455,13 +455,6 @@ def _require_packed(raw: bytes) -> None:
             "not read: rebuild the index")
 
 
-def blocked_total(raw: bytes) -> int:
-    """Posting count of a blocked value without decoding anything else:
-    ``total`` leads the header for exactly this O(1) peek."""
-    _require_packed(raw)
-    return decode_varint(raw, 1)[0]
-
-
 def decode_blocked_header(raw: bytes) -> BlockedHeader:
     """Decode a blocked value's directory; payloads stay untouched."""
     _require_packed(raw)

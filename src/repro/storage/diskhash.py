@@ -35,7 +35,11 @@ start with the very bytes the directory was parsed from.  A directory is
 a pure function of its page, so that comparison is the whole
 invalidation story: versions, pins, copy-on-write pre-images, aborts,
 recovery and replicated apply need no reasoning, and a stale entry can
-only cost a re-parse.
+only cost a re-parse.  A write files the page it wrote with the
+directory a parse would give, derived from the one held for the bytes
+it replaced (a record appended, or one cut out and those behind it
+moved forward), so a page is not parsed again just because this table
+wrote it.
 
 Durability: mutations wrapped in :meth:`~repro.storage.kvstore.KVStore.
 transaction` commit through the pager's write-ahead log and are replayed
@@ -142,22 +146,69 @@ class _PageDirectories:
         self._held: dict[int, tuple[bytes, dict[bytes, int]]] = {}
         self._lock = threading.Lock()
 
-    def locate(self, page_id: int, raw: bytes, key: bytes) -> int | None:
-        """The entry of ``key``'s live record in the page ``raw``."""
+    def _current(self, page_id: int, raw: bytes
+                 ) -> tuple[bytes, dict[bytes, int]] | None:
+        """The entry held for ``page_id`` if it was parsed from ``raw``."""
         held = self._held.get(page_id)
         if held is None or not raw.startswith(held[0]):
+            return None
+        return held
+
+    def locate(self, page_id: int, raw: bytes, key: bytes) -> int | None:
+        """The entry of ``key``'s live record in the page ``raw``."""
+        held = self._current(page_id, raw)
+        if held is None:
             if key not in raw:
                 # No record of it without its bytes: a bulk load's puts
                 # of new keys, each into a page the previous put
                 # changed, skip the parse.
                 return None
             held = _parse_page(raw)
-            with self._lock:
-                if page_id not in self._held \
-                        and len(self._held) >= self.bound:
-                    del self._held[next(iter(self._held))]
-                self._held[page_id] = held
+            self._file(page_id, held)
         return held[1].get(key)
+
+    def appended(self, page_id: int, raw: bytes, page: bytes, key: bytes,
+                 entry: int) -> None:
+        """``page`` is ``raw`` plus the record ``entry`` of ``key``: file
+        its directory, derived from the one held for ``raw``, so the
+        next lookup on the page need not parse it."""
+        held = self._current(page_id, raw)
+        if held is None:
+            return
+        directory = dict(held[1])
+        directory.setdefault(key, entry)
+        self._file(page_id, (page[:entry >> _END_SHIFT], directory))
+
+    def excised(self, page_id: int, raw: bytes, page: bytes, key: bytes,
+                start: int, end: int) -> None:
+        """``page`` is ``raw`` without ``key``'s live record at
+        ``[start, end)``: file its directory, the held one with that
+        record gone and the records behind it moved ``end - start``
+        bytes forward.  Not when the key's bytes occur behind it, where
+        a shadowed record of the key could be the first live one now."""
+        held = self._current(page_id, raw)
+        if held is None:
+            return
+        cut = end - start
+        parsed_end = len(held[0]) - cut
+        if page.find(key, start, parsed_end) >= 0:
+            return
+        shift = cut << _START_SHIFT | cut << _VALUE_SHIFT | cut << _END_SHIFT
+        # A directory lists its keys in page order, so the records
+        # behind the cut are the keys after ``key``.
+        keys = list(held[1])
+        directory = dict(held[1])
+        del directory[key]
+        for other in keys[keys.index(key) + 1:]:
+            directory[other] -= shift
+        self._file(page_id, (page[:parsed_end], directory))
+
+    def _file(self, page_id: int,
+              held: tuple[bytes, dict[bytes, int]]) -> None:
+        with self._lock:
+            if page_id not in self._held and len(self._held) >= self.bound:
+                del self._held[next(iter(self._held))]
+            self._held[page_id] = held
 
     def __len__(self) -> int:
         return len(self._held)
@@ -330,21 +381,28 @@ class DiskHashTable(_ChainReads, KVStore):
         for page_id, raw in rest:
             entry = self._pages.locate(page_id, raw, key)
             if entry is not None:
-                walked.append((page_id, self._excise(page_id, raw, entry)))
+                walked.append((page_id,
+                               self._excise(page_id, raw, key, entry)))
                 break
             walked.append((page_id, raw))
         # Built after the excise: a replaced overflow value's pages are
         # on the free list by now and get reused.
-        record = self._build_record(key, value)
+        record, stored = self._build_record(key, value)
         for page_id, raw in chain(walked, rest):
             next_page, used = _PAGE_HEADER.unpack_from(raw, 0)
             if used + len(record) <= self._payload:
                 patched = bytearray(raw)
                 start = _PAGE_HEADER.size + used
-                patched[start:start + len(record)] = record
+                end = start + len(record)
+                patched[start:end] = record
                 _PAGE_HEADER.pack_into(patched, 0, next_page,
                                        used + len(record))
-                self._pager.write(page_id, bytes(patched))
+                page = bytes(patched)
+                self._pager.write(page_id, page)
+                self._pages.appended(
+                    page_id, raw, page, key,
+                    record[0] | start << _START_SHIFT
+                    | (end - stored) << _VALUE_SHIFT | end << _END_SHIFT)
                 self.stats.page_writes += 1
                 self._count += 1
                 return
@@ -357,7 +415,8 @@ class DiskHashTable(_ChainReads, KVStore):
         self._set_bucket(bucket, new_page)
         self._count += 1
 
-    def _build_record(self, key: bytes, value: bytes) -> bytes:
+    def _build_record(self, key: bytes, value: bytes) -> tuple[bytes, int]:
+        """The record of ``key`` and the length of what it stores."""
         if len(value) > self._overflow_threshold:
             head = self._pager.write_overflow(value)
             stored = _OVERFLOW_REF.pack(head, len(value))
@@ -369,7 +428,7 @@ class DiskHashTable(_ChainReads, KVStore):
             encode_varint(len(stored)) + key + stored
         if len(record) > self._payload:
             raise KeyTooLargeError("record exceeds page payload")
-        return record
+        return record, len(stored)
 
     def delete(self, key: bytes) -> bool:
         self._check_open()
@@ -377,11 +436,12 @@ class DiskHashTable(_ChainReads, KVStore):
         for page_id, raw in self._chain(self._directory[self._bucket_of(key)]):
             entry = self._pages.locate(page_id, raw, key)
             if entry is not None:
-                self._excise(page_id, raw, entry)
+                self._excise(page_id, raw, key, entry)
                 return True
         return False
 
-    def _excise(self, page_id: int, raw: bytes, entry: int) -> bytes:
+    def _excise(self, page_id: int, raw: bytes, key: bytes,
+                entry: int) -> bytes:
         """Cut a live record out of its page; returns the page written.
 
         The page tail shifts left so the space is reusable.
@@ -401,6 +461,7 @@ class DiskHashTable(_ChainReads, KVStore):
         _PAGE_HEADER.pack_into(patched, 0, next_page, used - (end - start))
         page = bytes(patched)
         self._pager.write(page_id, page)
+        self._pages.excised(page_id, raw, page, key, start, end)
         self.stats.page_writes += 1
         self._count -= 1
         return page

@@ -178,3 +178,21 @@ def test_one_shard_behind_a_manifest_opens_like_any_other() -> None:
                for key, _value in base.items())
     index.close()
 
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_reset_stats_zeroes_the_shared_store(shards) -> None:
+    """``stats()["store"]`` counts the base store every partition reads
+    through; ``reset_stats`` zeroes it at any partition count."""
+    with NestedSetIndex.build(RECORDS, shards=shards) as index:
+        for query in QUERIES:
+            index.query(query)
+        stats = index.stats()
+        assert stats["store"]["gets"] > 0
+        assert stats["index"]["list_fetches"] > 0
+        index.reset_stats()
+        stats = index.stats()
+        assert stats["store"]["gets"] == 0
+        assert stats["index"]["list_fetches"] == 0
+        assert all(part == {"list_fetches": 0, "directory_hits": 0}
+                   for part in stats["shards"]["partitions"])

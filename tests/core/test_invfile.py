@@ -212,7 +212,8 @@ class TestFrequenciesAndCache:
         second = index.postings("UK")
         assert first == second
         assert index.stats.cache_hits == 1
-        assert index.stats.lists_decoded == 1
+        assert index.stats.list_fetches == 1
+        assert index.stats.directory_hits == 0
 
 
 class TestDiskRoundtrip:

@@ -22,7 +22,6 @@ from repro.core.updates import IndexWriter
 from repro.data.queries import make_benchmark_queries
 from repro.storage.codec import (
     CorruptionError,
-    blocked_total,
     decode_blocked,
     decode_blocked_header,
     encode_blocked,
@@ -42,15 +41,15 @@ class TestCodec:
         first, second = decode_blocked_header(raw).blocks
         assert (first.min_head, first.max_head) == (0, 27)
         assert (second.min_head, second.max_head) == (30, 57)
-        assert blocked_total(raw) == 20
+        assert decode_blocked_header(raw).total == 20
 
     def test_bad_inputs(self) -> None:
         with pytest.raises(ValueError):
             encode_blocked(postings_of(5), 0)
         with pytest.raises(CorruptionError):
-            blocked_total(b"")
+            decode_blocked_header(b"")
         with pytest.raises(CorruptionError):
-            blocked_total(bytes([99]))
+            decode_blocked_header(bytes([99]))
         with pytest.raises(CorruptionError):
             decode_blocked_header(encode_postings(postings_of(2)))
 
@@ -62,7 +61,7 @@ class TestCodec:
         entries = [(h, ()) for h in sorted(heads)]
         raw = encode_blocked(entries, block_size)
         header = decode_blocked_header(raw)
-        assert header.total == blocked_total(raw) == len(entries)
+        assert header.total == len(entries)
         assert len(header.blocks) == -(-len(entries) // block_size)
         assert decode_blocked(raw) == entries
 
@@ -98,12 +97,21 @@ class TestSegmentedIndex:
                                         seg_index) -> None:
         seg_index.reset_stats()
         seg_index.cache.clear()
-        for atom, df in seg_index.frequencies()[:20]:
+        seg_index.block_cache.clear()
+        frequencies = seg_index.frequencies()[:20]
+        atoms = [atom for atom, _df in frequencies]
+        for atom, df in frequencies:
             assert seg_index.list_length(atom) == df
             assert plain_index.list_length(atom) == df
         assert seg_index.list_length("__absent__") == 0
         assert seg_index.stats.blocks_read == 0
-        assert seg_index.stats.lists_decoded == 0
+        assert seg_index.stats.list_fetches == len(atoms) + 1
+        # Warm: the directory entries (and the absent marker) answer.
+        for atom in atoms + ["__absent__"]:
+            seg_index.list_length(atom)
+        assert seg_index.stats.list_fetches == len(atoms) + 1
+        assert seg_index.stats.directory_hits == len(atoms) + 1
+        assert seg_index.stats.blocks_read == 0
 
     def test_intersect_atoms_equals_plain_intersection(
             self, seg_index) -> None:

@@ -9,6 +9,7 @@ Each of those is a test here.  numpy- and hypothesis-free (runs in the
 
 from __future__ import annotations
 
+import random
 import struct
 from typing import Iterator
 
@@ -330,3 +331,60 @@ class TestUnstorableKey:
         assert table.delete(huge) is False
         assert table.stats.misses == 3
         snapshot.close()
+
+
+class TestKeptCurrentByWrites:
+    """``put`` and ``delete`` file the page they wrote with a directory
+    derived from the one held for the page before: what a parse of the
+    new page would give, so the next lookup there parses nothing."""
+
+    def test_every_held_directory_is_its_page_parse(self, tmp_path,
+                                                    monkeypatch) -> None:
+        rng = random.Random(7)
+        table = DiskHashTable(str(tmp_path / "w.dh"), create=True,
+                              n_buckets=2)
+        # "k1" is a prefix of "k10".."k19": the shadowed-record check
+        # finds it behind an excised record and must only skip.
+        keys = [b"k%d" % i for i in range(30)]
+        model: dict[bytes, bytes] = {}
+        for _step in range(500):
+            key = rng.choice(keys)
+            if rng.random() < 0.75:
+                value = rng.choice([b"", b"v" * rng.randint(1, 300),
+                                    b"B" * 3000])       # overflow too
+                table.put(key, value)
+                model[key] = value
+            else:
+                assert table.delete(key) == (model.pop(key, None)
+                                             is not None)
+            for page_id, (parsed, directory) in table._pages._held.items():
+                raw = table._pager.read(page_id)
+                if raw.startswith(parsed):
+                    # in page order too: the derivation relies on it
+                    reparsed, expected = _parse_page(raw)
+                    assert parsed == reparsed
+                    assert list(directory.items()) == list(expected.items())
+        parses = []
+        monkeypatch.setattr(diskhash, "_parse_page",
+                            lambda raw: parses.append(1) or
+                            _parse_page(raw))
+        live = sorted(model)
+        table.put(live[0], b"replaced")        # locate: page already held
+        model[live[0]] = b"replaced"
+        assert all(table.get(key) == model.get(key) for key in keys)
+        assert len(parses) <= len(table._pages) + 1
+        table.close()
+
+    def test_a_shadowed_live_record_surfaces_after_a_delete(
+            self, one_bucket: DiskHashTable) -> None:
+        table = one_bucket
+        table.put(b"seed", b"s")
+        (page_id,) = chain_pages(table)
+        table._pager.write(page_id, page_of([record(LIVE, b"k", b"first"),
+                                             record(LIVE, b"x", b"y"),
+                                             record(LIVE, b"k", b"second")]))
+        assert table.get(b"k") == b"first"
+        assert table.delete(b"k") is True
+        assert table.get(b"k") == b"second" == scan_for(
+            table._pager.read(page_id), b"k")[2]
+        assert table.get(b"x") == b"y"
