@@ -17,6 +17,11 @@ property).  The execution layer taps into it whenever an
 :class:`~repro.core.exec.context.ExecutionContext` carries a shared
 memo dict (``NestedSetIndex.query_batch``, the batched join strategy);
 :class:`BatchEvaluator` remains the standalone convenience wrapper.
+
+:class:`QueryFold` is the memo's whole-query level, lifted out of the
+evaluation: a batch that asks for sharing folds its repeated queries
+before anything is compiled, dispatched or evaluated, so each distinct
+query costs one evaluation and one key lookup per partition.
 """
 
 from __future__ import annotations
@@ -72,6 +77,51 @@ def memoized_match_ids(query: NestedSet, ifile: InvertedFile,
             work.append((node, True))
             work.extend((child, False) for child in node.children)
     return memo[query]
+
+
+class QueryFold:
+    """A batch's repeated queries folded onto one evaluation each.
+
+    ``distinct`` holds every distinct query once, in first-seen order
+    (nested sets cache their hash, so folding is one dict pass).  The
+    caller evaluates ``distinct``, charges each partition's counters
+    with :meth:`charge`, and :meth:`unfold`\\ s the answers back onto the
+    input positions.
+    """
+
+    __slots__ = ("distinct", "copies", "_slots")
+
+    def __init__(self, queries: Iterable[NestedSet]) -> None:
+        slot_of: dict[NestedSet, int] = {}
+        self._slots = [slot_of.setdefault(query, len(slot_of))
+                       for query in queries]
+        self.distinct: list[NestedSet] = list(slot_of)
+        #: Inputs answered by another position's evaluation.
+        self.copies = len(self._slots) - len(self.distinct)
+
+    def charge(self, counters: object) -> None:
+        """Count the folded copies as the unfolded loop counted them
+        with the whole-query memo: one query and one reuse each."""
+        counters.queries += self.copies
+        counters.subqueries_reused += self.copies
+
+    def unfold(self, answers: list[list[str]]) -> list[list[str]]:
+        """One answer per input position, in input order.
+
+        Every position gets its own list: a repeat receives a copy, so
+        a caller mutating one answer never changes another.
+        """
+        if not self.copies:
+            return answers
+        taken = [False] * len(answers)
+        out = []
+        for slot in self._slots:
+            if taken[slot]:
+                out.append(list(answers[slot]))
+            else:
+                taken[slot] = True
+                out.append(answers[slot])
+        return out
 
 
 class BatchEvaluator:

@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from ..storage import KVStore, StorageError, open_store
 from ..storage.codec import DEFAULT_BLOCK_SIZE
+from .batch import QueryFold
 from .bloom import BloomIndex
 from .cache import PAPER_BUDGET, ListCache, make_cache
 from .exec.compiler import ALGORITHMS, compile_query
@@ -51,7 +52,6 @@ from .model import NestedSet, as_nested_set
 from .observe import ExplainResult, MergedExplainResult, merge_explains, \
     run_explained
 from .parallel import ShardExecutor
-from .prefixjoin import prefix_join_lists
 from .resultcache import ResultCache, ResultCacheGroup
 from .shard import HashShardPolicy, ShardError, commit_manifest, \
     make_policy, partition_stores, read_manifest
@@ -450,39 +450,45 @@ class _Reads:
         return merged, counters
 
     def run_plans(self, plans: Sequence[ExecutionPlan], *,
-                  memoize: bool = False, workers: int | None = None
+                  workers: int | None = None
                   ) -> tuple[list[list[str]], ExecCounters]:
-        """Run pre-compiled plans on every partition; merge.
+        """Run pre-compiled plans on every partition, each on its own
+        (the paper's loop over Q); merge.
 
         Every partition gets its own execution context over the one
-        pinned version (and, with ``memoize=True``, its own cross-query
-        subquery memo -- node ids are partition-local, so memos cannot
-        be shared).  Returns per-plan merged key lists plus this call's
-        merged counters (also accumulated into
+        pinned version.  Returns per-plan merged key lists plus this
+        call's merged counters (also accumulated into
         :attr:`NestedSetIndex.counters`).
         """
         def run(view: PartitionView):
-            ctx = view.execution_context(memo={} if memoize else None)
+            ctx = view.execution_context()
             return [plan.run(ctx) for plan in plans], ctx.counters
 
         return self._merge(self._fan_out(run, workers))
 
-    def run_prefix_join(self, queries: Sequence[NestedSet],
-                        spec: QuerySpec, *, workers: int | None = None
-                        ) -> tuple[list[list[str]], ExecCounters]:
-        """The prefix-tree join (:mod:`repro.core.prefixjoin`) on every
+    def run_shared(self, fold: QueryFold,
+                   evaluate: Callable[[ExecutionContext], list[list[str]]],
+                   *, workers: int | None = None
+                   ) -> tuple[list[list[str]], ExecCounters]:
+        """A batch that shares work across its queries, on every
         partition; merge.
 
-        Each partition builds its own prefix tree and subquery memo
-        (node ids, frequencies and posting lists are all
-        partition-local); returns what :meth:`run_plans` returns, per
-        query.
+        ``evaluate`` answers ``fold.distinct`` on one partition's
+        context, which carries a cross-query subquery memo of its own
+        (node ids are partition-local, so memos cannot be shared).
+        Each distinct query is thus evaluated and mapped to keys once
+        per partition; the folded copies are charged to the counters
+        (:meth:`QueryFold.charge`) and the answers come back one per
+        input position, as :meth:`run_plans` returns them.
         """
         def run(view: PartitionView):
             ctx = view.execution_context(memo={})
-            return prefix_join_lists(queries, ctx, spec), ctx.counters
+            results = evaluate(ctx)
+            fold.charge(ctx.counters)
+            return results, ctx.counters
 
-        return self._merge(self._fan_out(run, workers))
+        results, counters = self._merge(self._fan_out(run, workers))
+        return fold.unfold(results), counters
 
     def query(self, query: object, *, algorithm: str | None = None,
               semantics: str = "hom", join: str = "subset",
@@ -519,30 +525,38 @@ class _Reads:
         """Evaluate a workload of queries (the paper times 100 at a time).
 
         Every answer in the batch reflects the same index version even
-        while writers commit concurrently.  Results are identical
-        whatever the options below (tested property).
+        while writers commit concurrently, one list per query in input
+        order.  Results are identical whatever the options below
+        (tested property).
 
-        The cross-query subquery memo is **bottom-up's**: it is
-        attached when every plan of the batch is bottom-up (and
-        ``share_subqueries`` is left on), so structurally shared
-        subtrees are evaluated once per batch and partition.  With
-        ``algorithm`` unset the compiler picks per join
-        (:meth:`query`), which for ``subset``/``equality`` is top-down:
-        each query then runs on its own, pruned by its own frontier,
-        and nothing is memoized.  Ask for ``algorithm="bottomup"`` when
-        the batch's queries repeat whole subtrees (template-stamped
-        queries, Q sampled from S): on ``join_mixed``'s 2 000 template
-        queries the memo answers 91 % of the subquery lookups
-        (EXPERIMENTS.md, "Top-down by default", has both timings).
+        ``share_subqueries`` (on by default) shares work across the
+        batch at two levels.  Whole queries, under any algorithm: a
+        query that repeats in the batch is compiled, evaluated and
+        mapped to keys once per partition, and each repeat gets a copy
+        of the answer (:class:`~repro.core.batch.QueryFold`).  Repeated
+        *subtrees* of distinct queries, under bottom-up only: the
+        cross-query subquery memo serves them.  With ``algorithm``
+        unset the compiler picks per join (:meth:`query`), which for
+        ``subset``/``equality`` is top-down: each distinct query runs
+        on its own, pruned by its own frontier.  Ask for
+        ``algorithm="bottomup"`` when distinct queries repeat subtrees
+        (EXPERIMENTS.md, "Top-down by default" and "One evaluation per
+        distinct query", has the timings).  ``share_subqueries=False``
+        evaluates every query on its own, repeats included.
         """
         spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
                          mode=mode)
+        if share_subqueries:
+            fold = QueryFold(as_nested_set(query) for query in queries)
+            queries = fold.distinct
         plans = [compile_query(query, spec, algorithm=algorithm,
                                planner=planner, use_bloom=use_bloom)
                  for query in queries]
-        memoize = bool(share_subqueries and plans and
-                       all(plan.match.memoizable for plan in plans))
-        return self.run_plans(plans, memoize=memoize, workers=workers)[0]
+        if not share_subqueries:
+            return self.run_plans(plans, workers=workers)[0]
+        return self.run_shared(
+            fold, lambda ctx: [plan.run(ctx) for plan in plans],
+            workers=workers)[0]
 
     def explain(self, query: object, *, algorithm: str | None = None,
                 semantics: str = "hom", join: str = "subset",

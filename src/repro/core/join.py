@@ -25,7 +25,7 @@ partition of the index; the prefix strategy runs the workload through
 one candidate provider per partition.  Either way the join observes a
 single pinned version of the index
 (:meth:`NestedSetIndex.run_plans <repro.core.engine.NestedSetIndex.run_plans>`
-/ ``run_prefix_join``), and the merged context counters feed the
+/ ``run_shared``), and the merged context counters feed the
 :class:`JoinResult` statistics.  Results are ``(q_key, s_key)`` pairs.
 """
 
@@ -35,11 +35,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .batch import QueryFold
 from .engine import NestedSetIndex
 from .exec.compiler import compile_query
 from .matchspec import QuerySpec
 from .model import NestedSet, as_nested_set
-from .prefixjoin import choose_strategy
+from .prefixjoin import choose_strategy, prefix_join_lists
 
 STRATEGIES = ("per-query", "batched", "naive", "prefix", "adaptive")
 
@@ -103,60 +104,60 @@ def containment_join(index: NestedSetIndex,
     else in the library); requesting it for a strategy that cannot
     honor it raises :class:`ValueError` rather than silently running
     without the prefilter.
+
+    The sharing strategies (``batched``, ``prefix``, and ``adaptive``
+    when it picks the prefix tree) fold repeated queries first
+    (:class:`~repro.core.batch.QueryFold`): each distinct query is
+    compiled, evaluated and mapped to keys once per partition, and the
+    counters read as if every copy had hit the whole-query memo.
+    ``per-query`` and ``naive`` evaluate every query, repeats included.
     """
+    start = time.perf_counter()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; "
                          f"expected one of {STRATEGIES}")
     materialized = [(qkey, as_nested_set(value))
                     for qkey, value in queries]
     query_keys = [qkey for qkey, _query in materialized]
+    trees = [query for _qkey, query in materialized]
     dispatch: dict[str, object] | None = None
     effective = strategy
     if strategy == "adaptive":
-        effective, dispatch = choose_strategy(
-            [query for _qkey, query in materialized],
-            index.collection_stats())
+        effective, dispatch = choose_strategy(trees,
+                                              index.collection_stats())
+    # Each strategy runs against one pinned version, so every pair
+    # reflects the same committed state while writers land
+    # concurrently.  compile_query rejects use_bloom for non-naive
+    # algorithms (PlanError is a ValueError): the option is never
+    # silently dropped.
+    extra: dict[str, object] = {}
     if effective == "prefix":
         if use_bloom:
             raise ValueError(
                 "Bloom prefiltering applies to the naive algorithm only; "
                 "the prefix strategy cannot honor use_bloom=True")
-        start = time.perf_counter()
-        results, counters = index.run_prefix_join(
-            [query for _qkey, query in materialized], spec, workers=workers)
-        pairs = _pairs(materialized, results)
-        elapsed = time.perf_counter() - start
-        extra: dict[str, object] = {
-            "prefix_nodes": counters.prefix_nodes,
-            "prefix_streams": counters.prefix_streams,
-            "prefix_reused": counters.prefix_reused,
-            "subqueries_evaluated": counters.subqueries_evaluated,
-            "subqueries_reused": counters.subqueries_reused,
-        }
-        if dispatch is not None:
-            extra["dispatch"] = dispatch
-        return JoinResult(pairs=pairs, strategy=strategy,
-                          n_queries=len(materialized),
-                          elapsed_seconds=elapsed, extra=extra,
-                          query_keys=query_keys)
-    memoize = effective == "batched"
-    plan_algorithm = {"batched": "bottomup",
-                      "naive": "naive"}.get(effective, algorithm)
-    # compile_query itself rejects use_bloom for non-naive algorithms
-    # (PlanError is a ValueError), so the caller's option is never
-    # silently dropped.
-    plans = [compile_query(query, spec, algorithm=plan_algorithm,
-                           use_bloom=use_bloom)
-             for _qkey, query in materialized]
-    # One pinned version for the whole join: every pair reflects the
-    # same committed state even while writers land concurrently.
-    start = time.perf_counter()
-    results, counters = index.run_plans(plans, memoize=memoize,
-                                        workers=workers)
-    pairs = _pairs(materialized, results)
-    elapsed = time.perf_counter() - start
-    extra = {}
-    if effective == "batched":
+        fold = QueryFold(trees)
+        results, counters = index.run_shared(
+            fold, lambda ctx: prefix_join_lists(fold.distinct, ctx, spec),
+            workers=workers)
+        extra.update(prefix_nodes=counters.prefix_nodes,
+                     prefix_streams=counters.prefix_streams,
+                     prefix_reused=counters.prefix_reused)
+    elif effective == "batched":
+        fold = QueryFold(trees)
+        plans = [compile_query(query, spec, algorithm="bottomup",
+                               use_bloom=use_bloom)
+                 for query in fold.distinct]
+        results, counters = index.run_shared(
+            fold, lambda ctx: [plan.run(ctx) for plan in plans],
+            workers=workers)
+    else:
+        plan_algorithm = "naive" if effective == "naive" else algorithm
+        plans = [compile_query(query, spec, algorithm=plan_algorithm,
+                               use_bloom=use_bloom)
+                 for query in trees]
+        results, counters = index.run_plans(plans, workers=workers)
+    if effective in ("prefix", "batched"):
         extra["subqueries_evaluated"] = counters.subqueries_evaluated
         extra["subqueries_reused"] = counters.subqueries_reused
     elif effective == "naive":
@@ -164,17 +165,13 @@ def containment_join(index: NestedSetIndex,
         extra["records_skipped"] = counters.records_skipped
     if dispatch is not None:
         extra["dispatch"] = dispatch
+    pairs = [(qkey, skey)
+             for qkey, result in zip(query_keys, results)
+             for skey in result]
     return JoinResult(pairs=pairs, strategy=strategy,
-                      n_queries=len(materialized),
-                      elapsed_seconds=elapsed, extra=extra,
-                      query_keys=query_keys)
-
-
-def _pairs(materialized: list[tuple[str, NestedSet]],
-           results: list[list[str]]) -> list[tuple[str, str]]:
-    return [(qkey, skey)
-            for (qkey, _query), result in zip(materialized, results)
-            for skey in result]
+                      n_queries=len(trees),
+                      elapsed_seconds=time.perf_counter() - start,
+                      extra=extra, query_keys=query_keys)
 
 
 def self_join(index: NestedSetIndex, *,

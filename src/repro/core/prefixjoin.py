@@ -44,6 +44,7 @@ already-evaluated node or memo entry).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .candidates import node_candidates
@@ -272,11 +273,14 @@ def choose_strategy(queries: Iterable[NestedSet],
     posting volume the prefix tree never touches; small workloads are
     sent to the per-query loop regardless since the trie cannot
     amortize its bookkeeping.
+
+    Each distinct query is walked once and its loop volume weighted by
+    how often it occurs, so the evidence equals a walk over every copy.
     """
-    queries = list(queries)
+    counts = Counter(queries)
     loop_volume = 0
     edge_volume: dict[tuple, int] = {}
-    for query in queries:
+    for query, count in counts.items():
         for qnode in query.iter_sets():
             path = tuple(sorted(
                 qnode.atoms,
@@ -284,16 +288,17 @@ def choose_strategy(queries: Iterable[NestedSet],
             prefix: tuple = ()
             for atom in path:
                 df = stats.document_frequency(atom)
-                loop_volume += df
+                loop_volume += df * count
                 prefix = prefix + (atom,)
                 edge_volume[prefix] = df
     trie_volume = sum(edge_volume.values())
     sharing = 1.0 - (trie_volume / loop_volume) if loop_volume else 0.0
-    chosen = "prefix" if (len(queries) >= min_queries
+    n_queries = counts.total()
+    chosen = "prefix" if (n_queries >= min_queries
                           and sharing >= threshold) else "per-query"
     return chosen, {
         "chosen": chosen,
-        "n_queries": len(queries),
+        "n_queries": n_queries,
         "min_queries": min_queries,
         "sharing": round(sharing, 4),
         "threshold": threshold,

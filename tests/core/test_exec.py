@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.engine import NestedSetIndex
@@ -313,3 +315,71 @@ class TestQueryBatch:
         expected = [(qkey, skey) for qkey, tree in queries
                     for skey in index.query(tree)]
         assert pairs == expected
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("join,epsilon", [("subset", 1),
+                                              ("equality", 1),
+                                              ("superset", 1),
+                                              ("overlap", 2)])
+    @pytest.mark.parametrize("algorithm", ["topdown", "bottomup", None])
+    def test_repeats_answered_in_input_order(self, small_corpus, shards,
+                                             join, epsilon,
+                                             algorithm) -> None:
+        index = NestedSetIndex.build(small_corpus, shards=shards)
+        queries = [tree for _key, tree in small_corpus[:15]] * 3
+        queries.append(small_corpus[0][1].to_text())   # text folds too
+        random.Random(shards).shuffle(queries)
+        options = dict(join=join, epsilon=epsilon, algorithm=algorithm)
+        assert index.query_batch(queries, **options) \
+            == [index.query(query, **options) for query in queries]
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_repeats_get_their_own_lists(self, small_corpus,
+                                         shards) -> None:
+        index = NestedSetIndex.build(small_corpus, shards=shards)
+        query = small_corpus[4][1]
+        first, second = index.query_batch([query, query])
+        expect = index.query(query)
+        assert first == second == expect
+        first.append("mutated")
+        assert second == expect
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_counters_equal_the_unfolded_walk(self, small_corpus,
+                                              shards) -> None:
+        index = NestedSetIndex.build(small_corpus, shards=shards)
+        queries = [tree for _key, tree in small_corpus[:15]] * 3
+        random.Random(7).shuffle(queries)
+        index.reset_stats()
+        index.query_batch(queries, algorithm="bottomup")
+        folded = index.counters.snapshot()
+        plans = [compile_query(query, algorithm="bottomup")
+                 for query in queries]
+        with index.snapshot() as snap:
+            contexts = [view.execution_context(memo={})
+                        for view in snap.views]
+            for ctx in contexts:
+                for plan in plans:
+                    plan.run(ctx)
+        assert folded == ExecCounters.merged(
+            [ctx.counters for ctx in contexts]).snapshot()
+        assert folded["queries"] == len(queries) * shards
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("algorithm", ["topdown", "bottomup", None])
+    def test_unshared_batch_evaluates_every_copy(self, small_corpus,
+                                                 shards,
+                                                 algorithm) -> None:
+        index = NestedSetIndex.build(small_corpus, shards=shards)
+        query = small_corpus[2][1]
+        requests = {}
+        for share in (True, False):
+            for copies in (1, 3):
+                index.reset_stats()
+                index.query_batch([query] * copies, algorithm=algorithm,
+                                  share_subqueries=share)
+                requests[share, copies] = \
+                    index.stats()["index"]["postings_requests"]
+                assert index.counters.queries == copies * shards
+        assert requests[False, 3] == 3 * requests[False, 1] > 0
+        assert requests[True, 3] == requests[True, 1] > 0

@@ -7,21 +7,29 @@ including workloads with duplicate query keys and queries with zero
 matches.  The adaptive dispatcher's decisions and the prefix counters
 are covered alongside the join-path bugfixes (use_bloom no longer
 silently dropped, ``self_join`` threading its knobs,
-``JoinResult.grouped`` keeping empty queries).
+``JoinResult.grouped`` keeping empty queries).  ``TestFold`` pins the
+sharing strategies' fold of repeated queries: answers per input
+position, counters and dispatch evidence equal to an unfolded walk.
 """
 
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import NestedSetIndex
+from repro.core.exec import compile_query
 from repro.core.exec.context import ExecCounters
+from repro.core.invfile import atom_token
 from repro.core.join import STRATEGIES, containment_join, self_join
 from repro.core.matchspec import QuerySpec
 from repro.core.model import NestedSet
-from repro.core.prefixjoin import PrefixTree, choose_strategy
+from repro.core.prefixjoin import PrefixTree, choose_strategy, \
+    prefix_join_lists
 
 from ..conftest import random_tree
 
@@ -263,3 +271,160 @@ class TestJoinPathBugfixes:
 def test_strategies_tuple_lists_new_entries() -> None:
     assert "prefix" in STRATEGIES
     assert "adaptive" in STRATEGIES
+
+
+#: The joins a fold must hold for, with the overlap threshold.
+FOLD_SPECS = [QuerySpec(join="subset"), QuerySpec(join="equality"),
+              QuerySpec(join="superset"),
+              QuerySpec(join="overlap", epsilon=2)]
+
+
+def _repeated(seed: int, corpus) -> list[tuple[str, NestedSet]]:
+    """The workload three times over in shuffled positions, one key per
+    position: every query repeats, no copy is next to its original."""
+    queries = [(f"{key}.{copy}", tree) for copy in range(3)
+               for key, tree in _workload(seed, corpus)]
+    random.Random(seed).shuffle(queries)
+    return queries
+
+
+def _unfolded(index: NestedSetIndex, evaluate) -> ExecCounters:
+    """What the loop over every copy counts: ``evaluate`` on a
+    memo-carrying context of each partition, counters merged."""
+    with index.snapshot() as snap:
+        contexts = [view.execution_context(memo={}) for view in snap.views]
+        for ctx in contexts:
+            evaluate(ctx)
+    return ExecCounters.merged([ctx.counters for ctx in contexts])
+
+
+def _dispatch_reference(queries, stats) -> dict[str, object]:
+    """choose_strategy's evidence by walking every copy of every query."""
+    loop_volume = 0
+    edge_volume: dict[tuple, int] = {}
+    for query in queries:
+        for qnode in query.iter_sets():
+            prefix: tuple = ()
+            for atom in sorted(qnode.atoms, key=lambda a: (
+                    stats.document_frequency(a), atom_token(a))):
+                loop_volume += stats.document_frequency(atom)
+                prefix += (atom,)
+                edge_volume[prefix] = stats.document_frequency(atom)
+    trie_volume = sum(edge_volume.values())
+    return {"n_queries": len(queries), "loop_volume": loop_volume,
+            "trie_volume": trie_volume,
+            "sharing": round(1.0 - trie_volume / loop_volume, 4)
+            if loop_volume else 0.0}
+
+
+class TestFold:
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("spec", FOLD_SPECS, ids=lambda s: s.join)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_each_position_gets_its_own_answer(self, shards, spec,
+                                               strategy) -> None:
+        corpus = _corpus(71)
+        index = _build(corpus, shards)
+        queries = _repeated(72, corpus)
+        result = containment_join(index, queries, strategy=strategy,
+                                  spec=spec)
+        expect = [(qkey, skey) for qkey, tree in queries
+                  for skey in index.query(tree, join=spec.join,
+                                          epsilon=spec.epsilon)]
+        assert result.pairs == expect
+        assert result.query_keys == [qkey for qkey, _tree in queries]
+        assert result.n_queries == len(queries)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("spec", FOLD_SPECS, ids=lambda s: s.join)
+    def test_counters_equal_the_unfolded_walk(self, shards, spec) -> None:
+        corpus = _corpus(73)
+        index = _build(corpus, shards)
+        queries = _repeated(74, corpus)
+        trees = [tree for _key, tree in queries]
+
+        index.reset_stats()
+        prefix = containment_join(index, queries, strategy="prefix",
+                                  spec=spec)
+        assert index.counters.queries == len(trees) * shards
+        walked = _unfolded(
+            index, lambda ctx: prefix_join_lists(trees, ctx, spec))
+        assert walked.queries == len(trees) * shards
+        for name in ("prefix_nodes", "prefix_streams", "prefix_reused",
+                     "subqueries_evaluated", "subqueries_reused"):
+            assert prefix.extra[name] == getattr(walked, name), name
+
+        index.reset_stats()
+        batched = containment_join(index, queries, strategy="batched",
+                                   spec=spec)
+        assert index.counters.queries == len(trees) * shards
+        plans = [compile_query(tree, spec, algorithm="bottomup")
+                 for tree in trees]
+        walked = _unfolded(
+            index, lambda ctx: [plan.run(ctx) for plan in plans])
+        assert batched.extra == {
+            "subqueries_evaluated": walked.subqueries_evaluated,
+            "subqueries_reused": walked.subqueries_reused}
+
+    def test_dispatch_evidence_equals_the_unfolded_walk(self) -> None:
+        corpus = _corpus(75)
+        index = NestedSetIndex.build(corpus)
+        queries = _repeated(76, corpus)
+        result = containment_join(index, queries, strategy="adaptive")
+        evidence = result.extra["dispatch"]
+        reference = _dispatch_reference(
+            [tree for _key, tree in queries], index.collection_stats())
+        assert {key: evidence[key] for key in reference} == reference
+
+    @settings(max_examples=40, deadline=None)
+    @given(picks=st.lists(st.integers(0, 19), min_size=1, max_size=40),
+           repeats=st.lists(st.integers(0, 39), max_size=40),
+           seed=st.integers(0, 2**16))
+    def test_choose_strategy_sees_every_copy(self, picks, repeats,
+                                             seed) -> None:
+        corpus = _corpus(77, n=20)
+        stats = NestedSetIndex.build(corpus).collection_stats()
+        queries = [corpus[pick][1] for pick in picks]
+        grown = queries + [queries[i % len(queries)] for i in repeats]
+        random.Random(seed).shuffle(grown)
+        for workload in (queries, grown):
+            _chosen, evidence = choose_strategy(workload, stats)
+            reference = _dispatch_reference(workload, stats)
+            assert {key: evidence[key] for key in reference} == reference
+        assert choose_strategy(grown, stats) \
+            == choose_strategy(sorted(grown, key=NestedSet.to_text), stats)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_loop_strategies_evaluate_every_copy(self, shards) -> None:
+        corpus = _corpus(78)
+        index = _build(corpus, shards)
+        query = corpus[3][1]
+        requests = {}
+        for copies in (1, 3):
+            for strategy in ("per-query", "naive", "batched", "prefix"):
+                index.reset_stats()
+                result = containment_join(
+                    index, [(f"q{i}", query) for i in range(copies)],
+                    strategy=strategy)
+                requests[strategy, copies] = \
+                    index.stats()["index"]["postings_requests"]
+                if strategy == "naive":
+                    assert result.extra["records_tested"] \
+                        == copies * len(corpus)
+        assert requests["per-query", 3] == 3 * requests["per-query", 1] > 0
+        for strategy in ("batched", "prefix"):
+            assert requests[strategy, 3] == requests[strategy, 1] > 0
+
+    def test_elapsed_covers_the_dispatch(self, monkeypatch) -> None:
+        import repro.core.join as join_module
+
+        def slow_choose(queries, stats):
+            time.sleep(0.05)
+            return choose_strategy(queries, stats)
+
+        monkeypatch.setattr(join_module, "choose_strategy", slow_choose)
+        corpus = _corpus(79)
+        index = NestedSetIndex.build(corpus)
+        result = containment_join(index, _workload(80, corpus),
+                                  strategy="adaptive")
+        assert result.elapsed_seconds >= 0.05
