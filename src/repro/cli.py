@@ -319,11 +319,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
             print(f"  decoded bytes:    ~{stats['decoded_bytes']} "
                   f"(estimated in-memory)")
         all_stats = index.stats()
-        index_stats = all_stats["index"]
-        print(f"decode path:    {index_stats['decode_path']} "
-              f"({index_stats['intersects_vectorized']} vectorized / "
-              f"{index_stats['intersects_scalar']} scalar intersections "
-              "this open)")
         mvcc = all_stats.get("mvcc")
         if mvcc is not None and "mmap_enabled" in mvcc:
             state = "enabled" if mvcc["mmap_enabled"] else "disabled"

@@ -46,7 +46,7 @@ from .cache import PAPER_BUDGET, ListCache, make_cache
 from .exec.compiler import ALGORITHMS, compile_query
 from .exec.context import ExecCounters, ExecutionContext
 from .exec.plan import ExecutionPlan
-from .invfile import InvertedFile, QueryStats, decode_path_of
+from .invfile import InvertedFile, QueryStats
 from .matchspec import QuerySpec
 from .model import NestedSet, as_nested_set
 from .observe import ExplainResult, MergedExplainResult, merge_explains, \
@@ -1211,8 +1211,6 @@ class NestedSetIndex(_Reads):
         for counter in fields(QueryStats):
             index[counter.name] = sum(getattr(ifile.stats, counter.name)
                                       for ifile in ifiles)
-        index["decode_path"] = decode_path_of(
-            index["intersects_vectorized"], index["intersects_scalar"])
         hits = sum(ifile.cache.stats.hits for ifile in ifiles)
         misses = sum(ifile.cache.stats.misses for ifile in ifiles)
         out: dict[str, dict[str, object]] = {

@@ -106,33 +106,10 @@ class QueryStats:
     blocks_read: int = 0
     blocks_skipped: int = 0
     bytes_decoded: int = 0
-    #: Intersections answered by the array-native numpy kernel vs. the
-    #: scalar cursor/hash-set path -- together they derive the
-    #: ``decode_path`` EXPLAIN attribute.
-    intersects_vectorized: int = 0
-    intersects_scalar: int = 0
-
-    @property
-    def decode_path(self) -> str:
-        """Which intersection kernel served: vectorized, scalar or mixed."""
-        return decode_path_of(self.intersects_vectorized,
-                              self.intersects_scalar)
 
     def reset(self) -> None:
         for counter in fields(self):
             setattr(self, counter.name, 0)
-
-
-def decode_path_of(vectorized: int, scalar: int) -> str:
-    """Collapse kernel counters to the ``decode_path`` label.
-
-    ``scalar`` when nothing vectorized ran (including the no-intersection
-    case: the fallback path is what *would* have run), ``mixed`` when a
-    query group hit both kernels (possible across shards or batches).
-    """
-    if vectorized and scalar:
-        return "mixed"
-    return "vectorized" if vectorized else "scalar"
 
 
 def atom_token(atom: Atom) -> str:
@@ -516,10 +493,10 @@ class InvertedFile:
         ranked.sort(key=itemgetter(0))
         lists = [plist for _live, plist in ranked]
         if within is None:
-            return intersect(lists, stats=self.stats)
+            return intersect(lists)
         if len(within) <= ranked[0][0]:
-            return intersect_within(lists, within, stats=self.stats)
-        return with_head_in(intersect(lists, stats=self.stats), within)
+            return intersect_within(lists, within)
+        return with_head_in(intersect(lists), within)
 
     def all_nodes(self) -> PostingList:
         """Every internal node of the collection (memoized after first load)."""

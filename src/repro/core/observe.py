@@ -35,7 +35,6 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .invfile import decode_path_of
 from .matchspec import QuerySpec
 
 if TYPE_CHECKING:
@@ -120,7 +119,7 @@ def _render_header(result, shards: int = 1) -> str:
         header += (f"\nblocks_read={result.blocks_read}  "
                    f"blocks_skipped={result.blocks_skipped}  "
                    f"bytes_decoded={result.bytes_decoded}")
-    return f"{header}\ndecode_path={result.decode_path}"
+    return header
 
 
 @dataclass
@@ -134,10 +133,7 @@ class ExplainResult:
     ``blocks_skipped`` / ``bytes_decoded`` account for
     the block-compressed posting format: blocks whose payload was
     actually decoded during this query versus blocks the galloping
-    intersection jumped over via skip headers.  ``decode_path`` names
-    the intersection kernel that served the query: ``vectorized`` (the
-    numpy array-native path), ``scalar`` (cursor/hash-set fallback), or
-    ``mixed``.
+    intersection jumped over via skip headers.
     """
 
     root: NodeTrace
@@ -152,13 +148,6 @@ class ExplainResult:
     blocks_read: int = 0
     blocks_skipped: int = 0
     bytes_decoded: int = 0
-    intersects_vectorized: int = 0
-    intersects_scalar: int = 0
-
-    @property
-    def decode_path(self) -> str:
-        return decode_path_of(self.intersects_vectorized,
-                              self.intersects_scalar)
 
     def render(self) -> str:
         return f"{_render_header(self)}\n{self.root.render()}"
@@ -206,11 +195,6 @@ class MergedExplainResult:
     @property
     def bytes_decoded(self) -> int:
         return self._sum("bytes_decoded")
-
-    @property
-    def decode_path(self) -> str:
-        return decode_path_of(self._sum("intersects_vectorized"),
-                              self._sum("intersects_scalar"))
 
     def render(self) -> str:
         sections = [_render_header(self, len(self.shards))]
@@ -287,8 +271,7 @@ class TraceSink(PlanObserver):
 
 #: The index counters an EXPLAIN reports as this query's share.
 _DELTAS = ("list_fetches", "directory_hits", "blocks_read",
-           "blocks_skipped", "bytes_decoded", "intersects_vectorized",
-           "intersects_scalar")
+           "blocks_skipped", "bytes_decoded")
 
 
 def run_explained(plan: "ExecutionPlan",

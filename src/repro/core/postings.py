@@ -25,10 +25,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
+import numpy as _np
 
 from ..storage.codec import (
     BlockedHeader,
@@ -52,13 +49,13 @@ from ..storage.codec import (
 #: whose lists are either far above or far below any of those, takes
 #: 12.9-14.3 ms at every cutoff from 0 to 256 and 72.0 ms with rows
 #: only.  So the value is not delicate; 64 is the middle of the flat
-#: range.  The row loops below it are also the numpy-absent path.
+#: range.  Below it the rows are the short-list path, picked by length.
 COLUMNAR_MIN = 64
 
 
 def use_columns(plist: "PostingList | LazyPostingList") -> bool:
     """The size rule: is ``plist`` long enough to process as columns?"""
-    return _np is not None and len(plist) >= COLUMNAR_MIN
+    return len(plist) >= COLUMNAR_MIN
 
 
 class PostingList:
@@ -69,7 +66,7 @@ class PostingList:
     **columns** ``(heads, offsets, children)`` (:meth:`columns`) --
     ``int64`` arrays where posting ``i`` owns
     ``children[offsets[i]:offsets[i + 1]]``.  Lists decoded from blocks
-    or cut out of other columnar lists (:func:`take`, the vectorized
+    or cut out of other columnar lists (:func:`take`, the
     intersection) start as columns and never grow rows unless a row
     consumer asks; the rows then come from the list's own columns, so a
     cut-out list costs rows for what it kept and never for the list it
@@ -118,7 +115,7 @@ class PostingList:
         return self._entries
 
     def columns(self):
-        """``(heads, offsets, children)`` as ``int64`` arrays (numpy only)."""
+        """``(heads, offsets, children)`` as ``int64`` arrays."""
         if self._columns is None:
             entries = self._entries
             offsets = _offsets_of(_np.fromiter(
@@ -135,11 +132,7 @@ class PostingList:
         return {p for p, _ in self._entries}
 
     def heads_array(self):
-        """All head ids as one sorted ``int64`` ndarray (memoized).
-
-        Only meaningful when numpy is importable; the vectorized
-        intersection is gated on that before calling here.
-        """
+        """All head ids as one sorted ``int64`` ndarray (memoized)."""
         if self._heads is None:
             self._heads = _np.fromiter(
                 (p for p, _ in self._entries), _np.int64,
@@ -226,12 +219,12 @@ class BlockData:
 
     ``heads`` holds the block's sorted head ids; ``counts`` the number of
     children per posting; ``children`` every posting's child ids,
-    flattened in posting order.  With numpy importable these are the
-    ``int64`` ndarrays :func:`repro.storage.codec.decode_packed_arrays`
-    produces (plain lists otherwise).  The row view -- the
-    ``(head, children-tuple)`` postings the structural algorithms consume
-    -- is built lazily on first access, so the array-native intersection
-    path never pays for Python tuples it does not read.
+    flattened in posting order -- the ``int64`` ndarrays
+    :func:`repro.storage.codec.decode_packed_arrays` produces.  The row
+    view -- the ``(head, children-tuple)`` postings the structural
+    algorithms consume -- is built lazily on first access, so the
+    array-native intersection path never pays for Python tuples it does
+    not read.
     """
 
     __slots__ = ("heads", "counts", "children", "_postings")
@@ -250,19 +243,15 @@ class BlockData:
         columns = ([p for p, _ in postings],
                    [len(cs) for _, cs in postings],
                    [c for _, cs in postings for c in cs])
-        if _np is not None:
-            columns = [_np.array(column, dtype=_np.int64)
-                       for column in columns]
-        return cls(*columns, postings)
+        return cls(*(_np.array(column, dtype=_np.int64)
+                     for column in columns), postings)
 
     @property
     def postings(self) -> tuple[Posting, ...]:
         """The ``(head, children)`` rows, built and memoized on demand."""
         if self._postings is None:
-            columns = self.heads, self.counts, self.children
-            if not isinstance(self.heads, list):
-                columns = [column.tolist() for column in columns]
-            self._postings = _rows(*columns)
+            self._postings = _rows(self.heads.tolist(), self.counts.tolist(),
+                                   self.children.tolist())
         return self._postings
 
     def __len__(self) -> int:
@@ -272,22 +261,20 @@ class BlockData:
 class SkipDirectory:
     """A decoded skip directory plus the two columns readers derive from it.
 
-    ``max_heads`` is the ``max_head`` of every block (what a probe is
-    searched into: an ``int64`` array with numpy, a list without) and
-    ``starts`` the number of postings before each block, with the total
-    as a last element.  Decoding the directory is the dearest part of
-    opening a list that is already in the block cache, so lazy lists
-    keep this object in the :class:`~repro.core.cache.BlockCache` under
-    their list key.
+    ``max_heads`` is the ``max_head`` of every block as an ``int64``
+    array (what a probe is searched into) and ``starts`` the number of
+    postings before each block, with the total as a last element.
+    Decoding the directory is the dearest part of opening a list that
+    is already in the block cache, so lazy lists keep this object in the
+    :class:`~repro.core.cache.BlockCache` under their list key.
     """
 
     __slots__ = ("header", "max_heads", "starts")
 
     def __init__(self, header: BlockedHeader) -> None:
         self.header = header
-        max_heads = [info.max_head for info in header.blocks]
-        self.max_heads = max_heads if _np is None \
-            else _np.array(max_heads, dtype=_np.int64)
+        self.max_heads = _np.array([info.max_head for info in header.blocks],
+                                   dtype=_np.int64)
         self.starts = list(accumulate((info.count for info in header.blocks),
                                       initial=0))
 
@@ -405,7 +392,7 @@ class LazyPostingList:
         return self.block_data(index).postings
 
     def heads_array(self):
-        """All head ids as one sorted ``int64`` ndarray (numpy only).
+        """All head ids as one sorted ``int64`` ndarray.
 
         Decodes every block -- the bulk-intersection regime where probes
         outnumber blocks would decode them all anyway -- but touches
@@ -422,7 +409,7 @@ class LazyPostingList:
         return self._heads_arr
 
     def columns(self):
-        """``(heads, offsets, children)`` as ``int64`` arrays (numpy only).
+        """``(heads, offsets, children)`` as ``int64`` arrays.
 
         Every block is decoded (or found in the cache); no row is built.
         """
@@ -467,7 +454,7 @@ class LazyPostingList:
     # -- PostingList read surface ------------------------------------------
 
     def heads(self) -> set[int]:
-        if self._entries is None and _np is not None:
+        if self._entries is None:
             return set(self.heads_array().tolist())
         return {p for p, _ in self.entries}
 
@@ -497,78 +484,9 @@ class LazyPostingList:
                 f"blocks={self.n_blocks})")
 
 
-class _BlockCursor:
-    """Monotone lookup cursor over a :class:`LazyPostingList`.
-
-    ``find`` (and ``contains``, its truth value) must be probed with
-    ascending heads (the intersection drives it from a sorted rare list
-    or frontier).  The cursor gallops through the skip directory:
-    blocks whose ``max_head`` lies before the probe are jumped over
-    without decoding (counted as ``blocks_skipped``), and a probe
-    landing in the gap between two blocks is answered from the
-    directory alone.
-    """
-
-    __slots__ = ("_list", "_max_heads", "_block_no", "_block",
-                 "_block_heads", "_stats")
-
-    def __init__(self, lazy: LazyPostingList) -> None:
-        self._list = lazy
-        self._max_heads = lazy.directory.max_heads
-        self._block_no = 0
-        self._block: tuple[Posting, ...] | None = None
-        self._block_heads: list[int] | None = None
-        self._stats = lazy._stats
-
-    def find(self, head: int) -> Posting | None:
-        """The posting with ``head``, or None."""
-        max_heads = self._max_heads
-        n = len(max_heads)
-        at = self._block_no
-        if at >= n:
-            return None
-        if max_heads[at] < head:
-            target = bisect_left(max_heads, head, lo=at + 1)
-            skipped = target - at - (1 if self._block is not None else 0)
-            if self._stats is not None and skipped > 0:
-                self._stats.blocks_skipped += skipped
-            self._block_no = at = target
-            self._block = self._block_heads = None
-            if at >= n:
-                return None
-        info = self._list.header.blocks[at]
-        if head < info.min_head:
-            return None
-        if self._block is None:
-            self._block = self._list.block(at)
-            self._block_heads = [p for p, _ in self._block]
-        heads = self._block_heads
-        pos = bisect_left(heads, head)
-        if pos < len(heads) and heads[pos] == head:
-            return self._block[pos]
-        return None
-
-    def contains(self, head: int) -> bool:
-        return self.find(head) is not None
-
-
 def _still_encoded(plist: "PostingList | LazyPostingList") -> bool:
     """A stored list whose blocks decode on demand (no rows built yet)."""
     return isinstance(plist, LazyPostingList) and plist._entries is None
-
-
-def _membership(plist: "PostingList | LazyPostingList",
-                n_probes: int) -> Callable[[int], bool]:
-    """An ascending-probe membership test for one intersection operand.
-
-    Gallop through the skip directory only when the driving list probes
-    fewer times than the operand has blocks -- otherwise every block
-    gets decoded anyway, and the flat hash-set probe beats a per-probe
-    bisect.
-    """
-    if _still_encoded(plist) and n_probes < plist.n_blocks:
-        return _BlockCursor(plist).contains
-    return plist.heads().__contains__
 
 
 #: Bulk-path density cutoff: hand both head arrays to ``intersect1d``
@@ -580,15 +498,15 @@ _BULK_DENSITY = 4
 def _gallop_mask(lazy: LazyPostingList, probes):
     """Keep-mask for sorted ``probes`` against a still-encoded operand.
 
-    The vector analogue of :class:`_BlockCursor`: one ``searchsorted``
-    of all probes into the skip directory's ``max_head`` column finds
-    each probe's candidate block, then only the touched blocks are
-    decoded and probed -- again with one ``searchsorted`` per block over
-    its contiguous probe run (``probes`` sorted makes the candidate
-    block indices nondecreasing, so runs are slices).  Probes falling in
-    the gap before a block, or past the last block, are answered from
-    the directory alone; jumped-over blocks count as ``blocks_skipped``
-    exactly as the scalar cursor counts them.
+    One ``searchsorted`` of all probes into the skip directory's
+    ``max_head`` column finds each probe's candidate block, then only
+    the touched blocks are decoded and probed -- again with one
+    ``searchsorted`` per block over its contiguous probe run (``probes``
+    sorted makes the candidate block indices nondecreasing, so runs are
+    slices).  Probes falling in the gap before a block, or past the last
+    block, are answered from the directory alone; the blocks between the
+    first and last decoded one that were jumped over count as
+    ``blocks_skipped``.
     """
     blocks = lazy.header.blocks
     target = _np.searchsorted(lazy.directory.max_heads, probes)
@@ -615,14 +533,13 @@ def _gallop_mask(lazy: LazyPostingList, probes):
 def _array_membership(other: "PostingList | LazyPostingList", probes):
     """Keep-mask: which of the sorted ``probes`` occur in ``other``.
 
-    The cost model mirrors :func:`_membership`.  Sparse regime (fewer
-    probes than the operand has blocks): gallop through the skip
-    directory, decoding only touched blocks.  Dense regime: every block
-    gets decoded anyway, so materialize the full head array once and
-    either ``intersect1d`` both sorted-unique arrays (probe count within
-    ``1/_BULK_DENSITY`` of the operand -- skipping is pointless there,
-    the regression regime of 1:10/1:100 skew) or binary-search each
-    probe into it.
+    Sparse regime (fewer probes than the operand has blocks): gallop
+    through the skip directory, decoding only touched blocks.  Dense
+    regime: every block gets decoded anyway, so materialize the full
+    head array once and either ``intersect1d`` both sorted-unique arrays
+    (probe count within ``1/_BULK_DENSITY`` of the operand -- skipping
+    is pointless there, the regression regime of 1:10/1:100 skew) or
+    binary-search each probe into it.
     """
     n_probes = len(probes)
     if _still_encoded(other) and n_probes < other.n_blocks:
@@ -637,32 +554,8 @@ def _array_membership(other: "PostingList | LazyPostingList", probes):
     return in_sorted(probes, heads)
 
 
-def _intersect_vectorized(rare, others, stats) -> PostingList:
-    """Array-native intersection: rare heads filtered operand by operand.
-
-    The survivors leave as columns gathered from the rare list's columns
-    (rows only for a rare list under :data:`COLUMNAR_MIN`).
-    """
-    rare_heads = rare.heads_array()
-    alive = _np.arange(len(rare_heads))
-    for other in others:
-        probes = rare_heads if len(alive) == len(rare_heads) \
-            else rare_heads[alive]
-        alive = alive[_array_membership(other, probes)]
-        if not len(alive):
-            break
-    if stats is not None:
-        stats.intersects_vectorized += 1
-    if not len(alive):
-        return PostingList()
-    if use_columns(rare):
-        return _gather(rare, alive)
-    entries = rare.entries
-    return PostingList([entries[i] for i in alive.tolist()])
-
-
-def intersect(lists: "Sequence[PostingList | LazyPostingList]",
-              stats=None) -> PostingList:
+def intersect(lists: "Sequence[PostingList | LazyPostingList]"
+              ) -> PostingList:
     """Intersect posting lists on their heads.
 
     This is the candidate-generation primitive: a node is a candidate match
@@ -673,14 +566,12 @@ def intersect(lists: "Sequence[PostingList | LazyPostingList]",
     probed get decoded -- the cost is governed by the rarest list, not the
     total postings length.
 
-    With numpy importable the whole pass is array-native
-    (:func:`_intersect_vectorized`): probes move through skip
-    directories and head columns via ``searchsorted``/``intersect1d``
-    with no per-posting Python branching.  Without numpy the original
-    scalar path runs -- block cursors for sparse probes, hash sets for
-    dense ones.  ``stats`` (a :class:`~repro.core.invfile.QueryStats`)
-    records which path ran; when omitted, the first operand carrying an
-    index's stats reference reports for the group.
+    The pass is array-native: the rare heads are filtered operand by
+    operand through skip directories and head columns via
+    ``searchsorted``/``intersect1d`` (:func:`_array_membership`), with no
+    per-posting Python branching.  The survivors leave as columns
+    gathered from the rare list's columns (rows only for a rare list
+    under :data:`COLUMNAR_MIN`).
 
     Any empty operand short-circuits to an empty result before the other
     lists are decoded or their head sets materialized.
@@ -691,23 +582,21 @@ def intersect(lists: "Sequence[PostingList | LazyPostingList]",
         return lists[0]
     if any(len(plist) == 0 for plist in lists):
         return PostingList()
-    if stats is None:
-        for plist in lists:
-            candidate = getattr(plist, "_stats", None)
-            if candidate is not None:
-                stats = candidate
-                break
     rare = min(lists, key=len)
     others = sorted((plist for plist in lists if plist is not rare),
                     key=len)
-    if _np is not None:
-        return _intersect_vectorized(rare, others, stats)
-    if stats is not None:
-        stats.intersects_scalar += 1
-    probes = [_membership(plist, len(rare)) for plist in others]
-    entries = [entry for entry in rare.entries
-               if all(probe(entry[0]) for probe in probes)]
-    return PostingList(entries)
+    rare_heads = rare.heads_array()
+    alive = _np.arange(len(rare_heads))
+    for other in others:
+        probes = rare_heads if len(alive) == len(rare_heads) \
+            else rare_heads[alive]
+        alive = alive[_array_membership(other, probes)]
+        if not len(alive):
+            return PostingList()
+    if use_columns(rare):
+        return _gather(rare, alive)
+    entries = rare.entries
+    return PostingList([entries[i] for i in alive.tolist()])
 
 
 def _postings_at(lazy: LazyPostingList, heads) -> PostingList:
@@ -726,7 +615,7 @@ def _postings_at(lazy: LazyPostingList, heads) -> PostingList:
 
 
 def intersect_within(lists: "Sequence[PostingList | LazyPostingList]",
-                     ids, stats=None) -> PostingList:
+                     ids) -> PostingList:
     """The postings whose head lies in ``ids`` and in every one of ``lists``.
 
     The frontier-driven form of :func:`intersect`, for a match set
@@ -738,34 +627,16 @@ def intersect_within(lists: "Sequence[PostingList | LazyPostingList]",
     list's heads would be, and the survivors' postings then read from
     the shortest list -- out of the blocks the survivors fall in
     (:func:`_postings_at`), never out of a whole list's columns or
-    rows.  Without numpy a :class:`_BlockCursor` over the shortest list
-    finds each id's posting.
+    rows.
     """
     rare = lists[0]
     if len(rare) < COLUMNAR_MIN or not _still_encoded(rare):
-        return intersect([with_head_in(rare, ids), *lists[1:]], stats)
-    if stats is None:
-        stats = rare._stats
-    if _np is None:
-        if stats is not None:
-            stats.intersects_scalar += 1
-        find = _BlockCursor(rare).find
-        probes = [_membership(plist, len(ids)) for plist in lists[1:]]
-        entries = []
-        for head in sorted(ids):
-            posting = find(head)
-            if posting is not None and all(probe(head) for probe in probes):
-                entries.append(posting)
-        return PostingList(entries)
+        return intersect([with_head_in(rare, ids), *lists[1:]])
     heads = id_array(ids)
     for plist in lists:
         heads = heads[_array_membership(plist, heads)]
         if not len(heads):
-            break
-    if stats is not None:
-        stats.intersects_vectorized += 1
-    if not len(heads):
-        return PostingList()
+            return PostingList()
     return _postings_at(rare, heads)
 
 
@@ -881,7 +752,7 @@ def nav_join_descendant(paths: Sequence[tuple[int, int, int]],
 # columns with two primitives -- :func:`in_sorted` (one membership test
 # of a flat column) and :func:`children_in` (per-posting sums of that
 # mask by prefix sums) -- and cut the survivors out with :func:`take`;
-# below it, and without numpy, they loop over the rows.
+# below it they loop over the rows.
 
 #: A match set in either form.  Test emptiness with ``len``; never mutate
 #: one (arrays may be columns of cached blocks, sets may sit in a memo).
@@ -894,7 +765,7 @@ def match_ids(plist: "PostingList | LazyPostingList") -> MatchIds:
 
 
 def id_array(ids):
-    """A match set as a sorted ``int64`` array (numpy only)."""
+    """A match set as a sorted ``int64`` array."""
     if isinstance(ids, _np.ndarray):
         return ids
     arr = _np.fromiter(ids, _np.int64, len(ids))
@@ -904,7 +775,7 @@ def id_array(ids):
 
 def id_set(ids) -> "set[int] | frozenset[int]":
     """A match set as a set of Python ints."""
-    if _np is not None and isinstance(ids, _np.ndarray):
+    if isinstance(ids, _np.ndarray):
         return set(ids.tolist())
     return ids
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 
 class ZipfSampler:
     """Draw 0-based ranks with Zipfian probabilities ``∝ 1/(rank+1)**θ``."""
@@ -27,9 +29,6 @@ class ZipfSampler:
         self.n_items = n_items
         self.theta = theta
         self._rng = rng if rng is not None else random.Random()
-        # Imported here, not at module level: ``repro.data`` imports this
-        # module, and its numpy-free generators must load without numpy.
-        import numpy as np
         weights = 1.0 / np.power(np.arange(1, n_items + 1, dtype=np.float64),
                                  theta)
         self._cdf = np.cumsum(weights)

@@ -54,6 +54,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as _np
+
 from ..core.model import NestedSet, _sort_key, as_nested_set
 from ..storage.codec import (
     decode_uint_list,
@@ -62,11 +64,6 @@ from ..storage.codec import (
     encode_varint,
 )
 from ..storage.errors import CorruptionError
-
-try:  # numpy accelerates packed id-array decode; stdlib fallback below.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the stub test
-    _np = None
 
 __all__ = [
     "BINARY_MAGIC",
@@ -154,9 +151,8 @@ _CODE_INDEX = {code: index for index, code in enumerate(ERROR_CODES)}
 _ID_WIDTHS = (1, 2, 4, 8)
 _ID_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _ID_LIMITS = {1: 1 << 8, 2: 1 << 16, 4: 1 << 32, 8: 1 << 64}
-if _np is not None:
-    _ID_DTYPES = {1: _np.dtype("<u1"), 2: _np.dtype("<u2"),
-                  4: _np.dtype("<u4"), 8: _np.dtype("<u8")}
+_ID_DTYPES = {1: _np.dtype("<u1"), 2: _np.dtype("<u2"),
+              4: _np.dtype("<u4"), 8: _np.dtype("<u8")}
 
 
 class ProtocolError(Exception):
@@ -365,7 +361,7 @@ def encode_packed_ids(ids: Sequence[int]) -> bytes:
 
 
 def decode_packed_ids(buf: bytes, offset: int = 0) -> tuple[list[int], int]:
-    """Decode a packed id array; numpy ``frombuffer`` when available."""
+    """Decode a packed id array (one ``frombuffer``)."""
     if offset >= len(buf):
         raise ProtocolError("truncated packed id array")
     width = buf[offset]
@@ -375,14 +371,7 @@ def decode_packed_ids(buf: bytes, offset: int = 0) -> tuple[list[int], int]:
     end = pos + count * width
     if end > len(buf):
         raise ProtocolError("packed id array shorter than its count")
-    if _np is not None:
-        ids = _np.frombuffer(buf, _ID_DTYPES[width], count, pos).tolist()
-        return ids, end
-    arr = array(_ID_TYPECODES[width])
-    arr.frombytes(buf[pos:end])
-    if struct.pack("=H", 1) != struct.pack("<H", 1):  # pragma: no cover
-        arr.byteswap()
-    return list(arr), end
+    return _np.frombuffer(buf, _ID_DTYPES[width], count, pos).tolist(), end
 
 
 # -- binary requests ---------------------------------------------------------

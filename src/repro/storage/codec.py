@@ -18,15 +18,11 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import CorruptionError
+import numpy as _np
 
-try:  # numpy powers the vectorized block decode; the pure-stdlib
-    import numpy as _np  # fallback below decodes the same bytes.
-except ImportError:  # pragma: no cover - exercised via the stub test
-    _np = None
+from .errors import CorruptionError
 
 #: A posting pairs an internal node id with the sorted tuple of its
 #: internal-node children ids (the ``(p, C)`` of the paper).
@@ -49,9 +45,8 @@ PACKED_WIDTHS = (1, 2, 4, 8)
 
 _WIDTH_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _WIDTH_LIMITS = {1: 1 << 8, 2: 1 << 16, 4: 1 << 32, 8: 1 << 64}
-if _np is not None:
-    _WIDTH_DTYPES = {1: _np.dtype("<u1"), 2: _np.dtype("<u2"),
-                     4: _np.dtype("<u4"), 8: _np.dtype("<u8")}
+_WIDTH_DTYPES = {1: _np.dtype("<u1"), 2: _np.dtype("<u2"),
+                 4: _np.dtype("<u4"), 8: _np.dtype("<u8")}
 
 
 def encode_varint(value: int) -> bytes:
@@ -218,7 +213,7 @@ def _width_for(maximum: int) -> int:
 
 
 def _pack_fixed(values: Sequence[int], width: int) -> bytes:
-    """Little-endian fixed-width packing (stdlib path, numpy-identical)."""
+    """Little-endian fixed-width packing."""
     arr = array(_WIDTH_TYPECODES[width], values)
     if sys.byteorder == "big":  # pragma: no cover - LE hosts everywhere
         arr.byteswap()
@@ -307,6 +302,22 @@ def _packed_layout(raw: bytes, offset: int, length: int, count: int
         child_bytes // w_children
 
 
+def _check_heads(first_delta: int, repeats: bool, last_head: int,
+                 max_head: int) -> None:
+    """Refuse head deltas that do not rebuild a block's heads: the first
+    must be 0 (the directory's ``min_head`` anchors the block), every
+    later one positive (heads strictly ascend, as the row codec
+    requires), and the last head must be the directory's ``max_head``."""
+    if first_delta:
+        raise CorruptionError("packed block's first head is not the "
+                              "directory's min_head")
+    if repeats:
+        raise CorruptionError("packed block repeats a head or goes back")
+    if last_head != max_head:
+        raise CorruptionError("packed block heads end past the "
+                              "directory's max_head")
+
+
 def _unpack_fixed(raw: bytes, start: int, end: int, width: int) -> array:
     """Inverse of :func:`_pack_fixed` over ``raw[start:end]``."""
     arr = array(_WIDTH_TYPECODES[width])
@@ -318,10 +329,11 @@ def _unpack_fixed(raw: bytes, start: int, end: int, width: int) -> array:
 
 def _unpack_checked(raw: bytes, offset: int, length: int, count: int,
                     min_head: int, max_head: int):
-    """The numpy-free reading of a packed block: its layout
+    """The splice's reading of a packed block: its layout
     (:func:`_packed_layout`) and its head-delta and count arrays, the
     counts checked against the children held and the head deltas
-    against the directory's ``max_head``."""
+    against the directory's heads (:func:`_check_heads`), as
+    :func:`decode_packed_arrays` checks them."""
     layout = _packed_layout(raw, offset, length, count)
     w_heads, w_counts, _w_children, counts_at, children_at, n_children = \
         layout
@@ -330,37 +342,23 @@ def _unpack_checked(raw: bytes, offset: int, length: int, count: int,
     if sum(count_arr) != n_children:
         raise CorruptionError("packed child counts disagree with "
                               "payload size")
-    if count and min_head + sum(head_arr) != max_head:
-        raise CorruptionError("packed block heads end past the "
-                              "directory's max_head")
+    if count:
+        _check_heads(head_arr[0], 0 in head_arr[1:],
+                     min_head + sum(head_arr), max_head)
     return layout, head_arr, count_arr
 
 
 def decode_packed_arrays(raw: bytes, info: BlockInfo):
     """Decode one packed block to ``(heads, counts, children)`` arrays.
 
-    With numpy present the three arrays come back as ``int64`` ndarrays
-    produced by ``frombuffer(...).astype(int64).cumsum()`` -- the whole
-    block in a handful of vector ops; the fallback returns plain lists
-    built with ``array``/``itertools.accumulate``.  ``children`` is the
-    flattened concatenation of every posting's child ids (slice it with
-    ``counts``).  Raises :class:`CorruptionError` on truncated or
-    internally inconsistent payloads instead of returning garbage.
+    The three arrays come back as ``int64`` ndarrays produced by
+    ``frombuffer(...).astype(int64).cumsum()`` -- the whole block in a
+    handful of vector ops.  ``children`` is the flattened concatenation
+    of every posting's child ids (slice it with ``counts``).  Raises
+    :class:`CorruptionError` on truncated or internally inconsistent
+    payloads instead of returning garbage.
     """
     count = info.count
-    end = info.offset + info.length
-    if _np is None:
-        layout, head_arr, count_arr = _unpack_checked(
-            raw, info.offset, info.length, count, info.min_head,
-            info.max_head)
-        delta_arr = _unpack_fixed(raw, layout[4], end, layout[2])
-        children: list[int] = []
-        at = 0
-        for n in count_arr:
-            children.extend(accumulate(delta_arr[at:at + n]))
-            at += n
-        return list(accumulate(head_arr, initial=info.min_head))[1:], \
-            list(count_arr), children
     heads_at = info.offset + 3
     w_heads, w_counts, w_children, counts_at, children_at, n_children = \
         _packed_layout(raw, info.offset, info.length, count)
@@ -368,6 +366,9 @@ def decode_packed_arrays(raw: bytes, info: BlockInfo):
                                  count, heads_at).astype(_np.int64)
     heads = head_deltas.cumsum()
     heads += info.min_head
+    if count:
+        _check_heads(int(head_deltas[0]), bool((head_deltas[1:] <= 0).any()),
+                     int(heads[-1]), info.max_head)
     counts = _np.frombuffer(raw, _WIDTH_DTYPES[w_counts],
                             count, counts_at).astype(_np.int64)
     if int(counts.sum()) != n_children:
@@ -382,19 +383,13 @@ def decode_packed_arrays(raw: bytes, info: BlockInfo):
         starts = counts.cumsum() - counts
         base = _np.where(starts > 0, children[starts - 1], 0)
         children = children - _np.repeat(base, counts)
-    if count and int(heads[-1]) != info.max_head:
-        raise CorruptionError("packed block heads end past the "
-                              "directory's max_head")
     return heads, counts, children
 
 
 def decode_packed_block(raw: bytes, info: BlockInfo) -> list[Posting]:
     """Materialize one packed block as ``(head, children)`` postings."""
-    heads, counts, children = decode_packed_arrays(raw, info)
-    if _np is not None and not isinstance(heads, list):
-        heads = heads.tolist()
-        counts = counts.tolist()
-        children = children.tolist()
+    heads, counts, children = (column.tolist() for column in
+                               decode_packed_arrays(raw, info))
     out: list[Posting] = []
     at = 0
     for head, n in zip(heads, counts):
@@ -414,7 +409,7 @@ def encode_blocked(postings: Sequence[Posting],
         { block payload }*                                  (concatenated)
 
     Payloads are fixed-width packed arrays
-    (:func:`encode_packed_block`, bulk-decodable with numpy), so a
+    (:func:`encode_packed_block`, decodable in bulk), so a
     reader can decode any block from the directory without scanning the
     ones before it.  ``min_head`` is delta-encoded against the previous
     block's ``max_head``; ``span`` is ``max_head - min_head``.
@@ -498,7 +493,7 @@ def _splice_packed(raw: bytes, offset: int, length: int, count: int,
     ``None`` when one of its three widths must grow.
 
     The payload is checked as a decode checks it
-    (:func:`_unpack_checked`, numpy-free), then the new fixed-width
+    (:func:`_unpack_checked`), then the new fixed-width
     head, count and child deltas are inserted at the end of their
     arrays; nothing already stored is decoded into postings or encoded
     again.

@@ -3,8 +3,8 @@
 Three layers are covered: the codec (``encode_blocked`` and friends must
 round-trip any sorted posting list, and the row codec beside it the
 ALL/ZERO blocks), the lazy reader (:class:`LazyPostingList` + ``BlockCache``),
-and the galloping intersection kernel, which is checked against the
-plain hash-set baseline over 500 randomized list combinations.
+and the galloping intersection kernel, which is checked against a
+test-local reference over 500 randomized list combinations.
 """
 
 from __future__ import annotations
@@ -45,6 +45,33 @@ def _random_postings(rng: random.Random, size: int,
         children = tuple(sorted(rng.sample(range(head_space), n_children)))
         out.append((p, children))
     return out
+
+
+def _lists_over_nodes(rng: random.Random, head_space: int,
+                      sizes: list[int]) -> list:
+    """Sorted posting lists over one set of nodes: a head has the same
+    children in every list that holds it, as a node has in an index.
+    Every list also holds a random prefix of the first one's heads."""
+    children_of: dict[int, tuple[int, ...]] = {}
+
+    def posting(p: int):
+        if p not in children_of:
+            children_of[p] = tuple(sorted(rng.sample(
+                range(head_space), rng.randrange(0, 4))))
+        return p, children_of[p]
+
+    heads = [rng.sample(range(head_space), size) for size in sizes]
+    shared = sorted(heads[0])[:rng.randrange(0, sizes[0] + 1)]
+    return [[posting(p) for p in sorted(set(some) | set(shared))]
+            for some in heads]
+
+
+def _reference_intersection(lists: list) -> tuple:
+    """The entries of the first list whose head lies in every list's
+    head set: a witness for ``intersect`` that shares none of its code."""
+    head_sets = [{p for p, _ in entries} for entries in lists[1:]]
+    return tuple(entry for entry in lists[0]
+                 if all(entry[0] in heads for heads in head_sets))
 
 
 class TestCodecRoundTrip:
@@ -216,17 +243,30 @@ class TestAppendBlocked:
             with pytest.raises(CorruptionError):
                 append_blocked(raw[:cut], extension)
 
-    @pytest.mark.parametrize("array", ["heads", "counts"])
+    #: Tampered bytes per param, by position past the width bytes: the
+    #: tail block holds head deltas [0, 7, 2] from ``min_head`` 3 (heads
+    #: 3, 10, 12), then child counts [2, 0, 1].
+    TAMPERED = {
+        "heads": {1: 8},                    # heads end past max_head
+        "counts": {3: 3},                   # one child more than held
+        "repeated-head": {1: 0, 2: 9},      # heads 3, 3, 12
+        "off-anchor": {0: 2, 1: 5},         # heads 5, 10, 12
+    }
+
+    @pytest.mark.parametrize("array", sorted(TAMPERED))
     def test_inconsistent_tail_payload_is_refused(self, array) -> None:
         """The spliced block is checked as a decode checks it: child
         counts against the children held, head deltas against the
-        directory's ``max_head``."""
+        directory's heads -- the first delta 0, every later one
+        positive, the last head at ``max_head``."""
         base = [(3, (4, 9)), (10, ()), (12, (13,))]
         raw = bytearray(encode_blocked(base, 8))
         tail = decode_blocked_header(bytes(raw)).blocks[-1]
         assert raw[tail.offset:tail.offset + 3] == b"\x01\x01\x01"
         heads_at = tail.offset + 3
-        raw[heads_at + 1 if array == "heads" else heads_at + 3] += 1
+        assert list(raw[heads_at:heads_at + 6]) == [0, 7, 2, 2, 0, 1]
+        for at, byte in self.TAMPERED[array].items():
+            raw[heads_at + at] = byte
         with pytest.raises(CorruptionError):
             append_blocked(bytes(raw), [(20, ())])
         with pytest.raises(CorruptionError):
@@ -377,36 +417,26 @@ class TestLazyPostingList:
 
 class TestGallopingIntersection:
     def test_equivalence_500_random_combinations(self) -> None:
-        # The kernel must agree with the hash-set baseline on every mix
-        # of plain and blocked operands, regardless of skew or overlap.
+        # The kernel must agree with the reference on every mix of plain
+        # and blocked operands, regardless of skew or overlap.
         rng = random.Random(15)
         for trial in range(500):
             n_lists = rng.randrange(2, 5)
             head_space = rng.choice([40, 200, 1_000])
             max_size = min(60, head_space)
-            raw_lists = [_random_postings(rng, rng.randrange(0, max_size),
-                                          head_space=head_space)
-                         for _ in range(n_lists)]
-
-            common = rng.randrange(0, len(raw_lists[0]) + 1)
-            shared = raw_lists[0][:common]
-            lists = [sorted(set(entries) | set(shared))
-                     for entries in raw_lists]
-            lists = [[(p, c) for i, (p, c) in enumerate(entries)
-                      if i == 0 or entries[i - 1][0] != p]
-                     for entries in lists]
-
-            plain = [PostingList(entries) for entries in lists]
-            expected = intersect(plain).entries
+            lists = _lists_over_nodes(
+                rng, head_space,
+                [rng.randrange(0, max_size) for _ in range(n_lists)])
+            expected = _reference_intersection(lists)
 
             block_size = rng.choice([1, 4, 16])
+            plain = [PostingList(entries) for entries in lists]
             blocked = [LazyPostingList(encode_blocked(entries, block_size))
                        for entries in lists]
-            assert intersect(blocked).entries == expected, trial
-
             mixed = [blocked[i] if i % 2 else plain[i]
                      for i in range(n_lists)]
-            assert intersect(mixed).entries == expected, trial
+            for operands in (plain, blocked, mixed):
+                assert intersect(operands).entries == expected, trial
 
     def test_empty_operand_short_circuits_without_decoding(self) -> None:
         rng = random.Random(16)

@@ -7,7 +7,7 @@ hold the merged view to the records themselves through folds and
 reopens, bound a commit's written bytes independently of the vocabulary,
 and open an index the previous on-disk layout wrote.
 
-No numpy, no hypothesis: the crash-consistency CI job runs this module.
+No hypothesis: the crash-consistency CI job runs this module.
 """
 
 from __future__ import annotations

@@ -11,13 +11,11 @@ intersection cut to the ids::
 
 as lists of rows: over both block sizes, lists of one to forty blocks,
 frontiers empty, tiny, longer than the shortest list and covering a
-whole list, with ids no list holds; on a fresh build and after appends
-and a delete (dead counts change the ranking); with numpy and on the
-``_BlockCursor`` path without.  Then the point of it: a small frontier
-over a long list reads the blocks the frontier falls in and builds no
-rows in the block cache.
-
-Needs hypothesis but not numpy (it runs in the numpy-less CI job).
+whole list, handed on as a set or as an array, with ids no list holds;
+on a fresh build and after appends and a delete (dead counts change the
+ranking).  Then the point of it: a small frontier over a long list
+reads the blocks the frontier falls in and builds no rows in the block
+cache.
 """
 
 from __future__ import annotations
@@ -27,11 +25,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.core.postings as postings_mod
-import repro.storage.codec as codec_mod
 from repro.core.engine import NestedSetIndex
 from repro.core.model import NestedSet
-from repro.core.postings import COLUMNAR_MIN, with_head_in
+from repro.core.postings import COLUMNAR_MIN, id_array, with_head_in
 
 N = NestedSet
 
@@ -42,11 +38,6 @@ N_BLOCKS = 40
 EVERY = {"hot": 1, "half": 2, "tenth": 10, "rare": 97}
 VOCABULARY = sorted(EVERY) + ["once", "never"]
 KINDS = ("empty", "one", "few", "over-shortest", "covers-a-list")
-
-needs_numpy = pytest.mark.skipif(postings_mod._np is None,
-                                 reason="needs numpy")
-NUMPY = [pytest.param(True, marks=needs_numpy, id="numpy"),
-         pytest.param(False, id="no-numpy")]
 
 
 def _records(first: int, count: int) -> list[tuple[str, NestedSet]]:
@@ -110,7 +101,6 @@ def _frontier(kind: str, lists: list, n_nodes: int,
     return set(longest.heads()) | set(rng.sample(anywhere, 5))
 
 
-@pytest.mark.parametrize("numpy", NUMPY)
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(atoms=st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=3,
@@ -118,31 +108,22 @@ def _frontier(kind: str, lists: list, n_nodes: int,
        kind=st.sampled_from(KINDS),
        as_array=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_within_equals_restricted_intersection(states, numpy, monkeypatch,
-                                               atoms, kind, as_array,
-                                               seed) -> None:
-    with monkeypatch.context() as patched:
-        if not numpy:
-            patched.setattr(codec_mod, "_np", None)
-            patched.setattr(postings_mod, "_np", None)
-        for label, ifile in states:
-            # Blocks decoded under the other numpy setting hold the
-            # other column type.
-            ifile.block_cache.clear()
-            rng = random.Random(seed)
-            lists = [ifile.postings(atom) for atom in atoms]
-            frontier = _frontier(kind, lists, ifile.n_nodes, rng)
-            within = frontier
-            if numpy and as_array:      # how a columnar level hands it on
-                within = postings_mod.id_array(frontier)
-            expected = with_head_in(ifile.intersect_atoms(atoms), frontier)
-            got = ifile.intersect_atoms(atoms, within=within)
-            assert list(got.entries) == list(expected.entries), \
-                (label, atoms, kind, len(frontier))
-            assert got.heads() <= frontier
+def test_within_equals_restricted_intersection(states, atoms, kind,
+                                               as_array, seed) -> None:
+    for label, ifile in states:
+        ifile.block_cache.clear()
+        rng = random.Random(seed)
+        lists = [ifile.postings(atom) for atom in atoms]
+        frontier = _frontier(kind, lists, ifile.n_nodes, rng)
+        # A columnar level hands its match set on as an array.
+        within = id_array(frontier) if as_array else frontier
+        expected = with_head_in(ifile.intersect_atoms(atoms), frontier)
+        got = ifile.intersect_atoms(atoms, within=within)
+        assert list(got.entries) == list(expected.entries), \
+            (label, atoms, kind, len(frontier))
+        assert got.heads() <= frontier
 
 
-@needs_numpy
 class TestSmallFrontierOverLongLists:
     """A 1-3-id frontier costs the blocks it falls in, and no rows."""
 

@@ -1,15 +1,13 @@
 """Satellite coverage for the packed (0x03) posting format.
 
-Four concerns of the vectorized data plane live here: width promotion
-must round-trip at every fixed-width boundary (hypothesis drives deltas
+Four concerns of the data plane live here: width promotion must
+round-trip at every fixed-width boundary (hypothesis drives deltas
 across the 1/2/4/8-byte edges), corrupted or truncated packed payloads
-must raise :class:`CorruptionError` instead of decoding garbage, bytes
-of the retired list formats (0x00 plain, 0x01 range-tagged, 0x02
+must raise :class:`CorruptionError` instead of decoding garbage,
+bytes of the retired list formats (0x00 plain, 0x01 range-tagged, 0x02
 varint-blocked) and the configurations that went with them must be
-refused with a typed error naming the format, and the pure-stdlib
-fallback (numpy absent) must stay behaviourally identical
-to the vectorized path, bit for bit on the wire and entry for entry in
-every intersection.
+refused with a typed error naming the format, and an intersection that
+mixes plain and packed operands must match a reference.
 """
 
 from __future__ import annotations
@@ -20,11 +18,9 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.postings as postings_mod
-import repro.storage.codec as codec_mod
 from repro.core.checker import check_index
 from repro.core.engine import NestedSetIndex
-from repro.core.invfile import InvertedFile, InvertedFileError, QueryStats
+from repro.core.invfile import InvertedFile, InvertedFileError
 from repro.core.model import NestedSet
 from repro.core.postings import LazyPostingList, PostingList, intersect
 from repro.storage.codec import (
@@ -39,18 +35,7 @@ from repro.storage.codec import (
     encode_blocked,
 )
 
-from ..conftest import random_tree
-
-
-def _random_postings(rng: random.Random, size: int,
-                     head_space: int = 10_000) -> list:
-    heads = sorted(rng.sample(range(head_space), size))
-    out = []
-    for p in heads:
-        n_children = rng.randrange(0, 4)
-        children = tuple(sorted(rng.sample(range(head_space), n_children)))
-        out.append((p, children))
-    return out
+from .test_blocked import _lists_over_nodes, _reference_intersection
 
 
 # -- width promotion --------------------------------------------------------
@@ -181,18 +166,6 @@ class TestPackedCorruption:
 
 # -- retired formats are refused, typed -------------------------------------
 
-def _corpus(seed: int, n: int = 40) -> list:
-    rng = random.Random(seed)
-    atoms = [f"a{i}" for i in range(10)]
-    return [(f"r{i:02d}", random_tree(rng, atoms)) for i in range(n)]
-
-
-def _queries(seed: int, n: int = 10) -> list:
-    rng = random.Random(seed)
-    atoms = [f"a{i}" for i in range(10)]
-    return [random_tree(rng, atoms, allow_empty=False) for _ in range(n)]
-
-
 #: The list ``[(0, ()), (1, ())]`` as the three retired formats stored
 #: it, byte by byte (no encoder for them is left in ``src/``).
 _ROWS = b"\x02" b"\x00\x00" b"\x01\x00"    # count; (delta p, |C|) x 2
@@ -277,104 +250,22 @@ class TestRetiredFormatsAreRefused:
                 InvertedFile(store)
 
 
-# -- numpy-free fallback ----------------------------------------------------
+# -- mixed plain / packed intersection --------------------------------------
 
 class TestNumpyFallback:
-    def _stub_numpy(self, monkeypatch) -> None:
-        monkeypatch.setattr(codec_mod, "_np", None)
-        monkeypatch.setattr(postings_mod, "_np", None)
+    """Once the scalar twin of the vectorized kernel; with one kernel
+    left, the mixed-operand cases are checked against a reference."""
 
-    def test_fallback_encode_is_byte_identical(self, monkeypatch) -> None:
-        rng = random.Random(41)
-        entries = _random_postings(rng, 300)
-        with_numpy = encode_blocked(entries, 16)
-        self._stub_numpy(monkeypatch)
-        assert encode_blocked(entries, 16) == with_numpy
-
-    def test_fallback_decode_matches_numpy(self, monkeypatch) -> None:
-        rng = random.Random(42)
-        for size, block_size in ((0, 4), (37, 4), (300, 16), (300, 128)):
-            entries = _random_postings(rng, size)
-            raw = encode_blocked(entries, block_size)
-            assert decode_blocked(raw) == entries      # numpy path
-            header = decode_blocked_header(raw)
-            numpy_blocks = [decode_packed_arrays(raw, info)
-                            for info in header.blocks]
-            with monkeypatch.context() as patched:
-                patched.setattr(codec_mod, "_np", None)
-                assert decode_blocked(raw) == entries  # stdlib path
-                for info, (heads, counts, children) in zip(
-                        header.blocks, numpy_blocks):
-                    got = decode_packed_arrays(raw, info)
-                    assert got[0] == heads.tolist()
-                    assert got[1] == counts.tolist()
-                    assert got[2] == children.tolist()
-
-    def test_fallback_intersect_matches_vectorized(self,
-                                                   monkeypatch) -> None:
+    def test_fallback_intersect_matches_vectorized(self) -> None:
+        # Plain and four-posting-block lazy operands alternating, every
+        # list non-empty, heads dense (50) or sparse (400).
         rng = random.Random(43)
-        cases = []
-        for _ in range(40):
-            head_space = rng.choice([50, 400])
-            lists = [_random_postings(rng, rng.randrange(1, 50),
-                                      head_space=head_space)
-                     for _ in range(rng.randrange(2, 4))]
-            shared = lists[0][:rng.randrange(0, len(lists[0]) + 1)]
-            lists = [sorted({p: c for p, c in entries + shared}.items())
-                     for entries in lists]
-            cases.append(lists)
-
-        def run() -> list:
-            results = []
-            stats = QueryStats()
-            for lists in cases:
-                block_size = 4
-                operands = [
-                    LazyPostingList(encode_blocked(entries, block_size),
-                                    stats=stats)
-                    if i % 2 else PostingList(entries)
-                    for i, entries in enumerate(lists)]
-                results.append(intersect(operands, stats=stats).entries)
-            return results, stats
-
-        vec_results, vec_stats = run()
-        assert vec_stats.intersects_vectorized == len(cases)
-        assert vec_stats.intersects_scalar == 0
-        assert vec_stats.decode_path == "vectorized"
-
-        self._stub_numpy(monkeypatch)
-        scalar_results, scalar_stats = run()
-        assert scalar_results == vec_results
-        assert scalar_stats.intersects_scalar == len(cases)
-        assert scalar_stats.intersects_vectorized == 0
-        assert scalar_stats.decode_path == "scalar"
-
-    def test_fallback_engine_answers_unchanged(self, monkeypatch) -> None:
-        corpus = _corpus(44, n=25)
-        queries = _queries(144, n=8)
-        expected = [NestedSetIndex.build(corpus).query(query)
-                    for query in queries]
-        self._stub_numpy(monkeypatch)
-        index = NestedSetIndex.build(corpus)
-        assert [index.query(query) for query in queries] == expected
-        stats = index.stats()["index"]
-        assert stats["intersects_vectorized"] == 0
-        assert stats["decode_path"] == "scalar"
-
-
-class TestDecodePathReporting:
-    def test_engine_reports_vectorized_path(self) -> None:
-        index = NestedSetIndex.build(_corpus(45, n=25))
-        for query in _queries(145, n=10):
-            index.query(query)
-        stats = index.stats()["index"]
-        assert stats["intersects_vectorized"] > 0
-        assert stats["intersects_scalar"] == 0
-        assert stats["decode_path"] == "vectorized"
-
-    def test_explain_carries_decode_path(self) -> None:
-        index = NestedSetIndex.build(_corpus(46, n=25))
-        for query in _queries(146, n=10):
-            explained = index.explain(query)
-            assert explained.decode_path in ("vectorized", "scalar")
-            assert "decode_path=" in explained.render()
+        for trial in range(40):
+            lists = _lists_over_nodes(
+                rng, rng.choice([50, 400]),
+                [rng.randrange(1, 50) for _ in range(rng.randrange(2, 4))])
+            operands = [LazyPostingList(encode_blocked(entries, 4))
+                        if i % 2 else PostingList(entries)
+                        for i, entries in enumerate(lists)]
+            assert intersect(operands).entries == \
+                _reference_intersection(lists), trial

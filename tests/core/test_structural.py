@@ -7,7 +7,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import postings as postings_mod
 from repro.core.cache import BlockCache
 from repro.core.invfile import InvertedFile
 from repro.core.matchspec import QuerySpec
@@ -216,10 +215,6 @@ def ragged_case(draw):
     return cand, child_sets, other, as_arrays, shape
 
 
-needs_numpy = pytest.mark.skipif(postings_mod._np is None,
-                                 reason="the columnar path needs numpy")
-
-
 def _plist(entries, shape: str):
     """``entries`` as a row list or as a lazy list of packed blocks."""
     if shape == "rows":
@@ -227,7 +222,6 @@ def _plist(entries, shape: str):
     return LazyPostingList(encode_blocked(entries, 16))
 
 
-@needs_numpy
 class TestColumnarMatchesRows:
     @settings(max_examples=150, deadline=None)
     @given(ragged_case(), st.sampled_from(["subset", "equality", "superset"]))
@@ -259,20 +253,7 @@ class TestColumnarMatchesRows:
             assert list(frontier.restrict(plist)) == \
                 [(p, cs) for p, cs in plist if p in reachable]
 
-    def test_row_loop_is_the_numpy_absent_path(self, monkeypatch) -> None:
-        rng = random.Random(7)
-        cand = [(head, tuple(sorted(rng.sample(range(900), 2))))
-                for head in range(0, 3 * COLUMNAR_MIN)]
-        hits = set(rng.sample(range(900), 300))
-        with_numpy = heads_with_child_in(PostingList(cand), [hits])
-        assert with_numpy._entries is None          # left as columns
-        monkeypatch.setattr(postings_mod, "_np", None)
-        without = heads_with_child_in(PostingList(cand), [hits])
-        assert without.entries == with_numpy.entries
-        assert without.heads() == _rows_subset(cand, [hits])
 
-
-@needs_numpy
 class TestNoRowsOnTheColumnarPath:
     def test_intersection_feeds_h_without_building_rows(self) -> None:
         rng = random.Random(11)

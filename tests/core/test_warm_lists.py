@@ -14,7 +14,7 @@ readers across each of those and compare against a reader that has
 never seen the atom.  The last rule is the pin rule: a list kept by the
 list cache beyond its snapshot owns its bytes.
 
-Needs neither numpy nor hypothesis (it runs in the numpy-less CI job).
+Needs no hypothesis (it runs in the crash-consistency CI job).
 """
 
 from __future__ import annotations

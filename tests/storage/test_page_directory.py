@@ -3,7 +3,7 @@
 A directory is a pure function of its page, the memo that holds
 directories is bounded and is used only for bytes equal to the bytes an
 entry was parsed from, and a lookup still reads every page of its chain.
-Each of those is a test here.  numpy- and hypothesis-free (runs in the
+Each of those is a test here.  Hypothesis-free (runs in the
 ``crash-consistency`` CI job).
 """
 

@@ -24,7 +24,6 @@ LADDER = ROOT / "ladder"
 if not (LADDER / "run.py").is_file():
     pytest.skip("the ladder benchmark is not in this checkout",
                 allow_module_level=True)
-pytest.importorskip("numpy")
 
 WORKLOADS = [workload["name"] for workload in json.loads(
     (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
