@@ -16,14 +16,7 @@ from .batch import BatchEvaluator, batch_query, memoized_match_nodes
 from .bulkload import DEFAULT_MEMORY_BUDGET, build_external
 from .bloom import BloomFilter, BloomIndex, BreadthBloom, DepthBloom
 from .bottomup import bottomup_match_nodes, bottomup_query
-from .cache import (
-    PAPER_BUDGET,
-    FrequencyCache,
-    ListCache,
-    LRUCache,
-    NoCache,
-    make_cache,
-)
+from .cache import PAPER_BUDGET, BlockCache
 from .candidates import node_candidates
 from .checker import assert_healthy, check_index
 from .engine import ALGORITHMS, NestedSetIndex, as_nested_set
@@ -107,6 +100,7 @@ __all__ = [
     "Atom",
     "AtomStats",
     "BatchEvaluator",
+    "BlockCache",
     "BloomFilter",
     "BloomIndex",
     "BreadthBloom",
@@ -120,14 +114,11 @@ __all__ = [
     "ExecutionContext",
     "ExecutionPlan",
     "ExplainResult",
-    "FrequencyCache",
     "IndexWriter",
     "InvertedFile",
     "InvertedFileError",
     "JOINS",
     "JoinResult",
-    "LRUCache",
-    "ListCache",
     "MODES",
     "NaiveScanner",
     "NestedBag",
@@ -135,7 +126,6 @@ __all__ = [
     "NestedSet",
     "NestedSetError",
     "NestedSetIndex",
-    "NoCache",
     "NodeMeta",
     "NodeTrace",
     "PlanError",
@@ -183,7 +173,6 @@ __all__ = [
     "json_to_nested_seq",
     "intersect",
     "iso_contains",
-    "make_cache",
     "make_planner",
     "memoized_match_nodes",
     "multiset_union",

@@ -2,8 +2,8 @@
 
 The paper's future-work item (6) asks for "a deeper study of nested set
 caching mechanisms ... e.g., caching with respect to an evolving query
-workload".  The frequency/LRU list caches (Section 3.3) operate at the
-*posting-list* level; this module caches one level higher: the **match
+workload".  The block cache and its frequency pins (Section 3.3) operate
+at the *posting-list* level; this module caches one level higher: the **match
 set of a whole subquery**.  Nested sets are hashable values, so when a
 workload's queries share subtrees (common when queries are sampled from
 the collection, or generated from templates), every shared subtree is

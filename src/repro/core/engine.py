@@ -1,7 +1,7 @@
 """Public facade: build, open, and query a nested-set containment index.
 
-:class:`NestedSetIndex` wires together the inverted file, the list cache
-(Section 3.3), the Bloom prefilters (Section 3.3), the two containment
+:class:`NestedSetIndex` wires together the inverted file, its block cache
+and pins, the Bloom prefilters (both Section 3.3), the two containment
 algorithms (Section 3) and their extensions (Section 4) behind a small
 surface::
 
@@ -18,8 +18,8 @@ reopen via :meth:`NestedSetIndex.open`.
 One index is N >= 1 :class:`Partition`\\ s -- independent inverted files
 over disjoint slices of the records (:mod:`repro.core.shard` says who
 owns a record and where a partition's keys live).  A :class:`Partition`
-holds what is per inverted file: the live file and its list/block
-caches, modification epochs, Bloom filters, result cache, writer.
+holds what is per inverted file: the live file and its block cache,
+modification epochs, Bloom filters, result cache, writer.
 Everything else exists once, on the facade: a query is compiled once,
 run on every partition of one pinned :class:`Snapshot` (in parallel via
 :class:`~repro.core.parallel.ShardExecutor` when ``workers > 1``) and
@@ -42,7 +42,7 @@ from ..storage import KVStore, StorageError, open_store
 from ..storage.codec import DEFAULT_BLOCK_SIZE
 from .batch import QueryFold
 from .bloom import BloomIndex
-from .cache import PAPER_BUDGET, ListCache, make_cache
+from .cache import PAPER_BUDGET
 from .exec.compiler import ALGORITHMS, compile_query
 from .exec.context import ExecCounters, ExecutionContext
 from .exec.plan import ExecutionPlan
@@ -55,8 +55,7 @@ from .parallel import ShardExecutor
 from .resultcache import ResultCache, ResultCacheGroup
 from .shard import HashShardPolicy, ShardError, commit_manifest, \
     make_policy, partition_stores, read_manifest
-from .snapshot import ModEpochs, SharedIndexState, SnapshotInvertedFile, \
-    SnapshotListCache
+from .snapshot import ModEpochs, SharedIndexState, SnapshotInvertedFile
 from .stats import CollectionStats
 from .updates import DEFAULT_MEMORY_BUDGET, IndexWriter, write_index
 
@@ -107,17 +106,6 @@ def require_snapshots(store: KVStore) -> None:
             f"{type(store).__name__} does not version its commits "
             "(mvcc_info() is None); an index needs a store with "
             "snapshot support")
-
-
-def list_cache_for(ifile: InvertedFile, policy: str | None,
-                   budget: int) -> ListCache:
-    """The ``policy`` list cache for ``ifile``.
-
-    Only the frequency policy reads the document-frequency table, so
-    only it pays for decoding one (most of an ``open`` otherwise).
-    """
-    frequencies = ifile.frequencies() if policy == "frequency" else ()
-    return make_cache(policy, frequencies=frequencies, budget=budget)
 
 
 def _bloom_for(ifile: InvertedFile, kind: str | None,
@@ -198,21 +186,20 @@ class PartitionView:
 class Partition:
     """One inverted file of an index, and what exists per file.
 
-    The live file with its list and block caches, the modification
+    The live file with its block cache and pins, the modification
     epochs and cross-version caches every view of it shares, the Bloom
     prefilters, the result cache, the writer and the statistics memo.
-    A partition pins nothing and opens no transaction of its own: the
-    owning :class:`NestedSetIndex` hands :meth:`view` an already pinned
-    store and calls :meth:`insert_group` / :meth:`delete` inside its
-    commit group.
+    A partition pins no store version and opens no transaction of its
+    own: the owning :class:`NestedSetIndex` hands :meth:`view` an
+    already pinned store and calls :meth:`insert_group` /
+    :meth:`delete` inside its commit group.
     """
 
     def __init__(self, ifile: InvertedFile, *, cache: str | None,
                  cache_budget: int, bloom: str | None,
                  bloom_bits: int) -> None:
-        #: List-cache ``(policy, budget)``, carried across a compact.
-        self._cache_policy = (cache, cache_budget)
-        ifile.cache = list_cache_for(ifile, cache, cache_budget)
+        self._wire(ifile)
+        self.set_cache(cache, cache_budget)
         self.bloom_index = _bloom_for(ifile, bloom, bloom_bits)
         #: Whole-query results, scoped per view (see PartitionView).
         self.result_cache: ResultCache | None = None
@@ -220,7 +207,6 @@ class Partition:
         self._writer: IndexWriter | None = None
         self._memo_lock = threading.Lock()
         self._stats_memo: dict[tuple[int, int], CollectionStats] = {}
-        self._wire(ifile)
 
     def _wire(self, ifile: InvertedFile) -> None:
         """Make ``ifile`` the live generation: fresh epochs and shared
@@ -228,8 +214,6 @@ class Partition:
         self._ifile = ifile
         self._epochs = ModEpochs()
         self._shared = SharedIndexState()
-        self._list_cache = ifile.cache
-        ifile.cache = SnapshotListCache(self._list_cache, self._epochs, None)
         ifile._epochs = self._epochs
         ifile._key_cache = self._shared.key_cache
 
@@ -240,8 +224,7 @@ class Partition:
         generation = self._ifile
         store.stats = generation.store.stats    # one home for the counters
         ifile = SnapshotInvertedFile(
-            store, list_cache=self._list_cache,
-            block_cache=generation.block_cache, shared=self._shared,
+            store, block_cache=generation.block_cache, shared=self._shared,
             epochs=self._epochs, version=version, stats=generation.stats)
         return PartitionView(self, ifile, generation)
 
@@ -361,7 +344,7 @@ class Partition:
         ``store``; the partition itself is untouched until
         :meth:`adopt`."""
         fresh = self._index_writer().compact(store=store)
-        fresh.cache = list_cache_for(fresh, *self._cache_policy)
+        fresh.set_cache(*self._cache_policy)
         if self.bloom_index is None:
             return fresh, None
         return fresh, _bloom_for(fresh, self.bloom_index.kind,
@@ -376,7 +359,6 @@ class Partition:
             # generation-scoped keys prevent collisions, but the old
             # entries can never hit again -- drop them.
             self.result_cache.invalidate_all()
-        self._list_cache.clear()
         self._wire(fresh)
         self.bloom_index = bloom_index
         self._stats = None
@@ -384,11 +366,9 @@ class Partition:
             self._stats_memo.clear()
 
     def set_cache(self, policy: str | None, budget: int) -> None:
-        """Swap the inverted-list cache policy in place."""
-        self._cache_policy = (policy, budget)
-        self._list_cache = list_cache_for(self._ifile, policy, budget)
-        self._ifile.cache = SnapshotListCache(self._list_cache,
-                                              self._epochs, None)
+        """Re-pin the block cache (:meth:`InvertedFile.set_cache`)."""
+        self._ifile.set_cache(policy, budget)
+        self._cache_policy = (policy, budget)     # carried across a compact
 
     # -- introspection ------------------------------------------------------
 
@@ -963,8 +943,8 @@ class NestedSetIndex(_Reads):
             snap.close()
 
     def _retire_shared_pin(self) -> None:
-        """Drop the cached shared pin (mutations/compact/close/cache
-        swaps): the next reader re-pins at the then-current state.
+        """Drop the cached shared pin (mutations/compact/close/result
+        cache toggles): the next reader re-pins at the then-current state.
         Without this a stale pin would force pre-image capture on every
         subsequent page write (unbounded history growth under
         write-only loads)."""
@@ -1150,7 +1130,7 @@ class NestedSetIndex(_Reads):
         for partition in self._partitions:
             partition.result_cache = ResultCache(capacity)
         # The cached shared pin was wired without the caches; drop it so
-        # the next query re-wires (same on disable / cache swap).
+        # the next query re-wires (same on disable).
         self._retire_shared_pin()
         return self.result_cache
 
@@ -1167,19 +1147,14 @@ class NestedSetIndex(_Reads):
 
     def set_cache(self, policy: str | None,
                   budget: int = PAPER_BUDGET) -> None:
-        """Swap the inverted-list cache policy in place (``budget``
-        split evenly across partitions).
-
-        The experiment harness runs each configuration with and without
-        caching on the *same* built index; swapping the cache (rather than
-        rebuilding) is what makes that cheap.  Open snapshots keep the
-        cache they were wired with.
-        """
+        """Re-pin every partition's block cache under ``policy``
+        (``budget`` split evenly across partitions), open snapshots
+        included: the experiment harness swaps policies on the *same*
+        built index instead of rebuilding it."""
         share = max(1, budget // len(self._partitions))
         with self._writer_mutex:
             for partition in self._partitions:
                 partition.set_cache(policy, share)
-        self._retire_shared_pin()
 
     # -- statistics -------------------------------------------------------------
 
@@ -1211,12 +1186,14 @@ class NestedSetIndex(_Reads):
         for counter in fields(QueryStats):
             index[counter.name] = sum(getattr(ifile.stats, counter.name)
                                       for ifile in ifiles)
-        hits = sum(ifile.cache.stats.hits for ifile in ifiles)
-        misses = sum(ifile.cache.stats.misses for ifile in ifiles)
+        caches = [ifile.block_cache for ifile in ifiles]
+        hits = sum(cache.stats.hits for cache in caches)
+        misses = sum(cache.stats.misses for cache in caches)
         out: dict[str, dict[str, object]] = {
             "index": index,
             "cache": {
-                "policy": ifiles[0].cache.name,
+                "policy": self._partitions[0]._cache_policy[0] or "none",
+                "pinned": sum(len(cache.pins) for cache in caches),
                 "hits": hits,
                 "misses": misses,
                 "hit_rate": hits / (hits + misses) if hits + misses else 0.0,

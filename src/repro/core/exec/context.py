@@ -28,7 +28,7 @@ class ExecCounters:
     """Per-context execution counters (reset by creating a new context)."""
 
     queries: int = 0
-    result_cache_hits: int = 0
+    results_reused: int = 0
     subqueries_evaluated: int = 0
     subqueries_reused: int = 0
     records_tested: int = 0
@@ -43,7 +43,7 @@ class ExecCounters:
     def snapshot(self) -> dict[str, int]:
         return {
             "queries": self.queries,
-            "result_cache_hits": self.result_cache_hits,
+            "results_reused": self.results_reused,
             "subqueries_evaluated": self.subqueries_evaluated,
             "subqueries_reused": self.subqueries_reused,
             "records_tested": self.records_tested,
@@ -61,7 +61,7 @@ class ExecCounters:
         index is monolithic or sharded.
         """
         self.queries += other.queries
-        self.result_cache_hits += other.result_cache_hits
+        self.results_reused += other.results_reused
         self.subqueries_evaluated += other.subqueries_evaluated
         self.subqueries_reused += other.subqueries_reused
         self.records_tested += other.records_tested

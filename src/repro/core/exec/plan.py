@@ -103,7 +103,7 @@ class ExecutionPlan:
         if ctx.result_cache is not None and key is not None:
             cached = ctx.result_cache.get(key)
             if cached is not None:
-                ctx.counters.result_cache_hits += 1
+                ctx.counters.results_reused += 1
                 return cached
         if self.match.strategy == "naive":
             result = self._run_scan(ctx)

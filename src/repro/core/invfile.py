@@ -18,7 +18,8 @@ Table 2 we persist:
   form) so queries can be sampled and results verified;
 * an ``ALL`` list (every internal node) and a ``ZERO`` list (nodes with no
   leaf children) enabling empty-set query nodes and the superset join;
-* the atom document-frequency ranking that seeds the frequency cache.
+* the atom document-frequency ranking that picks the frequency policy's
+  pinned lists.
 
 Everything lives in one :class:`~repro.storage.kvstore.KVStore` under key
 prefixes, so the index persists on the disk engines and reopens cheaply.
@@ -42,7 +43,7 @@ from ..storage.codec import (
     encode_str,
     encode_varint,
 )
-from .cache import ABSENT, BlockCache, ListCache, NoCache
+from .cache import ABSENT, PAPER_BUDGET, POLICIES, BlockCache
 from .model import Atom, NestedSet
 from .postings import (
     LazyPostingList,
@@ -96,10 +97,9 @@ class QueryStats:
     """Counters for index accesses made on behalf of queries."""
 
     postings_requests: int = 0
-    cache_hits: int = 0
-    #: Which path served a list lookup the list cache missed: a store
-    #: get of the atom's value (a cold key, or a warm list's first block
-    #: miss), or the block cache's directory entry with no store access.
+    #: Which path served a list lookup: a store get of the atom's value
+    #: (a cold key, or a warm list's first block miss), or the block
+    #: cache's directory entry with no store access.
     list_fetches: int = 0
     directory_hits: int = 0
     meta_block_reads: int = 0
@@ -156,24 +156,28 @@ def number_record(tree: NestedSet, ordinal: int, first_id: int
     order; and the record's canonical text.  Children are visited in
     canonical text order for determinism; ids are handed out
     sequentially during the visit, so every child-id tuple is ascending,
-    as postings require.
+    as postings require.  The walk keeps its own stack (any depth).
     """
     nodes: list[tuple[frozenset, tuple[int, tuple[int, ...]]]] = []
-    meta: list[bytes] = []
-
-    def walk(canon: tuple, flags: int) -> int:
-        _text, node, members = canon
-        node_id = first_id + len(meta)
-        meta.append(b"")            # reserve the slot; filled after the subtree
-        child_ids = tuple([walk(member, 0) for member in members])
-        meta[node_id - first_id] = _META_ENTRY.pack(
-            ordinal, len(node.atoms), first_id + len(meta) - 1, flags)
-        nodes.append((node.atoms, (node_id, child_ids)))
-        return node_id
-
-    canon = tree.canonical()
-    walk(canon, _FLAG_ROOT)
-    return nodes, meta, canon[0]
+    meta: list[bytes] = [b""]       # a slot per id, filled after the subtree
+    text, root, members = tree.canonical()
+    # One frame per open set: the node, its id, the members still to
+    # visit, the ids of those visited.
+    stack = [(root, first_id, iter(members), [])]
+    while stack:
+        node, node_id, pending, child_ids = stack[-1]
+        for _text, child, grandchildren in pending:
+            child_ids.append(first_id + len(meta))
+            stack.append((child, child_ids[-1], iter(grandchildren), []))
+            meta.append(b"")
+            break
+        else:
+            stack.pop()
+            meta[node_id - first_id] = _META_ENTRY.pack(
+                ordinal, len(node.atoms), first_id + len(meta) - 1,
+                _FLAG_ROOT if node_id == first_id else 0)
+            nodes.append((node.atoms, (node_id, tuple(child_ids))))
+    return nodes, meta, text
 
 
 def record_blob(key: str, root_id: int, text: str) -> bytes:
@@ -249,9 +253,8 @@ class InvertedFile:
     #: for the live file.
     version: int | None = None
 
-    def __init__(self, store: KVStore, cache: ListCache | None = None) -> None:
+    def __init__(self, store: KVStore) -> None:
         self._store = store
-        self.cache = cache if cache is not None else NoCache()
         self.block_cache = BlockCache()
         self.stats = QueryStats()
         #: Modification epochs (:class:`repro.core.snapshot.ModEpochs`),
@@ -324,7 +327,6 @@ class InvertedFile:
     @classmethod
     def build(cls, records: Iterable[tuple[str, NestedSet]], *,
               storage: str = "memory", path: str | None = None,
-              cache: ListCache | None = None,
               block_size: int = DEFAULT_BLOCK_SIZE,
               store: KVStore | None = None,
               **store_options: object) -> "InvertedFile":
@@ -344,42 +346,42 @@ class InvertedFile:
         from .updates import write_index
         return cls(write_index(records, storage=storage, path=path,
                                store=store, block_size=block_size,
-                               **store_options), cache=cache)
+                               **store_options))
 
     @classmethod
     def open(cls, storage: str, path: str,
-             cache: ListCache | None = None,
              **store_options: object) -> "InvertedFile":
         """Reopen a previously built disk-resident index."""
-        store = open_store(storage, path, create=False, **store_options)
-        return cls(store, cache=cache)
+        return cls(open_store(storage, path, create=False, **store_options))
+
+    @property
+    def cache(self) -> BlockCache:
+        """The block cache (the one cache; see :meth:`set_cache`)."""
+        return self.block_cache
+
+    def set_cache(self, policy: str | None,
+                  budget: int = PAPER_BUDGET) -> None:
+        """Apply a ``cache=`` policy (Section 3.3): ``"frequency"`` pins
+        the lists of the ``budget`` most frequent atoms (ties by token)
+        in the block cache; ``None``, ``"none"`` and ``"lru"`` pin
+        nothing.  Only the first decodes the frequency table."""
+        if policy not in POLICIES:
+            raise ValueError(f"unknown cache policy {policy!r}; "
+                             "expected None, 'none', 'frequency' or 'lru'")
+        if budget < 1:
+            raise ValueError("budget must be >= 1")
+        hot = self.frequencies()[:budget] if policy == "frequency" else ()
+        self.block_cache.pin(atom_token(atom) for atom, _df in hot)
 
     # -- posting access -----------------------------------------------------
 
     def postings(self, atom: Atom) -> PostingList | LazyPostingList:
-        """Retrieve ``S_IF(atom)`` through the list cache; a stored list
-        comes back lazy (block payloads still encoded, and its value
-        not even read while it is warm: :meth:`_open_list`)."""
+        """Retrieve ``S_IF(atom)``; a stored list comes back lazy (block
+        payloads still encoded, and its value not even read while it is
+        warm: :meth:`_open_list`)."""
         self.stats.postings_requests += 1
-        cached = self.cache.get(atom)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
         token = atom_token(atom)
-        epoch = self._epoch(token)
-        plist = self._open_list(atom, token, epoch)
-        if self.cache.admits(atom):
-            if isinstance(plist, LazyPostingList):
-                # A kept list outlives this view's pin: it must not
-                # depend on a loader bound to it.
-                plist.raw
-            if epoch is None:
-                self.cache.admit(atom, plist)
-            else:
-                # Epochs attached: the cache is the engine's
-                # epoch-stamping SnapshotListCache.
-                self.cache.admit(atom, plist, epoch)
-        return plist
+        return self._open_list(atom, token, self._epoch(token))
 
     def _epoch(self, token: str) -> int | None:
         """The token's epoch floor at this file's version, or ``None``
@@ -390,8 +392,7 @@ class InvertedFile:
 
     def _open_list(self, atom: Atom, token: str, epoch: int | None
                    ) -> PostingList | LazyPostingList:
-        """``S_IF(atom)`` past the list cache, the block cache's
-        directory entry first.
+        """``S_IF(atom)``, the block cache's directory entry first.
 
         The list key is the atom token on a standalone file (which
         relies on :meth:`~repro.core.cache.BlockCache.invalidate` after
@@ -441,9 +442,6 @@ class InvertedFile:
         """Posting count of ``atom``, through the same lookup as
         :meth:`postings` (no store access once the key is warm; a cold
         one is fetched and warmed for the fetch that usually follows)."""
-        cached = self.cache.get(atom)
-        if cached is not None:
-            return len(cached)
         token = atom_token(atom)
         return len(self._open_list(atom, token, self._epoch(token)))
 
@@ -657,7 +655,8 @@ class InvertedFile:
         return counts
 
     def frequencies(self) -> list[tuple[Atom, int]]:
-        """Atom document frequencies, descending (seeds FrequencyCache).
+        """Atom document frequencies, descending (the frequency policy's
+        ranking, :meth:`set_cache`).
 
         The base table ``M:freq`` merged with the commits logged since
         it was last folded (:meth:`IndexWriter.flush
@@ -741,9 +740,8 @@ class InvertedFile:
         return self._store
 
     def reset_stats(self) -> None:
-        """Zero query-time counters on the index, caches and store."""
+        """Zero query-time counters on the index, block cache and store."""
         self.stats.reset()
-        self.cache.stats.reset()
         self.block_cache.stats.reset()
         self._store.stats.reset()
 

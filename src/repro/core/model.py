@@ -105,19 +105,21 @@ class NestedSet:
     @property
     def depth(self) -> int:
         """Nesting depth: 1 for a flat set, 1 + max child depth otherwise."""
-        if not self._children:
-            return 1
-        return 1 + max(child.depth for child in self._children)
+        depth, level = 0, [self]
+        while level:
+            depth += 1
+            level = [child for node in level for child in node._children]
+        return depth
 
     @property
     def internal_count(self) -> int:
         """Number of internal nodes (sets) in the tree encoding."""
-        return 1 + sum(child.internal_count for child in self._children)
+        return sum(1 for _node in self.iter_sets())
 
     @property
     def leaf_count(self) -> int:
         """Total number of leaves (atom occurrences) in the tree encoding."""
-        return len(self._atoms) + sum(c.leaf_count for c in self._children)
+        return sum(len(node._atoms) for node in self.iter_sets())
 
     @property
     def size(self) -> int:
@@ -236,7 +238,27 @@ class NestedSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NestedSet):
             return NotImplemented
-        return self._atoms == other._atoms and self._children == other._children
+        if not (self._children or other._children):
+            return self._atoms == other._atoms
+        # Pairs to compare on an explicit stack (any depth).  Equal sets
+        # hash alike, so a member's twin is the one member of equal hash.
+        pending = [(self, other)]
+        while pending:
+            mine, theirs = pending.pop()
+            if theirs is None or mine._hash != theirs._hash \
+                    or mine._atoms != theirs._atoms \
+                    or len(mine._children) != len(theirs._children):
+                return False
+            if mine._children is theirs._children:  # both empty, or shared
+                continue
+            twins = {child._hash: child for child in theirs._children}
+            if len(twins) < len(theirs._children):  # siblings' hashes collide
+                if mine._children != theirs._children:
+                    return False
+            else:
+                for child in mine._children:
+                    pending.append((child, twins.get(child._hash)))
+        return True
 
     def __hash__(self) -> int:
         return self._hash
@@ -290,7 +312,7 @@ def _parses_as_int(token: str) -> bool:
 
 
 class _Parser:
-    """Recursive-descent parser for the nested set text syntax.
+    """Parser for the nested set text syntax.
 
     ``builder(atoms, children)`` turns the member lists into the final
     value; :class:`NestedSet` uses its own constructor (collapsing
@@ -321,28 +343,35 @@ class _Parser:
         self.pos += 1
 
     def parse_set(self):
+        """Parse one container; nested ones open on an explicit stack
+        (any depth)."""
         self.skip_ws()
         self._expect(self.OPEN)
-        members: list = []  # atoms and sub-containers, in source order
-        self.skip_ws()
-        if not self.at_end() and self.text[self.pos] == self.CLOSE:
-            self.pos += 1
-            return self._finish(members)
+        # Per open container its atoms and sub-containers, in source order.
+        stack: list[list] = [[]]
         while True:
             self.skip_ws()
-            if not self.at_end() and self.text[self.pos] == self.OPEN:
-                members.append(self.parse_set())
-            else:
-                members.append(self._parse_atom())
-            self.skip_ws()
-            if self.at_end():
-                raise NestedSetError(
-                    f"unterminated container (missing {self.CLOSE!r})")
-            if self.text[self.pos] == ",":
+            ahead = self.text[self.pos] if not self.at_end() else ""
+            if ahead == self.OPEN:
                 self.pos += 1
+                stack.append([])
                 continue
-            self._expect(self.CLOSE)
-            return self._finish(members)
+            if ahead != self.CLOSE or stack[-1]:
+                stack[-1].append(self._parse_atom())
+            # After a member, or at the close of an empty container.
+            while True:
+                self.skip_ws()
+                if self.at_end():
+                    raise NestedSetError(
+                        f"unterminated container (missing {self.CLOSE!r})")
+                if self.text[self.pos] == ",":
+                    self.pos += 1
+                    break
+                self._expect(self.CLOSE)
+                value = self._finish(stack.pop())
+                if not stack:
+                    return value
+                stack[-1].append(value)
 
     def _finish(self, members: list):
         """Build the container value; set/bag builders split by kind

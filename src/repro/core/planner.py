@@ -64,9 +64,9 @@ class Planner:
                                 spec: QuerySpec = QuerySpec()) -> float:
         """Expected block decodes to evaluate the whole subtree.
 
-        Additive over nodes (each node runs one intersection); zero on
-        legacy-format indexes, where the tie-break degenerates to text
-        order.
+        Additive over nodes (each node runs one intersection); zero when
+        the statistics carry no block size, where the tie-break
+        degenerates to text order.
         """
         return sum(self.stats.estimate_blocks(sub, spec)
                    for sub in node.iter_sets())

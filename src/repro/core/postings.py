@@ -73,8 +73,8 @@ class PostingList:
     was cut from.
     """
 
-    # Lists held by a list cache or shared between snapshots are read by
-    # several threads: each memo below is published by one assignment.
+    # Lists shared between snapshots are read by several threads: each
+    # memo below is published by one assignment.
     __slots__ = ("_entries", "_heads", "_columns")
 
     def __init__(self, entries: Sequence[Posting] = ()) -> None:

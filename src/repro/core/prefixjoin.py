@@ -218,25 +218,30 @@ def prefix_match_nodes(query: NestedSet, ctx: "ExecutionContext",
     same post-order over distinct subtrees, same whole-subtree memo
     (match sets in the form they were produced in), same
     superset-aware unsatisfiable-child short-circuit -- with
-    candidate generation swapped for the shared provider.
+    candidate generation swapped for the shared provider.  Children
+    go in canonical text order, on an explicit stack (any depth).
     """
-    cached = memo.get(query)
-    if cached is not None:
-        ctx.counters.subqueries_reused += 1
-        return cached
-    child_sets = [prefix_match_nodes(child, ctx, spec, provider, memo)
-                  for child in sorted(query.children,
-                                      key=lambda c: c.to_text())]
-    if spec.join != "superset" \
-            and any(len(hits) == 0 for hits in child_sets):
-        result: MatchIds = frozenset()
-    else:
-        cand = provider.candidates(query)
-        result = match_ids(
-            filter_candidates(cand, child_sets, ctx.ifile, spec))
-    memo[query] = result
-    ctx.counters.subqueries_evaluated += 1
-    return result
+    work = [(query, query.canonical_members(), False)]
+    while work:
+        node, members, expanded = work.pop()
+        if expanded:
+            child_sets = [memo[member[1]] for member in members]
+            if spec.join != "superset" \
+                    and any(len(hits) == 0 for hits in child_sets):
+                result: MatchIds = frozenset()
+            else:
+                cand = provider.candidates(node)
+                result = match_ids(
+                    filter_candidates(cand, child_sets, ctx.ifile, spec))
+            memo[node] = result
+            ctx.counters.subqueries_evaluated += 1
+        elif node in memo:
+            ctx.counters.subqueries_reused += 1
+        else:
+            work.append((node, members, True))
+            work.extend((child, below, False)
+                        for _text, child, below in reversed(members))
+    return memo[query]
 
 
 def prefix_join_lists(queries: Sequence[NestedSet],

@@ -30,30 +30,31 @@ from .model import NestedSet
 
 
 def hom_contains(data: NestedSet, query: NestedSet) -> bool:
-    """True when ``query ⊆_hom data`` (root-to-root homomorphic embedding)."""
-    memo: dict[tuple[int, int], bool] = {}
+    """True when ``query ⊆_hom data`` (root-to-root homomorphic embedding).
 
-    def match(qnode: NestedSet, dnode: NestedSet) -> bool:
-        key = (id(qnode), id(dnode))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        # Plain loops, not all(any(...)): one interpreter frame per
-        # level instead of three, so the scan of the default join goes
-        # as deep as a record can be built.
-        ok = qnode.atoms <= dnode.atoms
-        if ok:
-            for qchild in qnode.children:
-                for dchild in dnode.children:
-                    if match(qchild, dchild):
-                        break
-                else:
-                    ok = False
-                    break
-        memo[key] = ok
-        return ok
-
-    return match(query, data)
+    Child edges map to child edges, so a query node at depth k can only
+    map to a data node at depth k.  Top-down, level by level, collect the
+    pairs whose atoms fit below a fitting parent pair; then bottom-up a
+    pair embeds when each query child embeds at some data child.  No
+    recursion: the scan of the default join goes as deep as a record.
+    """
+    if not query.atoms <= data.atoms:
+        return False
+    levels = [{(id(query), id(data)): (query, data)}]
+    while levels[-1]:
+        levels.append({(id(qchild), id(dchild)): (qchild, dchild)
+                       for qnode, dnode in levels[-1].values()
+                       for qchild in qnode.children
+                       for dchild in dnode.children
+                       if qchild.atoms <= dchild.atoms})
+    embeds: set[tuple[int, int]] = set()
+    for level in reversed(levels):
+        for key, (qnode, dnode) in level.items():
+            if all(any((id(qchild), id(dchild)) in embeds
+                       for dchild in dnode.children)
+                   for qchild in qnode.children):
+                embeds.add(key)
+    return (id(query), id(data)) in embeds
 
 
 def iso_contains(data: NestedSet, query: NestedSet) -> bool:

@@ -20,7 +20,7 @@ nothing that is about evaluation:
 Why partition at all on one machine?  Two reasons the paper's one
 inverted file cannot offer: **update locality** (an insert or delete
 touches one partition, so the other ``N-1`` result caches and warmed
-list caches survive it) and **bounded build memory** (bulk loading
+block caches survive it) and **bounded build memory** (bulk loading
 splits the posting buffer across the partition builds).
 """
 

@@ -7,9 +7,9 @@ takes a lock again -- writers commit freely while in-flight readers keep
 observing the version they pinned.
 
 The caches make that cheap instead of merely correct.  All snapshots of
-one engine share the live index's list cache, block cache, node-metadata
-blocks and record-key cache, with staleness decided by *modification
-epochs* rather than invalidation:
+one engine share the live index's block cache, node-metadata blocks and
+record-key cache, with staleness decided by *modification epochs*
+rather than invalidation:
 
 * :class:`ModEpochs` records, per atom token, the versions at which its
   posting list changed.  ``floor(token, version)`` -- how many of those
@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Callable, Hashable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from ..storage import KVStore
 from ..storage.codec import encode_varint
-from .cache import ListCache
 from .invfile import (
     _ALL_PREFIX,
     _META_ENTRY,
@@ -50,7 +49,6 @@ from .invfile import (
     NodeMeta,
     QueryStats,
     _FLAG_ROOT,
-    atom_token,
 )
 from .postings import PostingList
 
@@ -58,7 +56,6 @@ __all__ = [
     "ModEpochs",
     "SharedIndexState",
     "SnapshotInvertedFile",
-    "SnapshotListCache",
 ]
 
 
@@ -70,7 +67,7 @@ class ModEpochs:
     commit version, before the commit lands, so a reader pinning the
     new version can never compute a pre-bump floor).  ``floor(token,
     version)`` is the number of recorded changes visible at ``version``
-    -- the epoch component of every list/block cache key.  A ``None``
+    -- the epoch component of every block cache key.  A ``None``
     version means "live": all recorded changes are visible.
 
     Reads are lock-free: the per-token lists are append-only and CPython
@@ -194,82 +191,6 @@ class SharedIndexState:
             return held[1]
 
 
-class _Epoched(NamedTuple):
-    """A list-cache entry stamped with the epoch floor it was decoded at."""
-
-    epoch: int
-    plist: object
-
-
-class SnapshotListCache(ListCache):
-    """Epoch-checking facade over a shared list-cache policy.
-
-    Entries live in the wrapped policy (frequency / LRU / none) keyed by
-    atom, but stamped with the epoch floor they were decoded at.  A
-    reader whose floor differs treats the entry as a miss and replaces
-    it -- so commits invalidate nothing, and a reader racing a writer
-    can only ever re-populate its *own* epoch's entry.  Statistics alias
-    the wrapped policy's so experiment counters keep one home.  A kept
-    list outlives the snapshot that read it, so it must not need that
-    snapshot's store: :meth:`InvertedFile.postings
-    <repro.core.invfile.InvertedFile.postings>` loads a list's bytes
-    before offering it to a policy that :meth:`admits` it.
-    """
-
-    def __init__(self, inner: ListCache, epochs: ModEpochs,
-                 version: int | None) -> None:
-        self._inner = inner
-        self._epochs = epochs
-        self._version = version
-        self.stats = inner.stats
-
-    @property
-    def inner(self) -> ListCache:
-        """The wrapped policy cache (shared across snapshots)."""
-        return self._inner
-
-    @property
-    def name(self) -> str:
-        return self._inner.name
-
-    def get(self, key: Hashable) -> object | None:
-        entry = self._inner.get(key)
-        if entry is None:
-            return None
-        if isinstance(entry, _Epoched) and \
-                entry.epoch == self._epochs.floor(atom_token(key),
-                                                 self._version):
-            return entry.plist
-        # Wrong epoch (or a raw entry from an unwrapped user of the
-        # policy): a stale hit is really a miss.
-        self.stats.hits -= 1
-        self.stats.misses += 1
-        return None
-
-    def admits(self, key: Hashable) -> bool:
-        return self._inner.admits(key)
-
-    def admit(self, key: Hashable, plist: object,
-              floor: int | None = None) -> None:
-        """Stamp and store ``plist``; ``floor`` is the key's epoch floor
-        at this view's version when the caller already has it."""
-        if not self._inner.admits(key):
-            return
-        if floor is None:
-            floor = self._epochs.floor(atom_token(key), self._version)
-        self._inner.replace(key, _Epoched(floor, plist))
-
-    def replace(self, key: Hashable, plist: object) -> None:
-        self.admit(key, plist)
-
-    def clear(self) -> None:
-        self._inner.clear()
-
-    def __len__(self) -> int:
-        sized = getattr(self._inner, "__len__", None)
-        return sized() if sized is not None else 0
-
-
 class SnapshotInvertedFile(InvertedFile):
     """An inverted file bound to a version-pinned store view.
 
@@ -284,15 +205,14 @@ class SnapshotInvertedFile(InvertedFile):
     read lock around users of this object).
     """
 
-    def __init__(self, store: KVStore, *, list_cache: ListCache,
-                 block_cache, shared: SharedIndexState, epochs: ModEpochs,
+    def __init__(self, store: KVStore, *, block_cache,
+                 shared: SharedIndexState, epochs: ModEpochs,
                  version: int | None,
                  stats: QueryStats | None = None) -> None:
         super().__init__(store)
         self.version = version
         self._epochs = epochs
         self._shared = shared
-        self.cache = SnapshotListCache(list_cache, epochs, version)
         self.block_cache = block_cache
         if stats is not None:
             self.stats = stats

@@ -40,8 +40,8 @@ class CollectionStats:
         self._df = dict(frequencies)
         self.n_nodes = n_nodes
         self.n_records = n_records
-        #: Postings per block of the index's blocked list format (0 when
-        #: the index uses a legacy format); feeds the block cost model.
+        #: Postings per block of the index's posting lists (0 when not
+        #: given, as in hand-built statistics); feeds the block cost model.
         self.block_size = block_size
         self._total_postings = sum(self._df.values())
         self._ranked = sorted(self._df.values(), reverse=True)
@@ -116,9 +116,9 @@ class CollectionStats:
         Models the galloping kernel: the rarest list decodes fully
         (``ceil(df_min / block_size)`` blocks) and every other list
         decodes at most one block per probe and at most all its blocks
-        -- ``min(df_min, ceil(df / block_size))``.  Zero on indexes
-        without the blocked format; the planner uses this as a
-        cost tie-break, so result invariance is untouched.
+        -- ``min(df_min, ceil(df / block_size))``.  Zero without a
+        block size; the planner uses this as a cost tie-break, so
+        result invariance is untouched.
         """
         if not self.block_size:
             return 0.0

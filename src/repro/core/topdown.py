@@ -39,6 +39,7 @@ traces ride along the real evaluation instead of re-implementing it.
 from __future__ import annotations
 
 from bisect import bisect_right
+from typing import Generator
 
 from .candidates import INTERSECTION_JOINS, node_candidates
 from .invfile import InvertedFile
@@ -212,10 +213,10 @@ def topdown_paper_match_nodes(query: NestedSet, ifile: InvertedFile,
     siblings = query.canonical_members()
     if spec.semantics == "homeo":
         paths = [(p, p, ifile.max_desc(p)) for p, _ in cand]
-        result = _interior_desc(siblings, paths, ifile, spec, obs)
+        result = _drive(_interior_desc(siblings, paths, ifile, spec, obs))
     else:
-        result = _interior(siblings, PathList.from_postings(cand),
-                           ifile, spec, obs)
+        result = _drive(_interior(siblings, PathList.from_postings(cand),
+                                  ifile, spec, obs))
     obs.exit_node(len(result))
     return result
 
@@ -227,10 +228,24 @@ def topdown_paper_query(query: NestedSet, ifile: InvertedFile,
     return ifile.heads_to_keys(heads, mode=spec.mode)
 
 
+def _drive(call: Generator) -> set[int]:
+    """Run a recursion written as generators on an explicit stack (any
+    depth): a call yields its sub-call and is sent the result."""
+    stack, result = [call], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(result))
+            result = None
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+    return result
+
+
 def _interior(siblings: list[tuple], paths: PathList,
               ifile: InvertedFile, spec: QuerySpec,
-              obs: PlanObserver) -> set[int]:
-    """Top-down-interior (Algorithm 2), child axis.
+              obs: PlanObserver) -> Generator:
+    """Top-down-interior (Algorithm 2), child axis, run by :func:`_drive`.
 
     ``siblings`` are :meth:`NestedSet.canonical_members` triples: the sibling
     subqueries in canonical order, each with its own members below it.
@@ -245,7 +260,7 @@ def _interior(siblings: list[tuple], paths: PathList,
         cand = node_candidates(node, ifile, spec)          # line 8
         extended = nav_join(paths, cand)                   # line 9
         obs.record_candidates(len(cand), restricted=len(extended))
-        deeper = _interior(members, extended, ifile, spec, obs)  # line 10
+        deeper = yield _interior(members, extended, ifile, spec, obs)  # l. 10
         obs.exit_node(len(deeper))
         roots &= deeper                                    # line 11
     return roots                           # line 13
@@ -254,8 +269,9 @@ def _interior(siblings: list[tuple], paths: PathList,
 def _interior_desc(siblings: list[tuple],
                    paths: list[tuple[int, int, int]],
                    ifile: InvertedFile, spec: QuerySpec,
-                   obs: PlanObserver) -> set[int]:
-    """Algorithm 2 with the ancestor-descendant join of Section 4.2.
+                   obs: PlanObserver) -> Generator:
+    """Algorithm 2 with the ancestor-descendant join of Section 4.2, run
+    by :func:`_drive`.
 
     Path entries are ``(head, matched node, matched node's max_desc)``; the
     ``▷``-join condition becomes the constant-time interval test.
@@ -282,7 +298,7 @@ def _interior_desc(siblings: list[tuple],
                     extended.append((head, cand_ids[index],
                                      ifile.max_desc(cand_ids[index])))
         obs.record_candidates(len(cand), restricted=len(extended))
-        deeper = _interior_desc(members, extended, ifile, spec, obs)
+        deeper = yield _interior_desc(members, extended, ifile, spec, obs)
         obs.exit_node(len(deeper))
         roots &= deeper
     return roots

@@ -367,7 +367,6 @@ class IndexWriter:
             # postings_changed=False and bump no epochs either.
             self._on_mutate(tokens, postings_changed)
             return
-        ifile.cache.clear()
         ifile.block_cache.invalidate(tokens)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cache import FrequencyCache, LRUCache, NoCache
 from repro.core.engine import ALGORITHMS, NestedSetIndex, as_nested_set
 from repro.core.model import NestedSet
 
@@ -74,16 +73,19 @@ class TestBuildAndQuery:
 
 class TestCacheManagement:
     def test_cache_policies_on_build(self, paper_records) -> None:
-        for policy, cls in ((None, NoCache), ("frequency", FrequencyCache),
-                            ("lru", LRUCache)):
+        for policy in (None, "frequency", "lru"):
             index = NestedSetIndex.build(paper_records, cache=policy)
-            assert isinstance(index.inverted_file.cache.inner, cls)
+            pins = index.inverted_file.cache.pins
+            assert bool(pins) == (policy == "frequency")
+            assert index.stats()["cache"]["policy"] == (policy or "none")
 
     def test_set_cache_swaps_policy(self, index) -> None:
         index.set_cache("frequency", budget=10)
-        assert isinstance(index.inverted_file.cache.inner, FrequencyCache)
+        assert len(index.inverted_file.cache.pins) == 10
+        assert index.stats()["cache"]["policy"] == "frequency"
         index.set_cache(None)
-        assert isinstance(index.inverted_file.cache.inner, NoCache)
+        assert not index.inverted_file.cache.pins
+        assert index.stats()["cache"]["policy"] == "none"
 
     def test_cached_results_identical(self, paper_records,
                                       paper_query) -> None:

@@ -153,7 +153,7 @@ class TestPlanRun:
         plan.run(ctx)
         plan.run(ctx)
         assert ctx.counters.queries == 2
-        assert ctx.counters.result_cache_hits == 1
+        assert ctx.counters.results_reused == 1
         assert ctx.counters.snapshot()["queries"] == 2
 
     def test_naive_counters(self, small_corpus) -> None:

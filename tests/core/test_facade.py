@@ -111,7 +111,7 @@ def test_public_surface_agrees_with_the_oracle(tmp_path, shards,
 
     # -- caches ------------------------------------------------------------
     index.set_cache("lru")
-    assert index.stats()["cache"]["policy"] == "LRUCache"
+    assert index.stats()["cache"]["policy"] == "lru"
     cache = index.enable_result_cache()
     _check_reads(index, now)
     _check_reads(index, now)

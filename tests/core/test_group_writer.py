@@ -12,7 +12,7 @@ Two things are pinned here, on every store:
 * **the work** -- a group puts each list it touches once, however many
   of its records touch it.
 
-Needs neither numpy nor hypothesis (it runs in the numpy-less CI job).
+Needs no hypothesis (it runs in the crash-consistency CI job).
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cache import LRUCache
 from repro.core.invfile import (
     InvertedFile,
     InvertedFileError,
@@ -206,14 +205,15 @@ class TestFrequenciesAndCache:
         assert dict(freqs)["UK"] == 4
 
     def test_cache_hit_skips_store(self, paper_records) -> None:
-        index = InvertedFile.build(paper_records, cache=LRUCache(budget=16))
+        index = InvertedFile.build(paper_records)
+        index.set_cache("frequency", 16)
         index.reset_stats()
         first = index.postings("UK")
         second = index.postings("UK")
         assert first == second
-        assert index.stats.cache_hits == 1
         assert index.stats.list_fetches == 1
-        assert index.stats.directory_hits == 0
+        assert index.stats.directory_hits == 1
+        assert index.block_cache.stats.hits == 1
 
 
 class TestDiskRoundtrip:

@@ -15,8 +15,8 @@ leave the same store:
 
 The stream has nodes without atoms (ZERO list), crosses a 4 096-posting
 ALL block and several 512-entry metadata blocks, and spills the hot
-lists over many posting blocks.  Needs hypothesis but not numpy (it
-runs in the numpy-less CI job).
+lists over many posting blocks.  Needs hypothesis (it runs in the
+crash-consistency CI job).
 """
 
 from __future__ import annotations

@@ -139,7 +139,7 @@ class TestDelete:
         the dead record's posting lists."""
         index = NestedSetIndex.build(small_corpus, block_size=4)
         victim_key, victim_tree = small_corpus[5]
-        # Warm the block/list caches with the victim's own atoms.
+        # Warm the block cache with the victim's own atoms.
         assert victim_key in index.query(victim_tree)
         index.query(victim_tree, algorithm="topdown")
         assert index.delete(victim_key) is True
@@ -187,27 +187,33 @@ class TestCompact:
         assert after.get("a1", 0) < before["a1"]
 
     @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("policy, name", [("lru", "LRUCache"),
-                                              ("frequency", "FrequencyCache")])
-    def test_compact_keeps_the_list_cache_policy_and_budget(
-            self, small_corpus, policy, name, shards) -> None:
+    @pytest.mark.parametrize("policy", ["lru", "frequency"])
+    def test_compact_keeps_the_cache_policy_and_budget(
+            self, small_corpus, policy, shards) -> None:
+        def pins() -> list[int]:
+            return [len(part.inverted_file.cache.pins)
+                    for part in index.shards]
+
         index = NestedSetIndex.build(small_corpus, cache=policy,
                                      cache_budget=12, shards=shards)
         index.delete(small_corpus[2][0])
         index.compact()
-        assert index.stats()["cache"]["policy"] == name
-        assert [part._list_cache.budget for part in index.shards] == \
-            [12 // shards] * shards
+        assert index.stats()["cache"]["policy"] == policy
+        assert pins() == [12 // shards if policy == "frequency" else 0] \
+            * shards
         query = small_corpus[0][1]
         index.reset_stats()
         assert index.query(query) == index.query(query)
         assert index.stats()["cache"]["hits"] > 0
         # a policy swapped in after the build is the one carried over
+        index.set_cache("frequency", budget=9)
+        index.compact()
+        assert index.stats()["cache"]["policy"] == "frequency"
+        assert pins() == [9 // shards] * shards
         index.set_cache("lru", budget=9)
         index.compact()
-        assert index.stats()["cache"]["policy"] == "LRUCache"
-        assert [part._list_cache.budget for part in index.shards] == \
-            [9 // shards] * shards
+        assert index.stats()["cache"]["policy"] == "lru"
+        assert pins() == [0] * shards
 
 
 class TestWriterDirect:

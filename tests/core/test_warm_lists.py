@@ -1,7 +1,7 @@
 """Warm posting lists never touch the store.
 
-A list lookup the list cache misses goes to the block cache's directory
-entry under ``(token, epoch floor)`` first: a cached skip directory
+A list lookup goes to the block cache's directory entry under
+``(token, epoch floor)`` first: a cached skip directory
 hands the list out with no store access (its value is read on the first
 block the block cache misses), and an atom the store lacked answers
 empty from its absent marker.  Only a cold key fetches the value.
@@ -11,8 +11,9 @@ value: writers bump the tokens they touch before their commit lands, a
 replica's replay bumps every token, a compact starts a fresh block
 cache, and a standalone file invalidates by token.  The tests hold
 readers across each of those and compare against a reader that has
-never seen the atom.  The last rule is the pin rule: a list kept by the
-list cache beyond its snapshot owns its bytes.
+never seen the atom.  The last two tests hold the frequency policy's
+pinned lists across snapshots: a pinned directory holds no loader, so
+every snapshot reads a list's value through its own store.
 
 Needs no hypothesis (it runs in the crash-consistency CI job).
 """
@@ -248,15 +249,15 @@ def test_standalone_file_invalidates_by_token() -> None:
 
 
 def test_kept_list_outlives_its_snapshot() -> None:
-    """The pin rule: an LRU list cache keeps lists past the snapshot
-    they were read under, and with a one-block block cache a reuse
-    decodes again, out of bytes the list must own."""
+    """Pinned lists outlive the snapshot they were read under, while
+    the others churn through a one-block LRU and decode again, out of
+    bytes each snapshot reads for itself."""
     records = [(key, NestedSet.parse(text)) for key, text in RECORDS]
     expected = [reference_query(records, NestedSet.parse(query),
                                 QuerySpec()) for query in QUERIES]
-    with NestedSetIndex.build(RECORDS, cache="lru",
-                              block_size=4) as index:
+    with NestedSetIndex.build(RECORDS, block_size=4) as index:
         index.shards[0].inverted_file.block_cache = BlockCache(budget=1)
+        index.set_cache("frequency", budget=3)
         for run in ("explain", "query", "query"):
             answers = []
             for query in QUERIES:
@@ -272,21 +273,22 @@ def test_kept_list_outlives_its_snapshot() -> None:
 
 
 def test_kept_list_owns_its_bytes() -> None:
-    """A list handed out over a cached directory and kept by the list
-    cache reads its value at admission: a later snapshot galloping
-    into blocks the first one never touched must not reach back into
-    the first snapshot's (closed) store."""
-    with NestedSetIndex.build(RECORDS, block_size=4) as index:
-        index.shards[0].inverted_file.block_cache = BlockCache(budget=16)
+    """A list handed out over a directory cached by an earlier snapshot,
+    pinned or not, reads its value through the snapshot at hand: a
+    later snapshot galloping into blocks the first one never touched
+    must not reach back into the first snapshot's (closed) store."""
+    for policy in ("frequency", "lru"):
+        with NestedSetIndex.build(RECORDS, block_size=4) as index:
+            index.shards[0].inverted_file.block_cache = BlockCache(budget=16)
 
-        def query(text: str) -> list[str]:
-            with index.snapshot() as snap:
-                return snap.query(text, algorithm="topdown")
+            def query(text: str) -> list[str]:
+                with index.snapshot() as snap:
+                    return snap.query(text, algorithm="topdown")
 
-        a1 = query("{hub, a1}")                 # warms blocks, directories
-        index.set_cache("lru")
-        assert query("{hub, a1}") == a1         # kept over the directories
-        # "a2" reaches two blocks of the hub list "a1" did not.
-        assert query("{hub, a2}") == [key for key, _text in RECORDS
-                                      if int(key[1:]) % 5 == 2]
-        assert index.stats()["cache"]["hits"] > 0
+            a1 = query("{hub, a1}")             # warms blocks, directories
+            index.set_cache(policy)
+            assert query("{hub, a1}") == a1     # over the kept directories
+            # "a2" reaches two blocks of the hub list "a1" did not.
+            assert query("{hub, a2}") == [key for key, _text in RECORDS
+                                          if int(key[1:]) % 5 == 2]
+            assert index.stats()["cache"]["hits"] > 0
