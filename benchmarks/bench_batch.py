@@ -2,8 +2,10 @@
 
 Workloads whose queries share subtrees (here: template queries derived
 from sampled records, plus the verbatim workload which repeats whole
-records) are evaluated individually vs through the
-:class:`~repro.core.batch.BatchEvaluator`.  Expected shape: batching wins
+records) run through ``NestedSetIndex.query_batch(algorithm="bottomup")``
+with ``share_subqueries`` on and off.  On, the batch folds repeated
+queries and one subquery memo per partition serves repeated subtrees;
+off, every query is evaluated on its own.  Expected shape: sharing wins
 roughly in proportion to the share of repeated subtrees and never loses
 more than the memo bookkeeping overhead.
 """
@@ -11,9 +13,6 @@ more than the memo bookkeeping overhead.
 from __future__ import annotations
 
 import pytest
-
-from repro.core.batch import BatchEvaluator
-from repro.core.bottomup import bottomup_match_nodes
 
 SIZE = 2000
 DATASET = "zipf-wide"
@@ -27,23 +26,19 @@ def _workload_with_sharing(records, repeat: int) -> list:
 
 @pytest.mark.benchmark(group="batch-eval")
 @pytest.mark.parametrize("repeat", [1, 3], ids=["unique", "3x-shared"])
-@pytest.mark.parametrize("mode", ["individual", "batched"])
-def test_batch(benchmark, workloads, figure, repeat, mode):
+@pytest.mark.parametrize("share", [False, True],
+                         ids=["unshared", "shared"])
+def test_batch(benchmark, workloads, figure, repeat, share):
     workload = workloads.get(DATASET, SIZE, n_queries=10)
     workload.index.set_cache("frequency")
-    ifile = workload.index.inverted_file
+    index = workload.index
     queries = _workload_with_sharing(workload.records, repeat)
 
-    if mode == "individual":
-        def run() -> int:
-            return sum(len(bottomup_match_nodes(query, ifile))
-                       for query in queries)
-    else:
-        def run() -> int:
-            evaluator = BatchEvaluator(ifile)
-            return sum(len(evaluator.match_nodes(query))
-                       for query in queries)
+    def run() -> int:
+        results = index.query_batch(queries, algorithm="bottomup",
+                                    share_subqueries=share)
+        return sum(len(keys) for keys in results)
 
-    label = f"{mode}"
+    label = "shared" if share else "unshared"
     figure.record(benchmark, label, f"{repeat}x", run,
                   queries=len(queries), dataset=f"{DATASET}@{SIZE}")

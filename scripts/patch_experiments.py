@@ -3,8 +3,8 @@
 
 One-shot helper used when refreshing EXPERIMENTS.md after a full
 ``pytest benchmarks/ --benchmark-only`` run: replaces the
-``PLANNER_NUMBERS`` / ``BL1_NUMBERS`` / ``M1_NUMBERS`` markers with
-tables built from the saved rows.
+``BL1_NUMBERS`` / ``M1_NUMBERS`` markers with tables built from the
+saved rows.
 """
 
 from __future__ import annotations
@@ -15,18 +15,6 @@ import json
 def rows(name: str) -> list[dict]:
     with open(f"bench_results/{name}.json") as handle:
         return json.load(handle)
-
-
-def planner_table() -> str:
-    data = rows("planner")
-    values = {(r["series"], r["x"]): r["millis"] for r in data}
-    strategies = ["selective-first", "text", "bulky-first"]
-    lines = ["", "| workload | " + " | ".join(strategies) + " |",
-             "|---|---|---|---|"]
-    for workload in ("sampled", "branching"):
-        cells = [f"{values[(workload, s)]:.1f}" for s in strategies]
-        lines.append(f"| {workload} | " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
 
 
 def bl1_line() -> str:
@@ -51,7 +39,6 @@ def m1_table() -> str:
 def main() -> int:
     with open("EXPERIMENTS.md") as handle:
         text = handle.read()
-    text = text.replace("PLANNER_NUMBERS", planner_table())
     text = text.replace("BL1_NUMBERS", bl1_line())
     text = text.replace("M1_NUMBERS", m1_table())
     with open("EXPERIMENTS.md", "w") as handle:

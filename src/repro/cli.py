@@ -28,7 +28,6 @@ from .bench.workloads import (
 from .core.engine import ALGORITHMS, NestedSetIndex
 from .core.join import STRATEGIES as JOIN_STRATEGIES
 from .core.matchspec import JOINS, MODES, SEMANTICS
-from .core.planner import STRATEGIES as PLANNER_STRATEGIES
 from .data.io import load_collection_file, save_collection_file
 from .storage.codec import DEFAULT_BLOCK_SIZE
 
@@ -143,8 +142,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
               "--queries-file", file=sys.stderr)
         return 2
     options = dict(algorithm=args.algorithm, semantics=args.semantics,
-                   join=args.join, epsilon=args.epsilon, mode=args.mode,
-                   planner=args.planner)
+                   join=args.join, epsilon=args.epsilon, mode=args.mode)
     with _open_index(args) as index:
         # The algorithm is the named one or the compiler's pick, which
         # depends on the options and not on the query.
@@ -178,8 +176,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     with _open_index(args) as index:
         result = index.explain(args.query, algorithm=args.algorithm,
                                semantics=args.semantics, join=args.join,
-                               epsilon=args.epsilon, mode=args.mode,
-                               planner=args.planner)
+                               epsilon=args.epsilon, mode=args.mode)
         print(result.render())
     return 0
 
@@ -553,9 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--join", choices=JOINS, default="subset")
     query.add_argument("--epsilon", type=int, default=1)
     query.add_argument("--mode", choices=MODES, default="root")
-    query.add_argument("--planner", choices=PLANNER_STRATEGIES,
-                       default=None,
-                       help="sibling-order strategy (topdown only)")
     query.add_argument("--show-plan", action="store_true",
                        help="print the compiled execution plan to stderr")
     query.add_argument("--cache", choices=("none", "frequency", "lru"),
@@ -578,9 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--join", choices=JOINS, default="subset")
     exp.add_argument("--epsilon", type=int, default=1)
     exp.add_argument("--mode", choices=MODES, default="root")
-    exp.add_argument("--planner", choices=PLANNER_STRATEGIES,
-                     default=None,
-                     help="sibling-order strategy (topdown only)")
     exp.add_argument("--cache", default="none")
     exp.add_argument("--workers", type=int, default=1,
                      help="shard fan-out threads (sharded indexes)")

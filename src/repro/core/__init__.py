@@ -12,7 +12,7 @@ from .bags import (
     bag_reference_query,
     json_to_nested_bag,
 )
-from .batch import BatchEvaluator, batch_query, memoized_match_nodes
+from .batch import memoized_match_ids
 from .bulkload import DEFAULT_MEMORY_BUDGET, build_external
 from .bloom import BloomFilter, BloomIndex, BreadthBloom, DepthBloom
 from .bottomup import bottomup_match_nodes, bottomup_query
@@ -45,7 +45,6 @@ from .naive import (
     naive_predicate,
     reference_query,
 )
-from .planner import STRATEGIES, Planner, make_planner
 from .prefixjoin import (
     PrefixTree,
     choose_strategy,
@@ -99,7 +98,6 @@ __all__ = [
     "ALGORITHMS",
     "Atom",
     "AtomStats",
-    "BatchEvaluator",
     "BlockCache",
     "BloomFilter",
     "BloomIndex",
@@ -129,7 +127,6 @@ __all__ = [
     "NodeMeta",
     "NodeTrace",
     "PlanError",
-    "Planner",
     "PrefixTree",
     "PAPER_BUDGET",
     "ResultCache",
@@ -139,7 +136,6 @@ __all__ = [
     "QuerySpecError",
     "QueryStats",
     "SEMANTICS",
-    "STRATEGIES",
     "HashShardPolicy",
     "RoundRobinShardPolicy",
     "ShardError",
@@ -155,7 +151,6 @@ __all__ = [
     "bag_equal",
     "bag_filter_verify",
     "bag_reference_query",
-    "batch_query",
     "build_external",
     "check_index",
     "choose_strategy",
@@ -173,8 +168,7 @@ __all__ = [
     "json_to_nested_seq",
     "intersect",
     "iso_contains",
-    "make_planner",
-    "memoized_match_nodes",
+    "memoized_match_ids",
     "multiset_union",
     "naive_containment_join",
     "naive_predicate",

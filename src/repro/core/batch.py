@@ -9,14 +9,15 @@ workload's queries share subtrees (common when queries are sampled from
 the collection, or generated from templates), every shared subtree is
 evaluated once per batch.
 
-:func:`memoized_match_ids` is the core: a bottom-up evaluation over
-the *distinct* subtrees of a query, reusing any match set already in
-the memo (:func:`memoized_match_nodes` is the same as a frozen set).
-It is exact: results equal the plain algorithms' results (tested
-property).  The execution layer taps into it whenever an
-:class:`~repro.core.exec.context.ExecutionContext` carries a shared
-memo dict (``NestedSetIndex.query_batch``, the batched join strategy);
-:class:`BatchEvaluator` remains the standalone convenience wrapper.
+:func:`memoized_match_ids` is the one post-order memo walk: a bottom-up
+evaluation over the *distinct* subtrees of a query, reusing any match
+set already in the memo.  It is exact: results equal the plain
+algorithms' results (tested property).  The execution layer taps into
+it whenever an :class:`~repro.core.exec.context.ExecutionContext`
+carries a shared memo dict (``NestedSetIndex.query_batch`` under
+bottom-up, the batched join strategy), and the prefix join runs it with
+the trie as its candidate source
+(:func:`~repro.core.prefixjoin.prefix_join_lists`).
 
 :class:`QueryFold` is the memo's whole-query level, lifted out of the
 evaluation: a batch that asks for sharing folds its repeated queries
@@ -26,29 +27,22 @@ query costs one evaluation and one key lookup per partition.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 from .invfile import InvertedFile
 from .matchspec import QuerySpec
 from .model import NestedSet
-from .postings import MatchIds, id_set
+from .postings import MatchIds, PostingList
 from .structural import evaluate_node
-
-
-def memoized_match_nodes(query: NestedSet, ifile: InvertedFile,
-                         spec: QuerySpec,
-                         memo: dict[NestedSet, MatchIds],
-                         counters: object | None = None) -> frozenset[int]:
-    """Node ids at which ``query`` embeds (memoized bottom-up)."""
-    return frozenset(id_set(memoized_match_ids(query, ifile, spec, memo,
-                                               counters)))
 
 
 def memoized_match_ids(query: NestedSet, ifile: InvertedFile,
                        spec: QuerySpec,
                        memo: dict[NestedSet, MatchIds],
-                       counters: object | None = None) -> MatchIds:
-    """:func:`memoized_match_nodes` with the match set as the memo holds it.
+                       counters: object | None = None,
+                       candidates: Callable[[NestedSet], PostingList]
+                       | None = None) -> MatchIds:
+    """Node ids at which ``query`` embeds (memoized bottom-up).
 
     ``memo`` maps subquery values to match sets and may be shared across
     any number of queries evaluated against the same (unmutated) index.
@@ -57,7 +51,9 @@ def memoized_match_ids(query: NestedSet, ifile: InvertedFile,
     next level's ``H(·)`` takes as it is -- and must not be mutated.
     ``counters``, if given, must expose ``subqueries_evaluated`` and
     ``subqueries_reused`` int attributes (e.g.
-    :class:`~repro.core.exec.context.ExecCounters`).
+    :class:`~repro.core.exec.context.ExecCounters`).  ``candidates``
+    maps a query node to its candidate postings; unset, each node's
+    come from :func:`~repro.core.candidates.node_candidates`.
     """
     # Post-order over the distinct subtrees on an explicit stack (any
     # depth the parser accepts): a node is looked up when first met and
@@ -67,7 +63,8 @@ def memoized_match_ids(query: NestedSet, ifile: InvertedFile,
         node, expanded = work.pop()
         if expanded:
             child_sets = [memo[child] for child in node.children]
-            memo[node] = evaluate_node(node, child_sets, ifile, spec)
+            memo[node] = evaluate_node(node, child_sets, ifile, spec,
+                                       candidates=candidates)
             if counters is not None:
                 counters.subqueries_evaluated += 1
         elif node in memo:
@@ -122,44 +119,3 @@ class QueryFold:
                 taken[slot] = True
                 out.append(answers[slot])
         return out
-
-
-class BatchEvaluator:
-    """Evaluates a workload against one index, memoizing subquery results."""
-
-    def __init__(self, ifile: InvertedFile,
-                 spec: QuerySpec = QuerySpec()) -> None:
-        self._ifile = ifile
-        self.spec = spec
-        self._memo: dict[NestedSet, MatchIds] = {}
-        self.subqueries_evaluated = 0
-        self.subqueries_reused = 0
-
-    def match_nodes(self, query: NestedSet) -> frozenset[int]:
-        """Node ids at which ``query`` embeds (memoized bottom-up)."""
-        return memoized_match_nodes(query, self._ifile, self.spec,
-                                    self._memo, counters=self)
-
-    def query(self, query: NestedSet) -> list[str]:
-        """Record keys matching one query (under the batch's spec)."""
-        heads = memoized_match_ids(query, self._ifile, self.spec,
-                                   self._memo, counters=self)
-        return self._ifile.heads_to_keys(heads, mode=self.spec.mode)
-
-    def query_all(self, queries: Iterable[NestedSet]) -> list[list[str]]:
-        """Evaluate the whole workload, sharing subquery results."""
-        return [self.query(query) for query in queries]
-
-    @property
-    def memo_size(self) -> int:
-        return len(self._memo)
-
-    def clear(self) -> None:
-        """Drop the memo (e.g. after index updates)."""
-        self._memo.clear()
-
-
-def batch_query(ifile: InvertedFile, queries: Sequence[NestedSet],
-                spec: QuerySpec = QuerySpec()) -> list[list[str]]:
-    """One-shot convenience wrapper around :class:`BatchEvaluator`."""
-    return BatchEvaluator(ifile, spec).query_all(queries)

@@ -65,9 +65,9 @@ __all__ = ["ALGORITHMS", "NestedSetIndex", "Partition", "PartitionView",
 #: Reserved epoch token bumped by *every* mutation of one partition
 #: (inserts and deletes alike).  Its floor at a pinned version counts
 #: the mutations of this partition visible there, and scopes the result
-#: cache and statistics memo: two versions with an equal floor saw the
-#: identical partition state, so commits to sibling partitions of the
-#: shared store do not thrash this partition's cached results.
+#: cache: two versions with an equal floor saw the identical partition
+#: state, so commits to sibling partitions of the shared store do not
+#: thrash this partition's cached results.
 _RESULT_EPOCH = "\x00index"
 
 
@@ -139,14 +139,11 @@ class PartitionView:
     was opened over.
     """
 
-    __slots__ = ("_partition", "_ifile", "_generation", "_bloom",
-                 "_result_cache")
+    __slots__ = ("_ifile", "_bloom", "_result_cache")
 
     def __init__(self, partition: "Partition", ifile: SnapshotInvertedFile,
                  generation: InvertedFile) -> None:
-        self._partition = partition
         self._ifile = ifile
-        self._generation = generation
         self._bloom = partition.bloom_index
         result_cache = partition.result_cache
         if result_cache is not None:
@@ -175,8 +172,6 @@ class PartitionView:
         return ExecutionContext(
             ifile=self._ifile, bloom_index=self._bloom,
             result_cache=self._result_cache,
-            stats_provider=lambda: self._partition._snapshot_stats(
-                self._ifile, self._generation),
             observer=observer, memo=memo)
 
     def close(self) -> None:
@@ -205,8 +200,6 @@ class Partition:
         self.result_cache: ResultCache | None = None
         self._stats: CollectionStats | None = None
         self._writer: IndexWriter | None = None
-        self._memo_lock = threading.Lock()
-        self._stats_memo: dict[tuple[int, int], CollectionStats] = {}
 
     def _wire(self, ifile: InvertedFile) -> None:
         """Make ``ifile`` the live generation: fresh epochs and shared
@@ -237,20 +230,6 @@ class Partition:
         """
         store = self._ifile.store.snapshot()
         return self.view(store, store.version)
-
-    def _snapshot_stats(self, ifile: SnapshotInvertedFile,
-                        generation: InvertedFile) -> CollectionStats:
-        """Collection statistics at a view's version (memoized)."""
-        key = (id(generation),
-               self._epochs.floor(_RESULT_EPOCH, ifile.version))
-        memo = self._stats_memo.get(key)
-        if memo is None:
-            memo = CollectionStats.from_inverted_file(ifile)
-            with self._memo_lock:
-                self._stats_memo[key] = memo
-                while len(self._stats_memo) > 8:
-                    self._stats_memo.pop(next(iter(self._stats_memo)))
-        return memo
 
     def collection_stats(self) -> CollectionStats:
         """Frequency statistics over the live records (memoized)."""
@@ -304,7 +283,7 @@ class Partition:
         deleted = self._index_writer().delete(key)
         if deleted:
             # Dead counts change live frequencies: the memoized
-            # collection statistics (planner input) must be recomputed.
+            # collection statistics must be recomputed.
             self._stats = None
         return deleted
 
@@ -335,8 +314,6 @@ class Partition:
         if self.bloom_index is not None:
             self.bloom_index.refresh_persisted(self._ifile.store)
         self._stats = None
-        with self._memo_lock:
-            self._stats_memo.clear()
 
     def rebuilt(self, store: KVStore
                 ) -> tuple[InvertedFile, BloomIndex | None]:
@@ -362,8 +339,6 @@ class Partition:
         self._wire(fresh)
         self.bloom_index = bloom_index
         self._stats = None
-        with self._memo_lock:
-            self._stats_memo.clear()
 
     def set_cache(self, policy: str | None, budget: int) -> None:
         """Re-pin the block cache (:meth:`InvertedFile.set_cache`)."""
@@ -473,7 +448,7 @@ class _Reads:
     def query(self, query: object, *, algorithm: str | None = None,
               semantics: str = "hom", join: str = "subset",
               epsilon: int = 1, mode: str = "root",
-              use_bloom: bool = False, planner: str | None = None,
+              use_bloom: bool = False,
               workers: int | None = None) -> list[str]:
         """Evaluate ``query ⋉ S``; returns sorted matching record keys.
 
@@ -482,9 +457,7 @@ class _Reads:
         (:func:`~repro.core.exec.compiler.pick_algorithm`: top-down for
         the ``subset`` and ``equality`` joins, bottom-up for
         ``superset`` and ``overlap``) and the plan and EXPLAIN name the
-        pick.  ``planner`` ("selective-first" / "bulky-first" / "text") installs
-        a sibling-ordering strategy for the top-down algorithm; see
-        :mod:`repro.core.planner`.  The query is compiled into an
+        pick.  The query is compiled into an
         :class:`~repro.core.exec.plan.ExecutionPlan` and run against one
         pinned version; use :meth:`NestedSetIndex.compile` to inspect
         the plan and :meth:`explain` for a full evaluation trace.
@@ -492,7 +465,7 @@ class _Reads:
         spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
                          mode=mode)
         plan = compile_query(query, spec, algorithm=algorithm,
-                             planner=planner, use_bloom=use_bloom)
+                             use_bloom=use_bloom)
         return self.run_plans([plan], workers=workers)[0][0]
 
     def query_batch(self, queries: Sequence[object], *,
@@ -500,7 +473,6 @@ class _Reads:
                     algorithm: str | None = None, semantics: str = "hom",
                     join: str = "subset", epsilon: int = 1,
                     mode: str = "root", use_bloom: bool = False,
-                    planner: str | None = None,
                     workers: int | None = None) -> list[list[str]]:
         """Evaluate a workload of queries (the paper times 100 at a time).
 
@@ -514,15 +486,18 @@ class _Reads:
         query that repeats in the batch is compiled, evaluated and
         mapped to keys once per partition, and each repeat gets a copy
         of the answer (:class:`~repro.core.batch.QueryFold`).  Repeated
-        *subtrees* of distinct queries, under bottom-up only: the
-        cross-query subquery memo serves them.  With ``algorithm``
-        unset the compiler picks per join (:meth:`query`), which for
-        ``subset``/``equality`` is top-down: each distinct query runs
-        on its own, pruned by its own frontier.  Ask for
-        ``algorithm="bottomup"`` when distinct queries repeat subtrees
-        (EXPERIMENTS.md, "Top-down by default" and "One evaluation per
-        distinct query", has the timings).  ``share_subqueries=False``
-        evaluates every query on its own, repeats included.
+        *subtrees* of distinct queries, under bottom-up only: each
+        partition's plans run the one memo walk
+        (:func:`~repro.core.batch.memoized_match_ids`) over a memo the
+        whole batch shares, so a subtree is evaluated once per
+        partition.  With ``algorithm`` unset the compiler picks per join
+        (:meth:`query`), which for ``subset``/``equality`` is top-down:
+        each distinct query runs on its own, pruned by its own
+        frontier.  Ask for ``algorithm="bottomup"`` when distinct
+        queries repeat subtrees (EXPERIMENTS.md BA1, "Top-down by
+        default" and "One evaluation per distinct query", has the
+        timings).  ``share_subqueries=False`` evaluates every query on
+        its own, repeats included.
         """
         spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
                          mode=mode)
@@ -530,7 +505,7 @@ class _Reads:
             fold = QueryFold(as_nested_set(query) for query in queries)
             queries = fold.distinct
         plans = [compile_query(query, spec, algorithm=algorithm,
-                               planner=planner, use_bloom=use_bloom)
+                               use_bloom=use_bloom)
                  for query in queries]
         if not share_subqueries:
             return self.run_plans(plans, workers=workers)[0]
@@ -541,8 +516,7 @@ class _Reads:
     def explain(self, query: object, *, algorithm: str | None = None,
                 semantics: str = "hom", join: str = "subset",
                 epsilon: int = 1, mode: str = "root",
-                use_bloom: bool = False, planner: str | None = None,
-                workers: int | None = None
+                use_bloom: bool = False, workers: int | None = None
                 ) -> ExplainResult | MergedExplainResult:
         """Trace one query's evaluation (works for every algorithm).
 
@@ -556,8 +530,7 @@ class _Reads:
         spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
                          mode=mode)
         plan = compile_query(query, spec, algorithm=algorithm,
-                             planner=planner, use_bloom=use_bloom,
-                             cacheable=False)
+                             use_bloom=use_bloom, cacheable=False)
         started = time.perf_counter()
         traces = self._fan_out(
             lambda view: run_explained(plan, view.execution_context()),
@@ -566,8 +539,7 @@ class _Reads:
                               (time.perf_counter() - started) * 1000)
 
     def match_nodes(self, query: object, *, algorithm: str | None = None,
-                    spec: QuerySpec = QuerySpec(),
-                    planner: str | None = None) -> set[int]:
+                    spec: QuerySpec = QuerySpec()) -> set[int]:
         """Raw node-level result: ids at which the query embeds.
 
         Node ids are partition-local: defined for a one-partition index,
@@ -575,7 +547,7 @@ class _Reads:
         """
         self._index._sole_partition("match_nodes")
         plan = compile_query(query, spec, algorithm=algorithm,
-                             planner=planner, cacheable=False)
+                             cacheable=False)
         return self._fan_out(
             lambda view: plan.match_nodes(view.execution_context()))[0]
 
@@ -963,15 +935,14 @@ class NestedSetIndex(_Reads):
     def compile(self, query: object, *, algorithm: str | None = None,
                 semantics: str = "hom", join: str = "subset",
                 epsilon: int = 1, mode: str = "root",
-                use_bloom: bool = False, planner: str | None = None,
+                use_bloom: bool = False,
                 cacheable: bool = True) -> ExecutionPlan:
         """Compile a query without running it (validation + plan); the
         plan is partition-independent."""
         spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
                          mode=mode)
         return compile_query(query, spec, algorithm=algorithm,
-                             planner=planner, use_bloom=use_bloom,
-                             cacheable=cacheable)
+                             use_bloom=use_bloom, cacheable=cacheable)
 
     # -- updates -------------------------------------------------------------
 

@@ -4,9 +4,9 @@
 validated and turned into an explicit :class:`ExecutionPlan`.  Every
 entry point -- ``NestedSetIndex.query``, ``query_batch``,
 ``containment_join``, the CLI, and ``explain`` -- compiles here, so the
-option interaction rules (Bloom is naive-only, planning is strict
-top-down-only, the paper-literal variant's spec limits, result-cache
-keying) live in one place with uniform error messages.
+option interaction rules (Bloom is naive-only, the paper-literal
+variant's spec limits, result-cache keying) live in one place with
+uniform error messages.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from ..candidates import INTERSECTION_JOINS
 from ..matchspec import QuerySpec, validate_paper_variant
 from ..model import as_nested_set
-from ..planner import STRATEGIES
 from ..resultcache import make_key
 from .plan import (
     CandidateStage,
@@ -29,7 +28,7 @@ from .plan import (
 ALGORITHMS = ("bottomup", "topdown", "topdown-paper", "naive")
 
 
-def pick_algorithm(spec: QuerySpec, planner: str | None = None) -> str:
+def pick_algorithm(spec: QuerySpec) -> str:
     """The algorithm for a query that names none.
 
     Strict top-down for the joins whose candidates are an intersection
@@ -38,17 +37,15 @@ def pick_algorithm(spec: QuerySpec, planner: str | None = None) -> str:
     every collection tried (EXPERIMENTS.md, "Top-down by default").
     Bottom-up for ``superset`` and ``overlap``, whose multiset-union
     candidates no frontier can drive: top-down builds the same unions
-    and then restricts them, 7-100 % slower.  A sibling-order
-    ``planner`` is a top-down option, so asking for one picks top-down.
+    and then restricts them, 7-100 % slower.
     """
-    if planner is not None or spec.join in INTERSECTION_JOINS:
+    if spec.join in INTERSECTION_JOINS:
         return "topdown"
     return "bottomup"
 
 
 def compile_query(query: object, spec: QuerySpec = QuerySpec(), *,
                   algorithm: str | None = None,
-                  planner: str | None = None,
                   use_bloom: bool = False,
                   cacheable: bool = True) -> ExecutionPlan:
     """Validate options and build the execution plan for one query.
@@ -63,27 +60,19 @@ def compile_query(query: object, spec: QuerySpec = QuerySpec(), *,
     tree = as_nested_set(query)
     picked = algorithm is None
     if picked:
-        algorithm = pick_algorithm(spec, planner)
+        algorithm = pick_algorithm(spec)
     if algorithm not in ALGORITHMS:
         raise PlanError(f"unknown algorithm {algorithm!r}; "
                         f"expected one of {ALGORITHMS}")
     if use_bloom and algorithm != "naive":
         raise PlanError("Bloom prefiltering applies to the naive "
                         "algorithm only")
-    if planner is not None:
-        if algorithm != "topdown":
-            raise PlanError("evaluation-order planning applies to "
-                            "the strict top-down algorithm only")
-        if planner not in STRATEGIES:
-            raise PlanError(f"unknown strategy {planner!r}; "
-                            f"expected one of {STRATEGIES}")
     if algorithm == "topdown-paper":
         validate_paper_variant(spec)
     cache_key = None
     if cacheable:
         cache_key = make_key(tree, algorithm, spec.semantics, spec.join,
-                             spec.epsilon, spec.mode, planner=planner,
-                             use_bloom=use_bloom)
+                             spec.epsilon, spec.mode, use_bloom=use_bloom)
     return ExecutionPlan(
         query=tree,
         spec=spec,
@@ -92,7 +81,7 @@ def compile_query(query: object, spec: QuerySpec = QuerySpec(), *,
             source="record-scan" if algorithm == "naive"
             else "inverted-file",
             join=spec.join),
-        match=MatchStage(strategy=algorithm, planner=planner,
+        match=MatchStage(strategy=algorithm,
                          memoizable=(algorithm == "bottomup"),
                          picked=picked),
         materialize=MaterializeStage(mode=spec.mode),

@@ -2,16 +2,16 @@
 
 :class:`ExecutionContext` bundles what a plan needs at run time -- the
 inverted file, the optional Bloom prefilters, the whole-query result
-cache, collection statistics (for the planner), an optional cross-query
-subquery memo, a trace observer, and per-context counters.  One context
-per index serves single queries; batches and joins share one context so
-the memo and counters accumulate across the workload.
+cache, an optional cross-query subquery memo, a trace observer, and
+per-context counters.  One context per index serves single queries;
+batches and joins share one context so the memo and counters
+accumulate across the workload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..observe import PlanObserver
 
@@ -20,7 +20,6 @@ if TYPE_CHECKING:  # typing only: keep the runtime import graph acyclic
     from ..invfile import InvertedFile
     from ..model import NestedSet
     from ..resultcache import ResultCache
-    from ..stats import CollectionStats
 
 
 @dataclass
@@ -87,23 +86,9 @@ class ExecutionContext:
     ifile: "InvertedFile"
     bloom_index: "BloomIndex | None" = None
     result_cache: "ResultCache | None" = None
-    #: Lazily invoked provider of collection statistics (the engine passes
-    #: its memoized accessor); ``None`` means compute from the inverted
-    #: file on first use.
-    stats_provider: "Callable[[], CollectionStats] | None" = None
-    #: Cross-query subquery memo: a shared dict enables the batch
-    #: evaluator's shared-subquery reuse; ``None`` disables it.
+    #: Cross-query subquery memo: a shared dict lets memoizable plans
+    #: run the memo walk (:func:`repro.core.batch.memoized_match_ids`);
+    #: ``None`` disables it.
     memo: "dict[NestedSet, frozenset[int]] | None" = None
     observer: PlanObserver | None = None
     counters: ExecCounters = field(default_factory=ExecCounters)
-    _stats: "CollectionStats | None" = field(default=None, repr=False)
-
-    def collection_stats(self) -> "CollectionStats":
-        """Statistics for planner-driven stages (memoized per context)."""
-        if self._stats is None:
-            if self.stats_provider is not None:
-                self._stats = self.stats_provider()
-            else:
-                from ..stats import CollectionStats
-                self._stats = CollectionStats.from_inverted_file(self.ifile)
-        return self._stats

@@ -10,7 +10,7 @@ A compiled query is a small dataclass pipeline::
   file vs. full record scan), per join type;
 * **match** -- which structural matching strategy consumes the
   candidates (bottom-up, strict/paper-literal top-down, naive check),
-  plus its options (sibling-order planner, shared-subquery memo);
+  and whether a shared-subquery memo may serve it;
 * **materialize** -- node ids to sorted record keys, per match mode.
 
 :meth:`ExecutionPlan.run` executes the stages against an
@@ -28,7 +28,6 @@ from ..bottomup import bottomup_match_ids
 from ..matchspec import QuerySpec
 from ..model import NestedSet
 from ..naive import NaiveScanner
-from ..planner import make_planner
 from ..postings import MatchIds, id_set
 from ..topdown import topdown_match_nodes, topdown_paper_match_nodes
 
@@ -65,7 +64,6 @@ class MatchStage:
     """Which structural match strategy consumes the candidates."""
 
     strategy: str              # bottomup | topdown | topdown-paper | naive
-    planner: str | None = None
     #: The strategy may be served from a context-shared subquery memo.
     memoizable: bool = False
     #: The query named no algorithm: the compiler picked the strategy.
@@ -130,13 +128,7 @@ class ExecutionPlan:
                 self.query, ctx.ifile, self.spec, ctx.memo,
                 counters=ctx.counters)
         if self.match.strategy == "topdown":
-            child_order = None
-            if self.match.planner is not None:
-                planner = make_planner(self.match.planner,
-                                       ctx.collection_stats())
-                child_order = planner.as_child_order()
             return topdown_match_nodes(self.query, ctx.ifile, self.spec,
-                                       child_order=child_order,
                                        observer=ctx.observer)
         if self.match.strategy == "topdown-paper":
             return topdown_paper_match_nodes(self.query, ctx.ifile,
@@ -164,8 +156,6 @@ class ExecutionPlan:
         if self.prefilter.bloom:
             cache += "+bloom"
         match = self.match.strategy
-        if self.match.planner is not None:
-            match += f" planner={self.match.planner}"
         if self.match.picked:
             match += " (the compiler's pick)"
         if self.match.memoizable:

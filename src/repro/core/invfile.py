@@ -317,8 +317,8 @@ class InvertedFile:
             self.deleted = set(ordinals)
         #: Per-atom count of postings owned by tombstoned records.  The
         #: document-frequency table keeps counting them until compaction;
-        #: subtracting these yields the *live* counts that selectivity
-        #: decisions (rarest-atom ordering, the planner) should use.
+        #: subtracting these yields the *live* counts that rarest-atom
+        #: ordering and the collection statistics use.
         self.dead_counts: dict[Atom, int] = self._count_table(
             _DEAD_COUNT_KEY, self._n_dead_deltas)
 

@@ -150,25 +150,49 @@ class NestedSet:
         ``set``/``frozenset``/``list``/``tuple`` become nested sets; strings
         and ints become atoms.  Lists and tuples are treated as sets (order
         and duplicates are discarded), matching the paper's data model.
+        The walk keeps its own stack, so any depth builds; a container
+        that holds itself is refused.
         """
         if isinstance(obj, NestedSet):
             return obj
-        if not isinstance(obj, (set, frozenset, list, tuple)):
-            raise NestedSetError(
-                f"cannot build a nested set from {type(obj).__name__}")
-        atoms: list[Atom] = []
-        children: list[NestedSet] = []
-        for member in obj:
-            if _is_atom(member):
-                atoms.append(member)
+        # One frame per open container: the container, its members
+        # still to visit, the finished atoms and children.
+        on_path: set[int] = set()
+        stack = [_open_container(obj, on_path)]
+        while True:
+            container, pending, atoms, children = stack[-1]
+            for member in pending:
+                if _is_atom(member):
+                    atoms.append(member)
+                elif isinstance(member, NestedSet):
+                    children.append(member)
+                else:
+                    stack.append(_open_container(member, on_path))
+                    break
             else:
-                children.append(cls.from_obj(member))
-        return cls(atoms, children)
+                stack.pop()
+                on_path.discard(id(container))
+                node = cls(atoms, children)
+                if not stack:
+                    return node
+                stack[-1][3].append(node)
 
     def to_obj(self) -> frozenset:
-        """Inverse of :meth:`from_obj`: nested frozensets and atoms."""
-        return frozenset(self._atoms) | frozenset(
-            child.to_obj() for child in self._children)
+        """Inverse of :meth:`from_obj`: nested frozensets and atoms.
+
+        Post-order over the distinct subtrees on an explicit stack, so
+        any depth converts."""
+        done: dict[NestedSet, frozenset] = {}
+        work: list[tuple[NestedSet, bool]] = [(self, False)]
+        while work:
+            node, expanded = work.pop()
+            if expanded:
+                done[node] = node._atoms | frozenset(
+                    done[child] for child in node._children)
+            elif node not in done:
+                work.append((node, True))
+                work.extend((child, False) for child in node._children)
+        return done[self]
 
     # -- updates (return new sets; the type is immutable) -------------------------
 
@@ -280,6 +304,18 @@ def as_nested_set(query: object) -> NestedSet:
     if isinstance(query, str):
         return NestedSet.parse(query)
     return NestedSet.from_obj(query)
+
+
+def _open_container(obj: object, on_path: set[int]) -> tuple:
+    """A :meth:`NestedSet.from_obj` frame for ``obj``; ``on_path`` holds
+    the ids of the containers open around it."""
+    if not isinstance(obj, (set, frozenset, list, tuple)):
+        raise NestedSetError(
+            f"cannot build a nested set from {type(obj).__name__}")
+    if id(obj) in on_path:
+        raise NestedSetError("a container cannot hold itself")
+    on_path.add(id(obj))
+    return obj, iter(obj), [], []
 
 
 def _set_text(node: NestedSet, members: list) -> str:

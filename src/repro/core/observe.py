@@ -300,7 +300,6 @@ def run_explained(plan: "ExecutionPlan",
 def explain(query: object, ifile: "InvertedFile",
             spec: QuerySpec = QuerySpec(), *,
             algorithm: str | None = None,
-            planner: str | None = None,
             bloom_index: object | None = None,
             use_bloom: bool = False) -> ExplainResult:
     """Evaluate over a bare inverted file with full instrumentation.
@@ -312,7 +311,7 @@ def explain(query: object, ifile: "InvertedFile",
     # The compiler imports the algorithm modules, which import this one.
     from .exec.compiler import compile_query
     from .exec.context import ExecutionContext
-    plan = compile_query(query, spec, algorithm=algorithm, planner=planner,
+    plan = compile_query(query, spec, algorithm=algorithm,
                          use_bloom=use_bloom, cacheable=False)
     return run_explained(plan, ExecutionContext(ifile=ifile,
                                                 bloom_index=bloom_index))

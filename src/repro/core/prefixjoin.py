@@ -25,10 +25,10 @@ This module supplies that machinery to :mod:`repro.core.join`:
   per-distinct-atom-set memo over :func:`~repro.core.candidates
   .node_candidates` -- weaker sharing (deduplication instead of prefix
   reuse), but the same exact semantics.
-* :func:`prefix_match_nodes` / :func:`prefix_join_lists` -- the
-  bottom-up evaluation over the workload, structured exactly like
-  :func:`~repro.core.batch.memoized_match_nodes` so whole-subtree memo
-  hits and the superset-aware short-circuit behave identically.
+* :func:`prefix_join_lists` -- the workload through the one memo walk,
+  :func:`~repro.core.batch.memoized_match_ids`, with the shared
+  provider as its candidate source, so whole-subtree memo hits and the
+  superset-aware short-circuit are the bottom-up algorithm's.
 * :func:`choose_strategy` -- the adaptive dispatcher: estimates the
   df-weighted posting volume a per-query loop would stream against the
   volume the trie would stream (distinct edges only) and picks the
@@ -47,12 +47,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .batch import memoized_match_ids
 from .candidates import node_candidates
 from .invfile import InvertedFile, atom_token
 from .matchspec import QuerySpec
 from .model import Atom, NestedSet
-from .postings import MatchIds, PostingList, intersect, match_ids
-from .structural import filter_candidates
+from .postings import PostingList, intersect
 
 if TYPE_CHECKING:  # typing only
     from .exec.context import ExecutionContext
@@ -209,41 +209,6 @@ class SharedCandidates:
         return out
 
 
-def prefix_match_nodes(query: NestedSet, ctx: "ExecutionContext",
-                       spec: QuerySpec, provider: SharedCandidates,
-                       memo: dict[NestedSet, MatchIds]) -> MatchIds:
-    """Node ids at which ``query`` embeds, candidates via the provider.
-
-    Mirrors :func:`repro.core.batch.memoized_match_ids` exactly --
-    same post-order over distinct subtrees, same whole-subtree memo
-    (match sets in the form they were produced in), same
-    superset-aware unsatisfiable-child short-circuit -- with
-    candidate generation swapped for the shared provider.  Children
-    go in canonical text order, on an explicit stack (any depth).
-    """
-    work = [(query, query.canonical_members(), False)]
-    while work:
-        node, members, expanded = work.pop()
-        if expanded:
-            child_sets = [memo[member[1]] for member in members]
-            if spec.join != "superset" \
-                    and any(len(hits) == 0 for hits in child_sets):
-                result: MatchIds = frozenset()
-            else:
-                cand = provider.candidates(node)
-                result = match_ids(
-                    filter_candidates(cand, child_sets, ctx.ifile, spec))
-            memo[node] = result
-            ctx.counters.subqueries_evaluated += 1
-        elif node in memo:
-            ctx.counters.subqueries_reused += 1
-        else:
-            work.append((node, members, True))
-            work.extend((child, below, False)
-                        for _text, child, below in reversed(members))
-    return memo[query]
-
-
 def prefix_join_lists(queries: Sequence[NestedSet],
                       ctx: "ExecutionContext",
                       spec: QuerySpec) -> list[list[str]]:
@@ -259,7 +224,8 @@ def prefix_join_lists(queries: Sequence[NestedSet],
     out: list[list[str]] = []
     for query in queries:
         ctx.counters.queries += 1
-        heads = prefix_match_nodes(query, ctx, spec, provider, memo)
+        heads = memoized_match_ids(query, ctx.ifile, spec, memo,
+                                   ctx.counters, provider.candidates)
         out.append(ctx.ifile.heads_to_keys(heads, mode=spec.mode))
     return out
 

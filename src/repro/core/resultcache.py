@@ -47,17 +47,15 @@ CacheKey = tuple
 
 
 def make_key(query: NestedSet, algorithm: str, semantics: str, join: str,
-             epsilon: int, mode: str, *, planner: str | None = None,
-             use_bloom: bool = False) -> CacheKey:
+             epsilon: int, mode: str, *, use_bloom: bool = False) -> CacheKey:
     """Options are part of the key; different algorithms return equal
     results but are kept distinct so stats reflect what actually ran.
 
-    ``planner`` and ``use_bloom`` never change the answer either, but
-    keying them keeps the hit statistics honest -- and lets planner/Bloom
-    queries use the cache at all instead of silently bypassing it.
+    ``use_bloom`` never changes the answer either, but keying it keeps
+    the hit statistics honest -- and lets Bloom queries use the cache at
+    all instead of silently bypassing it.
     """
-    return (query, algorithm, semantics, join, epsilon, mode, planner,
-            use_bloom)
+    return (query, algorithm, semantics, join, epsilon, mode, use_bloom)
 
 
 class ResultCache:

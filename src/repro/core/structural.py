@@ -25,11 +25,12 @@ join         additional condition (Section 4.1)
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .candidates import node_candidates
 from .invfile import InvertedFile
 from .matchspec import QuerySpec
+from .model import NestedSet
 from .observe import NULL_OBSERVER, PlanObserver
 from .postings import (
     MatchIds,
@@ -48,21 +49,25 @@ from .postings import (
 
 def evaluate_node(qnode, child_sets: Sequence[MatchIds],
                   ifile: InvertedFile, spec: QuerySpec,
-                  observer: PlanObserver = NULL_OBSERVER) -> MatchIds:
+                  observer: PlanObserver = NULL_OBSERVER, *,
+                  candidates: Callable[[NestedSet], PostingList]
+                  | None = None) -> MatchIds:
     """One query node of the shared pipeline: candidates, then filter.
 
     This is the ``H(·)`` evaluation step used verbatim by the bottom-up
-    algorithm and the batch evaluator's memoized variant: generate the
-    node's candidates from the inverted lists and keep those covering
-    every child match set.  An unsatisfiable child short-circuits
-    without touching the index (harmless -- and therefore skipped --
-    under the superset join, where data children only need to be
-    covered by *some* query child).
+    algorithm and the memo walk (:func:`repro.core.batch
+    .memoized_match_ids`): generate the node's candidates -- from the
+    inverted lists, or from ``candidates`` when the caller shares them
+    across a workload -- and keep those covering every child match set.
+    An unsatisfiable child short-circuits without touching the index
+    (harmless -- and therefore skipped -- under the superset join, where
+    data children only need to be covered by *some* query child).
     """
     if spec.join != "superset" and any(len(hits) == 0 for hits in child_sets):
         observer.record_candidates(0)
         return set()
-    cand = node_candidates(qnode, ifile, spec)
+    cand = node_candidates(qnode, ifile, spec) if candidates is None \
+        else candidates(qnode)
     observer.record_candidates(len(cand))
     return match_ids(filter_candidates(cand, child_sets, ifile, spec))
 

@@ -63,16 +63,11 @@ from .structural import filter_candidates, frontier_of, prefilter_survivors
 
 def topdown_match_nodes(query: NestedSet, ifile: InvertedFile,
                         spec: QuerySpec = QuerySpec(), *,
-                        child_order=None,
                         observer: PlanObserver | None = None) -> set[int]:
     """Return the set of data node ids at which ``query`` embeds.
 
-    ``child_order`` is an optional hook ``(children, spec) -> ordered
-    list`` (see :mod:`repro.core.planner`): sibling subqueries are
-    evaluated in the returned order, which controls how fast the
-    surviving-parent frontier shrinks; without it they run in canonical
-    text order, read off one :meth:`NestedSet.canonical_members` walk of
-    the whole query.
+    Sibling subqueries run in canonical text order, read off one
+    :meth:`NestedSet.canonical_members` walk of the whole query.
 
     The descent keeps an explicit stack of :class:`_Level` frames, like
     the bottom-up algorithm's, so the query's depth is not bounded by
@@ -87,7 +82,7 @@ def topdown_match_nodes(query: NestedSet, ifile: InvertedFile,
     # No root candidate, no descent: the walk that orders the siblings
     # of every level is then not worth making.
     members = query.canonical_members() if cand else []
-    stack = [_Level(members, cand, ifile, spec, child_order)]
+    stack = [_Level(members, cand, ifile, spec)]
     matched: MatchIds | None = None     # handed up by the level just closed
     while stack:
         level = stack[-1]
@@ -102,7 +97,7 @@ def topdown_match_nodes(query: NestedSet, ifile: InvertedFile,
             continue
         obs.enter_node(member[1])
         stack.append(_Level(member[2], level.child_candidates(member[1], obs),
-                            ifile, spec, child_order))
+                            ifile, spec))
     return set(id_set(matched))
 
 
@@ -128,11 +123,7 @@ class _Level:
                  "child_sets", "fixed_frontier")
 
     def __init__(self, members: list, cand: PostingList,
-                 ifile: InvertedFile, spec: QuerySpec, child_order) -> None:
-        if child_order is not None and len(members) > 1 and cand:
-            triple_of = {member[1]: member for member in members}
-            members = [triple_of[child] for child in child_order(
-                [member[1] for member in members], spec)]
+                 ifile: InvertedFile, spec: QuerySpec) -> None:
         if members and spec.join == "equality":
             cand = with_child_count(cand, len(members))
         self.ifile = ifile

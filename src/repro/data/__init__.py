@@ -16,7 +16,6 @@ from .queries import (
     add_atom_at_random_node,
     fresh_atom,
     make_benchmark_queries,
-    make_branching_queries,
     verify_workload,
 )
 from .synthetic import (
@@ -68,7 +67,6 @@ __all__ = [
     "load_jsonl_file",
     "load_xml_file",
     "make_benchmark_queries",
-    "make_branching_queries",
     "provenance_query",
     "save_collection_file",
     "verify_workload",

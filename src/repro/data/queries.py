@@ -98,35 +98,6 @@ def make_benchmark_queries(records: Sequence[tuple[str, NestedSet]],
     return workload
 
 
-def make_branching_queries(records: Sequence[tuple[str, NestedSet]],
-                           n_queries: int = 50, seed: int = 0,
-                           branch: int = 3) -> list[NestedSet]:
-    """Wide conjunctive queries for evaluation-order experiments.
-
-    Each query is an atom-free root with ``branch`` internal children,
-    every child the subtree of a random internal node sampled from a
-    random record.  Such a query asks for a record containing *all*
-    ``branch`` structures at once -- sibling subqueries with wildly
-    different selectivities, which is the regime where the planner's
-    ordering decisions (P1) matter.  Most queries are unsatisfiable
-    (their parts come from different records), so finding the most
-    selective child first pays directly.
-    """
-    if branch < 1:
-        raise ValueError("branch must be >= 1")
-    rng = random.Random(("branching", seed, n_queries, branch).__repr__())
-    pool: list[NestedSet] = []
-    for _key, tree in records:
-        pool.extend(tree.iter_sets())
-    if not pool:
-        raise ValueError("cannot sample subqueries from an empty collection")
-    queries = []
-    for _ in range(n_queries):
-        children = [pool[rng.randrange(len(pool))] for _ in range(branch)]
-        queries.append(NestedSet((), children))
-    return queries
-
-
 def verify_workload(workload: Sequence[BenchmarkQuery],
                     records: Sequence[tuple[str, NestedSet]]) -> None:
     """Assert the protocol invariants (used by tests and the harness).

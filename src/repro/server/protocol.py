@@ -134,7 +134,7 @@ _FLAG_OPTIONS = 0x02
 #: Evaluation options a query/query_batch request may carry; mirrors the
 #: keyword surface of ``NestedSetIndex.query``.
 QUERY_OPTION_FIELDS = ("algorithm", "semantics", "join", "epsilon",
-                       "mode", "use_bloom", "planner")
+                       "mode", "use_bloom")
 
 #: Error codes a response may carry (binary responses store the index).
 ERROR_CODES = (

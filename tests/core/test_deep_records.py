@@ -2,7 +2,8 @@
 
 Every walk over a nested set keeps its own stack: a 2 000-level chain
 builds, inserts, and answers under every algorithm and every join
-strategy exactly as the naive checker does.
+strategy exactly as the naive checker does, and crosses between nested
+Python containers and nested sets in both directions.
 
 Needs no hypothesis (it runs in the crash-consistency CI job).
 """
@@ -30,6 +31,14 @@ def chain(depth: int, leaf: str | None = None) -> NestedSet:
     return node
 
 
+def nest(depth: int, leaf: str) -> list:
+    """:func:`chain` spelled as nested Python lists."""
+    obj = None
+    for level in reversed(range(depth)):
+        obj = [f"l{level % 3}"] + ([leaf] if obj is None else [obj])
+    return obj
+
+
 RECORDS = [("deep", chain(DEPTH, "x")), ("short", chain(3, "x")),
            ("flat", NestedSet(["l0", "x"])), ("deep-y", chain(DEPTH, "y"))]
 QUERIES = [("whole", chain(DEPTH, "x")), ("prefix", chain(1500)),
@@ -42,6 +51,25 @@ def test_the_model_walks_keep_their_own_stack() -> None:
     assert deep.internal_count == DEPTH and deep.leaf_count == DEPTH + 1
     assert deep == chain(DEPTH, "x") and deep != chain(DEPTH, "y")
     assert NestedSet.parse(deep.to_text()) == deep
+
+
+@pytest.mark.parametrize("entry", ["insert", "query", "to_obj"])
+def test_a_python_nest_crosses_every_entry_point(entry) -> None:
+    """``from_obj`` and ``to_obj`` walked a nest one frame per level."""
+    deep = chain(DEPTH, "x")
+    if entry == "to_obj":
+        obj = deep.to_obj()
+        assert isinstance(obj, frozenset)
+        assert NestedSet.from_obj(obj) == deep
+        return
+    records = RECORDS[:3] if entry == "query" else RECORDS[1:3]
+    with NestedSetIndex.build(records) as index:
+        if entry == "insert":
+            index.insert("nest", nest(DEPTH, "x"))
+            assert index.query(deep) == ["nest"]
+        else:
+            assert index.query(nest(DEPTH, "x")) == \
+                reference_query(records, deep) == ["deep"]
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,6 @@ from repro.core.engine import NestedSetIndex
 from repro.core.join import containment_join
 from repro.core.matchspec import QuerySpec
 from repro.core.model import NestedSet
-from repro.core.planner import STRATEGIES
 from repro.core.postings import COLUMNAR_MIN
 
 from ..conftest import random_tree
@@ -138,18 +137,6 @@ class TestLegacyIndexCompatibility:
     def test_new_builds_default_to_blocked(self) -> None:
         index = NestedSetIndex.build(_corpus(6))
         assert index.inverted_file.block_size > 0
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-class TestPlannerOrderInvariance:
-    def test_all_strategies_agree(self, seed) -> None:
-        index = NestedSetIndex.build(_corpus(seed))
-        for query in _queries(seed + 300):
-            baseline = index.query(query, algorithm="topdown")
-            for strategy in STRATEGIES:
-                planned = index.query(query, algorithm="topdown",
-                                      planner=strategy)
-                assert planned == baseline, (strategy, query)
 
 
 # -- long lists: the columnar path under every layout -----------------------

@@ -50,24 +50,12 @@ class TestCompile:
             "superset": "bottomup", "overlap": "bottomup"}
         assert all(plan.match.picked for plan in picks.values())
         assert picks["superset"].match.memoizable
-        # A sibling-order planner is a top-down option on every join.
-        for join in ("subset", "superset"):
-            planned = compile_query("{a, {b}}", QuerySpec(join=join),
-                                    planner="selective-first")
-            assert planned.algorithm == "topdown" and planned.match.picked
         # A named algorithm is the caller's, not a pick, and shares the
         # picked plan's result-cache key.
         named = compile_query("{a, {b}}", algorithm="topdown")
         assert not named.match.picked
         assert "pick" not in named.describe()
         assert named.prefilter.cache_key == plan.prefilter.cache_key
-
-    def test_topdown_plan_carries_planner(self) -> None:
-        plan = compile_query("{a}", algorithm="topdown",
-                             planner="selective-first")
-        assert plan.match.strategy == "topdown"
-        assert plan.match.planner == "selective-first"
-        assert not plan.match.memoizable
 
     def test_naive_plan_scans_records(self) -> None:
         plan = compile_query("{a}", algorithm="naive", use_bloom=True)
@@ -91,11 +79,10 @@ class TestCompile:
             plan.query = N(["b"])  # type: ignore[misc]
 
     def test_describe_lists_stages(self) -> None:
-        plan = compile_query("{a}", algorithm="topdown",
-                             planner="selective-first")
+        plan = compile_query("{a}", algorithm="topdown")
         text = plan.describe()
         for fragment in ("prefilter:", "candidates:", "match:",
-                         "materialize:", "selective-first"):
+                         "materialize:", "topdown"):
             assert fragment in text
 
 
@@ -111,16 +98,6 @@ class TestCompileValidation:
         for algorithm in ("bottomup", "topdown", "topdown-paper"):
             with pytest.raises(PlanError, match="naive"):
                 compile_query("{a}", algorithm=algorithm, use_bloom=True)
-
-    def test_planner_requires_topdown(self) -> None:
-        for algorithm in ("bottomup", "naive"):
-            with pytest.raises(PlanError, match="top-down"):
-                compile_query("{a}", algorithm=algorithm,
-                              planner="selective-first")
-
-    def test_unknown_planner_strategy(self) -> None:
-        with pytest.raises(PlanError, match="unknown strategy"):
-            compile_query("{a}", algorithm="topdown", planner="chaotic")
 
     def test_paper_variant_spec_limits(self) -> None:
         with pytest.raises(QuerySpecError):
@@ -178,13 +155,6 @@ class TestPlanRun:
         # The repeat is served entirely from the memo.
         assert ctx.counters.subqueries_evaluated == evaluated
         assert ctx.counters.subqueries_reused > 0
-
-    def test_standalone_context_computes_stats(self, paper_records) -> None:
-        index = NestedSetIndex.build(paper_records)
-        ctx = ExecutionContext(ifile=index.inverted_file)
-        stats = ctx.collection_stats()
-        assert stats is ctx.collection_stats()  # memoized
-        assert ctx.counters == ExecCounters()
 
 
 def _walk(node):
@@ -264,12 +234,9 @@ class TestExplainEveryAlgorithm:
             assert result.lists_fetched > 0
             assert algorithm in result.render()
 
-    def test_explain_with_planner_and_bloom(self, small_corpus) -> None:
+    def test_explain_with_bloom(self, small_corpus) -> None:
         index = NestedSetIndex.build(small_corpus, bloom="flat")
         query = small_corpus[0][1]
-        planned = index.explain(query, algorithm="topdown",
-                                planner="selective-first")
-        assert planned.matches == index.query(query, algorithm="topdown")
         scanned = index.explain(query, algorithm="naive", use_bloom=True)
         assert scanned.matches == index.query(query, algorithm="naive")
 

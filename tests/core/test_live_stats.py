@@ -1,11 +1,12 @@
-"""Tombstone-adjusted statistics: deletes must not skew the planner.
+"""Tombstone-adjusted statistics: deletes must not skew the counts.
 
 The document-frequency table is only rewritten on flush/compact, and
 tombstoned records keep their postings until compaction -- so without
-adjustment, a delete-heavy index would keep planning against frequencies
+adjustment, a delete-heavy index would keep ranking atoms by frequencies
 that no longer reflect the live collection.  The inverted file maintains
 per-atom dead counts (persisted at ``M:dead``) and exposes live
-frequencies that the planner and the intersection ordering consume.
+frequencies that the intersection ordering and the collection
+statistics consume.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import NestedSetIndex
-from repro.core.matchspec import QuerySpec
-from repro.core.model import NestedSet
-from repro.core.planner import Planner
-from repro.core.stats import CollectionStats
 
 
 def _skewed_records() -> list[tuple[str, str]]:
@@ -51,31 +48,21 @@ class TestLiveCounts:
         index = NestedSetIndex.build(_skewed_records())
         for i in range(9):
             index.delete(f"c{i}")
-        stats = CollectionStats.from_inverted_file(index.inverted_file)
+        stats = index.collection_stats()
         assert stats.document_frequency("common") == 1
         assert stats.document_frequency("rare") == 3
         assert stats.n_records == 4
 
-    def test_planner_picks_truly_rarest_after_deletes(self) -> None:
-        """The regression the satellite pins: a delete-heavy index must
-        order by *live* selectivity, not stale document frequencies."""
-        common_child = NestedSet(["common"])
-        rare_child = NestedSet(["rare"])
+    def test_collection_stats_rank_the_live_hottest(self) -> None:
+        """A delete-heavy index must rank atoms by *live* frequency,
+        not by stale document frequencies."""
         index = NestedSetIndex.build(_skewed_records())
-
-        before = Planner(CollectionStats.from_inverted_file(
-            index.inverted_file))
-        assert before.order_children([common_child, rare_child],
-                                     QuerySpec()) == \
-            [rare_child, common_child]           # rare is rarest pre-delete
-
+        assert index.collection_stats().hottest(2) == \
+            [("common", 10), ("rare", 3)]
         for i in range(9):
             index.delete(f"c{i}")
-        after = Planner(CollectionStats.from_inverted_file(
-            index.inverted_file))
-        assert after.order_children([common_child, rare_child],
-                                    QuerySpec()) == \
-            [common_child, rare_child]           # now common is rarest
+        assert index.collection_stats().hottest(2) == \
+            [("rare", 3), ("common", 1)]
 
     def test_intersection_ranks_by_live_length(self) -> None:
         index = NestedSetIndex.build(
@@ -98,7 +85,7 @@ class TestLiveCounts:
         index.close()
         reopened = NestedSetIndex.open(storage, path)
         assert reopened.inverted_file.live_list_length("common") == 1
-        stats = CollectionStats.from_inverted_file(reopened.inverted_file)
+        stats = reopened.collection_stats()
         assert stats.document_frequency("common") == 1
         reopened.close()
 

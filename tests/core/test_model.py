@@ -69,6 +69,17 @@ class TestConstruction:
     def test_from_obj_rejects_scalars(self) -> None:
         with pytest.raises(NestedSetError):
             NestedSet.from_obj("just an atom")
+        with pytest.raises(NestedSetError):
+            NestedSet.from_obj(["a", ["b", 2.5]])     # a nested non-atom
+
+    def test_from_obj_refuses_a_container_holding_itself(self) -> None:
+        loop: list = ["a"]
+        loop.append(["b", loop])
+        with pytest.raises(NestedSetError, match="itself"):
+            NestedSet.from_obj(loop)
+        shared = ["s"]                  # the same list twice is no loop
+        assert NestedSet.from_obj([shared, [shared]]) == \
+            NestedSet.parse("{{s}, {{s}}}")
 
     def test_to_obj_roundtrip(self) -> None:
         tree = NestedSet(["a", 5], [NestedSet(["b"], [NestedSet()])])

@@ -83,20 +83,18 @@ class TestEngineIntegration:
         index.delete(victim)
         assert victim not in index.query(query)
 
-    def test_bloom_and_planner_queries_are_cached(self, small_corpus) -> None:
+    def test_bloom_queries_are_cached(self, small_corpus) -> None:
         index = NestedSetIndex.build(small_corpus, bloom="flat")
         cache = index.enable_result_cache()
         query = small_corpus[0][1]
         first = index.query(query, algorithm="naive", use_bloom=True)
-        second = index.query(query, algorithm="topdown",
-                             planner="selective-first")
+        second = index.query(query, algorithm="topdown")
         # Distinct options -> distinct keys: two misses, no cross-talk.
         assert cache.stats.misses == 2
         assert cache.stats.hits == 0
         # Repeats with identical options hit their own entries.
         assert index.query(query, algorithm="naive", use_bloom=True) == first
-        assert index.query(query, algorithm="topdown",
-                           planner="selective-first") == second
+        assert index.query(query, algorithm="topdown") == second
         assert cache.stats.hits == 2
 
     def test_bloom_flag_keys_separately(self, small_corpus) -> None:

@@ -1,15 +1,11 @@
-"""Tests for collection statistics and cost estimation."""
+"""Tests for collection statistics."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.invfile import InvertedFile
-from repro.core.matchspec import QuerySpec
-from repro.core.model import NestedSet
 from repro.core.stats import CollectionStats
-
-N = NestedSet
 
 
 @pytest.fixture
@@ -24,38 +20,10 @@ class TestPerAtom:
         assert stats.document_frequency("London") == 1
         assert stats.document_frequency("Narnia") == 0
 
-    def test_selectivity(self, stats: CollectionStats) -> None:
-        assert stats.selectivity("UK") == 4 / stats.n_nodes
-        assert stats.selectivity("Narnia") == 0.0
-
     def test_empty_collection(self) -> None:
         empty = CollectionStats([], 0, 0)
-        assert empty.selectivity("x") == 0.0
+        assert empty.document_frequency("x") == 0
         assert empty.atom_stats().distinct_atoms == 0
-
-
-class TestEstimates:
-    def test_subset_uses_rarest_atom(self, stats: CollectionStats) -> None:
-        node = N(["UK", "London"])
-        assert stats.estimate_candidates(node) == 1  # London's df
-
-    def test_empty_node_subset(self, stats: CollectionStats) -> None:
-        assert stats.estimate_candidates(N()) == stats.n_nodes
-
-    def test_union_joins_sum(self, stats: CollectionStats) -> None:
-        node = N(["UK", "London"])
-        spec = QuerySpec(join="overlap")
-        assert stats.estimate_candidates(node, spec) == 5
-
-    def test_overlap_empty_node(self, stats: CollectionStats) -> None:
-        assert stats.estimate_candidates(
-            N(), QuerySpec(join="overlap")) == 0.0
-
-    def test_query_cost_additive(self, stats: CollectionStats) -> None:
-        flat = N(["UK"])
-        nested = N(["UK"], [N(["UK"])])
-        assert stats.estimate_query_cost(nested) == \
-            2 * stats.estimate_query_cost(flat)
 
 
 class TestSummaries:

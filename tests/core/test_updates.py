@@ -148,8 +148,8 @@ class TestDelete:
         check_against(index, model, "blocked-del")
 
     def test_delete_refreshes_collection_stats(self, small_corpus) -> None:
-        """Regression: the memoized planner statistics must be rebuilt
-        after a delete, mirroring what insert already did."""
+        """Regression: the memoized collection statistics must be
+        rebuilt after a delete, mirroring what insert already did."""
         index = NestedSetIndex.build(small_corpus)
         victim_key, victim_tree = small_corpus[4]
         atom = next(iter(next(victim_tree.iter_sets()).atoms))

@@ -94,31 +94,3 @@ class TestHelpers:
                     sites.add(frozenset(node.atoms - {"__x__"}))
         # over 50 draws, the atom must land on more than one node
         assert len(sites) > 1
-
-
-class TestBranchingQueries:
-    def test_shape(self, small_corpus) -> None:
-        from repro.data.queries import make_branching_queries
-        queries = make_branching_queries(small_corpus, 20, seed=1,
-                                         branch=4)
-        assert len(queries) == 20
-        for query in queries:
-            assert not query.atoms            # atom-free conjunctive root
-            assert len(query.children) <= 4   # equal subtrees may collapse
-
-    def test_children_come_from_records(self, small_corpus) -> None:
-        from repro.data.queries import make_branching_queries
-        pool = {node for _key, tree in small_corpus
-                for node in tree.iter_sets()}
-        for query in make_branching_queries(small_corpus, 10, seed=2):
-            assert set(query.children) <= pool
-
-    def test_deterministic_and_validated(self, small_corpus) -> None:
-        from repro.data.queries import make_branching_queries
-        import pytest as _pytest
-        assert make_branching_queries(small_corpus, 5, seed=3) == \
-            make_branching_queries(small_corpus, 5, seed=3)
-        with _pytest.raises(ValueError):
-            make_branching_queries(small_corpus, 5, branch=0)
-        with _pytest.raises(ValueError):
-            make_branching_queries([], 5)

@@ -93,6 +93,10 @@ class TestValidateRequest:
         {"op": "query", "query": "{a}", "timeout_ms": -5},
         {"op": "query", "query": "{a}", "timeout_ms": True},
         {"op": "query", "query": "{a}", "timeout_ms": "fast"},
+        # a removed option is an unknown one
+        {"op": "query", "query": "{a}", "options": {"planner": "text"}},
+        {"op": "query_batch", "queries": ["{a}"],
+         "options": {"planner": "text"}},
     ])
     def test_invalid_requests_rejected(self, request_) -> None:
         with pytest.raises(ProtocolError):

@@ -224,9 +224,13 @@ class TestAdmissionControl:
         with ServerThread(memory_index,
                           close_index_on_drain=False) as handle:
             with ServiceClient(port=handle.port) as client:
-                with pytest.raises(ServiceError) as excinfo:
-                    client.query("{a}", volume=11)
-                assert excinfo.value.code == "bad_request"
+                for unknown in ({"volume": 11}, {"planner": "text"}):
+                    with pytest.raises(ServiceError) as excinfo:
+                        client.query("{a}", **unknown)
+                    assert excinfo.value.code == "bad_request"
+                    with pytest.raises(ServiceError) as excinfo:
+                        client.query_batch(["{a}"], **unknown)
+                    assert excinfo.value.code == "bad_request"
                 with pytest.raises(ServiceError) as excinfo:
                     client.query("{a}", algorithm="no-such")
                 assert excinfo.value.code == "internal"
