@@ -79,9 +79,7 @@ def _workload():
 
 
 def _build(records, shards: int):
-    # workers=1 keeps the probe single-threaded: the point is reader vs
-    # writer isolation, not intra-query parallelism fighting for the GIL.
-    return NestedSetIndex.build(list(records), shards=shards, workers=1)
+    return NestedSetIndex.build(list(records), shards=shards)
 
 
 def _paced_probe(index, queries, *, stop) -> list[tuple[float, float]]:

@@ -50,7 +50,7 @@ C_ATOMS = [f"c{i}" for i in range(50)]
 W_ATOMS = [f"w{i}" for i in range(60 if SMOKE else 5_000)]
 N_TEMPLATES = 30 if SMOKE else 150
 
-LAYOUTS = [("1-shard", 1, 1), ("4-shard", 4, 4)]
+LAYOUTS = [("1-shard", 1), ("4-shard", 4)]
 
 
 def _corpus() -> list[tuple[str, NestedSet]]:
@@ -90,10 +90,6 @@ def _nosharing_workload() -> list[tuple[str, NestedSet]]:
             for i in range(N_QUERIES)]
 
 
-def _build(records, shards: int, workers: int):
-    return NestedSetIndex.build(records, shards=shards, workers=workers)
-
-
 def _time_strategy(index, queries, strategy: str):
     result = containment_join(index, queries, strategy=strategy)
     timing = measure(
@@ -110,8 +106,8 @@ def test_join_operator_speedup():
     dispatch: dict[str, dict] = {}
     guard_failures = []
 
-    for label, shards, workers in LAYOUTS:
-        index = _build(corpus, shards, workers)
+    for label, shards in LAYOUTS:
+        index = NestedSetIndex.build(corpus, shards=shards)
         stats = index.collection_stats()
         for workload_name, queries in workloads:
             if workload_name not in dispatch:

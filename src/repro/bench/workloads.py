@@ -80,15 +80,15 @@ class WorkloadCache:
             seed: int = 0, theta: float = 0.7,
             storage: str = "memory", path: str | None = None,
             domain_size: int | None = None,
-            shards: int = 1, workers: int = 1) -> Workload:
+            shards: int = 1) -> Workload:
         key = (name, size, n_queries, seed, theta, storage, domain_size,
-               shards, workers)
+               shards)
         workload = self._workloads.get(key)
         if workload is None:
             records = list(generate_dataset(
                 name, size, seed=seed, theta=theta, domain_size=domain_size))
             index = NestedSetIndex.build(records, storage=storage, path=path,
-                                         shards=shards, workers=workers)
+                                         shards=shards)
             queries = make_benchmark_queries(records, n_queries, seed=seed)
             workload = Workload(name, size, index, queries, records)
             self._workloads[key] = workload

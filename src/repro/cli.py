@@ -64,7 +64,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     with NestedSetIndex.build(records, storage=args.storage,
                               path=args.output, shards=args.shards,
-                              workers=args.workers,
                               block_size=args.block_size) as index:
         elapsed = time.perf_counter() - start
         layout = (f"{args.shards} shards, " if args.shards > 1 else "")
@@ -118,10 +117,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _open_index(args: argparse.Namespace) -> NestedSetIndex:
-    """Open the index at ``args.index`` (``--workers`` sizes the
-    fan-out pool over its partitions)."""
-    return NestedSetIndex.open(args.storage, args.index, cache=args.cache,
-                               workers=getattr(args, "workers", 1))
+    """Open the index at ``args.index``."""
+    return NestedSetIndex.open(args.storage, args.index, cache=args.cache)
 
 
 def _read_queries_file(path: str) -> list[str]:
@@ -297,8 +294,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(f"records:        {index.n_records}")
         print(f"internal nodes: {index.n_nodes}")
         if index.n_shards > 1:
-            print(f"shards:         {index.n_shards} "
-                  f"({index.policy.name} policy)")
+            print(f"shards:         {index.n_shards}")
         frequencies = index.frequencies()
         print(f"distinct atoms: {len(frequencies)}")
         for shard_no, partition in enumerate(index.shards):
@@ -347,12 +343,10 @@ def _cmd_join(args: argparse.Namespace) -> int:
         queries = load_collection_file(args.queries)
         spec = QuerySpec(semantics=args.semantics, join=args.join,
                          epsilon=args.epsilon, mode=args.mode)
-        workers = args.workers if args.workers > 1 else None
         result = containment_join(index, queries,
                                   strategy=args.strategy,
                                   algorithm=args.algorithm,
-                                  use_bloom=args.use_bloom,
-                                  workers=workers, spec=spec)
+                                  use_bloom=args.use_bloom, spec=spec)
         if args.explain:
             print(result.describe())
             return 0
@@ -395,7 +389,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # as a shipping source without a restart; the stamps ride inside
     # group labels and a plain open still recovers the same file.
     index = NestedSetIndex.open(args.storage, args.index,
-                                cache=args.cache, workers=args.workers,
+                                cache=args.cache,
                                 wal_factory=ReplicationLog)
     with index:
         try:
@@ -471,8 +465,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             workload = cache_workloads.get(args.dataset, size,
                                            n_queries=args.queries,
                                            seed=args.seed,
-                                           shards=args.shards,
-                                           workers=args.workers)
+                                           shards=args.shards)
             for algorithm in args.algorithms.split(","):
                 for policy in (None, "frequency"):
                     workload.index.set_cache(policy)
@@ -523,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     idx.add_argument("--shards", type=int, default=1,
                      help="partition the records across N inverted-file "
                           "shards inside one store (default 1)")
-    idx.add_argument("--workers", type=int, default=1,
-                     help="query fan-out threads for a sharded index")
     idx.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
                      help="postings per block of a stored posting list "
                           "(default %(default)s)")
@@ -554,8 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the compiled execution plan to stderr")
     query.add_argument("--cache", choices=("none", "frequency", "lru"),
                        default="none")
-    query.add_argument("--workers", type=int, default=1,
-                       help="shard fan-out threads (sharded indexes)")
     query.set_defaults(func=_cmd_query)
 
     exp = sub.add_parser("explain",
@@ -573,8 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--epsilon", type=int, default=1)
     exp.add_argument("--mode", choices=MODES, default="root")
     exp.add_argument("--cache", default="none")
-    exp.add_argument("--workers", type=int, default=1,
-                     help="shard fan-out threads (sharded indexes)")
     exp.set_defaults(func=_cmd_explain)
 
     sim = sub.add_parser("similar",
@@ -649,8 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=7317,
                        help="TCP port (0 picks a free one)")
     serve.add_argument("--workers", type=int, default=4,
-                       help="engine worker threads (also sized to the "
-                            "shard fan-out pool of a sharded index)")
+                       help="threads of the server's request pool")
     serve.add_argument("--max-inflight", type=int, default=64,
                        help="admission-control bound; requests beyond "
                             "it are rejected as 'overloaded'")
@@ -698,8 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--epsilon", type=int, default=1)
     join.add_argument("--mode", choices=MODES, default="root")
     join.add_argument("--cache", default="frequency")
-    join.add_argument("--workers", type=int, default=1,
-                      help="fan-out pool size for a sharded index")
     join.add_argument("--explain", action="store_true",
                       help="print the join-level execution summary "
                            "(strategy, dispatch evidence, prefix "
@@ -724,8 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--algorithms", default="topdown,bottomup")
     bench.add_argument("--shards", type=int, default=1,
                        help="build the benchmark indexes with N shards")
-    bench.add_argument("--workers", type=int, default=1,
-                       help="shard fan-out threads during the timed runs")
     bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -51,14 +51,7 @@ from .prefixjoin import (
     prefix_join_lists,
 )
 from .resultcache import ResultCache
-from .shard import (
-    HashShardPolicy,
-    RoundRobinShardPolicy,
-    ShardError,
-    make_policy,
-    register_policy,
-)
-from .parallel import ShardExecutor
+from .shard import ShardError
 from .seqs import (
     NestedSeq,
     json_to_nested_seq,
@@ -136,12 +129,7 @@ __all__ = [
     "QuerySpecError",
     "QueryStats",
     "SEMANTICS",
-    "HashShardPolicy",
-    "RoundRobinShardPolicy",
     "ShardError",
-    "ShardExecutor",
-    "make_policy",
-    "register_policy",
     "SimilaritySearch",
     "TraceSink",
     "UpdateError",

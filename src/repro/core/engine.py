@@ -21,13 +21,13 @@ owns a record and where a partition's keys live).  A :class:`Partition`
 holds what is per inverted file: the live file and its block cache,
 modification epochs, Bloom filters, result cache, writer.
 Everything else exists once, on the facade: a query is compiled once,
-run on every partition of one pinned :class:`Snapshot` (in parallel via
-:class:`~repro.core.parallel.ShardExecutor` when ``workers > 1``) and
-merged.  Merging is exact: each record key belongs to exactly one
-partition, so the per-partition result lists are disjoint and the answer
-is their sorted concatenation; counters merge by summation, EXPLAIN
-traces keep one tree per partition.  With N = 1 the fan-out is a loop of
-one and the merge the identity -- the paper's one inverted file.
+run on every partition of one pinned :class:`Snapshot`, one after the
+other, and merged.  Merging is exact: each record key belongs to
+exactly one partition, so the per-partition result lists are disjoint
+and the answer is their sorted concatenation; counters merge by
+summation, EXPLAIN traces keep one tree per partition.  With N = 1 the
+fan-out is a loop of one and the merge the identity -- the paper's one
+inverted file.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ from .matchspec import QuerySpec
 from .model import NestedSet, as_nested_set
 from .observe import ExplainResult, MergedExplainResult, merge_explains, \
     run_explained
-from .parallel import ShardExecutor
 from .resultcache import ResultCache, ResultCacheGroup
-from .shard import HashShardPolicy, ShardError, commit_manifest, \
-    make_policy, partition_stores, read_manifest
+from .shard import ShardError, commit_manifest, partition_stores, \
+    read_manifest, shard_of
 from .snapshot import ModEpochs, SharedIndexState, SnapshotInvertedFile
 from .stats import CollectionStats
 from .updates import DEFAULT_MEMORY_BUDGET, IndexWriter, write_index
@@ -371,17 +370,11 @@ class _Reads:
     observes the same committed version.
     """
 
-    def _fan_out(self, task: Callable[[PartitionView], object],
-                 workers: int | None = None) -> list:
-        """Run ``task`` once per partition view; parallel when
-        ``workers`` (default: the index's pool) allow."""
-        executor = self._index._executor
+    def _fan_out(self, task: Callable[[PartitionView], object]) -> list:
+        """Run ``task`` once per partition view, in partition order."""
         snap = self._acquire()
         try:
-            if workers is None or workers == executor.max_workers:
-                return executor.map(task, snap.views)
-            with ShardExecutor(max_workers=workers) as pool:
-                return pool.map(task, snap.views)
+            return [task(view) for view in snap.views]
         finally:
             self._release(snap)
 
@@ -404,8 +397,7 @@ class _Reads:
             index.counters.merge(counters)
         return merged, counters
 
-    def run_plans(self, plans: Sequence[ExecutionPlan], *,
-                  workers: int | None = None
+    def run_plans(self, plans: Sequence[ExecutionPlan]
                   ) -> tuple[list[list[str]], ExecCounters]:
         """Run pre-compiled plans on every partition, each on its own
         (the paper's loop over Q); merge.
@@ -419,11 +411,10 @@ class _Reads:
             ctx = view.execution_context()
             return [plan.run(ctx) for plan in plans], ctx.counters
 
-        return self._merge(self._fan_out(run, workers))
+        return self._merge(self._fan_out(run))
 
     def run_shared(self, fold: QueryFold,
-                   evaluate: Callable[[ExecutionContext], list[list[str]]],
-                   *, workers: int | None = None
+                   evaluate: Callable[[ExecutionContext], list[list[str]]]
                    ) -> tuple[list[list[str]], ExecCounters]:
         """A batch that shares work across its queries, on every
         partition; merge.
@@ -442,14 +433,13 @@ class _Reads:
             fold.charge(ctx.counters)
             return results, ctx.counters
 
-        results, counters = self._merge(self._fan_out(run, workers))
+        results, counters = self._merge(self._fan_out(run))
         return fold.unfold(results), counters
 
     def query(self, query: object, *, algorithm: str | None = None,
               semantics: str = "hom", join: str = "subset",
               epsilon: int = 1, mode: str = "root",
-              use_bloom: bool = False,
-              workers: int | None = None) -> list[str]:
+              use_bloom: bool = False) -> list[str]:
         """Evaluate ``query ⋉ S``; returns sorted matching record keys.
 
         ``algorithm`` is one of ``bottomup`` / ``topdown`` /
@@ -466,14 +456,14 @@ class _Reads:
                          mode=mode)
         plan = compile_query(query, spec, algorithm=algorithm,
                              use_bloom=use_bloom)
-        return self.run_plans([plan], workers=workers)[0][0]
+        return self.run_plans([plan])[0][0]
 
     def query_batch(self, queries: Sequence[object], *,
                     share_subqueries: bool = True,
                     algorithm: str | None = None, semantics: str = "hom",
                     join: str = "subset", epsilon: int = 1,
-                    mode: str = "root", use_bloom: bool = False,
-                    workers: int | None = None) -> list[list[str]]:
+                    mode: str = "root", use_bloom: bool = False
+                    ) -> list[list[str]]:
         """Evaluate a workload of queries (the paper times 100 at a time).
 
         Every answer in the batch reflects the same index version even
@@ -508,15 +498,14 @@ class _Reads:
                                use_bloom=use_bloom)
                  for query in queries]
         if not share_subqueries:
-            return self.run_plans(plans, workers=workers)[0]
+            return self.run_plans(plans)[0]
         return self.run_shared(
-            fold, lambda ctx: [plan.run(ctx) for plan in plans],
-            workers=workers)[0]
+            fold, lambda ctx: [plan.run(ctx) for plan in plans])[0]
 
     def explain(self, query: object, *, algorithm: str | None = None,
                 semantics: str = "hom", join: str = "subset",
                 epsilon: int = 1, mode: str = "root",
-                use_bloom: bool = False, workers: int | None = None
+                use_bloom: bool = False
                 ) -> ExplainResult | MergedExplainResult:
         """Trace one query's evaluation (works for every algorithm).
 
@@ -533,8 +522,7 @@ class _Reads:
                              use_bloom=use_bloom, cacheable=False)
         started = time.perf_counter()
         traces = self._fan_out(
-            lambda view: run_explained(plan, view.execution_context()),
-            workers)
+            lambda view: run_explained(plan, view.execution_context()))
         return merge_explains(traces,
                               (time.perf_counter() - started) * 1000)
 
@@ -656,15 +644,13 @@ class NestedSetIndex(_Reads):
     is ``None`` is refused at construction.
     """
 
-    def __init__(self, base_store: KVStore, partitions: Sequence[Partition],
-                 policy: object, *, workers: int = 1) -> None:
+    def __init__(self, base_store: KVStore,
+                 partitions: Sequence[Partition]) -> None:
         if not partitions:
             raise ShardError("an index needs at least one partition")
         require_snapshots(base_store)
         self._base = base_store
         self._partitions = tuple(partitions)
-        self._policy = policy
-        self._executor = ShardExecutor(max_workers=workers)
         #: Serializes mutations (route + partition writes + commit as
         #: one unit): reads take no lock, so this mutex is the only
         #: writer-writer coordination.
@@ -696,8 +682,8 @@ class NestedSetIndex(_Reads):
     @classmethod
     def _build(cls, records: Iterable[tuple[str, object]], *,
                block_size: int, memory_budget: int | None = None,
-               storage: str, path: str | None, shards: int, workers: int,
-               shard_policy: object, store_options: dict,
+               storage: str, path: str | None, shards: int,
+               store_options: dict,
                cache: str | None, cache_budget: int,
                bloom: str | None = None,
                bloom_bits: int = 512) -> "NestedSetIndex":
@@ -711,13 +697,12 @@ class NestedSetIndex(_Reads):
         """
         if shards < 1:
             raise ShardError("shards must be >= 1")
-        policy = make_policy(shard_policy)
         if shards == 1:
             buckets: list = [records]       # streamed, never materialized
         else:
             buckets = [[] for _ in range(shards)]
             for key, value in records:
-                buckets[policy.shard_of(key, shards)].append((key, value))
+                buckets[shard_of(key, shards)].append((key, value))
         base = open_store(storage, path, create=True, **store_options)
         stores = partition_stores(base, shards if shards > 1 else None)
         partitions = [
@@ -729,8 +714,8 @@ class NestedSetIndex(_Reads):
                 cache_budget=max(1, cache_budget // shards))
             for bucket, store in zip(buckets, stores)]
         if shards > 1:
-            commit_manifest(base, shards, policy.name)
-        return cls(base, partitions, policy, workers=workers)
+            commit_manifest(base, shards)
+        return cls(base, partitions)
 
     @classmethod
     def build(cls, records: Iterable[tuple[str, object]], *,
@@ -738,8 +723,7 @@ class NestedSetIndex(_Reads):
               cache: str | None = None, cache_budget: int = PAPER_BUDGET,
               bloom: str | None = None, bloom_bits: int = 512,
               block_size: int = DEFAULT_BLOCK_SIZE,
-              shards: int = 1, workers: int = 1,
-              shard_policy: object = "hash",
+              shards: int = 1,
               **store_options: object) -> "NestedSetIndex":
         """Index ``(key, nested-set)`` records.
 
@@ -748,14 +732,14 @@ class NestedSetIndex(_Reads):
         prefilters consumed by the naive algorithm.
         ``block_size``: postings per block of a stored posting list.
         ``shards``: how many partitions the records are split across
-        (``shard_policy`` picks the partitioner); 1 stores the paper's
+        (by :func:`~repro.core.shard.shard_of`); 1 stores the paper's
         one inverted file, more store one namespace each plus a
-        manifest.  ``workers`` threads fan queries out.
+        manifest.
         """
         return cls._build(
             records, block_size=block_size,
-            storage=storage, path=path, shards=shards, workers=workers,
-            shard_policy=shard_policy, store_options=store_options,
+            storage=storage, path=path, shards=shards,
+            store_options=store_options,
             cache=cache, cache_budget=cache_budget, bloom=bloom,
             bloom_bits=bloom_bits)
 
@@ -766,8 +750,7 @@ class NestedSetIndex(_Reads):
                        cache: str | None = None,
                        cache_budget: int = PAPER_BUDGET,
                        block_size: int = DEFAULT_BLOCK_SIZE,
-                       shards: int = 1, workers: int = 1,
-                       shard_policy: object = "hash",
+                       shards: int = 1,
                        **store_options: object) -> "NestedSetIndex":
         """:meth:`build` with a bounded posting buffer.
 
@@ -781,47 +764,44 @@ class NestedSetIndex(_Reads):
         return cls._build(
             records, block_size=block_size,
             memory_budget=memory_budget // shards or memory_budget,
-            storage=storage, path=path, shards=shards, workers=workers,
-            shard_policy=shard_policy, store_options=store_options,
+            storage=storage, path=path, shards=shards,
+            store_options=store_options,
             cache=cache, cache_budget=cache_budget)
 
     @classmethod
     def open(cls, storage: str, path: str, *,
              cache: str | None = None, cache_budget: int = PAPER_BUDGET,
              bloom: str | None = None, bloom_bits: int = 512,
-             workers: int = 1,
              **store_options: object) -> "NestedSetIndex":
         """Reopen a disk-resident index built earlier (see
-        :meth:`from_store`; ``workers`` sizes the fan-out pool)."""
+        :meth:`from_store`)."""
         store = open_store(storage, path, create=False, **store_options)
         return cls.from_store(store, cache=cache, cache_budget=cache_budget,
-                              bloom=bloom, bloom_bits=bloom_bits,
-                              workers=workers)
+                              bloom=bloom, bloom_bits=bloom_bits)
 
     @classmethod
     def from_store(cls, store: KVStore, *,
                    cache: str | None = None,
                    cache_budget: int = PAPER_BUDGET,
-                   bloom: str | None = None, bloom_bits: int = 512,
-                   workers: int = 1) -> "NestedSetIndex":
+                   bloom: str | None = None, bloom_bits: int = 512
+                   ) -> "NestedSetIndex":
         """Bring up an index over an already-open store.
 
         The partitions are what the store says: without a manifest its
         key space is one inverted file, with one it names the namespaces
-        and the policy that routed the records.  Bloom filters persisted
+        (a manifest naming another routing than ``hash`` raises
+        :class:`~repro.core.shard.ShardError`).  Bloom filters persisted
         at build time reload directly when their kind matches; otherwise
         they are rebuilt from the record table (one sequential scan).
         """
         require_snapshots(store)
-        n_shards, policy_name = read_manifest(store) or (None, "hash")
-        stores = partition_stores(store, n_shards)
+        stores = partition_stores(store, read_manifest(store))
         budget = max(1, cache_budget // len(stores))
         partitions = [Partition(InvertedFile(view), cache=cache,
                                 cache_budget=budget, bloom=bloom,
                                 bloom_bits=bloom_bits)
                       for view in stores]
-        return cls(store, partitions, make_policy(policy_name),
-                   workers=workers)
+        return cls(store, partitions)
 
     # -- snapshots ---------------------------------------------------------
 
@@ -975,9 +955,6 @@ class NestedSetIndex(_Reads):
             partition.reload_live_state()
         self._retire_shared_pin()
 
-    def _route(self, key: str) -> int:
-        return self._policy.shard_of(key, len(self._partitions))
-
     def insert(self, key: str, value: object) -> int:
         """Add one record to the live index; returns its ordinal within
         the owning partition.  A commit group of one: see
@@ -1003,12 +980,11 @@ class NestedSetIndex(_Reads):
         materialized = [(key, as_nested_set(value))
                         for key, value in records]
         with self._mutation(label):
-            # Route first (in submission order, so stateful policies
-            # like round-robin scatter exactly as single inserts do),
-            # then hand each partition its whole slice.
+            # Route first, then hand each partition its whole slice.
+            n_shards = len(self._partitions)
             slices: dict[int, list[int]] = {}
             for pos, (key, _tree) in enumerate(materialized):
-                slices.setdefault(self._route(key), []).append(pos)
+                slices.setdefault(shard_of(key, n_shards), []).append(pos)
             ordinals = [0] * len(materialized)
             for shard_no, positions in slices.items():
                 inserted = self._partitions[shard_no].insert_group(
@@ -1018,21 +994,11 @@ class NestedSetIndex(_Reads):
         return ordinals
 
     def delete(self, key: str) -> bool:
-        """Tombstone the record with ``key``; see repro.core.updates.
-
-        Under a key-deterministic policy only the owning partition is
-        asked; under another (round-robin) the routed partition may
-        miss, so the others are tried (at most one can hold the key).
-        """
+        """Tombstone the record with ``key`` in the partition that owns
+        it; see repro.core.updates."""
         with self._mutation(b"delete"):
-            routed = self._route(key)
-            if self._partitions[routed].delete(key):
-                return True
-            if isinstance(self._policy, HashShardPolicy):
-                return False
-            return any(partition.delete(key)
-                       for shard_no, partition in enumerate(self._partitions)
-                       if shard_no != routed)
+            return self._partitions[
+                shard_of(key, len(self._partitions))].delete(key)
 
     def compact(self, *, storage: str = "memory",
                 path: str | None = None,
@@ -1056,7 +1022,7 @@ class NestedSetIndex(_Reads):
             if n_shards > 1:
                 # Last: until it lands the fresh store is not a valid
                 # index and the old store is still whole.
-                commit_manifest(fresh_base, n_shards, self._policy.name)
+                commit_manifest(fresh_base, n_shards)
             # Drop the cached shared pin first: it holds a base
             # refcount, and closing it here (when idle) lets the old
             # base close immediately below instead of deferring.
@@ -1172,8 +1138,6 @@ class NestedSetIndex(_Reads):
             "store": self._base.stats.snapshot(),
             "shards": {
                 "count": len(self._partitions),
-                "policy": self._policy.name,
-                "workers": self._executor.max_workers,
                 "exec": self.counters.snapshot(),
                 # How each partition reached its lists: store gets of a
                 # list value vs. warm lists handed out without one.
@@ -1213,14 +1177,6 @@ class NestedSetIndex(_Reads):
         return self._partitions
 
     @property
-    def policy(self) -> object:
-        return self._policy
-
-    @property
-    def workers(self) -> int:
-        return self._executor.max_workers
-
-    @property
     def base_store(self) -> KVStore:
         """The one physical store every partition lives in."""
         return self._base
@@ -1258,7 +1214,6 @@ class NestedSetIndex(_Reads):
 
     def close(self) -> None:
         self._retire_shared_pin()
-        self._executor.shutdown()
         with self._gen_lock:
             idle = self._retire_base()
         if idle is not None:

@@ -94,8 +94,7 @@ def containment_join(index: NestedSetIndex,
                      strategy: str = "per-query",
                      algorithm: str | None = None,
                      spec: QuerySpec = QuerySpec(),
-                     use_bloom: bool = False,
-                     workers: int | None = None) -> JoinResult:
+                     use_bloom: bool = False) -> JoinResult:
     """Evaluate ``Q ⋈ S`` over an indexed collection ``S``.
 
     ``queries`` supplies Q as ``(key, nested set)`` pairs; pairs are
@@ -138,8 +137,7 @@ def containment_join(index: NestedSetIndex,
                 "the prefix strategy cannot honor use_bloom=True")
         fold = QueryFold(trees)
         results, counters = index.run_shared(
-            fold, lambda ctx: prefix_join_lists(fold.distinct, ctx, spec),
-            workers=workers)
+            fold, lambda ctx: prefix_join_lists(fold.distinct, ctx, spec))
         extra.update(prefix_nodes=counters.prefix_nodes,
                      prefix_streams=counters.prefix_streams,
                      prefix_reused=counters.prefix_reused)
@@ -149,14 +147,13 @@ def containment_join(index: NestedSetIndex,
                                use_bloom=use_bloom)
                  for query in fold.distinct]
         results, counters = index.run_shared(
-            fold, lambda ctx: [plan.run(ctx) for plan in plans],
-            workers=workers)
+            fold, lambda ctx: [plan.run(ctx) for plan in plans])
     else:
         plan_algorithm = "naive" if effective == "naive" else algorithm
         plans = [compile_query(query, spec, algorithm=plan_algorithm,
                                use_bloom=use_bloom)
                  for query in trees]
-        results, counters = index.run_plans(plans, workers=workers)
+        results, counters = index.run_plans(plans)
     if effective in ("prefix", "batched"):
         extra["subqueries_evaluated"] = counters.subqueries_evaluated
         extra["subqueries_reused"] = counters.subqueries_reused

@@ -5,13 +5,12 @@ inverted files.  With N = 1 the one file owns the store's whole key
 space -- the paper's monolithic inverted file.  With N > 1 the files
 live side by side in **one** physical store under per-partition key
 namespaces (:class:`~repro.storage.NamespacedStore`, ``x<i>:``), and a
-manifest key records how many there are and which policy assigned the
-records.  This module is everything that is about the *layout* and
-nothing that is about evaluation:
+manifest key records how many there are.  This module is everything
+that is about the *layout* and nothing that is about evaluation:
 
-* the partitioning policies (``shard_of(key, n_shards)``) and their
-  registry -- each record key belongs to exactly one partition, which is
-  what makes the merged answer of a fan-out exact;
+* the routing, :func:`shard_of` -- each record key belongs to exactly
+  one partition, which is what makes the merged answer of a fan-out
+  exact and what lets an update touch only its owner;
 * the manifest (:func:`read_manifest` / :func:`commit_manifest`), always
   written *last*, so a store never names partitions that are half built;
 * :func:`partition_stores`, the one mapping from a base store and what
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import threading
 import zlib
-from typing import Callable
 
 from ..storage import (
     KVStore,
@@ -39,16 +37,13 @@ from ..storage import (
 )
 
 __all__ = [
-    "HashShardPolicy",
     "MANIFEST_KEY",
-    "POLICIES",
-    "RoundRobinShardPolicy",
+    "ROUTING",
     "ShardError",
     "commit_manifest",
-    "make_policy",
     "partition_stores",
     "read_manifest",
-    "register_policy",
+    "shard_of",
     "write_manifest",
 ]
 
@@ -57,75 +52,19 @@ class ShardError(Exception):
     """Sharding configuration or routing failure."""
 
 
-# -- partitioning policies --------------------------------------------------
+#: The routing's name in the manifest, the only one an index opens.
+ROUTING = "hash"
 
 
-class HashShardPolicy:
-    """Default policy: stable hash of the record key, modulo shard count.
+def shard_of(key: str, n_shards: int) -> int:
+    """The partition that owns ``key``: CRC-32 of the key, modulo N.
 
-    Uses CRC-32 rather than :func:`hash` so the record→shard assignment
-    is identical across processes (``PYTHONHASHSEED`` randomises ``hash``
-    for strings); a persisted sharded index must route a later ``delete``
-    to the same shard that ``build`` picked.
+    CRC-32 rather than :func:`hash`, so the assignment is identical
+    across processes (``PYTHONHASHSEED`` randomises ``hash`` for
+    strings): a persisted index routes a later ``delete`` to the
+    partition that ``build`` picked.
     """
-
-    name = "hash"
-
-    def shard_of(self, key: str, n_shards: int) -> int:
-        return zlib.crc32(key.encode("utf-8")) % n_shards
-
-
-class RoundRobinShardPolicy:
-    """Balance-first policy: records go to shards in arrival order.
-
-    Gives perfectly even shard sizes but is **not** key-deterministic,
-    so routed single-record updates fall back to a key lookup across
-    shards (delete) or the hash of the key (insert).  Useful for bulk
-    workloads where balance matters more than routing.
-    """
-
-    name = "roundrobin"
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def shard_of(self, key: str, n_shards: int) -> int:
-        shard = self._next % n_shards
-        self._next += 1
-        return shard
-
-
-#: Registered policy constructors, keyed by manifest name.
-POLICIES: dict[str, Callable[[], object]] = {
-    HashShardPolicy.name: HashShardPolicy,
-    RoundRobinShardPolicy.name: RoundRobinShardPolicy,
-}
-
-
-def register_policy(name: str, factory: Callable[[], object]) -> None:
-    """Register a custom partitioning policy under a manifest name.
-
-    The factory must build objects exposing ``shard_of(key, n_shards)``
-    and a ``name`` attribute equal to ``name`` (the manifest persists
-    the name, and opening the index resolves it through this
-    registry).
-    """
-    POLICIES[name] = factory
-
-
-def make_policy(spec: object) -> object:
-    """Resolve a policy spec: a registered name or a policy object."""
-    if isinstance(spec, str):
-        try:
-            return POLICIES[spec]()
-        except KeyError:
-            raise ShardError(
-                f"unknown shard policy {spec!r}; registered: "
-                f"{sorted(POLICIES)}") from None
-    if not hasattr(spec, "shard_of") or not hasattr(spec, "name"):
-        raise ShardError("a shard policy needs shard_of(key, n_shards) "
-                         "and a name attribute")
-    return spec
+    return zlib.crc32(key.encode("utf-8")) % n_shards
 
 
 # -- manifest ----------------------------------------------------------------
@@ -135,16 +74,16 @@ def make_policy(spec: object) -> object:
 MANIFEST_KEY = b"X:shards"
 
 
-def write_manifest(store: KVStore, n_shards: int, policy_name: str) -> None:
-    """Persist the shard layout on the *base* store."""
+def write_manifest(store: KVStore, n_shards: int, routing: str) -> None:
+    """Persist the shard layout on the *base* store under a routing
+    name (an index writes :data:`ROUTING`)."""
     payload = encode_varint(n_shards)
-    name = policy_name.encode("utf-8")
+    name = routing.encode("utf-8")
     payload += encode_varint(len(name)) + name
     store.put(MANIFEST_KEY, payload)
 
 
-def commit_manifest(store: KVStore, n_shards: int,
-                     policy_name: str) -> None:
+def commit_manifest(store: KVStore, n_shards: int) -> None:
     """Durably publish the shard layout as the *last* step of a build.
 
     The shard contents are flushed first; the manifest write itself
@@ -154,19 +93,26 @@ def commit_manifest(store: KVStore, n_shards: int,
     """
     store.sync()
     with store.transaction(b"manifest"):
-        write_manifest(store, n_shards, policy_name)
+        write_manifest(store, n_shards, ROUTING)
 
 
-def read_manifest(store: KVStore) -> tuple[int, str] | None:
-    """``(n_shards, policy name)`` of a base store, or ``None`` when the
-    store holds one un-namespaced inverted file."""
+def read_manifest(store: KVStore) -> int | None:
+    """The partition count of a base store, or ``None`` when the store
+    holds one un-namespaced inverted file.
+
+    A manifest naming another routing than :data:`ROUTING` is refused:
+    its records are not where :func:`shard_of` looks for them.
+    """
     raw = store.get(MANIFEST_KEY)
     if raw is None:
         return None
     n_shards, pos = decode_varint(raw, 0)
     name_len, pos = decode_varint(raw, pos)
-    policy_name = raw[pos:pos + name_len].decode("utf-8")
-    return n_shards, policy_name
+    routing = raw[pos:pos + name_len].decode("utf-8")
+    if routing != ROUTING:
+        raise ShardError(f"store partitioned by {routing!r}; only "
+                         f"{ROUTING!r} routing opens")
+    return n_shards
 
 
 def _shard_prefix(shard_no: int) -> bytes:

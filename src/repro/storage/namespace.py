@@ -31,9 +31,9 @@ class NamespacedStore(KVStore):
     physical traffic).
 
     ``lock``: when several views over one *disk* store are driven from
-    different threads (the sharded index's parallel fan-out), the views
-    must share one lock -- the paged-file stores seek and read on a
-    single file handle.  Views over the in-memory store can go without
+    different threads (a server's request threads reading a sharded
+    index side by side), the views must share one lock -- the
+    paged-file stores seek and read on a single file handle.  Views over the in-memory store can go without
     (dict operations are atomic under the GIL).
     """
 

@@ -12,7 +12,7 @@ sharded layout's headline advantage on mixed workloads)."""
 from __future__ import annotations
 
 from repro.core.engine import NestedSetIndex
-from repro.core.shard import HashShardPolicy
+from repro.core.shard import shard_of
 
 RECORDS = [(f"r{i}", "{hub, leaf%d}".replace("%d", str(i % 4)))
            for i in range(16)]
@@ -81,7 +81,7 @@ class TestShardedPartialInvalidation:
         assert cache.stats.hits == 7
         assert cache.stats.invalidations == 0
 
-        owner = HashShardPolicy().shard_of("fresh", index.n_shards)
+        owner = shard_of("fresh", index.n_shards)
         per_shard_hits = [engine.result_cache.stats.hits
                           for engine in index.shards]
         for shard_no, hits in enumerate(per_shard_hits):

@@ -63,8 +63,7 @@ class TestSnapshotSupportIsRequired:
 
 def _build(shards: int):
     records = list(generate_dataset("uniform-wide", 80, seed=11))
-    return NestedSetIndex.build(records, shards=shards,
-                                workers=2 if shards > 1 else 1)
+    return NestedSetIndex.build(records, shards=shards)
 
 
 @pytest.mark.parametrize("shards", [1, 4])

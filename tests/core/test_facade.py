@@ -40,7 +40,7 @@ def _check_reads(reader, model) -> None:
         assert reader.explain(query, algorithm="naive").matches == matches
     spec = QuerySpec(join="overlap", epsilon=2, mode="anywhere")
     assert reader.query(QUERIES[0], join="overlap", epsilon=2,
-                        mode="anywhere", workers=3) == \
+                        mode="anywhere") == \
         reference_query(model, QUERIES[0], spec)
     assert reader.n_records >= len(model)       # tombstones keep ordinals
 
@@ -51,9 +51,8 @@ def test_public_surface_agrees_with_the_oracle(tmp_path, shards,
                                                storage) -> None:
     path = None if storage == "memory" else str(tmp_path / "a.idx")
     index = NestedSetIndex.build(RECORDS, storage=storage, path=path,
-                                 shards=shards, workers=2, bloom="flat")
-    assert (index.n_shards, index.workers) == (shards, 2)
-    assert len(index.shards) == shards and index.policy.name == "hash"
+                                 shards=shards, bloom="flat")
+    assert index.n_shards == len(index.shards) == shards
 
     # -- the stored layout is a function of the partition count ----------
     if storage == "memory":

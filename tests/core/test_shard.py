@@ -1,23 +1,21 @@
 """An index of k partitions: equivalence with the one-partition index,
-persistence, routing, merge semantics, and the fan-out executor."""
+persistence, routing and merge semantics."""
 
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.engine import NestedSetIndex
 from repro.core.observe import ExplainResult, MergedExplainResult
-from repro.core.parallel import ShardExecutor
 from repro.core.shard import (
     MANIFEST_KEY,
-    HashShardPolicy,
-    RoundRobinShardPolicy,
     ShardError,
-    make_policy,
     read_manifest,
-    register_policy,
+    shard_of,
+    write_manifest,
 )
 from repro.storage import MemoryKVStore, NamespacedStore
 
@@ -25,52 +23,82 @@ from ..conftest import random_tree
 from .test_equivalence_matrix import VALID_COMBOS, _corpus, _queries
 
 
-def _build_pair(seed: int, shards: int, workers: int):
+def _build_pair(seed: int, shards: int):
     records = _corpus(seed)
     mono = NestedSetIndex.build(records, shards=1)
-    sharded = NestedSetIndex.build(records, shards=shards, workers=workers)
+    sharded = NestedSetIndex.build(records, shards=shards)
     assert (mono.n_shards, sharded.n_shards) == (1, shards)
     return mono, sharded
 
 
+def _check_all(readers: int, items: list, check) -> None:
+    """``check`` every item, spread over ``readers`` threads that read
+    at once; the first failure re-raises here."""
+    def check_part(part: list) -> None:
+        for item in part:
+            check(item)
+
+    with ThreadPoolExecutor(max_workers=readers) as pool:
+        futures = [pool.submit(check_part, items[i::readers])
+                   for i in range(readers)]
+        for future in futures:
+            future.result()
+
+
 @pytest.mark.parametrize("shards", [1, 3, 4])
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("readers", [1, 4])
 class TestShardedEquivalenceMatrix:
-    """The acceptance matrix: k partitions == one, everywhere."""
+    """The acceptance matrix: k partitions == one, everywhere, from one
+    reader thread or from four at once (callers bring the threads, as a
+    server's request pool does; the index reads its partitions in a
+    plain loop)."""
 
     @pytest.mark.parametrize("semantics,join", VALID_COMBOS)
-    def test_query_matrix(self, shards, workers, semantics, join) -> None:
-        mono, sharded = _build_pair(7, shards, workers)
-        for mode in ("root", "anywhere"):
-            for query in _queries(107, n=6):
-                expected = mono.query(query, semantics=semantics,
-                                      join=join, mode=mode)
-                for algorithm in ("bottomup", "topdown", "naive"):
-                    got = sharded.query(query, algorithm=algorithm,
-                                        semantics=semantics, join=join,
-                                        mode=mode)
-                    assert got == expected, \
-                        (shards, workers, algorithm, semantics, join, mode)
+    def test_query_matrix(self, shards, readers, semantics, join) -> None:
+        mono, sharded = _build_pair(7, shards)
 
-    def test_query_batch_and_join(self, shards, workers) -> None:
-        mono, sharded = _build_pair(8, shards, workers)
+        def check(case) -> None:
+            mode, query = case
+            expected = mono.query(query, semantics=semantics,
+                                  join=join, mode=mode)
+            for algorithm in ("bottomup", "topdown", "naive"):
+                got = sharded.query(query, algorithm=algorithm,
+                                    semantics=semantics, join=join,
+                                    mode=mode)
+                assert got == expected, \
+                    (shards, algorithm, semantics, join, mode)
+
+        _check_all(readers, [(mode, query)
+                             for mode in ("root", "anywhere")
+                             for query in _queries(107, n=6)], check)
+
+    def test_query_batch_and_join(self, shards, readers) -> None:
+        mono, sharded = _build_pair(8, shards)
         queries = _queries(108, n=8)
-        assert sharded.query_batch(queries) == mono.query_batch(queries)
         keyed = [(f"q{i}", query) for i, query in enumerate(queries)]
-        assert sharded.containment_join(keyed) == \
-            mono.containment_join(keyed)
 
-    def test_explain_matches_query(self, shards, workers) -> None:
-        mono, sharded = _build_pair(9, shards, workers)
-        for query in _queries(109, n=4):
+        def check(_round) -> None:
+            assert sharded.query_batch(queries) == \
+                mono.query_batch(queries)
+            assert sharded.containment_join(keyed) == \
+                mono.containment_join(keyed)
+
+        _check_all(readers, list(range(readers)), check)
+
+    def test_explain_matches_query(self, shards, readers) -> None:
+        mono, sharded = _build_pair(9, shards)
+
+        def check(query) -> None:
             result = sharded.explain(query, algorithm="topdown")
             assert result.matches == mono.query(query, algorithm="topdown")
             if shards == 1:     # the merge of one trace is that trace
                 assert isinstance(result, ExplainResult)
-                continue
+                return
             assert isinstance(result, MergedExplainResult)
             assert len(result.shards) == shards
             assert "shards]" in result.render().splitlines()[0]
+
+        _check_all(readers, _queries(109, n=4), check)
 
 
 class TestShardedBuildAndOpen:
@@ -84,9 +112,8 @@ class TestShardedBuildAndOpen:
         expected = [index.query(query) for query in queries]
         index.close()
 
-        reopened = NestedSetIndex.open(storage, path, workers=4)
+        reopened = NestedSetIndex.open(storage, path)
         assert reopened.n_shards == 3
-        assert reopened.workers == 4
         assert reopened.n_records == len(records)
         assert [reopened.query(query) for query in queries] == expected
         reopened.close()
@@ -102,7 +129,7 @@ class TestShardedBuildAndOpen:
 
     def test_manifest_written(self) -> None:
         index = NestedSetIndex.build(_corpus(13), shards=4)
-        assert read_manifest(index.base_store) == (4, "hash")
+        assert read_manifest(index.base_store) == 4
         assert index.base_store.get(MANIFEST_KEY) is not None
 
     def test_build_external_sharded(self) -> None:
@@ -129,10 +156,9 @@ class TestShardedBuildAndOpen:
 class TestRoutingAndUpdates:
     def test_insert_routes_to_owning_shard(self) -> None:
         index = NestedSetIndex.build(_corpus(15), shards=3)
-        policy = HashShardPolicy()
         before = [engine.n_records for engine in index.shards]
         index.insert("fresh-key", "{a0, {a1}}")
-        owner = policy.shard_of("fresh-key", 3)
+        owner = shard_of("fresh-key", 3)
         after = [engine.n_records for engine in index.shards]
         assert after[owner] == before[owner] + 1
         assert sum(after) == sum(before) + 1
@@ -182,54 +208,29 @@ class TestRoutingAndUpdates:
 
 
 class TestPolicies:
+    """``hash`` is the one routing: a function of the key alone."""
+
     def test_hash_policy_is_process_stable(self) -> None:
         # crc32, not hash(): the same key must route identically in a
         # different process (PYTHONHASHSEED randomizes str hashing).
-        assert HashShardPolicy().shard_of("tim", 4) == \
-            HashShardPolicy().shard_of("tim", 4)
         import zlib
-        assert HashShardPolicy().shard_of("tim", 4) == \
-            zlib.crc32(b"tim") % 4
+        assert shard_of("tim", 4) == zlib.crc32(b"tim") % 4
 
-    def test_roundrobin_balances_and_deletes(self) -> None:
-        records = [(f"r{i}", "{x}") for i in range(12)]
-        index = NestedSetIndex.build(records, shards=4,
-                                     shard_policy="roundrobin")
-        assert [engine.n_records for engine in index.shards] == [3, 3, 3, 3]
-        # Routed delete may miss under round-robin; the fallback scans.
-        for key, _tree in records:
-            assert index.delete(key)
-        assert index.query("{x}") == []
-
-    def test_make_policy_validation(self) -> None:
-        assert isinstance(make_policy("hash"), HashShardPolicy)
-        assert isinstance(make_policy("roundrobin"), RoundRobinShardPolicy)
-        with pytest.raises(ShardError):
-            make_policy("no-such-policy")
-        with pytest.raises(ShardError):
-            make_policy(object())
-
-    def test_register_custom_policy(self) -> None:
-        class FirstShardPolicy:
-            name = "first-only"
-
-            def shard_of(self, key: str, n_shards: int) -> int:
-                return 0
-
-        register_policy("first-only", FirstShardPolicy)
-        try:
-            index = NestedSetIndex.build(_corpus(19), shards=3,
-                                         shard_policy="first-only")
-            assert index.shards[0].n_records == len(_corpus(19))
-            assert index.shards[1].n_records == 0
-        finally:
-            from repro.core.shard import POLICIES
-            del POLICIES["first-only"]
+    def test_store_routed_otherwise_is_refused(self) -> None:
+        # Records of a store routed by anything but the hash are not
+        # where shard_of looks: its deletes would silently miss.
+        index = NestedSetIndex.build(_corpus(19), shards=3)
+        write_manifest(index.base_store, 3, "roundrobin")
+        with pytest.raises(ShardError, match="roundrobin"):
+            NestedSetIndex.from_store(index.base_store)
+        write_manifest(index.base_store, 3, "hash")
+        reopened = NestedSetIndex.from_store(index.base_store)
+        assert reopened.n_records == len(_corpus(19))
 
 
 class TestMergedStatistics:
     def test_counters_merge_across_shards(self) -> None:
-        mono, sharded = _build_pair(20, 3, 1)
+        mono, sharded = _build_pair(20, 3)
         queries = _queries(120, n=5)
         for query in queries:
             mono_ctx_result = mono.query(query)
@@ -241,17 +242,15 @@ class TestMergedStatistics:
         assert sharded.counters.queries == 0
 
     def test_stats_shape(self) -> None:
-        _mono, sharded = _build_pair(21, 3, 2)
+        _mono, sharded = _build_pair(21, 3)
         sharded.query(_queries(121, n=1)[0])
         stats = sharded.stats()
         assert stats["shards"]["count"] == 3
-        assert stats["shards"]["policy"] == "hash"
-        assert stats["shards"]["workers"] == 2
         assert stats["index"]["records"] == sharded.n_records
         assert "hit_rate" in stats["cache"]
 
     def test_collection_stats_match_monolithic(self) -> None:
-        mono, sharded = _build_pair(22, 4, 1)
+        mono, sharded = _build_pair(22, 4)
         mono_stats = mono.collection_stats()
         sharded_stats = sharded.collection_stats()
         assert sharded_stats.n_records == mono_stats.n_records
@@ -261,17 +260,17 @@ class TestMergedStatistics:
                 mono_stats.document_frequency(atom)
 
     def test_frequencies_merge(self) -> None:
-        mono, sharded = _build_pair(23, 3, 1)
+        mono, sharded = _build_pair(23, 3)
         assert dict(sharded.frequencies()) == \
             dict(mono.inverted_file.frequencies())
 
     def test_match_nodes_raises(self) -> None:
-        _mono, sharded = _build_pair(24, 2, 1)
+        _mono, sharded = _build_pair(24, 2)
         with pytest.raises(ShardError):
             sharded.match_nodes("{a0}")
 
     def test_self_check_agrees(self) -> None:
-        _mono, sharded = _build_pair(25, 3, 1)
+        _mono, sharded = _build_pair(25, 3)
         for query in _queries(125, n=2):
             results = sharded.self_check(query)
             assert len(set(map(tuple, results.values()))) == 1
@@ -311,70 +310,3 @@ class TestNamespacedStore:
         view.get(b"k")
         assert view.stats.gets == 1 and view.stats.puts == 1
         assert base.stats.gets == 1 and base.stats.puts == 1
-
-
-class TestShardExecutor:
-    def test_sequential_fallback(self) -> None:
-        executor = ShardExecutor(max_workers=1)
-        assert executor.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-        assert executor._pool is None
-
-    def test_parallel_preserves_order(self) -> None:
-        with ShardExecutor(max_workers=4) as executor:
-            assert executor.map(lambda x: x * 2, list(range(16))) == \
-                [x * 2 for x in range(16)]
-
-    def test_exceptions_propagate(self) -> None:
-        def boom(x: int) -> int:
-            if x == 2:
-                raise RuntimeError("task failed")
-            return x
-
-        with ShardExecutor(max_workers=3) as executor:
-            with pytest.raises(RuntimeError):
-                executor.map(boom, [1, 2, 3])
-        with pytest.raises(RuntimeError):
-            ShardExecutor(max_workers=1).map(boom, [2])
-
-    def test_invalid_workers(self) -> None:
-        with pytest.raises(ValueError):
-            ShardExecutor(max_workers=0)
-
-
-class TestRoundRobinDeleteFallback:
-    """Regression: the fallback sweep must not re-try the routed shard
-    (it already missed), and must try every other shard exactly once."""
-
-    @staticmethod
-    def _instrumented(index: NestedSetIndex) -> list[int]:
-        calls: list[int] = []
-        for shard_no, engine in enumerate(index.shards):
-            original = engine.delete
-
-            def wrapped(key, _original=original, _no=shard_no):
-                calls.append(_no)
-                return _original(key)
-
-            engine.delete = wrapped  # type: ignore[method-assign]
-        return calls
-
-    def test_fallback_skips_routed_shard(self) -> None:
-        records = [(f"r{i}", "{x}") for i in range(8)]
-        index = NestedSetIndex.build(records, shards=4,
-                                     shard_policy="roundrobin")
-        calls = self._instrumented(index)
-        # Build consumed 8 round-robin slots, so this delete routes to
-        # shard 0 -- but "r1" lives in shard 1: the fallback must fire.
-        assert index.delete("r1")
-        assert calls[0] == 0                  # the routed miss
-        assert calls.count(0) == 1            # ...never re-tried
-        assert calls == [0, 1]                # sweep stopped at the hit
-
-    def test_missing_key_tries_each_shard_once(self) -> None:
-        records = [(f"r{i}", "{x}") for i in range(8)]
-        index = NestedSetIndex.build(records, shards=4,
-                                     shard_policy="roundrobin")
-        calls = self._instrumented(index)
-        assert not index.delete("never-there")
-        assert len(calls) == index.n_shards   # routed + 3 others, no dupes
-        assert sorted(calls) == [0, 1, 2, 3]

@@ -12,7 +12,7 @@ from repro.core.invfile import InvertedFile
 from repro.core.matchspec import QuerySpec
 from repro.core.model import NestedSet
 from repro.core.naive import reference_query
-from repro.core.shard import HashShardPolicy
+from repro.core.shard import shard_of
 from repro.core.updates import IndexWriter, UpdateError
 from tests.conftest import document_frequencies, random_tree, \
     reported_frequencies
@@ -54,9 +54,25 @@ class TestInsert:
         check_against(index, small_corpus + added, "many")
 
     def test_duplicate_key_rejected(self, small_corpus) -> None:
-        index = NestedSetIndex.build(small_corpus)
-        with pytest.raises(UpdateError):
-            index.insert(small_corpus[0][0], N(["a1"]))
+        # A key has one owning partition, so a repeat meets its first
+        # copy there at any partition count.
+        key = small_corpus[0][0]
+        for shards in (1, 4):
+            with pytest.raises(UpdateError):
+                NestedSetIndex.build(small_corpus + [(key, N(["a1"]))],
+                                     shards=shards)
+            index = NestedSetIndex.build(small_corpus, shards=shards)
+            with pytest.raises(UpdateError):
+                index.insert(key, N(["a1"]))
+            with pytest.raises(UpdateError):
+                index.insert_batch([("fresh", N(["a1"])),
+                                    (key, N(["a1"]))])
+            with pytest.raises(UpdateError):
+                index.insert_batch([("twice", N(["a1"])),
+                                    ("twice", N(["a2"]))])
+            assert index.n_records == len(small_corpus)
+            assert index.query(N(["a1"])) == reference_query(
+                small_corpus, N(["a1"]), QuerySpec())
 
     def test_insert_updates_counts_and_stats(self, small_corpus) -> None:
         index = NestedSetIndex.build(small_corpus)
@@ -280,9 +296,9 @@ class TestFailedBatch:
         def batch_ending_in(duplicate):
             # The shard that will refuse comes last, so on 4 shards the
             # slices of other shards are complete when the group aborts.
-            last = HashShardPolicy().shard_of(duplicate[0], shards)
-            return sorted(fresh, key=lambda record: HashShardPolicy(
-                ).shard_of(record[0], shards) == last) + [duplicate]
+            last = shard_of(duplicate[0], shards)
+            return sorted(fresh, key=lambda record: shard_of(
+                record[0], shards) == last) + [duplicate]
 
         def state(idx):
             return (idx.query(N(["common"])),
@@ -351,9 +367,9 @@ class TestAbortedDelete:
                                      shards=shards)
         # The next delete on the partition of the aborted one is the one
         # that would write its leftovers out.
-        home = HashShardPolicy().shard_of("r00", shards)
+        home = shard_of("r00", shards)
         neighbour = next(key for key, _tree in records[1:] if
-                         HashShardPolicy().shard_of(key, shards) == home)
+                         shard_of(key, shards) == home)
 
         def state(idx):
             return (idx.query(N(["a"])), idx.n_records,

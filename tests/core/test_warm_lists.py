@@ -25,6 +25,7 @@ import threading
 
 import pytest
 
+from repro.core import shard
 from repro.core.cache import BlockCache
 from repro.core.engine import NestedSetIndex
 from repro.core.invfile import InvertedFile
@@ -120,10 +121,10 @@ def _refused_group(index) -> list[tuple[str, str]]:
     last repeats a live key -- routed, on a partitioned index, to a
     partition written after the fresh record's, so the fresh list is
     written (and its epoch bumped) before the group is refused."""
-    home = index.policy.shard_of("new", index.n_shards)
+    home = shard.shard_of("new", index.n_shards)
     live = next(key for key, _text in RECORDS
                 if index.n_shards == 1
-                or index.policy.shard_of(key, index.n_shards) != home)
+                or shard.shard_of(key, index.n_shards) != home)
     return [("new", FRESH), (live, "{hub}")]
 
 
