@@ -50,7 +50,6 @@ from .prefixjoin import (
     choose_strategy,
     prefix_join_lists,
 )
-from .resultcache import ResultCache
 from .shard import ShardError
 from .seqs import (
     NestedSeq,
@@ -122,7 +121,6 @@ __all__ = [
     "PlanError",
     "PrefixTree",
     "PAPER_BUDGET",
-    "ResultCache",
     "PathList",
     "PostingList",
     "QuerySpec",

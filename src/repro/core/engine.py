@@ -19,7 +19,7 @@ One index is N >= 1 :class:`Partition`\\ s -- independent inverted files
 over disjoint slices of the records (:mod:`repro.core.shard` says who
 owns a record and where a partition's keys live).  A :class:`Partition`
 holds what is per inverted file: the live file and its block cache,
-modification epochs, Bloom filters, result cache, writer.
+modification epochs, Bloom filters, writer.
 Everything else exists once, on the facade: a query is compiled once,
 run on every partition of one pinned :class:`Snapshot`, one after the
 other, and merged.  Merging is exact: each record key belongs to
@@ -51,7 +51,6 @@ from .matchspec import QuerySpec
 from .model import NestedSet, as_nested_set
 from .observe import ExplainResult, MergedExplainResult, merge_explains, \
     run_explained
-from .resultcache import ResultCache, ResultCacheGroup
 from .shard import ShardError, commit_manifest, partition_stores, \
     read_manifest, shard_of
 from .snapshot import ModEpochs, SharedIndexState, SnapshotInvertedFile
@@ -60,15 +59,6 @@ from .updates import DEFAULT_MEMORY_BUDGET, IndexWriter, write_index
 
 __all__ = ["ALGORITHMS", "NestedSetIndex", "Partition", "PartitionView",
            "Snapshot", "as_nested_set"]
-
-#: Reserved epoch token bumped by *every* mutation of one partition
-#: (inserts and deletes alike).  Its floor at a pinned version counts
-#: the mutations of this partition visible there, and scopes the result
-#: cache: two versions with an equal floor saw the identical partition
-#: state, so commits to sibling partitions of the shared store do not
-#: thrash this partition's cached results.
-_RESULT_EPOCH = "\x00index"
-
 
 @contextmanager
 def commit_group(store: KVStore, label: bytes,
@@ -138,20 +128,12 @@ class PartitionView:
     was opened over.
     """
 
-    __slots__ = ("_ifile", "_bloom", "_result_cache")
+    __slots__ = ("_ifile", "_bloom")
 
-    def __init__(self, partition: "Partition", ifile: SnapshotInvertedFile,
-                 generation: InvertedFile) -> None:
+    def __init__(self, ifile: SnapshotInvertedFile,
+                 bloom: BloomIndex | None) -> None:
         self._ifile = ifile
-        self._bloom = partition.bloom_index
-        result_cache = partition.result_cache
-        if result_cache is not None:
-            # Scope entries to (generation, mutation floor): a commit
-            # starts a fresh key space instead of invalidating, and a
-            # slow reader can only re-populate its own floor's entries.
-            floor = partition._epochs.floor(_RESULT_EPOCH, ifile.version)
-            result_cache = result_cache.at_version((id(generation), floor))
-        self._result_cache = result_cache
+        self._bloom = bloom
 
     @property
     def inverted_file(self) -> SnapshotInvertedFile:
@@ -170,7 +152,6 @@ class PartitionView:
         """An execution context bound to this pinned view."""
         return ExecutionContext(
             ifile=self._ifile, bloom_index=self._bloom,
-            result_cache=self._result_cache,
             observer=observer, memo=memo)
 
     def close(self) -> None:
@@ -182,7 +163,7 @@ class Partition:
 
     The live file with its block cache and pins, the modification
     epochs and cross-version caches every view of it shares, the Bloom
-    prefilters, the result cache, the writer and the statistics memo.
+    prefilters, the writer and the statistics memo.
     A partition pins no store version and opens no transaction of its
     own: the owning :class:`NestedSetIndex` hands :meth:`view` an
     already pinned store and calls :meth:`insert_group` /
@@ -195,8 +176,6 @@ class Partition:
         self._wire(ifile)
         self.set_cache(cache, cache_budget)
         self.bloom_index = _bloom_for(ifile, bloom, bloom_bits)
-        #: Whole-query results, scoped per view (see PartitionView).
-        self.result_cache: ResultCache | None = None
         self._stats: CollectionStats | None = None
         self._writer: IndexWriter | None = None
 
@@ -218,7 +197,7 @@ class Partition:
         ifile = SnapshotInvertedFile(
             store, block_cache=generation.block_cache, shared=self._shared,
             epochs=self._epochs, version=version, stats=generation.stats)
-        return PartitionView(self, ifile, generation)
+        return PartitionView(ifile, self.bloom_index)
 
     def snapshot(self) -> PartitionView:
         """A view of this partition alone over a pin of its own.
@@ -244,23 +223,17 @@ class Partition:
                                        on_mutate=self._note_mutation)
         return self._writer
 
-    def _note_mutation(self, tokens: set[str],
-                       postings_changed: bool) -> None:
+    def _note_mutation(self, tokens: set[str]) -> None:
         """Writer hook: advance modification epochs pre-commit.
 
         Called inside the mutation's open transaction, stamped with the
         *upcoming* commit version: a reader pinning the new version
         after the commit lands always computes a post-bump floor, while
         readers at older versions are unaffected (their floors count
-        only bumps at or below their pinned version).  Deletes change
-        no posting bytes, so they bump only the partition-level
-        ``_RESULT_EPOCH`` (tombstones change answers, not lists).
+        only bumps at or below their pinned version).
         """
         info = self._ifile.store.mvcc_info()
-        upcoming = int(info["snapshot_version"]) + 1
-        if postings_changed:
-            self._epochs.bump(tokens, upcoming)
-        self._epochs.bump((_RESULT_EPOCH,), upcoming)
+        self._epochs.bump(tokens, int(info["snapshot_version"]) + 1)
 
     def insert_group(self, records: Iterable[tuple[str, NestedSet]]
                      ) -> list[int]:
@@ -286,7 +259,7 @@ class Partition:
             self._stats = None
         return deleted
 
-    def note_replicated_apply(self, version: int | None = None) -> None:
+    def note_replicated_apply(self, version: int) -> None:
         """Replica-side pre-apply hook: shipped groups are about to land.
 
         Log replay bypasses the writer path entirely (no ``_note_mutation``
@@ -299,7 +272,6 @@ class Partition:
         keeps the invalidation race-free.
         """
         self._epochs.bump_all(version)
-        self._epochs.bump((_RESULT_EPOCH,), version)
 
     def reload_live_state(self) -> None:
         """Re-derive the live in-memory objects from the store as it is.
@@ -330,11 +302,6 @@ class Partition:
               bloom_index: BloomIndex | None) -> None:
         """Swap to a rebuilt generation (see :meth:`rebuilt`)."""
         self._writer = None
-        if self.result_cache is not None:
-            # Version numbering restarts with the fresh store;
-            # generation-scoped keys prevent collisions, but the old
-            # entries can never hit again -- drop them.
-            self.result_cache.invalidate_all()
         self._wire(fresh)
         self.bloom_index = bloom_index
         self._stats = None
@@ -511,15 +478,14 @@ class _Reads:
 
         The trace observes the real execution through the context, so
         ``explain(...).matches`` always equals ``query(...)`` with the
-        same options; the result cache is bypassed so the trace reflects
-        a full evaluation.  One partition yields its
+        same options.  One partition yields its
         :class:`ExplainResult`; several, one trace each under a merged
         header.
         """
         spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
                          mode=mode)
         plan = compile_query(query, spec, algorithm=algorithm,
-                             use_bloom=use_bloom, cacheable=False)
+                             use_bloom=use_bloom)
         started = time.perf_counter()
         traces = self._fan_out(
             lambda view: run_explained(plan, view.execution_context()))
@@ -534,8 +500,7 @@ class _Reads:
         :class:`~repro.core.shard.ShardError` otherwise.
         """
         self._index._sole_partition("match_nodes")
-        plan = compile_query(query, spec, algorithm=algorithm,
-                             cacheable=False)
+        plan = compile_query(query, spec, algorithm=algorithm)
         return self._fan_out(
             lambda view: plan.match_nodes(view.execution_context()))[0]
 
@@ -895,8 +860,8 @@ class NestedSetIndex(_Reads):
             snap.close()
 
     def _retire_shared_pin(self) -> None:
-        """Drop the cached shared pin (mutations/compact/close/result
-        cache toggles): the next reader re-pins at the then-current state.
+        """Drop the cached shared pin (mutations/compact/close): the
+        next reader re-pins at the then-current state.
         Without this a stale pin would force pre-image capture on every
         subsequent page write (unbounded history growth under
         write-only loads)."""
@@ -915,14 +880,13 @@ class NestedSetIndex(_Reads):
     def compile(self, query: object, *, algorithm: str | None = None,
                 semantics: str = "hom", join: str = "subset",
                 epsilon: int = 1, mode: str = "root",
-                use_bloom: bool = False,
-                cacheable: bool = True) -> ExecutionPlan:
+                use_bloom: bool = False) -> ExecutionPlan:
         """Compile a query without running it (validation + plan); the
         plan is partition-independent."""
         spec = QuerySpec(semantics=semantics, join=join, epsilon=epsilon,
                          mode=mode)
         return compile_query(query, spec, algorithm=algorithm,
-                             use_bloom=use_bloom, cacheable=cacheable)
+                             use_bloom=use_bloom)
 
     # -- updates -------------------------------------------------------------
 
@@ -1040,7 +1004,7 @@ class NestedSetIndex(_Reads):
     # All partitions share one base store / one pager / one shipped log,
     # so one replicated commit group can touch any of them.
 
-    def note_replicated_apply(self, version: int | None = None) -> None:
+    def note_replicated_apply(self, version: int) -> None:
         """Replica-side pre-apply hook (see
         :meth:`Partition.note_replicated_apply`)."""
         for partition in self._partitions:
@@ -1054,33 +1018,6 @@ class NestedSetIndex(_Reads):
         self.reload_live_state()
 
     # -- caches ---------------------------------------------------------------
-
-    def enable_result_cache(self, capacity: int = 1024) -> ResultCacheGroup:
-        """Cache whole query results, ``capacity`` per partition.
-
-        Entries are scoped to the partition state they were computed
-        at, so mutations need not (and do not) invalidate them -- and a
-        mutation of one partition leaves the others' entries reachable.
-        Returns the aggregate view so callers can read hit statistics;
-        call :meth:`disable_result_cache` to turn it off.
-        """
-        for partition in self._partitions:
-            partition.result_cache = ResultCache(capacity)
-        # The cached shared pin was wired without the caches; drop it so
-        # the next query re-wires (same on disable).
-        self._retire_shared_pin()
-        return self.result_cache
-
-    def disable_result_cache(self) -> None:
-        for partition in self._partitions:
-            partition.result_cache = None
-        self._retire_shared_pin()
-
-    @property
-    def result_cache(self) -> ResultCacheGroup | None:
-        """The active result caches behind one view, if enabled."""
-        caches = [partition.result_cache for partition in self._partitions]
-        return None if caches[0] is None else ResultCacheGroup(caches)
 
     def set_cache(self, policy: str | None,
                   budget: int = PAPER_BUDGET) -> None:

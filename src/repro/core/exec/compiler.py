@@ -5,8 +5,7 @@ validated and turned into an explicit :class:`ExecutionPlan`.  Every
 entry point -- ``NestedSetIndex.query``, ``query_batch``,
 ``containment_join``, the CLI, and ``explain`` -- compiles here, so the
 option interaction rules (Bloom is naive-only, the paper-literal
-variant's spec limits, result-cache keying) live in one place with
-uniform error messages.
+variant's spec limits) live in one place with uniform error messages.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from ..candidates import INTERSECTION_JOINS
 from ..matchspec import QuerySpec, validate_paper_variant
 from ..model import as_nested_set
-from ..resultcache import make_key
 from .plan import (
     CandidateStage,
     ExecutionPlan,
@@ -46,16 +44,12 @@ def pick_algorithm(spec: QuerySpec) -> str:
 
 def compile_query(query: object, spec: QuerySpec = QuerySpec(), *,
                   algorithm: str | None = None,
-                  use_bloom: bool = False,
-                  cacheable: bool = True) -> ExecutionPlan:
+                  use_bloom: bool = False) -> ExecutionPlan:
     """Validate options and build the execution plan for one query.
 
     ``algorithm`` left unset is resolved by :func:`pick_algorithm`; the
     plan names the pick (``plan.algorithm``) and remembers that it was
-    the compiler's (``plan.match.picked``).  ``cacheable=False`` omits
-    the result-cache key, forcing a full evaluation even when the
-    context carries a cache (EXPLAIN uses this so traces always reflect
-    real execution).
+    the compiler's (``plan.match.picked``).
     """
     tree = as_nested_set(query)
     picked = algorithm is None
@@ -69,14 +63,10 @@ def compile_query(query: object, spec: QuerySpec = QuerySpec(), *,
                         "algorithm only")
     if algorithm == "topdown-paper":
         validate_paper_variant(spec)
-    cache_key = None
-    if cacheable:
-        cache_key = make_key(tree, algorithm, spec.semantics, spec.join,
-                             spec.epsilon, spec.mode, use_bloom=use_bloom)
     return ExecutionPlan(
         query=tree,
         spec=spec,
-        prefilter=PrefilterStage(cache_key=cache_key, bloom=use_bloom),
+        prefilter=PrefilterStage(bloom=use_bloom),
         candidates=CandidateStage(
             source="record-scan" if algorithm == "naive"
             else "inverted-file",

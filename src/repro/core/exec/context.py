@@ -1,11 +1,10 @@
 """Execution state threaded through every stage of a compiled plan.
 
 :class:`ExecutionContext` bundles what a plan needs at run time -- the
-inverted file, the optional Bloom prefilters, the whole-query result
-cache, an optional cross-query subquery memo, a trace observer, and
-per-context counters.  One context per index serves single queries;
-batches and joins share one context so the memo and counters
-accumulate across the workload.
+inverted file, the optional Bloom prefilters, an optional cross-query
+subquery memo, a trace observer, and per-context counters.  One context
+per index serves single queries; batches and joins share one context so
+the memo and counters accumulate across the workload.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ if TYPE_CHECKING:  # typing only: keep the runtime import graph acyclic
     from ..bloom import BloomIndex
     from ..invfile import InvertedFile
     from ..model import NestedSet
-    from ..resultcache import ResultCache
 
 
 @dataclass
@@ -27,7 +25,6 @@ class ExecCounters:
     """Per-context execution counters (reset by creating a new context)."""
 
     queries: int = 0
-    results_reused: int = 0
     subqueries_evaluated: int = 0
     subqueries_reused: int = 0
     records_tested: int = 0
@@ -42,7 +39,6 @@ class ExecCounters:
     def snapshot(self) -> dict[str, int]:
         return {
             "queries": self.queries,
-            "results_reused": self.results_reused,
             "subqueries_evaluated": self.subqueries_evaluated,
             "subqueries_reused": self.subqueries_reused,
             "records_tested": self.records_tested,
@@ -60,7 +56,6 @@ class ExecCounters:
         index is monolithic or sharded.
         """
         self.queries += other.queries
-        self.results_reused += other.results_reused
         self.subqueries_evaluated += other.subqueries_evaluated
         self.subqueries_reused += other.subqueries_reused
         self.records_tested += other.records_tested
@@ -85,7 +80,6 @@ class ExecutionContext:
 
     ifile: "InvertedFile"
     bloom_index: "BloomIndex | None" = None
-    result_cache: "ResultCache | None" = None
     #: Cross-query subquery memo: a shared dict lets memoizable plans
     #: run the memo walk (:func:`repro.core.batch.memoized_match_ids`);
     #: ``None`` disables it.

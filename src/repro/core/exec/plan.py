@@ -5,7 +5,7 @@ A compiled query is a small dataclass pipeline::
     prefilter stage  -> candidate stage -> match strategy -> materialize
 
 * **prefilter** -- whole-query shortcuts that run before any index work:
-  the result-cache probe and (naive only) the Bloom record prefilter;
+  (naive only) the Bloom record prefilter;
 * **candidates** -- how per-node candidate lists are produced (inverted
   file vs. full record scan), per join type;
 * **match** -- which structural matching strategy consumes the
@@ -32,7 +32,6 @@ from ..postings import MatchIds, id_set
 from ..topdown import topdown_match_nodes, topdown_paper_match_nodes
 
 if TYPE_CHECKING:
-    from ..resultcache import CacheKey
     from .context import ExecutionContext
 
 
@@ -44,9 +43,6 @@ class PlanError(ValueError):
 class PrefilterStage:
     """Whole-query shortcuts applied before the index is touched."""
 
-    #: Result-cache key covering every option that selects this plan, or
-    #: ``None`` when the plan was compiled non-cacheable (e.g. EXPLAIN).
-    cache_key: "CacheKey | None"
     #: Consult the Bloom record prefilters before scanning (naive only).
     bloom: bool = False
 
@@ -97,21 +93,10 @@ class ExecutionPlan:
     def run(self, ctx: "ExecutionContext") -> list[str]:
         """Execute all stages; returns sorted matching record keys."""
         ctx.counters.queries += 1
-        key = self.prefilter.cache_key
-        if ctx.result_cache is not None and key is not None:
-            cached = ctx.result_cache.get(key)
-            if cached is not None:
-                ctx.counters.results_reused += 1
-                return cached
         if self.match.strategy == "naive":
-            result = self._run_scan(ctx)
-        else:
-            heads = self._match_ids(ctx)
-            result = ctx.ifile.heads_to_keys(heads,
-                                             mode=self.materialize.mode)
-        if ctx.result_cache is not None and key is not None:
-            ctx.result_cache.put(key, result)
-        return result
+            return self._run_scan(ctx)
+        return ctx.ifile.heads_to_keys(self._match_ids(ctx),
+                                       mode=self.materialize.mode)
 
     def match_nodes(self, ctx: "ExecutionContext") -> set[int]:
         """Candidate + match stages only: node ids where the query embeds."""
@@ -151,10 +136,7 @@ class ExecutionPlan:
     def describe(self) -> str:
         """Human-readable stage listing (the plan half of EXPLAIN)."""
         spec = self.spec
-        cache = "result-cache" if self.prefilter.cache_key is not None \
-            else "none"
-        if self.prefilter.bloom:
-            cache += "+bloom"
+        prefilter = "bloom" if self.prefilter.bloom else "none"
         match = self.match.strategy
         if self.match.picked:
             match += " (the compiler's pick)"
@@ -163,7 +145,7 @@ class ExecutionPlan:
         return "\n".join([
             f"plan {spec.semantics}/{spec.join}/{spec.mode} "
             f"query={self.query!r}",
-            f"  prefilter:   {cache}",
+            f"  prefilter:   {prefilter}",
             f"  candidates:  {self.candidates.join} via "
             f"{self.candidates.source}",
             f"  match:       {match}",

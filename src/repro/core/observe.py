@@ -276,11 +276,7 @@ _DELTAS = ("list_fetches", "directory_hits", "blocks_read",
 
 def run_explained(plan: "ExecutionPlan",
                   ctx: "ExecutionContext") -> ExplainResult:
-    """Run ``plan`` with a trace sink attached; return trace + matches.
-
-    The plan should be compiled with ``cacheable=False`` so a cached
-    result cannot short-circuit the instrumented evaluation.
-    """
+    """Run ``plan`` with a trace sink attached; return trace + matches."""
     sink = TraceSink(ctx.ifile)
     ctx.observer = sink
     stats = ctx.ifile.stats
@@ -312,6 +308,6 @@ def explain(query: object, ifile: "InvertedFile",
     from .exec.compiler import compile_query
     from .exec.context import ExecutionContext
     plan = compile_query(query, spec, algorithm=algorithm,
-                         use_bloom=use_bloom, cacheable=False)
+                         use_bloom=use_bloom)
     return run_explained(plan, ExecutionContext(ifile=ifile,
                                                 bloom_index=bloom_index))

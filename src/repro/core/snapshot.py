@@ -85,31 +85,16 @@ class ModEpochs:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._mods: dict[str, list[int]] = {}
-        self._clock = 0
 
-    @property
-    def clock(self) -> int:
-        """Largest version ever bumped (internal counter without MVCC)."""
-        return self._clock
-
-    def bump(self, tokens: Iterable[str], version: int | None = None) -> None:
-        """Record that ``tokens``' lists change at ``version``.
-
-        Without a store version (non-MVCC fallback) an internal clock
-        supplies a monotonic surrogate.
-        """
+    def bump(self, tokens: Iterable[str], version: int) -> None:
+        """Record that ``tokens``' lists change at ``version``."""
         with self._lock:
-            if version is None:
-                self._clock += 1
-                version = self._clock
-            elif version > self._clock:
-                self._clock = version
             for token in tokens:
                 mods = self._mods.setdefault(token, [])
                 if not mods or mods[-1] < version:
                     mods.append(version)
 
-    def bump_all(self, version: int | None = None) -> None:
+    def bump_all(self, version: int) -> None:
         """Record that *every* list may have changed at ``version``."""
         self.bump((self.GLOBAL_TOKEN,), version)
 
@@ -200,14 +185,12 @@ class SnapshotInvertedFile(InvertedFile):
     other snapshot of the same index generation; see the module
     docstring for why that sharing is safe.
 
-    ``version`` is the pinned store version, or ``None`` when the store
-    has no MVCC support (the view is then live and the engine keeps its
-    read lock around users of this object).
+    ``version`` is the pinned store version.
     """
 
     def __init__(self, store: KVStore, *, block_cache,
                  shared: SharedIndexState, epochs: ModEpochs,
-                 version: int | None,
+                 version: int,
                  stats: QueryStats | None = None) -> None:
         super().__init__(store)
         self.version = version
@@ -217,10 +200,6 @@ class SnapshotInvertedFile(InvertedFile):
         if stats is not None:
             self.stats = stats
         self._key_cache = shared.key_cache
-        # Ordering surrogate for the shared ALL/ZERO loads when the
-        # store cannot pin (the epoch clock advances with every insert).
-        self._effective_version = (version if version is not None
-                                   else epochs.clock)
 
     # -- node metadata (shared, longest-copy-wins) -------------------------
 
@@ -248,7 +227,7 @@ class SnapshotInvertedFile(InvertedFile):
     def all_nodes(self) -> PostingList:
         if self._all_nodes is None:
             full = self._shared.shared_list(
-                "all", self._effective_version,
+                "all", self.version,
                 lambda: self._read_blocks(_ALL_PREFIX, self._n_all_blocks))
             self._all_nodes = _truncate_at(full, self.n_nodes)
         return self._all_nodes
@@ -256,7 +235,7 @@ class SnapshotInvertedFile(InvertedFile):
     def zero_leaf_nodes(self) -> PostingList:
         if self._zero_leaf is None:
             full = self._shared.shared_list(
-                "zero", self._effective_version,
+                "zero", self.version,
                 lambda: self._read_blocks(_ZERO_PREFIX,
                                           self._n_zero_blocks))
             self._zero_leaf = _truncate_at(full, self.n_nodes)

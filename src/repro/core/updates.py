@@ -113,12 +113,13 @@ class _NewIndex:
 class IndexWriter:
     """Applies record-level updates to an open :class:`InvertedFile`.
 
-    ``on_mutate`` replaces destructive cache invalidation with a
-    notification: the engine's MVCC read path passes a callback that
-    bumps modification epochs (:mod:`repro.core.snapshot`) instead of
-    clearing the shared list/block caches, so commits invalidate
-    nothing for in-flight readers.  Without it (standalone use) the
-    writer clears the caches itself, as before.
+    ``on_mutate(tokens)`` replaces destructive cache invalidation with
+    a notification, once per group, naming the tokens whose posting
+    lists the group changes: the engine's MVCC read path passes a
+    callback that bumps modification epochs (:mod:`repro.core.snapshot`)
+    instead of clearing the shared list/block caches, so commits
+    invalidate nothing for in-flight readers.  Without it (standalone
+    use) the writer drops those tokens' cached blocks itself.
     """
 
     def __init__(self, ifile: InvertedFile | _NewIndex,
@@ -209,7 +210,6 @@ class IndexWriter:
         if ordinal is None:
             return False
         _key, _root, tree = ifile.record(ordinal)
-        dead_atoms: set[Atom] = set()
         with self._store.transaction(b"delete"):
             ifile.deleted.add(ordinal)
             self._store.put(_DELETED_KEY,
@@ -218,22 +218,16 @@ class IndexWriter:
             ifile._key_cache.pop(ordinal, None)
             for node in tree.iter_sets():
                 for atom in node.atoms:
-                    dead_atoms.add(atom)
                     ifile.dead_counts[atom] = \
                         ifile.dead_counts.get(atom, 0) + 1
                     self._dead_delta[atom] = \
                         self._dead_delta.get(atom, 0) + 1
-            self.flush()
             # A delete leaves every posting list's bytes untouched; only
             # the tombstone set and dead counts change, and consumers
             # read those from index attributes (or their own pinned
-            # store), not from the list/block caches.  The standalone
-            # invalidation path still drops the atoms' cached lists so
-            # live-frequency ordering re-reads fresh lengths.  Runs
-            # inside the transaction: the epoch hook must stamp the
-            # *upcoming* commit version, i.e. fire before the commit.
-            self._invalidate(dict.fromkeys(dead_atoms),
-                             postings_changed=False)
+            # store), not from the list/block caches: nothing to
+            # invalidate, no epoch to bump.
+            self.flush()
         return True
 
     # -- compact ----------------------------------------------------------------
@@ -354,18 +348,14 @@ class IndexWriter:
             (ifile._n_freq_deltas, ifile._n_dead_deltas,
              ifile._delta_pairs)))
 
-    def _invalidate(self, touched_postings: dict, *,
-                    postings_changed: bool = True) -> None:
+    def _invalidate(self, touched_postings: dict) -> None:
         ifile = self._ifile
         ifile._all_nodes = None
         ifile._zero_leaf = None
         ifile._meta_cache.clear()
         tokens = {atom_token(atom) for atom in touched_postings}
         if self._on_mutate is not None:
-            # Epoch-based caching: nothing to clear.  Deletes are pure
-            # tombstones (posting bytes unchanged), so they report
-            # postings_changed=False and bump no epochs either.
-            self._on_mutate(tokens, postings_changed)
+            self._on_mutate(tokens)     # epoch-based caching: nothing to clear
             return
         ifile.block_cache.invalidate(tokens)
 

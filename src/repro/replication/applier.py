@@ -206,6 +206,8 @@ class ReplicaTailer:
         version, seq, term = split_shipped_label(label)
         if seq is None or term is None:
             raise CorruptionError("shipped group without a seq stamp")
+        if version is None:
+            raise CorruptionError("shipped group without a version stamp")
         if term < self._log.term:
             raise _StaleTermError(
                 f"group seq {seq} carries term {term} < local term "

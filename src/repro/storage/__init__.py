@@ -28,7 +28,7 @@ from .errors import (
     StorageError,
     StoreClosedError,
 )
-from .faults import CrashError, FaultPlan, FaultyPager, FaultyStore, inject
+from .faults import CrashError, FaultPlan, FaultyPager, inject
 from .kvstore import AccessStats, KVStore, MemoryKVStore, ReadOnlySnapshot
 from .namespace import NamespacedStore
 from .pager import Pager, PageReader, wal_path
@@ -77,7 +77,6 @@ __all__ = [
     "DiskHashTable",
     "FaultPlan",
     "FaultyPager",
-    "FaultyStore",
     "KVStore",
     "KeyTooLargeError",
     "MemoryKVStore",

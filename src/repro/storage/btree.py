@@ -118,6 +118,8 @@ class BPlusTree(KVStore):
                  wal: bool = True, use_mmap: bool = True,
                  wal_factory=None) -> None:
         super().__init__()
+        #: An unjournaled write left the header's root/count behind.
+        self._meta_stale = False
         if create:
             self._pager = Pager(path, page_size=page_size, create=True,
                                 wal=wal, use_mmap=use_mmap,
@@ -142,6 +144,7 @@ class BPlusTree(KVStore):
 
     def _write_meta(self) -> None:
         self._pager.set_meta(_META.pack(self._root, self._count))
+        self._meta_stale = False
 
     def reload_meta(self) -> None:
         """Re-read the root/count from the pager (replica replay)."""
@@ -232,6 +235,8 @@ class BPlusTree(KVStore):
 
     def put(self, key: bytes, value: bytes) -> None:
         self._check_open()
+        if self._pager.txn_depth == 0:
+            self._meta_stale = True
         self.stats.puts += 1
         self.stats.bytes_written += len(value)
         if len(key) > MAX_KEY:
@@ -413,6 +418,10 @@ class BPlusTree(KVStore):
 
     def snapshot(self) -> KVStore:
         self._check_open()
+        if self._meta_stale:
+            # Unjournaled puts defer the count to sync/close; the view
+            # reads it from the header as of its pin.
+            self._write_meta()
         return BTreeSnapshot(self)
 
     def mvcc_info(self) -> dict[str, object]:

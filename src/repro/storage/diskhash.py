@@ -282,6 +282,8 @@ class DiskHashTable(_ChainReads, KVStore):
                  wal: bool = True, use_mmap: bool = True,
                  wal_factory=None) -> None:
         super().__init__()
+        #: An unjournaled write left the header's count behind.
+        self._meta_stale = False
         if create:
             self._pager = Pager(path, page_size=page_size, create=True,
                                 wal=wal, use_mmap=use_mmap,
@@ -337,6 +339,7 @@ class DiskHashTable(_ChainReads, KVStore):
         self._pager.set_meta(_META.pack(
             self._n_buckets, self._dir_pages[0], self._n_dir_pages,
             self._count))
+        self._meta_stale = False
 
     def _flush_directory(self) -> None:
         per_page = self._pager.page_size // 8
@@ -368,6 +371,8 @@ class DiskHashTable(_ChainReads, KVStore):
 
     def put(self, key: bytes, value: bytes) -> None:
         self._check_open()
+        if self._pager.txn_depth == 0:
+            self._meta_stale = True
         self.stats.puts += 1
         self.stats.bytes_written += len(value)
         if len(key) > self._max_key:
@@ -432,6 +437,8 @@ class DiskHashTable(_ChainReads, KVStore):
 
     def delete(self, key: bytes) -> bool:
         self._check_open()
+        if self._pager.txn_depth == 0:
+            self._meta_stale = True
         self.stats.deletes += 1
         for page_id, raw in self._chain(self._directory[self._bucket_of(key)]):
             entry = self._pages.locate(page_id, raw, key)
@@ -511,6 +518,10 @@ class DiskHashTable(_ChainReads, KVStore):
 
     def snapshot(self) -> KVStore:
         self._check_open()
+        if self._meta_stale:
+            # Unjournaled writes defer the count to sync/close; the view
+            # reads it from the header as of its pin.
+            self._write_meta()
         return DiskHashSnapshot(self)
 
     def mvcc_info(self) -> dict[str, object]:

@@ -15,14 +15,12 @@ single-write-plus-fsync commit groups are exactly what make this model
 recoverable; ``tests/storage/test_crash.py`` sweeps the event counter
 through every mutation and asserts pre-or-post recovery.
 
-Three injection surfaces, coarsest to finest:
+Two injection surfaces:
 
 * :func:`inject` -- a context manager that wraps every file the storage
   layer opens while active (pager files, WAL files, including stores a
   ``compact`` creates mid-operation);
-* :class:`FaultyPager` -- wraps one already-open pager (and its WAL);
-* :class:`FaultyStore` -- logical-level wrapper crashing at the Nth
-  ``put``/``delete``, for torn multi-key update tests above the pager.
+* :class:`FaultyPager` -- wraps one already-open pager (and its WAL).
 """
 
 from __future__ import annotations
@@ -195,81 +193,6 @@ class FaultyPager:
 
     def __getattr__(self, name: str):
         return getattr(self.pager, name)
-
-
-class FaultyStore(KVStore):
-    """Crash a wrapped store at the Nth logical mutation.
-
-    Coarser than the file-level plan: ``crash_at`` counts ``put`` and
-    ``delete`` calls, so a multi-key logical update (an engine insert)
-    can be torn *between* store operations without reasoning about page
-    layouts.  Reads pass through; after the crash every operation
-    raises.
-    """
-
-    def __init__(self, base: KVStore, *, crash_at: int | None = None) -> None:
-        super().__init__()
-        self._base = base
-        self.crash_at = crash_at
-        self.mutations = 0
-        self.crashed = False
-
-    @property
-    def base(self) -> KVStore:
-        return self._base
-
-    def _mutate(self) -> None:
-        if self.crashed:
-            raise CrashError("mutation after simulated crash")
-        self.mutations += 1
-        if self.crash_at is not None and self.mutations >= self.crash_at:
-            self.crashed = True
-            raise CrashError(
-                f"injected crash at mutation {self.mutations}")
-
-    def get(self, key: bytes) -> bytes | None:
-        if self.crashed:
-            raise CrashError("read after simulated crash")
-        return self._base.get(key)
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self._mutate()
-        self._base.put(key, value)
-
-    def delete(self, key: bytes) -> bool:
-        self._mutate()
-        return self._base.delete(key)
-
-    def items(self):
-        if self.crashed:
-            raise CrashError("read after simulated crash")
-        return self._base.items()
-
-    def __len__(self) -> int:
-        return len(self._base)
-
-    def sync(self) -> None:
-        if self.crashed:
-            raise CrashError("sync after simulated crash")
-        self._base.sync()
-
-    def begin(self, label: bytes = b"") -> None:
-        self._base.begin(label)
-
-    def commit(self) -> None:
-        if self.crashed:
-            raise CrashError("commit after simulated crash")
-        self._base.commit()
-
-    def abort(self) -> None:
-        self._base.abort()
-
-    def wal_info(self) -> dict[str, object] | None:
-        return self._base.wal_info()
-
-    def close(self) -> None:
-        self._base.close()
-        super().close()
 
 
 def drop_store(store: KVStore) -> None:

@@ -17,10 +17,8 @@ experiments (Section 3.3 / Experiments 1-3) read.
 Snapshots: :meth:`KVStore.snapshot` opens a read-only view pinned at the
 store's current committed version.  The disk stores implement it over
 the pager's page-level copy-on-write history; :class:`MemoryKVStore`
-keeps an equivalent key-level pre-image history here.  The default
-implementation is an unpinned live passthrough so wrappers without MVCC
-support (fault-injection stores, test doubles) keep working -- callers
-can detect real snapshot support via :meth:`KVStore.mvcc_info`.
+keeps an equivalent key-level pre-image history here.  A store that
+cannot pin a version (``mvcc_info()`` is ``None``) refuses to open one.
 """
 
 from __future__ import annotations
@@ -168,13 +166,12 @@ class KVStore(ABC):
     def snapshot(self) -> "KVStore":
         """Open a read-only view pinned at the current committed version.
 
-        Stores with MVCC support return a view that keeps observing the
-        pinned version while later commits land; the view must be
-        :meth:`close`\\ d to release its pin.  The default is a live
-        passthrough (no isolation) so non-versioned wrappers still
-        compose; use :meth:`mvcc_info` to tell the two apart.
+        The view keeps observing the pinned version while later commits
+        land; it must be :meth:`close`\\ d to release its pin.  A store
+        without MVCC support (``mvcc_info()`` is ``None``) raises
+        :class:`StorageError`.
         """
-        return _LiveView(self)
+        raise StorageError(f"{type(self).__name__} cannot pin a version")
 
     def mvcc_info(self) -> dict[str, object] | None:
         """Version bookkeeping for stats, or ``None`` without MVCC."""
@@ -231,7 +228,7 @@ class ReadOnlySnapshot(KVStore):
     place no matter how many snapshots served the reads.
     """
 
-    #: The pinned version (``0`` for passthrough views).
+    #: The pinned version.
     version: int = 0
 
     def put(self, key: bytes, value: bytes) -> None:
@@ -245,28 +242,6 @@ class ReadOnlySnapshot(KVStore):
 
     def sync(self) -> None:  # nothing buffered, nothing to flush
         pass
-
-
-class _LiveView(ReadOnlySnapshot):
-    """Unpinned read passthrough for stores without MVCC support."""
-
-    def __init__(self, base: KVStore) -> None:
-        super().__init__()
-        self._base = base
-        self.stats = base.stats
-        self.version = 0
-
-    def get(self, key: bytes) -> bytes | None:
-        return self._base.get(key)
-
-    def items(self) -> Iterator[tuple[bytes, bytes]]:
-        return self._base.items()
-
-    def __len__(self) -> int:
-        return len(self._base)
-
-    def wal_info(self) -> dict[str, object] | None:
-        return self._base.wal_info()
 
 
 class MemoryKVStore(KVStore):

@@ -653,7 +653,7 @@ class Pager:
                 self._version = version
 
     def apply_replicated_group(self, label: bytes, records: list[bytes],
-                               version: int | None = None) -> None:
+                               version: int) -> None:
         """Replay one shipped commit group as a local committed write.
 
         Mirrors the apply phase of :meth:`commit`: the group goes to the
@@ -701,7 +701,7 @@ class Pager:
                     self._meta = header_dirty[
                         _HEADER_SIZE:_HEADER_SIZE + meta_len]
                 with self._version_lock:
-                    if version is not None and version > self._version:
+                    if version > self._version:
                         self._version = version
                 self._remap()
             if self._wal.size > DEFAULT_CHECKPOINT_BYTES:

@@ -59,6 +59,8 @@ class TestSnapshotSupportIsRequired:
         assert len(ifile.postings("a")) == 2    # the file itself reads
         with pytest.raises(StorageError, match="mvcc_info"):
             NestedSetIndex.from_store(store)
+        with pytest.raises(StorageError, match="cannot pin"):
+            store.snapshot()                    # no unisolated view
 
 
 def _build(shards: int):

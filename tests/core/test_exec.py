@@ -38,7 +38,6 @@ class TestCompile:
         assert "the compiler's pick" in plan.describe()
         assert plan.candidates.source == "inverted-file"
         assert not plan.match.memoizable
-        assert plan.prefilter.cache_key is not None
         assert not plan.prefilter.bloom
         assert plan.materialize.mode == "root"
         # The resolution table of an unset algorithm: the frontier can
@@ -50,21 +49,15 @@ class TestCompile:
             "superset": "bottomup", "overlap": "bottomup"}
         assert all(plan.match.picked for plan in picks.values())
         assert picks["superset"].match.memoizable
-        # A named algorithm is the caller's, not a pick, and shares the
-        # picked plan's result-cache key.
+        # A named algorithm is the caller's, not a pick.
         named = compile_query("{a, {b}}", algorithm="topdown")
         assert not named.match.picked
         assert "pick" not in named.describe()
-        assert named.prefilter.cache_key == plan.prefilter.cache_key
 
     def test_naive_plan_scans_records(self) -> None:
         plan = compile_query("{a}", algorithm="naive", use_bloom=True)
         assert plan.candidates.source == "record-scan"
         assert plan.prefilter.bloom
-
-    def test_non_cacheable_plan_has_no_key(self) -> None:
-        plan = compile_query("{a}", cacheable=False)
-        assert plan.prefilter.cache_key is None
 
     def test_spec_reaches_stages(self) -> None:
         spec = QuerySpec(join="overlap", epsilon=2, mode="anywhere")
@@ -124,13 +117,11 @@ class TestPlanRun:
 
     def test_counters_accumulate(self, paper_records, paper_query) -> None:
         index = NestedSetIndex.build(paper_records)
-        index.enable_result_cache()
         ctx = _context(index)
         plan = compile_query(paper_query)
         plan.run(ctx)
         plan.run(ctx)
         assert ctx.counters.queries == 2
-        assert ctx.counters.results_reused == 1
         assert ctx.counters.snapshot()["queries"] == 2
 
     def test_naive_counters(self, small_corpus) -> None:
@@ -147,7 +138,7 @@ class TestPlanRun:
         index = NestedSetIndex.build(small_corpus)
         ctx = _context(index, memo={})
         query = small_corpus[0][1]
-        plan = compile_query(query, algorithm="bottomup", cacheable=False)
+        plan = compile_query(query, algorithm="bottomup")
         first = plan.run(ctx)
         evaluated = ctx.counters.subqueries_evaluated
         second = plan.run(ctx)
@@ -240,19 +231,10 @@ class TestExplainEveryAlgorithm:
         scanned = index.explain(query, algorithm="naive", use_bloom=True)
         assert scanned.matches == index.query(query, algorithm="naive")
 
-    def test_explain_bypasses_result_cache(self, small_corpus) -> None:
-        index = NestedSetIndex.build(small_corpus)
-        cache = index.enable_result_cache()
-        query = small_corpus[0][1]
-        index.query(query)
-        result = index.explain(query)
-        assert result.matches == index.query(query)
-        assert cache.stats.hits == 1  # only the second query() hit
-
     def test_run_explained_on_raw_plan(self, paper_records,
                                        paper_query) -> None:
         index = NestedSetIndex.build(paper_records)
-        plan = compile_query(paper_query, cacheable=False)
+        plan = compile_query(paper_query)
         result = run_explained(plan, _context(index))
         assert result.matches == index.query(paper_query)
 

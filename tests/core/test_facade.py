@@ -111,15 +111,7 @@ def test_public_surface_agrees_with_the_oracle(tmp_path, shards,
     # -- caches ------------------------------------------------------------
     index.set_cache("lru")
     assert index.stats()["cache"]["policy"] == "lru"
-    cache = index.enable_result_cache()
     _check_reads(index, now)
-    _check_reads(index, now)
-    assert cache.stats.hits > 0
-    assert cache.stats.hits == index.result_cache.stats.hits == \
-        sum(part.result_cache.stats.hits for part in index.shards)
-    index.disable_result_cache()
-    assert index.result_cache is None
-    assert all(part.result_cache is None for part in index.shards)
 
     # -- what is partition-local is defined for one partition only -------
     if shards == 1:

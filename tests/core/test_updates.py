@@ -257,19 +257,21 @@ class TestWriterDirect:
         def version() -> int:
             return store.mvcc_info()["snapshot_version"]
 
-        writer = IndexWriter(ifile, on_mutate=lambda tokens, changed:
-                             calls.append((tokens, changed, version())))
+        writer = IndexWriter(ifile, on_mutate=lambda tokens:
+                             calls.append((tokens, version())))
         before = version()
         writer.insert_many([("m1", N(["a1", "x"], [N(["y"])])),
                             ("m2", N(["a1", 7])), ("m3", N())])
         # One call, the union of the group's tokens, and the group not
         # yet committed when it came.
-        assert calls == [({"s:a1", "s:x", "s:y", "i:7"}, True, before)]
+        assert calls == [({"s:a1", "s:x", "s:y", "i:7"}, before)]
         assert version() == before + 1
         writer.insert("m4", N())            # no atom at all: still a call
-        assert calls[1:] == [(set(), True, before + 1)]
+        assert calls[1:] == [(set(), before + 1)]
+        # A delete changes no posting list: it commits, and no call comes.
         writer.delete("m1")
-        assert calls[2:] == [({"s:a1", "s:x", "s:y"}, False, before + 2)]
+        assert version() == before + 3
+        assert calls[2:] == []
 
 
 class TestFailedBatch:

@@ -115,3 +115,19 @@ class TestInterfaceParity:
         assert {k: v for k, v in store.items()} == operations
         assert len(store) == len(operations)
         store.close()
+
+    @pytest.mark.parametrize("kind", ["memory", "diskhash", "btree"])
+    def test_snapshot_counts_unjournaled_writes(self, kind: str,
+                                                tmp_path) -> None:
+        """Regression: the disk stores persist their count at commit or
+        sync, so a view pinned right after a write outside a
+        transaction reported the count before it."""
+        store = open_store(kind, str(tmp_path / f"s.{kind}"), create=True)
+        with store.transaction(b"a"):
+            store.put(b"a", b"1")
+        store.put(b"b", b"2")
+        snap = store.snapshot()
+        assert snap.get(b"b") == b"2"
+        assert len(snap) == sum(1 for _ in snap.items()) == 2
+        snap.close()
+        store.close()

@@ -31,10 +31,10 @@ from repro.replication import (ReplicaTailer, ReplicationLog,
 from repro.replication.log import (read_sidecar, sidecar_path,
                                    write_sidecar)
 from repro.replication.applier import bootstrap_from_primary
-from repro.storage import CrashError, FaultPlan, inject
+from repro.storage import CorruptionError, CrashError, FaultPlan, inject
 from repro.storage.faults import drop_store
 from repro.storage.pager import wal_path
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import WriteAheadLog, split_version_label
 from tests.conftest import document_frequencies
 
 BACKENDS = ("diskhash", "btree")
@@ -416,6 +416,89 @@ def test_promoted_replica_continues_sequence(tmp_path, storage) -> None:
         label, _records, _pos = WriteAheadLog._parse_group(data, 0)
         assert split_shipped_label(label)[1:] == (primary_last + 1, 1)
         assert sorted(replica.query("{USA, {fresh}}")) == ["post-promote"]
+        replica.close()
+    finally:
+        primary.close()
+
+
+@pytest.mark.parametrize("storage", BACKENDS)
+def test_group_without_a_version_stamp_is_refused(tmp_path, storage) -> None:
+    """Regression: a shipped group carrying its seq and term but no
+    version stamp was applied.  Its epoch bump then named no version a
+    pinned reader could compare against, and the replica's store
+    version never advanced.  It is refused like a missing seq."""
+    primary_path = str(tmp_path / "primary.db")
+    replica_path = str(tmp_path / "replica.db")
+    NestedSetIndex.build(list(RECORDS), storage=storage,
+                         path=primary_path).close()
+    primary = NestedSetIndex.open(storage, primary_path,
+                                  wal_factory=ReplicationLog)
+    try:
+        call = _local_call(ReplicationSource(primary))
+        bootstrap_from_primary(call, replica_path, "r1")
+        replica = NestedSetIndex.open(storage, replica_path,
+                                      wal_factory=ReplicationLog)
+        tailer = ReplicaTailer(replica, call, replica_id="crash-sweep",
+                               primary_address="in-process")
+        primary.insert("new", "{USA, {novel}}")
+        log = primary.base_store.pager.wal
+        _first, count, data = log.read_raw_groups(log.last_seq)
+        assert count == 1
+        label, records, _pos = WriteAheadLog._parse_group(data, 0)
+        _version, unversioned = split_version_label(label)
+        applied = tailer.applied_seq
+        version = replica.base_store.current_version()
+        with pytest.raises(CorruptionError, match="version stamp"):
+            tailer._apply_group(unversioned, records)
+        assert (tailer.applied_seq, replica.base_store.current_version()) == \
+            (applied, version)
+        _tail_to_end(tailer, call)
+        assert _answers(replica) == _answers(primary)
+        replica.close()
+    finally:
+        primary.close()
+
+
+@pytest.mark.parametrize("storage", BACKENDS)
+def test_snapshot_mid_replay_keeps_the_shipped_header(tmp_path,
+                                                      storage) -> None:
+    """A reader pinning between a group's apply and the run's
+    ``reload_meta`` must not write the table's stale in-memory root and
+    count back over the header the group shipped."""
+    primary_path = str(tmp_path / "primary.db")
+    replica_path = str(tmp_path / "replica.db")
+    NestedSetIndex.build(list(RECORDS), storage=storage,
+                         path=primary_path).close()
+    primary = NestedSetIndex.open(storage, primary_path,
+                                  wal_factory=ReplicationLog)
+    try:
+        call = _local_call(ReplicationSource(primary))
+        bootstrap_from_primary(call, replica_path, "r1")
+        replica = NestedSetIndex.open(storage, replica_path,
+                                      wal_factory=ReplicationLog)
+        tailer = ReplicaTailer(replica, call, replica_id="crash-sweep",
+                               primary_address="in-process")
+        _tail_to_end(tailer, call)
+        primary.insert("new", "{USA, {novel}}")
+        log = primary.base_store.pager.wal
+        _first, count, data = log.read_raw_groups(log.last_seq)
+        assert count == 1
+        label, records, _pos = WriteAheadLog._parse_group(data, 0)
+        store = replica.base_store
+        assert tailer._apply_group(label, records)
+        expected = primary.base_store.pager.meta
+        assert store.pager.meta == expected
+        view = store.snapshot()
+        try:
+            assert store.pager.meta == expected
+            assert len(view) == len(primary.base_store)
+            assert sum(1 for _ in view.items()) == len(view)
+        finally:
+            view.close()
+        store.reload_meta()
+        replica.finish_replicated_apply()
+        assert len(store) == len(primary.base_store)
+        assert _answers(replica) == _answers(primary)
         replica.close()
     finally:
         primary.close()

@@ -11,10 +11,9 @@ model taken when it was pinned, and must keep answering ``get`` and
 live reads touch the same pages meanwhile (on diskhash, 8 buckets, so
 every page directory is parsed, shared between versions and superseded
 many times over).  Versions advance at commits, so writes made while a
-snapshot is held go through a transaction.  ``len`` of a view is not
-compared: the disk tables persist their count at commit or sync, so a
-view pinned right after unjournaled writes reports the count before
-them.
+snapshot is held go through a transaction.  ``len`` of a view counts
+what its ``items`` yields, also when it was pinned right after
+unjournaled writes.
 """
 
 from __future__ import annotations
@@ -136,6 +135,7 @@ class _StoreMachine(RuleBasedStateMachine):
         view, model = held
         if held in self.held:
             assert dict(view.items()) == model
+            assert len(view) == len(model)
 
     @rule(held=consumes(snapshots))
     def release_snapshot(self, held) -> None:
