@@ -210,7 +210,8 @@ class Partition:
         return self.view(store, store.version)
 
     def collection_stats(self) -> CollectionStats:
-        """Frequency statistics over the live records (memoized)."""
+        """Frequency statistics over the live records, memoized until the
+        next commit, rebuilt from the frequency table commits keep current."""
         if self._stats is None:
             self._stats = CollectionStats.from_inverted_file(self._ifile)
         return self._stats

@@ -394,8 +394,8 @@ class LazyPostingList:
     def heads_array(self):
         """All head ids as one sorted ``int64`` ndarray.
 
-        Decodes every block -- the bulk-intersection regime where probes
-        outnumber blocks would decode them all anyway -- but touches
+        Decodes every block -- an intersection whose probes outnumber
+        the blocks would decode them all anyway -- but touches
         only the head columns, never materializing children tuples.
         """
         if self._heads_arr is None:
@@ -489,12 +489,6 @@ def _still_encoded(plist: "PostingList | LazyPostingList") -> bool:
     return isinstance(plist, LazyPostingList) and plist._entries is None
 
 
-#: Bulk-path density cutoff: hand both head arrays to ``intersect1d``
-#: once probes reach this fraction of the operand (sort-merge beats
-#: per-probe binary search only when the arrays are comparably sized).
-_BULK_DENSITY = 4
-
-
 def _gallop_mask(lazy: LazyPostingList, probes):
     """Keep-mask for sorted ``probes`` against a still-encoded operand.
 
@@ -533,25 +527,45 @@ def _gallop_mask(lazy: LazyPostingList, probes):
 def _array_membership(other: "PostingList | LazyPostingList", probes):
     """Keep-mask: which of the sorted ``probes`` occur in ``other``.
 
-    Sparse regime (fewer probes than the operand has blocks): gallop
-    through the skip directory, decoding only touched blocks.  Dense
-    regime: every block gets decoded anyway, so materialize the full
-    head array once and either ``intersect1d`` both sorted-unique arrays
-    (probe count within ``1/_BULK_DENSITY`` of the operand -- skipping
-    is pointless there, the regression regime of 1:10/1:100 skew) or
-    binary-search each probe into it.
+    While the probes are fewer than a still-encoded operand's blocks
+    they gallop through its skip directory, decoding only the blocks
+    they touch.  Otherwise every block would be decoded anyway: one
+    ``searchsorted`` of the probes into the operand's head column
+    (:func:`in_sorted`) answers them all.
     """
-    n_probes = len(probes)
-    if _still_encoded(other) and n_probes < other.n_blocks:
+    if _still_encoded(other) and len(probes) < other.n_blocks:
         return _gallop_mask(other, probes)
-    heads = other.heads_array()
-    if n_probes * _BULK_DENSITY >= len(heads):
-        _common, probe_idx, _other_idx = _np.intersect1d(
-            probes, heads, assume_unique=True, return_indices=True)
-        keep = _np.zeros(n_probes, dtype=bool)
-        keep[probe_idx] = True
-        return keep
-    return in_sorted(probes, heads)
+    return in_sorted(probes, other.heads_array())
+
+
+def _surviving(probes, lists):
+    """The sorted ``probes`` that occur in every one of ``lists``, cut
+    operand by operand."""
+    for plist in lists:
+        if not len(probes):
+            break
+        probes = probes[_array_membership(plist, probes)]
+    return probes
+
+
+def _postings_at(driver: "PostingList | LazyPostingList",
+                 heads) -> PostingList:
+    """The postings of ``driver`` at the sorted array ``heads`` (all of
+    them its own), by one ``searchsorted`` back into its heads: rows
+    under :data:`COLUMNAR_MIN`; from a galloped list (head column never
+    built), only out of the blocks the heads fall in."""
+    if not len(heads):
+        return PostingList()
+    if not use_columns(driver):
+        entries = driver.entries
+        index = driver.heads_array().searchsorted(heads)
+        return PostingList([entries[i] for i in index.tolist()])
+    if _still_encoded(driver) and driver._heads_arr is None:
+        target = driver.directory.max_heads.searchsorted(heads)
+        driver = PostingList.from_columns(*_block_columns(
+            [driver.block_data(block_no)
+             for block_no in sorted(set(target.tolist()))]))
+    return _gather(driver, driver.heads_array().searchsorted(heads))
 
 
 def intersect(lists: "Sequence[PostingList | LazyPostingList]"
@@ -560,18 +574,14 @@ def intersect(lists: "Sequence[PostingList | LazyPostingList]"
 
     This is the candidate-generation primitive: a node is a candidate match
     for query node ``n`` exactly when it appears in the list of *every*
-    leaf atom of ``n``.  The rarest list drives: its heads (ascending) are
-    galloped through the other lists' skip directories, so for
-    block-compressed operands only blocks whose head range is actually
-    probed get decoded -- the cost is governed by the rarest list, not the
-    total postings length.
-
-    The pass is array-native: the rare heads are filtered operand by
-    operand through skip directories and head columns via
-    ``searchsorted``/``intersect1d`` (:func:`_array_membership`), with no
-    per-posting Python branching.  The survivors leave as columns
-    gathered from the rare list's columns (rows only for a rare list
-    under :data:`COLUMNAR_MIN`).
+    leaf atom of ``n``.  The rarest list drives: its heads (ascending)
+    are the probes, cut operand by operand, shortest first, by
+    :func:`_array_membership` -- a gallop through a block-compressed
+    operand's skip directory while the probes are fewer than its
+    blocks, one ``searchsorted`` into its head column otherwise -- so
+    the cost is governed by the rarest list, not the total postings
+    length.  The survivors' postings are gathered once, from the rarest
+    list (:func:`_postings_at`).
 
     Any empty operand short-circuits to an empty result before the other
     lists are decoded or their head sets materialized.
@@ -585,33 +595,7 @@ def intersect(lists: "Sequence[PostingList | LazyPostingList]"
     rare = min(lists, key=len)
     others = sorted((plist for plist in lists if plist is not rare),
                     key=len)
-    rare_heads = rare.heads_array()
-    alive = _np.arange(len(rare_heads))
-    for other in others:
-        probes = rare_heads if len(alive) == len(rare_heads) \
-            else rare_heads[alive]
-        alive = alive[_array_membership(other, probes)]
-        if not len(alive):
-            return PostingList()
-    if use_columns(rare):
-        return _gather(rare, alive)
-    entries = rare.entries
-    return PostingList([entries[i] for i in alive.tolist()])
-
-
-def _postings_at(lazy: LazyPostingList, heads) -> PostingList:
-    """The postings of a still-encoded list at the sorted array ``heads``,
-    every one of which it holds.
-
-    Only the blocks those heads fall in are read (the membership pass
-    has just put them in the block cache): their columns, concatenated,
-    are the list the postings are gathered from.
-    """
-    target = _np.searchsorted(lazy.directory.max_heads, heads)
-    touched = PostingList.from_columns(*_block_columns(
-        [lazy.block_data(block_no)
-         for block_no in sorted(set(target.tolist()))]))
-    return _gather(touched, _np.searchsorted(touched.heads_array(), heads))
+    return _postings_at(rare, _surviving(rare.heads_array(), others))
 
 
 def intersect_within(lists: "Sequence[PostingList | LazyPostingList]",
@@ -620,24 +604,13 @@ def intersect_within(lists: "Sequence[PostingList | LazyPostingList]",
 
     The frontier-driven form of :func:`intersect`, for a match set
     ``ids`` that is the shortest operand (the caller ranks; any lengths
-    give the same answer) and ``lists`` shortest first.  A shortest
-    list under :data:`COLUMNAR_MIN` is cut to the ids as rows and
-    drives the ordinary intersection.  Above it the ids are the probes:
-    filtered list by list through the skip directories as a rare
-    list's heads would be, and the survivors' postings then read from
-    the shortest list -- out of the blocks the survivors fall in
-    (:func:`_postings_at`), never out of a whole list's columns or
-    rows.
+    give the same answer) and ``lists`` shortest first.  The ids are
+    the probes, cut list by list exactly as a rarest list's heads are,
+    and the survivors' postings are gathered from the shortest list --
+    out of the blocks the survivors fall in when they galloped through
+    it, never out of its whole columns or rows.
     """
-    rare = lists[0]
-    if len(rare) < COLUMNAR_MIN or not _still_encoded(rare):
-        return intersect([with_head_in(rare, ids), *lists[1:]])
-    heads = id_array(ids)
-    for plist in lists:
-        heads = heads[_array_membership(plist, heads)]
-        if not len(heads):
-            return PostingList()
-    return _postings_at(rare, heads)
+    return _postings_at(lists[0], _surviving(id_array(ids), lists))
 
 
 def multiset_union(lists: Sequence[PostingList]) -> list[tuple[int, tuple[int, ...], int]]:
@@ -784,9 +757,9 @@ def in_sorted(values, ids):
     """Mask over ``values``: which occur in the sorted unique array ``ids``."""
     if not len(ids):
         return _np.zeros(len(values), dtype=bool)
-    pos = _np.searchsorted(ids, values)
-    _np.minimum(pos, len(ids) - 1, out=pos)
-    return ids[pos] == values
+    # A value past the last id lands on len(ids); "clip" reads the last
+    # id there instead, which cannot equal it.
+    return ids.take(ids.searchsorted(values), mode="clip") == values
 
 
 def children_in(plist: "PostingList | LazyPostingList", ids):

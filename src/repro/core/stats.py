@@ -41,7 +41,6 @@ class CollectionStats:
         self.n_nodes = n_nodes
         self.n_records = n_records
         self._total_postings = sum(self._df.values())
-        self._ranked = sorted(self._df.values(), reverse=True)
 
     @classmethod
     def from_inverted_file(cls, ifile: InvertedFile) -> "CollectionStats":
@@ -76,16 +75,18 @@ class CollectionStats:
 
     def atom_stats(self) -> AtomStats:
         """Summary used by EXPERIMENTS.md and the skew diagnostics."""
-        if not self._ranked:
+        # Sorted here, not in __init__: a commit rebuilds the statistics.
+        ranked = sorted(self._df.values(), reverse=True)
+        if not ranked:
             return AtomStats(0, 0, 0, 0.0, 0.0)
-        hot = max(1, len(self._ranked) // 100)
-        hot_share = sum(self._ranked[:hot]) / self._total_postings \
+        hot = max(1, len(ranked) // 100)
+        hot_share = sum(ranked[:hot]) / self._total_postings \
             if self._total_postings else 0.0
         return AtomStats(
-            distinct_atoms=len(self._ranked),
+            distinct_atoms=len(ranked),
             total_postings=self._total_postings,
-            max_df=self._ranked[0],
-            mean_df=self._total_postings / len(self._ranked),
+            max_df=ranked[0],
+            mean_df=self._total_postings / len(ranked),
             skew_ratio=hot_share,
         )
 

@@ -76,6 +76,7 @@ from .invfile import (  # noqa: E402  (grouped for clarity)
     _META_PREFIX,
     _RECORD_PREFIX,
     _ZERO_PREFIX,
+    _ranked,
 )
 
 
@@ -276,19 +277,22 @@ class IndexWriter:
                 self._base_entries = decode_varint(raw, 0)[0] if raw else 0
             pairs = ifile._delta_pairs + len(df_delta) + \
                 len(self._dead_delta)
-            if pairs > FOLD_RATIO * self._base_entries:
-                self._fold(df_delta)
-            else:
-                if df_delta:
-                    store.put(delta_key(_FREQ_KEY, ifile._n_freq_deltas),
-                              encode_counts(df_delta))
-                    ifile._n_freq_deltas += 1
-                if self._dead_delta:
-                    store.put(
-                        delta_key(_DEAD_COUNT_KEY, ifile._n_dead_deltas),
-                        encode_counts(self._dead_delta))
-                    ifile._n_dead_deltas += 1
-                ifile._delta_pairs = pairs
+            with ifile._df_lock:    # no frequency load sees half of it
+                if pairs > FOLD_RATIO * self._base_entries:
+                    self._fold(df_delta)
+                else:
+                    if df_delta:
+                        store.put(delta_key(_FREQ_KEY, ifile._n_freq_deltas),
+                                  encode_counts(df_delta))
+                        ifile._n_freq_deltas += 1
+                        if ifile._df is not None:
+                            ifile._df = _plus(ifile._df, df_delta)
+                    if self._dead_delta:
+                        store.put(
+                            delta_key(_DEAD_COUNT_KEY, ifile._n_dead_deltas),
+                            encode_counts(self._dead_delta))
+                        ifile._n_dead_deltas += 1
+                    ifile._delta_pairs = pairs
             self._write_config()
         self._reset_group()
 
@@ -324,11 +328,11 @@ class IndexWriter:
                       encode_varint(ordinal))
 
     def _fold(self, df_delta: dict[Atom, int]) -> None:
-        """Rewrite both count tables whole and drop their delta logs."""
+        """Rewrite both count tables whole and drop their delta logs; the
+        kept frequency table becomes the folded one, ranked as stored."""
         ifile = self._ifile
-        df = ifile._document_frequencies()
-        for atom, delta in df_delta.items():
-            df[atom] = df.get(atom, 0) + delta
+        df = dict(_ranked(
+            _plus(ifile._document_frequencies(), df_delta).items()))
         self._store.put(_FREQ_KEY, encode_counts(df, ranked=True))
         if ifile.dead_counts:       # kept current in memory by delete()
             self._store.put(_DEAD_COUNT_KEY,
@@ -338,6 +342,7 @@ class IndexWriter:
         for seq in range(ifile._n_dead_deltas):
             self._store.delete(delta_key(_DEAD_COUNT_KEY, seq))
         ifile._n_freq_deltas = ifile._n_dead_deltas = ifile._delta_pairs = 0
+        ifile._df = df
         self._base_entries = len(df)
 
     def _write_config(self) -> None:
@@ -358,6 +363,13 @@ class IndexWriter:
             self._on_mutate(tokens)     # epoch-based caching: nothing to clear
             return
         ifile.block_cache.invalidate(tokens)
+
+
+def _plus(counts: dict[Atom, int],
+          delta: dict[Atom, int]) -> dict[Atom, int]:
+    """``counts`` plus ``delta`` as a new dict: readers may hold the old."""
+    return {**counts, **{atom: counts.get(atom, 0) + count
+                         for atom, count in delta.items()}}
 
 
 def _append_blocks(store, prefix: bytes, n_blocks: int,

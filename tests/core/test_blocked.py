@@ -16,7 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import BlockCache
 from repro.core.invfile import LIST_BLOCK, QueryStats
-from repro.core.postings import LazyPostingList, PostingList, intersect
+from repro.core import postings
+from repro.core.postings import (
+    COLUMNAR_MIN,
+    LazyPostingList,
+    PostingList,
+    id_array,
+    intersect,
+    intersect_within,
+)
 from repro.core.updates import _append_blocks
 from repro.storage.codec import (
     PACKED_FORMAT_BYTE,
@@ -457,3 +465,86 @@ class TestGallopingIntersection:
         assert stats.blocks_read == 2           # first and last block only
         assert stats.blocks_skipped > 0
         assert stats.bytes_decoded > 0
+
+
+def _shifted(lists: list, base: int) -> list:
+    """``lists`` with every node id moved up by ``base``."""
+    return [[(p + base, tuple(c + base for c in cs)) for p, cs in entries]
+            for entries in lists]
+
+
+class TestMembershipKernel:
+    """Every operand of an intersection is one membership test of the
+    surviving probes: a gallop through its skip directory while the
+    probes are fewer than its blocks, one ``searchsorted`` into its head
+    column otherwise.  The sweep records which regime each test hit (a
+    spy on the kernel) and asserts that it met all of them: probe
+    counts on both sides of the ``4 * probes`` line the retired bulk
+    path drew, probes equal to the operand, one-block operands, the
+    gallop, ids past 2**31, row-shaped and columnar driving lists, and
+    ``intersect_within`` driven by a frontier."""
+
+    SIZES = (0, 1, 3, 20, COLUMNAR_MIN - 1, COLUMNAR_MIN, 150, 600)
+
+    def test_sweep_against_the_reference(self, monkeypatch) -> None:
+        seen: set[str] = set()
+        kernel = postings._array_membership
+
+        def spy(other, probes):
+            n_blocks = getattr(other, "n_blocks", None)
+            if n_blocks is not None and n_blocks < 2:
+                seen.add("one-block")
+            if n_blocks is not None and len(probes) < n_blocks:
+                seen.add("gallop")
+            seen.add("probes*4 >= operand" if len(probes) * 4 >= len(other)
+                     else "probes*4 < operand")
+            if sorted(probes.tolist()) == sorted(other.heads()):
+                seen.add("probes are the operand")
+            if len(probes) and int(probes[-1]) >= 2 ** 31:
+                seen.add("past 2**31")
+            return kernel(other, probes)
+
+        monkeypatch.setattr(postings, "_array_membership", spy)
+        rng = random.Random(35)
+        for trial in range(200):
+            sizes = [rng.choice(self.SIZES)
+                     for _ in range(rng.randrange(2, 4))]
+            head_space = max(max(sizes), 3) * rng.choice([1, 2, 8])
+            lists = _shifted(_lists_over_nodes(rng, head_space, sizes),
+                             rng.choice([0, 2 ** 31 - head_space // 2,
+                                         2 ** 40]))
+            if rng.random() < 0.2:
+                lists.append(list(lists[0]))    # probes equal an operand
+            expected = _reference_intersection(lists)
+            driver = min(len(entries) for entries in lists)
+            if driver:
+                seen.add("columnar driver" if driver >= COLUMNAR_MIN
+                         else "row driver")
+            block_size = rng.choice([1, 4, 16, 128])
+            plain = [PostingList(entries) for entries in lists]
+            columnar = [PostingList.from_columns(*PostingList(e).columns())
+                        for e in lists]
+            blocked = [LazyPostingList(encode_blocked(e, block_size))
+                       for e in lists]
+            mixed = [(blocked, plain, columnar)[i % 3][i]
+                     for i in range(len(lists))]
+            for operands in (plain, columnar, blocked, mixed):
+                assert intersect(operands).entries == expected, trial
+
+            # The frontier drives: ids drawn from the first list's heads
+            # and beyond them, against every list shortest first.
+            heads = [p for p, _ in lists[0]]
+            frontier = set(rng.sample(heads, rng.randrange(0, len(heads) + 1)))
+            frontier |= {rng.randrange(2 ** 41) for _ in range(3)}
+            want = tuple(entry for entry in _reference_intersection(lists)
+                         if entry[0] in frontier)
+            for operands in (plain, blocked, mixed):
+                ranked = sorted(operands, key=len)
+                for ids in (frontier, id_array(frontier)):
+                    got = intersect_within(ranked, ids)
+                    assert got.entries == want, trial
+                    seen.add("frontier driver")
+        assert seen == {
+            "one-block", "gallop", "probes*4 >= operand",
+            "probes*4 < operand", "probes are the operand", "past 2**31",
+            "columnar driver", "row driver", "frontier driver"}

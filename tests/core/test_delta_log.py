@@ -13,15 +13,17 @@ No hypothesis: the crash-consistency CI job runs this module.
 from __future__ import annotations
 
 import base64
+import threading
 import zlib
 
 import pytest
 
 from repro.core.checker import assert_healthy
 from repro.core.engine import NestedSetIndex
-from repro.core.invfile import InvertedFile, atom_token
+from repro.core.invfile import _FREQ_KEY, InvertedFile, atom_token, delta_key
 from repro.core.model import NestedSet
-from repro.core.updates import IndexWriter
+from repro.core.shard import shard_of
+from repro.core.updates import IndexWriter, UpdateError
 from repro.storage.kvstore import MemoryKVStore
 from tests.conftest import document_frequencies
 
@@ -82,6 +84,100 @@ def test_merged_view_is_exact_across_folds(tmp_path, storage) -> None:
     assert folds >= 2 and logged >= 2
     assert_healthy(index.inverted_file)
     index.close()
+
+
+def assert_as_reopened(index) -> None:
+    """Every partition's frequency views equal those of an inverted
+    file freshly opened over its store, order included."""
+    for partition in index._partitions:
+        ifile = partition.inverted_file
+        fresh = InvertedFile(ifile.store)
+        assert ifile.frequencies() == fresh.frequencies()
+        assert ifile.live_frequencies() == fresh.live_frequencies()
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("storage", ["memory", "diskhash"])
+def test_kept_table_ranks_as_a_fresh_open(tmp_path, storage,
+                                          shards) -> None:
+    """The frequency table a live inverted file keeps in memory, and
+    its writer keeps current, ranks as a fresh open of the store does
+    after every insert, delete, fold, refused group and reopen.  Atoms
+    first seen after the base overtake the base's own: ``z`` outgrows
+    ``b``, and ``0new`` ties with ``b`` and ranks before it by token --
+    so a fold that kept its table in insertion order would show."""
+    path = None if storage == "memory" else str(tmp_path / "idx.db")
+    index = NestedSetIndex.build(
+        [(f"s{i}", "{a, b, {a, c}}") for i in range(8)],
+        storage=storage, path=path, shards=shards)
+    assert_as_reopened(index)
+    folds = logged = refused = 0
+    for i in range(30):
+        key = f"r{i}"
+        index.insert(key, "{0new, b}" if i % 3 == 0 else "{a, z, {z}}")
+        owner = index._partitions[shard_of(key, shards)].inverted_file
+        assert owner._df is not None        # carried, not re-read
+        if owner._delta_pairs:
+            logged += 1
+        else:
+            folds += 1
+        assert_as_reopened(index)
+        if i % 4 == 3:
+            assert index.delete(f"r{i - 1}")
+            assert_as_reopened(index)
+        if i % 5 == 4:
+            # The fresh key's partition writes its slice before the
+            # repeated key's partition refuses the group.
+            fresh = next(f"x{i}-{n}" for n in range(100)
+                         if shards == 1 or shard_of(f"x{i}-{n}", shards)
+                         != shard_of("s0", shards))
+            with pytest.raises(UpdateError):
+                index.insert_batch([(fresh, "{z, q}"), ("s0", "{a}")])
+            refused += 1
+            assert_as_reopened(index)
+        if path is not None and i % 7 == 6:
+            index.close()
+            index = NestedSetIndex.open(storage, path)
+            assert_as_reopened(index)
+    assert folds >= 2 and logged >= 2 and refused >= 2
+    if shards == 1:
+        assert_healthy(index.inverted_file)
+    index.close()
+
+
+def test_a_load_racing_a_commit_publishes_no_stale_table() -> None:
+    """A reader decoding the frequency table while a commit logs its
+    delta: the commit waits for the load and then updates the loaded
+    table, so no reader publishes a table the commit has passed."""
+    ifile = InvertedFile.build(
+        [(f"s{i}", NestedSet.parse("{a, b%d}" % i)) for i in range(20)])
+    writer = IndexWriter(ifile)
+    writer.insert("r0", "{a, fresh}")       # one logged delta to decode
+    assert ifile._n_freq_deltas == 1
+    ifile.reload_config()                   # nothing loaded yet
+    store = ifile.store
+    in_load, release = threading.Event(), threading.Event()
+
+    def get(key, _get=store.get):
+        if key == delta_key(_FREQ_KEY, 0) and not in_load.is_set():
+            in_load.set()
+            release.wait(5)
+        return _get(key)
+
+    store.get = get
+    reader = threading.Thread(target=ifile.frequencies)
+    reader.start()
+    assert in_load.wait(5)
+    committer = threading.Thread(
+        target=writer.insert, args=("r1", "{a, fresh, newer}"))
+    committer.start()
+    committer.join(0.2)                     # it may finish only after
+    release.set()
+    reader.join(5)
+    committer.join(5)
+    del store.get
+    assert ifile._n_freq_deltas == 2
+    assert ifile.frequencies() == InvertedFile(store).frequencies()
 
 
 def test_fold_leaves_no_delta_keys() -> None:

@@ -26,6 +26,7 @@ import os
 import pytest
 
 from repro.core.engine import NestedSetIndex
+from repro.core.invfile import InvertedFile
 from repro.replication import (ReplicaTailer, ReplicationLog,
                                ReplicationSource, split_shipped_label)
 from repro.replication.log import (read_sidecar, sidecar_path,
@@ -548,6 +549,13 @@ def test_replica_frequencies_follow_the_delta_log(tmp_path, storage) -> None:
                     folds += 1
             _tail_to_end(tailer, call)
             assert tables(replica) == tables(primary)
+            # The replica's live table was read before this batch
+            # landed: the apply must have dropped it.
+            fresh = InvertedFile(replica.inverted_file.store)
+            assert replica.inverted_file.frequencies() == \
+                fresh.frequencies()
+            assert replica.inverted_file.live_frequencies() == \
+                fresh.live_frequencies()
             assert dict(replica.inverted_file.frequencies()) == \
                 document_frequencies(list(live.values()) +
                                      list(dead.values()))
