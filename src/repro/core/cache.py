@@ -6,7 +6,7 @@ in main memory (250 lists in its experiments), since every leaf of a
 query otherwise costs a list retrieval plus a decode.  Here one
 :class:`BlockCache` per inverted file, an LRU (the workload-adaptive
 policy of the paper's future work (6)), holds every decoded block and
-skip directory, and ``cache=`` only chooses its pins
+warm list handle, and ``cache=`` only chooses its pins
 (:meth:`~repro.core.invfile.InvertedFile.set_cache`).
 """
 
@@ -31,7 +31,7 @@ POLICIES = (None, "none", "frequency", "lru")
 DEFAULT_BLOCK_BUDGET = 8192
 
 #: The directory entry of a list the store does not hold: an atom absent
-#: at the key's version is remembered like a present list's directory.
+#: at the key's version is remembered like a present list.
 ABSENT = object()
 
 
@@ -56,8 +56,8 @@ class CacheStats:
 
 
 class BlockCache:
-    """LRU over the *decoded blocks* and skip directories of posting
-    lists, with a pinned region beside it.
+    """LRU over the *decoded blocks* and list handles of posting lists,
+    with a pinned region beside it.
 
     Lazy lists (:class:`repro.core.postings.LazyPostingList`) route every
     block decode through one shared instance, keyed by ``(list key,
@@ -68,10 +68,14 @@ class BlockCache:
     modification epoch)`` under MVCC snapshot reads, so a commit starts
     a fresh epoch instead of invalidating, and a racing reader
     re-populating an old epoch's entry can never serve a newer reader.
-    Each list's decoded skip directory
-    (:class:`repro.core.postings.SkipDirectory`), or :data:`ABSENT` when
-    the store had no value, sits under the bare list key in an LRU of
-    its own with the same budget, outside ``len()`` and the statistics.
+    Each list's handle -- the :class:`~repro.core.postings.LazyPostingList`
+    itself, with its bytes, skip directory and head column -- or
+    :data:`ABSENT` when the store had no value, sits under the bare list
+    key in a directory LRU of its own with the same budget, outside
+    ``len()`` and the statistics.  A handle is as large as its list, so
+    the directory LRU keeps one list key per token, the newest epoch
+    admitted: a newer one replaces the older entry, and an older one is
+    not admitted while a newer one is held.
 
     :meth:`pin` names the tokens whose lists are exempt from eviction.
     Per pinned token the pinned region holds one list key, the newest
@@ -89,6 +93,8 @@ class BlockCache:
         self._blocks: OrderedDict[tuple[Hashable, int], BlockData] = \
             OrderedDict()
         self._directories: OrderedDict[Hashable, object] = OrderedDict()
+        #: Per token the one list key the directory LRU holds.
+        self._directory_key: dict[Hashable, Hashable] = {}
         #: The pin set: tokens whose newest list is exempt from eviction.
         self.pins: frozenset = frozenset()
         #: The pinned region: per list key its blocks by number and its
@@ -115,7 +121,7 @@ class BlockCache:
             self._admit(key, block)
 
     def directory(self, list_key: Hashable) -> object | None:
-        """The cached skip directory of one list, or ``None``."""
+        """The cached handle (or :data:`ABSENT`) of one list, or ``None``."""
         with self._lock:
             directory = self._pinned_dirs.get(list_key)
             if directory is None:
@@ -146,7 +152,7 @@ class BlockCache:
                 self._admit(key, block)
 
     def invalidate(self, list_keys: "set[Hashable]") -> None:
-        """Drop every cached block and the directory (or absent marker)
+        """Drop every cached block and the handle (or absent marker)
         of the given lists (atom tokens), pinned or not, at every epoch.
 
         Appends change only a list's tail block, but block *numbers*
@@ -157,9 +163,8 @@ class BlockCache:
             for key in [key for key in self._blocks
                         if _token_of(key[0]) in list_keys]:
                 del self._blocks[key]
-            for key in [key for key in self._directories
-                        if _token_of(key) in list_keys]:
-                del self._directories[key]
+            for token in self._directory_key.keys() & list_keys:
+                del self._directories[self._directory_key.pop(token)]
             for token in self._pinned_key.keys() & list_keys:
                 list_key = self._pinned_key.pop(token)
                 del self._pinned[list_key]
@@ -180,6 +185,7 @@ class BlockCache:
     def _clear(self) -> None:
         self._blocks.clear()
         self._directories.clear()
+        self._directory_key.clear()
         self._pinned.clear()
         self._pinned_dirs.clear()
         self._pinned_key.clear()
@@ -200,10 +206,19 @@ class BlockCache:
         if self._pinned_list(list_key) is not None:
             self._pinned_dirs[list_key] = directory
             return
+        token = _token_of(list_key)
+        held = self._directory_key.get(token)
+        if held is not None and held != list_key:
+            # Both keys are epoch-scoped (a bare token is held as itself).
+            if held[1] > list_key[1]:
+                return
+            del self._directories[held]
+        self._directory_key[token] = list_key
         self._directories[list_key] = directory
         self._directories.move_to_end(list_key)
         if len(self._directories) > self.budget:
-            self._directories.popitem(last=False)
+            evicted, _entry = self._directories.popitem(last=False)
+            del self._directory_key[_token_of(evicted)]
 
     def _pinned_list(self, list_key: Hashable
                      ) -> dict[int, BlockData] | None:

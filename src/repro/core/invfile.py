@@ -30,7 +30,6 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass, fields
-from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -99,8 +98,8 @@ class QueryStats:
 
     postings_requests: int = 0
     #: Which path served a list lookup: a store get of the atom's value
-    #: (a cold key, or a warm list's first block miss), or the block
-    #: cache's directory entry with no store access.
+    #: (a cold key only), or the list (or absent marker) the block cache
+    #: keeps under a warm key, with no store access.
     list_fetches: int = 0
     directory_hits: int = 0
     meta_block_reads: int = 0
@@ -384,8 +383,8 @@ class InvertedFile:
 
     def postings(self, atom: Atom) -> PostingList | LazyPostingList:
         """Retrieve ``S_IF(atom)``; a stored list comes back lazy (block
-        payloads still encoded, and its value not even read while it is
-        warm: :meth:`_open_list`)."""
+        payloads still encoded), and a warm one is the very list the
+        block cache keeps (:meth:`_open_list`)."""
         self.stats.postings_requests += 1
         token = atom_token(atom)
         return self._open_list(atom, token, self._epoch(token))
@@ -399,51 +398,36 @@ class InvertedFile:
 
     def _open_list(self, atom: Atom, token: str, epoch: int | None
                    ) -> PostingList | LazyPostingList:
-        """``S_IF(atom)``, the block cache's directory entry first.
+        """``S_IF(atom)``, the block cache's handle first.
 
         The list key is the atom token on a standalone file (which
         relies on :meth:`~repro.core.cache.BlockCache.invalidate` after
         updates) and ``(token, epoch floor)`` with modification epochs
         attached (the engine's MVCC read path,
         :mod:`repro.core.snapshot`), where it names exactly one stored
-        value.  Under a cached directory the list is handed out at once
-        -- no store access -- and reads its value on the first block
-        the block cache misses; an :data:`~repro.core.cache.ABSENT`
-        entry answers empty.  Otherwise the value is fetched, and its
-        directory, or the marker when the store has none, is left under
-        the key.
+        value.  A warm key's entry is the list itself, handed out with
+        no store access; an :data:`~repro.core.cache.ABSENT` entry
+        answers empty.  A cold key's value is fetched, and the list
+        built from it, or the marker when the store has none, is left
+        under the key.
         """
         list_key = token if epoch is None else (token, epoch)
-        store_key = _token_store_key(token)
-        directory = self.block_cache.directory(list_key)
-        if directory is not None:
+        plist = self.block_cache.directory(list_key)
+        if plist is not None:
             self.stats.directory_hits += 1
-            if directory is ABSENT:
-                return PostingList()
-            return LazyPostingList(
-                directory=directory,
-                loader=partial(self._fetch_list, atom, store_key),
-                cache=self.block_cache, cache_key=list_key,
-                stats=self.stats)
+            return PostingList() if plist is ABSENT else plist
         self.stats.list_fetches += 1
-        raw = self._store.get(store_key)
+        raw = self._store.get(_token_store_key(token))
         if raw is None:
             self.block_cache.admit_directory(list_key, ABSENT)
             return PostingList()
         try:
-            return LazyPostingList(raw, cache=self.block_cache,
-                                   cache_key=list_key, stats=self.stats)
+            plist = LazyPostingList(raw, cache=self.block_cache,
+                                    cache_key=list_key, stats=self.stats)
         except CorruptionError as exc:
             raise InvertedFileError(f"atom {atom!r}: {exc}") from exc
-
-    def _fetch_list(self, atom: Atom, store_key: bytes) -> bytes:
-        """The value of a list handed out over a cached directory."""
-        self.stats.list_fetches += 1
-        raw = self._store.get(store_key)
-        if raw is None:
-            raise InvertedFileError(
-                f"atom {atom!r}: cached skip directory, but no stored list")
-        return raw
+        self.block_cache.admit_directory(list_key, plist)
+        return plist
 
     def list_length(self, atom: Atom) -> int:
         """Posting count of ``atom``, through the same lookup as

@@ -127,9 +127,9 @@ class ExplainResult:
     """Top-level trace plus the query outcome.
 
     ``list_fetches`` / ``directory_hits`` say how the lists were
-    reached: store gets of a list value versus warm lists handed out
-    over the block cache's directory entries, with no store access (the
-    trace's own per-atom length lookups included).  ``blocks_read`` /
+    reached: store gets of a cold key's value versus warm lists (or
+    absent markers) the block cache keeps under their keys, with no
+    store access (the trace's own per-atom length lookups included).  ``blocks_read`` /
     ``blocks_skipped`` / ``bytes_decoded`` account for
     the block-compressed posting format: blocks whose payload was
     actually decoded during this query versus blocks the galloping

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as _np
 
@@ -264,9 +264,9 @@ class SkipDirectory:
     ``max_heads`` is the ``max_head`` of every block as an ``int64``
     array (what a probe is searched into) and ``starts`` the number of
     postings before each block, with the total as a last element.
-    Decoding the directory is the dearest part of opening a list that
-    is already in the block cache, so lazy lists keep this object in the
-    :class:`~repro.core.cache.BlockCache` under their list key.
+    Every :class:`LazyPostingList` decodes its own once, and a warm
+    list keeps it: the handle cached in the
+    :class:`~repro.core.cache.BlockCache` is the list itself.
     """
 
     __slots__ = ("header", "max_heads", "starts")
@@ -282,7 +282,7 @@ class SkipDirectory:
 class LazyPostingList:
     """A block-compressed posting list that decodes blocks on demand.
 
-    Wraps the raw bytes of a blocked atom value
+    Owns the raw bytes of a blocked atom value
     (:func:`repro.storage.codec.encode_blocked`): the skip directory is
     decoded up front, block payloads only when touched.  Length and head
     range are O(1); :meth:`seek` resolves one head by decoding at most
@@ -292,40 +292,31 @@ class LazyPostingList:
     row, and :attr:`entries`, the rows, for the consumers that read
     postings one at a time.
 
-    Decoded blocks and the decoded skip directory go through an optional
-    shared :class:`~repro.core.cache.BlockCache` (``cache`` +
-    ``cache_key``) so hot blocks survive across queries; without one,
-    decoded blocks are memoized locally.  ``stats`` accepts the owning
-    index's :class:`~repro.core.invfile.QueryStats` and is bumped on
-    every block decode (``blocks_read``/``bytes_decoded``) and every
-    skip-directory jump (``blocks_skipped``).
+    Decoded blocks go through an optional shared
+    :class:`~repro.core.cache.BlockCache` (``cache`` + ``cache_key``) so
+    hot blocks survive across queries; without one, decoded blocks are
+    memoized locally.  A block the cache has lost decodes again from
+    the list's own bytes.  ``stats`` accepts the owning index's
+    :class:`~repro.core.invfile.QueryStats` and is bumped on every block
+    decode (``blocks_read``/``bytes_decoded``) and every skip-directory
+    jump (``blocks_skipped``).
 
-    A list can also start from an already decoded ``directory`` and a
-    ``loader`` instead of its bytes: :attr:`raw` is then fetched by the
-    first block that misses the cache, and never if every touched block
-    is cached.  The loader must return the very bytes the directory was
-    decoded from, so it is bound to the store version the directory's
-    cache key names; whoever keeps the list beyond that version's pin
-    reads :attr:`raw` first.
+    The inverted file keeps the list as the cache's handle under its
+    list key (:meth:`~repro.core.invfile.InvertedFile._open_list`), so
+    one list serves every reader of that key, from any thread: each
+    memo (head column, columns, rows) is computed from the same bytes,
+    so a racing reader at worst computes it twice.  The head column is
+    kept read-only.
     """
 
-    __slots__ = ("_raw", "_loader", "directory", "header", "_cache",
-                 "_cache_key", "_stats", "_local", "_entries", "_heads_arr",
-                 "_columns")
+    __slots__ = ("raw", "directory", "header", "_cache", "_cache_key",
+                 "_stats", "_local", "_entries", "_heads_arr", "_columns")
 
-    def __init__(self, raw: bytes | None = None, *, directory=None,
-                 loader: Callable[[], bytes] | None = None, cache=None,
-                 cache_key: object = None, stats=None) -> None:
-        self._raw = raw
-        self._loader = loader
-        if directory is None and cache is not None:
-            directory = cache.directory(cache_key)
-        if directory is None:
-            directory = SkipDirectory(decode_blocked_header(raw))
-            if cache is not None:
-                cache.admit_directory(cache_key, directory)
-        self.directory = directory
-        self.header = directory.header
+    def __init__(self, raw: bytes, *, cache=None, cache_key: object = None,
+                 stats=None) -> None:
+        self.raw = raw
+        self.directory = SkipDirectory(decode_blocked_header(raw))
+        self.header = self.directory.header
         self._cache = cache
         self._cache_key = cache_key
         self._stats = stats
@@ -335,19 +326,6 @@ class LazyPostingList:
         self._columns = None
 
     # -- block access ------------------------------------------------------
-
-    @property
-    def raw(self) -> bytes:
-        """The stored value, loaded on first use when built from a
-        directory (the list then owns it and drops the loader)."""
-        raw = self._raw
-        if raw is None:
-            loader = self._loader
-            if loader is None:      # another thread has just loaded it
-                return self._raw
-            raw = self._raw = loader()
-            self._loader = None
-        return raw
 
     @property
     def n_blocks(self) -> int:
@@ -362,13 +340,13 @@ class LazyPostingList:
         a cached block serves both the array-native intersection and
         row consumers without re-decoding.
         """
-        if self._entries is not None:
-            return BlockData.from_postings(self.block(index))
         key = (self._cache_key, index)
         if self._cache is not None:
             hit = self._cache.get(key)
             if hit is not None:
                 return hit
+        elif self._entries is not None:
+            return BlockData.from_postings(self.block(index))
         elif self._local is not None and index in self._local:
             return self._local[index]
         info = self.header.blocks[index]
@@ -392,7 +370,7 @@ class LazyPostingList:
         return self.block_data(index).postings
 
     def heads_array(self):
-        """All head ids as one sorted ``int64`` ndarray.
+        """All head ids as one sorted, read-only ``int64`` ndarray.
 
         Decodes every block -- an intersection whose probes outnumber
         the blocks would decode them all anyway -- but touches
@@ -400,12 +378,13 @@ class LazyPostingList:
         """
         if self._heads_arr is None:
             if self._entries is not None:
-                self._heads_arr = _np.fromiter(
-                    (p for p, _ in self._entries), _np.int64,
-                    len(self._entries))
+                heads = _np.fromiter((p for p, _ in self._entries),
+                                     _np.int64, len(self._entries))
             else:
-                self._heads_arr = _concat(
-                    [self.block_data(i).heads for i in range(self.n_blocks)])
+                heads = _concat([self.block_data(i).heads
+                                 for i in range(self.n_blocks)])
+            heads.flags.writeable = False
+            self._heads_arr = heads
         return self._heads_arr
 
     def columns(self):
@@ -416,8 +395,7 @@ class LazyPostingList:
         if self._columns is None:
             self._columns = _block_columns(
                 [self.block_data(i) for i in range(self.n_blocks)],
-                self._heads_arr)
-            self._heads_arr = self._columns[0]
+                self.heads_array())
         return self._columns
 
     @property

@@ -19,9 +19,9 @@ rather than invalidation:
   correct) entries, and a slow reader re-populating an old epoch's entry
   can never poison a newer reader.  Deletes are tombstones that leave
   posting bytes untouched, so they bump no epochs at all.  A
-  ``(token, epoch)`` key thus names one stored value, which is why a
-  cached skip directory (or absent marker) may stand for the list
-  without reading it.
+  ``(token, epoch)`` key thus names one stored value, which is why the
+  list cached under it (or an absent marker) may serve every reader of
+  the key without reading it.
 * :class:`SharedIndexState` holds the cross-version caches whose safety
   rests on the index's append-only invariants: node-metadata blocks only
   grow (longest copy wins, served when long enough for the reader's

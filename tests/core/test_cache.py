@@ -303,3 +303,108 @@ class TestPinnedRegion:
         IndexWriter(ifile).insert("new", NestedSet.parse("{hub}"))
         assert not ifile.cache._pinned
         assert len(ifile.postings("hub")) == hub + 1
+
+
+def _directory_tokens(cache: BlockCache) -> list:
+    return [key[0] if isinstance(key, tuple) else key
+            for key in cache._directories]
+
+
+def _assert_one_key_per_token(cache: BlockCache) -> None:
+    tokens = _directory_tokens(cache)
+    assert len(tokens) == len(set(tokens))
+    assert cache._directory_key == dict(zip(tokens, cache._directories))
+
+
+class TestDirectoryLRU:
+    """One list key per token in the directory LRU, its newest epoch:
+    a kept handle is as large as its list."""
+
+    def test_newer_epoch_replaces_older(self) -> None:
+        cache = BlockCache(budget=8)
+        cache.admit_directory(("t", 0), "dir 0")
+        cache.admit_directory(("u", 0), "other")
+        cache.admit_directory(("t", 2), "dir 2")
+        assert list(cache._directories) == [("u", 0), ("t", 2)]
+        assert cache.directory(("t", 0)) is None
+        assert cache.directory(("t", 2)) == "dir 2"
+        _assert_one_key_per_token(cache)
+
+    def test_older_epoch_is_not_admitted(self) -> None:
+        cache = BlockCache(budget=8)
+        cache.admit_directory(("t", 2), "dir 2")
+        cache.admit_directory(("t", 1), "dir 1")
+        assert cache.directory(("t", 1)) is None
+        assert cache.directory(("t", 2)) == "dir 2"
+        cache.admit_directory(("t", 2), "dir 2 again")     # same key
+        assert cache.directory(("t", 2)) == "dir 2 again"
+        _assert_one_key_per_token(cache)
+
+    def test_eviction_invalidate_and_clear_keep_the_map(self) -> None:
+        cache = BlockCache(budget=2)
+        for token in ("a", "b", "c"):
+            cache.admit_directory((token, 1), token)
+        assert _directory_tokens(cache) == ["b", "c"]       # a evicted
+        _assert_one_key_per_token(cache)
+        cache.admit_directory(("a", 0), "a at 0")           # none held
+        assert _directory_tokens(cache) == ["c", "a"]
+        _assert_one_key_per_token(cache)
+        cache.invalidate({"a", "b"})
+        assert _directory_tokens(cache) == ["c"]
+        _assert_one_key_per_token(cache)
+        cache.admit_directory(("a", 0), "a at 0")
+        cache.clear()
+        assert not cache._directories and not cache._directory_key
+        cache.admit_directory(("c", 0), "c at 0")           # none held
+        assert cache.directory(("c", 0)) == "c at 0"
+
+    def test_random_script_keeps_the_map_exact(self) -> None:
+        import random
+        rng = random.Random(7)
+        cache = BlockCache(budget=5)
+        for step in range(2_000):
+            token = f"t{rng.randrange(8)}"
+            action = rng.random()
+            if action < 0.8:
+                epoch = rng.randrange(6)
+                cache.admit_directory((token, epoch), step)
+                held = [key[1] for key in (*cache._directories,
+                                           *cache._pinned_dirs)
+                        if key[0] == token]
+                assert max(held) >= epoch
+            elif action < 0.9:
+                cache.directory((token, rng.randrange(6)))
+            elif action < 0.97:
+                cache.invalidate({token})
+                assert token not in cache._directory_key
+            elif action < 0.98:
+                cache.pin({token} if rng.random() < 0.5 else ())
+            else:
+                cache.clear()
+            _assert_one_key_per_token(cache)
+            assert len(cache._directories) <= cache.budget
+
+    def test_commits_leave_one_handle_per_token(self) -> None:
+        """50 commits touch ``hub``; a snapshot is held at every tenth
+        version and keeps answering for its own version."""
+        query = NestedSet.parse("{hub, {mid, b0}}")
+        records = list(RECORDS)
+        with NestedSetIndex.build(RECORDS, block_size=4) as index:
+            cache = index.inverted_file.block_cache
+            held = []
+            for i in range(50):
+                record = (f"n{i:02d}", NestedSet.parse(
+                    f"{{hub, a{i % 5}, {{mid, b{i % 3}}}}}"))
+                index.insert(*record)
+                records.append(record)
+                if i % 10 == 0:
+                    held.append((index.snapshot(), list(records)))
+                assert index.query("{hub}") == reference_query(
+                    records, NestedSet.parse("{hub}"), QuerySpec())
+                for snap, seen in held:
+                    assert snap.query(query) == reference_query(
+                        seen, query, QuerySpec())
+                _assert_one_key_per_token(cache)
+            assert "s:hub" in _directory_tokens(cache)
+            for snap, _seen in held:
+                snap.close()

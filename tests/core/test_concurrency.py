@@ -12,6 +12,7 @@ mutation, not just the absence of crashes.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -20,6 +21,7 @@ from repro.bench.workloads import generate_dataset
 from repro.core.engine import NestedSetIndex
 from repro.core.invfile import InvertedFile
 from repro.core.model import NestedSet
+from repro.core.postings import COLUMNAR_MIN
 from repro.data.ingest import StreamIngestor
 from repro.storage import KVStore, StorageError
 
@@ -226,6 +228,87 @@ class TestReadersVersusWriters:
         # records), which is the point of the streaming path.
         assert counts["groups_committed"] < total
         assert index.query(self.PROBE) == keys
+        index.close()
+
+    def test_readers_share_warm_lists_under_stream_ingest(self,
+                                                         shards) -> None:
+        """Readers racing on the same warm lists while a
+        :class:`StreamIngestor` commits.
+
+        A warm list is one object shared by every reader of its key, so
+        the first readers to need its head column, columns or rows write
+        them onto it together.  The writer commits the probe lists (a
+        fresh list per commit) and every few records drops the cached
+        lists, so the static ones -- long enough for the columnar path,
+        and short enough for rows -- are filled in again under the race.
+        Every batch must be one committed version: the probe answers a
+        prefix of the submission order, the static ones never change.
+        """
+        index = _build(shards)
+        static = [(f"w{i:03d}", "{__warm__, %s}" % ("even", "odd")[i % 2])
+                  for i in range(2 * COLUMNAR_MIN + 2)]
+        static += [(f"x{i}", "{__warm__, rare, {__warm__, odd}}")
+                   for i in range(3)]
+        index.insert_batch(static)
+        fixed = ["{__warm__}", "{__warm__, odd}", "{rare, {odd}}",
+                 "{__warm__, even, odd}"]
+        want = [index.query(query) for query in fixed]
+        assert len(want[0]) > 2 * COLUMNAR_MIN and want[2] == ["x0", "x1",
+                                                                "x2"]
+        total = 120
+        keys = [f"s{i:03d}" for i in range(total)]   # sorted == submit order
+        prefixes = {tuple(keys[:i]) for i in range(total + 1)}
+        queries = [self.PROBE, "{__live__, payload}", *fixed]
+        stop = threading.Event()
+        failures: list[str] = []
+
+        def reader() -> None:
+            while not stop.is_set():
+                try:
+                    probe_hits, payload_hits, *answers = \
+                        index.query_batch(queries)
+                except Exception as exc:  # noqa: BLE001
+                    failures.append(f"reader raised: {exc!r}")
+                    return
+                if probe_hits != payload_hits:
+                    failures.append(
+                        f"one batch mixed two versions: {probe_hits!r} "
+                        f"vs {payload_hits!r}")
+                    return
+                if tuple(probe_hits) not in prefixes:
+                    failures.append(f"torn/non-prefix state: "
+                                    f"{probe_hits!r}")
+                    return
+                if answers != want:
+                    failures.append(f"a static answer moved: {answers!r}")
+                    return
+
+        threads = [threading.Thread(target=reader) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            with StreamIngestor(index, batch_size=8,
+                                flush_interval=0.01) as ingestor:
+                for n, key in enumerate(keys):
+                    ingestor.submit(key, "{__live__, payload}")
+                    if n % 10 == 0:
+                        for part in index.shards:
+                            part.inverted_file.block_cache.clear()
+                assert ingestor.flush(timeout=60)
+                counts = ingestor.counters()
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures[:3]
+        assert counts["records_ingested"] == total
+        assert counts["errors"] == 0
+        assert index.query(self.PROBE) == keys
+        assert [index.query(query) for query in fixed] == want
         index.close()
 
     def test_batch_queries_race_mutations(self, shards) -> None:

@@ -1,19 +1,19 @@
 """Warm posting lists never touch the store.
 
-A list lookup goes to the block cache's directory entry under
-``(token, epoch floor)`` first: a cached skip directory
-hands the list out with no store access (its value is read on the first
-block the block cache misses), and an atom the store lacked answers
-empty from its absent marker.  Only a cold key fetches the value.
+A list lookup goes to the block cache's entry under ``(token, epoch
+floor)`` first: a warm key's entry is the list itself, handed out with
+no store access (a block the block cache has lost decodes again from
+the list's own bytes), and an atom the store lacked answers empty from
+its absent marker.  Only a cold key fetches the value.
 
 What makes that safe is that a ``(token, epoch)`` key names one stored
 value: writers bump the tokens they touch before their commit lands, a
 replica's replay bumps every token, a compact starts a fresh block
 cache, and a standalone file invalidates by token.  The tests hold
 readers across each of those and compare against a reader that has
-never seen the atom.  The last two tests hold the frequency policy's
-pinned lists across snapshots: a pinned directory holds no loader, so
-every snapshot reads a list's value through its own store.
+never seen the atom.  The last two tests hold cached lists, pinned and
+not, across snapshots: a kept list owns its bytes, so it answers after
+the snapshot that read them has closed.
 
 Needs no hypothesis (it runs in the crash-consistency CI job).
 """
@@ -28,10 +28,11 @@ import pytest
 from repro.core import shard
 from repro.core.cache import BlockCache
 from repro.core.engine import NestedSetIndex
-from repro.core.invfile import InvertedFile
+from repro.core.invfile import InvertedFile, _atom_store_key
 from repro.core.matchspec import QuerySpec
 from repro.core.model import NestedSet
 from repro.core.naive import reference_query
+from repro.core.postings import LazyPostingList
 from repro.core.updates import IndexWriter, UpdateError
 
 RECORDS = [(f"r{i:02d}",
@@ -85,19 +86,47 @@ def test_warm_query_reads_no_list_value(monkeypatch, shards) -> None:
         assert "list_fetches=0  directory_hits=" in explained.render()
 
 
-def test_warm_list_reads_its_value_on_a_block_miss() -> None:
-    """A list handed out over a cached directory fetches its value once
-    a block it needs has left the block cache, and answers the same."""
-    with NestedSetIndex.build(RECORDS, block_size=4) as index, \
-            index.snapshot() as held:
-        ifile = held.views[0].inverted_file
-        cold = list(ifile.postings("hub"))
+def test_warm_list_reads_its_value_on_a_block_miss(monkeypatch) -> None:
+    """A warm list is the cached object itself, and a block it needs
+    that has left the block cache decodes again from the list's own
+    bytes: no store get, even after the snapshot that first opened it
+    has closed, and the same answer."""
+    with NestedSetIndex.build(RECORDS, block_size=4) as index:
+        with index.snapshot() as first:
+            ifile = first.views[0].inverted_file
+            raw = ifile.store.get(_atom_store_key("hub"))
+            handle = ifile.postings("hub")
+            assert handle.seek(handle.header.blocks[0].min_head)
         fetches = ifile.stats.list_fetches
-        ifile.block_cache._blocks.clear()       # directories stay
-        warm = ifile.postings("hub")
-        assert ifile.stats.list_fetches == fetches
-        assert list(warm) == cold
-        assert ifile.stats.list_fetches == fetches + 1
+        ifile.block_cache._blocks.clear()       # the handles stay
+        with index.snapshot() as later:
+            gets = _atom_gets(monkeypatch, later.views)
+            view = later.views[0].inverted_file
+            warm = view.postings("hub")
+            assert warm is handle
+            blocks_read = view.stats.blocks_read
+            assert list(warm) == list(LazyPostingList(raw))
+            assert view.stats.blocks_read == blocks_read + warm.n_blocks
+            assert gets == []
+            assert view.stats.list_fetches == fetches
+
+
+def test_kept_head_column_is_read_only() -> None:
+    """Every reader of a warm list shares its head column and columns,
+    so none may write into them."""
+    with NestedSetIndex.build(RECORDS, block_size=4) as index:
+        ifile = index.inverted_file
+        for atom in ("hub", "a1"):
+            plist = ifile.postings(atom)
+            heads = plist.heads_array()
+            with pytest.raises(ValueError, match="read-only"):
+                heads[0] = -1
+            assert plist.columns()[0] is heads
+            assert ifile.postings(atom).heads_array() is heads
+        rows = ifile.postings("a2")
+        assert list(rows)                       # rows first, then heads
+        with pytest.raises(ValueError, match="read-only"):
+            rows.heads_array()[:] = 0
 
 
 @pytest.mark.parametrize("shards", [1, 4])
@@ -251,8 +280,8 @@ def test_standalone_file_invalidates_by_token() -> None:
 
 def test_kept_list_outlives_its_snapshot() -> None:
     """Pinned lists outlive the snapshot they were read under, while
-    the others churn through a one-block LRU and decode again, out of
-    bytes each snapshot reads for itself."""
+    the others' blocks churn through a one-block LRU and decode again,
+    out of the bytes each kept list owns."""
     records = [(key, NestedSet.parse(text)) for key, text in RECORDS]
     expected = [reference_query(records, NestedSet.parse(query),
                                 QuerySpec()) for query in QUERIES]
@@ -264,8 +293,8 @@ def test_kept_list_outlives_its_snapshot() -> None:
             for query in QUERIES:
                 with index.snapshot() as snap:
                     # EXPLAIN looks each atom's length up before the
-                    # algorithm asks for its list, which is then handed
-                    # out over the directory the lookup left.
+                    # algorithm asks for its list, which is then the
+                    # list the lookup left in the cache.
                     answers.append(snap.explain(query).matches
                                    if run == "explain" else
                                    snap.query(query))
@@ -274,10 +303,10 @@ def test_kept_list_outlives_its_snapshot() -> None:
 
 
 def test_kept_list_owns_its_bytes() -> None:
-    """A list handed out over a directory cached by an earlier snapshot,
-    pinned or not, reads its value through the snapshot at hand: a
-    later snapshot galloping into blocks the first one never touched
-    must not reach back into the first snapshot's (closed) store."""
+    """A list cached by an earlier snapshot, pinned or not, owns its
+    value: a later snapshot galloping into blocks the first one never
+    touched decodes them from the list's bytes and must not reach back
+    into the first snapshot's (closed) store."""
     for policy in ("frequency", "lru"):
         with NestedSetIndex.build(RECORDS, block_size=4) as index:
             index.shards[0].inverted_file.block_cache = BlockCache(budget=16)
