@@ -1,11 +1,12 @@
 """Experiment ST1: storage-engine ablation (Section 5.1).
 
 The paper ran on Tokyo Cabinet's external hash table with caching
-disabled.  This benchmark compares our three engines -- in-memory dict,
-disk hash table, disk B+tree -- on index construction and on the query
-workload (uncached and cached).  Expected shape: disk engines cost more
-per uncached lookup (page traffic); the inverted-list cache flattens the
-difference because hot lists stop touching the store at all.
+disabled.  This benchmark compares our two engines -- in-memory dict and
+disk hash table -- on index construction and on the query workload,
+without and with the Section 3.3 frequency pins.  Every timed pass
+follows a warm-up pass, so the query columns time warm lists, which
+never reach the store: expect the engines to tie there and to differ in
+build time.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def _records():
 
 
 @pytest.mark.benchmark(group="storage-build")
-@pytest.mark.parametrize("engine", ["memory", "diskhash", "btree"])
+@pytest.mark.parametrize("engine", ["memory", "diskhash"])
 def test_index_build(benchmark, figure, engine, tmp_path):
     records = _records()
     counter = [0]
@@ -50,7 +51,7 @@ def test_index_build(benchmark, figure, engine, tmp_path):
 
 
 @pytest.mark.benchmark(group="storage-query")
-@pytest.mark.parametrize("engine", ["memory", "diskhash", "btree"])
+@pytest.mark.parametrize("engine", ["memory", "diskhash"])
 @pytest.mark.parametrize("policy", [None, "frequency"],
                          ids=["nocache", "cache"])
 def test_query_per_engine(benchmark, figure, engine, policy, tmp_path):

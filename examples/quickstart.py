@@ -25,7 +25,7 @@ print("Tim:", tim.to_text())
 
 # -- 2. build an index ----------------------------------------------------------
 # build() accepts (key, value) records; values may be NestedSet objects,
-# text, or plain Python nests.  storage="diskhash"/"btree" persists to disk.
+# text, or plain Python nests.  storage="diskhash" persists to disk.
 
 index = NestedSetIndex.build([("sue", sue), ("tim", tim)])
 print(f"\nIndexed {index.n_records} records, "

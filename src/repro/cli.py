@@ -3,7 +3,7 @@
 ::
 
     nestcontain generate --dataset zipf-wide --size 10000 -o data.nsets
-    nestcontain index data.nsets --storage diskhash -o data.idx
+    nestcontain index data.nsets -o data.idx
     nestcontain query data.idx "{USA, {UK, {A, motorbike}}}" --algorithm topdown
     nestcontain info data.idx
     nestcontain bench --dataset twitter --sizes 1000,2000 --repeats 5
@@ -487,6 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Containment queries on nested sets "
                     "(Ibrahim & Fletcher, EDBT 2013 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
+    # One disk engine.  The option stays for command lines that name it
+    # (ladder/workloads.py starts ``serve --storage diskhash``).
+    on_disk = argparse.ArgumentParser(add_help=False)
+    on_disk.add_argument("--storage", choices=("diskhash",),
+                         default="diskhash")
 
     gen = sub.add_parser("generate", help="generate a synthetic collection")
     gen.add_argument("--dataset", choices=DATASETS, default="uniform-wide")
@@ -509,10 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     imp.add_argument("-o", "--output", required=True)
     imp.set_defaults(func=_cmd_import)
 
-    idx = sub.add_parser("index", help="build a disk index from a collection")
+    idx = sub.add_parser("index", parents=[on_disk],
+                         help="build a disk index from a collection")
     idx.add_argument("collection")
-    idx.add_argument("--storage", choices=("diskhash", "btree"),
-                     default="diskhash")
     idx.add_argument("--shards", type=int, default=1,
                      help="partition the records across N inverted-file "
                           "shards inside one store (default 1)")
@@ -522,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     idx.add_argument("-o", "--output", required=True)
     idx.set_defaults(func=_cmd_index)
 
-    query = sub.add_parser("query", help="run one containment query")
+    query = sub.add_parser("query", parents=[on_disk],
+                           help="run one containment query")
     query.add_argument("index")
     query.add_argument("query", nargs="?", default=None,
                        help="nested set text, e.g. '{a, {b}}' "
@@ -532,8 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "('-' reads stdin); runs through "
                             "query_batch (--algorithm bottomup shares "
                             "subquery work across the batch)")
-    query.add_argument("--storage", choices=("diskhash", "btree"),
-                       default="diskhash")
     query.add_argument("--algorithm", choices=ALGORITHMS, default=None,
                        help="unset: the compiler picks per join "
                             "(--show-plan names the pick)")
@@ -547,13 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
                        default="none")
     query.set_defaults(func=_cmd_query)
 
-    exp = sub.add_parser("explain",
+    exp = sub.add_parser("explain", parents=[on_disk],
                          help="trace a query's evaluation "
                               "(any algorithm)")
     exp.add_argument("index")
     exp.add_argument("query")
-    exp.add_argument("--storage", choices=("diskhash", "btree"),
-                     default="diskhash")
     exp.add_argument("--algorithm", choices=ALGORITHMS, default=None,
                      help="unset: the compiler picks per join "
                           "(the trace's header names the pick)")
@@ -564,35 +565,30 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--cache", default="none")
     exp.set_defaults(func=_cmd_explain)
 
-    sim = sub.add_parser("similar",
+    sim = sub.add_parser("similar", parents=[on_disk],
                          help="top-k nested-Jaccard similarity search")
     sim.add_argument("index")
     sim.add_argument("query")
-    sim.add_argument("--storage", choices=("diskhash", "btree"),
-                     default="diskhash")
     sim.add_argument("-k", type=int, default=10)
     sim.add_argument("--candidates", type=int, default=2000)
     sim.add_argument("--cache", default="none")
     sim.set_defaults(func=_cmd_similar)
 
-    chk = sub.add_parser("check", help="audit an index's integrity")
+    chk = sub.add_parser("check", parents=[on_disk],
+                         help="audit an index's integrity")
     chk.add_argument("index")
-    chk.add_argument("--storage", choices=("diskhash", "btree"),
-                     default="diskhash")
     chk.add_argument("--max-atoms", type=int, default=None,
                      help="audit only the N hottest atoms' lists")
     chk.add_argument("--cache", default="none")
     chk.set_defaults(func=_cmd_check)
 
     ing = sub.add_parser(
-        "ingest",
+        "ingest", parents=[on_disk],
         help="stream records into a live index as batched WAL commit "
              "groups")
     ing.add_argument("index", help="path of the index to ingest into")
     ing.add_argument("source",
                      help="records file; '-' streams from stdin")
-    ing.add_argument("--storage", choices=("diskhash", "btree"),
-                     default="diskhash")
     ing.add_argument("--format", choices=("jsonl", "nsets"),
                      default="nsets",
                      help="jsonl: one JSON document per line; nsets: "
@@ -613,25 +609,22 @@ def build_parser() -> argparse.ArgumentParser:
     ing.add_argument("--cache", default="none")
     ing.set_defaults(func=_cmd_ingest)
 
-    info = sub.add_parser("info",
+    info = sub.add_parser("info", parents=[on_disk],
                           help="inspect an index (or a running server)")
     info.add_argument("index", nargs="?", default=None)
     info.add_argument("--server", default=None, metavar="HOST:PORT",
                       help="show live counters of a running "
                            "'nestcontain serve' instead of an on-disk "
                            "index")
-    info.add_argument("--storage", choices=("diskhash", "btree"),
-                      default="diskhash")
     info.add_argument("--cache", default="none")
     info.add_argument("--top", type=int, default=10)
     info.set_defaults(func=_cmd_info)
 
     serve = sub.add_parser(
-        "serve", help="serve an index over TCP (binary frames, "
-                      "optional HTTP gateway)")
+        "serve", parents=[on_disk],
+        help="serve an index over TCP (binary frames, optional HTTP "
+             "gateway)")
     serve.add_argument("index")
-    serve.add_argument("--storage", choices=("diskhash", "btree"),
-                       default="diskhash")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7317,
                        help="TCP port (0 picks a free one)")
@@ -667,11 +660,10 @@ def build_parser() -> argparse.ArgumentParser:
     promote.set_defaults(func=_cmd_promote)
 
     join = sub.add_parser(
-        "join", help="full containment join: queries file x index")
+        "join", parents=[on_disk],
+        help="full containment join: queries file x index")
     join.add_argument("index")
     join.add_argument("queries", help="collection file of query sets")
-    join.add_argument("--storage", choices=("diskhash", "btree"),
-                      default="diskhash")
     join.add_argument("--strategy", choices=JOIN_STRATEGIES,
                       default="adaptive")
     join.add_argument("--algorithm", choices=ALGORITHMS, default=None,

@@ -12,8 +12,8 @@ surface::
     index.query(q, algorithm="topdown", semantics="homeo")
     index.query(q, join="overlap", epsilon=2)
 
-Disk-resident indexes (``storage="diskhash"`` or ``"btree"``) persist and
-reopen via :meth:`NestedSetIndex.open`.
+Disk-resident indexes (``storage="diskhash"``) persist and reopen via
+:meth:`NestedSetIndex.open`.
 
 One index is N >= 1 :class:`Partition`\\ s -- independent inverted files
 over disjoint slices of the records (:mod:`repro.core.shard` says who

@@ -338,8 +338,8 @@ class InvertedFile:
               **store_options: object) -> "InvertedFile":
         """Index a collection of ``(key, nested-set)`` records.
 
-        ``storage`` selects the engine (``memory``/``diskhash``/``btree``);
-        disk engines need a ``path``.  ``block_size`` is the number of
+        ``storage`` selects the engine (``memory``/``diskhash``);
+        ``diskhash`` needs a ``path``.  ``block_size`` is the number of
         postings per block of a stored list
         (:func:`repro.storage.codec.encode_blocked`).  ``store`` accepts a
         pre-opened store (e.g. a namespaced view of a shared store, see

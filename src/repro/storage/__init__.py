@@ -1,14 +1,14 @@
 """Storage substrate: Tokyo-Cabinet-style key-value engines.
 
-Exports the :class:`KVStore` interface, its three implementations, and the
-:func:`open_store` factory used by the index layer.
+Exports the :class:`KVStore` interface, its two implementations (an
+in-memory dict and the disk hash table), and the :func:`open_store`
+factory used by the index layer.
 """
 
 from __future__ import annotations
 
 import os
 
-from .btree import BPlusTree
 from .codec import (
     Posting,
     decode_postings,
@@ -35,7 +35,7 @@ from .pager import Pager, PageReader, wal_path
 from .wal import WriteAheadLog
 
 #: Storage engine names accepted by :func:`open_store`.
-STORAGE_KINDS = ("memory", "diskhash", "btree")
+STORAGE_KINDS = ("memory", "diskhash")
 
 
 def _remove_stale(path: str) -> None:
@@ -49,29 +49,23 @@ def open_store(kind: str, path: str | None = None, *,
                create: bool = False, **options: object) -> KVStore:
     """Open (or create) a key-value store of the given ``kind``.
 
-    ``path`` is required for the disk-backed kinds.  Extra options are
-    forwarded to the store constructor (e.g. ``n_buckets`` for the hash
-    table, ``page_size`` for either disk store).
+    ``path`` is required for ``diskhash``.  Extra options are forwarded
+    to the store constructor (e.g. ``n_buckets``, ``page_size``).
     """
+    if kind not in STORAGE_KINDS:
+        raise StorageError(f"unknown storage kind {kind!r}; "
+                           f"expected one of {STORAGE_KINDS}")
     if kind == "memory":
         return MemoryKVStore()
     if path is None:
         raise StorageError(f"storage kind {kind!r} requires a path")
-    if kind == "diskhash":
-        if create:
-            _remove_stale(path)
-        return DiskHashTable(path, create=create, **options)  # type: ignore[arg-type]
-    if kind == "btree":
-        if create:
-            _remove_stale(path)
-        return BPlusTree(path, create=create, **options)  # type: ignore[arg-type]
-    raise StorageError(f"unknown storage kind {kind!r}; "
-                       f"expected one of {STORAGE_KINDS}")
+    if create:
+        _remove_stale(path)
+    return DiskHashTable(path, create=create, **options)  # type: ignore[arg-type]
 
 
 __all__ = [
     "AccessStats",
-    "BPlusTree",
     "CorruptionError",
     "CrashError",
     "DiskHashTable",

@@ -88,6 +88,19 @@ _END_SHIFT = 36
 _DIRECTORIES_PER_BUCKET = 2
 
 
+def _unpack_meta(meta: bytes) -> tuple[int, int, int, int]:
+    """``(n_buckets, dir_first, n_dir_pages, count)`` from the header.
+
+    A paged file whose metadata is shorter was written by another kind
+    of store (a B+tree wrote 16 bytes), not by a torn hash-table write.
+    """
+    if len(meta) < _META.size:
+        raise CorruptionError(
+            f"not a disk hash table store: header metadata is "
+            f"{len(meta)} bytes, expected {_META.size}")
+    return _META.unpack(meta[:_META.size])
+
+
 def _parse_page(raw: bytes) -> tuple[bytes, dict[bytes, int]]:
     """``(bytes parsed, directory)`` of a record page.
 
@@ -300,10 +313,11 @@ class DiskHashTable(_ChainReads, KVStore):
         else:
             self._pager = Pager(path, wal=wal, use_mmap=use_mmap,
                                 wal_factory=wal_factory)
-            meta = self._pager.meta
-            if len(meta) < _META.size:
-                raise CorruptionError("hash table metadata missing")
-            self._absorb_meta(meta)
+            try:
+                self._absorb_meta(self._pager.meta)
+            except CorruptionError:
+                self._pager.close()
+                raise
         self._payload = self._pager.page_size - _PAGE_HEADER.size
         self._max_key = self._payload // 4
         self._overflow_threshold = self._payload // 2
@@ -315,8 +329,7 @@ class DiskHashTable(_ChainReads, KVStore):
     # -- metadata / directory ---------------------------------------------
 
     def _absorb_meta(self, meta: bytes) -> None:
-        n_buckets, dir_first, n_dir_pages, count = _META.unpack(
-            meta[:_META.size])
+        n_buckets, dir_first, n_dir_pages, count = _unpack_meta(meta)
         self._n_buckets = n_buckets
         self._n_dir_pages = n_dir_pages
         self._dir_pages = list(range(dir_first, dir_first + n_dir_pages))
@@ -330,10 +343,7 @@ class DiskHashTable(_ChainReads, KVStore):
         in-memory directory and counters must be refreshed before the
         table serves unversioned reads or (after promotion) mutations.
         """
-        meta = self._pager.meta
-        if len(meta) < _META.size:
-            raise CorruptionError("hash table metadata missing")
-        self._absorb_meta(meta)
+        self._absorb_meta(self._pager.meta)
 
     def _write_meta(self) -> None:
         self._pager.set_meta(_META.pack(
@@ -503,8 +513,7 @@ class DiskHashTable(_ChainReads, KVStore):
         if self._pager.txn_depth == 0:
             return
         self._pager.abort()
-        meta = self._pager.meta
-        self._count = _META.unpack(meta[:_META.size])[3]
+        self._count = _unpack_meta(self._pager.meta)[3]
         self._directory = self._load_directory()
 
     def wal_info(self) -> dict[str, object] | None:
@@ -554,12 +563,12 @@ class DiskHashSnapshot(_ChainReads, ReadOnlySnapshot):
         self._pages = table._pages
         self.version = self._reader.version
         self.stats = table.stats
-        meta = self._reader.meta
-        if len(meta) < _META.size:
+        try:
+            n_buckets, dir_first, n_dir_pages, count = _unpack_meta(
+                self._reader.meta)
+        except CorruptionError:
             self._reader.close()
-            raise CorruptionError("hash table metadata missing in snapshot")
-        n_buckets, dir_first, n_dir_pages, count = _META.unpack(
-            meta[:_META.size])
+            raise
         self._n_buckets = n_buckets
         self._count = count
         per_page = self._reader.page_size // 8

@@ -2,20 +2,19 @@
 
 The paper's implementation uses Tokyo Cabinet's external-memory hash table as
 the storage engine for the inverted file (Section 5.1), with the engine's own
-caching explicitly disabled.  We reproduce that design point with a small
-family of interchangeable stores:
+caching explicitly disabled.  We reproduce that design point with two
+interchangeable stores:
 
 * :class:`MemoryKVStore` -- a dict-backed store (values still pass through
-  the byte codecs, so the access pattern matches the disk stores),
-* :class:`~repro.storage.diskhash.DiskHashTable` -- external hash table,
-* :class:`~repro.storage.btree.BPlusTree` -- external B+tree.
+  the byte codecs, so the access pattern matches the disk store),
+* :class:`~repro.storage.diskhash.DiskHashTable` -- external hash table.
 
-All stores map ``bytes`` keys to ``bytes`` values and expose the same
+Both stores map ``bytes`` keys to ``bytes`` values and expose the same
 mapping-flavored API, plus :class:`AccessStats` counters that the caching
 experiments (Section 3.3 / Experiments 1-3) read.
 
 Snapshots: :meth:`KVStore.snapshot` opens a read-only view pinned at the
-store's current committed version.  The disk stores implement it over
+store's current committed version.  The disk store implements it over
 the pager's page-level copy-on-write history; :class:`MemoryKVStore`
 keeps an equivalent key-level pre-image history here.  A store that
 cannot pin a version (``mvcc_info()`` is ``None``) refuses to open one.
@@ -249,7 +248,7 @@ class MemoryKVStore(KVStore):
 
     Values are stored as the raw bytes handed in, so the cost profile seen
     by the index layer (encode on write, decode on read) is identical to the
-    disk stores minus the I/O -- which makes the caching optimization
+    disk store minus the I/O -- which makes the caching optimization
     measurable on a level playing field.
 
     Transactions buffer their writes and apply them atomically at the

@@ -2,9 +2,9 @@
 
 Provides fixed-size page allocation over a single file, a free list for
 recycling pages, a small client metadata area in the header, and overflow
-chains for values larger than a page.  Both the external hash table and the
-B+tree are built on top of this class, mirroring the role Tokyo Cabinet's
-low-level file layer played in the paper's implementation.
+chains for values larger than a page.  The external hash table is built on
+top of this class, mirroring the role Tokyo Cabinet's low-level file layer
+played in the paper's implementation.
 
 File layout::
 

@@ -2,7 +2,7 @@
 
 A bulk-loaded index that then takes inserts, deletes, and a compaction
 must converge to *exactly* the store a fresh build of the final record
-set produces -- entry-for-entry byte equivalence on both disk backends.
+set produces -- entry-for-entry byte equivalence on the disk store.
 This pins the run-merge builder, the incremental writer, and the
 compactor to one canonical on-disk representation.
 """
@@ -51,7 +51,7 @@ def _store_contents(storage: str, path: str) -> dict[bytes, bytes]:
         store.close()
 
 
-@pytest.mark.parametrize("storage", ["diskhash", "btree"])
+@pytest.mark.parametrize("storage", ["diskhash"])
 class TestBulkloadThenUpdates:
     def test_compacted_store_byte_equivalent_to_fresh_build(
             self, storage, tmp_path) -> None:

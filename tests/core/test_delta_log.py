@@ -42,7 +42,7 @@ def assert_exact(ifile: InvertedFile, live: dict, dead: dict) -> None:
     assert ifile.live_frequencies() == ranked(document_frequencies(trees))
 
 
-@pytest.mark.parametrize("storage", ["memory", "diskhash", "btree"])
+@pytest.mark.parametrize("storage", ["memory", "diskhash"])
 def test_merged_view_is_exact_across_folds(tmp_path, storage) -> None:
     """Single inserts and deletes on a two-atom base: the log fills and
     folds repeatedly, and the merged view equals the recomputed

@@ -116,7 +116,7 @@ class TestIntrospection:
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("kind", ["diskhash", "btree"])
+    @pytest.mark.parametrize("kind", ["diskhash"])
     def test_build_open_cycle(self, kind, tmp_path, paper_records,
                               paper_query) -> None:
         path = str(tmp_path / f"engine.{kind}")

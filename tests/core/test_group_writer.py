@@ -31,7 +31,7 @@ from repro.storage.kvstore import MemoryKVStore
 
 N = NestedSet
 
-STORAGES = ("memory", "diskhash", "btree")
+STORAGES = ("memory", "diskhash")
 #: list format -> build options (the digests below are keyed by it)
 FORMATS = {"packed": {}}
 #: grouping -> (base records, fresh records, group size; 1 = single inserts)

@@ -218,7 +218,7 @@ class TestFrequenciesAndCache:
 
 
 class TestDiskRoundtrip:
-    @pytest.mark.parametrize("kind", ["diskhash", "btree"])
+    @pytest.mark.parametrize("kind", ["diskhash"])
     def test_build_close_reopen(self, kind, tmp_path, paper_records) -> None:
         path = str(tmp_path / f"ix.{kind}")
         built = InvertedFile.build(paper_records, storage=kind, path=path)

@@ -75,7 +75,7 @@ class TestLiveCounts:
         assert index.query("{both}") == ["solo"]
         assert index.query("{both, common}") == []
 
-    @pytest.mark.parametrize("storage", ["diskhash", "btree"])
+    @pytest.mark.parametrize("storage", ["diskhash"])
     def test_dead_counts_persist(self, storage, tmp_path) -> None:
         path = str(tmp_path / "idx")
         index = NestedSetIndex.build(_skewed_records(), storage=storage,

@@ -40,7 +40,7 @@ from repro.storage.kvstore import MemoryKVStore
 N = NestedSet
 
 N_RECORDS = 900
-STORAGES = ("memory", "diskhash", "btree")
+STORAGES = ("memory", "diskhash")
 BLOCK_SIZES = (DEFAULT_BLOCK_SIZE, 32)
 #: how the first group(s) are written: one build, or a bounded one
 HEADS = ("build", 64, 1_000, 10_000)
@@ -94,7 +94,7 @@ class TestAnySplitIsTheSameIndex:
     @given(splits())
     # a cut on the record that crosses the ALL block, and one beside it
     @example(("diskhash", 32, 64, [706, 707]))
-    @example(("btree", DEFAULT_BLOCK_SIZE, "build", [1, N_RECORDS - 1]))
+    @example(("diskhash", DEFAULT_BLOCK_SIZE, "build", [1, N_RECORDS - 1]))
     @example(("memory", 32, 10_000, []))
     def test_store_dump(self, split) -> None:
         storage, block_size, head, cuts = split

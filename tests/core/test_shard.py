@@ -102,7 +102,7 @@ class TestShardedEquivalenceMatrix:
 
 
 class TestShardedBuildAndOpen:
-    @pytest.mark.parametrize("storage", ["diskhash", "btree"])
+    @pytest.mark.parametrize("storage", ["diskhash"])
     def test_persist_and_reopen(self, storage, tmp_path) -> None:
         records = _corpus(11)
         path = str(tmp_path / f"idx.{storage}")
@@ -176,7 +176,7 @@ class TestRoutingAndUpdates:
         assert index.n_records == len(records) - 1  # tombstone dropped
         assert victim not in index.query(records[0][1])
 
-    @pytest.mark.parametrize("storage", ["diskhash", "btree"])
+    @pytest.mark.parametrize("storage", ["diskhash"])
     def test_compact_to_disk_and_reopen(self, storage, tmp_path) -> None:
         records = _corpus(17)
         index = NestedSetIndex.build(records, shards=3, storage=storage,

@@ -132,11 +132,11 @@ class TestDelete:
 
     def test_deleted_set_persists(self, tmp_path, small_corpus) -> None:
         path = str(tmp_path / "d.idx")
-        index = NestedSetIndex.build(small_corpus, storage="btree",
+        index = NestedSetIndex.build(small_corpus, storage="diskhash",
                                      path=path)
         index.delete(small_corpus[3][0])
         index.close()
-        reopened = NestedSetIndex.open("btree", path)
+        reopened = NestedSetIndex.open("diskhash", path)
         assert small_corpus[3][0] not in \
             reopened.query(small_corpus[3][1])
         assert reopened.inverted_file.n_live_records == \

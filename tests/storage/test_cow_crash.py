@@ -5,7 +5,7 @@ history before overwriting it whenever a reader has a version pinned
 (copy-on-write at commit).  This sweep crashes inside exactly those
 commits -- an ingest-style ``insert_batch`` WAL group with a reader
 pinned *before* the mutation -- and asserts the two halves of the
-contract, on both disk backends and both layouts:
+contract, on the disk hash table at both layouts:
 
 * the pinned reader never sees a torn page: its answer right after the
   crash is byte-for-byte the answer it pinned;
@@ -27,7 +27,7 @@ from repro.storage.faults import drop_store
 from repro.storage.pager import wal_path
 from tests.conftest import document_frequencies, reported_frequencies
 
-BACKENDS = ("diskhash", "btree")
+BACKENDS = ("diskhash",)
 
 RECORDS = [
     ("tim", "{USA, {UK, {cheese, {A, motorbike}}}}"),

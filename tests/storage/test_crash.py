@@ -1,8 +1,7 @@
 """Crash-consistency sweep: every injected crash point recovers cleanly.
 
-For each mutation (insert / delete / compact), each disk backend
-(DiskHashTable / BPlusTree), and each layout (monolithic / 4-shard), the
-harness:
+For each mutation (insert / delete / compact) on the disk hash table,
+and each layout (monolithic / 4-shard), the harness:
 
 1. builds a small index and snapshots its file bytes (PRE);
 2. runs the mutation once cleanly under a *counting* fault plan to learn
@@ -33,7 +32,7 @@ from repro.storage.faults import drop_store
 from repro.storage.pager import wal_path
 from tests.conftest import document_frequencies, reported_frequencies
 
-BACKENDS = ("diskhash", "btree")
+BACKENDS = ("diskhash",)
 
 RECORDS = [
     ("tim", "{USA, {UK, {cheese, {A, motorbike}}}}"),

@@ -185,10 +185,13 @@ class TestPageStability:
         for round_no in range(50):
             for i in range(20):
                 table.put(b"k%d" % i, b"payload-%d" % round_no)
+            # a deleted overflow value's chain is recycled too
+            table.put(b"big", b"x" * 20_000 + b"%d" % round_no)
             if round_no == 0:
                 settled = table._pager.n_pages
             for i in range(20):
                 assert table.delete(b"k%d" % i)
+            assert table.delete(b"big")
         assert table._pager.n_pages == settled
         assert len(table) == 0
         table.close()

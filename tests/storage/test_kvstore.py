@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
+from repro.cli import main
+from repro.core.engine import NestedSetIndex
 from repro.storage import (
-    BPlusTree,
+    CorruptionError,
     DiskHashTable,
     MemoryKVStore,
+    Pager,
     StorageError,
     StoreClosedError,
     open_store,
@@ -77,8 +82,29 @@ class TestOpenStore:
         store.close()
 
     def test_btree(self, tmp_path) -> None:
-        store = open_store("btree", str(tmp_path / "x.bt"), create=True)
-        assert isinstance(store, BPlusTree)
+        """The B+tree engine is gone: its kind, its CLI choice and a file
+        it left behind are each refused with a typed error."""
+        path = str(tmp_path / "x.bt")
+        pager = Pager(path, create=True)
+        pager.set_meta(struct.pack("<QQ", 1, 0))  # a B+tree's root, count
+        pager.close()
+        expected = "not a disk hash table store: header metadata is " \
+                   "16 bytes, expected 24"
+        with pytest.raises(CorruptionError, match=expected):
+            open_store("diskhash", path)
+        with pytest.raises(CorruptionError, match=expected):
+            NestedSetIndex.open("diskhash", path)
+        with pytest.raises(StorageError,
+                           match=r"\('memory', 'diskhash'\)"):
+            open_store("btree", path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["index", path, "--storage", "btree", "-o", path])
+        assert exit_info.value.code == 2
+        # a replica's reload over pages shipped from such a file
+        store = open_store("diskhash", str(tmp_path / "x.dh"), create=True)
+        store.pager.set_meta(struct.pack("<QQ", 1, 0))
+        with pytest.raises(CorruptionError, match=expected):
+            store.reload_meta()
         store.close()
 
     def test_create_truncates_existing(self, tmp_path) -> None:
@@ -100,9 +126,9 @@ class TestOpenStore:
 
 
 class TestInterfaceParity:
-    """The three stores must be behaviorally interchangeable."""
+    """The two stores must be behaviorally interchangeable."""
 
-    @pytest.mark.parametrize("kind", ["memory", "diskhash", "btree"])
+    @pytest.mark.parametrize("kind", ["memory", "diskhash"])
     def test_same_behaviour(self, kind: str, tmp_path) -> None:
         path = str(tmp_path / f"s.{kind}")
         store = open_store(kind, path, create=True)
@@ -116,7 +142,7 @@ class TestInterfaceParity:
         assert len(store) == len(operations)
         store.close()
 
-    @pytest.mark.parametrize("kind", ["memory", "diskhash", "btree"])
+    @pytest.mark.parametrize("kind", ["memory", "diskhash"])
     def test_snapshot_counts_unjournaled_writes(self, kind: str,
                                                 tmp_path) -> None:
         """Regression: the disk stores persist their count at commit or

@@ -38,7 +38,7 @@ from repro.storage.pager import wal_path
 from repro.storage.wal import WriteAheadLog, split_version_label
 from tests.conftest import document_frequencies
 
-BACKENDS = ("diskhash", "btree")
+BACKENDS = ("diskhash",)
 
 RECORDS = [
     ("tim", "{USA, {UK, {cheese, {A, motorbike}}}}"),

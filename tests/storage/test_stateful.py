@@ -69,8 +69,6 @@ class _StoreMachine(RuleBasedStateMachine):
     def _options(self) -> dict:
         if self.kind == "diskhash":
             return {"n_buckets": 8}          # force long chains
-        if self.kind == "btree":
-            return {"page_size": 512}        # force splits
         return {}
 
     @rule(target=keys, key=_KEYS)
@@ -182,17 +180,11 @@ class DiskHashMachine(_StoreMachine):
     kind = "diskhash"
 
 
-class BTreeMachine(_StoreMachine):
-    kind = "btree"
-
-
 _settings = settings(max_examples=25, stateful_step_count=30,
                      deadline=None)
 
 TestMemoryStateful = pytest.mark.filterwarnings("ignore")(
     MemoryMachine.TestCase)
 TestDiskHashStateful = DiskHashMachine.TestCase
-TestBTreeStateful = BTreeMachine.TestCase
 TestMemoryStateful.settings = _settings
 TestDiskHashStateful.settings = _settings
-TestBTreeStateful.settings = _settings

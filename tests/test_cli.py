@@ -37,9 +37,9 @@ class TestGenerateIndexQuery:
         index_path = str(tmp_path / "c.idx")
         main(["generate", "--dataset", "uniform-wide", "--size", "30",
               "-o", collection])
-        main(["index", collection, "--storage", "btree", "-o", index_path])
+        main(["index", collection, "--storage", "diskhash", "-o", index_path])
         capsys.readouterr()
-        assert main(["query", index_path, "{}", "--storage", "btree",
+        assert main(["query", index_path, "{}", "--storage", "diskhash",
                      "--semantics", "homeo", "--cache", "lru"]) == 0
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 30  # {} matches everything

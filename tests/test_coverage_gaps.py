@@ -6,37 +6,8 @@ from __future__ import annotations
 from repro.core.engine import NestedSetIndex
 from repro.core.model import NestedSet
 from repro.core.observe import explain
-from repro.storage.btree import BPlusTree
 
 N = NestedSet
-
-
-class TestBtreeOverflowLifecycle:
-    def test_replace_overflow_value_recycles_pages(self, tmp_path) -> None:
-        tree = BPlusTree(str(tmp_path / "o.bt"), create=True,
-                         page_size=512)
-        big = b"A" * 5000
-        tree.put(b"k", big)
-        # A replace transiently holds both chains (new written before old
-        # is freed), so the file grows once -- and must then stabilize.
-        tree.put(b"k", b"B" * 5000)
-        pages_after_first_replace = tree._pager.n_pages
-        for _ in range(5):
-            tree.put(b"k", b"C" * 5000)
-        assert tree._pager.n_pages == pages_after_first_replace
-        assert tree.get(b"k") == b"C" * 5000
-        tree.close()
-
-    def test_delete_overflow_value(self, tmp_path) -> None:
-        tree = BPlusTree(str(tmp_path / "d.bt"), create=True,
-                         page_size=512)
-        tree.put(b"k", b"C" * 4000)
-        before = tree._pager.n_pages
-        assert tree.delete(b"k")
-        # freed chain is recycled by the next big insert
-        tree.put(b"k2", b"D" * 4000)
-        assert tree._pager.n_pages <= before + 1
-        tree.close()
 
 
 class TestTraceRendering:

@@ -32,7 +32,7 @@ def test_dataset_pipeline(dataset: str) -> None:
         run_benchmark_queries(index, workload, algorithm, check=True)
 
 
-@pytest.mark.parametrize("storage", ["memory", "diskhash", "btree"])
+@pytest.mark.parametrize("storage", ["memory", "diskhash"])
 def test_storage_engines_agree(storage: str, tmp_path) -> None:
     """The three storage engines return identical query answers."""
     records = list(generate_dataset("zipf-wide", 120, seed=5))
