@@ -40,8 +40,11 @@ class FigureCollector:
                runner, *, rounds: int = ROUNDS, **extra: object) -> None:
         """Run ``runner`` under pytest-benchmark and collect the timings."""
         benchmark.pedantic(runner, rounds=rounds, warmup_rounds=1)
-        times = tuple(benchmark.stats.stats.data)
-        self.points.append(SeriesPoint(series, x, Timing(times),
+        self.add(series, x, benchmark.stats.stats.data, **extra)
+
+    def add(self, series: str, x: float, times, **extra: object) -> None:
+        """Collect timings (seconds) measured by the caller."""
+        self.points.append(SeriesPoint(series, x, Timing(tuple(times)),
                                        extra=dict(extra)))
 
 

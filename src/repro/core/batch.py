@@ -80,21 +80,26 @@ class QueryFold:
     """A batch's repeated queries folded onto one evaluation each.
 
     ``distinct`` holds every distinct query once, in first-seen order
-    (nested sets cache their hash, so folding is one dict pass).  The
-    caller evaluates ``distinct``, charges each partition's counters
-    with :meth:`charge`, and :meth:`unfold`\\ s the answers back onto the
-    input positions.
+    (nested sets cache their hash, so folding is one dict pass),
+    ``counts`` how often each occurs, and ``slots`` per input position
+    the index of its query in ``distinct``.  The caller evaluates
+    ``distinct``, charges each partition's counters with
+    :meth:`charge`, and :meth:`unfold`\\ s the answers back onto the
+    input positions or reads them through ``slots``.
     """
 
-    __slots__ = ("distinct", "copies", "_slots")
+    __slots__ = ("distinct", "counts", "copies", "slots")
 
     def __init__(self, queries: Iterable[NestedSet]) -> None:
         slot_of: dict[NestedSet, int] = {}
-        self._slots = [slot_of.setdefault(query, len(slot_of))
-                       for query in queries]
+        self.slots = [slot_of.setdefault(query, len(slot_of))
+                      for query in queries]
         self.distinct: list[NestedSet] = list(slot_of)
+        self.counts = [0] * len(self.distinct)
+        for slot in self.slots:
+            self.counts[slot] += 1
         #: Inputs answered by another position's evaluation.
-        self.copies = len(self._slots) - len(self.distinct)
+        self.copies = len(self.slots) - len(self.distinct)
 
     def charge(self, counters: object) -> None:
         """Count the folded copies as the unfolded loop counted them
@@ -112,7 +117,7 @@ class QueryFold:
             return answers
         taken = [False] * len(answers)
         out = []
-        for slot in self._slots:
+        for slot in self.slots:
             if taken[slot]:
                 out.append(list(answers[slot]))
             else:

@@ -77,6 +77,13 @@ class BlockCache:
     admitted: a newer one replaces the older entry, and an older one is
     not admitted while a newer one is held.
 
+    A commit that appends to a warm list carries it forward
+    (:meth:`carry`): the handle derived from the list held at the old
+    epoch goes in under the new epoch's key, unless a reader already
+    filled that key from the store, and on its first read it takes
+    every decoded block the append left unchanged (:meth:`share`) --
+    the same :class:`BlockData` objects, never copies.
+
     :meth:`pin` names the tokens whose lists are exempt from eviction.
     Per pinned token the pinned region holds one list key, the newest
     epoch admitted: a newer one sends the older list's entries back to
@@ -133,6 +140,29 @@ class BlockCache:
     def admit_directory(self, list_key: Hashable, directory: object) -> None:
         with self._lock:
             self._admit_directory(list_key, directory)
+
+    def carry(self, list_key: Hashable, handle: object) -> bool:
+        """Admit a carried list's ``handle`` under ``list_key``, unless
+        a reader already filled the key from the store: that entry
+        stays, and nothing is admitted (False)."""
+        with self._lock:
+            if list_key in self._directories or list_key in self._pinned_dirs:
+                return False
+            self._admit_directory(list_key, handle)
+            return True
+
+    def share(self, old_key: Hashable, new_key: Hashable, kept: int) -> None:
+        """Admit under ``new_key`` the blocks numbered below ``kept`` that
+        are cached under ``old_key``: the same objects, two keys."""
+        with self._lock:
+            # A list's blocks sit in the pinned region or in the LRU.
+            held = self._pinned.get(old_key)
+            lru = self._blocks.get
+            for number in range(kept):
+                block = lru((old_key, number)) if held is None \
+                    else held.get(number)
+                if block is not None:
+                    self._admit((new_key, number), block)
 
     def pin(self, tokens: Iterable[Hashable]) -> None:
         """Make ``tokens`` the pin set; cached entries move to the region

@@ -51,6 +51,7 @@ from .matchspec import QuerySpec
 from .model import NestedSet, as_nested_set
 from .observe import ExplainResult, MergedExplainResult, merge_explains, \
     run_explained
+from .postings import LazyPostingList
 from .shard import ShardError, commit_manifest, partition_stores, \
     read_manifest, shard_of
 from .snapshot import ModEpochs, SharedIndexState, SnapshotInvertedFile
@@ -178,6 +179,8 @@ class Partition:
         self.bloom_index = _bloom_for(ifile, bloom, bloom_bits)
         self._stats: CollectionStats | None = None
         self._writer: IndexWriter | None = None
+        #: Tokens whose epochs the open commit group bumped.
+        self._bumped: set[str] = set()
 
     def _wire(self, ifile: InvertedFile) -> None:
         """Make ``ifile`` the live generation: fresh epochs and shared
@@ -221,8 +224,45 @@ class Partition:
     def _index_writer(self) -> IndexWriter:
         if self._writer is None:
             self._writer = IndexWriter(self._ifile,
-                                       on_mutate=self._note_mutation)
+                                       on_mutate=self._note_mutation,
+                                       warm=self._warm_list)
         return self._writer
+
+    def _warm_list(self, token: str) -> LazyPostingList | None:
+        """Writer hook: the list the block cache holds for ``token`` at
+        the committed version, if any."""
+        plist = self._ifile.block_cache.directory((token, self._epochs.floor(
+            token, self._ifile.store.current_version())))
+        return plist if isinstance(plist, LazyPostingList) else None
+
+    def end_group(self, landed: bool) -> None:
+        """End of a commit group.
+
+        Once it ``landed``, every list the writer appended to from its
+        warm list goes into the block cache under its new epoch's key,
+        derived from the warm one (:meth:`LazyPostingList.appended
+        <repro.core.postings.LazyPostingList.appended>`) and sharing its
+        unchanged decoded blocks.  A group that did not land carries
+        nothing, and the epochs it bumped are refused
+        (:meth:`ModEpochs.refuse <repro.core.snapshot.ModEpochs.refuse>`).
+        """
+        bumped, self._bumped = self._bumped, set()
+        writer = self._writer
+        carried = {} if writer is None else writer.carried
+        if writer is not None:
+            writer.carried = {}
+        if not landed:
+            self._epochs.refuse(bumped, self._upcoming_version())
+            return
+        version = self._ifile.store.current_version()
+        cache = self._ifile.block_cache
+        for token, carry in carried.items():
+            new_key = (token, self._epochs.floor(token, version))
+            cache.carry(new_key, LazyPostingList.appended(
+                *carry, cache_key=new_key))
+
+    def _upcoming_version(self) -> int:
+        return int(self._ifile.store.mvcc_info()["snapshot_version"]) + 1
 
     def _note_mutation(self, tokens: set[str]) -> None:
         """Writer hook: advance modification epochs pre-commit.
@@ -233,8 +273,8 @@ class Partition:
         readers at older versions are unaffected (their floors count
         only bumps at or below their pinned version).
         """
-        info = self._ifile.store.mvcc_info()
-        self._epochs.bump(tokens, int(info["snapshot_version"]) + 1)
+        self._epochs.bump(tokens, self._upcoming_version())
+        self._bumped |= tokens
 
     def insert_group(self, records: Iterable[tuple[str, NestedSet]]
                      ) -> list[int]:
@@ -393,7 +433,8 @@ class _Reads:
         Each distinct query is thus evaluated and mapped to keys once
         per partition; the folded copies are charged to the counters
         (:meth:`QueryFold.charge`) and the answers come back one per
-        input position, as :meth:`run_plans` returns them.
+        distinct query (:meth:`QueryFold.unfold` puts them back onto
+        the input positions).
         """
         def run(view: PartitionView):
             ctx = view.execution_context(memo={})
@@ -401,8 +442,7 @@ class _Reads:
             fold.charge(ctx.counters)
             return results, ctx.counters
 
-        results, counters = self._merge(self._fan_out(run))
-        return fold.unfold(results), counters
+        return self._merge(self._fan_out(run))
 
     def query(self, query: object, *, algorithm: str | None = None,
               semantics: str = "hom", join: str = "subset",
@@ -467,8 +507,8 @@ class _Reads:
                  for query in queries]
         if not share_subqueries:
             return self.run_plans(plans)[0]
-        return self.run_shared(
-            fold, lambda ctx: [plan.run(ctx) for plan in plans])[0]
+        return fold.unfold(self.run_shared(
+            fold, lambda ctx: [plan.run(ctx) for plan in plans])[0])
 
     def explain(self, query: object, *, algorithm: str | None = None,
                 semantics: str = "hom", join: str = "subset",
@@ -901,14 +941,19 @@ class NestedSetIndex(_Reads):
         it, readers observe none of it or all of it, and the store
         version advances once.  A group that raises writes nothing and
         :meth:`reload_live_state` leaves every partition as the store
-        has it.
+        has it; only a group that landed carries the warm lists it
+        appended to forward (:meth:`Partition.end_group`).
         """
         with self._writer_mutex:
+            landed = False
             try:
                 with commit_group(self._base, label,
                                   self.reload_live_state):
                     yield
+                landed = True
             finally:
+                for partition in self._partitions:
+                    partition.end_group(landed)
                 # The commit advanced the version, so the cached shared
                 # pin can never be reused -- retire it now.
                 self._retire_shared_pin()

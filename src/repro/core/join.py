@@ -107,9 +107,12 @@ def containment_join(index: NestedSetIndex,
     The sharing strategies (``batched``, ``prefix``, and ``adaptive``
     when it picks the prefix tree) fold repeated queries first
     (:class:`~repro.core.batch.QueryFold`): each distinct query is
-    compiled, evaluated and mapped to keys once per partition, and the
-    counters read as if every copy had hit the whole-query memo.
-    ``per-query`` and ``naive`` evaluate every query, repeats included.
+    compiled, evaluated and mapped to keys once per partition, the
+    counters read as if every copy had hit the whole-query memo, and
+    each copy's pairs are read off its distinct query's answer.
+    ``adaptive`` folds once, for its dispatcher and the prefix tree
+    alike.  ``per-query`` and ``naive`` evaluate every query, repeats
+    included.
     """
     start = time.perf_counter()
     if strategy not in STRATEGIES:
@@ -119,10 +122,14 @@ def containment_join(index: NestedSetIndex,
                     for qkey, value in queries]
     query_keys = [qkey for qkey, _query in materialized]
     trees = [query for _qkey, query in materialized]
+    # Folded once: ``adaptive`` dispatches on the fold and hands it to
+    # the prefix tree when it picks that.
+    fold = QueryFold(trees) \
+        if strategy in ("batched", "prefix", "adaptive") else None
     dispatch: dict[str, object] | None = None
     effective = strategy
     if strategy == "adaptive":
-        effective, dispatch = choose_strategy(trees,
+        effective, dispatch = choose_strategy(fold,
                                               index.collection_stats())
     # Each strategy runs against one pinned version, so every pair
     # reflects the same committed state while writers land
@@ -135,14 +142,12 @@ def containment_join(index: NestedSetIndex,
             raise ValueError(
                 "Bloom prefiltering applies to the naive algorithm only; "
                 "the prefix strategy cannot honor use_bloom=True")
-        fold = QueryFold(trees)
         results, counters = index.run_shared(
             fold, lambda ctx: prefix_join_lists(fold.distinct, ctx, spec))
         extra.update(prefix_nodes=counters.prefix_nodes,
                      prefix_streams=counters.prefix_streams,
                      prefix_reused=counters.prefix_reused)
     elif effective == "batched":
-        fold = QueryFold(trees)
         plans = [compile_query(query, spec, algorithm="bottomup",
                                use_bloom=use_bloom)
                  for query in fold.distinct]
@@ -162,9 +167,15 @@ def containment_join(index: NestedSetIndex,
         extra["records_skipped"] = counters.records_skipped
     if dispatch is not None:
         extra["dispatch"] = dispatch
-    pairs = [(qkey, skey)
-             for qkey, result in zip(query_keys, results)
-             for skey in result]
+    if effective in ("prefix", "batched"):
+        # One answer per distinct query: each input reads its slot's.
+        pairs = [(qkey, skey)
+                 for qkey, slot in zip(query_keys, fold.slots)
+                 for skey in results[slot]]
+    else:
+        pairs = [(qkey, skey)
+                 for qkey, result in zip(query_keys, results)
+                 for skey in result]
     return JoinResult(pairs=pairs, strategy=strategy,
                       n_queries=len(trees),
                       elapsed_seconds=time.perf_counter() - start,

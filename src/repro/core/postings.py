@@ -28,7 +28,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as _np
 
 from ..storage.codec import (
+    AppendDelta,
     BlockedHeader,
+    BlockInfo,
     Posting,
     decode_blocked_header,
     decode_packed_arrays,
@@ -264,8 +266,8 @@ class SkipDirectory:
     ``max_heads`` is the ``max_head`` of every block as an ``int64``
     array (what a probe is searched into) and ``starts`` the number of
     postings before each block, with the total as a last element.
-    Every :class:`LazyPostingList` decodes its own once, and a warm
-    list keeps it: the handle cached in the
+    Every :class:`LazyPostingList` builds its own on first use, and a
+    warm list keeps it: the handle cached in the
     :class:`~repro.core.cache.BlockCache` is the list itself.
     """
 
@@ -307,16 +309,22 @@ class LazyPostingList:
     memo (head column, columns, rows) is computed from the same bytes,
     so a racing reader at worst computes it twice.  The head column is
     kept read-only.
+
+    A commit that appends to a warm list carries it forward: the next
+    epoch's handle is derived from this one (:meth:`appended`), so its
+    first reader neither fetches nor parses it; it keeps the unchanged
+    blocks' directory entries and the head column, and shares their
+    decoded blocks in the cache.
     """
 
-    __slots__ = ("raw", "directory", "header", "_cache", "_cache_key",
+    __slots__ = ("raw", "header", "_directory", "_cache", "_cache_key",
                  "_stats", "_local", "_entries", "_heads_arr", "_columns")
 
     def __init__(self, raw: bytes, *, cache=None, cache_key: object = None,
                  stats=None) -> None:
         self.raw = raw
-        self.directory = SkipDirectory(decode_blocked_header(raw))
-        self.header = self.directory.header
+        self.header = decode_blocked_header(raw)
+        self._directory = None
         self._cache = cache
         self._cache_key = cache_key
         self._stats = stats
@@ -324,6 +332,39 @@ class LazyPostingList:
         self._entries: tuple[Posting, ...] | None = None
         self._heads_arr = None
         self._columns = None
+
+    @classmethod
+    def appended(cls, old: "LazyPostingList", raw: bytes,
+                 delta: AppendDelta, entries: Sequence[Posting], *,
+                 cache_key: object) -> "LazyPostingList":
+        """The list ``raw`` holds: ``old``'s value with ``entries``
+        appended, as :func:`~repro.storage.codec.append_blocked_delta`
+        wrote it and reported ``delta``.  It reads through ``old``'s
+        cache and statistics under ``cache_key``.
+
+        Nothing is parsed or derived here (:class:`_CarriedList`): on
+        first use the list takes ``old``'s directory, the kept blocks'
+        entries moved by the delta's shift and the changed ones as
+        reported, extends ``old``'s head column, when built, with the
+        appended heads, and shares the kept blocks ``old`` has cached.
+        """
+        plist = _CarriedList.__new__(_CarriedList)
+        plist.raw = raw
+        plist._cache = old._cache
+        plist._cache_key = cache_key
+        plist._stats = old._stats
+        plist._directory = plist._local = plist._entries = None
+        plist._columns = None
+        plist._source = (old, delta, entries)
+        return plist
+
+    @property
+    def directory(self) -> SkipDirectory:
+        """The skip directory's columns, built on first use."""
+        directory = self._directory
+        if directory is None:
+            directory = self._directory = SkipDirectory(self.header)
+        return directory
 
     # -- block access ------------------------------------------------------
 
@@ -462,6 +503,47 @@ class LazyPostingList:
                 f"blocks={self.n_blocks})")
 
 
+class _CarriedList(LazyPostingList):
+    """A list a commit carried forward (:meth:`LazyPostingList.appended`).
+
+    Its header and head column stay unset until first read: then they
+    are derived from the predecessor's, and the predecessor's cached
+    blocks it keeps are shared under its own key.  A commit thus pays
+    for admitting the list alone, and a list no reader asks for again
+    costs nothing more.  Racing first readers each derive the same
+    values; the predecessor is let go once one of them is done.
+    """
+
+    __slots__ = ("_source",)
+
+    def __getattr__(self, name: str):
+        if name not in ("header", "_heads_arr"):
+            raise AttributeError(name)
+        source = self._source
+        if source is not None:
+            self._derive(*source)
+        return object.__getattribute__(self, name)
+
+    def _derive(self, old: LazyPostingList, delta: AppendDelta,
+                entries: Sequence[Posting]) -> None:
+        kept, shift, changed = delta
+        blocks = old.header.blocks[:kept]
+        if shift:
+            blocks = tuple([BlockInfo(low, high, count, offset + shift, length)
+                            for low, high, count, offset, length in blocks])
+        heads = old._heads_arr
+        if heads is not None:
+            heads = _np.concatenate((heads, _np.array(
+                [p for p, _ in entries], dtype=_np.int64)))
+            heads.flags.writeable = False
+        if self._cache is not None:
+            self._cache.share(old._cache_key, self._cache_key, kept)
+        self._heads_arr = heads
+        self.header = BlockedHeader(old.header.total + len(entries),
+                                    old.header.block_size, blocks + changed)
+        self._source = None
+
+
 def _still_encoded(plist: "PostingList | LazyPostingList") -> bool:
     """A stored list whose blocks decode on demand (no rows built yet)."""
     return isinstance(plist, LazyPostingList) and plist._entries is None
@@ -505,13 +587,16 @@ def _gallop_mask(lazy: LazyPostingList, probes):
 def _array_membership(other: "PostingList | LazyPostingList", probes):
     """Keep-mask: which of the sorted ``probes`` occur in ``other``.
 
-    While the probes are fewer than a still-encoded operand's blocks
-    they gallop through its skip directory, decoding only the blocks
-    they touch.  Otherwise every block would be decoded anyway: one
+    While the probes are fewer than the blocks of a still-encoded
+    operand whose head column is not built, they gallop through its
+    skip directory, decoding only the blocks they touch.  Otherwise one
     ``searchsorted`` of the probes into the operand's head column
-    (:func:`in_sorted`) answers them all.
+    (:func:`in_sorted`) answers them all: a built column costs no
+    decode, and past that many probes every block would be decoded
+    anyway.
     """
-    if _still_encoded(other) and len(probes) < other.n_blocks:
+    if _still_encoded(other) and other._heads_arr is None \
+            and len(probes) < other.n_blocks:
         return _gallop_mask(other, probes)
     return in_sorted(probes, other.heads_array())
 
@@ -556,7 +641,8 @@ def intersect(lists: "Sequence[PostingList | LazyPostingList]"
     are the probes, cut operand by operand, shortest first, by
     :func:`_array_membership` -- a gallop through a block-compressed
     operand's skip directory while the probes are fewer than its
-    blocks, one ``searchsorted`` into its head column otherwise -- so
+    blocks and its head column is unbuilt, one ``searchsorted`` into
+    its head column otherwise -- so
     the cost is governed by the rarest list, not the total postings
     length.  The survivors' postings are gathered once, from the rarest
     list (:func:`_postings_at`).

@@ -44,10 +44,9 @@ already-evaluated node or memo entry).
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .batch import memoized_match_ids
+from .batch import QueryFold, memoized_match_ids
 from .candidates import node_candidates
 from .invfile import InvertedFile, atom_token
 from .matchspec import QuerySpec
@@ -230,7 +229,7 @@ def prefix_join_lists(queries: Sequence[NestedSet],
     return out
 
 
-def choose_strategy(queries: Iterable[NestedSet],
+def choose_strategy(queries: Iterable[NestedSet] | QueryFold,
                     stats: "CollectionStats", *,
                     min_queries: int = MIN_PREFIX_QUERIES,
                     threshold: float = SHARING_THRESHOLD
@@ -247,11 +246,14 @@ def choose_strategy(queries: Iterable[NestedSet],
 
     Each distinct query is walked once and its loop volume weighted by
     how often it occurs, so the evidence equals a walk over every copy.
+    ``queries`` may come folded already (a
+    :class:`~repro.core.batch.QueryFold`): its distinct queries and
+    counts are read as they are, and nothing is hashed again.
     """
-    counts = Counter(queries)
+    fold = queries if isinstance(queries, QueryFold) else QueryFold(queries)
     loop_volume = 0
     edge_volume: dict[tuple, int] = {}
-    for query, count in counts.items():
+    for query, count in zip(fold.distinct, fold.counts):
         for qnode in query.iter_sets():
             path = tuple(sorted(
                 qnode.atoms,
@@ -264,7 +266,7 @@ def choose_strategy(queries: Iterable[NestedSet],
                 edge_volume[prefix] = df
     trie_volume = sum(edge_volume.values())
     sharing = 1.0 - (trie_volume / loop_volume) if loop_volume else 0.0
-    n_queries = counts.total()
+    n_queries = len(fold.slots)
     chosen = "prefix" if (n_queries >= min_queries
                           and sharing >= threshold) else "per-query"
     return chosen, {

@@ -41,6 +41,7 @@ from ..storage import KVStore, open_store
 from ..storage.codec import (
     DEFAULT_BLOCK_SIZE,
     append_blocked,
+    append_blocked_delta,
     append_postings,
     decode_postings,
     decode_varint,
@@ -66,7 +67,6 @@ from .postings import PostingList
 # Private layout constants shared with invfile (same store, same keys).
 from .invfile import (  # noqa: E402  (grouped for clarity)
     _ALL_PREFIX,
-    _ATOM_PREFIX,
     _CONFIG_KEY,
     _DEAD_COUNT_KEY,
     _DELETED_KEY,
@@ -77,6 +77,7 @@ from .invfile import (  # noqa: E402  (grouped for clarity)
     _RECORD_PREFIX,
     _ZERO_PREFIX,
     _ranked,
+    _token_store_key,
 )
 
 
@@ -121,13 +122,24 @@ class IndexWriter:
     instead of clearing the shared list/block caches, so commits
     invalidate nothing for in-flight readers.  Without it (standalone
     use) the writer drops those tokens' cached blocks itself.
+
+    ``warm(token)`` returns the list the block cache holds for
+    ``token`` at the committed version, or ``None``.  A touched list
+    whose stored bytes are that list's lands in :attr:`carried`, for
+    the engine to carry forward once the commit group has landed; the
+    store value stays what every append is made to.
     """
 
     def __init__(self, ifile: InvertedFile | _NewIndex,
-                 on_mutate=None) -> None:
+                 on_mutate=None, warm=None) -> None:
         self._ifile = ifile
         self._store = ifile.store
         self._on_mutate = on_mutate
+        self._warm = warm
+        #: token -> (warm list, new bytes, append delta, appended
+        #: entries) per list last appended to while its warm list was
+        #: the store value; taken by the engine when the group ends.
+        self.carried: dict[str, tuple] = {}
         #: Entries of the base frequency table (read on first flush).
         self._base_entries: int | None = None
         #: Last head of the ZERO list's tail block (read on first use;
@@ -306,11 +318,20 @@ class IndexWriter:
         first_id = ifile.n_nodes - len(self._meta)
         for atom, entries in self._postings.items():
             entries.sort()          # a record lists its nodes post-order
-            store_key = _ATOM_PREFIX + atom_token(atom).encode("utf-8")
+            token = atom_token(atom)
+            store_key = _token_store_key(token)
             raw = store.get(store_key) if first_id else None
-            store.put(store_key,
-                      encode_blocked(entries, ifile.block_size)
-                      if raw is None else append_blocked(raw, entries))
+            warm = None if raw is None or self._warm is None \
+                else self._warm(token)
+            if raw is None:
+                raw = encode_blocked(entries, ifile.block_size)
+            elif warm is not None and warm.raw == raw:
+                raw, delta = append_blocked_delta(raw, entries)
+                self.carried[token] = (warm, raw, delta, entries)
+            else:
+                raw = append_blocked(raw, entries)
+                self.carried.pop(token, None)
+            store.put(store_key, raw)
         self._pending_all.sort()
         ifile._n_all_blocks = _append_blocks(
             store, _ALL_PREFIX, ifile._n_all_blocks, first_id - 1,

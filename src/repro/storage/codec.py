@@ -513,8 +513,32 @@ def _splice_packed(raw: bytes, offset: int, length: int, count: int,
         raw[children_at:end], _pack_fixed(children, w_children)))
 
 
+class AppendDelta(NamedTuple):
+    """What :func:`append_blocked_delta` changed in a blocked value.
+
+    The first ``kept`` blocks keep their entries and payload bytes;
+    their payloads sit ``shift`` bytes further on (the directory grew).
+    ``blocks`` is the new value's directory from block ``kept`` on: the
+    tail block when entries went into it, and every fresh block.
+    """
+
+    kept: int
+    shift: int
+    blocks: tuple[BlockInfo, ...]
+
+
 def append_blocked(raw: bytes, entries: Sequence[Posting]) -> bytes:
-    """Extend a blocked value with postings sorted after its last head.
+    """Extend a blocked value with postings sorted after its last head
+    (:func:`append_blocked_delta` without its delta)."""
+    if not entries:
+        return raw
+    return append_blocked_delta(raw, entries)[0]
+
+
+def append_blocked_delta(raw: bytes, entries: Sequence[Posting]
+                         ) -> tuple[bytes, AppendDelta]:
+    """Extend a blocked value with postings sorted after its last head;
+    returns the new value and what changed (:class:`AppendDelta`).
 
     Costs what it adds: the directory is walked without building
     :class:`BlockInfo`s, full blocks keep their entries and payload
@@ -524,14 +548,15 @@ def append_blocked(raw: bytes, entries: Sequence[Posting]) -> bytes:
     fresh blocks.  Either way the result is byte for byte
     ``encode_blocked(old + new)``.
     """
-    if not entries:
-        return raw
     _require_packed(raw)
     total, pos = decode_varint(raw, 1)
     block_size, pos = decode_varint(raw, pos)
     n_blocks, directory_at = decode_varint(raw, pos)
+    if not entries:
+        return raw, AppendDelta(n_blocks, 0, ())
     if not n_blocks:
-        return encode_blocked(entries, block_size)
+        fresh = encode_blocked(entries, block_size)
+        return fresh, AppendDelta(0, 0, decode_blocked_header(fresh).blocks)
     # Directory walk: where the tail's entry starts, the head it is
     # delta-encoded against, and the bytes of payload before its own.
     pos = directory_at
@@ -576,10 +601,19 @@ def append_blocked(raw: bytes, entries: Sequence[Posting]) -> bytes:
         out += encode_varint(held)
         out += encode_varint(len(block))
         previous_max = high
+    shift = len(out) - payloads_at
+    infos = []
+    offset = tail_at + shift
+    for (low, high, held), block in zip(spans, payloads):
+        infos.append(BlockInfo(low, high, held, offset, len(block)))
+        offset += len(block)
     out += raw[payloads_at:tail_at]
     for block in payloads:
         out += block
-    return bytes(out)
+    # A tail with no room keeps its bytes: it is one of the kept blocks.
+    if fits:
+        return bytes(out), AppendDelta(n_blocks - 1, shift, tuple(infos))
+    return bytes(out), AppendDelta(n_blocks, shift, tuple(infos[1:]))
 
 
 def encode_str(text: str) -> bytes:

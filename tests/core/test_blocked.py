@@ -30,6 +30,7 @@ from repro.storage.codec import (
     PACKED_FORMAT_BYTE,
     CorruptionError,
     append_blocked,
+    append_blocked_delta,
     append_postings,
     decode_blocked,
     decode_blocked_header,
@@ -236,6 +237,14 @@ class TestAppendBlocked:
         appended = append_blocked(raw, extension)
         assert appended == encode_blocked(base + extension, block_size)
         assert appended == _reference_append_blocked(raw, extension)
+        # What the append reports changed rebuilds the new directory.
+        header = decode_blocked_header(raw)
+        again, (kept, shift, changed) = append_blocked_delta(raw, extension)
+        assert again == appended
+        new = decode_blocked_header(appended).blocks
+        assert new[kept:] == changed
+        assert new[:kept] == tuple(info._replace(offset=info.offset + shift)
+                                   for info in header.blocks[:kept])
 
     @given(_append_cases())
     @settings(max_examples=60, deadline=None)
@@ -476,13 +485,14 @@ def _shifted(lists: list, base: int) -> list:
 class TestMembershipKernel:
     """Every operand of an intersection is one membership test of the
     surviving probes: a gallop through its skip directory while the
-    probes are fewer than its blocks, one ``searchsorted`` into its head
-    column otherwise.  The sweep records which regime each test hit (a
-    spy on the kernel) and asserts that it met all of them: probe
-    counts on both sides of the ``4 * probes`` line the retired bulk
-    path drew, probes equal to the operand, one-block operands, the
-    gallop, ids past 2**31, row-shaped and columnar driving lists, and
-    ``intersect_within`` driven by a frontier."""
+    probes are fewer than its blocks and its head column is unbuilt,
+    one ``searchsorted`` into its head column otherwise.  The sweep
+    records which regime each test hit (a spy on the kernel) and
+    asserts that it met all of them: probe counts on both sides of the
+    ``4 * probes`` line the retired bulk path drew, probes equal to the
+    operand, one-block operands, the gallop, fewer probes than blocks
+    against a built column, ids past 2**31, row-shaped and columnar
+    driving lists, and ``intersect_within`` driven by a frontier."""
 
     SIZES = (0, 1, 3, 20, COLUMNAR_MIN - 1, COLUMNAR_MIN, 150, 600)
 
@@ -495,7 +505,8 @@ class TestMembershipKernel:
             if n_blocks is not None and n_blocks < 2:
                 seen.add("one-block")
             if n_blocks is not None and len(probes) < n_blocks:
-                seen.add("gallop")
+                seen.add("gallop" if other._heads_arr is None
+                         else "fewer probes than blocks, column built")
             seen.add("probes*4 >= operand" if len(probes) * 4 >= len(other)
                      else "probes*4 < operand")
             if sorted(probes.tolist()) == sorted(other.heads()):
@@ -528,7 +539,11 @@ class TestMembershipKernel:
                        for e in lists]
             mixed = [(blocked, plain, columnar)[i % 3][i]
                      for i in range(len(lists))]
-            for operands in (plain, columnar, blocked, mixed):
+            built = [LazyPostingList(encode_blocked(e, block_size))
+                     for e in lists]
+            for plist in built:
+                plist.heads_array()
+            for operands in (plain, columnar, blocked, mixed, built):
                 assert intersect(operands).entries == expected, trial
 
             # The frontier drives: ids drawn from the first list's heads
@@ -547,4 +562,29 @@ class TestMembershipKernel:
         assert seen == {
             "one-block", "gallop", "probes*4 >= operand",
             "probes*4 < operand", "probes are the operand", "past 2**31",
-            "columnar driver", "row driver", "frontier driver"}
+            "columnar driver", "row driver", "frontier driver",
+            "fewer probes than blocks, column built"}
+
+    def test_a_built_head_column_answers_without_a_decode(
+            self, monkeypatch) -> None:
+        """Fewer probes than blocks gallop only while the operand's head
+        column is unbuilt; a built one answers them with no block."""
+        lazy = LazyPostingList(encode_blocked(
+            [(p, ()) for p in range(0, 2_000, 2)], 16))
+        probes = id_array({4, 5, 1_998})
+        assert len(probes) < lazy.n_blocks
+        decoded = []
+        block_data = LazyPostingList.block_data
+
+        def spy(plist, index):
+            decoded.append(index)
+            return block_data(plist, index)
+
+        monkeypatch.setattr(LazyPostingList, "block_data", spy)
+        mask = postings._array_membership(lazy, probes)
+        assert mask.tolist() == [True, False, True] and decoded
+        lazy.heads_array()
+        decoded.clear()
+        assert postings._array_membership(lazy, probes).tolist() \
+            == mask.tolist()
+        assert decoded == []

@@ -117,11 +117,14 @@ class TestShardedPartialInvalidation:
         assert sorted(result) == result
         # Mutation locality: the insert bumped the owner's epoch of
         # "hub" alone, so the three untouched partitions answered from
-        # their still-valid lists and only the owner read the value.
+        # their still-valid lists, and the owner from the list its
+        # commit carried forward to the new epoch: none read the value.
         owner = shard_of("fresh", index.n_shards)
-        assert _list_fetches(index) == [
-            fetches + (shard_no == owner)
-            for shard_no, fetches in enumerate(warm)]
+        assert _list_fetches(index) == warm
+        version = index.base_store.current_version()
+        assert [part._epochs.floor("s:hub", version)
+                for part in index.shards] == [
+            int(shard_no == owner) for shard_no in range(index.n_shards)]
 
     def test_sharded_delete_never_served_from_cache(self) -> None:
         _check_delete_never_stale(shards=4)

@@ -18,6 +18,7 @@ import threading
 import pytest
 
 from repro.bench.workloads import generate_dataset
+from repro.core.cache import BlockCache
 from repro.core.engine import NestedSetIndex
 from repro.core.invfile import InvertedFile
 from repro.core.model import NestedSet
@@ -309,6 +310,96 @@ class TestReadersVersusWriters:
         assert counts["errors"] == 0
         assert index.query(self.PROBE) == keys
         assert [index.query(query) for query in fixed] == want
+        index.close()
+
+    def test_readers_at_old_and_new_versions_share_carried_lists(
+            self, shards, monkeypatch) -> None:
+        """Readers pinned at old versions and readers at the newest one
+        race on the lists each commit carries forward, beside a
+        :class:`StreamIngestor` committing into those lists.
+
+        The hot lists are warm when every group lands, so each commit
+        derives the next epoch's lists from them and shares their
+        decoded blocks.  A pinned reader keeps its first answers; a
+        fresh one sees a prefix of the submission order; both see the
+        hot list agree with it.
+        """
+        hot = [(f"h{i:03d}", "{__hot__, %s}" % ("even", "odd")[i % 2])
+               for i in range(3 * COLUMNAR_MIN)]
+        index = NestedSetIndex.build(hot, shards=shards, block_size=8)
+        base = [key for key, _tree in hot]
+        odd = [key for key, text in hot if "odd" in text]
+        total = 120
+        keys = [f"s{i:03d}" for i in range(total)]   # sorted == submit order
+        prefixes = {tuple(keys[:i]) for i in range(total + 1)}
+        queries = ["{__hot__, payload}", "{__hot__}", "{__hot__, odd}"]
+        carries = []
+        carry = BlockCache.carry
+
+        def counted(cache, *args):
+            carries.append(carry(cache, *args))
+            return carries[-1]
+
+        monkeypatch.setattr(BlockCache, "carry", counted)
+        stop = threading.Event()
+        failures: list[str] = []
+
+        def consistent(answers) -> bool:
+            payload, every, odds = answers
+            if tuple(payload) in prefixes and odds == odd \
+                    and every == base + payload:
+                return True
+            failures.append(f"not one committed version: {answers!r}")
+            return False
+
+        def live_reader() -> None:
+            while not stop.is_set():
+                try:
+                    if not consistent(index.query_batch(queries)):
+                        return
+                except Exception as exc:  # noqa: BLE001
+                    failures.append(f"reader raised: {exc!r}")
+                    return
+
+        def pinned_reader() -> None:
+            while not stop.is_set():
+                try:
+                    with index.snapshot() as snap:
+                        first = snap.query_batch(queries)
+                        if not consistent(first):
+                            return
+                        for _ in range(4):
+                            if snap.query_batch(queries) != first:
+                                failures.append("a pinned answer moved")
+                                return
+                except Exception as exc:  # noqa: BLE001
+                    failures.append(f"pinned reader raised: {exc!r}")
+                    return
+
+        threads = [threading.Thread(target=target)
+                   for target in (live_reader, pinned_reader) * 3]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            with StreamIngestor(index, batch_size=8,
+                                flush_interval=0.01) as ingestor:
+                for key in keys:
+                    ingestor.submit(key, "{__hot__, payload}")
+                assert ingestor.flush(timeout=60)
+                counts = ingestor.counters()
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures[:3]
+        assert counts["records_ingested"] == total
+        assert counts["errors"] == 0
+        assert any(carries)
+        assert index.query_batch(queries) == [keys, base + keys, odd]
         index.close()
 
     def test_batch_queries_race_mutations(self, shards) -> None:

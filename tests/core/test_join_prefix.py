@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import QueryFold
 from repro.core.engine import NestedSetIndex
 from repro.core.exec import compile_query
 from repro.core.exec.context import ExecCounters
@@ -219,6 +220,39 @@ class TestAdaptiveDispatch:
         assert info["n_queries"] == 40
         assert 0.0 <= info["sharing"] <= 1.0
         assert info["trie_volume"] <= info["loop_volume"]
+        assert choose_strategy(QueryFold(trees), stats) == (chosen, info)
+
+    def test_adaptive_folds_its_queries_once(self, monkeypatch) -> None:
+        """The dispatcher and the prefix tree share one fold, and every
+        copy of a repeated query gets its distinct query's pairs."""
+        import repro.core.join as join_module
+
+        folds = []
+
+        class Counted(QueryFold):
+            def __init__(self, queries) -> None:
+                folds.append(self)
+                super().__init__(queries)
+
+        dispatched = []
+
+        def spy(queries, stats):
+            dispatched.append(queries)
+            return choose_strategy(queries, stats)
+
+        monkeypatch.setattr(join_module, "QueryFold", Counted)
+        monkeypatch.setattr(join_module, "choose_strategy", spy)
+        corpus = _corpus(55)
+        index = NestedSetIndex.build(corpus)
+        queries = [(f"q{i}", tree) for i, (_key, tree)
+                   in enumerate(corpus[:2] * 20)]
+        result = containment_join(index, queries, strategy="adaptive")
+        assert result.extra["dispatch"]["chosen"] == "prefix"
+        assert len(folds) == 1 and dispatched == folds
+        assert result.extra["dispatch"] == choose_strategy(
+            [tree for _key, tree in queries], index.collection_stats())[1]
+        assert result.pairs == containment_join(
+            index, queries, strategy="per-query").pairs
 
 
 class TestJoinPathBugfixes:
