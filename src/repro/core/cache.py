@@ -82,7 +82,8 @@ class BlockCache:
     epoch goes in under the new epoch's key, unless a reader already
     filled that key from the store, and on its first read it takes
     every decoded block the append left unchanged (:meth:`share`) --
-    the same :class:`BlockData` objects, never copies.
+    the same :class:`BlockData` objects, never copies -- and is given
+    the blocks the append changed, built from the appended entries.
 
     :meth:`pin` names the tokens whose lists are exempt from eviction.
     Per pinned token the pinned region holds one list key, the newest
@@ -151,18 +152,23 @@ class BlockCache:
             self._admit_directory(list_key, handle)
             return True
 
-    def share(self, old_key: Hashable, new_key: Hashable, kept: int) -> None:
+    def share(self, old_key: Hashable, new_key: Hashable,
+              kept: int) -> BlockData | None:
         """Admit under ``new_key`` the blocks numbered below ``kept`` that
-        are cached under ``old_key``: the same objects, two keys."""
+        are cached under ``old_key``: the same objects, two keys.
+        Returns the block numbered ``kept`` under ``old_key`` -- an
+        appended list's old tail -- when it is cached, else None."""
         with self._lock:
             # A list's blocks sit in the pinned region or in the LRU.
             held = self._pinned.get(old_key)
-            lru = self._blocks.get
+            if held is None:
+                held = {number: self._blocks.get((old_key, number))
+                        for number in range(kept + 1)}
             for number in range(kept):
-                block = lru((old_key, number)) if held is None \
-                    else held.get(number)
+                block = held.get(number)
                 if block is not None:
                     self._admit((new_key, number), block)
+            return held.get(kept)
 
     def pin(self, tokens: Iterable[Hashable]) -> None:
         """Make ``tokens`` the pin set; cached entries move to the region

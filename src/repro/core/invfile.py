@@ -106,6 +106,9 @@ class QueryStats:
     blocks_read: int = 0
     blocks_skipped: int = 0
     bytes_decoded: int = 0
+    #: Head columns built by decoding a list's blocks (a galloped list
+    #: buys its column once, see ``postings._array_membership``).
+    columns_built: int = 0
 
     def reset(self) -> None:
         for counter in fields(self):
@@ -410,23 +413,35 @@ class InvertedFile:
         answers empty.  A cold key's value is fetched, and the list
         built from it, or the marker when the store has none, is left
         under the key.
+
+        The live file of an engine partition (epochs attached, no
+        pinned version) leaves nothing: it reads the store as it is,
+        and inside a commit group -- after the group's puts, before
+        its epoch bump -- that is the uncommitted value, which must
+        not land under the committed key.  Its lists decode their
+        blocks locally.
         """
         list_key = token if epoch is None else (token, epoch)
-        plist = self.block_cache.directory(list_key)
+        cache = self.block_cache
+        plist = cache.directory(list_key)
         if plist is not None:
             self.stats.directory_hits += 1
             return PostingList() if plist is ABSENT else plist
         self.stats.list_fetches += 1
         raw = self._store.get(_token_store_key(token))
+        if epoch is not None and self.version is None:
+            cache = None
         if raw is None:
-            self.block_cache.admit_directory(list_key, ABSENT)
+            if cache is not None:
+                cache.admit_directory(list_key, ABSENT)
             return PostingList()
         try:
-            plist = LazyPostingList(raw, cache=self.block_cache,
-                                    cache_key=list_key, stats=self.stats)
+            plist = LazyPostingList(raw, cache=cache, cache_key=list_key,
+                                    stats=self.stats)
         except CorruptionError as exc:
             raise InvertedFileError(f"atom {atom!r}: {exc}") from exc
-        self.block_cache.admit_directory(list_key, plist)
+        if cache is not None:
+            cache.admit_directory(list_key, plist)
         return plist
 
     def list_length(self, atom: Atom) -> int:

@@ -310,15 +310,25 @@ class LazyPostingList:
     so a racing reader at worst computes it twice.  The head column is
     kept read-only.
 
+    Membership probes rent before they buy (:func:`_array_membership`):
+    a list counts the blocks its gallops have touched, and once they
+    reach its block count -- what building the head column costs --
+    it builds the column and answers every later probe from it.  A
+    list read once stays cheap; a list read by every query pays for
+    its column once.
+
     A commit that appends to a warm list carries it forward: the next
     epoch's handle is derived from this one (:meth:`appended`), so its
-    first reader neither fetches nor parses it; it keeps the unchanged
-    blocks' directory entries and the head column, and shares their
-    decoded blocks in the cache.
+    first reader neither fetches nor parses it nor decodes a block this
+    one holds.  It keeps the unchanged blocks' directory entries, the
+    head column and the gallop count; it shares their decoded blocks in
+    the cache and gets the blocks the append changed built from the
+    appended entries.
     """
 
     __slots__ = ("raw", "header", "_directory", "_cache", "_cache_key",
-                 "_stats", "_local", "_entries", "_heads_arr", "_columns")
+                 "_stats", "_local", "_entries", "_heads_arr", "_columns",
+                 "_galloped")
 
     def __init__(self, raw: bytes, *, cache=None, cache_key: object = None,
                  stats=None) -> None:
@@ -332,6 +342,9 @@ class LazyPostingList:
         self._entries: tuple[Posting, ...] | None = None
         self._heads_arr = None
         self._columns = None
+        #: Blocks the gallops through this list have touched.  Racing
+        #: readers may lose an update, which only delays the column.
+        self._galloped = 0
 
     @classmethod
     def appended(cls, old: "LazyPostingList", raw: bytes,
@@ -346,7 +359,9 @@ class LazyPostingList:
         first use the list takes ``old``'s directory, the kept blocks'
         entries moved by the delta's shift and the changed ones as
         reported, extends ``old``'s head column, when built, with the
-        appended heads, and shares the kept blocks ``old`` has cached.
+        appended heads, takes ``old``'s gallop count, shares the kept
+        blocks ``old`` has cached and admits the changed ones built
+        from ``entries``.
         """
         plist = _CarriedList.__new__(_CarriedList)
         plist.raw = raw
@@ -424,6 +439,8 @@ class LazyPostingList:
             else:
                 heads = _concat([self.block_data(i).heads
                                  for i in range(self.n_blocks)])
+                if self._stats is not None:
+                    self._stats.columns_built += 1
             heads.flags.writeable = False
             self._heads_arr = heads
         return self._heads_arr
@@ -506,18 +523,22 @@ class LazyPostingList:
 class _CarriedList(LazyPostingList):
     """A list a commit carried forward (:meth:`LazyPostingList.appended`).
 
-    Its header and head column stay unset until first read: then they
-    are derived from the predecessor's, and the predecessor's cached
-    blocks it keeps are shared under its own key.  A commit thus pays
-    for admitting the list alone, and a list no reader asks for again
-    costs nothing more.  Racing first readers each derive the same
-    values; the predecessor is let go once one of them is done.
+    Its header, head column and gallop count stay unset until first
+    read: then they are derived from the predecessor's, the
+    predecessor's cached blocks it keeps are shared under its own key,
+    and the blocks the append changed are admitted without a decode --
+    a changed tail is the predecessor's cached tail joined with the
+    entries that went into it, a fresh block is its chunk of the
+    entries.  A commit thus pays for admitting the list alone, and a
+    list no reader asks for again costs nothing more.  Racing first
+    readers each derive the same values; the predecessor is let go
+    once one of them is done.
     """
 
     __slots__ = ("_source",)
 
     def __getattr__(self, name: str):
-        if name not in ("header", "_heads_arr"):
+        if name not in ("header", "_heads_arr", "_galloped"):
             raise AttributeError(name)
         source = self._source
         if source is not None:
@@ -536,12 +557,37 @@ class _CarriedList(LazyPostingList):
             heads = _np.concatenate((heads, _np.array(
                 [p for p, _ in entries], dtype=_np.int64)))
             heads.flags.writeable = False
-        if self._cache is not None:
-            self._cache.share(old._cache_key, self._cache_key, kept)
+        cache = self._cache
+        if cache is not None:
+            tail = cache.share(old._cache_key, self._cache_key, kept)
+            at = 0
+            for number, info in enumerate(changed, kept):
+                # Only the first changed block can be the old tail.
+                held = old.header.blocks[number].count \
+                    if number < old.n_blocks else 0
+                chunk = entries[at:at + info.count - held]
+                at += len(chunk)
+                if held and tail is None:
+                    continue    # an old tail not cached decodes on demand
+                cache.admit((self._cache_key, number),
+                            _block_of(chunk, tail if held else None))
         self._heads_arr = heads
+        self._galloped = old._galloped
         self.header = BlockedHeader(old.header.total + len(entries),
                                     old.header.block_size, blocks + changed)
         self._source = None
+
+
+def _block_of(entries: Sequence[Posting],
+              before: BlockData | None = None) -> BlockData:
+    """The block of ``before``'s postings, if any, followed by
+    ``entries``, built without a decode."""
+    block = BlockData.from_postings(entries)
+    if before is None:
+        return block
+    return BlockData(_np.concatenate((before.heads, block.heads)),
+                     _np.concatenate((before.counts, block.counts)),
+                     _np.concatenate((before.children, block.children)))
 
 
 def _still_encoded(plist: "PostingList | LazyPostingList") -> bool:
@@ -560,7 +606,8 @@ def _gallop_mask(lazy: LazyPostingList, probes):
     slices).  Probes falling in the gap before a block, or past the last
     block, are answered from the directory alone; the blocks between the
     first and last decoded one that were jumped over count as
-    ``blocks_skipped``.
+    ``blocks_skipped``.  The blocks probed add to the list's gallop
+    count.
     """
     blocks = lazy.header.blocks
     target = _np.searchsorted(lazy.directory.max_heads, probes)
@@ -578,6 +625,7 @@ def _gallop_mask(lazy: LazyPostingList, probes):
             continue  # whole run sits in the gap before this block
         keep[lo:hi] = in_sorted(run, lazy.block_data(block_no).heads)
         decoded += 1
+    lazy._galloped += decoded
     if lazy._stats is not None and decoded:
         span = int(touched[-1]) - int(touched[0]) + 1
         lazy._stats.blocks_skipped += span - decoded
@@ -587,16 +635,20 @@ def _gallop_mask(lazy: LazyPostingList, probes):
 def _array_membership(other: "PostingList | LazyPostingList", probes):
     """Keep-mask: which of the sorted ``probes`` occur in ``other``.
 
-    While the probes are fewer than the blocks of a still-encoded
-    operand whose head column is not built, they gallop through its
-    skip directory, decoding only the blocks they touch.  Otherwise one
-    ``searchsorted`` of the probes into the operand's head column
-    (:func:`in_sorted`) answers them all: a built column costs no
-    decode, and past that many probes every block would be decoded
-    anyway.
+    The rent-or-buy rule.  A still-encoded operand whose head column is
+    unbuilt is galloped through -- its skip directory searched, only
+    the blocks the probes touch decoded -- while the probes are fewer
+    than its blocks and its gallops so far have touched fewer blocks
+    than it has.  Otherwise one ``searchsorted`` of the probes into
+    the operand's head column (:func:`in_sorted`) answers them all,
+    the column built first if need be: past that many probes every
+    block would be decoded anyway, and once the gallops have cost as
+    many blocks as the column does, a list probed that often is cheaper
+    with its column.  A built column costs no decode.
     """
     if _still_encoded(other) and other._heads_arr is None \
-            and len(probes) < other.n_blocks:
+            and len(probes) < other.n_blocks \
+            and other._galloped < other.n_blocks:
         return _gallop_mask(other, probes)
     return in_sorted(probes, other.heads_array())
 
@@ -641,11 +693,12 @@ def intersect(lists: "Sequence[PostingList | LazyPostingList]"
     are the probes, cut operand by operand, shortest first, by
     :func:`_array_membership` -- a gallop through a block-compressed
     operand's skip directory while the probes are fewer than its
-    blocks and its head column is unbuilt, one ``searchsorted`` into
-    its head column otherwise -- so
-    the cost is governed by the rarest list, not the total postings
-    length.  The survivors' postings are gathered once, from the rarest
-    list (:func:`_postings_at`).
+    blocks, its head column is unbuilt and its gallops have not yet
+    touched as many blocks as it has; one ``searchsorted`` into its
+    head column otherwise -- so the cost is governed by the rarest
+    list, not the total postings length, and a list every query probes
+    pays for its head column once.  The survivors' postings are
+    gathered once, from the rarest list (:func:`_postings_at`).
 
     Any empty operand short-circuits to an empty result before the other
     lists are decoded or their head sets materialized.

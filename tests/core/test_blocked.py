@@ -485,14 +485,16 @@ def _shifted(lists: list, base: int) -> list:
 class TestMembershipKernel:
     """Every operand of an intersection is one membership test of the
     surviving probes: a gallop through its skip directory while the
-    probes are fewer than its blocks and its head column is unbuilt,
-    one ``searchsorted`` into its head column otherwise.  The sweep
+    probes are fewer than its blocks, its head column is unbuilt and
+    its gallops have touched fewer blocks than it has; one
+    ``searchsorted`` into its head column otherwise.  The sweep
     records which regime each test hit (a spy on the kernel) and
     asserts that it met all of them: probe counts on both sides of the
     ``4 * probes`` line the retired bulk path drew, probes equal to the
     operand, one-block operands, the gallop, fewer probes than blocks
-    against a built column, ids past 2**31, row-shaped and columnar
-    driving lists, and ``intersect_within`` driven by a frontier."""
+    against a built column, a column bought after gallops, ids past
+    2**31, row-shaped and columnar driving lists, and
+    ``intersect_within`` driven by a frontier."""
 
     SIZES = (0, 1, 3, 20, COLUMNAR_MIN - 1, COLUMNAR_MIN, 150, 600)
 
@@ -505,8 +507,12 @@ class TestMembershipKernel:
             if n_blocks is not None and n_blocks < 2:
                 seen.add("one-block")
             if n_blocks is not None and len(probes) < n_blocks:
-                seen.add("gallop" if other._heads_arr is None
-                         else "fewer probes than blocks, column built")
+                if other._heads_arr is not None:
+                    seen.add("fewer probes than blocks, column built")
+                elif other._galloped >= n_blocks:
+                    seen.add("column bought after gallops")
+                else:
+                    seen.add("gallop")
             seen.add("probes*4 >= operand" if len(probes) * 4 >= len(other)
                      else "probes*4 < operand")
             if sorted(probes.tolist()) == sorted(other.heads()):
@@ -543,7 +549,14 @@ class TestMembershipKernel:
                      for e in lists]
             for plist in built:
                 plist.heads_array()
-            for operands in (plain, columnar, blocked, mixed, built):
+            # Galloped once through every block: the next probe buys.
+            bought = [LazyPostingList(encode_blocked(e, block_size))
+                      for e in lists]
+            for plist in bought:
+                for info in plist.header.blocks:
+                    postings._gallop_mask(plist, id_array({info.min_head}))
+            for operands in (plain, columnar, blocked, mixed, built,
+                             bought):
                 assert intersect(operands).entries == expected, trial
 
             # The frontier drives: ids drawn from the first list's heads
@@ -563,7 +576,8 @@ class TestMembershipKernel:
             "one-block", "gallop", "probes*4 >= operand",
             "probes*4 < operand", "probes are the operand", "past 2**31",
             "columnar driver", "row driver", "frontier driver",
-            "fewer probes than blocks, column built"}
+            "fewer probes than blocks, column built",
+            "column bought after gallops"}
 
     def test_a_built_head_column_answers_without_a_decode(
             self, monkeypatch) -> None:
@@ -588,3 +602,43 @@ class TestMembershipKernel:
         assert postings._array_membership(lazy, probes).tolist() \
             == mask.tolist()
         assert decoded == []
+
+    def test_gallops_buy_the_head_column_at_the_block_count(
+            self, monkeypatch) -> None:
+        """Rent or buy: a cold list is galloped, one probed block per
+        one-probe intersection, until its gallops have touched as many
+        blocks as it has; the next probe builds its head column (from
+        the blocks the gallops left decoded), and no probe after that
+        decodes a block."""
+        stats = QueryStats()
+        entries = [(p, (p + 1,)) for p in range(0, 2_000, 2)]
+        lazy = LazyPostingList(encode_blocked(entries, 16), stats=stats)
+        decoded = []
+        block_data = LazyPostingList.block_data
+
+        def spy(plist, index):
+            decoded.append(index)
+            return block_data(plist, index)
+
+        monkeypatch.setattr(LazyPostingList, "block_data", spy)
+        rng = random.Random(41)
+        for number, info in enumerate(lazy.header.blocks):
+            head = rng.randrange(info.min_head, info.max_head + 1)
+            got = intersect([lazy, PostingList([(head, ())])])
+            assert got.entries == tuple((p, ()) for p, _ in entries
+                                        if p == head)
+            assert decoded == [number]          # the one block it falls in
+            assert lazy._heads_arr is None and stats.columns_built == 0
+            decoded.clear()
+        assert lazy._galloped == lazy.n_blocks
+        assert stats.blocks_read == lazy.n_blocks
+        intersect([lazy, PostingList([(6, ())])])
+        assert lazy._heads_arr is not None and stats.columns_built == 1
+        assert stats.blocks_read == lazy.n_blocks     # nothing decoded twice
+        decoded.clear()
+        for _ in range(50):
+            probes = sorted(rng.sample(range(2_100), rng.randrange(1, 4)))
+            got = intersect([lazy, PostingList([(p, ()) for p in probes])])
+            assert got.entries == tuple((p, ()) for p in probes
+                                        if p % 2 == 0 and p < 2_000)
+        assert decoded == [] and stats.columns_built == 1

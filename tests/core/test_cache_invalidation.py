@@ -13,8 +13,11 @@ and on four."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.engine import NestedSetIndex
 from repro.core.shard import shard_of
+from repro.core.updates import IndexWriter, UpdateError
 
 RECORDS = [(f"r{i}", "{hub, leaf%d}".replace("%d", str(i % 4)))
            for i in range(16)]
@@ -168,3 +171,37 @@ class TestStaleRepopulationRaces:
 
     def test_sharded_pinned_repopulation_cannot_poison_live(self) -> None:
         _check_pinned_repopulation(shards=4)
+
+
+class TestLiveReadsDuringAGroup:
+    """A read through a partition's live inverted file (the path of the
+    CLI's ``check``, ``similar`` and ``info``) may run while a commit
+    group has put its lists but not yet bumped their epochs; the store
+    then already holds the group's uncommitted values."""
+
+    def test_a_live_read_inside_a_refused_group_poisons_no_key(
+            self, monkeypatch) -> None:
+        """A 4-partition group refused by a duplicate key, with every
+        live file read between the puts and the epoch bump: the lists
+        read there are the group's, so none may be left under a key a
+        later reader uses -- every later query answers as before."""
+        records = [(f"r{i}", f"{{hub, a{i}}}") for i in range(10)]
+        index = NestedSetIndex.build(records, shards=4)
+        invalidate = IndexWriter._invalidate
+
+        def read_live_first(writer, touched):
+            for part in index.shards:
+                part.inverted_file.postings("hub").entries
+            invalidate(writer, touched)
+
+        monkeypatch.setattr(IndexWriter, "_invalidate", read_live_first)
+        group = [(f"b{i}", "{hub, b}") for i in range(6)]
+        first = shard_of(group[0][0], 4)
+        group.append(next((key, tree) for key, tree in records
+                          if shard_of(key, 4) != first))
+        with pytest.raises(UpdateError):
+            index.insert_batch(group)
+        monkeypatch.undo()
+        assert index.query("{hub}") == sorted(key for key, _ in records)
+        assert index.query("{hub, a3}") == ["r3"]
+        index.close()

@@ -4,7 +4,9 @@ When an insert group appends to a list whose stored bytes are those of
 the list the block cache holds at the committed version, the engine
 admits, once the group has landed, under the new epoch's key a list
 derived from the warm one: its directory moved by what the append
-changed, its head column extended, its unchanged decoded blocks shared.
+changed, its head column extended, its gallop count kept, its unchanged
+decoded blocks shared and its changed ones built from the appended
+entries, so its first read decodes nothing the warm one held.
 A hypothesis script runs insert groups on 1 and 4 partitions -- some
 refused by a duplicate key, some with snapshots pinned before them,
 some followed by reads of the live files -- and after every group holds
@@ -27,7 +29,7 @@ from repro.core.engine import NestedSetIndex, Partition
 from repro.core.invfile import _atom_store_key, atom_token
 from repro.core.model import NestedSet
 from repro.core.naive import reference_query
-from repro.core.postings import LazyPostingList
+from repro.core.postings import LazyPostingList, PostingList, intersect
 from repro.core.shard import shard_of
 from repro.core.updates import UpdateError
 from repro.storage.codec import encode_blocked
@@ -77,8 +79,8 @@ def _warm(index, columns: bool) -> None:
 
 def _read_live(index) -> None:
     """Read every list through each partition's live inverted file (the
-    path of ``check`` and ``similar``), which caches under the live
-    epochs, and hold it to the store value."""
+    path of ``check`` and ``similar``), which leaves nothing in the
+    cache, and hold it to the store value."""
     for part in index.shards:
         ifile = part.inverted_file
         for atom in ATOMS:
@@ -114,6 +116,26 @@ def _same_list(carried: LazyPostingList, raw: bytes) -> None:
     assert tuple(rows) == fresh.entries
     if carried._heads_arr is not None:
         assert np.array_equal(carried._heads_arr, fresh.heads_array())
+
+
+def _same_admitted(carried: LazyPostingList, raw: bytes) -> None:
+    """Every block the carried list's key holds before any decode --
+    shared, or built from the appended entries -- is the block a reader
+    would decode from ``raw``; the changed ones are there when the
+    predecessor's tail was."""
+    fresh = LazyPostingList(raw)
+    cache, key = carried._cache, carried._cache_key
+    admitted = 0
+    for number in range(carried.n_blocks):    # derives the carried list
+        block = cache.get((key, number))
+        if block is None:
+            continue
+        want = fresh.block_data(number)
+        assert np.array_equal(block.heads, want.heads)
+        assert np.array_equal(block.counts, want.counts)
+        assert np.array_equal(block.children, want.children)
+        admitted += 1
+    assert admitted
 
 
 def _answers(records) -> list[list[str]]:
@@ -225,10 +247,13 @@ def _check_carried(index, group, warm: list[dict]) -> None:
             shared = {number: cache.get((old._cache_key, number))
                       for number in range(old.n_blocks - 1)}
             assert (carried._heads_arr is None) == (old._heads_arr is None)
+            assert carried._galloped == old._galloped
+            raw = part.inverted_file.store.get(store_key)
+            _same_admitted(carried, raw)
             for number, block in shared.items():
                 if block is not None:
                     assert cache.get((keys[token], number)) is block
-            _same_list(carried, part.inverted_file.store.get(store_key))
+            _same_list(carried, raw)
 
 
 def _check_pinned(snap, expected, held: list[dict]) -> None:
@@ -320,10 +345,10 @@ def test_a_cached_list_that_is_not_the_store_value_is_not_built_on(
 def test_a_live_read_after_a_refused_group_is_not_served_or_built_on(
 ) -> None:
     """A refused group on 4 partitions bumped the epochs of the lists
-    its written slice touched.  A live read after it caches the
-    committed lists under an epoch no commit uses, so the next two
-    groups into those lists leave the stored lists a build of the same
-    records leaves, and every answer stays the naive oracle's."""
+    its written slice touched.  Live reads after it leave nothing
+    cached, so the next two groups into those lists leave the stored
+    lists a build of the same records leaves, and every answer stays
+    the naive oracle's."""
     index = NestedSetIndex.build(BUILT, shards=4, block_size=BLOCK_SIZE)
     _warm(index, columns=True)
     refused = [("x0", _tree("a1", "a2"))]
@@ -342,4 +367,60 @@ def test_a_live_read_after_a_refused_group_is_not_served_or_built_on(
     fresh = NestedSetIndex.build(live, shards=4, block_size=BLOCK_SIZE)
     assert _stored_lists(index) == _stored_lists(fresh)
     fresh.close()
+    index.close()
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("tail_cached", [True, False])
+def test_a_carried_list_decodes_only_a_tail_it_lost(shards,
+                                                    tail_cached) -> None:
+    """The blocks an append changed are built from the appended entries
+    and the predecessor's cached tail: with every block of the warm
+    lists cached, the first read after the commit decodes nothing; with
+    the old tail evicted, it decodes that one block per list."""
+    built = BUILT[:-1]      # an odd record count leaves a partial tail
+    index = NestedSetIndex.build(built, shards=shards, block_size=BLOCK_SIZE)
+    _warm(index, columns=False)
+    lost = 0
+    for held in _held(index):
+        hot = held["s:hot"]
+        cache = hot._cache
+        assert all(cache.get((hot._cache_key, number)) is not None
+                   for number in range(hot.n_blocks))
+        if not tail_cached and hot.header.blocks[-1].count < BLOCK_SIZE:
+            del cache._blocks[hot._cache_key, hot.n_blocks - 1]
+            lost += 1
+    group = [(f"n{i}", _tree("a1", "a2")) for i in range(9)]
+    index.insert_batch(group)
+    index.reset_stats()
+    assert index.query("{hot, {hot}}") == _answers(built + group)[6]
+    stats = index.stats()["index"]
+    assert stats["list_fetches"] == 0
+    assert stats["blocks_read"] == lost
+    assert lost or tail_cached
+    index.close()
+
+
+def test_a_carried_list_keeps_its_gallop_count() -> None:
+    """The gallops a warm list has had count toward its successor's
+    head column: a list half galloped before a commit is carried half
+    galloped, and bought as soon as its gallops reach its new block
+    count."""
+    index = NestedSetIndex.build(BUILT, block_size=BLOCK_SIZE)
+    part = index.shards[0]
+    with index.snapshot() as snap:
+        hot = snap.views[0].inverted_file.postings("hot")
+        for info in hot.header.blocks[:hot.n_blocks // 2]:
+            intersect([hot, PostingList([(info.min_head, ())])])
+    assert hot._heads_arr is None and hot._galloped == hot.n_blocks // 2
+    index.insert_batch([(f"n{i}", _tree("a1", "a2")) for i in range(9)])
+    key = _keys(part, index.base_store.current_version())["s:hot"]
+    carried = part.inverted_file.block_cache.directory(key)
+    assert carried is not hot and carried._galloped == hot._galloped
+    blocks = carried.header.blocks
+    for info in blocks[:carried.n_blocks - carried._galloped]:
+        intersect([carried, PostingList([(info.min_head, ())])])
+    assert carried._heads_arr is None
+    intersect([carried, PostingList([(blocks[-1].max_head, ())])])
+    assert carried._heads_arr is not None
     index.close()

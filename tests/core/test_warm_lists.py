@@ -113,9 +113,11 @@ def test_warm_list_reads_its_value_on_a_block_miss(monkeypatch) -> None:
 
 def test_kept_head_column_is_read_only() -> None:
     """Every reader of a warm list shares its head column and columns,
-    so none may write into them."""
-    with NestedSetIndex.build(RECORDS, block_size=4) as index:
-        ifile = index.inverted_file
+    so none may write into them.  (Read through a pinned view: the
+    live file keeps no list.)"""
+    with NestedSetIndex.build(RECORDS, block_size=4) as index, \
+            index.snapshot() as snap:
+        ifile = snap.views[0].inverted_file
         for atom in ("hub", "a1"):
             plist = ifile.postings(atom)
             heads = plist.heads_array()
