@@ -179,8 +179,6 @@ class Partition:
         self.bloom_index = _bloom_for(ifile, bloom, bloom_bits)
         self._stats: CollectionStats | None = None
         self._writer: IndexWriter | None = None
-        #: Tokens whose epochs the open commit group bumped.
-        self._bumped: set[str] = set()
 
     def _wire(self, ifile: InvertedFile) -> None:
         """Make ``ifile`` the live generation: fresh epochs and shared
@@ -243,16 +241,13 @@ class Partition:
         derived from the warm one (:meth:`LazyPostingList.appended
         <repro.core.postings.LazyPostingList.appended>`) and sharing its
         unchanged decoded blocks.  A group that did not land carries
-        nothing, and the epochs it bumped are refused
-        (:meth:`ModEpochs.refuse <repro.core.snapshot.ModEpochs.refuse>`).
+        nothing.
         """
-        bumped, self._bumped = self._bumped, set()
         writer = self._writer
         carried = {} if writer is None else writer.carried
         if writer is not None:
             writer.carried = {}
         if not landed:
-            self._epochs.refuse(bumped, self._upcoming_version())
             return
         version = self._ifile.store.current_version()
         cache = self._ifile.block_cache
@@ -274,7 +269,6 @@ class Partition:
         only bumps at or below their pinned version).
         """
         self._epochs.bump(tokens, self._upcoming_version())
-        self._bumped |= tokens
 
     def insert_group(self, records: Iterable[tuple[str, NestedSet]]
                      ) -> list[int]:

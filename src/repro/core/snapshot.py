@@ -85,38 +85,16 @@ class ModEpochs:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._mods: dict[str, list[int]] = {}
-        #: Tokens whose last recorded change is a refused group's.
-        self._refused: set[str] = set()
 
     def bump(self, tokens: Iterable[str], version: int) -> None:
-        """Record that ``tokens``' lists change at ``version``: once per
-        group, and once more for a group that follows a refused one."""
+        """Record that ``tokens``' lists change at ``version``, once per
+        version: a group that did not land leaves its bump for the next
+        group, which commits at the same version."""
         with self._lock:
             for token in tokens:
                 mods = self._mods.setdefault(token, [])
-                if mods and mods[-1] >= version \
-                        and token not in self._refused:
-                    continue
-                mods.append(version)
-                self._refused.discard(token)
-
-    def refuse(self, tokens: Iterable[str], version: int) -> None:
-        """Record that the group that bumped ``tokens`` at ``version``
-        did not land.
-
-        Its epoch is never a reader's again: a live read during the
-        group may have cached its uncommitted lists there.  Each token
-        moves one epoch on for live reads until the next commit, and
-        the next group that bumps it at ``version`` moves it once more,
-        so neither reuses a key the other filled.
-        """
-        with self._lock:
-            for token in tokens:
-                mods = self._mods.get(token)
-                if mods and mods[-1] == version \
-                        and token not in self._refused:
+                if not mods or mods[-1] < version:
                     mods.append(version)
-                    self._refused.add(token)
 
     def bump_all(self, version: int) -> None:
         """Record that *every* list may have changed at ``version``."""

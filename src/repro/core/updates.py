@@ -311,11 +311,13 @@ class IndexWriter:
     def _append_group(self) -> None:
         """Append the group's records: every touched list once (new ids
         sort past its tail, so only the partial tail block changes),
-        ALL/ZERO, the metadata tail, the record table.  A group that
+        ALL/ZERO, the metadata tail, the record table -- all in one
+        :meth:`~repro.storage.kvstore.KVStore.put_many`.  A group that
         starts at node id 0 has no tails to read."""
         ifile = self._ifile
         store = self._store
         first_id = ifile.n_nodes - len(self._meta)
+        puts: list[tuple[bytes, bytes]] = []
         for atom, entries in self._postings.items():
             entries.sort()          # a record lists its nodes post-order
             token = atom_token(atom)
@@ -331,22 +333,23 @@ class IndexWriter:
             else:
                 raw = append_blocked(raw, entries)
                 self.carried.pop(token, None)
-            store.put(store_key, raw)
+            puts.append((store_key, raw))
         self._pending_all.sort()
         ifile._n_all_blocks = _append_blocks(
-            store, _ALL_PREFIX, ifile._n_all_blocks, first_id - 1,
+            store, puts, _ALL_PREFIX, ifile._n_all_blocks, first_id - 1,
             self._pending_all)
         if self._pending_zero:
             self._pending_zero.sort()
             ifile._n_zero_blocks = _append_blocks(
-                store, _ZERO_PREFIX, ifile._n_zero_blocks,
+                store, puts, _ZERO_PREFIX, ifile._n_zero_blocks,
                 self._zero_last, self._pending_zero)
             self._zero_last = self._pending_zero[-1][0]
-        _append_meta(store, first_id, self._meta)
+        _append_meta(store, puts, first_id, self._meta)
         for key, (ordinal, blob) in self._records.items():
-            store.put(_RECORD_PREFIX + encode_varint(ordinal), blob)
-            store.put(_KEYMAP_PREFIX + key.encode("utf-8"),
-                      encode_varint(ordinal))
+            puts.append((_RECORD_PREFIX + encode_varint(ordinal), blob))
+            puts.append((_KEYMAP_PREFIX + key.encode("utf-8"),
+                         encode_varint(ordinal)))
+        store.put_many(puts)
 
     def _fold(self, df_delta: dict[Atom, int]) -> None:
         """Rewrite both count tables whole and drop their delta logs; the
@@ -393,10 +396,11 @@ def _plus(counts: dict[Atom, int],
                          for atom, count in delta.items()}}
 
 
-def _append_blocks(store, prefix: bytes, n_blocks: int,
-                   last_head: int | None,
+def _append_blocks(store, puts: list[tuple[bytes, bytes]], prefix: bytes,
+                   n_blocks: int, last_head: int | None,
                    entries: list[tuple[int, tuple[int, ...]]]) -> int:
-    """Extend the ALL or ZERO list; returns the new block count.
+    """Extend the ALL or ZERO list onto ``puts``; returns the new block
+    count.
 
     ``last_head`` is the last head the tail block holds (``None``: not
     known, decode the block to find it), so topping the block up costs
@@ -412,18 +416,20 @@ def _append_blocks(store, prefix: bytes, n_blocks: int,
         if room > 0:
             if last_head is None:
                 last_head = decode_postings(raw)[-1][0]
-            store.put(tail_key,
-                      append_postings(raw, last_head, pending[:room]))
+            puts.append((tail_key,
+                         append_postings(raw, last_head, pending[:room])))
             pending = pending[room:]
     for start in range(0, len(pending), LIST_BLOCK):
-        store.put(prefix + encode_varint(n_blocks),
-                  PostingList(pending[start:start + LIST_BLOCK]).encode())
+        puts.append((prefix + encode_varint(n_blocks),
+                     PostingList(pending[start:start + LIST_BLOCK]).encode()))
         n_blocks += 1
     return n_blocks
 
 
-def _append_meta(store, first_id: int, entries: list[bytes]) -> None:
-    """Append node-metadata entries starting at node id ``first_id``."""
+def _append_meta(store, puts: list[tuple[bytes, bytes]], first_id: int,
+                 entries: list[bytes]) -> None:
+    """Append node-metadata entries starting at node id ``first_id``
+    onto ``puts``."""
     index = 0
     while index < len(entries):
         node_id = first_id + index
@@ -437,7 +443,7 @@ def _append_meta(store, first_id: int, entries: list[bytes]) -> None:
                 f"expected {expected} before append")
         take = min(len(entries) - index, META_BLOCK - offset)
         raw += b"".join(entries[index:index + take])
-        store.put(block_key, raw)
+        puts.append((block_key, raw))
         index += take
 
 
@@ -452,7 +458,9 @@ def write_index(records: Iterable[tuple[str, object]], *,
 
     One group when ``memory_budget`` is ``None``; otherwise a new group
     whenever the buffered postings pass it (the buffer exceeds it by at
-    most one record; a list touched by G groups is rewritten G times).
+    most one record; a list touched by G groups is rewritten G times,
+    but each group reaches the store as one ``put_many``, which edits
+    each page it changes once).
     Not journaled: runs outside any store transaction, ends with
     ``sync()``.  Raises :class:`UpdateError` on a repeated key, before
     anything of that group is written.

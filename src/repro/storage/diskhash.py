@@ -10,6 +10,8 @@ used as the inverted-file storage engine with caching disabled
 * records are appended into chain pages; replaced/deleted records are
   excised in place (the page tail shifts left), so update-heavy
   workloads reuse page space instead of growing the chain without bound,
+* a write group (:meth:`DiskHashTable.put_many`) walks each bucket's
+  chain once and writes each page it changes once,
 * values larger than the in-page threshold spill into overflow chains.
 
 Record page layout::
@@ -37,9 +39,9 @@ invalidation story: versions, pins, copy-on-write pre-images, aborts,
 recovery and replicated apply need no reasoning, and a stale entry can
 only cost a re-parse.  A write files the page it wrote with the
 directory a parse would give, derived from the one held for the bytes
-it replaced (a record appended, or one cut out and those behind it
-moved forward), so a page is not parsed again just because this table
-wrote it.
+it replaced (records cut out and those behind them moved forward,
+records appended), so a page is not parsed again just because this
+table wrote it.
 
 Durability: mutations wrapped in :meth:`~repro.storage.kvstore.KVStore.
 transaction` commit through the pager's write-ahead log and are replayed
@@ -51,8 +53,7 @@ from __future__ import annotations
 
 import struct
 import threading
-from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .codec import decode_varint, encode_varint, fnv1a_64
 from .errors import CorruptionError, KeyTooLargeError
@@ -180,41 +181,43 @@ class _PageDirectories:
             self._file(page_id, held)
         return held[1].get(key)
 
-    def appended(self, page_id: int, raw: bytes, page: bytes, key: bytes,
-                 entry: int) -> None:
-        """``page`` is ``raw`` plus the record ``entry`` of ``key``: file
-        its directory, derived from the one held for ``raw``, so the
-        next lookup on the page need not parse it."""
+    def edited(self, page_id: int, raw: bytes, page: bytes,
+               cut: dict[bytes, int], appended: list[tuple[bytes, int]]
+               ) -> None:
+        """``page`` is ``raw`` without the live records ``cut`` (``key ->
+        entry``), the records behind each moved forward, and with the
+        records ``appended`` added at its end: file its directory,
+        derived from the one held for ``raw``, so the next lookup on
+        the page need not parse it.  Not when a cut key's bytes occur
+        behind its cut, where a shadowed record of the key could be the
+        first live one now."""
         held = self._current(page_id, raw)
         if held is None:
             return
         directory = dict(held[1])
-        directory.setdefault(key, entry)
-        self._file(page_id, (page[:entry >> _END_SHIFT], directory))
-
-    def excised(self, page_id: int, raw: bytes, page: bytes, key: bytes,
-                start: int, end: int) -> None:
-        """``page`` is ``raw`` without ``key``'s live record at
-        ``[start, end)``: file its directory, the held one with that
-        record gone and the records behind it moved ``end - start``
-        bytes forward.  Not when the key's bytes occur behind it, where
-        a shadowed record of the key could be the first live one now."""
-        held = self._current(page_id, raw)
-        if held is None:
-            return
-        cut = end - start
-        parsed_end = len(held[0]) - cut
-        if page.find(key, start, parsed_end) >= 0:
-            return
-        shift = cut << _START_SHIFT | cut << _VALUE_SHIFT | cut << _END_SHIFT
-        # A directory lists its keys in page order, so the records
-        # behind the cut are the keys after ``key``.
-        keys = list(held[1])
-        directory = dict(held[1])
-        del directory[key]
-        for other in keys[keys.index(key) + 1:]:
-            directory[other] -= shift
-        self._file(page_id, (page[:parsed_end], directory))
+        shift = 0
+        if cut:
+            step = 1 << _START_SHIFT | 1 << _VALUE_SHIFT | 1 << _END_SHIFT
+            behind: list[tuple[bytes, int]] = []
+            # A directory lists its keys in page order, so the records
+            # behind a cut are the keys after it.
+            keys = list(directory)
+            for key in keys[keys.index(next(iter(cut))):]:
+                if key in cut:
+                    entry = directory.pop(key)
+                    start = entry >> _START_SHIFT & _OFFSET_MASK
+                    behind.append((key, start - shift))
+                    shift += (entry >> _END_SHIFT) - start
+                else:
+                    directory[key] -= shift * step
+            for key, start in behind:
+                if page.find(key, start, len(held[0]) - shift) >= 0:
+                    return
+        for key, entry in appended:
+            directory.setdefault(key, entry)
+        end = appended[-1][1] >> _END_SHIFT if appended \
+            else len(held[0]) - shift
+        self._file(page_id, (page[:end], directory))
 
     def _file(self, page_id: int,
               held: tuple[bytes, dict[bytes, int]]) -> None:
@@ -366,13 +369,20 @@ class DiskHashTable(_ChainReads, KVStore):
             directory.extend(struct.unpack_from(f"<{per_page}Q", raw, 0))
         return directory[:self._n_buckets]
 
-    def _set_bucket(self, bucket: int, page_id: int) -> None:
-        self._directory[bucket] = page_id
+    def _set_buckets(self, heads: dict[int, int]) -> None:
+        """Point each bucket of ``heads`` at its new head page, writing
+        each directory page they touch once."""
         per_page = self._pager.page_size // 8
-        dir_page = self._dir_pages[bucket // per_page]
-        raw = bytearray(self._pager.read(dir_page))
-        struct.pack_into("<Q", raw, (bucket % per_page) * 8, page_id)
-        self._pager.write(dir_page, bytes(raw))
+        edits: dict[int, bytearray] = {}
+        for bucket, page_id in heads.items():
+            self._directory[bucket] = page_id
+            dir_page = self._dir_pages[bucket // per_page]
+            raw = edits.get(dir_page)
+            if raw is None:
+                raw = edits[dir_page] = bytearray(self._pager.read(dir_page))
+            struct.pack_into("<Q", raw, (bucket % per_page) * 8, page_id)
+        for dir_page, raw in edits.items():
+            self._pager.write(dir_page, bytes(raw))
 
     def _bucket_of(self, key: bytes) -> int:
         return fnv1a_64(key) % self._n_buckets
@@ -380,58 +390,125 @@ class DiskHashTable(_ChainReads, KVStore):
     # -- KVStore API -----------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> None:
+        self.put_many(((key, value),))
+
+    def put_many(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
+        """Insert or replace several values, the last one for a key
+        winning: each bucket's chain is walked once, and each page it
+        changes -- records cut out, records appended -- written once."""
         self._check_open()
+        groups: dict[int, dict[bytes, bytes]] = {}
+        for key, value in pairs:
+            if len(key) > self._max_key:
+                raise KeyTooLargeError(f"key of {len(key)} bytes too large")
+            groups.setdefault(self._bucket_of(key), {})[key] = value
         if self._pager.txn_depth == 0:
             self._meta_stale = True
-        self.stats.puts += 1
-        self.stats.bytes_written += len(value)
-        if len(key) > self._max_key:
-            raise KeyTooLargeError(f"key of {len(key)} bytes too large")
-        bucket = self._bucket_of(key)
-        # One walk: the pages read while looking for the previous
-        # version are kept, and the search for room resumes the same
-        # chain after them.
-        rest = self._chain(self._directory[bucket])
-        walked: list[tuple[int, bytes]] = []
-        for page_id, raw in rest:
-            entry = self._pages.locate(page_id, raw, key)
-            if entry is not None:
-                walked.append((page_id,
-                               self._excise(page_id, raw, key, entry)))
-                break
-            walked.append((page_id, raw))
-        # Built after the excise: a replaced overflow value's pages are
-        # on the free list by now and get reused.
-        record, stored = self._build_record(key, value)
-        for page_id, raw in chain(walked, rest):
-            next_page, used = _PAGE_HEADER.unpack_from(raw, 0)
-            if used + len(record) <= self._payload:
-                patched = bytearray(raw)
-                start = _PAGE_HEADER.size + used
-                end = start + len(record)
-                patched[start:end] = record
-                _PAGE_HEADER.pack_into(patched, 0, next_page,
-                                       used + len(record))
-                page = bytes(patched)
-                self._pager.write(page_id, page)
-                self._pages.appended(
-                    page_id, raw, page, key,
-                    record[0] | start << _START_SHIFT
-                    | (end - stored) << _VALUE_SHIFT | end << _END_SHIFT)
-                self.stats.page_writes += 1
-                self._count += 1
-                return
-        # No room anywhere in the chain: new page becomes the bucket head.
-        new_page = self._pager.allocate()
-        old_head = self._directory[bucket]
-        header = _PAGE_HEADER.pack(old_head, len(record))
-        self._pager.write(new_page, header + record)
-        self.stats.page_writes += 1
-        self._set_bucket(bucket, new_page)
-        self._count += 1
+        stats = self.stats
+        heads: dict[int, int] = {}
+        for bucket, group in groups.items():
+            stats.puts += len(group)
+            stats.bytes_written += sum(map(len, group.values()))
+            head = self._put_bucket(self._directory[bucket], group)
+            if head != self._directory[bucket]:
+                heads[bucket] = head
+        if heads:
+            self._set_buckets(heads)
 
-    def _build_record(self, key: bytes, value: bytes) -> tuple[bytes, int]:
-        """The record of ``key`` and the length of what it stores."""
+    def _put_bucket(self, head: int, group: dict[bytes, bytes]) -> int:
+        """Write ``group`` into the chain at ``head``; returns the new
+        head (a fresh page when no page of the chain has room)."""
+        locate = self._pages.locate
+        wanted = set(group)
+        #: Per page of the chain: [room, records to append, page_id,
+        #: bytes, live records to cut (page order)].
+        pages: list[list] = []
+        n_cut = 0
+        page_id = head
+        while page_id:
+            raw = self._read_page(page_id)
+            next_page, used = _PAGE_HEADER.unpack_from(raw)
+            slot = [self._payload - used, [], page_id, raw, {}]
+            found = [(entry, key) for key in wanted
+                     if (entry := locate(page_id, raw, key)) is not None]
+            if found:
+                # In page order: an entry's high bits are its end.
+                found.sort()
+                cut = slot[4]
+                for entry, key in found:
+                    cut[key] = entry
+                    slot[0] += (entry >> _END_SHIFT) \
+                        - (entry >> _START_SHIFT & _OFFSET_MASK)
+                    self._free_value(raw, entry)
+                wanted.difference_update(cut)
+                n_cut += len(found)
+            pages.append(slot)
+            page_id = next_page
+        # Records are built after the cuts: a replaced overflow value's
+        # pages are on the free list by now and get reused.  Each goes
+        # to the first page with room, newest page first, as one put
+        # after another would place it.
+        order = list(pages)
+        fresh: list[list] = []
+        for key, value in group.items():
+            record = self._build_record(key, value)
+            for slot in order:
+                if slot[0] >= len(record[1]):
+                    break
+            else:
+                slot = [self._payload, []]
+                fresh.append(slot)
+                order.insert(0, slot)
+            slot[0] -= len(record[1])
+            slot[1].append(record)
+        for _room, records, page_id, raw, cut in pages:
+            if cut or records:
+                self._write_page(page_id, raw, cut, records)
+        # A bucket's fresh pages are allocated together, each linked to
+        # the one before it.
+        for page_id, (_room, records) in zip(
+                [self._pager.allocate() for _ in fresh], fresh):
+            self._write_page(page_id, _PAGE_HEADER.pack(head, 0), {},
+                             records)
+            head = page_id
+        self._count += len(group) - n_cut
+        return head
+
+    def _write_page(self, page_id: int, raw: bytes, cut: dict[bytes, int],
+                    records: list[tuple[bytes, bytes, int]]) -> None:
+        """Write ``raw`` without the records ``cut`` (in page order; the
+        records behind each move forward, so the space is reusable) and
+        with ``records`` (``(key, record, stored length)``) appended.
+
+        (Tombstoning instead leaked page space without bound under
+        same-key churn.)
+        """
+        next_page, used = _PAGE_HEADER.unpack_from(raw)
+        parts = [b""]               # the header, once its length is known
+        pos = _PAGE_HEADER.size
+        end = pos + used
+        for entry in cut.values():
+            start = entry >> _START_SHIFT & _OFFSET_MASK
+            parts.append(raw[pos:start])
+            pos = entry >> _END_SHIFT
+            end -= pos - start
+        parts.append(raw[pos:_PAGE_HEADER.size + used])
+        appended = []
+        for key, record, stored in records:
+            parts.append(record)
+            start, end = end, end + len(record)
+            appended.append((key, record[0] | start << _START_SHIFT
+                             | (end - stored) << _VALUE_SHIFT
+                             | end << _END_SHIFT))
+        parts[0] = _PAGE_HEADER.pack(next_page, end - _PAGE_HEADER.size)
+        page = b"".join(parts)
+        self._pager.write(page_id, page)
+        self._pages.edited(page_id, raw, page, cut, appended)
+        self.stats.page_writes += 1
+
+    def _build_record(self, key: bytes, value: bytes
+                      ) -> tuple[bytes, bytes, int]:
+        """``(key, its record, the length of what the record stores)``."""
         if len(value) > self._overflow_threshold:
             head = self._pager.write_overflow(value)
             stored = _OVERFLOW_REF.pack(head, len(value))
@@ -443,7 +520,13 @@ class DiskHashTable(_ChainReads, KVStore):
             encode_varint(len(stored)) + key + stored
         if len(record) > self._payload:
             raise KeyTooLargeError("record exceeds page payload")
-        return record, len(stored)
+        return key, record, len(stored)
+
+    def _free_value(self, raw: bytes, entry: int) -> None:
+        """Release the overflow pages of a record that is cut out."""
+        if entry & _FLAG_MASK == _FLAG_OVERFLOW:
+            self._pager.free_overflow(*_OVERFLOW_REF.unpack_from(
+                raw, entry >> _VALUE_SHIFT & _OFFSET_MASK))
 
     def delete(self, key: bytes) -> bool:
         self._check_open()
@@ -453,35 +536,11 @@ class DiskHashTable(_ChainReads, KVStore):
         for page_id, raw in self._chain(self._directory[self._bucket_of(key)]):
             entry = self._pages.locate(page_id, raw, key)
             if entry is not None:
-                self._excise(page_id, raw, key, entry)
+                self._free_value(raw, entry)
+                self._write_page(page_id, raw, {key: entry}, [])
+                self._count -= 1
                 return True
         return False
-
-    def _excise(self, page_id: int, raw: bytes, key: bytes,
-                entry: int) -> bytes:
-        """Cut a live record out of its page; returns the page written.
-
-        The page tail shifts left so the space is reusable.
-        (Tombstoning instead leaked page space without bound under
-        same-key churn.)
-        """
-        start = entry >> _START_SHIFT & _OFFSET_MASK
-        end = entry >> _END_SHIFT
-        if entry & _FLAG_MASK == _FLAG_OVERFLOW:
-            head, length = _OVERFLOW_REF.unpack_from(
-                raw, entry >> _VALUE_SHIFT & _OFFSET_MASK)
-            self._pager.free_overflow(head, length)
-        next_page, used = _PAGE_HEADER.unpack_from(raw, 0)
-        patched = bytearray(raw)
-        del patched[start:end]
-        patched += bytes(end - start)
-        _PAGE_HEADER.pack_into(patched, 0, next_page, used - (end - start))
-        page = bytes(patched)
-        self._pager.write(page_id, page)
-        self._pages.excised(page_id, raw, page, key, start, end)
-        self.stats.page_writes += 1
-        self._count -= 1
-        return page
 
     def __len__(self) -> int:
         self._check_open()

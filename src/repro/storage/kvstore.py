@@ -26,7 +26,7 @@ import threading
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import StorageError, StoreClosedError
 
@@ -80,6 +80,13 @@ class KVStore(ABC):
     @abstractmethod
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or replace the value for ``key``."""
+
+    def put_many(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
+        """Insert or replace the value of each ``(key, value)``; within
+        one call the last value for a key wins.  One :meth:`put` a key
+        by default; the disk store edits each page it changes once."""
+        for key, value in dict(pairs).items():
+            self.put(key, value)
 
     @abstractmethod
     def delete(self, key: bytes) -> bool:
@@ -231,6 +238,9 @@ class ReadOnlySnapshot(KVStore):
     version: int = 0
 
     def put(self, key: bytes, value: bytes) -> None:
+        raise StorageError("snapshot views are read-only")
+
+    def put_many(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
         raise StorageError("snapshot views are read-only")
 
     def delete(self, key: bytes) -> bool:

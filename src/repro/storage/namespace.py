@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from typing import ContextManager, Iterator
+from typing import ContextManager, Iterable, Iterator
 
 from .kvstore import KVStore
 
@@ -71,11 +71,15 @@ class NamespacedStore(KVStore):
         return value
 
     def put(self, key: bytes, value: bytes) -> None:
+        self.put_many(((key, value),))
+
+    def put_many(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
         self._check_open()
-        self.stats.puts += 1
-        self.stats.bytes_written += len(value)
+        prefixed = {self._prefix + key: value for key, value in pairs}
+        self.stats.puts += len(prefixed)
+        self.stats.bytes_written += sum(map(len, prefixed.values()))
         with self._lock:
-            self._base.put(self._prefix + key, value)
+            self._base.put_many(prefixed.items())
 
     def delete(self, key: bytes) -> bool:
         self._check_open()

@@ -364,8 +364,10 @@ class TestAppendRows:
         store, fresh = MemoryKVStore(), MemoryKVStore()
         n_blocks = self._write_blocks(store, b"L:", old)
         last = old[-1][0] if old and known_last else None
-        assert _append_blocks(store, b"L:", n_blocks, last, new) == \
+        puts: list[tuple[bytes, bytes]] = []
+        assert _append_blocks(store, puts, b"L:", n_blocks, last, new) == \
             self._write_blocks(fresh, b"L:", entries)
+        store.put_many(puts)
         assert sorted(store.items()) == sorted(fresh.items())
 
 

@@ -12,6 +12,7 @@ from repro.storage import (
     CorruptionError,
     DiskHashTable,
     MemoryKVStore,
+    NamespacedStore,
     Pager,
     StorageError,
     StoreClosedError,
@@ -141,6 +142,46 @@ class TestInterfaceParity:
         assert {k: v for k, v in store.items()} == operations
         assert len(store) == len(operations)
         store.close()
+
+    @pytest.mark.parametrize("kind", ["memory", "diskhash",
+                                      "namespaced-memory",
+                                      "namespaced-diskhash"])
+    def test_put_many(self, kind: str, tmp_path) -> None:
+        """One call, the last value for a key winning, over keys the
+        store holds and keys it does not; a held snapshot keeps the
+        values of its version and refuses the call."""
+        base_kind = kind.rpartition("-")[2]
+        base = open_store(base_kind, str(tmp_path / f"s.{base_kind}"),
+                          create=True)
+        store = NamespacedStore(base, b"x1:") if "namespaced" in kind \
+            else base
+        if store is not base:
+            base.put(b"x10:k", b"another namespace")
+        model = {f"key{i}".encode(): f"val{i}".encode() * (i + 1)
+                 for i in range(60)}
+        store.put_many(model.items())
+        snap = store.snapshot()
+        before = dict(model)
+        pairs = [(b"key3", b"first"), (b"new", b"n" * 3000),
+                 (b"key40", b"B" * 2500), (b"key3", b"second"),
+                 (b"key7", b""), (b"new", b"again")]
+        with store.transaction():
+            store.put_many(iter(pairs))
+        model.update(pairs)
+        assert model[b"key3"] == b"second" and model[b"new"] == b"again"
+        assert dict(store.items()) == model
+        assert len(store) == len(model)
+        assert all(store.get(key) == value for key, value in model.items())
+        assert dict(snap.items()) == before
+        with pytest.raises(StorageError):
+            snap.put_many([(b"key3", b"refused")])
+        snap.close()
+        store.put_many([])
+        assert dict(store.items()) == model
+        if store is not base:
+            assert base.get(b"x10:k") == b"another namespace"
+            assert base.get(b"x1:key3") == b"second"
+        base.close()
 
     @pytest.mark.parametrize("kind", ["memory", "diskhash"])
     def test_snapshot_counts_unjournaled_writes(self, kind: str,

@@ -375,6 +375,68 @@ class TestKeptCurrentByWrites:
         assert len(parses) <= len(table._pages) + 1
         table.close()
 
+    def test_a_group_writes_each_page_once(self, one_bucket: DiskHashTable,
+                                           monkeypatch) -> None:
+        """``put_many`` over keys on different pages of one chain -- a
+        replaced key on each of three pages, two cut from one page, one
+        key given twice, an overflow value, new keys -- writes each
+        record page once and files each with the directory a parse
+        gives."""
+        table = one_bucket
+        table._pages.bound = 16             # every page's directory held
+        model = {b"key-%02d" % i: b"v" * 200 for i in range(60)}
+        for key, value in model.items():
+            table.put(key, value)
+        pages = chain_pages(table)
+        assert len(pages) >= 3
+        assert all(table.get(key) == value for key, value in model.items())
+        on_page = {page_id: sorted(_parse_page(table._pager.read(page_id))[1])
+                   for page_id in pages}
+        first, second, middle, last = (
+            on_page[pages[0]][0], on_page[pages[0]][2],
+            on_page[pages[1]][-1], on_page[pages[-1]][1])
+        pairs = [(first, b"a" * 150), (middle, b"B" * 2500),
+                 (last, b"c" * 10), (b"brand new", b"n" * 300),
+                 (second, b"s" * 20), (first, b"A" * 190),
+                 (b"also new", b"")]
+        written: list[int] = []
+        write = table._pager.write
+        monkeypatch.setattr(table._pager, "write", lambda page_id, data: (
+            written.append(page_id), write(page_id, data))[1])
+        table.put_many(pairs)
+        model.update(pairs)
+        record_pages = [page_id for page_id in written
+                        if page_id in set(chain_pages(table))]
+        assert len(record_pages) == len(set(record_pages))
+        assert {pages[0], pages[1], pages[-1]} <= set(record_pages)
+        for page_id in chain_pages(table):
+            held = table._pages._held.get(page_id)
+            raw = table._pager.read(page_id)
+            if held is not None and raw.startswith(held[0]):
+                reparsed, expected = _parse_page(raw)
+                assert held[0] == reparsed
+                assert list(held[1].items()) == list(expected.items())
+        parses = []
+        monkeypatch.setattr(diskhash, "_parse_page",
+                            lambda raw: parses.append(1) or
+                            _parse_page(raw))
+        assert all(table.get(key) == value for key, value in model.items())
+        assert len(parses) <= len(chain_pages(table)) - len(pages)
+        assert dict(table.items()) == model and len(table) == len(model)
+
+    def test_a_replace_on_the_page_with_room_is_one_write(
+            self, one_bucket: DiskHashTable) -> None:
+        """The record cut and its replacement appended are one edit of
+        the page (two writes, excise then append, before ``put_many``)."""
+        table = one_bucket
+        table.put(b"k", b"old")
+        table.put(b"m", b"other")
+        before = table.stats.page_writes
+        table.put(b"k", b"new and longer")
+        assert table.stats.page_writes - before == 1
+        assert dict(table.items()) == {b"k": b"new and longer",
+                                       b"m": b"other"}
+
     def test_a_shadowed_live_record_surfaces_after_a_delete(
             self, one_bucket: DiskHashTable) -> None:
         table = one_bucket

@@ -5,6 +5,11 @@ get / iterate / reopen) against each engine, comparing to a model dict
 after every step.  Reopen closes and reopens the disk stores mid-run,
 checking durability of every operation so far.
 
+``put_many`` writes a list of pairs in one call, the last value for a
+key winning: repeated keys, values over half a page (overflow chains)
+and, once ``fill`` has grown every chain past one page, keys that sit on
+different pages of one chain.
+
 Snapshots ride along: a pinned view is held together with a copy of the
 model taken when it was pinned, and must keep answering ``get`` and
 ``items`` as that copy however many commits, aborted transactions and
@@ -37,6 +42,12 @@ from repro.storage import open_store
 
 _KEYS = st.binary(min_size=1, max_size=24)
 _VALUES = st.binary(max_size=600)
+#: Over half a 4 KiB page: stored in an overflow chain.
+_BIG_VALUES = st.binary(min_size=2100, max_size=2600)
+#: Keys ``fill`` writes 1.9 KB values under (two to a page): eleven
+#: pages' worth over the disk store's 8 buckets, so chains grow past one
+#: page.
+_FILL_KEYS = [b"fill-%02d" % i for i in range(24)]
 
 
 class _StoreMachine(RuleBasedStateMachine):
@@ -86,6 +97,27 @@ class _StoreMachine(RuleBasedStateMachine):
         with self._write(journaled):
             self.store.put(key, value)
         self.model[key] = value
+
+    @rule(pairs=st.lists(st.tuples(keys | st.sampled_from(_FILL_KEYS),
+                                   _VALUES | _BIG_VALUES),
+                         min_size=1, max_size=8),
+          again=_VALUES | _BIG_VALUES, journaled=st.booleans())
+    def put_many(self, pairs, again: bytes, journaled: bool) -> None:
+        """Several pairs in one call; the first key comes again at the
+        end with ``again``, which wins."""
+        pairs = pairs + [(pairs[0][0], again)]
+        with self._write(journaled):
+            self.store.put_many(pairs)
+        self.model.update(pairs)
+        for key, _value in pairs:
+            assert self.store.get(key) == self.model[key]
+
+    @rule(journaled=st.booleans())
+    def fill(self, journaled: bool) -> None:
+        pairs = [(key, key * 270) for key in _FILL_KEYS]
+        with self._write(journaled):
+            self.store.put_many(pairs)
+        self.model.update(pairs)
 
     @rule(key=keys)
     def get(self, key: bytes) -> None:
