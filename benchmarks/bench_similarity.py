@@ -23,7 +23,8 @@ K = 10
 def test_similarity(benchmark, workloads, figure, mode):
     workload = workloads.get(DATASET, SIZE, n_queries=10)
     workload.index.set_cache("frequency")
-    ifile = workload.index.inverted_file
+    snap = workload.index.snapshot()
+    ifile = snap.views[0].inverted_file
     queries = [bench.query for bench in workload.queries[:8]]
 
     if mode == "bruteforce":
@@ -45,5 +46,8 @@ def test_similarity(benchmark, workloads, figure, mode):
             return sum(len(search.top_k(query, K)) for query in queries)
 
         rounds = 5
-    figure.record(benchmark, "top-k", mode, run, rounds=rounds,
-                  queries=len(queries), dataset=f"{DATASET}@{SIZE}")
+    try:
+        figure.record(benchmark, "top-k", mode, run, rounds=rounds,
+                      queries=len(queries), dataset=f"{DATASET}@{SIZE}")
+    finally:
+        snap.close()

@@ -40,21 +40,24 @@ def main() -> None:
     print(f"  after compact(): {index.n_records} records, "
           f"tombstones gone")
 
-    # -- explain ------------------------------------------------------------------
-    print("\nEXPLAIN for a three-level query:")
-    trace = explain(
-        '{#article, {#author, "author=Author 0"}, {#year, year=2011}}',
-        index.inverted_file)
-    print(trace.render())
+    # -- explain and similarity read one pinned version -------------------------
+    with index.snapshot() as snap:
+        ifile = snap.views[0].inverted_file
+        print("\nEXPLAIN for a three-level query:")
+        trace = explain(
+            '{#article, {#author, "author=Author 0"}, {#year, year=2011}}',
+            ifile)
+        print(trace.render())
 
-    # -- similarity ----------------------------------------------------------------
-    print("\nTop-5 records most similar to the Lovelace article:")
-    for key, score in top_k_similar(index.inverted_file, fresh, k=5):
-        print(f"  {score:.4f}  {key}")
+        print("\nTop-5 records most similar to the Lovelace article:")
+        for key, score in top_k_similar(ifile, fresh, k=5):
+            print(f"  {score:.4f}  {key}")
 
     # duplicates score 1.0:
     index.insert("lovelace_dup", fresh)
-    top_key, top_score = top_k_similar(index.inverted_file, fresh, k=1)[0]
+    with index.snapshot() as snap:
+        top_key, top_score = top_k_similar(snap.views[0].inverted_file,
+                                           fresh, k=1)[0]
     print(f"\nAfter inserting a duplicate, the top hit is "
           f"{top_key} at {top_score:.2f}")
 

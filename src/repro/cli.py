@@ -180,10 +180,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_similar(args: argparse.Namespace) -> int:
     from .core.similarity import top_k_similar
-    with _open_index(args) as index:
+    with _open_index(args) as index, index.snapshot() as snap:
         hits: list[tuple[str, float]] = []
-        for partition in index.shards:
-            hits.extend(top_k_similar(partition.inverted_file,
+        for view in snap.views:
+            hits.extend(top_k_similar(view.inverted_file,
                                       args.query, k=args.k,
                                       candidate_limit=args.candidates))
         hits.sort(key=lambda hit: (-hit[1], hit[0]))
@@ -194,12 +194,12 @@ def _cmd_similar(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from .core.checker import check_index
-    with _open_index(args) as index:
+    with _open_index(args) as index, index.snapshot() as snap:
         problems = []
-        for shard_no, partition in enumerate(index.shards):
+        for shard_no, view in enumerate(snap.views):
             prefix = f"shard {shard_no}: " if index.n_shards > 1 else ""
             problems.extend(prefix + problem for problem in
-                            check_index(partition.inverted_file,
+                            check_index(view.inverted_file,
                                         max_atoms=args.max_atoms))
         if problems:
             for problem in problems:
@@ -297,8 +297,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
             print(f"shards:         {index.n_shards}")
         frequencies = index.frequencies()
         print(f"distinct atoms: {len(frequencies)}")
-        for shard_no, partition in enumerate(index.shards):
-            stats = partition.inverted_file.block_stats()
+        with index.snapshot() as snap:
+            shard_stats = [view.inverted_file.block_stats()
+                           for view in snap.views]
+        for shard_no, stats in enumerate(shard_stats):
             if not stats["lists"]:
                 continue
             prefix = (f"shard {shard_no} " if index.n_shards > 1 else "")

@@ -4,9 +4,10 @@
 The paper buffers the inverted lists of the most frequent atoms of ``S``
 in main memory (250 lists in its experiments), since every leaf of a
 query otherwise costs a list retrieval plus a decode.  Here one
-:class:`BlockCache` per inverted file, an LRU (the workload-adaptive
-policy of the paper's future work (6)), holds every decoded block and
-warm list handle, and ``cache=`` only chooses its pins
+:class:`BlockCache` per index partition, an LRU (the workload-adaptive
+policy of the paper's future work (6)) that every version-pinned view
+of the partition reads through, holds every decoded block and warm list
+handle, and ``cache=`` only chooses its pins
 (:meth:`~repro.core.invfile.InvertedFile.set_cache`).
 """
 
@@ -64,14 +65,15 @@ class BlockCache:
     block number)``; entries are columnar
     :class:`~repro.core.postings.BlockData`.  Hot *regions* of hot lists
     stay decoded while the cold tail of the same list can be evicted.
-    The list key is the atom token on a standalone file and ``(token,
-    modification epoch)`` under MVCC snapshot reads, so a commit starts
-    a fresh epoch instead of invalidating, and a racing reader
+    Only a version-pinned inverted file reads through the cache
+    (:class:`~repro.core.snapshot.SnapshotInvertedFile`), and a list key
+    is always ``(token, modification epoch)``: a commit starts a fresh
+    epoch, no entry is ever dropped for staleness, and a racing reader
     re-populating an old epoch's entry can never serve a newer reader.
     Each list's handle -- the :class:`~repro.core.postings.LazyPostingList`
     itself, with its bytes, skip directory and head column -- or
-    :data:`ABSENT` when the store had no value, sits under the bare list
-    key in a directory LRU of its own with the same budget, outside
+    :data:`ABSENT` when the store had no value, sits under its list key
+    in a directory LRU of its own with the same budget, outside
     ``len()`` and the statistics.  A handle is as large as its list, so
     the directory LRU keeps one list key per token, the newest epoch
     admitted: a newer one replaces the older entry, and an older one is
@@ -187,25 +189,6 @@ class BlockCache:
             for key, block in blocks:
                 self._admit(key, block)
 
-    def invalidate(self, list_keys: "set[Hashable]") -> None:
-        """Drop every cached block and the handle (or absent marker)
-        of the given lists (atom tokens), pinned or not, at every epoch.
-
-        Appends change only a list's tail block, but block *numbers*
-        past the tail shift as entries spill over, so the whole list's
-        cached blocks go; blocks of untouched lists stay warm.
-        """
-        with self._lock:
-            for key in [key for key in self._blocks
-                        if _token_of(key[0]) in list_keys]:
-                del self._blocks[key]
-            for token in self._directory_key.keys() & list_keys:
-                del self._directories[self._directory_key.pop(token)]
-            for token in self._pinned_key.keys() & list_keys:
-                list_key = self._pinned_key.pop(token)
-                del self._pinned[list_key]
-                self._pinned_dirs.pop(list_key, None)
-
     def clear(self) -> None:
         """Drop every cached entry, pinned ones included (the pin set
         stays)."""
@@ -242,10 +225,9 @@ class BlockCache:
         if self._pinned_list(list_key) is not None:
             self._pinned_dirs[list_key] = directory
             return
-        token = _token_of(list_key)
+        token = list_key[0]
         held = self._directory_key.get(token)
         if held is not None and held != list_key:
-            # Both keys are epoch-scoped (a bare token is held as itself).
             if held[1] > list_key[1]:
                 return
             del self._directories[held]
@@ -254,7 +236,7 @@ class BlockCache:
         self._directories.move_to_end(list_key)
         if len(self._directories) > self.budget:
             evicted, _entry = self._directories.popitem(last=False)
-            del self._directory_key[_token_of(evicted)]
+            del self._directory_key[evicted[0]]
 
     def _pinned_list(self, list_key: Hashable
                      ) -> dict[int, BlockData] | None:
@@ -263,13 +245,12 @@ class BlockCache:
         a newer epoch of it)."""
         if not self.pins:
             return None
-        token = _token_of(list_key)
+        token = list_key[0]
         if token not in self.pins:
             return None
         held = self._pinned_key.get(token)
         if held == list_key:
             return self._pinned[held]
-        # Past here both keys are epoch-scoped (a bare token is held).
         if held is not None and held[1] > list_key[1]:
             return None
         self._pinned_key[token] = list_key
@@ -286,6 +267,3 @@ class BlockCache:
         for number, block in self._pinned.pop(list_key).items():
             self._admit((list_key, number), block)
 
-
-def _token_of(list_key: Hashable) -> Hashable:
-    return list_key[0] if isinstance(list_key, tuple) else list_key

@@ -162,9 +162,10 @@ class PartitionView:
 class Partition:
     """One inverted file of an index, and what exists per file.
 
-    The live file with its block cache and pins, the modification
-    epochs and cross-version caches every view of it shares, the Bloom
-    prefilters, the writer and the statistics memo.
+    The writer's file (unpinned: it caches nothing); the block cache
+    and pins, the modification epochs and the cross-version caches
+    that every view of it shares; the Bloom prefilters, the writer and
+    the statistics memo.
     A partition pins no store version and opens no transaction of its
     own: the owning :class:`NestedSetIndex` hands :meth:`view` an
     already pinned store and calls :meth:`insert_group` /
@@ -182,12 +183,10 @@ class Partition:
 
     def _wire(self, ifile: InvertedFile) -> None:
         """Make ``ifile`` the live generation: fresh epochs and shared
-        caches (construction, and again after a compact)."""
+        caches for its views (construction, and again after a compact)."""
         self._ifile = ifile
         self._epochs = ModEpochs()
         self._shared = SharedIndexState()
-        ifile._epochs = self._epochs
-        ifile._key_cache = self._shared.key_cache
 
     # -- read views ---------------------------------------------------------
 
@@ -350,6 +349,9 @@ class Partition:
 
     @property
     def inverted_file(self) -> InvertedFile:
+        """The writer's file: reads see the store as it is; use
+        :meth:`snapshot`.  Its ``block_cache`` is the one every view
+        shares."""
         return self._ifile
 
     @property
@@ -1168,7 +1170,8 @@ class NestedSetIndex(_Reads):
 
     @property
     def inverted_file(self) -> InvertedFile:
-        """The inverted file of a one-partition index."""
+        """The writer's inverted file of a one-partition index
+        (:attr:`Partition.inverted_file`)."""
         return self._sole_partition("inverted_file").inverted_file
 
     @property
@@ -1180,12 +1183,15 @@ class NestedSetIndex(_Reads):
         return sum(partition.n_nodes for partition in self._partitions)
 
     def records(self) -> Iterator[tuple[str, NestedSet]]:
-        """Iterate ``(key, tree)`` over the indexed collection,
-        partition by partition."""
-        for partition in self._partitions:
-            for _ordinal, key, _root, tree in \
-                    partition.inverted_file.iter_records():
-                yield key, tree
+        """Iterate ``(key, tree)`` over the indexed collection as one
+        committed version holds it, partition by partition.  The version
+        stays pinned until the iteration ends or the generator is
+        closed."""
+        with self.snapshot() as snap:
+            for view in snap.views:
+                for _ordinal, key, _root, tree in \
+                        view.inverted_file.iter_records():
+                    yield key, tree
 
     # -- lifecycle ------------------------------------------------------------------
 

@@ -43,7 +43,7 @@ from ..storage.codec import (
     encode_str,
     encode_varint,
 )
-from .cache import ABSENT, PAPER_BUDGET, POLICIES, BlockCache
+from .cache import PAPER_BUDGET, POLICIES, BlockCache
 from .model import Atom, NestedSet
 from .postings import (
     LazyPostingList,
@@ -249,26 +249,25 @@ def decode_counts(raw: bytes) -> list[tuple[Atom, int]]:
 
 
 class InvertedFile:
-    """The nested-set inverted file over a key-value store."""
+    """The nested-set inverted file over a key-value store.
 
-    #: The store version reads resolve at: a pinned view's
-    #: (:class:`~repro.core.snapshot.SnapshotInvertedFile`), or ``None``
-    #: for the live file.
-    version: int | None = None
+    One rule decides what is cached: **a file caches only when it is
+    pinned at a version** (:class:`~repro.core.snapshot.SnapshotInvertedFile`,
+    what :meth:`NestedSetIndex.snapshot
+    <repro.core.engine.NestedSetIndex.snapshot>` hands every reader).
+    This class is unpinned -- a standalone file, or the writer's file of
+    an index partition: every read sees the store as it is and keeps
+    nothing it read, so no update ever leaves it a stale entry.  Its
+    :attr:`block_cache` is the one its pinned views share.  What it does
+    keep are the writer's own tables -- the counters, the tombstone set,
+    the dead counts and the merged frequency table -- which the writer
+    updates itself and the statistics read.
+    """
 
     def __init__(self, store: KVStore) -> None:
         self._store = store
         self.block_cache = BlockCache()
         self.stats = QueryStats()
-        #: Modification epochs (:class:`repro.core.snapshot.ModEpochs`),
-        #: attached by the engine; block-cache keys become epoch-scoped
-        #: so commits never invalidate a pinned reader's decoded blocks.
-        self._epochs = None
-        self._meta_cache: dict[int, bytes] = {}
-        self._meta_cache_cap = 256
-        self._key_cache: dict[int, str] = {}
-        self._all_nodes: PostingList | None = None
-        self._zero_leaf: PostingList | None = None
         self._df_lock = threading.RLock()
         self.reload_config()
 
@@ -277,9 +276,8 @@ class InvertedFile:
 
         Called at construction and again by the replication tier after
         shipped commit groups rewrote the store underneath this live
-        object: the cached counters, tombstone set, node-metadata blocks
-        and ALL/ZERO lists must all be refreshed before promotion or any
-        unversioned read.
+        object: the counters, tombstone set and count tables must be
+        refreshed before promotion or any unversioned read.
         """
         store = self._store
         raw = store.get(_CONFIG_KEY)
@@ -311,9 +309,6 @@ class InvertedFile:
             self._n_freq_deltas, pos = decode_varint(raw, pos)
             self._n_dead_deltas, pos = decode_varint(raw, pos)
             self._delta_pairs, pos = decode_varint(raw, pos)
-        self._meta_cache.clear()
-        self._all_nodes = None
-        self._zero_leaf = None
         self.deleted: set[int] = set()
         deleted_raw = store.get(_DELETED_KEY)
         if deleted_raw is not None:
@@ -322,7 +317,8 @@ class InvertedFile:
         #: Per-atom count of postings owned by tombstoned records.  The
         #: document-frequency table keeps counting them until compaction;
         #: subtracting these yields the *live* counts that rarest-atom
-        #: ordering and the collection statistics use.
+        #: ordering and the collection statistics use.  A delete replaces
+        #: the dict (never mutates it): readers may hold the old one.
         self.dead_counts: dict[Atom, int] = self._count_table(
             _DEAD_COUNT_KEY, self._n_dead_deltas)
         #: Merged frequency table: decoded on first use, then replaced by
@@ -386,70 +382,32 @@ class InvertedFile:
 
     def postings(self, atom: Atom) -> PostingList | LazyPostingList:
         """Retrieve ``S_IF(atom)``; a stored list comes back lazy (block
-        payloads still encoded), and a warm one is the very list the
-        block cache keeps (:meth:`_open_list`)."""
+        payloads still encoded; see :meth:`_open_list`)."""
         self.stats.postings_requests += 1
-        token = atom_token(atom)
-        return self._open_list(atom, token, self._epoch(token))
+        return self._open_list(atom)
 
-    def _epoch(self, token: str) -> int | None:
-        """The token's epoch floor at this file's version, or ``None``
-        without modification epochs (a standalone file)."""
-        if self._epochs is None:
-            return None
-        return self._epochs.floor(token, self.version)
-
-    def _open_list(self, atom: Atom, token: str, epoch: int | None
-                   ) -> PostingList | LazyPostingList:
-        """``S_IF(atom)``, the block cache's handle first.
-
-        The list key is the atom token on a standalone file (which
-        relies on :meth:`~repro.core.cache.BlockCache.invalidate` after
-        updates) and ``(token, epoch floor)`` with modification epochs
-        attached (the engine's MVCC read path,
-        :mod:`repro.core.snapshot`), where it names exactly one stored
-        value.  A warm key's entry is the list itself, handed out with
-        no store access; an :data:`~repro.core.cache.ABSENT` entry
-        answers empty.  A cold key's value is fetched, and the list
-        built from it, or the marker when the store has none, is left
-        under the key.
-
-        The live file of an engine partition (epochs attached, no
-        pinned version) leaves nothing: it reads the store as it is,
-        and inside a commit group -- after the group's puts, before
-        its epoch bump -- that is the uncommitted value, which must
-        not land under the committed key.  Its lists decode their
-        blocks locally.
-        """
-        list_key = token if epoch is None else (token, epoch)
-        cache = self.block_cache
-        plist = cache.directory(list_key)
-        if plist is not None:
-            self.stats.directory_hits += 1
-            return PostingList() if plist is ABSENT else plist
+    def _open_list(self, atom: Atom) -> PostingList | LazyPostingList:
+        """``S_IF(atom)`` as the store holds it now: fetched, and its
+        blocks decoded locally by the list (an unpinned file keeps
+        nothing)."""
         self.stats.list_fetches += 1
-        raw = self._store.get(_token_store_key(token))
-        if epoch is not None and self.version is None:
-            cache = None
+        return self._list_from(atom, self._store.get(_atom_store_key(atom)))
+
+    def _list_from(self, atom: Atom, raw: bytes | None, *, cache=None,
+                   list_key: object = None) -> PostingList | LazyPostingList:
+        """The list an atom's stored value ``raw`` holds (empty for none)."""
         if raw is None:
-            if cache is not None:
-                cache.admit_directory(list_key, ABSENT)
             return PostingList()
         try:
-            plist = LazyPostingList(raw, cache=cache, cache_key=list_key,
-                                    stats=self.stats)
+            return LazyPostingList(raw, cache=cache, cache_key=list_key,
+                                   stats=self.stats)
         except CorruptionError as exc:
             raise InvertedFileError(f"atom {atom!r}: {exc}") from exc
-        if cache is not None:
-            cache.admit_directory(list_key, plist)
-        return plist
 
     def list_length(self, atom: Atom) -> int:
         """Posting count of ``atom``, through the same lookup as
-        :meth:`postings` (no store access once the key is warm; a cold
-        one is fetched and warmed for the fetch that usually follows)."""
-        token = atom_token(atom)
-        return len(self._open_list(atom, token, self._epoch(token)))
+        :meth:`postings` (a lazy list knows its length from its header)."""
+        return len(self._open_list(atom))
 
     def live_list_length(self, atom: Atom) -> int:
         """Postings of ``atom`` owned by live (non-tombstoned) records.
@@ -503,17 +461,12 @@ class InvertedFile:
         return with_head_in(intersect(lists), within)
 
     def all_nodes(self) -> PostingList:
-        """Every internal node of the collection (memoized after first load)."""
-        if self._all_nodes is None:
-            self._all_nodes = self._read_blocks(_ALL_PREFIX, self._n_all_blocks)
-        return self._all_nodes
+        """Every internal node of the collection."""
+        return self._read_blocks(_ALL_PREFIX, self._n_all_blocks)
 
     def zero_leaf_nodes(self) -> PostingList:
-        """Internal nodes with no leaf children (memoized)."""
-        if self._zero_leaf is None:
-            self._zero_leaf = self._read_blocks(_ZERO_PREFIX,
-                                                self._n_zero_blocks)
-        return self._zero_leaf
+        """Internal nodes with no leaf children."""
+        return self._read_blocks(_ZERO_PREFIX, self._n_zero_blocks)
 
     def _read_blocks(self, prefix: bytes, n_blocks: int) -> PostingList:
         entries: list[tuple[int, tuple[int, ...]]] = []
@@ -528,30 +481,24 @@ class InvertedFile:
     # -- node metadata ----------------------------------------------------------
 
     def meta(self, node_id: int) -> NodeMeta:
-        """Look up a node's metadata (through a small block cache)."""
+        """Look up a node's metadata."""
         if node_id < 0 or node_id >= self.n_nodes:
             raise InvertedFileError(f"node id {node_id} out of range "
                               f"[0, {self.n_nodes})")
         block_no, offset = divmod(node_id, META_BLOCK)
-        block = self._meta_cache.get(block_no)
-        if block is None:
-            raw = self._store.get(_META_PREFIX + encode_varint(block_no))
-            if raw is None:
-                raise InvertedFileError(f"missing node metadata block {block_no}")
-            self.stats.meta_block_reads += 1
-            if len(self._meta_cache) >= self._meta_cache_cap:
-                # Concurrent readers may race this eviction; losing the
-                # race (entry already gone, or the dict resized under
-                # the iterator) only means another reader evicted first.
-                try:
-                    self._meta_cache.pop(next(iter(self._meta_cache)))
-                except (KeyError, RuntimeError, StopIteration):
-                    pass
-            self._meta_cache[block_no] = raw
-            block = raw
+        block = self._meta_block(block_no, (offset + 1) * _META_ENTRY.size)
         record, leaf_count, max_desc, flags = _META_ENTRY.unpack_from(
             block, offset * _META_ENTRY.size)
         return NodeMeta(record, leaf_count, max_desc, bool(flags & _FLAG_ROOT))
+
+    def _meta_block(self, block_no: int, need: int) -> bytes:
+        """Node-metadata block ``block_no``, at least ``need`` bytes long
+        (what the store holds is)."""
+        raw = self._store.get(_META_PREFIX + encode_varint(block_no))
+        if raw is None:
+            raise InvertedFileError(f"missing node metadata block {block_no}")
+        self.stats.meta_block_reads += 1
+        return raw
 
     def max_desc(self, node_id: int) -> int:
         """End of the preorder interval of ``node_id`` (for homeo joins)."""
@@ -574,17 +521,11 @@ class InvertedFile:
         return key, root_id, NestedSet.parse(text)
 
     def record_key(self, ordinal: int) -> str:
-        """Fetch just the key of a record (memoized -- keys are immutable
-        and tiny, and result mapping touches them on every query)."""
-        key = self._key_cache.get(ordinal)
-        if key is not None:
-            return key
+        """Fetch just the key of a record."""
         raw = self._store.get(_RECORD_PREFIX + encode_varint(ordinal))
         if raw is None:
             raise InvertedFileError(f"no record with ordinal {ordinal}")
-        key, _pos = decode_str(raw, 0)
-        self._key_cache[ordinal] = key
-        return key
+        return decode_str(raw, 0)[0]
 
     def iter_records(self) -> Iterator[tuple[int, str, int, NestedSet]]:
         """Yield ``(ordinal, key, root id, tree)`` for every live record."""

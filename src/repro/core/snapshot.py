@@ -6,10 +6,12 @@ wraps the pinned view in a :class:`SnapshotInvertedFile`, and never
 takes a lock again -- writers commit freely while in-flight readers keep
 observing the version they pinned.
 
-The caches make that cheap instead of merely correct.  All snapshots of
-one engine share the live index's block cache, node-metadata blocks and
-record-key cache, with staleness decided by *modification epochs*
-rather than invalidation:
+The caches make that cheap instead of merely correct.  A pinned file is
+the only kind that caches (the unpinned
+:class:`~repro.core.invfile.InvertedFile` keeps nothing it read), and
+all snapshots of one partition share its block cache, node-metadata
+blocks, ALL/ZERO lists and record keys, with staleness decided by
+*modification epochs* rather than invalidation:
 
 * :class:`ModEpochs` records, per atom token, the versions at which its
   posting list changed.  ``floor(token, version)`` -- how many of those
@@ -37,20 +39,17 @@ from bisect import bisect_right
 from typing import Callable, Iterable
 
 from ..storage import KVStore
-from ..storage.codec import encode_varint
+from .cache import ABSENT
 from .invfile import (
     _ALL_PREFIX,
-    _META_ENTRY,
-    _META_PREFIX,
     _ZERO_PREFIX,
-    META_BLOCK,
     InvertedFile,
-    InvertedFileError,
-    NodeMeta,
     QueryStats,
-    _FLAG_ROOT,
+    _token_store_key,
+    atom_token,
 )
-from .postings import PostingList
+from .model import Atom
+from .postings import LazyPostingList, PostingList
 
 __all__ = [
     "ModEpochs",
@@ -67,8 +66,7 @@ class ModEpochs:
     commit version, before the commit lands, so a reader pinning the
     new version can never compute a pre-bump floor).  ``floor(token,
     version)`` is the number of recorded changes visible at ``version``
-    -- the epoch component of every block cache key.  A ``None``
-    version means "live": all recorded changes are visible.
+    -- the epoch component of every block cache key.
 
     Reads are lock-free: the per-token lists are append-only and CPython
     list appends are atomic, so a concurrent ``bisect`` sees either the
@@ -100,7 +98,7 @@ class ModEpochs:
         """Record that *every* list may have changed at ``version``."""
         self.bump((self.GLOBAL_TOKEN,), version)
 
-    def floor(self, token: str, version: int | None = None) -> int:
+    def floor(self, token: str, version: int) -> int:
         """Visible-modification count for a reader pinned at ``version``.
 
         Folds in the global token's count, so whole-index events
@@ -111,13 +109,9 @@ class ModEpochs:
             count += self._floor_one(self.GLOBAL_TOKEN, version)
         return count
 
-    def _floor_one(self, token: str, version: int | None) -> int:
+    def _floor_one(self, token: str, version: int) -> int:
         mods = self._mods.get(token)
-        if not mods:
-            return 0
-        if version is None:
-            return len(mods)
-        return bisect_right(mods, version)
+        return bisect_right(mods, version) if mods else 0
 
 
 class SharedIndexState:
@@ -179,7 +173,8 @@ class SharedIndexState:
 
 
 class SnapshotInvertedFile(InvertedFile):
-    """An inverted file bound to a version-pinned store view.
+    """An inverted file bound to a version-pinned store view: the one
+    kind of inverted file that caches.
 
     Reads resolve against the pinned store (so the configuration,
     tombstones and dead counts are the ones committed at the pinned
@@ -201,28 +196,42 @@ class SnapshotInvertedFile(InvertedFile):
         self.block_cache = block_cache
         if stats is not None:
             self.stats = stats
-        self._key_cache = shared.key_cache
+        self._all_nodes: PostingList | None = None
+        self._zero_leaf: PostingList | None = None
+
+    # -- posting lists (the block cache, keyed by (token, epoch)) ----------
+
+    def _open_list(self, atom: Atom) -> PostingList | LazyPostingList:
+        """``S_IF(atom)``, the block cache's handle first.
+
+        The list key ``(token, epoch floor at this version)`` names
+        exactly one stored value.  A warm key's entry is the list
+        itself, handed out with no store access; an
+        :data:`~repro.core.cache.ABSENT` entry answers empty.  A cold
+        key's value is fetched, and the list built from it, or the
+        marker when the store has none, is left under the key.
+        """
+        token = atom_token(atom)
+        list_key = (token, self._epochs.floor(token, self.version))
+        cache = self.block_cache
+        plist = cache.directory(list_key)
+        if plist is not None:
+            self.stats.directory_hits += 1
+            return PostingList() if plist is ABSENT else plist
+        self.stats.list_fetches += 1
+        raw = self._store.get(_token_store_key(token))
+        plist = self._list_from(atom, raw, cache=cache, list_key=list_key)
+        cache.admit_directory(list_key, ABSENT if raw is None else plist)
+        return plist
 
     # -- node metadata (shared, longest-copy-wins) -------------------------
 
-    def meta(self, node_id: int) -> NodeMeta:
-        if node_id < 0 or node_id >= self.n_nodes:
-            raise InvertedFileError(f"node id {node_id} out of range "
-                                    f"[0, {self.n_nodes})")
-        block_no, offset = divmod(node_id, META_BLOCK)
-        need = (offset + 1) * _META_ENTRY.size
+    def _meta_block(self, block_no: int, need: int) -> bytes:
         block = self._shared.meta_block(block_no, need)
         if block is None:
-            block = self._store.get(_META_PREFIX + encode_varint(block_no))
-            if block is None:
-                raise InvertedFileError(
-                    f"missing node metadata block {block_no}")
-            self.stats.meta_block_reads += 1
+            block = super()._meta_block(block_no, need)
             self._shared.offer_meta_block(block_no, block)
-        record, leaf_count, max_desc, flags = _META_ENTRY.unpack_from(
-            block, offset * _META_ENTRY.size)
-        return NodeMeta(record, leaf_count, max_desc,
-                        bool(flags & _FLAG_ROOT))
+        return block
 
     # -- ALL / ZERO lists (shared load, truncated per version) -------------
 
@@ -242,6 +251,15 @@ class SnapshotInvertedFile(InvertedFile):
                                           self._n_zero_blocks))
             self._zero_leaf = _truncate_at(full, self.n_nodes)
         return self._zero_leaf
+
+    # -- record keys (immutable per ordinal) -------------------------------
+
+    def record_key(self, ordinal: int) -> str:
+        key_cache = self._shared.key_cache
+        key = key_cache.get(ordinal)
+        if key is None:
+            key = key_cache[ordinal] = super().record_key(ordinal)
+        return key
 
 
 def _truncate_at(plist: PostingList, n_nodes: int) -> PostingList:

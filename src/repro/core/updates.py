@@ -113,15 +113,16 @@ class _NewIndex:
 
 
 class IndexWriter:
-    """Applies record-level updates to an open :class:`InvertedFile`.
+    """Applies record-level updates to an open, unpinned
+    :class:`InvertedFile`, which caches nothing: the writer keeps its
+    counters, tombstones and count tables current and has no cache to
+    clear.
 
-    ``on_mutate(tokens)`` replaces destructive cache invalidation with
-    a notification, once per group, naming the tokens whose posting
-    lists the group changes: the engine's MVCC read path passes a
-    callback that bumps modification epochs (:mod:`repro.core.snapshot`)
-    instead of clearing the shared list/block caches, so commits
-    invalidate nothing for in-flight readers.  Without it (standalone
-    use) the writer drops those tokens' cached blocks itself.
+    ``on_mutate(tokens)`` is a notification, once per group, naming the
+    tokens whose posting lists the group changes: the engine passes a
+    callback that bumps modification epochs (:mod:`repro.core.snapshot`),
+    so the caches its pinned readers share key the new values apart and
+    a commit drops nothing an in-flight reader holds.
 
     ``warm(token)`` returns the list the block cache holds for
     ``token`` at the committed version, or ``None``.  A touched list
@@ -161,6 +162,8 @@ class IndexWriter:
         self._records: dict[str, tuple[int, bytes]] = {}
         #: Per-atom dead-posting counts the group's deletes add.
         self._dead_delta: dict[Atom, int] = {}
+        #: The group's store writes, for its one ``put_many``.
+        self._puts: list[tuple[bytes, bytes]] = []
 
     # -- insert -----------------------------------------------------------
 
@@ -223,23 +226,20 @@ class IndexWriter:
         if ordinal is None:
             return False
         _key, _root, tree = ifile.record(ordinal)
+        dead: dict[Atom, int] = {}
+        for node in tree.iter_sets():
+            for atom in node.atoms:
+                dead[atom] = dead.get(atom, 0) + 1
         with self._store.transaction(b"delete"):
-            ifile.deleted.add(ordinal)
-            self._store.put(_DELETED_KEY,
-                            encode_uint_list(sorted(ifile.deleted)))
             self._store.delete(_KEYMAP_PREFIX + key.encode("utf-8"))
-            ifile._key_cache.pop(ordinal, None)
-            for node in tree.iter_sets():
-                for atom in node.atoms:
-                    ifile.dead_counts[atom] = \
-                        ifile.dead_counts.get(atom, 0) + 1
-                    self._dead_delta[atom] = \
-                        self._dead_delta.get(atom, 0) + 1
+            ifile.deleted.add(ordinal)
+            # Replaced, not mutated: a statistics reader may hold it.
+            ifile.dead_counts = _plus(ifile.dead_counts, dead)
+            self._dead_delta = dead
+            self._puts.append((_DELETED_KEY,
+                               encode_uint_list(sorted(ifile.deleted))))
             # A delete leaves every posting list's bytes untouched; only
-            # the tombstone set and dead counts change, and consumers
-            # read those from index attributes (or their own pinned
-            # store), not from the list/block caches: nothing to
-            # invalidate, no epoch to bump.
+            # the tombstone set and dead counts change: no epoch to bump.
             self.flush()
         return True
 
@@ -267,12 +267,15 @@ class IndexWriter:
     def flush(self) -> None:
         """Write the open commit group: every touched posting list once,
         ALL and ZERO once, the node-metadata tail once, the records, the
-        statistics delta and the configuration -- as one store
-        transaction, inside the caller's if one is open."""
-        if not (self._records or self._dead_delta):
+        statistics delta and the configuration -- as one
+        :meth:`~repro.storage.kvstore.KVStore.put_many` in one store
+        transaction, inside the caller's if one is open.  Only a fold's
+        key deletions (:meth:`_fold`) are calls of their own."""
+        if not (self._records or self._puts):
             return
         ifile = self._ifile
         store = self._store
+        puts = self._puts
         with store.transaction(b"flush"):
             if self._records:
                 self._append_group()
@@ -294,30 +297,35 @@ class IndexWriter:
                     self._fold(df_delta)
                 else:
                     if df_delta:
-                        store.put(delta_key(_FREQ_KEY, ifile._n_freq_deltas),
-                                  encode_counts(df_delta))
+                        puts.append((
+                            delta_key(_FREQ_KEY, ifile._n_freq_deltas),
+                            encode_counts(df_delta)))
                         ifile._n_freq_deltas += 1
                         if ifile._df is not None:
                             ifile._df = _plus(ifile._df, df_delta)
                     if self._dead_delta:
-                        store.put(
+                        puts.append((
                             delta_key(_DEAD_COUNT_KEY, ifile._n_dead_deltas),
-                            encode_counts(self._dead_delta))
+                            encode_counts(self._dead_delta)))
                         ifile._n_dead_deltas += 1
                     ifile._delta_pairs = pairs
-            self._write_config()
+                puts.append((_CONFIG_KEY, encode_config(
+                    ifile.n_records, ifile.n_nodes, ifile._n_all_blocks,
+                    ifile._n_zero_blocks, ifile.block_size,
+                    (ifile._n_freq_deltas, ifile._n_dead_deltas,
+                     ifile._delta_pairs))))
+                store.put_many(puts)
         self._reset_group()
 
     def _append_group(self) -> None:
-        """Append the group's records: every touched list once (new ids
-        sort past its tail, so only the partial tail block changes),
-        ALL/ZERO, the metadata tail, the record table -- all in one
-        :meth:`~repro.storage.kvstore.KVStore.put_many`.  A group that
-        starts at node id 0 has no tails to read."""
+        """Append the group's records onto its puts: every touched list
+        once (new ids sort past its tail, so only the partial tail block
+        changes), ALL/ZERO, the metadata tail, the record table.  A
+        group that starts at node id 0 has no tails to read."""
         ifile = self._ifile
         store = self._store
         first_id = ifile.n_nodes - len(self._meta)
-        puts: list[tuple[bytes, bytes]] = []
+        puts = self._puts
         for atom, entries in self._postings.items():
             entries.sort()          # a record lists its nodes post-order
             token = atom_token(atom)
@@ -349,18 +357,18 @@ class IndexWriter:
             puts.append((_RECORD_PREFIX + encode_varint(ordinal), blob))
             puts.append((_KEYMAP_PREFIX + key.encode("utf-8"),
                          encode_varint(ordinal)))
-        store.put_many(puts)
 
     def _fold(self, df_delta: dict[Atom, int]) -> None:
-        """Rewrite both count tables whole and drop their delta logs; the
-        kept frequency table becomes the folded one, ranked as stored."""
+        """Rewrite both count tables whole (onto the group's puts) and
+        drop their delta logs; the kept frequency table becomes the
+        folded one, ranked as stored."""
         ifile = self._ifile
         df = dict(_ranked(
             _plus(ifile._document_frequencies(), df_delta).items()))
-        self._store.put(_FREQ_KEY, encode_counts(df, ranked=True))
+        self._puts.append((_FREQ_KEY, encode_counts(df, ranked=True)))
         if ifile.dead_counts:       # kept current in memory by delete()
-            self._store.put(_DEAD_COUNT_KEY,
-                            encode_counts(ifile.dead_counts))
+            self._puts.append((_DEAD_COUNT_KEY,
+                               encode_counts(ifile.dead_counts)))
         for seq in range(ifile._n_freq_deltas):
             self._store.delete(delta_key(_FREQ_KEY, seq))
         for seq in range(ifile._n_dead_deltas):
@@ -369,24 +377,10 @@ class IndexWriter:
         ifile._df = df
         self._base_entries = len(df)
 
-    def _write_config(self) -> None:
-        ifile = self._ifile
-        self._store.put(_CONFIG_KEY, encode_config(
-            ifile.n_records, ifile.n_nodes, ifile._n_all_blocks,
-            ifile._n_zero_blocks, ifile.block_size,
-            (ifile._n_freq_deltas, ifile._n_dead_deltas,
-             ifile._delta_pairs)))
-
     def _invalidate(self, touched_postings: dict) -> None:
-        ifile = self._ifile
-        ifile._all_nodes = None
-        ifile._zero_leaf = None
-        ifile._meta_cache.clear()
-        tokens = {atom_token(atom) for atom in touched_postings}
+        """Name the group's touched lists to ``on_mutate``."""
         if self._on_mutate is not None:
-            self._on_mutate(tokens)     # epoch-based caching: nothing to clear
-            return
-        ifile.block_cache.invalidate(tokens)
+            self._on_mutate({atom_token(atom) for atom in touched_postings})
 
 
 def _plus(counts: dict[Atom, int],
@@ -460,7 +454,8 @@ def write_index(records: Iterable[tuple[str, object]], *,
     whenever the buffered postings pass it (the buffer exceeds it by at
     most one record; a list touched by G groups is rewritten G times,
     but each group reaches the store as one ``put_many``, which edits
-    each page it changes once).
+    each page it changes once; the last one also carries ``M:freq`` and
+    ``M:config``).
     Not journaled: runs outside any store transaction, ends with
     ``sync()``.  Raises :class:`UpdateError` on a repeated key, before
     anything of that group is written.
@@ -476,24 +471,26 @@ def write_index(records: Iterable[tuple[str, object]], *,
     writer = IndexWriter(new)
     df: dict[Atom, int] = {}
 
-    def write_group() -> None:
+    def group_puts() -> list[tuple[bytes, bytes]]:
         for atom, entries in writer._postings.items():
             df[atom] = df.get(atom, 0) + len(entries)
         writer._append_group()
+        puts = writer._puts
         writer._reset_group()
+        return puts
 
     try:
         for key, value in records:
             writer.insert(key, value, flush_stats=False)
             if memory_budget is not None and \
                     writer._buffered > memory_budget:
-                write_group()
-        if writer._records:
-            write_group()
-        store.put(_FREQ_KEY, encode_counts(df, ranked=True))
-        store.put(_CONFIG_KEY, encode_config(
+                store.put_many(group_puts())
+        puts = group_puts() if writer._records else []
+        puts.append((_FREQ_KEY, encode_counts(df, ranked=True)))
+        puts.append((_CONFIG_KEY, encode_config(
             new.n_records, new.n_nodes, new._n_all_blocks,
-            new._n_zero_blocks, block_size))
+            new._n_zero_blocks, block_size)))
+        store.put_many(puts)
         store.sync()
     except BaseException:
         if opened:

@@ -155,10 +155,7 @@ class TestStaleRepopulationRaces:
         stale = object()
         # An epoch-0 reader decoded block 0 of "tok"'s posting list...
         cache.admit((("tok", 0), 0), stale)
-        # ...an update invalidates every epoch of the token (check)...
-        cache.invalidate({"tok"})
-        assert cache.get((("tok", 0), 0)) is None
-        # ...and the slow reader re-admits its stale block (act).
+        # ...an update lands, and the slow reader re-admits its block.
         cache.admit((("tok", 0), 0), stale)
         # A post-update reader runs at epoch 1: the stale entry cannot
         # hit it -- while the old-epoch reader itself, for whom the
@@ -173,9 +170,76 @@ class TestStaleRepopulationRaces:
         _check_pinned_repopulation(shards=4)
 
 
+class TestRecordsDuringAGroup:
+    """``records()`` -- and ``self_join``, which walks it -- from inside
+    an open commit group.  A hook in the writer stands in for a second
+    thread: the group has numbered its records (``insert`` advanced the
+    writer's record count) and then put them, all before it commits.
+    ``records()`` reads one pinned version, so it yields exactly the
+    records committed before the group, whether the group lands or is
+    refused."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_records_inside_a_group_yield_the_committed_records(
+            self, monkeypatch, shards, refused) -> None:
+        from repro.core.join import self_join
+        records = [(f"r{i}", f"{{hub, a{i}}}") for i in range(10)]
+        index = NestedSetIndex.build(records, shards=shards)
+        committed = sorted(key for key, _ in records)
+        seen: list[list[str]] = []
+
+        def read_records() -> None:
+            seen.append(sorted(key for key, _ in index.records()))
+
+        def hook(method: str, *, join: bool = False) -> None:
+            original = getattr(IndexWriter, method)
+
+            def hooked(writer, *args, **kwargs):
+                read_records()
+                result = original(writer, *args, **kwargs)
+                read_records()
+                if join:
+                    seen.append(sorted({key for key, _ in
+                                        self_join(index).pairs}))
+                return result
+            monkeypatch.setattr(IndexWriter, method, hooked)
+
+        hook("insert")
+        hook("_append_group", join=True)
+        group = [(f"b{i}", "{hub, b}") for i in range(6)]
+        if refused:
+            # a key the index holds, in another partition than the
+            # group's first record, so some partition puts its slice
+            first = shard_of(group[0][0], shards)
+            group.append(next((key, tree) for key, tree in records
+                              if shards == 1
+                              or shard_of(key, shards) != first))
+            with pytest.raises(UpdateError):
+                index.insert_batch(group)
+        else:
+            index.insert_batch(group)
+        monkeypatch.undo()
+        assert seen and all(keys == committed for keys in seen)
+        if not refused:
+            committed = sorted(committed + [key for key, _ in group])
+        assert sorted(key for key, _ in index.records()) == committed
+        assert index.stats()["mvcc"]["open_snapshots"] == 0
+        index.close()
+
+    def test_a_closed_iteration_releases_its_pin(self) -> None:
+        index = NestedSetIndex.build(RECORDS, shards=4)
+        walk = index.records()
+        next(walk)
+        assert index.stats()["mvcc"]["open_snapshots"] == 1
+        walk.close()
+        assert index.stats()["mvcc"]["open_snapshots"] == 0
+        index.close()
+
+
 class TestLiveReadsDuringAGroup:
-    """A read through a partition's live inverted file (the path of the
-    CLI's ``check``, ``similar`` and ``info``) may run while a commit
+    """A read through a partition's writer file
+    (``index.shards[p].inverted_file``) may run while a commit
     group has put its lists but not yet bumped their epochs; the store
     then already holds the group's uncommitted values."""
 

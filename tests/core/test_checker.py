@@ -68,7 +68,6 @@ class TestCorruptionDetection:
         block = bytearray(index.store.get(b"N:" + encode_varint(0)))
         block[0] ^= 0xFF  # flip the first node's record ordinal
         index.store.put(b"N:" + encode_varint(0), bytes(block))
-        index._meta_cache.clear()
         problems = check_index(index)
         assert any("metadata" in problem for problem in problems)
 

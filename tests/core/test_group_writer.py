@@ -218,6 +218,71 @@ class TestWork:
         assert_healthy(ifile)
 
 
+class TestOneStoreCall:
+    """A group reaches the disk store as one ``put_many``: its lists,
+    records and metadata, its statistics delta and ``M:config``.  Only a
+    fold's key deletions and a delete's ``K:`` removal are calls of
+    their own (``DiskHashTable.put`` is a ``put_many`` of one pair)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> list[str]:
+        from repro.storage.diskhash import DiskHashTable
+        calls: list[str] = []
+        put_many, delete = DiskHashTable.put_many, DiskHashTable.delete
+
+        def counted_put_many(store, pairs) -> None:
+            calls.append("put_many")
+            put_many(store, pairs)
+
+        def counted_delete(store, key) -> bool:
+            calls.append("delete")
+            return delete(store, key)
+
+        monkeypatch.setattr(DiskHashTable, "put_many", counted_put_many)
+        monkeypatch.setattr(DiskHashTable, "delete", counted_delete)
+        return calls
+
+    def test_build_insert_and_delete(self, tmp_path, calls) -> None:
+        path = str(tmp_path / "ix.dh")
+        index = NestedSetIndex.build([record(i) for i in range(40)],
+                                     storage="diskhash", path=path)
+        assert calls == ["put_many"]
+        del calls[:]
+        index.insert_batch([record(i) for i in range(40, 45)])
+        assert calls == ["put_many"]
+        del calls[:]
+        assert index.delete(record(3)[0])
+        assert calls == ["delete", "put_many"]
+        del calls[:]
+        # Groups until one folds the logs: its deletions, then one call.
+        for i in range(45, 200):
+            index.insert(*record(i))
+            if calls != ["put_many"]:
+                break
+            del calls[:]
+        assert calls.count("put_many") == 1 and calls[-1] == "put_many"
+        assert set(calls) == {"delete", "put_many"}
+        assert_healthy(index.inverted_file)
+        index.close()
+
+    def test_bounded_build_is_one_call_per_group(self, tmp_path,
+                                                 monkeypatch,
+                                                 calls) -> None:
+        groups: list[int] = []
+        append_group = IndexWriter._append_group
+
+        def counted(writer) -> None:
+            groups.append(1)
+            append_group(writer)
+
+        monkeypatch.setattr(IndexWriter, "_append_group", counted)
+        NestedSetIndex.build_external(
+            [record(i) for i in range(40)], memory_budget=50,
+            storage="diskhash", path=str(tmp_path / "ix.dh")).close()
+        assert len(groups) > 1
+        assert calls == ["put_many"] * len(groups)
+
+
 class TestDuplicateInsideAGroup:
     def test_raises_before_anything_is_written(self) -> None:
         store = CountingStore()

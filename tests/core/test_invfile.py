@@ -205,16 +205,20 @@ class TestFrequenciesAndCache:
         assert dict(freqs)["UK"] == 4
 
     def test_cache_hit_skips_store(self, paper_records) -> None:
-        index = InvertedFile.build(paper_records)
-        index.set_cache("frequency", 16)
-        index.reset_stats()
-        first = index.postings("UK")
-        gets = index.store.stats.gets
-        second = index.postings("UK")
-        assert second is first                  # the cached list itself
-        assert index.store.stats.gets == gets
-        assert index.stats.list_fetches == 1
-        assert index.stats.directory_hits == 1
+        """A pinned view's second lookup is the cached list itself."""
+        from repro.core.engine import NestedSetIndex
+        index = NestedSetIndex.build(paper_records, cache="frequency",
+                                     cache_budget=16)
+        with index.snapshot() as snap:
+            ifile = snap.views[0].inverted_file
+            index.reset_stats()
+            first = ifile.postings("UK")
+            gets = ifile.store.stats.gets
+            second = ifile.postings("UK")
+            assert second is first              # the cached list itself
+            assert ifile.store.stats.gets == gets
+            assert ifile.stats.list_fetches == 1
+            assert ifile.stats.directory_hits == 1
 
 
 class TestDiskRoundtrip:

@@ -25,6 +25,22 @@ def _skewed_records() -> list[tuple[str, str]]:
     return records
 
 
+class TestDeadCountsAreReplaced:
+    def test_a_reference_taken_before_a_delete_is_unchanged(self) -> None:
+        """A delete replaces the writer's dead-count table instead of
+        mutating it, so a statistics reader iterating the table it took
+        (``live_document_frequencies``) never sees it change size."""
+        index = NestedSetIndex.build(_skewed_records())
+        ifile = index.inverted_file
+        assert index.delete("c0")
+        held = ifile.dead_counts
+        before = dict(held)
+        assert index.delete("s0")       # adds an atom: "rare"
+        assert held == before
+        assert ifile.dead_counts["rare"] == 1
+        assert ifile.live_document_frequencies()["rare"] == 2
+
+
 class TestLiveCounts:
     def test_live_list_length_tracks_deletes(self) -> None:
         index = NestedSetIndex.build(_skewed_records())

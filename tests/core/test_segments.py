@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.workloads import generate_dataset
+from repro.core.engine import NestedSetIndex
 from repro.core.invfile import InvertedFile
 from repro.core.model import NestedSet
 from repro.core.postings import intersect
@@ -93,25 +94,27 @@ class TestSegmentedIndex:
         for atom, _df in seg_index.frequencies()[:50]:
             assert seg_index.postings(atom) == plain_index.postings(atom)
 
-    def test_list_length_without_decode(self, plain_index,
+    def test_list_length_without_decode(self, records, plain_index,
                                         seg_index) -> None:
-        seg_index.reset_stats()
-        seg_index.cache.clear()
-        seg_index.block_cache.clear()
+        """On a pinned view of the segmented index: a cold length costs
+        a fetch and no decode, a warm one neither."""
         frequencies = seg_index.frequencies()[:20]
         atoms = [atom for atom, _df in frequencies]
-        for atom, df in frequencies:
-            assert seg_index.list_length(atom) == df
-            assert plain_index.list_length(atom) == df
-        assert seg_index.list_length("__absent__") == 0
-        assert seg_index.stats.blocks_read == 0
-        assert seg_index.stats.list_fetches == len(atoms) + 1
-        # Warm: the directory entries (and the absent marker) answer.
-        for atom in atoms + ["__absent__"]:
-            seg_index.list_length(atom)
-        assert seg_index.stats.list_fetches == len(atoms) + 1
-        assert seg_index.stats.directory_hits == len(atoms) + 1
-        assert seg_index.stats.blocks_read == 0
+        with NestedSetIndex.build(records, block_size=8) as index, \
+                index.snapshot() as snap:
+            view = snap.views[0].inverted_file
+            for atom, df in frequencies:
+                assert view.list_length(atom) == df
+                assert plain_index.list_length(atom) == df
+            assert view.list_length("__absent__") == 0
+            assert view.stats.blocks_read == 0
+            assert view.stats.list_fetches == len(atoms) + 1
+            # Warm: the directory entries (and the absent marker) answer.
+            for atom in atoms + ["__absent__"]:
+                view.list_length(atom)
+            assert view.stats.list_fetches == len(atoms) + 1
+            assert view.stats.directory_hits == len(atoms) + 1
+            assert view.stats.blocks_read == 0
 
     def test_intersect_atoms_equals_plain_intersection(
             self, seg_index) -> None:

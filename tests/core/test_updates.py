@@ -352,10 +352,12 @@ class TestAbortedDelete:
     next successful delete wrote the phantom ordinal out with its own,
     the phantom's atoms counted dead twice."""
 
-    #: Where the store call fails: (store method, key prefix).
+    #: Where the store call fails: (store method, key prefix).  The
+    #: tombstone set and the dead-count delta reach the store in the
+    #: group's one ``put_many``.
     FAULTS = {"keymap": ("delete", b"K:"),
-              "tombstones": ("put", b"M:deleted"),
-              "statistics": ("put", b"M:dead")}
+              "tombstones": ("put_many", b"M:deleted"),
+              "statistics": ("put_many", b"M:dead")}
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     @pytest.mark.parametrize("storage", ["memory", "diskhash"])
@@ -385,11 +387,13 @@ class TestAbortedDelete:
         original = getattr(store, method)
         fired = []
 
-        def failing(key, *value):
-            if key.startswith(prefix) and not fired:
-                fired.append(key)
+        def failing(arg):
+            keys = [key for key, _value in arg] if method == "put_many" \
+                else [arg]
+            if any(key.startswith(prefix) for key in keys) and not fired:
+                fired.append(keys)
                 raise OSError("injected store failure")
-            return original(key, *value)
+            return original(arg)
 
         setattr(store, method, failing)
         with pytest.raises(OSError):
