@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.workloads import generate_dataset
-from repro.core.bulkload import build_external
+from repro.core.updates import build_external
 from repro.core.invfile import InvertedFile
 
 SIZE = 2000

@@ -366,7 +366,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .replication import (
         ReplicaTailer,
-        ReplicationLog,
         ReplicationManager,
         bootstrap_from_primary,
     )
@@ -387,12 +386,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"term {boot['term']}) from {args.replicate_from}",
               flush=True)
 
-    # Every served disk index opens over a ReplicationLog so it can act
-    # as a shipping source without a restart; the stamps ride inside
-    # group labels and a plain open still recovers the same file.
     index = NestedSetIndex.open(args.storage, args.index,
-                                cache=args.cache,
-                                wal_factory=ReplicationLog)
+                                cache=args.cache)
     with index:
         try:
             if boot is not None:

@@ -13,7 +13,6 @@ from .bags import (
     json_to_nested_bag,
 )
 from .batch import memoized_match_ids
-from .bulkload import DEFAULT_MEMORY_BUDGET, build_external
 from .bloom import BloomFilter, BloomIndex, BreadthBloom, DepthBloom
 from .bottomup import bottomup_match_nodes, bottomup_query
 from .cache import PAPER_BUDGET, BlockCache
@@ -84,7 +83,12 @@ from .topdown import (
     topdown_paper_query,
     topdown_query,
 )
-from .updates import IndexWriter, UpdateError
+from .updates import (
+    DEFAULT_MEMORY_BUDGET,
+    IndexWriter,
+    UpdateError,
+    build_external,
+)
 
 __all__ = [
     "ALGORITHMS",

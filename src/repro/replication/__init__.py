@@ -2,8 +2,9 @@
 
 Layers, bottom up:
 
-* :mod:`.log` -- :class:`ReplicationLog`, the WAL subclass giving every
-  commit group a durable sequence number and fencing term;
+* the log itself is every disk store's
+  :class:`~repro.storage.wal.WriteAheadLog`, whose commit groups carry
+  a durable sequence number and fencing term;
 * :mod:`.shipper` -- :class:`ReplicationSource`, the primary-side state
   behind the ``repl_*`` wire ops (bootstrap snapshots, tail fetches);
 * :mod:`.applier` -- :func:`bootstrap_from_primary` and
@@ -16,16 +17,13 @@ Layers, bottom up:
 
 from .applier import ReplicaTailer, bootstrap_from_primary
 from .client import ReplicaSetClient
-from .log import ReplicationLog, split_shipped_label
 from .manager import ReplicationManager
 from .shipper import ReplicationSource
 
 __all__ = [
     "ReplicaSetClient",
     "ReplicaTailer",
-    "ReplicationLog",
     "ReplicationManager",
     "ReplicationSource",
     "bootstrap_from_primary",
-    "split_shipped_label",
 ]

@@ -5,7 +5,7 @@
 a replica open needs: the store file (a page-level copy pinned at one
 MVCC version), an empty write-ahead log, and a replication sidecar
 carrying the primary's next sequence number and term -- so the replica's
-:class:`~repro.replication.log.ReplicationLog` opens straight into the
+:class:`~repro.storage.wal.WriteAheadLog` opens straight into the
 primary's sequence space.
 
 :class:`ReplicaTailer` then runs the replay loop on a background
@@ -35,8 +35,7 @@ import time
 
 from ..storage.errors import CorruptionError
 from ..storage.pager import wal_path
-from ..storage.wal import WriteAheadLog
-from .log import ReplicationLog, sidecar_path, split_shipped_label, \
+from ..storage.wal import WriteAheadLog, sidecar_path, split_label, \
     write_sidecar
 
 #: Default long-poll window of one tail fetch (milliseconds).
@@ -53,8 +52,7 @@ def bootstrap_from_primary(call, dest_path: str,
 
     ``call`` is a request function (``ServiceClient.call``) bound to the
     primary.  On return the store file, a fresh WAL and the replication
-    sidecar are on disk; open the store with
-    ``wal_factory=ReplicationLog`` and hand it to a
+    sidecar are on disk; open the store and hand it to a
     :class:`ReplicaTailer` starting after ``result["next_seq"] - 1``.
     """
     boot = call({"op": "repl_bootstrap", "replica_id": replica_id})
@@ -95,14 +93,14 @@ class ReplicaTailer:
                  poll_wait_ms: int = DEFAULT_POLL_WAIT_MS,
                  max_groups: int = 256) -> None:
         store = index.base_store
-        pager = store.pager
-        if pager is None or not isinstance(pager.wal, ReplicationLog):
-            raise ValueError("replica store must be opened with "
-                             "wal_factory=ReplicationLog")
+        pager = getattr(store, "pager", None)
+        if pager is None or pager.wal is None:
+            raise ValueError("a replica needs a disk-backed store "
+                             "with a write-ahead log")
         self._index = index
         self._store = store
         self._pager = pager
-        self._log: ReplicationLog = pager.wal
+        self._log: WriteAheadLog = pager.wal
         self._call = call
         self.replica_id = replica_id
         self.primary_address = primary_address
@@ -203,7 +201,7 @@ class ReplicaTailer:
                 self.groups_applied += count
 
     def _apply_group(self, label: bytes, records: list[bytes]) -> bool:
-        version, seq, term = split_shipped_label(label)
+        version, seq, term, _label = split_label(label)
         if seq is None or term is None:
             raise CorruptionError("shipped group without a seq stamp")
         if version is None:

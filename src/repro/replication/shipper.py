@@ -1,10 +1,9 @@
 """Primary-side log shipping: bootstrap snapshots and group tailing.
 
 :class:`ReplicationSource` backs the server's ``repl_*`` operations on
-whatever index the server is serving.  It requires the store to have
-been opened with ``wal_factory=ReplicationLog`` (the ``serve`` CLI does
-this by default for disk stores), because shipping needs the durable
-sequence numbers and follower tracking that log provides.
+whatever index the server is serving.  Any disk store with a
+write-ahead log qualifies: every log numbers its commit groups durably
+and tracks followers, which is all shipping needs.
 
 Bootstrap protocol (replica side drives it):
 
@@ -36,7 +35,7 @@ import threading
 import time
 
 from ..storage.pager import PageReader, parse_header
-from .log import ReplicationLog
+from ..storage.wal import WriteAheadLog
 
 #: Bootstrap sessions idle longer than this are reaped (their pinned
 #: readers released) the next time any session-touching call runs.
@@ -63,16 +62,11 @@ class ReplicationSource:
     """Serves bootstrap snapshots and log tails off a primary's index."""
 
     def __init__(self, index) -> None:
-        store = index.base_store
-        pager = getattr(store, "pager", None)
-        if pager is None:
-            raise ValueError(
-                "replication needs a disk-backed store (no pager found)")
-        log = pager.wal
-        if not isinstance(log, ReplicationLog):
-            raise ValueError(
-                "replication needs the store opened with "
-                "wal_factory=ReplicationLog")
+        pager = getattr(index.base_store, "pager", None)
+        log = pager.wal if pager is not None else None
+        if log is None:
+            raise ValueError("replication needs a disk-backed store "
+                             "with a write-ahead log")
         self._pager = pager
         self._log = log
         self._lock = threading.Lock()
@@ -81,7 +75,7 @@ class ReplicationSource:
         log.on_commit = self._note_commit
 
     @property
-    def log(self) -> ReplicationLog:
+    def log(self) -> WriteAheadLog:
         return self._log
 
     @property

@@ -32,7 +32,7 @@ from .faults import CrashError, FaultPlan, FaultyPager, inject
 from .kvstore import AccessStats, KVStore, MemoryKVStore, ReadOnlySnapshot
 from .namespace import NamespacedStore
 from .pager import Pager, PageReader, wal_path
-from .wal import WriteAheadLog
+from .wal import WriteAheadLog, sidecar_path
 
 #: Storage engine names accepted by :func:`open_store`.
 STORAGE_KINDS = ("memory", "diskhash")
@@ -40,7 +40,7 @@ STORAGE_KINDS = ("memory", "diskhash")
 
 def _remove_stale(path: str) -> None:
     """Drop a previous incarnation's store file, WAL, and sidecars."""
-    for stale in (path, wal_path(path), wal_path(path) + "-repl"):
+    for stale in (path, wal_path(path), sidecar_path(wal_path(path))):
         if os.path.exists(stale):
             os.remove(stale)
 

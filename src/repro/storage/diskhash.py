@@ -295,15 +295,13 @@ class DiskHashTable(_ChainReads, KVStore):
     def __init__(self, path: str, *, create: bool = False,
                  n_buckets: int = DEFAULT_BUCKETS,
                  page_size: int = DEFAULT_PAGE_SIZE,
-                 wal: bool = True, use_mmap: bool = True,
-                 wal_factory=None) -> None:
+                 wal: bool = True, use_mmap: bool = True) -> None:
         super().__init__()
         #: An unjournaled write left the header's count behind.
         self._meta_stale = False
         if create:
             self._pager = Pager(path, page_size=page_size, create=True,
-                                wal=wal, use_mmap=use_mmap,
-                                wal_factory=wal_factory)
+                                wal=wal, use_mmap=use_mmap)
             self._n_buckets = n_buckets
             per_page = self._pager.page_size // 8
             self._n_dir_pages = (n_buckets + per_page - 1) // per_page
@@ -314,8 +312,7 @@ class DiskHashTable(_ChainReads, KVStore):
             self._flush_directory()
             self._write_meta()
         else:
-            self._pager = Pager(path, wal=wal, use_mmap=use_mmap,
-                                wal_factory=wal_factory)
+            self._pager = Pager(path, wal=wal, use_mmap=use_mmap)
             try:
                 self._absorb_meta(self._pager.meta)
             except CorruptionError:
@@ -555,9 +552,9 @@ class DiskHashTable(_ChainReads, KVStore):
 
     def begin(self, label: bytes = b"") -> None:
         self._check_open()
-        if self._pager.txn_depth == 0:
-            # Meta may lag the in-memory count (bulk loads defer it to
-            # sync/close); make the pre-image current before snapshot.
+        if self._pager.txn_depth == 0 and self._meta_stale:
+            # Unjournaled writes defer the header to sync/close; make
+            # the pre-image current before the transaction snapshots it.
             self._write_meta()
         self._pager.begin(label)
 

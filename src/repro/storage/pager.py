@@ -19,13 +19,13 @@ Durability: when opened with ``wal=True`` (the default) a
 :class:`~repro.storage.wal.WriteAheadLog` lives beside the store file at
 ``<path>-wal`` and the pager exposes page-level transactions
 (:meth:`begin` / :meth:`commit` / :meth:`abort`).  Inside a transaction
-every page write -- including the header, tracked as page 0 -- is
-buffered in memory; :meth:`commit` logs the post-image of each dirty
-page as one fsynced WAL group *before* any of them reaches the main
-file.  :meth:`__init__` replays committed groups left by a crash and
-discards a torn tail, so the store is always observed either wholly
-pre- or wholly post-mutation.  Writes outside a transaction bypass the
-log (bulk builds keep their unjournaled speed).
+every page write is buffered in memory; :meth:`commit` logs the
+post-image of each dirty page -- and of the header, as page 0, when the
+transaction moved it -- as one fsynced WAL group *before* any of them
+reaches the main file.  :meth:`__init__` replays committed groups left
+by a crash and discards a torn tail, so the store is always observed
+either wholly pre- or wholly post-mutation.  Writes outside a
+transaction bypass the log (bulk builds keep their unjournaled speed).
 
 Snapshots (MVCC): every committed transaction advances a monotonically
 increasing *version*.  A reader calls :meth:`pin` (usually via
@@ -78,8 +78,7 @@ from .wal import (
     DEFAULT_CHECKPOINT_BYTES,
     WriteAheadLog,
     fsync_file,
-    split_version_label,
-    stamp_version_label,
+    split_label,
 )
 
 MAGIC = b"NCPG"
@@ -178,8 +177,7 @@ class Pager:
 
     def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE,
                  create: bool = False, *, wal: bool = True,
-                 use_mmap: bool = True,
-                 wal_factory=None) -> None:
+                 use_mmap: bool = True) -> None:
         self.path = path
         # One file handle serves every page access; the reentrant lock
         # makes each seek+read / seek+write pair atomic so concurrent
@@ -205,15 +203,11 @@ class Pager:
         self._mapped_pages = 0
         # Unbuffered: writes must reach the kernel page cache at the
         # syscall, so the read-only mapping is always coherent with them.
-        # ``wal_factory(path, create=...)`` substitutes a WriteAheadLog
-        # subclass -- the replication tier installs its sequence-stamped
-        # ReplicationLog here without the pager knowing the difference.
-        make_wal = wal_factory if wal_factory is not None else WriteAheadLog
         if create:
             self._file = wrap_file(open(path, "w+b", buffering=0),
                                    role="pager")
             if wal:
-                self._wal = make_wal(wal_path(path), create=True)
+                self._wal = WriteAheadLog(wal_path(path), create=True)
             self.page_size = page_size
             self.n_pages = 1
             self._free_head = 0
@@ -225,7 +219,7 @@ class Pager:
             self._file = wrap_file(open(path, "r+b", buffering=0),
                                    role="pager")
             if wal:
-                self._wal = make_wal(wal_path(path))
+                self._wal = WriteAheadLog(wal_path(path))
                 self._recover()
             self._read_header()
         self._remap()
@@ -244,11 +238,12 @@ class Pager:
         return header.ljust(self.page_size, b"\x00")
 
     def _write_header(self) -> None:
+        """Write the header page; inside a transaction the commit adds it
+        to the group instead, once, if the header moved."""
         with self._io_lock:
-            data = self._header_bytes()
             if self._txn_depth:
-                self._dirty[_HEADER_PAGE] = data
                 return
+            data = self._header_bytes()
             with self._version_lock:
                 if self._pins:
                     self._capture_preimage(_HEADER_PAGE)
@@ -548,6 +543,9 @@ class Pager:
                 self._txn_depth -= 1
                 return
             dirty, label = self._dirty, self._txn_label
+            if (self.n_pages, self._free_head, self._meta) \
+                    != self._txn_snapshot:
+                dirty[_HEADER_PAGE] = self._header_bytes()
             self._txn_depth = 0
             self._dirty = {}
             self._txn_snapshot = None
@@ -558,8 +556,7 @@ class Pager:
                 commit_version = self._version + 1
             records = [struct.pack("<Q", page_id) + data
                        for page_id, data in sorted(dirty.items())]
-            self._wal.commit(stamp_version_label(label, commit_version),
-                             records)
+            self._wal.commit(label, records, version=commit_version)
             with self._io_lock:
                 with self._version_lock:
                     if self._pins:
@@ -604,7 +601,7 @@ class Pager:
     def _apply_group(self, label: bytes, records: list[bytes]) -> None:
         # Recovery lands exactly on the version of the last committed
         # group: the stamp each commit put in its label is restored here.
-        version, _label = split_version_label(label)
+        version = split_label(label)[0]
         if version is not None:
             self._version = max(self._version, version)
         for record in records:
@@ -616,13 +613,6 @@ class Pager:
             # been read yet (recovery runs before ``_read_header``).
             self._file.seek(page_id * len(data))
             self._file.write(data)
-
-    def _checkpoint(self) -> None:
-        """Make the main file durable, then truncate the log."""
-        if self._wal is None:
-            return
-        with self._commit_lock:
-            self._checkpoint_locked()
 
     def _checkpoint_locked(self) -> None:
         # Flush Python's buffer under the I/O lock (it repositions the
@@ -658,20 +648,17 @@ class Pager:
 
         Mirrors the apply phase of :meth:`commit`: the group goes to the
         local WAL first (durability -- the label arrives already stamped
-        with the primary's version/seq/term, so it is committed verbatim
-        via ``commit_prestamped`` when the log supports it), then the
-        post-image pages overwrite the main file with pre-images captured
-        for pinned readers, and only then does the version advance to the
-        primary's stamped ``version`` -- snapshot reads on the replica
-        stay consistent mid-replay exactly as they do under local
-        commits on the primary.
+        with the primary's version/seq/term and is appended verbatim),
+        then the post-image pages overwrite the main file with pre-images
+        captured for pinned readers, and only then does the version
+        advance to the primary's stamped ``version`` -- snapshot reads on
+        the replica stay consistent mid-replay exactly as they do under
+        local commits on the primary.
         """
         if self._wal is None:
             raise StorageError("replicated apply needs a write-ahead log")
         with self._commit_lock:
-            commit = getattr(self._wal, "commit_prestamped",
-                             self._wal.commit)
-            commit(label, records)
+            self._wal.append_stamped(label, records)
             header_dirty = None
             with self._io_lock:
                 with self._version_lock:
@@ -724,19 +711,21 @@ class Pager:
     # -- page primitives ------------------------------------------------------
 
     def allocate(self) -> int:
-        """Return the id of a fresh zeroed page (recycled when possible)."""
+        """Return the id of a page for the caller to write (recycled
+        when possible).
+
+        Only the counters move: the header reaches the file with the
+        transaction's commit group, or on :meth:`set_meta` or
+        :meth:`close`.
+        """
         with self._io_lock:
             if self._free_head:
                 page_id = self._free_head
                 raw = self.read(page_id)
                 self._free_head = struct.unpack_from("<Q", raw, 0)[0]
-                self.write(page_id, b"")
-                self._write_header()
                 return page_id
             page_id = self.n_pages
             self.n_pages += 1
-            self.write(page_id, b"")
-            self._write_header()
             return page_id
 
     def free(self, page_id: int) -> None:
@@ -745,7 +734,6 @@ class Pager:
             self._check_bounds(page_id)
             self.write(page_id, struct.pack("<Q", self._free_head))
             self._free_head = page_id
-            self._write_header()
 
     def read(self, page_id: int) -> bytes:
         """Read a full page; short files are padded with zero bytes.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.workloads import generate_dataset
-from repro.core.bulkload import build_external
+from repro.core.updates import build_external
 from repro.core.checker import assert_healthy
 from repro.core.engine import NestedSetIndex
 from repro.core.invfile import InvertedFile

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, \
     strategies as st
 
-from repro.core.bulkload import build_external
+from repro.core.updates import build_external
 from repro.core.checker import assert_healthy
 from repro.core.engine import NestedSetIndex
 from repro.core.invfile import InvertedFile, LIST_BLOCK, META_BLOCK

@@ -232,8 +232,7 @@ def test_absent_marker_across_compact() -> None:
 
 
 def test_absent_marker_on_a_replica(tmp_path) -> None:
-    from repro.replication import ReplicaTailer, ReplicationLog, \
-        ReplicationSource
+    from repro.replication import ReplicaTailer, ReplicationSource
     from repro.replication.applier import bootstrap_from_primary
     from tests.storage.test_replication import _local_call, _tail_to_end
 
@@ -241,13 +240,11 @@ def test_absent_marker_on_a_replica(tmp_path) -> None:
     replica_path = str(tmp_path / "replica.db")
     NestedSetIndex.build(RECORDS, storage="diskhash",
                          path=primary_path).close()
-    primary = NestedSetIndex.open("diskhash", primary_path,
-                                  wal_factory=ReplicationLog)
+    primary = NestedSetIndex.open("diskhash", primary_path)
     try:
         call = _local_call(ReplicationSource(primary))
         bootstrap_from_primary(call, replica_path, "r1")
-        replica = NestedSetIndex.open("diskhash", replica_path,
-                                      wal_factory=ReplicationLog)
+        replica = NestedSetIndex.open("diskhash", replica_path)
         tailer = ReplicaTailer(replica, call, replica_id="crash-sweep",
                                primary_address="in-process")
         hub = replica.query("{hub}")

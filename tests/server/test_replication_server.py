@@ -23,8 +23,7 @@ import pytest
 from repro.bench.workloads import generate_dataset
 from repro.core.engine import NestedSetIndex
 from repro.replication import (ReplicaSetClient, ReplicaTailer,
-                               ReplicationLog, ReplicationManager,
-                               bootstrap_from_primary)
+                               ReplicationManager, bootstrap_from_primary)
 from repro.server import ServerThread, ServiceClient, ServiceError
 from repro.server.protocol import (ProtocolError, decode_request_body,
                                    encode_request_binary, validate_request)
@@ -118,8 +117,7 @@ class _Pair:
         self.replica_path = str(tmp_path / "replica.db")
         NestedSetIndex.build(_corpus(), storage="diskhash",
                              path=self.primary_path).close()
-        self.primary = NestedSetIndex.open(
-            "diskhash", self.primary_path, wal_factory=ReplicationLog)
+        self.primary = NestedSetIndex.open("diskhash", self.primary_path)
         self.primary_handle = ServerThread(
             self.primary, close_index_on_drain=False, http_port=0,
             replication=ReplicationManager.as_primary(self.primary),
@@ -128,8 +126,7 @@ class _Pair:
 
         boot = bootstrap_from_primary(self.primary_client.call,
                                       self.replica_path, "r1")
-        self.replica = NestedSetIndex.open(
-            "diskhash", self.replica_path, wal_factory=ReplicationLog)
+        self.replica = NestedSetIndex.open("diskhash", self.replica_path)
         self.replica.base_store.pager.adopt_version(boot["version"])
         self.tail_client = ServiceClient(port=self.primary_handle.port)
         self.tailer = ReplicaTailer(

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.storage.diskhash import DiskHashTable
 from repro.storage.errors import (
     CorruptionError,
     PageBoundsError,
@@ -143,3 +146,68 @@ class TestOverflow:
         head = pager.write_overflow(b"abc")
         with pytest.raises(CorruptionError):
             pager.read_overflow(head, 10 ** 6)
+
+
+class TestWriteCounts:
+    """Allocation moves counters only: the caller's write is the page's
+    one write, and the header is built once per build step or group."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> tuple[Counter, list[int]]:
+        writes: Counter = Counter()
+        headers: list[int] = []
+        write, header_bytes = Pager.write, Pager._header_bytes
+
+        def counted_write(self, page_id: int, data: bytes) -> None:
+            writes[page_id] += 1
+            write(self, page_id, data)
+
+        def counted_header(self) -> bytes:
+            headers.append(self.n_pages)
+            return header_bytes(self)
+
+        monkeypatch.setattr(Pager, "write", counted_write)
+        monkeypatch.setattr(Pager, "_header_bytes", counted_header)
+        return writes, headers
+
+    def test_allocate_writes_nothing(self, pager: Pager,
+                                     monkeypatch) -> None:
+        writes, headers = self._spy(monkeypatch)
+        page = pager.allocate()
+        pager.free(page)
+        assert pager.allocate() == page
+        assert (dict(writes), headers) == ({page: 1}, [])
+
+    def test_build_writes_each_page_once(self, tmp_path,
+                                         monkeypatch) -> None:
+        path = str(tmp_path / "t.dh")
+        table = DiskHashTable(path, create=True, n_buckets=16)
+        writes, headers = self._spy(monkeypatch)
+        table.put_many((b"k%d" % i, b"v" * 100) for i in range(3000))
+        table.close()
+        n_pages = table.pager.n_pages
+        assert n_pages > 4 * 16            # chains of several pages
+        assert dict(writes) == {page: 1 for page in range(1, n_pages)}
+        assert len(headers) <= 2           # close: the meta, the header
+
+    def test_group_builds_the_header_once(self, tmp_path,
+                                          monkeypatch) -> None:
+        path = str(tmp_path / "t.dh")
+        table = DiskHashTable(path, create=True, n_buckets=16)
+        table.put_many((b"k%d" % i, b"v" * 40) for i in range(500))
+        table.close()
+        table = DiskHashTable(path)
+        before = table.pager.n_pages
+        writes, headers = self._spy(monkeypatch)
+        with table.transaction(b"group"):
+            # Fresh chain pages, and an overflow chain for the last.
+            table.put_many((b"new%d" % i, b"w" * 1500 * (1 + i // 19 * 3))
+                           for i in range(20))
+        assert table.pager.n_pages > before
+        assert set(writes.values()) == {1}
+        assert headers == [table.pager.n_pages]
+        table.close()
+        table = DiskHashTable(path)
+        assert len(table) == 520
+        assert table.get(b"new19") == b"w" * 6000
+        table.close()

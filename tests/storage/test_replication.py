@@ -2,7 +2,7 @@
 
 Two layers of coverage:
 
-1. :class:`~repro.replication.log.ReplicationLog` unit tests -- durable
+1. :class:`~repro.storage.wal.WriteAheadLog` sequencing tests -- durable
    sequence numbering across checkpoints and reopens, stamp-over-sidecar
    dominance, ack-gated truncation with the retention override, raw
    group shipping, and term persistence.
@@ -22,20 +22,19 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 
 import pytest
 
 from repro.core.engine import NestedSetIndex
 from repro.core.invfile import InvertedFile
-from repro.replication import (ReplicaTailer, ReplicationLog,
-                               ReplicationSource, split_shipped_label)
-from repro.replication.log import (read_sidecar, sidecar_path,
-                                   write_sidecar)
+from repro.replication import ReplicaTailer, ReplicationSource
 from repro.replication.applier import bootstrap_from_primary
 from repro.storage import CorruptionError, CrashError, FaultPlan, inject
 from repro.storage.faults import drop_store
-from repro.storage.pager import wal_path
-from repro.storage.wal import WriteAheadLog, split_version_label
+from repro.storage.pager import Pager, wal_path
+from repro.storage.wal import (WriteAheadLog, read_sidecar, sidecar_path,
+                               split_label, stamp_label, write_sidecar)
 from tests.conftest import document_frequencies
 
 BACKENDS = ("diskhash",)
@@ -60,62 +59,62 @@ QUERIES = ("{USA}", "{A}", "{UK, {A}}", "{USA, {novel}}", "{de}")
 
 
 # ---------------------------------------------------------------------------
-# ReplicationLog unit tests
+# Log sequencing unit tests
 # ---------------------------------------------------------------------------
 
 
 class TestReplicationLog:
-    def _log(self, tmp_path, **kwargs) -> ReplicationLog:
-        return ReplicationLog(str(tmp_path / "log"), create=True, **kwargs)
+    def _log(self, tmp_path, **kwargs) -> WriteAheadLog:
+        return WriteAheadLog(str(tmp_path / "log"), create=True, **kwargs)
 
     def test_commit_stamps_sequence_and_term(self, tmp_path) -> None:
         log = self._log(tmp_path)
-        log.commit(b"alpha", [b"r1"])
-        log.commit(b"beta", [b"r2", b"r3"])
+        log.commit(b"alpha", [b"r1"], version=7)
+        log.commit(b"beta", [b"r2", b"r3"], version=8)
         assert (log.base_seq, log.next_seq, log.last_seq) == (1, 3, 2)
         seen = []
         for _pos, label, records, _next in log.iter_groups():
-            version, seq, term = split_shipped_label(label)
+            version, seq, term, _label = split_label(label)
             seen.append((version, seq, term, records))
-        assert seen == [(None, 1, 0, [b"r1"]), (None, 2, 0, [b"r2", b"r3"])]
+        assert seen == [(7, 1, 0, [b"r1"]), (8, 2, 0, [b"r2", b"r3"])]
         log.close()
 
     def test_sequence_continues_across_checkpoint_and_reopen(
             self, tmp_path) -> None:
         path = str(tmp_path / "log")
-        log = ReplicationLog(path, create=True)
+        log = WriteAheadLog(path, create=True)
         for i in range(3):
-            log.commit(b"g%d" % i, [b"x"])
+            log.commit(b"g%d" % i, [b"x"], version=i + 1)
         log.checkpoint()
         assert log.pending_groups == 0
         assert (log.base_seq, log.next_seq) == (4, 4)
-        log.commit(b"after", [b"y"])
+        log.commit(b"after", [b"y"], version=4)
         assert log.last_seq == 4
         log.close()
 
-        log = ReplicationLog(path)
+        log = WriteAheadLog(path)
         # Reopen: the stamped group on disk carries seq 4 forward.
         assert (log.base_seq, log.last_seq, log.next_seq) == (4, 4, 5)
         log.close()
 
     def test_stamps_dominate_sidecar_floor(self, tmp_path) -> None:
         path = str(tmp_path / "log")
-        log = ReplicationLog(path, create=True)
+        log = WriteAheadLog(path, create=True)
         for i in range(3):
-            log.commit(b"g%d" % i, [b"x"])
+            log.commit(b"g%d" % i, [b"x"], version=i + 1)
         log.close()
         # Simulate the crash window where the sidecar was written ahead
         # of a truncate that never happened: floor says 100, but groups
         # 1..3 are still on disk and their stamps are authoritative.
         write_sidecar(sidecar_path(path), 100, 0)
-        log = ReplicationLog(path)
+        log = WriteAheadLog(path)
         assert (log.base_seq, log.next_seq) == (1, 4)
         log.close()
 
     def test_checkpoint_gated_on_follower_acks(self, tmp_path) -> None:
         log = self._log(tmp_path)
         for i in range(4):
-            log.commit(b"g%d" % i, [b"x" * 32])
+            log.commit(b"g%d" % i, [b"x" * 32], version=i + 1)
         log.register_follower("r1", 1)
         log.checkpoint()
         assert log.pending_groups == 4, "truncated under a laggard"
@@ -129,7 +128,7 @@ class TestReplicationLog:
     def test_retention_window_overrides_laggard(self, tmp_path) -> None:
         log = self._log(tmp_path, retain_bytes=64)
         for i in range(4):
-            log.commit(b"g%d" % i, [b"x" * 64])
+            log.commit(b"g%d" % i, [b"x" * 64], version=i + 1)
         log.register_follower("slow", 0)
         assert log.size > log.retain_bytes
         log.checkpoint()
@@ -152,13 +151,13 @@ class TestReplicationLog:
     def test_read_raw_groups_roundtrip(self, tmp_path) -> None:
         log = self._log(tmp_path)
         for i in range(5):
-            log.commit(b"lbl%d" % i, [b"rec%d" % i])
+            log.commit(b"lbl%d" % i, [b"rec%d" % i], version=i + 1)
         first, count, data = log.read_raw_groups(2, max_groups=2)
         assert (first, count) == (2, 2)
         pos, labels = 0, []
         for _ in range(count):
             label, records, pos = WriteAheadLog._parse_group(data, pos)
-            seq = split_shipped_label(label)[1]
+            seq = split_label(label)[1]
             labels.append((seq, records))
         assert pos == len(data)
         assert labels == [(2, [b"rec1"]), (3, [b"rec2"])]
@@ -171,25 +170,25 @@ class TestReplicationLog:
 
     def test_term_persists_and_adopts_forward_only(self, tmp_path) -> None:
         path = str(tmp_path / "log")
-        log = ReplicationLog(path, create=True)
+        log = WriteAheadLog(path, create=True)
         assert log.bump_term() == 1
         log.adopt_term(5)
         assert log.term == 5
         log.adopt_term(3)            # never backwards
         assert log.term == 5
-        log.commit(b"fenced", [b"x"])
+        log.commit(b"fenced", [b"x"], version=1)
         log.close()
-        log = ReplicationLog(path)
+        log = WriteAheadLog(path)
         assert log.term == 5
-        assert split_shipped_label(next(log.iter_groups())[1])[2] == 5
+        assert split_label(next(log.iter_groups())[1])[2] == 5
         log.close()
 
     def test_on_commit_hook_reports_last_seq(self, tmp_path) -> None:
         log = self._log(tmp_path)
         seen: list[int] = []
         log.on_commit = seen.append
-        log.commit(b"a", [b"x"])
-        log.commit(b"b", [b"y"])
+        log.commit(b"a", [b"x"], version=1)
+        log.commit(b"b", [b"y"], version=2)
         assert seen == [1, 2]
         log.close()
 
@@ -201,29 +200,74 @@ class TestWalStreaming:
         path = str(tmp_path / "log")
         wal = WriteAheadLog(path, create=True)
         for i in range(3):
-            wal.commit(b"g%d" % i, [b"rec%d" % i])
+            wal.commit(b"g%d" % i, [b"rec%d" % i], version=i + 1)
         full = list(wal.iter_groups())
-        assert [label for _p, label, _r, _n in full] == [b"g0", b"g1", b"g2"]
+        assert [split_label(label)[3] for _p, label, _r, _n in full] \
+            == [b"g0", b"g1", b"g2"]
         resume_at = full[0][3]       # next_offset of the first group
         tail = list(wal.iter_groups(resume_at))
-        assert [label for _p, label, _r, _n in tail] == [b"g1", b"g2"]
+        assert [split_label(label)[3] for _p, label, _r, _n in tail] \
+            == [b"g1", b"g2"]
         assert tail == full[1:]
         wal.close()
 
     def test_iter_groups_stops_at_torn_tail(self, tmp_path) -> None:
         path = str(tmp_path / "log")
         wal = WriteAheadLog(path, create=True)
-        wal.commit(b"whole", [b"x"])
-        wal.commit(b"torn", [b"y"])
+        wal.commit(b"whole", [b"x"], version=1)
+        wal.commit(b"torn", [b"y"], version=2)
         wal.close()
         with open(path, "rb") as handle:
             raw = handle.read()
         with open(path, "wb") as handle:
             handle.write(raw[:-4])
         wal = WriteAheadLog(path)
-        assert [label for _p, label, _r, _n in wal.iter_groups()] \
-            == [b"whole"]
+        assert [split_label(label)[3]
+                for _p, label, _r, _n in wal.iter_groups()] == [b"whole"]
         wal.close()
+
+
+class TestEarlierLogs:
+    """Logs and labels written before every store logged one sequence."""
+
+    def test_split_label_reads_both_earlier_layouts(self) -> None:
+        version = b"@" + struct.pack("<Q", 9)
+        seq_term = b"R" + struct.pack("<QQ", 4, 2)
+        # A plain store's log stamped the version alone; a served one
+        # put the seq and term behind it, the layout stamp_label writes.
+        assert split_label(version + b"insert") == (9, None, None, b"insert")
+        assert split_label(version + seq_term + b"insert") \
+            == (9, 4, 2, b"insert")
+        assert stamp_label(9, 4, 2, b"insert") == version + seq_term \
+            + b"insert"
+        assert split_label(b"insert") == (None, None, None, b"insert")
+
+    def test_version_only_groups_recover_and_number_from_the_sidecar(
+            self, tmp_path) -> None:
+        path = str(tmp_path / "f.pg")
+        pager = Pager(path, page_size=256, create=True)
+        page = pager.allocate()
+        pager.write(page, b"base")
+        pager.close()
+        log = WriteAheadLog(wal_path(path))
+        for version, text in ((1, b"one"), (2, b"two")):
+            log.append_stamped(
+                b"@" + struct.pack("<Q", version) + b"txn",
+                [struct.pack("<Q", page) + text.ljust(256, b"\0")])
+        log.close()
+        write_sidecar(sidecar_path(wal_path(path)), 40, 3)
+
+        pager = Pager(path)
+        assert (pager.recovered_groups, pager.version) == (2, 2)
+        assert pager.read(page).startswith(b"two")
+        # The two replayed groups took seqs 40 and 41.
+        assert read_sidecar(sidecar_path(wal_path(path))) == (42, 3)
+        pager.begin(b"txn")
+        pager.write(page, b"three")
+        pager.commit()
+        (_pos, label, _records, _next), = pager.wal.iter_groups()
+        assert split_label(label) == (3, 42, 3, b"txn")
+        pager.close()
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +353,7 @@ def test_promotion_crash_sweep(tmp_path, storage, shards) -> None:
     replica_path = str(tmp_path / "replica.db")
     NestedSetIndex.build(list(RECORDS), storage=storage, path=primary_path,
                          shards=shards).close()
-    primary = NestedSetIndex.open(storage, primary_path,
-                                  wal_factory=ReplicationLog)
+    primary = NestedSetIndex.open(storage, primary_path)
     try:
         source = ReplicationSource(primary)
         call = _local_call(source)
@@ -334,8 +377,7 @@ def test_promotion_crash_sweep(tmp_path, storage, shards) -> None:
         # side durability events and prove basic parity.
         plan = FaultPlan()
         with inject(plan):
-            replica = NestedSetIndex.open(storage, replica_path,
-                                          wal_factory=ReplicationLog)
+            replica = NestedSetIndex.open(storage, replica_path)
             plan.arm()
             tailer = _replay_and_promote(replica, call)
             plan.disarm()
@@ -350,8 +392,7 @@ def test_promotion_crash_sweep(tmp_path, storage, shards) -> None:
             _restore_replica(replica_path, pre_store, pre_sidecar)
             crash_plan = FaultPlan(crash_at=point, tear_bytes=3)
             with inject(crash_plan):
-                replica = NestedSetIndex.open(storage, replica_path,
-                                              wal_factory=ReplicationLog)
+                replica = NestedSetIndex.open(storage, replica_path)
                 crash_plan.arm()
                 try:
                     _replay_and_promote(replica, call)
@@ -367,8 +408,7 @@ def test_promotion_crash_sweep(tmp_path, storage, shards) -> None:
             crashes += 1
             # Reopen (recovery), resume tailing from the durable
             # horizon, promote -- nothing committed may be lost.
-            replica = NestedSetIndex.open(storage, replica_path,
-                                          wal_factory=ReplicationLog)
+            replica = NestedSetIndex.open(storage, replica_path)
             tailer = _replay_and_promote(replica, call)
             log = replica.base_store.pager.wal
             assert tailer.applied_seq == primary_last, \
@@ -384,14 +424,39 @@ def test_promotion_crash_sweep(tmp_path, storage, shards) -> None:
 
 
 @pytest.mark.parametrize("storage", BACKENDS)
+@pytest.mark.parametrize("shards", [1, 4])
+def test_any_reopened_index_is_a_replication_source(tmp_path, storage,
+                                                    shards) -> None:
+    """An index opened with no option ships: bootstrap a replica, tail
+    one insert, promote."""
+    primary_path = str(tmp_path / "primary.db")
+    replica_path = str(tmp_path / "replica.db")
+    NestedSetIndex.build(list(RECORDS), storage=storage, path=primary_path,
+                         shards=shards).close()
+    primary = NestedSetIndex.open(storage, primary_path)
+    try:
+        call = _local_call(ReplicationSource(primary))
+        bootstrap_from_primary(call, replica_path, "r1")
+        replica = NestedSetIndex.open(storage, replica_path)
+        primary.insert("new", "{USA, {novel}}")
+        tailer = _replay_and_promote(replica, call)
+        assert tailer.applied_seq == primary.base_store.pager.wal.last_seq
+        assert replica.base_store.pager.wal.term == 1
+        assert sorted(replica.query("{USA, {novel}}")) == ["new"]
+        assert _answers(replica) == _answers(primary)
+        replica.close()
+    finally:
+        primary.close()
+
+
+@pytest.mark.parametrize("storage", BACKENDS)
 def test_promoted_replica_continues_sequence(tmp_path, storage) -> None:
     """After promotion the replica's log extends the primary's numbering."""
     primary_path = str(tmp_path / "primary.db")
     replica_path = str(tmp_path / "replica.db")
     NestedSetIndex.build(list(RECORDS), storage=storage,
                          path=primary_path).close()
-    primary = NestedSetIndex.open(storage, primary_path,
-                                  wal_factory=ReplicationLog)
+    primary = NestedSetIndex.open(storage, primary_path)
     try:
         source = ReplicationSource(primary)
         call = _local_call(source)
@@ -402,8 +467,7 @@ def test_promoted_replica_continues_sequence(tmp_path, storage) -> None:
             else:
                 primary.delete(key)
         primary_last = primary.base_store.pager.wal.last_seq
-        replica = NestedSetIndex.open(storage, replica_path,
-                                      wal_factory=ReplicationLog)
+        replica = NestedSetIndex.open(storage, replica_path)
         tailer = _replay_and_promote(replica, call)
         assert tailer.applied_seq == primary_last
         replica.insert("post-promote", "{USA, {fresh}}")
@@ -415,7 +479,7 @@ def test_promoted_replica_continues_sequence(tmp_path, storage) -> None:
         _first, count, data = log.read_raw_groups(primary_last + 1)
         assert count == 1
         label, _records, _pos = WriteAheadLog._parse_group(data, 0)
-        assert split_shipped_label(label)[1:] == (primary_last + 1, 1)
+        assert split_label(label)[1:3] == (primary_last + 1, 1)
         assert sorted(replica.query("{USA, {fresh}}")) == ["post-promote"]
         replica.close()
     finally:
@@ -432,13 +496,11 @@ def test_group_without_a_version_stamp_is_refused(tmp_path, storage) -> None:
     replica_path = str(tmp_path / "replica.db")
     NestedSetIndex.build(list(RECORDS), storage=storage,
                          path=primary_path).close()
-    primary = NestedSetIndex.open(storage, primary_path,
-                                  wal_factory=ReplicationLog)
+    primary = NestedSetIndex.open(storage, primary_path)
     try:
         call = _local_call(ReplicationSource(primary))
         bootstrap_from_primary(call, replica_path, "r1")
-        replica = NestedSetIndex.open(storage, replica_path,
-                                      wal_factory=ReplicationLog)
+        replica = NestedSetIndex.open(storage, replica_path)
         tailer = ReplicaTailer(replica, call, replica_id="crash-sweep",
                                primary_address="in-process")
         primary.insert("new", "{USA, {novel}}")
@@ -446,7 +508,7 @@ def test_group_without_a_version_stamp_is_refused(tmp_path, storage) -> None:
         _first, count, data = log.read_raw_groups(log.last_seq)
         assert count == 1
         label, records, _pos = WriteAheadLog._parse_group(data, 0)
-        _version, unversioned = split_version_label(label)
+        unversioned = label[9:]          # strip "@" and the u64 version
         applied = tailer.applied_seq
         version = replica.base_store.current_version()
         with pytest.raises(CorruptionError, match="version stamp"):
@@ -470,13 +532,11 @@ def test_snapshot_mid_replay_keeps_the_shipped_header(tmp_path,
     replica_path = str(tmp_path / "replica.db")
     NestedSetIndex.build(list(RECORDS), storage=storage,
                          path=primary_path).close()
-    primary = NestedSetIndex.open(storage, primary_path,
-                                  wal_factory=ReplicationLog)
+    primary = NestedSetIndex.open(storage, primary_path)
     try:
         call = _local_call(ReplicationSource(primary))
         bootstrap_from_primary(call, replica_path, "r1")
-        replica = NestedSetIndex.open(storage, replica_path,
-                                      wal_factory=ReplicationLog)
+        replica = NestedSetIndex.open(storage, replica_path)
         tailer = ReplicaTailer(replica, call, replica_id="crash-sweep",
                                primary_address="in-process")
         _tail_to_end(tailer, call)
@@ -514,8 +574,7 @@ def test_replica_frequencies_follow_the_delta_log(tmp_path, storage) -> None:
     replica_path = str(tmp_path / "replica.db")
     NestedSetIndex.build(list(RECORDS), storage=storage,
                          path=primary_path).close()
-    primary = NestedSetIndex.open(storage, primary_path,
-                                  wal_factory=ReplicationLog)
+    primary = NestedSetIndex.open(storage, primary_path)
 
     def tables(index) -> bytes:
         ifile = index.inverted_file
@@ -525,8 +584,7 @@ def test_replica_frequencies_follow_the_delta_log(tmp_path, storage) -> None:
     try:
         call = _local_call(ReplicationSource(primary))
         bootstrap_from_primary(call, replica_path, "r1")
-        replica = NestedSetIndex.open(storage, replica_path,
-                                      wal_factory=ReplicationLog)
+        replica = NestedSetIndex.open(storage, replica_path)
         tailer = ReplicaTailer(replica, call, replica_id="crash-sweep",
                                primary_address="in-process")
         live = dict(RECORDS)

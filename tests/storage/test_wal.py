@@ -10,7 +10,7 @@ import pytest
 from repro.storage import DiskHashTable, wal_path
 from repro.storage.errors import StorageError
 from repro.storage.pager import Pager
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import WriteAheadLog, split_label
 
 
 def _read(path: str) -> bytes:
@@ -22,15 +22,15 @@ class TestWriteAheadLog:
     def test_commit_and_recover_roundtrip(self, tmp_path) -> None:
         path = str(tmp_path / "log")
         wal = WriteAheadLog(path, create=True)
-        wal.commit(b"first", [b"rec-a", b"rec-b"])
-        wal.commit(b"second", [b"rec-c"])
+        wal.commit(b"first", [b"rec-a", b"rec-b"], version=1)
+        wal.commit(b"second", [b"rec-c"], version=2)
         assert wal.pending_groups == 2
         wal.close()
 
         replayed: list[tuple[bytes, list[bytes]]] = []
         wal = WriteAheadLog(path)
         counts = wal.recover(lambda label, recs: replayed.append(
-            (label, recs)))
+            (split_label(label)[3], recs)))
         assert counts == (2, 0)
         assert replayed == [(b"first", [b"rec-a", b"rec-b"]),
                             (b"second", [b"rec-c"])]
@@ -42,8 +42,8 @@ class TestWriteAheadLog:
     def test_torn_tail_discarded(self, tmp_path) -> None:
         path = str(tmp_path / "log")
         wal = WriteAheadLog(path, create=True)
-        wal.commit(b"ok", [b"payload"])
-        wal.commit(b"torn", [b"payload-2"])
+        wal.commit(b"ok", [b"payload"], version=1)
+        wal.commit(b"torn", [b"payload-2"], version=2)
         wal.close()
         # Tear the second group: keep the first intact.
         raw = _read(path)
@@ -52,7 +52,8 @@ class TestWriteAheadLog:
 
         replayed = []
         wal = WriteAheadLog(path)
-        counts = wal.recover(lambda label, recs: replayed.append(label))
+        counts = wal.recover(
+            lambda label, recs: replayed.append(split_label(label)[3]))
         assert counts == (1, 1)
         assert replayed == [b"ok"]
         wal.close()
@@ -60,9 +61,9 @@ class TestWriteAheadLog:
     def test_corrupt_crc_discards_group_and_successors(self, tmp_path) -> None:
         path = str(tmp_path / "log")
         wal = WriteAheadLog(path, create=True)
-        wal.commit(b"a", [b"x" * 32])
+        wal.commit(b"a", [b"x" * 32], version=1)
         first_end = wal.size
-        wal.commit(b"b", [b"y" * 32])
+        wal.commit(b"b", [b"y" * 32], version=2)
         wal.close()
         raw = bytearray(_read(path))
         raw[first_end - 3] ^= 0xFF  # flip a byte inside group 1's body
@@ -81,7 +82,7 @@ class TestWriteAheadLog:
     def test_create_removes_stale_log(self, tmp_path) -> None:
         path = str(tmp_path / "log")
         wal = WriteAheadLog(path, create=True)
-        wal.commit(b"stale", [b"old"])
+        wal.commit(b"stale", [b"old"], version=1)
         wal.close()
         wal = WriteAheadLog(path, create=True)
         assert wal.recover(lambda *a: pytest.fail("nothing to replay")) \
@@ -94,13 +95,13 @@ class TestWriteAheadLog:
             handle.write(b"NC")  # torn 2 of 6 header bytes
         wal = WriteAheadLog(path)
         assert wal.recover(lambda *a: None) == (0, 0)
-        wal.commit(b"after", [b"fine"])
+        wal.commit(b"after", [b"fine"], version=1)
         wal.close()
 
     def test_describe_counters(self, tmp_path) -> None:
         path = str(tmp_path / "log")
         wal = WriteAheadLog(path, create=True)
-        wal.commit(b"m", [b"r1", b"r2"])
+        wal.commit(b"m", [b"r1", b"r2"], version=1)
         info = wal.describe()
         assert info["commits"] == 1
         assert info["records_logged"] == 2
@@ -304,7 +305,7 @@ def test_recovery_idempotent_property(tmp_path_factory, groups,
     for group_no, group in enumerate(groups):
         records = [struct.pack("<Q", page_id) + payload
                    for page_id, payload in group]
-        wal.commit(b"g%d" % group_no, records)
+        wal.commit(b"g%d" % group_no, records, version=group_no + 1)
     wal.close()
     if torn_bytes:
         raw = _read(log_path)
