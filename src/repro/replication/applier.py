@@ -94,9 +94,8 @@ class ReplicaTailer:
                  max_groups: int = 256) -> None:
         store = index.base_store
         pager = getattr(store, "pager", None)
-        if pager is None or pager.wal is None:
-            raise ValueError("a replica needs a disk-backed store "
-                             "with a write-ahead log")
+        if pager is None:
+            raise ValueError("a replica needs a disk-backed store")
         self._index = index
         self._store = store
         self._pager = pager

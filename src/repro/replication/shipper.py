@@ -1,9 +1,9 @@
 """Primary-side log shipping: bootstrap snapshots and group tailing.
 
 :class:`ReplicationSource` backs the server's ``repl_*`` operations on
-whatever index the server is serving.  Any disk store with a
-write-ahead log qualifies: every log numbers its commit groups durably
-and tracks followers, which is all shipping needs.
+whatever index the server is serving.  Any disk store qualifies: every
+one has a write-ahead log, which numbers its commit groups durably and
+tracks followers -- all shipping needs.
 
 Bootstrap protocol (replica side drives it):
 
@@ -63,12 +63,10 @@ class ReplicationSource:
 
     def __init__(self, index) -> None:
         pager = getattr(index.base_store, "pager", None)
-        log = pager.wal if pager is not None else None
-        if log is None:
-            raise ValueError("replication needs a disk-backed store "
-                             "with a write-ahead log")
+        if pager is None:
+            raise ValueError("replication needs a disk-backed store")
         self._pager = pager
-        self._log = log
+        self._log = log = pager.wal
         self._lock = threading.Lock()
         self._sessions: dict[str, _Session] = {}
         self.last_commit_at = time.time()
@@ -170,9 +168,6 @@ class ReplicationSource:
             "term": self._log.term,
             "last_commit_at": self.last_commit_at,
         }
-
-    def forget(self, replica_id: str) -> None:
-        self._log.forget_follower(replica_id)
 
     # -- introspection ------------------------------------------------------
 

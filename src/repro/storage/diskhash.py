@@ -295,13 +295,13 @@ class DiskHashTable(_ChainReads, KVStore):
     def __init__(self, path: str, *, create: bool = False,
                  n_buckets: int = DEFAULT_BUCKETS,
                  page_size: int = DEFAULT_PAGE_SIZE,
-                 wal: bool = True, use_mmap: bool = True) -> None:
+                 use_mmap: bool = True) -> None:
         super().__init__()
         #: An unjournaled write left the header's count behind.
         self._meta_stale = False
         if create:
             self._pager = Pager(path, page_size=page_size, create=True,
-                                wal=wal, use_mmap=use_mmap)
+                                use_mmap=use_mmap)
             self._n_buckets = n_buckets
             per_page = self._pager.page_size // 8
             self._n_dir_pages = (n_buckets + per_page - 1) // per_page
@@ -312,7 +312,7 @@ class DiskHashTable(_ChainReads, KVStore):
             self._flush_directory()
             self._write_meta()
         else:
-            self._pager = Pager(path, wal=wal, use_mmap=use_mmap)
+            self._pager = Pager(path, use_mmap=use_mmap)
             try:
                 self._absorb_meta(self._pager.meta)
             except CorruptionError:
@@ -572,7 +572,7 @@ class DiskHashTable(_ChainReads, KVStore):
         self._count = _unpack_meta(self._pager.meta)[3]
         self._directory = self._load_directory()
 
-    def wal_info(self) -> dict[str, object] | None:
+    def wal_info(self) -> dict[str, object]:
         return self._pager.wal_info()
 
     @property

@@ -187,9 +187,7 @@ class FaultyPager:
         self.pager = pager
         self.plan = plan
         pager._file = FaultyFile(pager._file, plan, role="pager")
-        wal = getattr(pager, "_wal", None)
-        if wal is not None:
-            wal._file = FaultyFile(wal._file, plan, role="wal")
+        pager.wal._file = FaultyFile(pager.wal._file, plan, role="wal")
 
     def __getattr__(self, name: str):
         return getattr(self.pager, name)
@@ -206,10 +204,7 @@ def drop_store(store: KVStore) -> None:
     base = getattr(store, "base", store)
     pager = getattr(base, "_pager", None)
     if pager is not None:
-        wal = getattr(pager, "_wal", None)
-        for handle in (pager._file, wal._file if wal is not None else None):
-            if handle is None:
-                continue
+        for handle in (pager._file, pager.wal._file):
             try:
                 handle.close()
             except (OSError, ValueError, CrashError):

@@ -148,7 +148,8 @@ class KVStore(ABC):
             raise
 
     def wal_info(self) -> dict[str, object] | None:
-        """Write-ahead-log state, or ``None`` for non-journaled stores."""
+        """Write-ahead-log state, or ``None`` for a store without one
+        (the memory store)."""
         return None
 
     @property

@@ -15,17 +15,19 @@ File layout::
 Free pages store the id of the next free page in their first 8 bytes.
 Overflow pages store ``[next u64][chunk...]``.
 
-Durability: when opened with ``wal=True`` (the default) a
-:class:`~repro.storage.wal.WriteAheadLog` lives beside the store file at
-``<path>-wal`` and the pager exposes page-level transactions
-(:meth:`begin` / :meth:`commit` / :meth:`abort`).  Inside a transaction
-every page write is buffered in memory; :meth:`commit` logs the
-post-image of each dirty page -- and of the header, as page 0, when the
-transaction moved it -- as one fsynced WAL group *before* any of them
-reaches the main file.  :meth:`__init__` replays committed groups left
-by a crash and discards a torn tail, so the store is always observed
-either wholly pre- or wholly post-mutation.  Writes outside a
-transaction bypass the log (bulk builds keep their unjournaled speed).
+Durability: a :class:`~repro.storage.wal.WriteAheadLog` lives beside
+the store file at ``<path>-wal`` and the pager exposes page-level
+transactions (:meth:`begin` / :meth:`commit` / :meth:`abort`).  Inside a
+transaction every page write is buffered in memory; :meth:`commit` logs
+the post-image of each dirty page -- and of the header, as page 0, when
+the transaction moved it -- as one fsynced WAL group *before* any of
+them reaches the main file.  A logged group reaches the main file one
+way, :meth:`_land`, whether it was just committed, replayed by
+:meth:`__init__` after a crash (which also discards a torn tail) or
+shipped from a primary (:meth:`apply_replicated_group`), so the store is
+always observed either wholly pre- or wholly post-mutation.  Writes
+outside a transaction bypass the log (bulk builds keep their
+unjournaled speed).
 
 Snapshots (MVCC): every committed transaction advances a monotonically
 increasing *version*.  A reader calls :meth:`pin` (usually via
@@ -33,7 +35,7 @@ increasing *version*.  A reader calls :meth:`pin` (usually via
 :meth:`read_at`, which serves the page contents as of that version no
 matter how many commits have landed since.  The mechanism is
 copy-on-write at commit: while any version is pinned, the commit's
-apply phase first captures the *pre-image* of every page it is about to
+landing first captures the *pre-image* of every page it is about to
 overwrite into an in-memory history keyed ``page_id -> [(as_of_version,
 bytes), ...]``.  ``read_at(page, v)`` returns the first history entry
 whose ``as_of`` is ``>= v`` and falls through to the live file
@@ -42,7 +44,7 @@ Unpinning garbage-collects history entries older than the oldest
 remaining pin; with no pins the history is empty and commits copy
 nothing.  Readers therefore never wait on a writer's WAL fsync: the
 commit point (the log append + fsync) runs outside the page I/O lock,
-which protects only the microsecond-scale in-memory apply phase.
+which protects only the microsecond-scale landing.
 
 Zero-copy reads (mmap): the committed prefix of the file is mapped
 read-only (``use_mmap=True``, the default) and clean-page reads --
@@ -86,6 +88,8 @@ VERSION = 1
 DEFAULT_PAGE_SIZE = 4096
 _HEADER_FMT = "<4sHIQQH"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+#: The page id ahead of each page image in a logged record.
+_PAGE_ID = struct.Struct("<Q")
 #: Maximum client metadata stored in the header page.
 MAX_META = 1024
 #: Dirty-map key for the header page inside a transaction.
@@ -116,6 +120,31 @@ def parse_header(raw: bytes) -> tuple[int, int, int, bytes]:
         raise CorruptionError(f"unsupported store version {version}")
     return page_size, n_pages, free_head, \
         raw[_HEADER_SIZE:_HEADER_SIZE + meta_len]
+
+
+def _read_chain(read, page_size: int, head_page: int, length: int) -> bytes:
+    """``length`` bytes of the overflow chain at ``head_page``, each page
+    fetched by ``read``."""
+    out = bytearray()
+    page_id = head_page
+    while len(out) < length:
+        if page_id == 0:
+            raise CorruptionError("overflow chain ended early")
+        raw = read(page_id)
+        page_id = _PAGE_ID.unpack_from(raw, 0)[0]
+        out += raw[8:8 + min(page_size - 8, length - len(out))]
+    return bytes(out)
+
+
+def _pages_of(records: list[bytes]) -> list[tuple[int, bytes]]:
+    """``(page_id, page)`` pairs of a logged group's records."""
+    pages = []
+    for record in records:
+        if len(record) <= _PAGE_ID.size:
+            raise CorruptionError("undersized page record in a logged group")
+        pages.append((_PAGE_ID.unpack_from(record, 0)[0],
+                      record[_PAGE_ID.size:]))
+    return pages
 
 
 class PageReader:
@@ -149,16 +178,8 @@ class PageReader:
 
     def read_overflow(self, head_page: int, length: int) -> bytes:
         """Versioned equivalent of :meth:`Pager.read_overflow`."""
-        out = bytearray()
-        page_id = head_page
-        page_size = self._pager.page_size
-        while len(out) < length:
-            if page_id == 0:
-                raise CorruptionError("overflow chain ended early")
-            raw = self.read(page_id)
-            page_id = struct.unpack_from("<Q", raw, 0)[0]
-            out += raw[8:8 + min(page_size - 8, length - len(out))]
-        return bytes(out)
+        return _read_chain(self.read, self._pager.page_size, head_page,
+                           length)
 
     def close(self) -> None:
         if not self._released:
@@ -176,8 +197,7 @@ class Pager:
     """Fixed-size page manager over one file descriptor."""
 
     def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE,
-                 create: bool = False, *, wal: bool = True,
-                 use_mmap: bool = True) -> None:
+                 create: bool = False, *, use_mmap: bool = True) -> None:
         self.path = path
         # One file handle serves every page access; the reentrant lock
         # makes each seek+read / seek+write pair atomic so concurrent
@@ -191,11 +211,12 @@ class Pager:
         self._version = 0
         self._pins: dict[int, int] = {}
         self._history: dict[int, list[tuple[int, bytes]]] = {}
-        self._wal: WriteAheadLog | None = None
         self._txn_depth = 0
         self._txn_label = b""
         self._dirty: dict[int, bytes] = {}
         self._txn_snapshot: tuple[int, int, bytes] | None = None
+        #: ``(n_pages, free_head, meta)`` as the file's header holds them.
+        self._header_on_file: tuple[int, int, bytes] | None = None
         self.recovered_groups = 0
         self.discarded_groups = 0
         self._mmap_enabled = use_mmap
@@ -206,8 +227,7 @@ class Pager:
         if create:
             self._file = wrap_file(open(path, "w+b", buffering=0),
                                    role="pager")
-            if wal:
-                self._wal = WriteAheadLog(wal_path(path), create=True)
+            self._wal = WriteAheadLog(wal_path(path), create=True)
             self.page_size = page_size
             self.n_pages = 1
             self._free_head = 0
@@ -218,9 +238,8 @@ class Pager:
                 raise StorageError(f"no such store file: {path}")
             self._file = wrap_file(open(path, "r+b", buffering=0),
                                    role="pager")
-            if wal:
-                self._wal = WriteAheadLog(wal_path(path))
-                self._recover()
+            self._wal = WriteAheadLog(wal_path(path))
+            self._recover()
             self._read_header()
         self._remap()
         self.page_reads = 0
@@ -238,10 +257,11 @@ class Pager:
         return header.ljust(self.page_size, b"\x00")
 
     def _write_header(self) -> None:
-        """Write the header page; inside a transaction the commit adds it
-        to the group instead, once, if the header moved."""
+        """Write the header page if it moved; inside a transaction the
+        commit adds it to the group instead, once, if it moved."""
         with self._io_lock:
-            if self._txn_depth:
+            state = (self.n_pages, self._free_head, self._meta)
+            if self._txn_depth or state == self._header_on_file:
                 return
             data = self._header_bytes()
             with self._version_lock:
@@ -249,6 +269,7 @@ class Pager:
                     self._capture_preimage(_HEADER_PAGE)
             self._file.seek(0)
             self._file.write(data)
+            self._header_on_file = state
 
     def _read_header(self) -> None:
         self._file.seek(0)
@@ -265,6 +286,7 @@ class Pager:
         self.n_pages = n_pages
         self._free_head = free_head
         self._meta = self._file.read(meta_len)
+        self._header_on_file = (n_pages, free_head, self._meta)
 
     @property
     def meta(self) -> bytes:
@@ -327,11 +349,6 @@ class Pager:
         reader sees either the old or the new version -- both valid.
         """
         return self._version
-
-    def oldest_pinned(self) -> int | None:
-        """The oldest version any reader still pins, or ``None``."""
-        with self._version_lock:
-            return min(self._pins) if self._pins else None
 
     def reader(self) -> PageReader:
         """Pin the current version and return a read-only page view."""
@@ -420,11 +437,8 @@ class Pager:
                     data = self._history_lookup(page_id, version)
                 if data is None:
                     self._maybe_remap_for(page_id)
-                    self._file.seek(page_id * self.page_size)
-                    data = self._file.read(self.page_size)
+                    data = self._read_file_page(page_id)
         self.page_reads += 1
-        if len(data) < self.page_size:
-            data = data.ljust(self.page_size, b"\x00")
         return data
 
     def _maybe_remap_for(self, page_id: int) -> None:
@@ -460,11 +474,7 @@ class Pager:
         entries = self._history.setdefault(page_id, [])
         if entries and entries[-1][0] >= self._version:
             return
-        self._file.seek(page_id * self.page_size)
-        data = self._file.read(self.page_size)
-        if len(data) < self.page_size:
-            data = data.ljust(self.page_size, b"\x00")
-        entries.append((self._version, data))
+        entries.append((self._version, self._read_file_page(page_id)))
 
     def _gc_history(self) -> None:
         """Drop history entries no pinned reader can observe (lock held)."""
@@ -502,12 +512,7 @@ class Pager:
         return self._txn_depth
 
     def begin(self, label: bytes = b"") -> None:
-        """Open (or nest into) a page transaction.
-
-        Without a WAL this is a no-op: writes stay direct and unjournaled.
-        """
-        if self._wal is None:
-            return
+        """Open (or nest into) a page transaction."""
         with self._io_lock:
             if self._txn_depth == 0:
                 self._txn_label = bytes(label)
@@ -520,22 +525,16 @@ class Pager:
         """Close one nesting level; the outermost commit is the real one.
 
         The group of dirty post-image pages is appended to the WAL with a
-        single write + fsync (the commit point), *then* applied to the
-        main file.  Transaction state is cleared before the apply phase:
-        a crash mid-apply must be redone from the log on reopen, never
-        rolled back.
+        single write + fsync (the commit point), *then* landed on the
+        main file (:meth:`_land`).  Transaction state is cleared before
+        the landing: a crash mid-landing must be redone from the log on
+        reopen, never rolled back.
 
         The WAL append runs outside the page I/O lock so pinned readers
-        are never stalled behind the commit fsync.  The apply phase takes
-        the I/O lock, captures pre-images of the dirty pages for pinned
-        readers (copy-on-write), overwrites the pages, and only then
-        advances the version -- a reader that pins mid-apply gets the old
-        version and is fully served by history plus unmodified pages.
-        Concurrent committers must be serialized by the caller (the
-        engine's writer mutex does this).
+        are never stalled behind the commit fsync.  Concurrent
+        committers must be serialized by the caller (the engine's writer
+        mutex does this).
         """
-        if self._wal is None:
-            return
         with self._io_lock:
             if self._txn_depth == 0:
                 raise StorageError("commit outside a transaction")
@@ -553,27 +552,17 @@ class Pager:
             return
         with self._commit_lock:
             with self._version_lock:
-                commit_version = self._version + 1
-            records = [struct.pack("<Q", page_id) + data
-                       for page_id, data in sorted(dirty.items())]
-            self._wal.commit(label, records, version=commit_version)
-            with self._io_lock:
-                with self._version_lock:
-                    if self._pins:
-                        for page_id in dirty:
-                            self._capture_preimage(page_id)
-                for page_id, data in sorted(dirty.items()):
-                    self._file.seek(page_id * self.page_size)
-                    self._file.write(data)
-                with self._version_lock:
-                    self._version = commit_version
-                self._remap()
-            if self._wal.size > DEFAULT_CHECKPOINT_BYTES:
-                self._checkpoint_locked()
+                version = self._version + 1
+            pages = sorted(dirty.items())
+            self._wal.commit(label, [_PAGE_ID.pack(page_id) + page
+                                     for page_id, page in pages],
+                             version=version)
+            self._land(pages, version)
+            self._after_landing()
 
     def abort(self) -> None:
         """Discard the whole transaction (all nesting levels) unapplied."""
-        if self._wal is None or self._txn_depth == 0:
+        if self._txn_depth == 0:
             return
         with self._io_lock:
             n_pages, free_head, meta = \
@@ -585,48 +574,66 @@ class Pager:
             self._dirty = {}
             self._txn_snapshot = None
 
-    # -- recovery ------------------------------------------------------------
+    # -- landing logged groups -------------------------------------------------
+
+    def _land(self, pages: list[tuple[int, bytes]], version: int) -> None:
+        """Write one logged group's ``(page_id, page)`` post-images to the
+        main file: the one path of a commit, a replayed group and a
+        replicated one.
+
+        Pre-images are captured for pinned readers first (copy-on-write);
+        a header among the pages is absorbed (allocation state and
+        client metadata); the version advances last, to ``version`` if
+        that is higher, so a reader that pins mid-landing gets the old
+        version and is fully served by history plus unmodified pages.
+        The page size is each image's length: recovery lands groups
+        before the header has been read.
+        """
+        with self._io_lock:
+            with self._version_lock:
+                if self._pins:
+                    for page_id, _page in pages:
+                        self._capture_preimage(page_id)
+            for page_id, page in pages:
+                self._file.seek(page_id * len(page))
+                self._file.write(page)
+                if page_id == _HEADER_PAGE:
+                    self.page_size, self.n_pages, self._free_head, \
+                        self._meta = parse_header(page)
+                    self._header_on_file = (self.n_pages, self._free_head,
+                                            self._meta)
+            with self._version_lock:
+                self._version = max(self._version, version)
+
+    def _after_landing(self) -> None:
+        """Map a file the landed group grew, and checkpoint a log past
+        its threshold (caller holds ``_commit_lock``)."""
+        with self._io_lock:
+            self._remap()
+        if self._wal.size > DEFAULT_CHECKPOINT_BYTES:
+            # Flush under the I/O lock (it repositions the raw stream),
+            # but fsync outside it so pinned readers are not stalled
+            # behind the disk.
+            with self._io_lock:
+                self._file.flush()
+            sync = getattr(self._file, "fsync", None)
+            if sync is not None:
+                sync()
+            else:
+                os.fsync(self._file.fileno())
+            self._wal.checkpoint()
 
     def _recover(self) -> None:
         """Replay committed WAL groups into the main file, drop torn tail."""
-        assert self._wal is not None
-        replayed, discarded = self._wal.recover(self._apply_group)
+        replayed, discarded = self._wal.recover(
+            lambda label, records: self._land(
+                _pages_of(records), split_label(label)[0] or 0))
         if replayed:
             fsync_file(self._file)
         if replayed or discarded or self._wal.pending_groups:
             self._wal.checkpoint()
         self.recovered_groups = replayed
         self.discarded_groups = discarded
-
-    def _apply_group(self, label: bytes, records: list[bytes]) -> None:
-        # Recovery lands exactly on the version of the last committed
-        # group: the stamp each commit put in its label is restored here.
-        version = split_label(label)[0]
-        if version is not None:
-            self._version = max(self._version, version)
-        for record in records:
-            if len(record) <= 8:
-                raise CorruptionError("undersized WAL page record")
-            page_id = struct.unpack_from("<Q", record, 0)[0]
-            data = record[8:]
-            # The page size is self-describing; the header may not have
-            # been read yet (recovery runs before ``_read_header``).
-            self._file.seek(page_id * len(data))
-            self._file.write(data)
-
-    def _checkpoint_locked(self) -> None:
-        # Flush Python's buffer under the I/O lock (it repositions the
-        # raw stream), but run the expensive fsync outside it so pinned
-        # readers are not stalled behind the disk.
-        assert self._wal is not None
-        with self._io_lock:
-            self._file.flush()
-        sync = getattr(self._file, "fsync", None)
-        if sync is not None:
-            sync()
-        else:
-            os.fsync(self._file.fileno())
-        self._wal.checkpoint()
 
     # -- replication ----------------------------------------------------------
 
@@ -646,63 +653,26 @@ class Pager:
                                version: int) -> None:
         """Replay one shipped commit group as a local committed write.
 
-        Mirrors the apply phase of :meth:`commit`: the group goes to the
-        local WAL first (durability -- the label arrives already stamped
-        with the primary's version/seq/term and is appended verbatim),
-        then the post-image pages overwrite the main file with pre-images
-        captured for pinned readers, and only then does the version
-        advance to the primary's stamped ``version`` -- snapshot reads on
-        the replica stay consistent mid-replay exactly as they do under
-        local commits on the primary.
+        The group goes to the local WAL first (durability -- the label
+        arrives already stamped with the primary's version/seq/term and
+        is appended verbatim), then lands like a local commit
+        (:meth:`_land`) at the primary's stamped ``version``, taking the
+        primary's header with it -- snapshot reads on the replica stay
+        consistent mid-replay exactly as they do on the primary.
         """
-        if self._wal is None:
-            raise StorageError("replicated apply needs a write-ahead log")
+        pages = _pages_of(records)
         with self._commit_lock:
             self._wal.append_stamped(label, records)
-            header_dirty = None
-            with self._io_lock:
-                with self._version_lock:
-                    if self._pins:
-                        for record in records:
-                            page_id = struct.unpack_from("<Q", record, 0)[0]
-                            self._capture_preimage(page_id)
-                for record in records:
-                    if len(record) <= 8:
-                        raise CorruptionError("undersized shipped record")
-                    page_id = struct.unpack_from("<Q", record, 0)[0]
-                    data = record[8:]
-                    self._file.seek(page_id * len(data))
-                    self._file.write(data)
-                    if page_id == _HEADER_PAGE:
-                        header_dirty = data
-                if header_dirty is not None:
-                    # Re-absorb the primary's header fields: allocation
-                    # state (n_pages, free list) and client metadata all
-                    # changed underneath the in-memory copies.
-                    magic, ver, _page_size, n_pages, free_head, meta_len = \
-                        struct.unpack_from(_HEADER_FMT, header_dirty, 0)
-                    if magic != MAGIC or ver != VERSION:
-                        raise CorruptionError("bad header in shipped group")
-                    self.n_pages = n_pages
-                    self._free_head = free_head
-                    self._meta = header_dirty[
-                        _HEADER_SIZE:_HEADER_SIZE + meta_len]
-                with self._version_lock:
-                    if version > self._version:
-                        self._version = version
-                self._remap()
-            if self._wal.size > DEFAULT_CHECKPOINT_BYTES:
-                self._checkpoint_locked()
+            self._land(pages, version)
+            self._after_landing()
 
     @property
-    def wal(self) -> WriteAheadLog | None:
-        """The underlying write-ahead log (``None`` when disabled)."""
+    def wal(self) -> WriteAheadLog:
+        """The underlying write-ahead log."""
         return self._wal
 
-    def wal_info(self) -> dict[str, object] | None:
-        """WAL description plus this open's recovery counts, or ``None``."""
-        if self._wal is None:
-            return None
+    def wal_info(self) -> dict[str, object]:
+        """WAL description plus this open's recovery counts."""
         info = self._wal.describe()
         info["recovered_on_open"] = self.recovered_groups
         info["discarded_on_open"] = self.discarded_groups
@@ -740,7 +710,7 @@ class Pager:
 
         Outside a transaction, clean pages inside the mapped prefix are
         copied straight from the mapping without taking ``_io_lock``.
-        Callers that could race a concurrent commit's apply phase must
+        Callers that could race a concurrent commit's landing must
         use the versioned :meth:`read_at` (snapshot readers do); plain
         ``read`` is for the writer itself and for externally serialized
         access, exactly as before.
@@ -757,11 +727,13 @@ class Pager:
             if self._txn_depth and page_id in self._dirty:
                 return self._dirty[page_id]
             self._maybe_remap_for(page_id)
-            self._file.seek(page_id * self.page_size)
-            data = self._file.read(self.page_size)
-            if len(data) < self.page_size:
-                data = data.ljust(self.page_size, b"\x00")
-            return data
+            return self._read_file_page(page_id)
+
+    def _read_file_page(self, page_id: int) -> bytes:
+        """One page from the file, zero-padded past its end (caller holds
+        ``_io_lock``)."""
+        self._file.seek(page_id * self.page_size)
+        return self._file.read(self.page_size).ljust(self.page_size, b"\x00")
 
     def write(self, page_id: int, data: bytes) -> None:
         """Write ``data`` (padded/truncated to one page) at ``page_id``."""
@@ -801,15 +773,7 @@ class Pager:
 
     def read_overflow(self, head_page: int, length: int) -> bytes:
         """Read ``length`` bytes back from an overflow chain."""
-        out = bytearray()
-        page_id = head_page
-        while len(out) < length:
-            if page_id == 0:
-                raise CorruptionError("overflow chain ended early")
-            raw = self.read(page_id)
-            page_id = struct.unpack_from("<Q", raw, 0)[0]
-            out += raw[8:8 + min(self.page_size - 8, length - len(out))]
-        return bytes(out)
+        return _read_chain(self.read, self.page_size, head_page, length)
 
     def free_overflow(self, head_page: int, length: int) -> None:
         """Release every page of an overflow chain back to the free list."""
@@ -829,8 +793,7 @@ class Pager:
         """fsync the underlying file (and checkpoint the WAL when idle)."""
         with self._io_lock:
             fsync_file(self._file)
-        if self._wal is not None and self._txn_depth == 0 \
-                and self._wal.pending_groups:
+        if self._txn_depth == 0 and self._wal.pending_groups:
             with self._commit_lock:
                 self._wal.checkpoint()
 
@@ -845,9 +808,8 @@ class Pager:
                     self.abort()
                 self._write_header()
                 self._file.flush()
-                if self._wal is not None and self._wal.pending_groups:
+                if self._wal.pending_groups:
                     fsync_file(self._file)
                     self._wal.checkpoint()
                 self._file.close()
-            if self._wal is not None:
-                self._wal.close()
+            self._wal.close()

@@ -345,11 +345,6 @@ class WriteAheadLog:
 
     # -- recovery / iteration ----------------------------------------------
 
-    @property
-    def header_size(self) -> int:
-        """Byte offset of the first group (right after the file header)."""
-        return _FILE_HEADER.size
-
     def read_group_at(self, offset: int
                       ) -> tuple[bytes, list[bytes], int] | None:
         """Read and decode the single group at byte ``offset``.
