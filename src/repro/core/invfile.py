@@ -148,7 +148,7 @@ def delta_key(table_key: bytes, seq: int) -> bytes:
 
 
 def number_record(tree: NestedSet, ordinal: int, first_id: int
-                  ) -> tuple[list[tuple[frozenset, tuple[int, tuple[int, ...]]]],
+                  ) -> tuple[list[tuple[list, tuple[int, tuple[int, ...]]]],
                              list[bytes], str]:
     """Number one record's internal nodes in preorder from ``first_id``.
 
@@ -156,30 +156,32 @@ def number_record(tree: NestedSet, ordinal: int, first_id: int
     ``(nodes, meta, text)``: per node its atoms and its posting
     ``(id, child ids)``, listed as the walk completes them (post-order:
     a node after its descendants); the node-metadata entries in id
-    order; and the record's canonical text.  Children are visited in
-    canonical text order for determinism; ids are handed out
-    sequentially during the visit, so every child-id tuple is ascending,
-    as postings require.  The walk keeps its own stack (any depth).
+    order; and the record's canonical text.  Children are visited, and
+    each node's atoms listed, in canonical text order, so a build does
+    not depend on the hash seed; ids are handed out sequentially during
+    the visit, so every child-id tuple is ascending, as postings
+    require.  The walk keeps its own stack (any depth).
     """
-    nodes: list[tuple[frozenset, tuple[int, tuple[int, ...]]]] = []
+    nodes: list[tuple[list, tuple[int, tuple[int, ...]]]] = []
     meta: list[bytes] = [b""]       # a slot per id, filled after the subtree
-    text, root, members = tree.canonical()
-    # One frame per open set: the node, its id, the members still to
+    text, _root, members, atoms = tree.canonical()
+    # One frame per open set: its atoms, its id, the members still to
     # visit, the ids of those visited.
-    stack = [(root, first_id, iter(members), [])]
+    stack = [(atoms, first_id, iter(members), [])]
     while stack:
-        node, node_id, pending, child_ids = stack[-1]
-        for _text, child, grandchildren in pending:
+        atoms, node_id, pending, child_ids = stack[-1]
+        for _text, _child, grandchildren, child_atoms in pending:
             child_ids.append(first_id + len(meta))
-            stack.append((child, child_ids[-1], iter(grandchildren), []))
+            stack.append((child_atoms, child_ids[-1], iter(grandchildren),
+                          []))
             meta.append(b"")
             break
         else:
             stack.pop()
             meta[node_id - first_id] = _META_ENTRY.pack(
-                ordinal, len(node.atoms), first_id + len(meta) - 1,
+                ordinal, len(atoms), first_id + len(meta) - 1,
                 _FLAG_ROOT if node_id == first_id else 0)
-            nodes.append((node.atoms, (node_id, tuple(child_ids))))
+            nodes.append((atoms, (node_id, tuple(child_ids))))
     return nodes, meta, text
 
 

@@ -238,15 +238,16 @@ def _interior(siblings: list[tuple], paths: PathList,
               obs: PlanObserver) -> Generator:
     """Top-down-interior (Algorithm 2), child axis, run by :func:`_drive`.
 
-    ``siblings`` are :meth:`NestedSet.canonical_members` triples: the sibling
-    subqueries in canonical order, each with its own members below it.
+    ``siblings`` are :meth:`NestedSet.canonical_members` quadruples: the
+    sibling subqueries in canonical order, each with its own members
+    below it.
     """
     if not siblings:                       # lines 1-2
         return paths.heads()
     if not paths:                          # lines 3-4
         return set()
     roots = paths.heads()                  # line 6
-    for _text, node, members in siblings:  # lines 7-12
+    for _text, node, members, _atoms in siblings:  # lines 7-12
         obs.enter_node(node)
         cand = node_candidates(node, ifile, spec)          # line 8
         extended = nav_join(paths, cand)                   # line 9
@@ -272,7 +273,7 @@ def _interior_desc(siblings: list[tuple],
     if not paths:
         return set()
     roots = {head for head, _node, _end in paths}
-    for _text, node, members in siblings:
+    for _text, node, members, _atoms in siblings:
         obs.enter_node(node)
         cand = node_candidates(node, ifile, spec)
         cand_entries = cand.entries

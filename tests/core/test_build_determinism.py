@@ -5,11 +5,17 @@ leave byte-identical index files (the paged file and its write-ahead
 log) at 1 and 4 partitions, so a change to the writer or the store can
 be checked against the file its parent writes, not only against a
 logical dump (``test_one_writer.py``).  Then one insert group into each
-copy keeps them identical.  Hypothesis-free (runs in the
+copy keeps them identical.  Builds in two processes under different
+hash seeds write the same bytes too.  Hypothesis-free (runs in the
 crash-consistency CI job).
 """
 
 from __future__ import annotations
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -63,4 +69,27 @@ def test_two_builds_write_the_same_bytes(tmp_path, shards: int,
         index = NestedSetIndex.open("diskhash", path)
         index.insert_batch(group)
         index.close()
+    assert files(paths[0]) == files(paths[1])
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_builds_do_not_depend_on_the_hash_seed(tmp_path, shards: int) -> None:
+    """A node's atoms reach the writer in canonical order, not in the
+    iteration order of a set of strings, which the hash seed picks."""
+    paths = [str(tmp_path / f"seed{seed}.dh") for seed in (1, 2)]
+    for seed, path in zip((1, 2), paths):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(
+                       [str(ROOT / "src"), str(ROOT),
+                        os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from tests.core.test_build_determinism import build\n"
+             "build(sys.argv[1], int(sys.argv[2]), None).close()\n",
+             path, str(shards)],
+            env=env, check=True, timeout=300)
     assert files(paths[0]) == files(paths[1])

@@ -50,13 +50,13 @@ class TestNumberRecord:
         by_id = {posting[0]: (atoms, posting[1]) for atoms, posting in nodes}
         # preorder over children sorted by canonical text
         assert by_id == {
-            100: (frozenset(["r"]), (101, 105, 106)),
-            101: (frozenset(["a"]), (102, 103)),
-            102: (frozenset(["k"]), ()),
-            103: (frozenset(), (104,)),
-            104: (frozenset(["b"]), ()),
-            105: (frozenset(["z"]), ()),
-            106: (frozenset(), ()),
+            100: (["r"], (101, 105, 106)),
+            101: (["a"], (102, 103)),
+            102: (["k"], ()),
+            103: ([], (104,)),
+            104: (["b"], ()),
+            105: (["z"], ()),
+            106: ([], ()),
         }
         # listed as the walk completes them: a node after its descendants
         assert [posting[0] for _atoms, posting in nodes] == \
@@ -64,6 +64,14 @@ class TestNumberRecord:
         assert [_META_ENTRY.unpack(entry) for entry in meta] == [
             (7, 1, 106, _FLAG_ROOT), (7, 1, 104, 0), (7, 1, 102, 0),
             (7, 0, 104, 0), (7, 1, 104, 0), (7, 1, 105, 0), (7, 0, 106, 0)]
+
+    def test_atoms_in_canonical_order(self) -> None:
+        # The order the writer adds postings in, whatever the hash seed.
+        tree = NestedSet(["b", 10, "a", 2], [NestedSet(["y", "x"])])
+        nodes, _meta, text = number_record(tree, 0, 0)
+        assert text == "{2, 10, a, b, {x, y}}"
+        assert [atoms for atoms, _posting in nodes] == \
+            [["x", "y"], [2, 10, "a", "b"]]
 
     def test_a_deep_path_is_serialised_once_per_node(self) -> None:
         tree = NestedSet(["leaf"])
